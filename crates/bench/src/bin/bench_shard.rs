@@ -168,23 +168,48 @@ fn main() {
     let publish_noop = start.elapsed().as_secs_f64();
     assert_eq!(noop.clusters(), cold.clusters());
 
-    // Incremental: one more snapshot dirties a subset of the shards.
+    // Incremental: one more snapshot; the publish re-reads only the
+    // clusters it founded or that gained a record.
     let extra = registry.generate_snapshot(&calendar[args.snapshots]);
     tsv::write_snapshot(&archive, &extra).expect("write extra snapshot");
     engine
         .ingest_archive(&archive, &ImportOptions::strict())
         .expect("engine ingest extra");
     let start = Instant::now();
-    engine.publish(2);
+    let incremental = engine.publish(2);
     let publish_incremental = start.elapsed().as_secs_f64();
+    // How much of the store that publish had to re-read: clusters the
+    // extra snapshot founded or gave a record. With the default
+    // arguments that is every cluster — the ninth calendar snapshot
+    // adds a record to each — so the default run times the worst case.
+    let changed = incremental
+        .clusters()
+        .iter()
+        .enumerate()
+        .filter(|(i, (_, rows))| {
+            cold.clusters().get(*i).map(|(_, old)| old.len()) != Some(rows.len())
+        })
+        .count();
     drop(engine);
 
     eprintln!("replaying WAL…");
     let start = Instant::now();
-    let replayed = open_engine(&state, args.shards);
+    let mut replayed = open_engine(&state, args.shards);
     let replay_secs = start.elapsed().as_secs_f64();
     assert!(replayed.recovery().is_clean(), "replay must be clean");
     let replayed_rows = replayed.store().rows_imported();
+    // The reopened engine has no cache to patch, so its publish is the
+    // bulk build of the very store the incremental publish patched: the
+    // two must be equal, and this is the cold time to compare against
+    // (`publish_cold_secs` read one snapshot less).
+    let start = Instant::now();
+    let recold = replayed.publish(2);
+    let publish_cold_same_state = start.elapsed().as_secs_f64();
+    assert_eq!(
+        incremental.clusters(),
+        recold.clusters(),
+        "incremental publish differs from a cold publish of the same state"
+    );
     drop(replayed);
 
     fs::remove_dir_all(&archive).ok();
@@ -194,12 +219,14 @@ fn main() {
     println!(
         "ingest: 1 shard {one_rate:.0} rows/s, {} shards {n_rate:.0} rows/s ({speedup:.2}x)\n\
          engine ingest (WAL on): {:.0} rows/s\n\
-         publish: cold {:.1} ms, incremental {:.1} ms, no-op {:.1} ms\n\
+         publish: cold {:.1} ms, incremental {:.1} ms over {changed} changed clusters \
+         (cold on the same state {:.1} ms), no-op {:.1} ms\n\
          replay: {replayed_rows} rows in {:.1} ms ({:.0} rows/s)",
         args.shards,
         rows as f64 / engine_secs,
         publish_cold * 1e3,
         publish_incremental * 1e3,
+        publish_cold_same_state * 1e3,
         publish_noop * 1e3,
         replay_secs * 1e3,
         replayed_rows as f64 / replay_secs,
@@ -213,6 +240,7 @@ fn main() {
             "  \"snapshots\": {},\n",
             "  \"shards\": {},\n",
             "  \"seed\": {},\n",
+            "  \"hardware_threads\": {},\n",
             "  \"rows\": {},\n",
             "  \"clusters\": {},\n",
             "  \"records\": {},\n",
@@ -222,6 +250,8 @@ fn main() {
             "  \"engine_ingest_rows_per_sec\": {:.1},\n",
             "  \"publish_cold_secs\": {:.6},\n",
             "  \"publish_incremental_secs\": {:.6},\n",
+            "  \"publish_incremental_changed_clusters\": {},\n",
+            "  \"publish_cold_same_state_secs\": {:.6},\n",
             "  \"publish_noop_secs\": {:.6},\n",
             "  \"wal_replay_secs\": {:.6},\n",
             "  \"wal_replay_rows_per_sec\": {:.1}\n",
@@ -231,6 +261,7 @@ fn main() {
         args.snapshots,
         args.shards,
         args.seed,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         rows,
         clusters,
         records,
@@ -240,6 +271,8 @@ fn main() {
         rows as f64 / engine_secs,
         publish_cold,
         publish_incremental,
+        changed,
+        publish_cold_same_state,
         publish_noop,
         replay_secs,
         replayed_rows as f64 / replay_secs,

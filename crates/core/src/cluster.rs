@@ -263,6 +263,13 @@ impl ClusterStore {
         v
     }
 
+    /// The document id of the cluster with this (trimmed) NCID. In a
+    /// store filled by imports alone, ids count up from 0 in founding
+    /// order with no gaps.
+    pub fn doc_id(&self, ncid: &str) -> Option<DocId> {
+        self.ncid_to_doc.get(ncid).copied()
+    }
+
     /// The cluster document for an NCID.
     pub fn cluster_doc(&self, ncid: &str) -> Option<&Document> {
         self.ncid_to_doc

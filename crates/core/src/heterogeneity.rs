@@ -109,6 +109,18 @@ impl AttributeWeights {
         self.weights[attr]
     }
 
+    /// Whether `other` has the same scope and bit-for-bit the same
+    /// weights, i.e. scores computed under one are valid under the other.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        self.attrs == other.attrs
+            && self.weights.len() == other.weights.len()
+            && self
+                .weights
+                .iter()
+                .zip(&other.weights)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
     /// Attributes in scope, by descending weight (most unique first) —
     /// used by the detection experiment to pick its blocking keys.
     pub fn attrs_by_weight(&self) -> Vec<AttrId> {

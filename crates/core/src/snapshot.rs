@@ -126,9 +126,9 @@ impl StoreSnapshot {
     /// The caller owns the ordering contract: `clusters` must be in the
     /// order [`ClusterStore::cluster_ids`] would yield for the
     /// equivalent store, or customization loses its bit-identity
-    /// guarantee. `nc-shard` uses this for incremental publishes, where
-    /// only dirty shards are re-materialized and the per-shard cluster
-    /// lists are merged back into global founding order.
+    /// guarantee. `nc-shard` uses this for its publishes, where the
+    /// per-shard cluster lists (patched at the clusters that changed)
+    /// are merged back into global founding order.
     pub fn from_clusters(version: u32, clusters: Vec<(String, Vec<Row>)>) -> Self {
         let records = clusters.iter().map(|(_, r)| r.len() as u64).sum();
         StoreSnapshot {

@@ -16,7 +16,7 @@ pub type DocId = u64;
 /// declared via [`Collection::create_index`] are maintained on every
 /// mutation and used automatically by [`Collection::find`] when a filter
 /// pins the indexed path.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Collection {
     name: String,
     docs: HashMap<DocId, Document>,

@@ -42,7 +42,7 @@ impl Ord for OrdKey {
 }
 
 /// A secondary index instance.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Index {
     /// Hash-based equality index (buckets by stable hash; collisions
     /// resolved by `query_eq`).

@@ -12,13 +12,16 @@
 //!
 //! Heterogeneity depends on the snapshot-wide entropy weights, so a
 //! catalog is valid only for the snapshot it was built from — the serve
-//! layer caches one per published [`ServeSnapshot`] and rebuilds on
-//! publish.
+//! layer caches one per published `ServeSnapshot`. A publish that
+//! founds no cluster leaves positions and weights alone, so its catalog
+//! is the previous one with the revised clusters' documents replaced
+//! ([`ClusterCatalog::carry_forward`]); any other publish builds afresh
+//! on the first query.
 
 use nc_core::heterogeneity::HeterogeneityScorer;
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::snapshot::{ClusterFacts, StoreSnapshot};
-use nc_docstore::collection::Collection;
+use nc_docstore::collection::{Collection, DocId};
 use nc_docstore::index::IndexKind;
 use nc_docstore::query::Filter;
 use nc_docstore::value::Document;
@@ -127,6 +130,60 @@ impl ClusterCatalog {
             collection,
             version: snapshot.version(),
         }
+    }
+
+    /// The catalog for `snapshot` derived from `previous`, the catalog
+    /// of the version before it: a clone of `previous` with the
+    /// documents in `dirty` — `(capture position, document)` pairs
+    /// scored under `heterogeneity` — replaced in place.
+    ///
+    /// The caller vouches that `heterogeneity` carries the same weights
+    /// `previous` was scored with, and that clusters only ever gain
+    /// records. Everything else is checked here: `None` unless both
+    /// catalogs cover the same NCIDs at the same positions. A cluster
+    /// whose record count moved but which `dirty` omits is re-derived, so
+    /// an incomplete `dirty` costs extra work, never a stale document.
+    pub fn carry_forward(
+        previous: &ClusterCatalog,
+        snapshot: &StoreSnapshot,
+        heterogeneity: &HeterogeneityScorer,
+        dirty: &[(usize, Document)],
+    ) -> Option<Self> {
+        let clusters = snapshot.clusters();
+        if previous.len() != clusters.len() {
+            return None;
+        }
+        let mut resized = Vec::new();
+        for (pos, (ncid, rows)) in clusters.iter().enumerate() {
+            let doc = previous.collection.get(pos as DocId)?;
+            if doc.get_str("ncid") != Some(ncid.as_str()) {
+                return None;
+            }
+            if doc.get_i64("size") != Some(rows.len() as i64) {
+                resized.push(pos);
+            }
+        }
+        let mut collection = previous.collection.clone();
+        for (pos, doc) in dirty {
+            let (ncid, _) = clusters.get(*pos)?;
+            if doc.get_str("ncid") != Some(ncid.as_str()) {
+                return None;
+            }
+            collection.replace(*pos as DocId, doc.clone());
+        }
+        let plausibility = PlausibilityScorer::new();
+        for pos in resized {
+            let (ncid, rows) = &clusters[pos];
+            let replaced = collection.get(pos as DocId).and_then(|d| d.get_i64("size"));
+            if replaced != Some(rows.len() as i64) {
+                let doc = Self::cluster_doc(ncid, rows, heterogeneity, &plausibility);
+                collection.replace(pos as DocId, doc);
+            }
+        }
+        Some(ClusterCatalog {
+            collection,
+            version: snapshot.version(),
+        })
     }
 
     /// The catalog document for one cluster, independent of any built
@@ -458,6 +515,119 @@ mod tests {
             Some(false)
         );
         assert_eq!(cat.cluster_matches("ZZ", &Filter::True), None);
+    }
+
+    /// `snapshot()` at version 2 with B2 revised (one more record).
+    fn revised_snapshot() -> StoreSnapshot {
+        let mut clusters = snapshot().clusters().to_vec();
+        clusters[1]
+            .1
+            .push(row("B2", "KARL", "OXENDINE", "2011-07-08", "57"));
+        StoreSnapshot::from_clusters(2, clusters)
+    }
+
+    fn docs_by_id(cat: &ClusterCatalog) -> Vec<(u64, Document)> {
+        cat.collection()
+            .iter_ordered()
+            .map(|(id, d)| (id, d.clone()))
+            .collect()
+    }
+
+    /// The `(position, doc)` pair `carry_forward` takes for one cluster.
+    fn dirty_doc(
+        snap: &StoreSnapshot,
+        pos: usize,
+        scorer: &HeterogeneityScorer,
+    ) -> (usize, Document) {
+        let (ncid, rows) = &snap.clusters()[pos];
+        let doc = ClusterCatalog::cluster_doc(ncid, rows, scorer, &PlausibilityScorer::new());
+        (pos, doc)
+    }
+
+    #[test]
+    fn carried_catalog_equals_a_fresh_build_and_answers_like_one() {
+        let v1 = snapshot();
+        let v2 = revised_snapshot();
+        // No cluster founded, so the first-record weights are unchanged.
+        let scorer = v2.entropy_scorer(Scope::Person);
+        let previous = ClusterCatalog::build(&v1, &v1.entropy_scorer(Scope::Person));
+        let fresh = ClusterCatalog::build(&v2, &scorer);
+
+        let dirty = [dirty_doc(&v2, 1, &scorer)];
+        let carried = ClusterCatalog::carry_forward(&previous, &v2, &scorer, &dirty)
+            .expect("same NCIDs at the same positions");
+        assert_eq!(carried.version(), 2);
+        assert_eq!(docs_by_id(&carried), docs_by_id(&fresh));
+        assert_ne!(docs_by_id(&carried), docs_by_id(&previous));
+
+        // The cloned-then-patched indexes answer like freshly built ones
+        // on every indexed path, for postings that moved and ones that
+        // did not.
+        let b2 = fresh.collection().get(1).unwrap();
+        let filters = [
+            Filter::eq("ncid", "B2"),
+            Filter::eq("size", 1_i64),
+            Filter::eq("size", 2_i64),
+            Filter::between("size", 2_i64, 3_i64),
+            Filter::gte("het", b2.get_f64("het").unwrap()),
+            Filter::lt("het", b2.get_f64("het").unwrap()),
+            Filter::lte("plaus", b2.get_f64("plaus").unwrap()),
+            Filter::eq("plaus", 1.0),
+            Filter::eq("snapshot.first", "2009-03-04"),
+            Filter::gte("snapshot.last", "2010-05-06"),
+            Filter::eq("snapshot.last", "2009-03-04"),
+        ];
+        for f in &filters {
+            assert!(!carried.collection().plan(f).is_full_scan(), "{f:?} is indexed");
+            assert_eq!(
+                carried.collection().find_ids(f),
+                fresh.collection().find_ids(f),
+                "carried and fresh disagree on {f:?}"
+            );
+        }
+        // The source catalog is untouched by the carry.
+        assert_eq!(previous.collection().get(1).unwrap().get_i64("size"), Some(1));
+    }
+
+    #[test]
+    fn carry_rederives_a_grown_cluster_the_dirty_list_omits() {
+        let v1 = snapshot();
+        let v2 = revised_snapshot();
+        let scorer = v2.entropy_scorer(Scope::Person);
+        let previous = ClusterCatalog::build(&v1, &v1.entropy_scorer(Scope::Person));
+        let carried = ClusterCatalog::carry_forward(&previous, &v2, &scorer, &[])
+            .expect("an incomplete dirty list is repaired, not refused");
+        assert_eq!(
+            docs_by_id(&carried),
+            docs_by_id(&ClusterCatalog::build(&v2, &scorer))
+        );
+    }
+
+    #[test]
+    fn carry_refuses_mismatched_shapes() {
+        let v1 = snapshot();
+        let scorer = v1.entropy_scorer(Scope::Person);
+        let previous = ClusterCatalog::build(&v1, &scorer);
+
+        // A founded cluster: the counts differ.
+        let mut grown = v1.clusters().to_vec();
+        grown.push(("D4".into(), vec![row("D4", "NEW", "VOTER", "2011-07-08", "20")]));
+        let grown = StoreSnapshot::from_clusters(2, grown);
+        assert!(ClusterCatalog::carry_forward(&previous, &grown, &scorer, &[]).is_none());
+
+        // Same count, but a position holds a different cluster.
+        let mut swapped = v1.clusters().to_vec();
+        swapped.swap(0, 2);
+        let swapped = StoreSnapshot::from_clusters(2, swapped);
+        assert!(ClusterCatalog::carry_forward(&previous, &swapped, &scorer, &[]).is_none());
+
+        // A dirty document that names another cluster than its position.
+        let v2 = revised_snapshot();
+        let (_, doc) = dirty_doc(&v2, 1, &scorer);
+        let misplaced = [(0, doc.clone())];
+        assert!(ClusterCatalog::carry_forward(&previous, &v2, &scorer, &misplaced).is_none());
+        let out_of_range = [(9, doc)];
+        assert!(ClusterCatalog::carry_forward(&previous, &v2, &scorer, &out_of_range).is_none());
     }
 
     #[test]

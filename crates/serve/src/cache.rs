@@ -142,15 +142,23 @@ impl<V> LruCache<V> {
     /// Drop every entry whose `(tag, value)` fails the predicate,
     /// returning how many were dropped. Unlike capacity evictions these
     /// are *invalidations*: they do not increment the eviction counter,
-    /// so the two causes stay distinguishable in metrics.
+    /// so the two causes stay distinguishable in metrics. The dropped
+    /// values are freed after the lock is released — a swept entry may
+    /// be the last reference to a whole rendered carve.
     pub fn retain<F>(&self, keep: F) -> u64
     where
         F: Fn(u64, &V) -> bool,
     {
         let mut inner = self.inner.lock().expect("cache lock");
-        let before = inner.map.len();
-        inner.map.retain(|_, (_, tag, v)| keep(*tag, v));
-        (before - inner.map.len()) as u64
+        let dead: Vec<Digest> = inner
+            .map
+            .iter()
+            .filter(|(_, (_, tag, v))| !keep(*tag, v))
+            .map(|(k, _)| *k)
+            .collect();
+        let dropped: Vec<_> = dead.iter().filter_map(|k| inner.map.remove(k)).collect();
+        drop(inner);
+        dropped.len() as u64
     }
 
     /// Current counter values.

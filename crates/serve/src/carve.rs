@@ -290,6 +290,12 @@ pub struct DeltaStats {
     /// Entries re-keyed to a new version because the publish delta
     /// provably did not affect them.
     pub carried_forward: u64,
+    /// Publishes whose query catalog was carried forward from the
+    /// previous version (dirty documents replaced in a clone).
+    pub catalog_carried: u64,
+    /// Catalogs built in full, on the first query against a version
+    /// that could not be carried.
+    pub catalog_rebuilt: u64,
 }
 
 /// Planner access-decision counters for the query path, exported via
@@ -309,6 +315,8 @@ pub struct CarveEngine {
     cache: LruCache<CarveResult>,
     invalidated: std::sync::atomic::AtomicU64,
     carried_forward: std::sync::atomic::AtomicU64,
+    catalog_carried: std::sync::atomic::AtomicU64,
+    catalog_rebuilt: std::sync::atomic::AtomicU64,
     conjuncts_indexed: std::sync::atomic::AtomicU64,
     conjuncts_scanned: std::sync::atomic::AtomicU64,
 }
@@ -322,6 +330,8 @@ impl CarveEngine {
             cache: LruCache::new(cache_capacity),
             invalidated: std::sync::atomic::AtomicU64::new(0),
             carried_forward: std::sync::atomic::AtomicU64::new(0),
+            catalog_carried: std::sync::atomic::AtomicU64::new(0),
+            catalog_rebuilt: std::sync::atomic::AtomicU64::new(0),
             conjuncts_indexed: std::sync::atomic::AtomicU64::new(0),
             conjuncts_scanned: std::sync::atomic::AtomicU64::new(0),
         }
@@ -343,6 +353,8 @@ impl CarveEngine {
         DeltaStats {
             invalidated: self.invalidated.load(Ordering::Relaxed),
             carried_forward: self.carried_forward.load(Ordering::Relaxed),
+            catalog_carried: self.catalog_carried.load(Ordering::Relaxed),
+            catalog_rebuilt: self.catalog_rebuilt.load(Ordering::Relaxed),
         }
     }
 
@@ -369,10 +381,17 @@ impl CarveEngine {
     /// Publish a snapshot through the registry and reconcile the carve
     /// cache against it.
     ///
-    /// Two reconciliation steps run, in order:
+    /// Three steps run, in order; the first two need a `delta` for the
+    /// exact `current → new` transition:
     ///
-    /// 1. **Carry-forward** (needs a `delta` for the exact
-    ///    `previous → new` transition): a cached carve transfers to the
+    /// 1. **Catalog carry** (before the snapshot becomes visible): when
+    ///    the delta founded no cluster, the previous version's catalog
+    ///    has been built and the entropy weights are bit-equal, the new
+    ///    snapshot's catalog is seeded with a clone of the previous one
+    ///    whose dirty clusters' documents are replaced
+    ///    ([`ClusterCatalog::carry_forward`]). Otherwise the catalog is
+    ///    built in full by the first query, as for any fresh snapshot.
+    /// 2. **Cache carry-forward**: a cached carve transfers to the
     ///    new version bit-identically when the delta founded no cluster
     ///    (cluster count unchanged ⇒ the seeded sampling permutation
     ///    and the first-record entropy scorer are unchanged) and none
@@ -383,12 +402,12 @@ impl CarveEngine {
     ///    keeps the warm-cache hit rate non-zero across low-churn
     ///    publishes. This bit-identity is property-tested against
     ///    fresh carves in `nc-stream`'s churn suite.
-    /// 2. **Dead-version eviction**: entries tagged with a version no
+    /// 3. **Dead-version eviction**: entries tagged with a version no
     ///    longer in the registry (evicted by retention) are dropped
     ///    immediately instead of lingering until LRU pressure pushes
     ///    them out.
     ///
-    /// Without a delta only step 2 runs: old-version entries stay
+    /// Without a delta only step 3 runs: old-version entries stay
     /// correct (they serve pinned-version requests) but nothing can be
     /// carried forward.
     pub fn publish(
@@ -397,63 +416,68 @@ impl CarveEngine {
         delta: Option<PublishDelta>,
     ) -> Arc<crate::snapshot::ServeSnapshot> {
         use std::sync::atomic::Ordering;
+        let previous = self.registry.current();
+        let new_version = snapshot.version();
+        let transition = delta
+            .as_ref()
+            .filter(|d| d.version == new_version && previous.version() != new_version);
+        // Catalog docs for the delta's dirty clusters, scored under the
+        // *new* snapshot; derived at most once per publish, by whichever
+        // of the catalog carry and the footprint check needs them first.
+        let mut dirty_docs: Option<Vec<(usize, Document)>> = None;
+        if let Some(delta) = transition {
+            if let Some(catalog) = carried_catalog(&previous, &snapshot, delta, &mut dirty_docs) {
+                snapshot.seed_catalog(catalog);
+                self.catalog_carried.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         let outcome = self.registry.publish_with_delta(snapshot, delta.clone());
-        let new_version = outcome.snapshot.version();
 
-        if let Some(delta) = delta {
-            let transition_ok =
-                delta.version == new_version && outcome.previous_version != new_version;
-            if transition_ok {
-                let knob_ok = delta.founded.is_empty();
-                // Catalog docs for the delta's dirty clusters, scored
-                // under the *new* snapshot; computed at most once per
-                // publish, and only when a query carve needs them.
-                let mut dirty_docs: Option<Vec<Document>> = None;
-                for (tag, result) in self.cache.entries() {
-                    if tag != u64::from(outcome.previous_version) {
-                        continue;
+        // A concurrent publisher may have moved `current` in between;
+        // cache entries carry only across the transition the delta names.
+        let transition = transition.filter(|_| outcome.previous_version == previous.version());
+        if let Some(delta) = transition {
+            let knob_ok = delta.founded.is_empty();
+            for (tag, result) in self.cache.entries() {
+                if tag != u64::from(outcome.previous_version) {
+                    continue;
+                }
+                let revised_hits_sampled = delta
+                    .revised
+                    .iter()
+                    .any(|ncid| result.sampled.binary_search(ncid).is_ok());
+                let carry = match &result.query {
+                    // Knob carves are sound only when nothing was
+                    // founded (founding changes the sampling
+                    // permutation and the entropy weights) and no
+                    // sampled cluster was revised.
+                    None => knob_ok && !revised_hits_sampled,
+                    // Query carves survive a founding publish too,
+                    // provided (a) the query never reads `het`
+                    // (whose entropy weights shift when a cluster
+                    // is founded), (b) no cluster of the recorded
+                    // matched set was revised, and (c) no dirty
+                    // cluster matches the recorded predicate
+                    // footprint under the new snapshot's scores —
+                    // i.e. nothing could join the matched set.
+                    Some(qc) => {
+                        !qc.pinned
+                            && (!qc.footprint.scorer_dependent || delta.founded.is_empty())
+                            && !revised_hits_sampled
+                            && !dirty_docs
+                                .get_or_insert_with(|| dirty_cluster_docs(&outcome.snapshot, delta))
+                                .iter()
+                                .any(|(_, doc)| qc.footprint.matches(doc))
                     }
-                    let revised_hits_sampled = delta
-                        .revised
-                        .iter()
-                        .any(|ncid| result.sampled.binary_search(ncid).is_ok());
-                    let carry = match &result.query {
-                        // Knob carves are sound only when nothing was
-                        // founded (founding changes the sampling
-                        // permutation and the entropy weights) and no
-                        // sampled cluster was revised.
-                        None => knob_ok && !revised_hits_sampled,
-                        // Query carves survive a founding publish too,
-                        // provided (a) the query never reads `het`
-                        // (whose entropy weights shift when a cluster
-                        // is founded), (b) no cluster of the recorded
-                        // matched set was revised, and (c) no dirty
-                        // cluster matches the recorded predicate
-                        // footprint under the new snapshot's scores —
-                        // i.e. nothing could join the matched set.
-                        Some(qc) => {
-                            !qc.pinned
-                                && (!qc.footprint.scorer_dependent || delta.founded.is_empty())
-                                && !revised_hits_sampled
-                                && !dirty_docs
-                                    .get_or_insert_with(|| {
-                                        dirty_cluster_docs(&outcome.snapshot, &delta)
-                                    })
-                                    .iter()
-                                    .any(|doc| qc.footprint.matches(doc))
-                        }
+                };
+                if carry {
+                    let encoding = result.encoding.as_ref();
+                    let key = match &result.query {
+                        None => knob_fingerprint(new_version, &result.params, encoding),
+                        Some(qc) => query_fingerprint(new_version, &qc.canonical, encoding),
                     };
-                    if carry {
-                        let encoding = result.encoding.as_ref();
-                        let key = match &result.query {
-                            None => knob_fingerprint(new_version, &result.params, encoding),
-                            Some(qc) => {
-                                query_fingerprint(new_version, &qc.canonical, encoding)
-                            }
-                        };
-                        self.cache.insert_tagged(key, u64::from(new_version), result);
-                        self.carried_forward.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.cache.insert_tagged(key, u64::from(new_version), result);
+                    self.carried_forward.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -467,6 +491,15 @@ impl CarveEngine {
         let dropped = self.cache.retain(|tag, _| live.contains(&tag));
         self.invalidated.fetch_add(dropped, Ordering::Relaxed);
         outcome.snapshot
+    }
+
+    /// The snapshot's query catalog, counting the call that has to
+    /// build it in full.
+    fn catalog_of<'a>(&self, snapshot: &'a ServeSnapshot) -> &'a Arc<ClusterCatalog> {
+        snapshot.catalog_or_build(|| {
+            self.catalog_rebuilt
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        })
     }
 
     /// Execute a carve request: resolve the snapshot, consult the cache,
@@ -546,7 +579,8 @@ impl CarveEngine {
             });
         }
 
-        let outcome = execute(snapshot.catalog(), query, ExecOptions { force_scan: false });
+        let catalog = self.catalog_of(&snapshot);
+        let outcome = execute(catalog, query, ExecOptions { force_scan: false });
         self.note_plan(&outcome.explain);
         if encoding.is_some() && outcome.positions.is_none() {
             return Err(CarveError::InvalidParams(
@@ -581,17 +615,48 @@ impl CarveEngine {
             .registry
             .pinned(query.version)
             .ok_or(CarveError::UnknownVersion(query.version.unwrap_or(0)))?;
-        let explain = plan_query(snapshot.catalog(), query, ExecOptions { force_scan: false });
+        let catalog = self.catalog_of(&snapshot);
+        let explain = plan_query(catalog, query, ExecOptions { force_scan: false });
         self.note_plan(&explain);
         Ok(explain)
     }
 }
 
+/// The one place that decides whether `snapshot`'s catalog is carried
+/// forward from `previous` or left to the lazy full build. The caller
+/// has established that `delta` describes `previous → snapshot`.
+///
+/// No founding means capture positions (the catalog `_id`s) are
+/// unchanged, and — the entropy weights deriving from each cluster's
+/// first record — so is the scorer; the latter is verified rather than
+/// assumed. A previous catalog that was never built is not built here:
+/// a deployment that never queries never pays for a catalog at publish.
+fn carried_catalog(
+    previous: &ServeSnapshot,
+    snapshot: &ServeSnapshot,
+    delta: &PublishDelta,
+    dirty_docs: &mut Option<Vec<(usize, Document)>>,
+) -> Option<ClusterCatalog> {
+    if !delta.founded.is_empty() {
+        return None;
+    }
+    let carried = previous.built_catalog()?;
+    if !snapshot
+        .scorer()
+        .weights()
+        .bit_eq(previous.scorer().weights())
+    {
+        return None;
+    }
+    let docs = dirty_docs.get_or_insert_with(|| dirty_cluster_docs(snapshot, delta));
+    ClusterCatalog::carry_forward(carried, snapshot.store(), snapshot.scorer(), docs)
+}
+
 /// Catalog documents for every cluster named by `delta`, scored under
-/// `snapshot` (the newly published version). One pass over the
-/// snapshot's clusters; cost proportional to the store plus the delta,
-/// not to the cache.
-fn dirty_cluster_docs(snapshot: &ServeSnapshot, delta: &PublishDelta) -> Vec<Document> {
+/// `snapshot` (the version being published), each with its capture
+/// position. One pass of set lookups over the snapshot's clusters;
+/// only the delta's clusters are scored.
+fn dirty_cluster_docs(snapshot: &ServeSnapshot, delta: &PublishDelta) -> Vec<(usize, Document)> {
     let dirty: HashSet<&str> = delta.dirty_clusters().collect();
     if dirty.is_empty() {
         return Vec::new();
@@ -601,9 +666,11 @@ fn dirty_cluster_docs(snapshot: &ServeSnapshot, delta: &PublishDelta) -> Vec<Doc
         .store()
         .clusters()
         .iter()
-        .filter(|(ncid, _)| dirty.contains(ncid.as_str()))
-        .map(|(ncid, rows)| {
-            ClusterCatalog::cluster_doc(ncid, rows, snapshot.scorer(), &plausibility)
+        .enumerate()
+        .filter(|(_, (ncid, _))| dirty.contains(ncid.as_str()))
+        .map(|(pos, (ncid, rows))| {
+            let doc = ClusterCatalog::cluster_doc(ncid, rows, snapshot.scorer(), &plausibility);
+            (pos, doc)
         })
         .collect()
 }
@@ -1338,6 +1405,194 @@ mod tests {
         let after = engine.carve_query(&q).unwrap();
         assert_eq!(after.status, CacheStatus::Hit, "version-1 entry still serves");
         assert_eq!(after.version, 1);
+    }
+
+    /// Build the current version's catalog the way a deployment does:
+    /// by planning a query against it (explain is never cached, so
+    /// this reaches the catalog at every version).
+    fn build_catalog(engine: &CarveEngine) {
+        engine
+            .explain_query(&query(r#"{"pipeline": [{"limit": 1}]}"#))
+            .unwrap();
+    }
+
+    fn catalog_docs(catalog: &ClusterCatalog) -> Vec<(u64, Document)> {
+        catalog
+            .collection()
+            .iter_ordered()
+            .map(|(id, doc)| (id, doc.clone()))
+            .collect()
+    }
+
+    /// Whatever path produced the current snapshot's catalog, it equals
+    /// a from-scratch build, doc for doc by `_id`.
+    fn assert_catalog_is_fresh(engine: &CarveEngine) {
+        let current = engine.registry().current();
+        let fresh = ClusterCatalog::build(current.store(), current.scorer());
+        assert_eq!(catalog_docs(current.catalog()), catalog_docs(&fresh));
+    }
+
+    #[test]
+    fn revise_only_publish_seeds_a_carried_catalog() {
+        let engine = engine(8);
+        build_catalog(&engine);
+        assert_eq!(engine.delta_stats().catalog_rebuilt, 1);
+
+        let revised = ServeSnapshot::capture(&revised_store(), 2);
+        let current = engine.publish(revised, Some(revise_delta()));
+        assert!(current.built_catalog().is_some(), "seeded at publish, before any query");
+        assert_eq!(current.built_catalog().unwrap().version(), 2);
+        assert_eq!(engine.delta_stats().catalog_carried, 1);
+        assert_catalog_is_fresh(&engine);
+
+        // Queries at the new version run on the carried catalog (no
+        // rebuild) and answer byte-for-byte like a cold engine.
+        let cold = CarveEngine::new(
+            Arc::new(SnapshotRegistry::new(ServeSnapshot::capture(&revised_store(), 2))),
+            0,
+        );
+        for body in [
+            r#"{"pipeline": [{"match": {"size": {"gte": 2}}}]}"#,
+            r#"{"pipeline": [{"match": {"ncid": {"eq": "C1"}}}]}"#,
+            r#"{"pipeline": [{"match": {"het": {"gt": 0.0}}}, {"sort": {"by": "het", "descending": true}}]}"#,
+        ] {
+            let q = query(body);
+            let served = engine.carve_query(&q).unwrap();
+            assert_eq!(served.version, 2);
+            assert_eq!(served.result.lines, cold.carve_query(&q).unwrap().result.lines, "{body}");
+        }
+        assert_eq!(engine.delta_stats().catalog_rebuilt, 1, "v2 never built in full");
+    }
+
+    /// Publish `store` as version 2 and require that the catalog was
+    /// left to the lazy full build — which then still comes out right.
+    fn assert_carry_refused(
+        engine: &CarveEngine,
+        store: &ClusterStore,
+        delta: Option<PublishDelta>,
+        why: &str,
+    ) {
+        let rebuilt = engine.delta_stats().catalog_rebuilt;
+        let current = engine.publish(ServeSnapshot::capture(store, 2), delta);
+        assert!(current.built_catalog().is_none(), "{why}: nothing seeded");
+        assert_eq!(engine.delta_stats().catalog_carried, 0, "{why}");
+        build_catalog(engine);
+        let built = engine.delta_stats().catalog_rebuilt - rebuilt;
+        assert_eq!(built, 1, "{why}: built in full by the first query");
+        assert_catalog_is_fresh(engine);
+    }
+
+    fn founding_store() -> ClusterStore {
+        let mut store = revised_store();
+        let mut r = Row::empty();
+        r.set(NCID, "C99");
+        r.set(FIRST_NAME, "NEW");
+        r.set(LAST_NAME, "CLUSTER");
+        store.import_row(r, DedupPolicy::Trimmed, "s3", 2);
+        store
+    }
+
+    #[test]
+    fn catalog_carry_is_refused_without_a_sound_transition() {
+        // A founding delta: positions and entropy weights may move.
+        let e = engine(8);
+        build_catalog(&e);
+        let mut founding = revise_delta();
+        founding.founded.push("C99".into());
+        assert_carry_refused(&e, &founding_store(), Some(founding), "founding delta");
+
+        // No delta at all.
+        let e = engine(8);
+        build_catalog(&e);
+        assert_carry_refused(&e, &revised_store(), None, "no delta");
+
+        // A delta for some other version.
+        let e = engine(8);
+        build_catalog(&e);
+        let mut stale = revise_delta();
+        stale.version = 9;
+        assert_carry_refused(&e, &revised_store(), Some(stale), "version mismatch");
+
+        // The previous catalog was never built: a deployment that never
+        // queries pays for no catalog at publish.
+        let e = engine(8);
+        assert_carry_refused(&e, &revised_store(), Some(revise_delta()), "previous never built");
+
+        // The delta claims no founding, the snapshot says otherwise.
+        let e = engine(8);
+        build_catalog(&e);
+        assert_carry_refused(&e, &founding_store(), Some(revise_delta()), "cluster-count mismatch");
+
+        // Same NCIDs and sizes but other first records: the entropy
+        // weights differ bit-wise, so carried `het` values would be stale.
+        let e = engine(8);
+        build_catalog(&e);
+        let mut other = ClusterStore::new();
+        for i in 0..8 {
+            let mut r = Row::empty();
+            r.set(NCID, format!("C{i}"));
+            r.set(FIRST_NAME, format!("PAT{}", i % 3));
+            r.set(LAST_NAME, "SMITH");
+            other.import_row(r, DedupPolicy::Trimmed, "s1", 1);
+        }
+        let mut nothing = revise_delta();
+        nothing.revised.clear();
+        assert_carry_refused(&e, &other, Some(nothing), "entropy weights moved");
+    }
+
+    #[test]
+    fn republishing_the_current_version_carries_nothing() {
+        let engine = engine(8);
+        build_catalog(&engine);
+        let mut delta = revise_delta();
+        delta.version = 1;
+        let current = engine.publish(ServeSnapshot::capture(&revised_store(), 1), Some(delta));
+        assert!(current.built_catalog().is_none());
+        assert_eq!(engine.delta_stats().catalog_carried, 0);
+        assert_catalog_is_fresh(&engine);
+    }
+
+    #[test]
+    fn delta_omitting_a_changed_cluster_still_yields_a_fresh_catalog() {
+        let engine = engine(8);
+        build_catalog(&engine);
+        // C1 gained a record, but the delta names nothing.
+        let mut incomplete = revise_delta();
+        incomplete.revised.clear();
+        let current = engine.publish(ServeSnapshot::capture(&revised_store(), 2), Some(incomplete));
+        assert!(current.built_catalog().is_some(), "carried, with C1 re-derived");
+        assert_eq!(engine.delta_stats().catalog_carried, 1);
+        assert_catalog_is_fresh(&engine);
+        assert_eq!(current.catalog().collection().get(1).unwrap().get_i64("size"), Some(2));
+    }
+
+    #[test]
+    fn snapshot_is_never_visible_without_its_seeded_catalog() {
+        let engine = engine(8);
+        build_catalog(&engine);
+        let registry = Arc::clone(engine.registry());
+        let ready = Arc::new(std::sync::Barrier::new(2));
+        let reader = {
+            let ready = Arc::clone(&ready);
+            std::thread::spawn(move || {
+                ready.wait();
+                // Poll until the new version shows; the first sight of
+                // it must already carry the catalog.
+                loop {
+                    let current = registry.current();
+                    if current.version() == 2 {
+                        return current.built_catalog().is_some();
+                    }
+                    std::hint::spin_loop();
+                }
+            })
+        };
+        ready.wait();
+        engine.publish(ServeSnapshot::capture(&revised_store(), 2), Some(revise_delta()));
+        assert!(
+            reader.join().expect("reader thread"),
+            "version 2 was observable before its catalog was seeded"
+        );
     }
 
     #[test]

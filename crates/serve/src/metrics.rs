@@ -224,6 +224,14 @@ impl Metrics {
             delta.carried_forward
         ));
         out.push_str(&format!(
+            "nc_serve_catalog_carried_total {}\n",
+            delta.catalog_carried
+        ));
+        out.push_str(&format!(
+            "nc_serve_catalog_rebuilt_total {}\n",
+            delta.catalog_rebuilt
+        ));
+        out.push_str(&format!(
             "nc_query_conjuncts_indexed_total {}\n",
             query.conjuncts_indexed
         ));
@@ -345,6 +353,8 @@ mod tests {
         let delta = DeltaStats {
             invalidated: 4,
             carried_forward: 6,
+            catalog_carried: 7,
+            catalog_rebuilt: 9,
         };
         let text = m.render(&cache, &delta, &QueryStats::default(), 1, 1);
         assert!(text.contains("nc_serve_cache_hits_total 5\n"));
@@ -354,6 +364,8 @@ mod tests {
         assert!(text.contains("nc_serve_cache_capacity 8\n"));
         assert!(text.contains("nc_serve_cache_invalidated_total 4\n"));
         assert!(text.contains("nc_serve_cache_carried_forward_total 6\n"));
+        assert!(text.contains("nc_serve_catalog_carried_total 7\n"));
+        assert!(text.contains("nc_serve_catalog_rebuilt_total 9\n"));
     }
 
     #[test]

@@ -72,13 +72,34 @@ impl ServeSnapshot {
         &self.scorer
     }
 
-    /// The cluster catalog query pipelines run against, built on first
-    /// use (one scoring pass over the snapshot) and cached for the
-    /// snapshot's lifetime. Valid only for this snapshot — the catalog's
-    /// heterogeneity values depend on this version's entropy weights.
+    /// The cluster catalog query pipelines run against: seeded at
+    /// publish when it could be carried forward from the previous
+    /// version (see [`crate::carve::CarveEngine::publish`]), otherwise
+    /// built on first use (one scoring pass over the snapshot). Cached
+    /// for the snapshot's lifetime and valid only for this snapshot —
+    /// the catalog's heterogeneity values depend on this version's
+    /// entropy weights.
     pub fn catalog(&self) -> &Arc<ClusterCatalog> {
-        self.catalog
-            .get_or_init(|| Arc::new(ClusterCatalog::build(&self.store, &self.scorer)))
+        self.catalog_or_build(|| {})
+    }
+
+    /// [`ServeSnapshot::catalog`], calling `on_build` first when this
+    /// call is the one that runs the full build.
+    pub(crate) fn catalog_or_build(&self, on_build: impl FnOnce()) -> &Arc<ClusterCatalog> {
+        self.catalog.get_or_init(|| {
+            on_build();
+            Arc::new(ClusterCatalog::build(&self.store, &self.scorer))
+        })
+    }
+
+    /// The catalog, if it has been seeded or built already.
+    pub(crate) fn built_catalog(&self) -> Option<&Arc<ClusterCatalog>> {
+        self.catalog.get()
+    }
+
+    /// Install a catalog derived elsewhere; a no-op when one exists.
+    pub(crate) fn seed_catalog(&self, catalog: ClusterCatalog) {
+        let _ = self.catalog.set(Arc::new(catalog));
     }
 
     /// Carve a customized dataset out of this snapshot. Pure function
@@ -203,10 +224,14 @@ impl SnapshotRegistry {
         delta: Option<PublishDelta>,
     ) -> PublishOutcome {
         let snapshot = Arc::new(snapshot);
+        // Whatever this publish unpins may be the last reference to a
+        // full store copy and its catalog; it is freed after the guard
+        // is released so no `current()` / `pinned()` reader waits on it.
+        let mut retired: Vec<Arc<ServeSnapshot>> = Vec::new();
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let previous_version = inner.current.version();
-        inner.history.insert(snapshot.version(), Arc::clone(&snapshot));
-        inner.current = Arc::clone(&snapshot);
+        retired.extend(inner.history.insert(snapshot.version(), Arc::clone(&snapshot)));
+        retired.push(std::mem::replace(&mut inner.current, Arc::clone(&snapshot)));
         if let Some(delta) = delta {
             inner.deltas.insert(snapshot.version(), Arc::new(delta));
         }
@@ -220,11 +245,13 @@ impl SnapshotRegistry {
                 if oldest == current_version {
                     break; // never evict the current version
                 }
-                inner.history.remove(&oldest);
+                retired.extend(inner.history.remove(&oldest));
                 inner.deltas.remove(&oldest);
                 evicted.push(oldest);
             }
         }
+        drop(inner);
+        drop(retired);
         PublishOutcome {
             snapshot,
             previous_version,
@@ -354,6 +381,7 @@ mod tests {
     fn retention_evicts_oldest_versions_but_never_current() {
         let registry =
             SnapshotRegistry::with_retention(ServeSnapshot::capture(&store("A", 2), 1), 2);
+        let v1 = Arc::downgrade(&registry.current());
         let out2 = registry
             .publish_with_delta(ServeSnapshot::capture(&store("B", 2), 2), Some(delta(2, &[], &[])));
         assert_eq!(out2.previous_version, 1);
@@ -363,6 +391,7 @@ mod tests {
         assert_eq!(out3.evicted, vec![1]);
         assert_eq!(registry.versions(), vec![2, 3]);
         assert!(registry.pinned(Some(1)).is_none(), "evicted version is gone");
+        assert!(v1.upgrade().is_none(), "and freed by the publish that evicted it");
         assert_eq!(registry.current().version(), 3);
     }
 

@@ -442,8 +442,11 @@ impl ShardEngine {
         cause
     }
 
-    /// Materialize a versioned [`StoreSnapshot`] (incremental: only
-    /// dirty shards rebuild; see [`ShardedStore::publish`]).
+    /// Materialize a versioned [`StoreSnapshot`]. After the first
+    /// publish of an engine's lifetime only the clusters founded or
+    /// given a record since the last one are re-read from the shards;
+    /// see [`ShardedStore::publish`] for what stays proportional to
+    /// the store.
     pub fn publish(&mut self, version: u32) -> StoreSnapshot {
         self.store.publish(version)
     }

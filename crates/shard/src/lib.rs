@@ -26,7 +26,9 @@
 //!   scoring, customize and carving stay bit-identical under any shard
 //!   count (asserted by proptest in `tests/determinism.rs`).
 //! * **Incremental publish** ([`engine`]): after a snapshot lands,
-//!   only dirty shards are re-materialized into the next
+//!   only the clusters it founded or gave a new record are re-read
+//!   into the shards' materialized lists (duplicate-dropped rows
+//!   dirty nothing); the lists are then merged into the next
 //!   [`nc_core::snapshot::StoreSnapshot`], which publishes straight
 //!   into `nc-serve`'s snapshot registry.
 //! * **Fault injection and rollback** ([`engine`], [`wal`]): every

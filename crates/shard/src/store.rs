@@ -50,9 +50,13 @@ pub(crate) struct Shard {
     /// `(global row sequence number, NCID)` per founded cluster, in
     /// founding order — the merge key for [`ShardedStore::cluster_ids`].
     founded: Vec<(u64, String)>,
-    /// Rows landed since the last materialization.
-    dirty: bool,
-    /// Cached materialized clusters (valid while `!dirty`).
+    /// Founding positions (indexes into `founded`) of the clusters whose
+    /// rows changed since `cache` was last brought up to date; repeats
+    /// allowed. Only tracked while a cache exists — without one the next
+    /// materialization is a bulk build that reads every cluster anyway.
+    dirty: Vec<usize>,
+    /// Materialized clusters, index-parallel to `founded` once `dirty`
+    /// has been applied. `None` until the first publish after open.
     cache: Option<Vec<(u64, String, Vec<Row>)>>,
 }
 
@@ -61,7 +65,7 @@ impl Shard {
         Shard {
             store: ClusterStore::new(),
             founded: Vec::new(),
-            dirty: false,
+            dirty: Vec::new(),
             cache: None,
         }
     }
@@ -77,26 +81,64 @@ impl Shard {
         version: u32,
     ) -> RowOutcome {
         let outcome = self.store.import_row_ref(row, policy, date, version);
-        if outcome == RowOutcome::NewCluster {
-            self.founded.push((seq, row.ncid().trim().to_owned()));
+        // A dropped duplicate changes side state only, never the
+        // cluster's rows, so it leaves the materialized cluster valid.
+        if outcome != RowOutcome::DuplicateDropped {
+            let ncid = row.ncid().trim();
+            if outcome == RowOutcome::NewCluster {
+                self.founded.push((seq, ncid.to_owned()));
+            }
+            if self.cache.is_some() {
+                // Clusters are the store's only documents and are never
+                // deleted, so a cluster's DocId is its founding position.
+                let pos = self.store.doc_id(ncid).expect("row was just imported") as usize;
+                assert!(
+                    self.founded.get(pos).is_some_and(|(_, n)| n == ncid),
+                    "DocId must equal founding position"
+                );
+                self.dirty.push(pos);
+            }
         }
-        self.dirty = true;
         outcome
     }
 
-    /// The shard's clusters in founding order, rebuilt only when rows
-    /// landed since the last call (the incremental-publish fast path).
+    /// Whether the next materialization has work to do.
+    fn is_dirty(&self) -> bool {
+        self.cache.is_none() || !self.dirty.is_empty()
+    }
+
+    /// The shard's clusters in founding order. With a cache, only the
+    /// clusters that gained a record since the last call are re-read
+    /// from the docstore (founded ones are appended — they arrive in
+    /// founding order); without one (first publish, WAL replay,
+    /// rollback reopen) every cluster is read once.
     fn materialize(&mut self) -> &[(u64, String, Vec<Row>)] {
-        if self.dirty || self.cache.is_none() {
-            let clusters = self
-                .founded
+        let Shard {
+            store,
+            founded,
+            dirty,
+            cache,
+        } = self;
+        let clusters = cache.get_or_insert_with(|| {
+            founded
                 .iter()
-                .map(|(seq, ncid)| (*seq, ncid.clone(), self.store.cluster_rows(ncid)))
-                .collect();
-            self.cache = Some(clusters);
-            self.dirty = false;
+                .map(|(seq, ncid)| (*seq, ncid.clone(), store.cluster_rows(ncid)))
+                .collect()
+        });
+        dirty.sort_unstable();
+        dirty.dedup();
+        for pos in dirty.drain(..) {
+            let (seq, ncid) = &founded[pos];
+            let rows = store.cluster_rows(ncid);
+            match clusters.get_mut(pos) {
+                Some(cluster) => cluster.2 = rows,
+                None => {
+                    assert_eq!(pos, clusters.len(), "founded clusters append in order");
+                    clusters.push((*seq, ncid.clone(), rows));
+                }
+            }
         }
-        self.cache.as_deref().expect("just built")
+        clusters
     }
 }
 
@@ -236,12 +278,13 @@ impl ShardedStore {
     }
 
     /// Indexes of the shards the next [`ShardedStore::publish`] must
-    /// re-materialize (rows landed since their cached materialization).
+    /// touch: never materialized, or a cluster gained a record since.
+    /// A shard that only saw duplicate-dropped rows is not dirty.
     pub fn dirty_shards(&self) -> Vec<usize> {
         self.shards
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.dirty || s.cache.is_none())
+            .filter(|(_, s)| s.is_dirty())
             .map(|(i, _)| i)
             .collect()
     }
@@ -256,10 +299,13 @@ impl ShardedStore {
 
     /// Materialize a [`StoreSnapshot`] pinned to `version`.
     ///
-    /// Incremental: only dirty shards rebuild their cluster lists; the
-    /// per-shard lists (already in founding order) are merged by
-    /// global sequence number, so the snapshot's cluster order is
-    /// identical to [`StoreSnapshot::capture`] on the unsharded twin.
+    /// Incremental at cluster granularity: each shard re-reads only the
+    /// clusters that gained a record since its last materialization
+    /// (all of them the first time). The per-shard lists (already in
+    /// founding order) are then cloned and merged by global sequence
+    /// number — the one step still proportional to the store — so the
+    /// snapshot's cluster order is identical to
+    /// [`StoreSnapshot::capture`] on the unsharded twin.
     pub fn publish(&mut self, version: u32) -> StoreSnapshot {
         let mut merged: Vec<(u64, (String, Vec<Row>))> = Vec::with_capacity(self.cluster_count());
         for shard in &mut self.shards {
@@ -334,12 +380,19 @@ mod tests {
 
     #[test]
     fn publish_is_incremental_over_dirty_shards() {
-        let snaps = snapshots(42, 60, 2);
+        let mut snaps = snapshots(42, 60, 2);
+        // Whatever the generator drew, the second snapshot founds a
+        // cluster, so the append branch of the patch path runs.
+        let mut founder = snaps[1].rows[0].clone();
+        founder.set(nc_votergen::schema::NCID, "ZZ-FOUNDED-LATE");
+        snaps[1].rows.push(founder);
         let mut sharded = ShardedStore::new(4);
+        let mut plain = ClusterStore::new();
         sharded.ingest_snapshot(&snaps[0], DedupPolicy::Trimmed, 1);
+        import_snapshot(&mut plain, &snaps[0], DedupPolicy::Trimmed, 1);
         assert!(!sharded.dirty_shards().is_empty());
         let v1 = sharded.publish(1);
-        assert_eq!(v1.record_count(), sharded.record_count());
+        assert_eq!(v1.clusters(), StoreSnapshot::capture(&plain, 1).clusters());
         assert!(
             sharded.dirty_shards().is_empty(),
             "publish cleans every shard"
@@ -348,12 +401,34 @@ mod tests {
         let v1_again = sharded.publish(1);
         assert_eq!(v1_again.clusters(), v1.clusters());
 
+        // The patched caches (revised clusters replaced in place,
+        // founded ones appended) equal a capture of the unsharded twin.
         sharded.ingest_snapshot(&snaps[1], DedupPolicy::Trimmed, 1);
-        let dirty = sharded.dirty_shards();
-        assert!(!dirty.is_empty());
+        import_snapshot(&mut plain, &snaps[1], DedupPolicy::Trimmed, 1);
+        assert!(!sharded.dirty_shards().is_empty());
         let v2 = sharded.publish(2);
-        assert_eq!(v2.record_count(), sharded.record_count());
-        assert_eq!(v2.cluster_count(), sharded.cluster_count());
+        assert_eq!(v2.clusters(), StoreSnapshot::capture(&plain, 2).clusters());
+        assert!(v2.cluster_count() > v1.cluster_count(), "snapshot 2 founds clusters");
+        assert!(sharded.dirty_shards().is_empty());
+    }
+
+    #[test]
+    fn all_duplicate_snapshot_dirties_no_cluster() {
+        let snaps = snapshots(44, 60, 1);
+        let mut sharded = ShardedStore::new(3);
+        sharded.ingest_snapshot(&snaps[0], DedupPolicy::Trimmed, 1);
+        let v1 = sharded.publish(1);
+
+        let mut replay = snaps[0].clone();
+        replay.date = "2099-01-01".to_owned();
+        let stats = sharded.ingest_snapshot(&replay, DedupPolicy::Trimmed, 1);
+        assert_eq!(stats.total_rows, replay.rows.len() as u64);
+        assert_eq!(stats.new_records, 0, "every row is a dropped duplicate");
+        assert!(
+            sharded.dirty_shards().is_empty(),
+            "dropped duplicates never change cluster rows"
+        );
+        assert_eq!(sharded.publish(2).clusters(), v1.clusters());
     }
 
     #[test]

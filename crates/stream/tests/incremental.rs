@@ -10,6 +10,11 @@
 //! * NC1–NC3 carves served through a delta-published
 //!   [`nc_serve::CarveEngine`] (including carry-forward cache hits)
 //!   are **byte-identical** to fresh carves of the same snapshot,
+//! * the engine's query catalog — carried forward across revise-only
+//!   publishes, built in full otherwise — equals
+//!   [`nc_query::ClusterCatalog::build`] on that snapshot doc for doc,
+//!   answers indexed filters like it, and serves query carves
+//!   byte-identical to a cold, cache-less engine,
 //! * replaying the stream from scratch, from `open_at`, or from a
 //!   saved cursor reproduces the same batches.
 
@@ -23,6 +28,8 @@ use nc_core::plausibility::PlausibilityScorer;
 use nc_core::record::DedupPolicy;
 use nc_core::scoring::{score_clusters, score_clusters_incremental, ClusterScore, ScoringConfig};
 use nc_core::tsv::{write_snapshot, ImportOptions};
+use nc_docstore::query::Filter;
+use nc_query::{CarveQuery, ClusterCatalog};
 use nc_serve::{CarveEngine, CarveRequest, ServeSnapshot, SnapshotRegistry};
 use nc_shard::{ShardEngine, ShardEngineConfig};
 use nc_stream::{fold_delta, ChangeKind, ChangeStream};
@@ -99,6 +106,57 @@ fn preset_requests(seed: u64) -> Vec<CarveRequest> {
     .collect()
 }
 
+/// Query carves over indexed, scanned and scorer-dependent fields.
+fn query_requests() -> Vec<CarveQuery> {
+    [
+        r#"{"pipeline": [{"match": {"size": {"gte": 2}}}]}"#,
+        r#"{"pipeline": [{"match": {"het": {"gt": 0.0}}}, {"sort": {"by": "het", "descending": true}}, {"limit": 5}]}"#,
+        r#"{"pipeline": [{"match": {"errors.total": {"gte": 1}}}, {"group": {"by": "size", "agg": {"n": "count"}}}]}"#,
+    ]
+    .iter()
+    .map(|body| CarveQuery::parse(body.as_bytes()).expect("test query parses"))
+    .collect()
+}
+
+/// The serving catalog of the current version against a from-scratch
+/// build: same documents by `_id`, and the same answers from the
+/// (possibly cloned-and-patched) indexes on every indexed path.
+fn assert_catalog_matches_fresh_build(serving: &CarveEngine) {
+    let current = serving.registry().current();
+    let served = current.catalog();
+    let fresh = ClusterCatalog::build(current.store(), current.scorer());
+    let docs = |catalog: &ClusterCatalog| -> Vec<_> {
+        catalog
+            .collection()
+            .iter_ordered()
+            .map(|(id, doc)| (id, doc.clone()))
+            .collect()
+    };
+    assert_eq!(docs(served), docs(&fresh), "version {}", current.version());
+    // Filter operands come from a real document so they hit postings.
+    let probe = fresh.collection().get(0).expect("non-empty store");
+    let het = probe.get_f64("het").unwrap();
+    let last = probe.get_str("snapshot.last").unwrap();
+    let filters = [
+        Filter::eq("ncid", probe.get_str("ncid").unwrap()),
+        Filter::eq("size", probe.get_i64("size").unwrap()),
+        Filter::gte("size", 2_i64),
+        Filter::gte("het", het),
+        Filter::lt("het", het),
+        Filter::lte("plaus", probe.get_f64("plaus").unwrap()),
+        Filter::eq("snapshot.first", probe.get_str("snapshot.first").unwrap()),
+        Filter::between("snapshot.last", "", last),
+    ];
+    for filter in &filters {
+        assert_eq!(
+            served.collection().find_ids(filter),
+            fresh.collection().find_ids(filter),
+            "indexes disagree on {filter:?} at version {}",
+            current.version()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -115,6 +173,9 @@ proptest! {
         // published version has a scorable, carvable store.
         let mut plan = plan;
         plan[0].push(0);
+        // And the last one only revises that cluster, so at least one
+        // publish carries the catalog forward.
+        plan.push(vec![0]);
 
         let state_dir = scratch_dir("state");
         let archive_dir = scratch_dir("archive");
@@ -212,8 +273,24 @@ proptest! {
                     "preset {} differs at version {}", p, version);
                 expected_carves.insert((version, p), served);
             }
+            // Query carves run on the engine's catalog; the first one at
+            // version 1 builds it, so later revise-only publishes have a
+            // catalog to carry.
+            for (q, query) in query_requests().iter().enumerate() {
+                let served = serving.carve_query(query).expect("query carve");
+                let direct = fresh.carve_query(query).expect("query carve");
+                prop_assert_eq!(served.version, version);
+                prop_assert_eq!(&served.result.lines, &direct.result.lines,
+                    "query {} differs at version {}", q, version);
+            }
+            assert_catalog_matches_fresh_build(serving);
             all_batches.extend(batches);
         }
+
+        prop_assert!(
+            carve_engine.as_ref().unwrap().delta_stats().catalog_carried >= 1,
+            "the closing revise-only publish carries the catalog"
+        );
 
         // Pinned re-reads of every historical version stay byte-stable
         // after all the churn (cache entries may have been carried
