@@ -8,8 +8,9 @@
 //! ```
 //!
 //! The in-memory comparison runs the same `ShardedStore` fan-out at
-//! both shard counts (shards=1 is the inline no-channel path), so the
-//! speedup isolates what partitioning buys. The engine numbers add the
+//! both shard counts (shards=1 is the inline no-worker path, and so is
+//! shards=N on fewer than N hardware threads), so the speedup isolates
+//! what partitioning buys. The engine numbers add the
 //! write-ahead log: full archive ingest from TSV files, then a timed
 //! reopen that replays every committed row. The JSON is written by hand
 //! so the binary has no serialization dependency.
@@ -141,7 +142,8 @@ fn main() {
         tsv::write_snapshot(&archive, snap).expect("write snapshot");
     }
 
-    // In-memory fan-out: shards=1 (inline) vs shards=N (channel pool).
+    // In-memory fan-out: shards=1 (inline) vs shards=N (one worker each,
+    // given a hardware thread per shard).
     eprintln!("ingest: {rows} rows, shards=1 vs shards={}…", args.shards);
     let (one_secs, n_secs) = time_memory_ingest(&snapshots, args.shards, args.reps);
     let one_rate = rows as f64 / one_secs;

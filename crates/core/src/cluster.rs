@@ -90,13 +90,12 @@ impl ClusterStore {
         snapshot_date: &str,
         version: u32,
     ) -> RowOutcome {
-        self.import_row_cow(std::borrow::Cow::Owned(row), policy, snapshot_date, version)
+        self.import_row_ref(&row, policy, snapshot_date, version)
     }
 
-    /// [`ClusterStore::import_row`] over a borrowed row: the row is
-    /// only cloned when it is actually kept, so bulk import loops (the
-    /// archive streaming path) pay nothing for the dominant
-    /// duplicate-dropped case.
+    /// [`ClusterStore::import_row`] over a borrowed row. The row itself
+    /// is never copied: a dropped duplicate costs its fingerprint, and a
+    /// kept row is read once to build its stored document.
     pub fn import_row_ref(
         &mut self,
         row: &Row,
@@ -104,32 +103,13 @@ impl ClusterStore {
         snapshot_date: &str,
         version: u32,
     ) -> RowOutcome {
-        self.import_row_cow(std::borrow::Cow::Borrowed(row), policy, snapshot_date, version)
-    }
-
-    fn import_row_cow(
-        &mut self,
-        row: std::borrow::Cow<'_, Row>,
-        policy: DedupPolicy,
-        snapshot_date: &str,
-        version: u32,
-    ) -> RowOutcome {
         self.rows_total += 1;
-        // Fingerprint and NCID need only a borrow: the fingerprint
-        // normalizes according to the policy itself, and the NCID is
-        // trimmed explicitly.
-        let fp = record::fingerprint(&row, policy);
-        let ncid = row.ncid().trim().to_owned();
-        // Materialize (clone a borrowed row) only on the kept paths.
-        let materialize = |row: std::borrow::Cow<'_, Row>| -> Row {
-            let mut row = row.into_owned();
-            if policy.trims() {
-                record::trim_row(&mut row);
-            }
-            row
-        };
+        // The fingerprint normalizes according to the policy itself, and
+        // the NCID is trimmed explicitly.
+        let fp = record::fingerprint(row, policy);
+        let ncid = row.ncid().trim();
 
-        if let Some(&doc_id) = self.ncid_to_doc.get(&ncid) {
+        if let Some(&doc_id) = self.ncid_to_doc.get(ncid) {
             let state = self.state.get_mut(&doc_id).expect("state exists");
             state.rows_seen += 1;
             match state.snapshot_counts.last_mut() {
@@ -150,8 +130,7 @@ impl ClusterStore {
                 return RowOutcome::DuplicateDropped;
             }
             // Append the record to the cluster document.
-            let row = materialize(row);
-            let rec_doc = record::row_to_document(&row);
+            let rec_doc = record::row_to_document(row, policy.trims());
             self.collection.update(doc_id, |doc| {
                 doc.push_path("records", Value::Doc(rec_doc));
             });
@@ -169,13 +148,12 @@ impl ClusterStore {
             self.finalized = false;
             RowOutcome::NewRecord
         } else {
-            let row = materialize(row);
-            let rec_doc = record::row_to_document(&row);
+            let rec_doc = record::row_to_document(row, policy.trims());
             let mut doc = Document::new();
-            doc.set("ncid", ncid.clone());
+            doc.set("ncid", ncid);
             doc.set("records", Value::Array(vec![Value::Doc(rec_doc)]));
             let doc_id = self.collection.insert(doc);
-            self.ncid_to_doc.insert(ncid, doc_id);
+            self.ncid_to_doc.insert(ncid.to_owned(), doc_id);
             self.state.insert(
                 doc_id,
                 ClusterState {
@@ -231,7 +209,7 @@ impl ClusterStore {
                 ),
             );
             self.collection.update(doc_id, move |doc| {
-                doc.set("meta", meta.clone());
+                doc.set("meta", meta);
             });
         }
         self.finalized = true;
@@ -279,18 +257,15 @@ impl ClusterStore {
 
     /// The records of a cluster as dense rows.
     pub fn cluster_rows(&self, ncid: &str) -> Vec<Row> {
-        let Some(doc) = self.cluster_doc(ncid) else {
-            return Vec::new();
-        };
-        doc.get_array("records")
-            .map(|records| {
-                records
-                    .iter()
-                    .filter_map(Value::as_doc)
-                    .map(record::document_to_row)
-                    .collect()
-            })
-            .unwrap_or_default()
+        let records = self
+            .cluster_doc(ncid)
+            .and_then(|doc| doc.get_array("records"))
+            .unwrap_or_default();
+        // Sized up front: a row is ~200 bytes inline, so the slack of a
+        // grown `Vec` would outweigh a small cluster's rows.
+        let mut rows = Vec::with_capacity(records.len());
+        rows.extend(records.iter().filter_map(Value::as_doc).map(record::document_to_row));
+        rows
     }
 
     /// Cluster sizes (record counts per cluster).

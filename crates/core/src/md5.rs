@@ -65,58 +65,108 @@ impl std::fmt::Display for Digest {
     }
 }
 
+/// Incremental MD5 state: feed the message in any number of
+/// [`Md5::update`] calls, then [`Md5::finish`].
+#[derive(Debug, Clone)]
+pub struct Md5 {
+    state: [u32; 4],
+    /// Bytes of the current, not yet full block.
+    block: [u8; 64],
+    /// Message bytes fed so far.
+    len: u64,
+}
+
+impl Default for Md5 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Md5 {
+    /// State of the empty message.
+    pub fn new() -> Self {
+        Md5 {
+            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
+            block: [0; 64],
+            len: 0,
+        }
+    }
+
+    /// Append bytes to the message.
+    pub fn update(&mut self, mut input: &[u8]) {
+        let filled = (self.len % 64) as usize;
+        self.len = self.len.wrapping_add(input.len() as u64);
+        if filled > 0 {
+            let take = input.len().min(64 - filled);
+            self.block[filled..filled + take].copy_from_slice(&input[..take]);
+            input = &input[take..];
+            if filled + take < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.block);
+        }
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+    }
+
+    /// Pad the message and return its digest.
+    pub fn finish(mut self) -> Digest {
+        // Message padding: 0x80, zeros, then the 64-bit bit length.
+        let bit_len = self.len.wrapping_mul(8);
+        let filled = (self.len % 64) as usize;
+        let zeros = if filled < 56 { 55 - filled } else { 119 - filled };
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_le_bytes());
+        self.update(&pad[..9 + zeros]);
+        let mut out = [0u8; 16];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        Digest(out)
+    }
+}
+
+/// Fold one 64-byte block into the state.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (i, w) in block.chunks_exact(4).enumerate() {
+        m[i] = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    for i in 0..64 {
+        let (f, g) = match i {
+            0..=15 => ((b & c) | (!b & d), i),
+            16..=31 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+            32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
+            _ => (c ^ (b | !d), (7 * i) % 16),
+        };
+        let tmp = d;
+        d = c;
+        c = b;
+        b = b.wrapping_add(
+            a.wrapping_add(f)
+                .wrapping_add(K[i])
+                .wrapping_add(m[g])
+                .rotate_left(S[i]),
+        );
+        a = tmp;
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+}
+
 /// Compute the MD5 digest of a byte string.
 pub fn md5(input: &[u8]) -> Digest {
-    let mut a0: u32 = 0x67452301;
-    let mut b0: u32 = 0xefcdab89;
-    let mut c0: u32 = 0x98badcfe;
-    let mut d0: u32 = 0x10325476;
-
-    // Message padding: 0x80, zeros, then the 64-bit bit length.
-    let bit_len = (input.len() as u64).wrapping_mul(8);
-    let mut msg = input.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_le_bytes());
-
-    for chunk in msg.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in chunk.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i {
-                0..=15 => ((b & c) | (!b & d), i),
-                16..=31 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
-    }
-
-    let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
-    Digest(out)
+    let mut hash = Md5::new();
+    hash.update(input);
+    hash.finish()
 }
 
 /// MD5 of a string.
@@ -128,26 +178,55 @@ pub fn md5_str(input: &str) -> Digest {
 mod tests {
     use super::*;
 
-    /// RFC 1321 Appendix A.5 test suite.
+    /// RFC 1321 Appendix A.5 test suite: input, digest.
+    const RFC1321_VECTORS: [(&str, &str); 7] = [
+        ("", "d41d8cd98f00b204e9800998ecf8427e"),
+        ("a", "0cc175b9c0f1b6a831c399e269772661"),
+        ("abc", "900150983cd24fb0d6963f7d28e17f72"),
+        ("message digest", "f96b697d7cb7938d525a2f31aaf161d0"),
+        ("abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"),
+        (
+            "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+            "d174ab98d277d9f5a5611c2c9f419d9f",
+        ),
+        (
+            "12345678901234567890123456789012345678901234567890123456789012345678901234567890",
+            "57edf4a22be3c955ac49da2e2107b67a",
+        ),
+    ];
+
     #[test]
     fn rfc1321_test_vectors() {
-        let cases = [
-            ("", "d41d8cd98f00b204e9800998ecf8427e"),
-            ("a", "0cc175b9c0f1b6a831c399e269772661"),
-            ("abc", "900150983cd24fb0d6963f7d28e17f72"),
-            ("message digest", "f96b697d7cb7938d525a2f31aaf161d0"),
-            ("abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"),
-            (
-                "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
-                "d174ab98d277d9f5a5611c2c9f419d9f",
-            ),
-            (
-                "12345678901234567890123456789012345678901234567890123456789012345678901234567890",
-                "57edf4a22be3c955ac49da2e2107b67a",
-            ),
-        ];
-        for (input, expected) in cases {
+        for (input, expected) in RFC1321_VECTORS {
             assert_eq!(md5_str(input).to_hex(), expected, "input: {input:?}");
+        }
+    }
+
+    /// Feeding a message in two pieces, split at every position, gives
+    /// the one-shot digest — over the RFC vectors and the lengths around
+    /// the padding and block edges.
+    #[test]
+    fn chunked_updates_equal_one_shot() {
+        let mut inputs: Vec<String> =
+            RFC1321_VECTORS.iter().map(|(input, _)| (*input).to_owned()).collect();
+        for len in [55, 56, 63, 64, 65, 127, 128, 129] {
+            inputs.push((0..len).map(|i| (b'a' + (i % 26) as u8) as char).collect());
+        }
+        for input in &inputs {
+            let bytes = input.as_bytes();
+            let whole = md5(bytes);
+            for split in 0..=bytes.len() {
+                let mut hash = Md5::new();
+                hash.update(&bytes[..split]);
+                hash.update(&bytes[split..]);
+                assert_eq!(hash.finish(), whole, "len {} split {split}", bytes.len());
+            }
+            // Byte at a time.
+            let mut hash = Md5::new();
+            for b in bytes {
+                hash.update(std::slice::from_ref(b));
+            }
+            assert_eq!(hash.finish(), whole, "len {} bytewise", bytes.len());
         }
     }
 

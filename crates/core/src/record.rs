@@ -2,9 +2,9 @@
 //! document layout of stored records.
 
 use nc_docstore::value::Document;
-use nc_votergen::schema::{self, AttrGroup, AttrId, Row, SCHEMA};
+use nc_votergen::schema::{AttrGroup, AttrId, Attribute, Row, NUM_ATTRS, SCHEMA};
 
-use crate::md5::{md5_str, Digest};
+use crate::md5::{Digest, Md5};
 
 /// The four duplicate-removal policies of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,15 +39,11 @@ impl DedupPolicy {
         }
     }
 
-    /// The attribute set hashed under this policy (dates and age are
-    /// always excluded; Section 4).
-    pub fn hash_attrs(self) -> Vec<AttrId> {
-        match self {
-            DedupPolicy::None | DedupPolicy::Exact | DedupPolicy::Trimmed => {
-                schema::hash_attrs_all()
-            }
-            DedupPolicy::PersonData => schema::hash_attrs_person(),
-        }
+    /// Whether an attribute is hashed under this policy (dates and age
+    /// never are; Section 4).
+    pub fn hashes(self, attr: &Attribute) -> bool {
+        !attr.hash_excluded
+            && (self != DedupPolicy::PersonData || attr.group == AttrGroup::Person)
     }
 
     /// Whether values are trimmed before hashing.
@@ -60,27 +56,23 @@ impl DedupPolicy {
 /// concatenation of the relevant attribute values, separated by an
 /// unambiguous delimiter.
 pub fn fingerprint(row: &Row, policy: DedupPolicy) -> Digest {
-    let attrs = policy.hash_attrs();
-    let mut input = String::new();
-    for &a in &attrs {
-        let v = row.get(a);
-        if policy.trims() {
-            input.push_str(v.trim());
-        } else {
-            input.push_str(v);
+    let mut hash = Md5::new();
+    for (attr, v) in SCHEMA.iter().zip(row.values()) {
+        if !policy.hashes(attr) {
+            continue;
         }
-        input.push('\u{1f}'); // unit separator: cannot occur in the data
+        let v = if policy.trims() { v.trim() } else { v };
+        hash.update(v.as_bytes());
+        hash.update(b"\x1f"); // unit separator: cannot occur in the data
     }
-    md5_str(&input)
+    hash.finish()
 }
 
 /// Trim every value of a row in place (the paper's preparation step).
 pub fn trim_row(row: &mut Row) {
-    for v in row.values.iter_mut() {
-        let trimmed = v.trim();
-        if trimmed.len() != v.len() {
-            *v = trimmed.to_owned();
-        }
+    let trimmed: [&str; NUM_ATTRS] = std::array::from_fn(|id| row.get(id).trim());
+    if trimmed.iter().zip(row.values()).any(|(t, v)| t.len() != v.len()) {
+        *row = Row::from_values(&trimmed);
     }
 }
 
@@ -96,14 +88,15 @@ pub fn group_name(group: AttrGroup) -> &'static str {
 
 /// Convert a row to the stored nested document layout: four
 /// sub-documents (person/district/election/meta), with missing values
-/// omitted so that sparse records stay small.
-pub fn row_to_document(row: &Row) -> Document {
+/// omitted so that sparse records stay small. With `trim`, every value
+/// is stored trimmed, as [`trim_row`] would leave it.
+pub fn row_to_document(row: &Row, trim: bool) -> Document {
     let mut person = Document::new();
     let mut district = Document::new();
     let mut election = Document::new();
     let mut meta = Document::new();
-    for (i, attr) in SCHEMA.iter().enumerate() {
-        let v = row.get(i);
+    for (attr, v) in SCHEMA.iter().zip(row.values()) {
+        let v = if trim { v.trim() } else { v };
         if v.is_empty() {
             continue;
         }
@@ -127,18 +120,13 @@ pub fn row_to_document(row: &Row) -> Document {
 /// Returns `None` when the value was missing.
 pub fn record_value(doc: &Document, attr: AttrId) -> Option<&str> {
     let a = &SCHEMA[attr];
-    doc.get_str(&format!("{}.{}", group_name(a.group), a.name))
+    // Attribute names contain no `.`, so the path is two plain keys.
+    doc.get(group_name(a.group))?.as_doc()?.get(a.name)?.as_str()
 }
 
 /// Reconstruct a dense [`Row`] from a stored record document.
 pub fn document_to_row(doc: &Document) -> Row {
-    let mut row = Row::empty();
-    for (i, _) in SCHEMA.iter().enumerate() {
-        if let Some(v) = record_value(doc, i) {
-            row.set(i, v);
-        }
-    }
-    row
+    Row::from_values(&std::array::from_fn(|id| record_value(doc, id).unwrap_or("")))
 }
 
 #[cfg(test)]
@@ -171,6 +159,27 @@ mod tests {
         r2.set(SNAPSHOT_DT, "2009-01-01");
         for policy in [DedupPolicy::Exact, DedupPolicy::Trimmed, DedupPolicy::PersonData] {
             assert_eq!(fingerprint(&r1, policy), fingerprint(&r2, policy), "{policy:?}");
+        }
+    }
+
+    /// The streamed fingerprint is the MD5 of the plain definition:
+    /// hashed values, each followed by a unit separator, concatenated.
+    #[test]
+    fn fingerprint_equals_md5_of_the_concatenated_values() {
+        let mut row = sample_row();
+        row.set(nc_votergen::schema::PARTY_CD, " DEM");
+        row.set(nc_votergen::schema::RES_STREET, "12 ÅNGSTRÖM WAY  ");
+        for policy in DedupPolicy::ALL {
+            let mut input = String::new();
+            for (attr, v) in SCHEMA.iter().zip(row.values()) {
+                let person_only = policy == DedupPolicy::PersonData;
+                if attr.hash_excluded || (person_only && attr.group != AttrGroup::Person) {
+                    continue;
+                }
+                input.push_str(if policy.trims() { v.trim() } else { v });
+                input.push('\u{1f}');
+            }
+            assert_eq!(fingerprint(&row, policy), crate::md5::md5_str(&input), "{policy:?}");
         }
     }
 
@@ -223,8 +232,19 @@ mod tests {
     }
 
     #[test]
+    fn trimmed_document_is_the_document_of_the_trimmed_row() {
+        let mut row = sample_row();
+        row.set(FIRST_NAME, "   "); // trims to missing: omitted
+        let mut trimmed = row.clone();
+        trim_row(&mut trimmed);
+        assert_eq!(trimmed.get(FIRST_NAME), "");
+        assert_eq!(row_to_document(&row, true), row_to_document(&trimmed, false));
+        assert_ne!(row_to_document(&row, false), row_to_document(&trimmed, false));
+    }
+
+    #[test]
     fn document_layout_is_nested_and_sparse() {
-        let doc = row_to_document(&sample_row());
+        let doc = row_to_document(&sample_row(), false);
         assert_eq!(doc.get_str("person.last_name"), Some("SMITH "));
         assert_eq!(doc.get_str("district.nc_house_abbrv"), Some("64TH HOUSE"));
         assert_eq!(doc.get_str("meta.snapshot_dt"), Some("2008-11-04"));
@@ -236,7 +256,7 @@ mod tests {
     #[test]
     fn record_value_and_round_trip() {
         let row = sample_row();
-        let doc = row_to_document(&row);
+        let doc = row_to_document(&row, false);
         assert_eq!(record_value(&doc, LAST_NAME), Some("SMITH "));
         assert_eq!(record_value(&doc, FIRST_NAME), Some("JOHN"));
         assert_eq!(record_value(&doc, NC_HOUSE), Some("64TH HOUSE"));

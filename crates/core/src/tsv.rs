@@ -129,7 +129,7 @@ pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> Result<PathBuf, TsvErr
     w.write_all(header.join("\t").as_bytes())?;
     w.write_all(b"\n")?;
     for row in &snapshot.rows {
-        w.write_all(row.to_tsv().as_bytes())?;
+        w.write_all(row.as_tsv().as_bytes())?;
         w.write_all(b"\n")?;
     }
     w.flush()?;
@@ -395,13 +395,13 @@ pub fn read_snapshot_budgeted(
                 if fields.len() != map.len() {
                     None
                 } else {
-                    let mut row = Row::empty();
+                    let mut values = [""; NUM_ATTRS];
                     for (field, attr) in fields.iter().zip(map.iter()) {
                         if let Some(attr) = attr {
-                            row.set(*attr, *field);
+                            values[*attr] = field;
                         }
                     }
-                    Some(row)
+                    Some(Row::from_values(&values))
                 }
             }
         };

@@ -24,6 +24,22 @@ pub struct Collection {
     indexes: HashMap<String, Index>,
 }
 
+/// Move document `id` from the posting of `old` to that of `new`; a
+/// no-op when the indexed value did not change.
+fn reindex(index: &mut Index, id: DocId, old: Option<&Value>, new: Option<&Value>) {
+    if let (Some(o), Some(n)) = (old, new) {
+        if o.query_eq(n) {
+            return;
+        }
+    }
+    if let Some(o) = old {
+        index.remove(o, id);
+    }
+    if let Some(n) = new {
+        index.insert(n, id);
+    }
+}
+
 impl Collection {
     /// Create an empty collection.
     pub fn new(name: impl Into<String>) -> Self {
@@ -79,32 +95,31 @@ impl Collection {
         let old = self.docs.insert(id, doc).expect("checked above");
         let new = &self.docs[&id];
         for (path, index) in &mut self.indexes {
-            let ov = old.get_path(path);
-            let nv = new.get_path(path);
-            match (ov, nv) {
-                (Some(o), Some(n)) if o.query_eq(n) => {}
-                (o, n) => {
-                    if let Some(o) = o {
-                        index.remove(o, id);
-                    }
-                    if let Some(n) = n {
-                        index.insert(n, id);
-                    }
-                }
-            }
+            reindex(index, id, old.get_path(path), new.get_path(path));
         }
         true
     }
 
-    /// Apply a mutation to the document with the given id. Index entries
-    /// are kept consistent. Returns `false` when the id is unknown.
+    /// Apply a mutation to the document with the given id, in place.
+    /// Index entries are kept consistent and `_id` survives whatever
+    /// `f` does to it. Returns `false` when the id is unknown.
     pub fn update<F: FnOnce(&mut Document)>(&mut self, id: DocId, f: F) -> bool {
-        let Some(doc) = self.docs.get(&id) else {
+        let Some(doc) = self.docs.get_mut(&id) else {
             return false;
         };
-        let mut updated = doc.clone();
-        f(&mut updated);
-        self.replace(id, updated)
+        // Only the values under indexed paths are copied, so that the
+        // indexes can be brought up to date after `f` has run.
+        let before: Vec<Option<Value>> = self
+            .indexes
+            .keys()
+            .map(|path| doc.get_path(path).cloned())
+            .collect();
+        f(doc);
+        doc.set("_id", id as i64);
+        for ((path, index), old) in self.indexes.iter_mut().zip(&before) {
+            reindex(index, id, old.as_ref(), doc.get_path(path));
+        }
+        true
     }
 
     /// Delete a document. Returns the removed document.
@@ -492,6 +507,58 @@ mod tests {
         assert_eq!(c.find(&Filter::eq("name", "SMITH")).len(), 1);
         assert_eq!(c.find(&Filter::eq("name", "WILLIAMS")).len(), 1);
         assert!(!c.update(999, |_| {}));
+    }
+
+    /// Ids of the documents the `name` index (not a scan) yields.
+    fn by_name(c: &Collection, name: &str) -> Vec<DocId> {
+        assert_eq!(c.indexed_paths(), vec!["name"]);
+        c.plan(&Filter::eq("name", name)).candidates.expect("index is used")
+    }
+
+    #[test]
+    fn update_reindexes_exactly_what_changed() {
+        let mut c = voters();
+        c.create_index("name", IndexKind::Hash);
+        // Indexed path untouched: postings stay as they were.
+        assert!(c.update(0, |d| {
+            d.push_path("records", Value::from("r1"));
+            d.set("age", 41_i64);
+        }));
+        assert_eq!(by_name(&c, "SMITH"), vec![0, 2]);
+        assert_eq!(c.get(0).unwrap().get_i64("age"), Some(41));
+        assert_eq!(c.get(0).unwrap().get_array("records").map(<[Value]>::len), Some(1));
+        // Indexed path removed by `f`: the posting goes too.
+        assert!(c.update(0, |d| {
+            d.remove("name");
+        }));
+        assert_eq!(by_name(&c, "SMITH"), vec![2]);
+        // Indexed path added by `f`: the document becomes findable.
+        assert!(c.update(0, |d| {
+            d.set("name", "JONES");
+        }));
+        assert_eq!(by_name(&c, "JONES"), vec![0, 1]);
+        // Changed: old posting dropped, new one added.
+        assert!(c.update(1, |d| {
+            d.set("name", "SMITH");
+        }));
+        assert_eq!(by_name(&c, "JONES"), vec![0]);
+        assert_eq!(by_name(&c, "SMITH"), vec![1, 2]);
+    }
+
+    #[test]
+    fn update_restores_an_overwritten_id() {
+        let mut c = voters();
+        assert!(c.update(1, |d| {
+            d.set("_id", 77_i64);
+        }));
+        assert!(c.update(2, |d| {
+            d.remove("_id");
+        }));
+        let ids: Vec<i64> = c
+            .iter_ordered()
+            .map(|(_, d)| d.get_i64("_id").unwrap())
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2]);
     }
 
     #[test]

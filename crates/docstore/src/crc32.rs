@@ -3,14 +3,19 @@
 //! Persistence lines carry a per-line checksum so that torn writes and
 //! bit rot are detected on load instead of silently corrupting
 //! collections. The implementation is the standard reflected polynomial
-//! `0xEDB88320` with a compile-time lookup table — no external crates.
+//! `0xEDB88320` with compile-time lookup tables — no external crates.
+//! Eight tables let [`Crc32::update`] fold eight input bytes per step
+//! ("slicing-by-8"): every WAL record is checksummed once when it is
+//! written and once when it is replayed, ~330 bytes each time.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is
+/// the checksum state after byte `b` followed by `k` zero bytes. Built
+/// at compile time.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -19,10 +24,20 @@ const TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Incremental CRC-32 state.
@@ -46,8 +61,21 @@ impl Crc32 {
     /// Feed bytes into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -75,6 +103,28 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    /// The eight-bytes-per-step loop agrees with the bit-at-a-time
+    /// definition at every length and alignment around its word size.
+    #[test]
+    fn matches_bitwise_reference() {
+        fn reference(bytes: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+                }
+            }
+            crc ^ 0xFFFF_FFFF
+        }
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..9 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), reference(&data[start..end]), "{start}..{end}");
+            }
+        }
     }
 
     #[test]

@@ -137,8 +137,20 @@ pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
 /// log formats (the nc-shard WAL) reuse this framing so one torn-tail
 /// recovery discipline covers every file the workspace writes.
 pub fn frame_line(body: &str) -> String {
-    debug_assert!(!body.contains('\n'), "framed bodies are single lines");
-    format!("{body}{CRC_SEP}{:08x}", crc32(body.as_bytes()))
+    let mut line = String::with_capacity(body.len() + CRC_SEP.len() + 8);
+    line.push_str(body);
+    frame_in_place(&mut line);
+    line
+}
+
+/// [`frame_line`] for a body already sitting in a reusable buffer: the
+/// suffix is appended to `line`, so a writer that frames many lines
+/// allocates for none of them.
+pub fn frame_in_place(line: &mut String) {
+    use std::fmt::Write as _;
+    debug_assert!(!line.contains('\n'), "framed bodies are single lines");
+    let crc = crc32(line.as_bytes());
+    write!(line, "{CRC_SEP}{crc:08x}").expect("writing to a String cannot fail");
 }
 
 /// Recover the body of a line written by [`frame_line`]; `None` when

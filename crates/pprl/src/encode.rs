@@ -265,7 +265,7 @@ impl RecordEncoder {
         let mut fields = Vec::with_capacity(self.plan.fields().len());
         let mut record_clk = Bitset::zero(self.params.bits);
         for (&(attr, kind), salts) in self.plan.fields().iter().zip(&self.salts) {
-            normalize_into(&row.values[attr], &mut scratch.norm);
+            normalize_into(row.get(attr), &mut scratch.norm);
             if scratch.norm.is_empty() {
                 continue;
             }

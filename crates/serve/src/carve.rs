@@ -735,7 +735,7 @@ fn render_record(cluster: usize, ncid: &str, record: &Row) -> String {
     json_escape_into(&mut line, ncid);
     line.push_str("\",\"record\":{");
     let mut first = true;
-    for (attr, value) in SCHEMA.iter().zip(&record.values) {
+    for (attr, value) in SCHEMA.iter().zip(record.values()) {
         if value.is_empty() {
             continue;
         }

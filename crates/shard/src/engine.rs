@@ -65,8 +65,6 @@ pub struct ShardEngineConfig {
     pub policy: DedupPolicy,
     /// Import version recorded on every ingested row.
     pub version: u32,
-    /// Bounded-channel depth between the reader and each shard worker.
-    pub channel_depth: usize,
     /// WAL segment rotation bound, in bytes.
     pub segment_bytes: u64,
 }
@@ -78,7 +76,6 @@ impl ShardEngineConfig {
             shards: shards.max(1),
             policy,
             version,
-            channel_depth: 1024,
             segment_bytes: 4 << 20,
         }
     }
@@ -388,7 +385,6 @@ impl ShardEngine {
             self.config.policy,
             self.config.version,
             start_seq,
-            self.config.channel_depth,
         )?;
         self.store.advance_seq(snap.rows.len() as u64);
         // Step 1 of the commit: durable C on every log.

@@ -1,12 +1,14 @@
-//! Parallel snapshot fan-out: one reader, one worker per shard.
+//! Parallel snapshot fan-out: one worker per shard, no hand-off.
 //!
-//! The reader walks the snapshot's rows in file order, stamps each row
-//! with a global sequence number, routes it by [`crate::shard_of`] and
-//! sends it down that shard's bounded channel. Each worker owns its
+//! Routing is a pure function of the row ([`crate::shard_of`]), and a
+//! row's global sequence number is its position in the snapshot, so
+//! every worker walks the snapshot's rows itself, in file order, and
+//! applies the ones that route to its shard. Each worker owns its
 //! shard (and its WAL, when logging) exclusively for the duration of
-//! the scope, so the hot path takes no locks; determinism follows from
-//! the channels being FIFO and the dedup state being per-cluster (see
-//! the [`crate::store`] module docs).
+//! the scope, so the hot path takes no locks and passes no messages;
+//! determinism follows from each shard seeing its rows in file order
+//! and the dedup state being per-cluster (see the [`crate::store`]
+//! module docs).
 
 use std::io;
 
@@ -59,7 +61,6 @@ fn apply_one(
 /// Errors (only possible when WALs are attached) are reported
 /// deterministically: workers fail independently, and the first error
 /// in shard-index order wins.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fan_out(
     shards: &mut [Shard],
     wals: Option<&mut [ShardWal]>,
@@ -68,7 +69,6 @@ pub(crate) fn fan_out(
     policy: DedupPolicy,
     version: u32,
     start_seq: u64,
-    depth: usize,
 ) -> io::Result<Vec<ImportStats>> {
     let n = shards.len();
     let mut wal_slots: Vec<Option<&mut ShardWal>> = match wals {
@@ -79,12 +79,16 @@ pub(crate) fn fan_out(
         None => (0..n).map(|_| None).collect(),
     };
 
-    // Workers only pay off when there is real hardware parallelism;
-    // with a single shard — or a single core — route inline instead.
-    // Applying rows in global order is exactly the per-shard FIFO order
-    // the channels would deliver, so the outcome is bit-identical.
+    // Workers only pay off when every shard has a core to itself: each
+    // worker walks the whole snapshot, so with fewer cores than shards
+    // they time-slice and the replicated walk is pure overhead (4 shards
+    // on 2 hardware threads: −4 % wall time when both were free, +15 %
+    // when the second was busy, against the inline route). With a single
+    // shard, or fewer cores than shards, route inline instead. Applying
+    // rows in global order is exactly the per-shard order the workers
+    // would apply them in, so the outcome is bit-identical.
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    if n == 1 || cores == 1 {
+    if n == 1 || cores < n {
         let mut parts: Vec<ImportStats> =
             (0..n).map(|_| ImportStats::zero(date.to_owned())).collect();
         for (i, row) in rows.iter().enumerate() {
@@ -103,51 +107,39 @@ pub(crate) fn fan_out(
         return Ok(parts);
     }
 
-    let mut results: Vec<io::Result<ImportStats>> = Vec::with_capacity(n);
-    crossbeam::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for (shard, mut wal) in shards.iter_mut().zip(wal_slots.drain(..)) {
-            let (tx, rx) = crossbeam::channel::bounded::<(u64, &Row)>(depth.max(1));
-            senders.push(tx);
-            workers.push(scope.spawn(move |_| -> io::Result<ImportStats> {
-                let mut stats = ImportStats::zero(date.to_owned());
-                for (seq, row) in rx.iter() {
-                    apply_one(
-                        shard,
-                        wal.as_deref_mut(),
-                        seq,
-                        row,
-                        date,
-                        policy,
-                        version,
-                        &mut stats,
-                    )?;
-                }
-                Ok(stats)
-            }));
-        }
-
-        for (i, row) in rows.iter().enumerate() {
-            let target = shard_of(row.ncid(), n);
-            if senders[target].send((start_seq + i as u64, row)).is_err() {
-                // The worker hung up early — it hit a WAL write error.
-                // Stop feeding; its Err surfaces at join below.
-                break;
-            }
-        }
-        drop(senders);
-
-        for worker in workers {
-            results.push(worker.join().expect("shard worker panicked"));
-        }
-    })
-    .expect("ingest scope failed");
+    let results: Vec<io::Result<ImportStats>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = shards
+            .iter_mut()
+            .zip(wal_slots)
+            .enumerate()
+            .map(|(me, (shard, mut wal))| {
+                scope.spawn(move || -> io::Result<ImportStats> {
+                    let mut stats = ImportStats::zero(date.to_owned());
+                    for (i, row) in rows.iter().enumerate() {
+                        if shard_of(row.ncid(), n) != me {
+                            continue;
+                        }
+                        apply_one(
+                            shard,
+                            wal.as_deref_mut(),
+                            start_seq + i as u64,
+                            row,
+                            date,
+                            policy,
+                            version,
+                            &mut stats,
+                        )?;
+                    }
+                    Ok(stats)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("shard worker panicked"))
+            .collect()
+    });
 
     // First error in shard-index order wins (deterministic reporting).
-    let mut parts = Vec::with_capacity(n);
-    for result in results {
-        parts.push(result?);
-    }
-    Ok(parts)
+    results.into_iter().collect()
 }

@@ -7,9 +7,11 @@
 //! single-threaded importer does not reach that scale, so this crate
 //! splits the store into N shards keyed by `hash(NCID) % N`:
 //!
-//! * **Parallel ingest** ([`ingest`]): a reader fans a snapshot's rows
-//!   out over bounded channels to per-shard workers. Each worker owns
-//!   its shard exclusively — no locks on the hot path — and reuses
+//! * **Parallel ingest** ([`ingest`]): one worker per shard walks the
+//!   snapshot's rows and applies those that route to it (one thread
+//!   does it all when there are fewer cores than shards). Each worker
+//!   owns its shard exclusively — no locks and no hand-off on the hot
+//!   path — and reuses
 //!   [`nc_core::cluster::ClusterStore::import_row_ref`] and the
 //!   quarantine-mode semantics of `nc_core::tsv`, so every per-row
 //!   outcome is identical to the sequential importer's.

@@ -6,14 +6,14 @@
 //! `DocId`, and `DocId`s are assigned in insertion order, so the
 //! unsharded order is *global founding order*: the order in which each
 //! NCID was first seen. Sharding partitions whole clusters (the shard
-//! key is the NCID), the reader assigns every row a global sequence
-//! number before fan-out, and each per-shard channel is FIFO — so a
-//! shard observes its subset of rows in exactly the relative order the
-//! sequential importer would, and per-cluster dedup state evolves
-//! identically. Recording the founding row's sequence number per
-//! cluster and merging all shards by that number therefore reproduces
-//! the unsharded founding order exactly (bit-identical downstream
-//! scoring/customize/carving; see `tests/determinism.rs`).
+//! key is the NCID), a row's global sequence number is its position
+//! in the row stream, and each shard's worker walks that stream in
+//! order — so a shard observes its subset of rows in exactly the
+//! relative order the sequential importer would, and per-cluster dedup
+//! state evolves identically. Recording the founding row's sequence
+//! number per cluster and merging all shards by that number therefore
+//! reproduces the unsharded founding order exactly (bit-identical
+//! downstream scoring/customize/carving; see `tests/determinism.rs`).
 
 use nc_core::cluster::{ClusterStore, RowOutcome};
 use nc_core::import::ImportStats;
@@ -161,8 +161,6 @@ pub struct ShardedStore {
     shards: Vec<Shard>,
     /// Next global row sequence number (one per fanned-out row).
     next_seq: u64,
-    /// Bounded-channel depth between the reader and each worker.
-    channel_depth: usize,
 }
 
 impl ShardedStore {
@@ -171,7 +169,6 @@ impl ShardedStore {
         ShardedStore {
             shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
             next_seq: 0,
-            channel_depth: 1024,
         }
     }
 
@@ -218,7 +215,6 @@ impl ShardedStore {
             policy,
             version,
             self.next_seq,
-            self.channel_depth,
         )
         .expect("in-memory ingest performs no IO");
         self.next_seq += snapshot.rows.len() as u64;

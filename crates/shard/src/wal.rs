@@ -33,6 +33,7 @@
 //! and then re-importing would double the rows-seen bookkeeping.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::fs::{self, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -41,7 +42,7 @@ use std::sync::Arc;
 use nc_core::import::ImportStats;
 use nc_core::record::DedupPolicy;
 use nc_core::tsv::QuarantineReport;
-use nc_docstore::persist::{frame_line, read_framed, sync_dir};
+use nc_docstore::persist::{frame_in_place, frame_line, read_framed, sync_dir};
 use nc_vfs::{Vfs, VfsFile};
 use nc_votergen::schema::Row;
 
@@ -270,6 +271,8 @@ pub(crate) struct ShardWal {
     dir: PathBuf,
     segment: u32,
     writer: BufWriter<Box<dyn VfsFile>>,
+    /// The record being framed; reused, so appending allocates nothing.
+    line: String,
     bytes: u64,
     segment_bytes: u64,
     vfs: Arc<dyn Vfs>,
@@ -295,34 +298,42 @@ impl ShardWal {
             dir: dir.to_path_buf(),
             segment,
             writer: BufWriter::new(file),
+            line: String::new(),
             bytes,
             segment_bytes,
             vfs,
         })
     }
 
-    fn append(&mut self, body: &str) -> io::Result<()> {
-        let line = frame_line(body);
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.bytes += line.len() as u64 + 1;
+    /// Frame the record body `write_body` puts into the line buffer and
+    /// append it to the log.
+    fn append(&mut self, write_body: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.line.clear();
+        write_body(&mut self.line);
+        frame_in_place(&mut self.line);
+        self.line.push('\n');
+        self.writer.write_all(self.line.as_bytes())?;
+        self.bytes += self.line.len() as u64;
         Ok(())
     }
 
     /// Log the start of a snapshot.
     pub(crate) fn begin_snapshot(&mut self, date: &str, version: u32) -> io::Result<()> {
-        self.append(&format!("B\t{date}\t{version}"))
+        self.append(|body| write!(body, "B\t{date}\t{version}").expect("String write"))
     }
 
     /// Log one routed row under its global sequence number.
     pub(crate) fn append_row(&mut self, seq: u64, row: &Row) -> io::Result<()> {
-        self.append(&format!("R\t{seq}\t{}", row.to_tsv()))
+        self.append(|body| {
+            write!(body, "R\t{seq}\t").expect("String write");
+            body.push_str(row.as_tsv());
+        })
     }
 
     /// Log the end of a snapshot (`rows` = this shard's routed count)
     /// and make everything durable.
     pub(crate) fn commit_snapshot(&mut self, date: &str, rows: u64) -> io::Result<()> {
-        self.append(&format!("C\t{date}\t{rows}"))?;
+        self.append(|body| write!(body, "C\t{date}\t{rows}").expect("String write"))?;
         self.writer.flush()?;
         self.writer.get_mut().sync_file()
     }

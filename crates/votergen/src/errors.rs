@@ -165,7 +165,9 @@ pub fn confuse_values<R: Rng>(rng: &mut R, row: &mut Row) {
         (FIRST_NAME, LAST_NAME),
     ];
     let (a, b) = pairs[rng.gen_range(0..pairs.len())];
-    row.values.swap(a, b);
+    let (va, vb) = (row.get(a).to_owned(), row.get(b).to_owned());
+    row.set(a, vb);
+    row.set(b, va);
 }
 
 /// Integrate the middle name into the first name (`MARY` + `ANN` →
@@ -177,7 +179,7 @@ pub fn integrate_value(row: &mut Row) {
         return;
     }
     let first = row.get(FIRST_NAME).trim().to_owned();
-    row.set(FIRST_NAME, format!("{first} {midl}").trim().to_owned());
+    row.set(FIRST_NAME, format!("{first} {midl}").trim());
     row.set(MIDL_NAME, "");
 }
 

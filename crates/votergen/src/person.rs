@@ -361,9 +361,10 @@ impl Person {
 
         // Stray whitespace, re-rolled per emission.
         if cfg.whitespace_rate > 0.0 {
-            for v in row.values.iter_mut() {
-                if !v.is_empty() && rng.gen_bool(cfg.whitespace_rate) {
-                    *v = errors::pad_whitespace(rng, v);
+            for id in 0..schema::NUM_ATTRS {
+                if !row.get(id).is_empty() && rng.gen_bool(cfg.whitespace_rate) {
+                    let padded = errors::pad_whitespace(rng, row.get(id));
+                    row.set(id, padded);
                 }
             }
         }

@@ -3,9 +3,9 @@
 //! The real NC register has 90 attributes split (by the paper) into four
 //! parts: *person*, *district*, *election* and *meta*. This module
 //! defines a representative 44-attribute schema with the same structure.
-//! Rows are stored as dense `Vec<String>`s indexed by [`AttrId`]; a
-//! missing value is the empty string (the register itself uses empty TSV
-//! fields).
+//! A [`Row`] holds one value per attribute, indexed by [`AttrId`] and
+//! packed into a single TSV line; a missing value is the empty string
+//! (the register itself uses empty TSV fields).
 
 /// Index of an attribute within [`SCHEMA`] (and within every row).
 pub type AttrId = usize;
@@ -139,28 +139,79 @@ pub fn hash_attrs_person() -> Vec<AttrId> {
 }
 
 /// One voter-roll row: dense values, one per schema attribute.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Stored packed: the row *is* its TSV line (`v0\tv1\t…\tv43`) in one
+/// `String`, plus the byte offset at which each value starts. A row is
+/// therefore one heap allocation, `clone` is one copy, and reading a
+/// value is a slice of the line. The tab is the only structural byte:
+/// [`Row::set`] refuses a value that contains one.
+#[derive(Clone)]
 pub struct Row {
-    /// Values indexed by [`AttrId`]; empty string means missing.
-    pub values: Vec<String>,
+    /// The values in schema order, tab-separated.
+    line: String,
+    /// `starts[id]` is the byte offset of value `id` within `line`;
+    /// `starts[NUM_ATTRS]` is `line.len() + 1`, as if the line ended
+    /// with one more tab, so value `id` always spans
+    /// `starts[id]..starts[id + 1] - 1`.
+    starts: [u32; NUM_ATTRS + 1],
 }
+
+/// Longest line a [`Row`] can index: the end sentinel `line.len() + 1`
+/// must fit the offset type.
+const MAX_LINE_BYTES: usize = (u32::MAX - 1) as usize;
 
 impl Row {
     /// Create an all-missing row.
     pub fn empty() -> Self {
         Row {
-            values: vec![String::new(); NUM_ATTRS],
+            line: "\t".repeat(NUM_ATTRS - 1),
+            starts: std::array::from_fn(|i| i as u32),
         }
+    }
+
+    /// Build a row from one value per attribute, in schema order.
+    ///
+    /// # Panics
+    /// If a value contains a tab (see [`Row::set`]).
+    pub fn from_values(values: &[&str; NUM_ATTRS]) -> Self {
+        let line = values.join("\t");
+        let starts = index_line(&line).expect("a value contains a tab, or the row is too long");
+        Row { line, starts }
+    }
+
+    /// Byte range of a value within the line.
+    fn span(&self, id: AttrId) -> std::ops::Range<usize> {
+        self.starts[id] as usize..self.starts[id + 1] as usize - 1
     }
 
     /// Value of an attribute (empty string = missing).
     pub fn get(&self, id: AttrId) -> &str {
-        &self.values[id]
+        &self.line[self.span(id)]
+    }
+
+    /// All values in schema order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &str> {
+        (0..NUM_ATTRS).map(|id| self.get(id))
     }
 
     /// Set an attribute value.
-    pub fn set(&mut self, id: AttrId, value: impl Into<String>) {
-        self.values[id] = value.into();
+    ///
+    /// # Panics
+    /// If `value` contains a tab: the tab separates the values, so such
+    /// a value could never survive [`Row::to_tsv`] / [`Row::from_tsv`]
+    /// or the WAL. Every other byte, newline included, is accepted.
+    pub fn set(&mut self, id: AttrId, value: impl AsRef<str>) {
+        let value = value.as_ref();
+        assert!(!value.contains('\t'), "value of `{}` contains a tab", SCHEMA[id].name);
+        let span = self.span(id);
+        let grown = self.line.len() - span.len() + value.len();
+        assert!(grown <= MAX_LINE_BYTES, "row too long");
+        if value.len() != span.len() {
+            for start in &mut self.starts[id + 1..] {
+                *start = (*start as usize - span.len() + value.len()) as u32;
+            }
+        }
+        self.line.replace_range(span, value);
     }
 
     /// The row's NCID.
@@ -168,18 +219,67 @@ impl Row {
         self.get(NCID)
     }
 
-    /// Render as a TSV line in schema order.
-    pub fn to_tsv(&self) -> String {
-        self.values.join("\t")
+    /// The row as a TSV line in schema order, borrowed.
+    pub fn as_tsv(&self) -> &str {
+        &self.line
     }
 
-    /// Parse from a TSV line in schema order.
+    /// Render as a TSV line in schema order.
+    pub fn to_tsv(&self) -> String {
+        self.line.clone()
+    }
+
+    /// Parse from a TSV line in schema order. `None` when the line does
+    /// not have exactly one field per attribute (or is too long to
+    /// index).
     pub fn from_tsv(line: &str) -> Option<Self> {
-        let values: Vec<String> = line.split('\t').map(str::to_owned).collect();
-        if values.len() != NUM_ATTRS {
-            return None;
+        let starts = index_line(line)?;
+        Some(Row {
+            line: line.to_owned(),
+            starts,
+        })
+    }
+}
+
+/// The value start offsets of a TSV line (see `Row::starts`); `None`
+/// unless the line has exactly one field per attribute and is short
+/// enough to index.
+fn index_line(line: &str) -> Option<[u32; NUM_ATTRS + 1]> {
+    if line.len() > MAX_LINE_BYTES {
+        return None;
+    }
+    let mut starts = [0u32; NUM_ATTRS + 1];
+    let mut fields = 1;
+    for (at, byte) in line.bytes().enumerate() {
+        if byte == b'\t' {
+            if fields == NUM_ATTRS {
+                return None;
+            }
+            starts[fields] = at as u32 + 1;
+            fields += 1;
         }
-        Some(Row { values })
+    }
+    if fields != NUM_ATTRS {
+        return None;
+    }
+    starts[NUM_ATTRS] = line.len() as u32 + 1;
+    Some(starts)
+}
+
+/// Rows are equal when their values are; the offsets follow from the
+/// line.
+impl PartialEq for Row {
+    fn eq(&self, other: &Self) -> bool {
+        self.line == other.line
+    }
+}
+
+impl Eq for Row {}
+
+impl std::fmt::Debug for Row {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Row")?;
+        f.debug_list().entries(self.values()).finish()
     }
 }
 

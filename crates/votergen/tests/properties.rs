@@ -30,7 +30,7 @@ proptest! {
             let snap = reg.generate_snapshot(info);
             prop_assert!(!snap.rows.is_empty());
             for row in &snap.rows {
-                prop_assert_eq!(row.values.len(), schema::NUM_ATTRS);
+                prop_assert_eq!(row.values().len(), schema::NUM_ATTRS);
                 prop_assert!(!row.ncid().trim().is_empty());
                 prop_assert_eq!(row.get(schema::SNAPSHOT_DT).trim(), snap.date.as_str());
                 let status = row.get(schema::STATUS).trim();

@@ -55,7 +55,7 @@ fn reconstructed_versions_are_nested() {
         rows.iter()
             .flat_map(|(ncid, rs)| {
                 rs.iter()
-                    .map(move |r| format!("{ncid}|{}", r.values.join("\u{1f}")))
+                    .map(move |r| format!("{ncid}|{}", r.as_tsv()))
             })
             .collect()
     };
