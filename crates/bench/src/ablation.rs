@@ -10,7 +10,8 @@
 //!    Jaccard (the paper's footnote 14 claims the choice introduces
 //!    little bias).
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_core::plausibility::PlausibilityScorer;
@@ -27,7 +28,7 @@ use nc_votergen::schema::{FIRST_NAME, LAST_NAME, MIDL_NAME};
 use crate::context::ExperimentScale;
 
 /// One blocking configuration's quality.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BlockingRow {
     /// Configuration label.
     pub config: String,
@@ -39,8 +40,20 @@ pub struct BlockingRow {
     pub reduction_ratio: f64,
 }
 
+impl BlockingRow {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "config" => self.config.as_str(),
+            "candidates" => self.candidates,
+            "pair_completeness" => self.pair_completeness,
+            "reduction_ratio" => self.reduction_ratio,
+        })
+    }
+}
+
 /// Plausibility-weighting ablation result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlausibilityAblation {
     /// Mean cluster plausibility of sound clusters (paper weights).
     pub sound_paper: f64,
@@ -52,8 +65,20 @@ pub struct PlausibilityAblation {
     pub separation_uniform: f64,
 }
 
+impl PlausibilityAblation {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "sound_paper" => self.sound_paper,
+            "unsound_paper" => self.unsound_paper,
+            "separation_paper" => self.separation_paper,
+            "separation_uniform" => self.separation_uniform,
+        })
+    }
+}
+
 /// Heterogeneity inner-measure ablation result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MeasureAblation {
     /// Mean |ME − GJ| similarity difference over sampled name pairs.
     pub mean_abs_difference: f64,
@@ -62,8 +87,18 @@ pub struct MeasureAblation {
     pub order_agreement: f64,
 }
 
+impl MeasureAblation {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "mean_abs_difference" => self.mean_abs_difference,
+            "order_agreement" => self.order_agreement,
+        })
+    }
+}
+
 /// The full ablation report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Ablation {
     /// Blocking configurations on the Census comparator.
     pub blocking: Vec<BlockingRow>,
@@ -71,6 +106,17 @@ pub struct Ablation {
     pub plausibility: PlausibilityAblation,
     /// Heterogeneity inner-measure ablation.
     pub measures: MeasureAblation,
+}
+
+impl Ablation {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "blocking" => Value::Array(self.blocking.iter().map(BlockingRow::to_value).collect()),
+            "plausibility" => self.plausibility.to_value(),
+            "measures" => self.measures.to_value(),
+        })
+    }
 }
 
 fn blocking_rows(seed: u64) -> Vec<BlockingRow> {

@@ -93,31 +93,31 @@ fn main() {
         "table1" => {
             let t = table1::run(&scale);
             println!("{}", table1::render(&t));
-            output::write_json(&args.out_dir, "table1", &t).expect("write json");
+            output::write_json(&args.out_dir, "table1", &t.to_value()).expect("write json");
         }
         "table2" => {
             let t = table2::run(&scale);
             println!("{}", table2::render(&t));
-            output::write_json(&args.out_dir, "table2", &t).expect("write json");
+            output::write_json(&args.out_dir, "table2", &t.to_value()).expect("write json");
         }
         "figure1" => {
             let f = figure1::run(&scale);
             println!("{}", figure1::render(&f));
-            output::write_json(&args.out_dir, "figure1", &f).expect("write json");
+            output::write_json(&args.out_dir, "figure1", &f.to_value()).expect("write json");
         }
         "figure4a" => {
             let f = figure4::run_4a(ctx.expect("context"));
             println!("Figure 4a: plausibility distributions\n");
             println!("{}", figure4::render_distribution(&f.clusters));
             println!("{}", figure4::render_distribution(&f.pairs));
-            output::write_json(&args.out_dir, "figure4a", &f).expect("write json");
+            output::write_json(&args.out_dir, "figure4a", &f.to_value()).expect("write json");
         }
         "figure4b" => {
             let f = figure4::run_4b(ctx.expect("context"));
             println!("Figure 4b: NC heterogeneity distributions\n");
             println!("{}", figure4::render_distribution(&f.clusters));
             println!("{}", figure4::render_distribution(&f.pairs));
-            output::write_json(&args.out_dir, "figure4b", &f).expect("write json");
+            output::write_json(&args.out_dir, "figure4b", &f.to_value()).expect("write json");
         }
         "figure4c" => {
             let f = figure4::run_4c(scale.seed);
@@ -125,22 +125,22 @@ fn main() {
             for d in &f.datasets {
                 println!("{}", figure4::render_distribution(d));
             }
-            output::write_json(&args.out_dir, "figure4c", &f).expect("write json");
+            output::write_json(&args.out_dir, "figure4c", &f.to_value()).expect("write json");
         }
         "table3" => {
             let t = table3::run(ctx.expect("context"), &sizes, scale.seed);
             println!("{}", table3::render(&t));
-            output::write_json(&args.out_dir, "table3", &t).expect("write json");
+            output::write_json(&args.out_dir, "table3", &t.to_value()).expect("write json");
         }
         "table4" => {
             let t = table4::run(ctx.expect("context"), scale.seed);
             println!("{}", table4::render(&t));
-            output::write_json(&args.out_dir, "table4", &t).expect("write json");
+            output::write_json(&args.out_dir, "table4", &t.to_value()).expect("write json");
         }
         "figure5" => {
             let f = figure5::run(ctx.expect("context"), &sizes, scale.seed);
             println!("{}", figure5::render(&f));
-            output::write_json(&args.out_dir, "figure5", &f).expect("write json");
+            output::write_json(&args.out_dir, "figure5", &f.to_value()).expect("write json");
         }
         "updates" => {
             let u = updates::run(&ExperimentScale {
@@ -148,17 +148,17 @@ fn main() {
                 ..scale
             });
             println!("{}", updates::render(&u));
-            output::write_json(&args.out_dir, "updates", &u).expect("write json");
+            output::write_json(&args.out_dir, "updates", &u.to_value()).expect("write json");
         }
         "pollution" => {
             let p = pollution::run(ctx.expect("context"), &sizes, scale.seed);
             println!("{}", pollution::render(&p));
-            output::write_json(&args.out_dir, "pollution", &p).expect("write json");
+            output::write_json(&args.out_dir, "pollution", &p.to_value()).expect("write json");
         }
         "ablation" => {
             let a = ablation::run(&scale);
             println!("{}", ablation::render(&a));
-            output::write_json(&args.out_dir, "ablation", &a).expect("write json");
+            output::write_json(&args.out_dir, "ablation", &a.to_value()).expect("write json");
         }
         "scores" => {
             let ctx = ctx.expect("context");

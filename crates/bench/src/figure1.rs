@@ -4,7 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::{Document, Value};
 
 use nc_core::cluster::ClusterStore;
 use nc_core::import::import_snapshot;
@@ -17,7 +18,7 @@ use crate::context::ExperimentScale;
 use crate::output::bar;
 
 /// One histogram series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Series label.
     pub label: String,
@@ -25,12 +26,36 @@ pub struct Series {
     pub histogram: BTreeMap<usize, u64>,
 }
 
+impl Series {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "label" => self.label.as_str(),
+            // JSON object keys are strings: `"3": 17` is 17 clusters of size 3.
+            "histogram" => self
+                .histogram
+                .iter()
+                .map(|(size, n)| (size.to_string(), Value::from(*n)))
+                .collect::<Document>(),
+        })
+    }
+}
+
 /// The Figure 1 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure1 {
     /// (a) single snapshot; (b) full archive, all attributes; (c) full
     /// archive, person attributes only.
     pub series: Vec<Series>,
+}
+
+impl Figure1 {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "series" => Value::Array(self.series.iter().map(Series::to_value).collect()),
+        })
+    }
 }
 
 /// Run the experiment.

@@ -2,7 +2,8 @@
 //! and pairs, (b) heterogeneity of the NC clusters and pairs, (c)
 //! heterogeneity of the Cora/Census/CDDB comparators.
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::scoring::map_clusters;
@@ -17,7 +18,7 @@ use crate::output::render_histogram;
 const BINS: usize = 20;
 
 /// A serializable score distribution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Distribution {
     /// Series label.
     pub label: String,
@@ -37,6 +38,21 @@ pub struct Distribution {
 }
 
 impl Distribution {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "label" => self.label.as_str(),
+            "counts" => self.counts.clone(),
+            "n" => self.n,
+            "mean" => self.mean,
+            "min" => self.min,
+            "max" => self.max,
+            "fraction_at_one" => self.fraction_at_one,
+        })
+    }
+}
+
+impl Distribution {
     fn from(label: &str, d: &ScoreDistribution) -> Self {
         Distribution {
             label: label.to_owned(),
@@ -51,12 +67,22 @@ impl Distribution {
 }
 
 /// Figure 4a result: plausibility distributions.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure4a {
     /// Cluster-level distribution.
     pub clusters: Distribution,
     /// Pair-level distribution.
     pub pairs: Distribution,
+}
+
+impl Figure4a {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "clusters" => self.clusters.to_value(),
+            "pairs" => self.pairs.to_value(),
+        })
+    }
 }
 
 /// The multi-record clusters of a store, in `cluster_ids` order.
@@ -93,12 +119,22 @@ pub fn run_4a(ctx: &NcContext) -> Figure4a {
 }
 
 /// Figure 4b result: NC heterogeneity distributions.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure4b {
     /// Cluster-level distribution.
     pub clusters: Distribution,
     /// Pair-level distribution.
     pub pairs: Distribution,
+}
+
+impl Figure4b {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "clusters" => self.clusters.to_value(),
+            "pairs" => self.pairs.to_value(),
+        })
+    }
 }
 
 /// Run Figure 4b over a built NC context (person attributes, as in the
@@ -125,10 +161,19 @@ pub fn run_4b(ctx: &NcContext) -> Figure4b {
 }
 
 /// Figure 4c result: comparator heterogeneity distributions.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure4c {
     /// One distribution per comparator dataset.
     pub datasets: Vec<Distribution>,
+}
+
+impl Figure4c {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "datasets" => Value::Array(self.datasets.iter().map(Distribution::to_value).collect()),
+        })
+    }
 }
 
 /// Run Figure 4c (pair heterogeneity of Cora, Census, CDDB).

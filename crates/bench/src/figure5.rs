@@ -1,7 +1,8 @@
 //! Figure 5: F1-score vs similarity threshold for the three record
 //! matchers on NC1/NC2/NC3 and on the Cora/Census/CDDB comparators.
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_core::customize::{customize, CustomizeParams};
 use nc_core::heterogeneity::Scope;
@@ -15,7 +16,7 @@ use crate::context::NcContext;
 use crate::table3::NcBandSizes;
 
 /// One F1 curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Curve {
     /// Measure label (ME/Lev, JaroWinkler, Jaccard).
     pub measure: String,
@@ -29,8 +30,21 @@ pub struct Curve {
     pub best_f1: f64,
 }
 
+impl Curve {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "measure" => self.measure.as_str(),
+            "thresholds" => self.thresholds.clone(),
+            "f1" => self.f1.clone(),
+            "best_threshold" => self.best_threshold,
+            "best_f1" => self.best_f1,
+        })
+    }
+}
+
 /// One panel (one dataset, three curves).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Panel {
     /// Dataset label.
     pub dataset: String,
@@ -42,11 +56,32 @@ pub struct Panel {
     pub curves: Vec<Curve>,
 }
 
+impl Panel {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "dataset" => self.dataset.as_str(),
+            "records" => self.records,
+            "gold_pairs" => self.gold_pairs,
+            "curves" => Value::Array(self.curves.iter().map(Curve::to_value).collect()),
+        })
+    }
+}
+
 /// The full Figure 5.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure5 {
     /// Six panels: NC1, NC2, NC3, Cora, Census, CDDB.
     pub panels: Vec<Panel>,
+}
+
+impl Figure5 {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "panels" => Value::Array(self.panels.iter().map(Panel::to_value).collect()),
+        })
+    }
 }
 
 /// Evaluate the three matchers over one dataset.

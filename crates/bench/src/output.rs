@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use serde::Serialize;
+use nc_docstore::value::Value;
 
 /// Render a right-aligned numeric cell of width 10.
 pub fn num<T: std::fmt::Display>(x: T) -> String {
@@ -25,13 +25,13 @@ pub fn bar(frac: f64, width: usize) -> String {
     "#".repeat(n)
 }
 
-/// Write a serializable result as pretty JSON under `dir/name.json`.
-pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> std::io::Result<()> {
+/// Write a result (a report's `to_value()`) under `dir/name.json` in
+/// the canonical rendering: one line, keys sorted.
+pub fn write_json(dir: &Path, name: &str, value: &Value) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    std::fs::write(path, json)
+    let mut json = value.to_json();
+    json.push('\n');
+    std::fs::write(dir.join(format!("{name}.json")), json)
 }
 
 /// Histogram bins rendered as `lo..hi count bar` lines.
@@ -71,16 +71,30 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        #[derive(serde::Serialize)]
-        struct T {
-            // Only read through the derived serializer.
-            #[allow(dead_code)]
-            x: u32,
-        }
+        let row = crate::table1::Row {
+            year: 2008,
+            snapshots: 1,
+            total_rows: 2000,
+            new_records: 158,
+            new_objects: 11,
+            new_record_rate: 1.0,
+            new_object_rate: 0.06962025316455696,
+        };
+        let table = crate::table1::Table1 {
+            rows: vec![row.clone()],
+            total: row,
+        };
         let dir = std::env::temp_dir().join(format!("nc_bench_out_{}", std::process::id()));
-        write_json(&dir, "t", &T { x: 7 }).unwrap();
+        write_json(&dir, "t", &table.to_value()).unwrap();
         let content = std::fs::read_to_string(dir.join("t.json")).unwrap();
-        assert!(content.contains("\"x\": 7"));
+        let row_json = "{\"new_object_rate\":0.06962025316455696,\"new_objects\":11,\
+                        \"new_record_rate\":1.0,\"new_records\":158,\"snapshots\":1,\
+                        \"total_rows\":2000,\"year\":2008}";
+        assert_eq!(content, format!("{{\"rows\":[{row_json}],\"total\":{row_json}}}\n"));
+        assert_eq!(
+            nc_docstore::json::parse(content.as_bytes()).unwrap(),
+            table.to_value()
+        );
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

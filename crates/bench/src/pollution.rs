@@ -6,7 +6,8 @@
 //! values from the history *plus* injectable errors at will — and
 //! provides a dirtiness dial beyond the heterogeneity bands.
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_core::customize::{customize, CustomizeParams};
 use nc_core::heterogeneity::Scope;
@@ -20,7 +21,7 @@ use crate::context::NcContext;
 use crate::table3::NcBandSizes;
 
 /// One pollution level's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Level {
     /// Multiplier applied to the default error rates.
     pub rate_multiplier: f64,
@@ -36,11 +37,34 @@ pub struct Level {
     pub best_f1: Vec<f64>,
 }
 
+impl Level {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "rate_multiplier" => self.rate_multiplier,
+            "records" => self.records,
+            "gold_pairs" => self.gold_pairs,
+            "corrupted_values" => self.corrupted_values,
+            "duplicates_added" => self.duplicates_added,
+            "best_f1" => self.best_f1.clone(),
+        })
+    }
+}
+
 /// The pollution experiment result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Pollution {
     /// Levels in increasing pollution order (multiplier 0 = untouched).
     pub levels: Vec<Level>,
+}
+
+impl Pollution {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "levels" => Value::Array(self.levels.iter().map(Level::to_value).collect()),
+        })
+    }
 }
 
 /// Run the experiment over the NC1 band of a built context.

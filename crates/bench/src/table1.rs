@@ -1,6 +1,7 @@
 //! Table 1: snapshot statistics per year.
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_core::record::DedupPolicy;
 use nc_core::stats::{snapshot_table, YearStats};
@@ -9,7 +10,7 @@ use crate::context::ExperimentScale;
 use crate::output::{num, pct};
 
 /// Serializable Table 1 row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Calendar year.
     pub year: i32,
@@ -27,6 +28,21 @@ pub struct Row {
     pub new_object_rate: f64,
 }
 
+impl Row {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "year" => self.year,
+            "snapshots" => self.snapshots,
+            "total_rows" => self.total_rows,
+            "new_records" => self.new_records,
+            "new_objects" => self.new_objects,
+            "new_record_rate" => self.new_record_rate,
+            "new_object_rate" => self.new_object_rate,
+        })
+    }
+}
+
 impl From<&YearStats> for Row {
     fn from(y: &YearStats) -> Self {
         Row {
@@ -42,12 +58,22 @@ impl From<&YearStats> for Row {
 }
 
 /// The full Table 1 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Per-year rows.
     pub rows: Vec<Row>,
     /// Grand totals.
     pub total: Row,
+}
+
+impl Table1 {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "rows" => Value::Array(self.rows.iter().map(Row::to_value).collect()),
+            "total" => self.total.to_value(),
+        })
+    }
 }
 
 /// Run the experiment.

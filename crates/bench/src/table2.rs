@@ -1,7 +1,8 @@
 //! Table 2: statistical results of the generation process under the
 //! four duplicate-removal policies.
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_core::record::DedupPolicy;
 use nc_core::stats::generation_table_row;
@@ -10,7 +11,7 @@ use crate::context::ExperimentScale;
 use crate::output::{num, pct};
 
 /// Serializable Table 2 row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Policy label.
     pub policy: String,
@@ -32,13 +33,40 @@ pub struct Row {
     pub removed_pair_rate: f64,
 }
 
+impl Row {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "policy" => self.policy.as_str(),
+            "records" => self.records,
+            "duplicate_pairs" => self.duplicate_pairs,
+            "avg_cluster_size" => self.avg_cluster_size,
+            "max_cluster_size" => self.max_cluster_size,
+            "removed_records" => self.removed_records,
+            "removed_record_rate" => self.removed_record_rate,
+            "removed_pairs" => self.removed_pairs,
+            "removed_pair_rate" => self.removed_pair_rate,
+        })
+    }
+}
+
 /// The full Table 2 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Number of objects (identical across policies).
     pub clusters: u64,
     /// One row per policy.
     pub rows: Vec<Row>,
+}
+
+impl Table2 {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "clusters" => self.clusters,
+            "rows" => Value::Array(self.rows.iter().map(Row::to_value).collect()),
+        })
+    }
 }
 
 /// Run the experiment: four imports of the same archive.

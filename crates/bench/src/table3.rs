@@ -1,7 +1,8 @@
 //! Table 3: characteristics of all evaluated datasets — the three
 //! comparators plus the customized NC1/NC2/NC3.
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_core::customize::{customize, CustomizeParams};
 use nc_core::heterogeneity::Scope;
@@ -12,7 +13,7 @@ use nc_suite::bridge;
 use crate::context::NcContext;
 
 /// Serializable Table 3 row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Dataset label.
     pub name: String,
@@ -36,6 +37,24 @@ pub struct Row {
     pub avg_heterogeneity: f64,
 }
 
+impl Row {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "name" => self.name.as_str(),
+            "records" => self.records,
+            "attributes" => self.attributes,
+            "duplicate_pairs" => self.duplicate_pairs,
+            "clusters" => self.clusters,
+            "non_singletons" => self.non_singletons,
+            "max_cluster_size" => self.max_cluster_size,
+            "avg_cluster_size" => self.avg_cluster_size,
+            "max_heterogeneity" => self.max_heterogeneity,
+            "avg_heterogeneity" => self.avg_heterogeneity,
+        })
+    }
+}
+
 impl From<Characteristics> for Row {
     fn from(c: Characteristics) -> Self {
         Row {
@@ -54,10 +73,19 @@ impl From<Characteristics> for Row {
 }
 
 /// The full Table 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// One row per dataset.
     pub rows: Vec<Row>,
+}
+
+impl Table3 {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "rows" => Value::Array(self.rows.iter().map(Row::to_value).collect()),
+        })
+    }
 }
 
 /// Customization sample/output sizes for the NC bands, scaled down from

@@ -1,7 +1,8 @@
 //! Table 4: statistics of the different irregularity types for the NC
 //! data, Cora and Census.
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_analysis::report::{analyze, AnalysisConfig, ErrorProfile};
 use nc_analysis::singleton::SingletonConfig;
@@ -12,7 +13,7 @@ use nc_suite::bridge;
 use crate::context::NcContext;
 
 /// One rendered cell: a dataset's stat for one error type.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     /// Occurrences in the most common attribute.
     pub count: u64,
@@ -24,8 +25,20 @@ pub struct Cell {
     pub most_common_attr: Option<String>,
 }
 
+impl Cell {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "count" => self.count,
+            "total_count" => self.total_count,
+            "percentage" => self.percentage,
+            "most_common_attr" => self.most_common_attr.clone(),
+        })
+    }
+}
+
 /// The full Table 4.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table4 {
     /// Dataset labels, in column order (NC, Cora, Census).
     pub datasets: Vec<String>,
@@ -35,6 +48,28 @@ pub struct Table4 {
     pub pairs: Vec<u64>,
     /// error type label → one cell per dataset.
     pub rows: Vec<(String, Vec<Cell>)>,
+}
+
+impl Table4 {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "datasets" => self.datasets.clone(),
+            "records" => self.records.clone(),
+            "pairs" => self.pairs.clone(),
+            "rows" => Value::Array(
+                self.rows
+                    .iter()
+                    .map(|(error_type, cells)| {
+                        Value::Array(vec![
+                            error_type.as_str().into(),
+                            Value::Array(cells.iter().map(Cell::to_value).collect()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        })
+    }
 }
 
 fn cells(profile: &ErrorProfile) -> Vec<(String, Cell)> {

@@ -1,7 +1,8 @@
 //! The update process and reproducibility (Figure 2 / Section 5):
 //! incremental imports, version publishing and reconstruction.
 
-use serde::Serialize;
+use nc_docstore::doc;
+use nc_docstore::value::Value;
 
 use nc_core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_core::record::DedupPolicy;
@@ -9,7 +10,7 @@ use nc_core::record::DedupPolicy;
 use crate::context::ExperimentScale;
 
 /// One published version in the report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VersionRow {
     /// Version number.
     pub version: u32,
@@ -24,13 +25,36 @@ pub struct VersionRow {
     pub reconstructed_records: u64,
 }
 
+impl VersionRow {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "version" => self.version,
+            "snapshots" => self.snapshots.clone(),
+            "records" => self.records,
+            "clusters" => self.clusters,
+            "reconstructed_records" => self.reconstructed_records,
+        })
+    }
+}
+
 /// The updates experiment result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Updates {
     /// One row per published version.
     pub versions: Vec<VersionRow>,
     /// Whether every reconstruction matched its published totals.
     pub reconstruction_ok: bool,
+}
+
+impl Updates {
+    /// The result as a JSON document (see [`crate::output::write_json`]).
+    pub fn to_value(&self) -> Value {
+        Value::Doc(doc! {
+            "versions" => Value::Array(self.versions.iter().map(VersionRow::to_value).collect()),
+            "reconstruction_ok" => self.reconstruction_ok,
+        })
+    }
 }
 
 /// Run the experiment: one version per snapshot, then reconstruct each.

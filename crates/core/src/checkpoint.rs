@@ -11,16 +11,30 @@
 //! and continues — producing import statistics identical to an
 //! uninterrupted run.
 //!
-//! A damaged checkpoint (torn store file, unreadable manifest) is
-//! discarded and the import restarts from scratch — recovery degrades
-//! to correctness, never to silent corruption. Mismatched parameters
-//! (different policy or version) are an error instead: resuming under
-//! them would fabricate inconsistent data.
+//! A damaged checkpoint (torn store file, unreadable manifest, or a
+//! store file and a manifest from different snapshots) is discarded and
+//! the import restarts from scratch — recovery degrades to correctness,
+//! never to silent corruption. Mismatched parameters (different policy
+//! or version) are an error instead: resuming under them would
+//! fabricate inconsistent data.
+//!
+//! The store file is renamed into place before the manifest, so a
+//! manifest never promises snapshots the store file lacks — but the two
+//! renames are two syscalls, and a crash between them leaves the store
+//! one snapshot *ahead* of its manifest. Ordering alone therefore does
+//! not make resume idempotent (re-importing that snapshot onto a store
+//! that already holds it would report zero new records); the manifest's
+//! own accounting does: a restored store must hold exactly the records
+//! and clusters the completed snapshots added, or it is discarded like
+//! any other damaged checkpoint.
 
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use nc_docstore::doc;
+use nc_docstore::json;
+use nc_docstore::value::{Document, Value};
 use nc_vfs::{StdVfs, Vfs};
 
 use crate::cluster::ClusterStore;
@@ -38,13 +52,113 @@ const MANIFEST_FILE: &str = "manifest.json";
 const STORE_FILE: &str = "store.jsonl";
 
 /// The checkpoint manifest written after every completed snapshot.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, PartialEq)]
 struct Manifest {
     format: u32,
     policy: String,
     version: u32,
     completed: Vec<ImportStats>,
     quarantine: QuarantineReport,
+}
+
+impl Manifest {
+    /// The manifest as the JSON document stored in `manifest.json`.
+    fn to_value(&self) -> Value {
+        let completed: Vec<Value> = self
+            .completed
+            .iter()
+            .map(|s| {
+                Value::Doc(doc! {
+                    "date" => s.date.as_str(),
+                    "total_rows" => s.total_rows,
+                    "new_records" => s.new_records,
+                    "new_clusters" => s.new_clusters,
+                    "quarantined" => s.quarantined,
+                })
+            })
+            .collect();
+        let per_snapshot: Vec<Value> = self
+            .quarantine
+            .per_snapshot
+            .iter()
+            .map(|(date, lines)| Value::Array(vec![date.as_str().into(), (*lines).into()]))
+            .collect();
+        Value::Doc(doc! {
+            "format" => self.format,
+            "policy" => self.policy.as_str(),
+            "version" => self.version,
+            "completed" => completed,
+            "quarantine" => doc! {
+                "lines_quarantined" => self.quarantine.lines_quarantined,
+                "files_quarantined" => self.quarantine.files_quarantined,
+                "remapped_headers" => self.quarantine.remapped_headers,
+                "per_snapshot" => per_snapshot,
+            },
+        })
+    }
+
+    /// Read a manifest back. Key order and layout are free (earlier
+    /// versions wrote it pretty-printed in field order) and a missing
+    /// per-snapshot `quarantined` is 0 (older manifests predate it);
+    /// anything else missing or ill-typed is an error naming the field.
+    fn parse(text: &str) -> Result<Manifest, String> {
+        fn count(doc: &Document, path: &str) -> Result<u64, String> {
+            doc.get_u64(path)
+                .ok_or_else(|| format!("`{path}` is not a count"))
+        }
+        fn small(doc: &Document, path: &str) -> Result<u32, String> {
+            u32::try_from(count(doc, path)?).map_err(|_| format!("`{path}` is out of range"))
+        }
+        fn string(doc: &Document, path: &str) -> Result<String, String> {
+            doc.get_str(path)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("`{path}` is not a string"))
+        }
+
+        let value = json::parse(text.as_bytes()).map_err(|e| e.to_string())?;
+        let root = value.as_doc().ok_or("manifest is not an object")?;
+        let completed = root
+            .get_array("completed")
+            .ok_or("`completed` is not an array")?
+            .iter()
+            .map(|entry| {
+                let entry = entry.as_doc().ok_or("`completed` entry is not an object")?;
+                Ok(ImportStats {
+                    date: string(entry, "date")?,
+                    total_rows: count(entry, "total_rows")?,
+                    new_records: count(entry, "new_records")?,
+                    new_clusters: count(entry, "new_clusters")?,
+                    quarantined: match entry.get("quarantined") {
+                        None => 0,
+                        Some(_) => count(entry, "quarantined")?,
+                    },
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let per_snapshot = root
+            .get_array("quarantine.per_snapshot")
+            .ok_or("`quarantine.per_snapshot` is not an array")?
+            .iter()
+            .map(|pair| match pair.as_array() {
+                Some([Value::Str(date), Value::Int(lines)]) if *lines >= 0 => {
+                    Ok((date.clone(), lines.unsigned_abs()))
+                }
+                _ => Err("`per_snapshot` entry is not a [date, count] pair".to_owned()),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(Manifest {
+            format: small(root, "format")?,
+            policy: string(root, "policy")?,
+            version: small(root, "version")?,
+            completed,
+            quarantine: QuarantineReport {
+                lines_quarantined: count(root, "quarantine.lines_quarantined")?,
+                files_quarantined: count(root, "quarantine.files_quarantined")?,
+                remapped_headers: count(root, "quarantine.remapped_headers")?,
+                per_snapshot,
+            },
+        })
+    }
 }
 
 /// Everything produced by a resumable archive import.
@@ -113,7 +227,7 @@ fn restore(state_dir: &Path, policy: DedupPolicy, version: u32) -> Result<Restor
         Ok(t) => t,
         Err(e) => return Ok((None, Some(format!("unreadable manifest: {e}")))),
     };
-    let manifest: Manifest = match serde_json::from_str(&text) {
+    let manifest = match Manifest::parse(&text) {
         Ok(m) => m,
         Err(e) => return Ok((None, Some(format!("corrupt manifest: {e}")))),
     };
@@ -145,10 +259,23 @@ fn restore(state_dir: &Path, policy: DedupPolicy, version: u32) -> Result<Restor
         Ok(c) => c,
         Err(e) => return Ok((None, Some(format!("damaged store checkpoint: {e}")))),
     };
-    match ClusterStore::from_finalized_collection(collection) {
-        Ok(store) => Ok((Some((store, manifest)), None)),
-        Err(e) => Ok((None, Some(format!("inconsistent store checkpoint: {e}")))),
+    let store = match ClusterStore::from_finalized_collection(collection) {
+        Ok(store) => store,
+        Err(e) => return Ok((None, Some(format!("inconsistent store checkpoint: {e}")))),
+    };
+    // A crash between the store rename and the manifest rename leaves
+    // the store one snapshot ahead (see the module comment). The sums
+    // are an exact test: a snapshot that added nothing leaves them equal
+    // and re-imports to the same all-zero stats.
+    let records: u64 = manifest.completed.iter().map(|s| s.new_records).sum();
+    let clusters: u64 = manifest.completed.iter().map(|s| s.new_clusters).sum();
+    if store.record_count() != records || store.cluster_count() as u64 != clusters {
+        return Ok((
+            None,
+            Some("store checkpoint does not match manifest".to_owned()),
+        ));
     }
+    Ok((Some((store, manifest)), None))
 }
 
 /// Import an archive directory with a checkpoint after every snapshot.
@@ -159,7 +286,8 @@ fn restore(state_dir: &Path, policy: DedupPolicy, version: u32) -> Result<Restor
 /// [`ResumeOutcome::stats`] match an uninterrupted run exactly. The
 /// snapshot being imported when the crash hit is re-imported from
 /// scratch (imports are idempotent at snapshot granularity because the
-/// store checkpoint is only advanced after a snapshot completes).
+/// store checkpoint is only advanced after a snapshot completes, and a
+/// store file that got ahead of its manifest is discarded).
 pub fn import_archive_dir_resumable(
     archive_dir: &Path,
     state_dir: &Path,
@@ -241,7 +369,8 @@ pub fn import_archive_dir_resumable_with_vfs(
 
         // Checkpoint: persist the store, then advance the manifest.
         // Order matters — a manifest must never promise snapshots the
-        // store file does not contain.
+        // store file does not contain. (The reverse tear, store ahead
+        // of manifest, is caught by `restore`.)
         store.finalize();
         nc_docstore::persist::save_with(store.collection(), &store_path(state_dir), vfs).map_err(
             |e| TsvError::Checkpoint {
@@ -255,9 +384,8 @@ pub fn import_archive_dir_resumable_with_vfs(
             completed: stats.clone(),
             quarantine: quarantine.clone(),
         };
-        let text = serde_json::to_string_pretty(&manifest).map_err(|e| TsvError::Checkpoint {
-            message: format!("cannot serialize manifest: {e}"),
-        })?;
+        let mut text = manifest.to_value().to_json();
+        text.push('\n');
         write_atomic(&manifest_path(state_dir), &text, vfs)?;
     }
     store.finalize();
@@ -417,6 +545,116 @@ mod tests {
     }
 
     #[test]
+    fn unreadable_or_ill_typed_manifest_restarts_cleanly() {
+        let archive = tmp_dir("badmanifest_archive");
+        let state = tmp_dir("badmanifest_state");
+        write_archive(&archive, 26, 40, 2);
+        let run = || {
+            import_archive_dir_resumable(
+                &archive,
+                &state,
+                DedupPolicy::Trimmed,
+                1,
+                &ImportOptions::strict(),
+            )
+            .unwrap()
+        };
+        let first = run();
+        let good = std::fs::read_to_string(manifest_path(&state)).unwrap();
+        for bad in [
+            "not json".to_owned(),
+            good[..good.len() / 2].to_owned(),
+            good.replace("\"version\":1", "\"version\":\"1\""),
+            good.replace("\"completed\":", "\"finished\":"),
+            good.replace("\"new_records\":", "\"new_records\":-"),
+        ] {
+            assert_ne!(bad, good);
+            std::fs::write(manifest_path(&state), &bad).unwrap();
+            let again = run();
+            let why = again.checkpoint_discarded.expect("damage must be noticed");
+            assert!(why.starts_with("corrupt manifest: "), "{why}");
+            assert_eq!(again.resumed_snapshots, 0, "restart from scratch");
+            assert_eq!(again.stats, first.stats);
+        }
+        std::fs::remove_dir_all(archive).unwrap();
+        std::fs::remove_dir_all(state).unwrap();
+    }
+
+    #[test]
+    fn manifest_round_trips_and_reads_the_earlier_layout() {
+        let manifest = Manifest {
+            format: MANIFEST_FORMAT,
+            policy: "trimming".to_owned(),
+            version: 3,
+            completed: vec![
+                ImportStats {
+                    date: "2008-11-04".to_owned(),
+                    total_rows: 50,
+                    new_records: 50,
+                    new_clusters: 50,
+                    quarantined: 0,
+                },
+                ImportStats {
+                    date: "2009-01-01".to_owned(),
+                    total_rows: 52,
+                    new_records: 4,
+                    new_clusters: 1,
+                    quarantined: 0,
+                },
+            ],
+            quarantine: QuarantineReport {
+                lines_quarantined: 2,
+                files_quarantined: 1,
+                remapped_headers: 1,
+                per_snapshot: vec![("2008-11-04".to_owned(), 2), ("2009-01-01".to_owned(), 0)],
+            },
+        };
+        assert_eq!(
+            Manifest::parse(&manifest.to_value().to_json()).as_ref(),
+            Ok(&manifest)
+        );
+
+        // As written before this module rendered its own JSON: pretty,
+        // keys in field order, tuples as two-element arrays, and no
+        // per-snapshot `quarantined` yet.
+        let earlier = r#"{
+  "format": 1,
+  "policy": "trimming",
+  "version": 3,
+  "completed": [
+    {
+      "date": "2008-11-04",
+      "total_rows": 50,
+      "new_records": 50,
+      "new_clusters": 50
+    },
+    {
+      "date": "2009-01-01",
+      "total_rows": 52,
+      "new_records": 4,
+      "new_clusters": 1
+    }
+  ],
+  "quarantine": {
+    "lines_quarantined": 2,
+    "files_quarantined": 1,
+    "remapped_headers": 1,
+    "per_snapshot": [
+      [
+        "2008-11-04",
+        2
+      ],
+      [
+        "2009-01-01",
+        0
+      ]
+    ]
+  }
+}"#;
+        assert_eq!(Manifest::parse(earlier), Ok(manifest));
+    }
+
+    #[test]
     fn write_atomic_crash_sweep_leaves_old_or_new_bit_exactly() {
         use nc_vfs::fault::FaultVfs;
 
@@ -480,6 +718,7 @@ mod tests {
         let total = recorder.ops();
         assert!(total > 4, "two snapshots must checkpoint twice: {total} ops");
 
+        let mut discarded = Vec::new();
         for k in 0..total {
             let state = tmp_dir("sweep_state");
             let vfs = FaultVfs::crash_at(k);
@@ -510,8 +749,15 @@ mod tests {
                 reference.store.record_count(),
                 "crash at {k}"
             );
+            discarded.extend(resumed.checkpoint_discarded);
             std::fs::remove_dir_all(&state).unwrap();
         }
+        // The sweep crosses the window between the two renames, where
+        // the store file is one snapshot ahead of the manifest.
+        assert!(
+            discarded.iter().any(|why| why == "store checkpoint does not match manifest"),
+            "{discarded:?}"
+        );
         for d in [archive, tmp_dir("sweep_ref_state"), tmp_dir("sweep_trace_state")] {
             let _ = std::fs::remove_dir_all(d);
         }

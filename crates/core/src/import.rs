@@ -7,7 +7,7 @@ use crate::cluster::{ClusterStore, RowOutcome};
 use crate::record::DedupPolicy;
 
 /// Per-snapshot import accounting (the raw material of Table 1).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImportStats {
     /// Snapshot publication date (`YYYY-MM-DD`).
     pub date: String,
@@ -19,7 +19,6 @@ pub struct ImportStats {
     pub new_clusters: u64,
     /// Malformed lines diverted to quarantine while reading this
     /// snapshot's file (always 0 for in-memory and strict imports).
-    #[serde(default)]
     pub quarantined: u64,
 }
 

@@ -311,7 +311,13 @@ mod tests {
         assert_eq!(disk.imports, mem.imports);
         assert_eq!(disk.store.record_count(), mem.store.record_count());
         assert_eq!(disk.store.cluster_count(), mem.store.cluster_count());
-        assert_eq!(disk.quarantine, QuarantineReport::default());
+        // A clean archive quarantines nothing, and says so once per
+        // imported snapshot, in import order.
+        assert_eq!(disk.quarantine.events(), 0);
+        assert_eq!(disk.quarantine.remapped_headers, 0);
+        let clean: Vec<(String, u64)> =
+            disk.imports.iter().map(|s| (s.date.clone(), 0)).collect();
+        assert_eq!(disk.quarantine.per_snapshot, clean);
         assert_eq!(
             disk.versions.current().unwrap().records_total,
             disk.store.record_count()

@@ -221,7 +221,7 @@ impl ImportOptions {
 }
 
 /// Aggregate quarantine accounting for one archive import.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuarantineReport {
     /// Malformed data lines diverted.
     pub lines_quarantined: u64,

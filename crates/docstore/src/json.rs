@@ -1,18 +1,22 @@
-//! A hand-rolled JSON parser producing [`nc_docstore::value::Value`]
-//! trees, with byte-offset error reporting.
+//! The workspace's one JSON reader and string escaper.
 //!
-//! nc-serve deliberately carries no JSON library — every response body
-//! it emits is hand-rendered — so the query boundary parses request
-//! bodies the same way. Unlike a serde front end, every parse failure
-//! here carries the byte offset of the offending input, which `POST
-//! /carve` surfaces in its typed 400 error body.
+//! [`parse`] turns bytes into a [`Value`] tree; [`Value::render_json`]
+//! is its inverse (`parse(render(v)) == v` for every finite `v`, see
+//! `tests/properties.rs`). Everything that stores or ships JSON goes
+//! through this pair: collection files ([`crate::persist`]), nc-core's
+//! checkpoint manifest, nc-bench's result files, and the query bodies
+//! and carve lines of nc-serve. Every parse failure carries the byte
+//! offset of the offending input, which `POST /carve` surfaces in its
+//! typed 400 error body.
 
-use nc_docstore::value::{Document, Value};
+use std::fmt::Write as _;
+
+use crate::value::{Document, Value};
 
 /// Maximum nesting depth accepted (arrays + objects combined). Query
 /// documents are shallow; the bound keeps hostile bodies from
 /// overflowing the parser's recursion.
-const MAX_DEPTH: usize = 64;
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON syntax error at a byte offset of the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +31,32 @@ impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} at byte {}", self.message, self.offset)
     }
+}
+
+/// Append `s` to `out` escaped for the inside of a JSON string literal
+/// (the caller writes the surrounding quotes): `"`, `\` and the
+/// control characters below U+0020 are escaped, everything else —
+/// including non-ASCII — is copied through in unbroken runs.
+pub fn escape_into(out: &mut String, s: &str) {
+    // Only ASCII bytes are ever escaped, so `run..i` always falls on
+    // character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Parse one JSON value from `input`, rejecting trailing garbage.
@@ -308,9 +338,11 @@ impl<'a> Parser<'a> {
                 return Ok(Value::Int(i));
             }
         }
+        // `str::parse::<f64>` saturates (`1e400` is `inf`) instead of
+        // erring; an infinity must not enter a range predicate.
         match text.parse::<f64>() {
-            Ok(f) => Ok(Value::Float(f)),
-            Err(_) => {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            _ => {
                 self.pos = start;
                 Err(self.err("number out of range"))
             }
@@ -410,6 +442,45 @@ mod tests {
     fn int_overflow_falls_back_to_float() {
         let v = parse(b"99999999999999999999").unwrap();
         assert!(matches!(v, Value::Float(_)));
+    }
+
+    #[test]
+    fn rejects_numbers_that_overflow_to_infinity() {
+        for text in ["1e400", "-1e400", "[0.5, 1e999]"] {
+            let e = parse(text.as_bytes()).unwrap_err();
+            assert_eq!(e.message, "number out of range", "{text}");
+            assert_eq!(e.offset, text.find(['1', '-']).unwrap(), "{text}");
+        }
+        // The largest finite double still parses.
+        assert_eq!(
+            parse(b"1.7976931348623157e308").unwrap(),
+            Value::Float(f64::MAX)
+        );
+    }
+
+    #[test]
+    fn escape_into_escapes_quotes_backslashes_and_controls_only() {
+        let mut out = String::new();
+        escape_into(&mut out, "a\"b\\c\n\r\t\u{1}\u{1f} é\u{1F600}/");
+        assert_eq!(out, "a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f é\u{1F600}/");
+        let quoted = format!("\"{out}\"");
+        assert_eq!(
+            parse(quoted.as_bytes()).unwrap(),
+            Value::Str("a\"b\\c\n\r\t\u{1}\u{1f} é\u{1F600}/".into())
+        );
+    }
+
+    #[test]
+    fn floats_keep_their_type_through_render_and_parse() {
+        // An integral float renders with its `.0`, so it re-reads as a
+        // float rather than as `Int(3)`.
+        assert_eq!(Value::Float(3.0).to_json(), "3.0");
+        assert_eq!(parse(b"3.0").unwrap(), Value::Float(3.0));
+        assert_eq!(Value::Float(-0.0).to_json(), "-0.0");
+        assert_eq!(Value::Float(1e21).to_json(), "1e21");
+        assert_eq!(parse(b"1e21").unwrap(), Value::Float(1e21));
+        assert_eq!(Value::Float(f64::NAN).to_json(), "null");
+        assert_eq!(Value::Float(f64::INFINITY).to_json(), "null");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! library:
 //!
 //! * a schema-less, nested [`value::Value`]/[`value::Document`] data model
-//!   with dotted-path access (`"records.0.person.last_name"`),
+//!   with dotted-path access (`"records.0.person.last_name"`), and its
+//!   one JSON form: [`value::Value::render_json`] writes it,
+//!   [`json::parse`] reads it back,
 //! * [`collection::Collection`]s with automatic `_id` assignment, CRUD,
 //!   and secondary [`index`]es (hash and ordered) over dotted paths,
 //! * an aggregation [`pipeline`] with `match`, `project`, `unwind`,
@@ -42,6 +44,7 @@ pub mod collection;
 pub mod crc32;
 pub mod faults;
 pub mod index;
+pub mod json;
 pub mod persist;
 pub mod pipeline;
 pub mod plan;

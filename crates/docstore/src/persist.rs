@@ -28,7 +28,9 @@ use nc_vfs::{StdVfs, Vfs};
 
 use crate::collection::Collection;
 use crate::crc32::{crc32, Crc32};
-use crate::value::Document;
+use crate::doc;
+use crate::json;
+use crate::value::{Document, Value};
 
 /// Prefix of the footer line closing a checksummed file.
 const FOOTER_PREFIX: &str = "#nc-footer:";
@@ -111,13 +113,42 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// The footer record closing every file written by [`save`].
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+/// The footer record closing every file written by [`save`]:
+/// `{"count":N,"crc":"xxxxxxxx"}` after [`FOOTER_PREFIX`].
+#[derive(Debug, PartialEq, Eq)]
 struct Footer {
     /// Number of data lines in the file.
     count: u64,
     /// Running CRC-32 (hex) over every data line's JSON body + `\n`.
     crc: String,
+}
+
+impl Footer {
+    /// The footer that closes `count` data lines with running checksum
+    /// `running`.
+    fn new(count: u64, running: Crc32) -> Footer {
+        Footer {
+            count,
+            crc: format!("{:08x}", running.finalize()),
+        }
+    }
+
+    fn to_json(&self) -> String {
+        doc! { "count" => self.count, "crc" => self.crc.as_str() }.to_json()
+    }
+
+    fn parse(text: &str) -> Result<Footer, String> {
+        let value = json::parse(text.as_bytes()).map_err(|e| e.to_string())?;
+        let fields = value.as_doc().ok_or("footer is not an object")?;
+        let count = fields
+            .get_u64("count")
+            .ok_or("footer has no document count")?;
+        let crc = fields.get_str("crc").ok_or("footer has no checksum")?;
+        Ok(Footer {
+            count,
+            crc: crc.to_owned(),
+        })
+    }
 }
 
 /// Fsync a directory, making previously renamed or created entries in
@@ -188,23 +219,18 @@ pub fn save_with(collection: &Collection, path: &Path, vfs: &dyn Vfs) -> Result<
     let mut w = BufWriter::new(vfs.create(&tmp)?);
     let mut running = Crc32::new();
     let mut count: u64 = 0;
+    let mut line = String::new();
     for (_, doc) in collection.iter_ordered() {
-        let json = serde_json::to_string(doc)
-            .map_err(|e| PersistError::Parse { line: 0, message: e.to_string() })?;
-        running.update(json.as_bytes());
+        line.clear();
+        doc.render_json(&mut line);
+        running.update(line.as_bytes());
         running.update(b"\n");
-        let line_crc = crc32(json.as_bytes());
-        w.write_all(json.as_bytes())?;
-        writeln!(w, "{CRC_SEP}{line_crc:08x}")?;
+        frame_in_place(&mut line);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
         count += 1;
     }
-    let footer = Footer {
-        count,
-        crc: format!("{:08x}", running.finalize()),
-    };
-    let footer_json = serde_json::to_string(&footer)
-        .map_err(|e| PersistError::Parse { line: 0, message: e.to_string() })?;
-    writeln!(w, "{FOOTER_PREFIX}{footer_json}")?;
+    writeln!(w, "{FOOTER_PREFIX}{}", Footer::new(count, running).to_json())?;
     w.flush()?;
     let mut file = w.into_inner().map_err(|e| PersistError::Io(e.into_error()))?;
     file.sync_file()?;
@@ -230,14 +256,12 @@ fn split_checksum(line: &str) -> Option<(&str, u32)> {
 
 /// Parse one JSON body into `(id, document)`.
 fn parse_doc(body: &str, line: usize) -> Result<(u64, Document), PersistError> {
-    let doc: Document = serde_json::from_str(body).map_err(|e| PersistError::Parse {
-        line,
-        message: e.to_string(),
-    })?;
-    let id = doc
-        .get_i64("_id")
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or(PersistError::MissingId { line })?;
+    let parse_error = |message: String| PersistError::Parse { line, message };
+    let doc = match json::parse(body.as_bytes()).map_err(|e| parse_error(e.to_string()))? {
+        Value::Doc(doc) => doc,
+        _ => return Err(parse_error("line is not a JSON object".into())),
+    };
+    let id = doc.get_u64("_id").ok_or(PersistError::MissingId { line })?;
     Ok((id, doc))
 }
 
@@ -269,7 +293,10 @@ fn rebuild(name: &str, mut docs: Vec<(u64, Document)>) -> Collection {
 /// Loading is strict: a checksummed file with any damaged line, a
 /// missing footer, or a count/checksum drift fails with the precise
 /// error. Use [`salvage`] to recover the intact prefix of a damaged
-/// file. Legacy files without checksums load unverified.
+/// file. Legacy files without checksums load unverified — but once a
+/// line or the footer has shown the file is checksummed, a line without
+/// a well-formed suffix is a torn line ([`PersistError::Truncated`]),
+/// not a legacy one.
 pub fn load(name: &str, path: &Path) -> Result<Collection, PersistError> {
     let file = File::open(path)?;
     let reader = BufReader::new(file);
@@ -291,7 +318,7 @@ pub fn load(name: &str, path: &Path) -> Result<Collection, PersistError> {
             });
         }
         if let Some(rest) = line.strip_prefix(FOOTER_PREFIX) {
-            let f: Footer = serde_json::from_str(rest).map_err(|e| PersistError::Corrupt {
+            let f = Footer::parse(rest).map_err(|e| PersistError::Corrupt {
                 line: lineno,
                 message: format!("unreadable footer: {e}"),
             })?;
@@ -307,6 +334,15 @@ pub fn load(name: &str, path: &Path) -> Result<Collection, PersistError> {
                 }
                 body
             }
+            // A checksummed file has no bare lines: this one lost its
+            // suffix to a cut or a tear, so it is not a legacy line to
+            // be taken unverified.
+            None if checksummed => {
+                return Err(PersistError::Truncated {
+                    expected: None,
+                    found: data_count,
+                })
+            }
             None => line.as_str(),
         };
         running.update(body.as_bytes());
@@ -314,16 +350,11 @@ pub fn load(name: &str, path: &Path) -> Result<Collection, PersistError> {
         data_count += 1;
         docs.push(parse_doc(body, lineno)?);
     }
-    if checksummed {
-        let ok = footer.as_ref().is_some_and(|f| {
-            f.count == data_count && f.crc == format!("{:08x}", running.finalize())
+    if checksummed && footer != Some(Footer::new(data_count, running)) {
+        return Err(PersistError::Truncated {
+            expected: footer.map(|f| f.count),
+            found: data_count,
         });
-        if !ok {
-            return Err(PersistError::Truncated {
-                expected: footer.map(|f| f.count),
-                found: data_count,
-            });
-        }
     }
     Ok(rebuild(name, docs))
 }
@@ -415,13 +446,8 @@ pub fn salvage(name: &str, path: &Path) -> Result<Salvage, PersistError> {
         }
         if let Some(rest) = line.strip_prefix(FOOTER_PREFIX) {
             footer_seen = true;
-            footer_status = match serde_json::from_str::<Footer>(rest) {
-                Ok(f)
-                    if f.count == data_count
-                        && f.crc == format!("{:08x}", running.finalize()) =>
-                {
-                    FooterStatus::Valid
-                }
+            footer_status = match Footer::parse(rest) {
+                Ok(f) if f == Footer::new(data_count, running) => FooterStatus::Valid,
                 _ => FooterStatus::Invalid,
             };
             pos = line_end + 1;
@@ -647,6 +673,40 @@ mod tests {
             matches!(err, PersistError::Truncated { .. } | PersistError::Checksum { .. }),
             "{err}"
         );
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn strict_load_detects_a_cut_inside_a_suffix_or_the_footer() {
+        let mut c = Collection::new("v");
+        for i in 0..3_i64 {
+            c.insert(doc! { "i" => i });
+        }
+        let path = tmp("trunc_suffix");
+        save(&c, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let text = std::str::from_utf8(&bytes).unwrap();
+        // Every cut from inside the second line's suffix to the end of
+        // the footer text: a prefix of `\t#crc:xxxxxxxx` must never be
+        // read as an unverified legacy line (`Parse`), and a torn footer
+        // never loads.
+        let second_suffix = text.match_indices(CRC_SEP).nth(1).unwrap().0;
+        for cut in second_suffix + 1..bytes.len() - 1 {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let err = load("v", &path).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PersistError::Truncated { .. }
+                        | PersistError::Checksum { .. }
+                        | PersistError::Corrupt { .. }
+                ),
+                "cut at {cut}: {err}"
+            );
+        }
+        // A file that was never checksummed still loads line by line.
+        std::fs::write(&path, "{\"_id\":0}\n{\"_id\":1}\n").unwrap();
+        assert_eq!(load("v", &path).unwrap().len(), 2);
         std::fs::remove_file(path).unwrap();
     }
 

@@ -1,11 +1,10 @@
 //! Declarative filters over documents.
 
 use crate::value::{Document, Value};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// A predicate over a [`Document`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Filter {
     /// Always true.
     True,

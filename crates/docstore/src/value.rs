@@ -9,11 +9,10 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use crate::json;
 
 /// A dynamically typed document value.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum Value {
     /// Explicit null (distinct from an absent field).
     #[default]
@@ -154,7 +153,10 @@ impl Value {
 
     /// Render as JSON into `out`. Field order is the document's own
     /// (sorted) order, so the rendering is canonical: equal documents
-    /// render byte-identically. Non-finite floats render as `null`.
+    /// render byte-identically. Finite floats render with `{:?}` — the
+    /// shortest digits that re-parse to the same bits, always with a
+    /// `.` or an exponent — so [`json::parse`] reads every rendering
+    /// back to an equal value. Non-finite floats render as `null`.
     pub fn render_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
@@ -166,7 +168,7 @@ impl Value {
             Value::Float(f) => {
                 if f.is_finite() {
                     use fmt::Write as _;
-                    let _ = write!(out, "{f}");
+                    let _ = write!(out, "{f:?}");
                 } else {
                     out.push_str("null");
                 }
@@ -253,85 +255,8 @@ impl Value {
 /// Render `s` as a JSON string literal (quotes, escapes) into `out`.
 fn render_json_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    json::escape_into(out, s);
     out.push('"');
-}
-
-impl<'de> serde::Deserialize<'de> for Value {
-    /// Manual visitor implementation: the derived `untagged` variant
-    /// buffers numbers through an intermediate representation that can
-    /// drift floats by one ULP; this visitor maps JSON types directly.
-    fn deserialize<D>(deserializer: D) -> Result<Self, D::Error>
-    where
-        D: serde::Deserializer<'de>,
-    {
-        struct V;
-        impl<'de> serde::de::Visitor<'de> for V {
-            type Value = Value;
-
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a JSON-like value")
-            }
-
-            fn visit_unit<E>(self) -> Result<Value, E> {
-                Ok(Value::Null)
-            }
-            fn visit_bool<E>(self, b: bool) -> Result<Value, E> {
-                Ok(Value::Bool(b))
-            }
-            fn visit_i64<E>(self, i: i64) -> Result<Value, E> {
-                Ok(Value::Int(i))
-            }
-            fn visit_u64<E: serde::de::Error>(self, u: u64) -> Result<Value, E> {
-                i64::try_from(u)
-                    .map(Value::Int)
-                    .map_err(|_| E::custom("integer out of i64 range"))
-            }
-            fn visit_f64<E>(self, f: f64) -> Result<Value, E> {
-                Ok(Value::Float(f))
-            }
-            fn visit_str<E>(self, s: &str) -> Result<Value, E> {
-                Ok(Value::Str(s.to_owned()))
-            }
-            fn visit_string<E>(self, s: String) -> Result<Value, E> {
-                Ok(Value::Str(s))
-            }
-            fn visit_seq<A>(self, mut seq: A) -> Result<Value, A::Error>
-            where
-                A: serde::de::SeqAccess<'de>,
-            {
-                let mut out = Vec::with_capacity(seq.size_hint().unwrap_or(0));
-                while let Some(v) = seq.next_element()? {
-                    out.push(v);
-                }
-                Ok(Value::Array(out))
-            }
-            fn visit_map<A>(self, mut map: A) -> Result<Value, A::Error>
-            where
-                A: serde::de::MapAccess<'de>,
-            {
-                let mut doc = Document::new();
-                while let Some((k, v)) = map.next_entry::<String, Value>()? {
-                    doc.set(k, v);
-                }
-                Ok(Value::Doc(doc))
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
 }
 
 impl fmt::Display for Value {
@@ -377,6 +302,18 @@ impl From<u32> for Value {
         Value::Int(i64::from(i))
     }
 }
+/// Counts. Beyond `i64::MAX` they become a `Float`, which is also how
+/// [`json::parse`] reads an integer lexeme of that size.
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        i64::try_from(n).map_or(Value::Float(n as f64), Value::Int)
+    }
+}
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::from(n as u64)
+    }
+}
 impl From<f64> for Value {
     fn from(f: f64) -> Self {
         Value::Float(f)
@@ -409,8 +346,7 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 }
 
 /// An ordered (by field name) map of field name to [`Value`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Document {
     fields: BTreeMap<String, Value>,
 }
@@ -483,6 +419,11 @@ impl Document {
     /// Integer view of a dotted path.
     pub fn get_i64(&self, path: &str) -> Option<i64> {
         self.get_path(path).and_then(Value::as_i64)
+    }
+
+    /// Count view of a dotted path (non-negative exact ints only).
+    pub fn get_u64(&self, path: &str) -> Option<u64> {
+        self.get_i64(path).and_then(|i| u64::try_from(i).ok())
     }
 
     /// Float view of a dotted path (ints coerce).
@@ -745,11 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn json_round_trip() {
         let d = sample();
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Document = serde_json::from_str(&json).unwrap();
-        assert_eq!(d, back);
+        let back = json::parse(d.to_json().as_bytes()).unwrap();
+        assert_eq!(Value::Doc(d), back);
     }
 
     #[test]

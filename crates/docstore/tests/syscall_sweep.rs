@@ -7,8 +7,7 @@
 //! never a third state. The sweep first runs a save fault-free through
 //! a recording [`FaultVfs`] to learn the syscall trace, then re-runs
 //! it with `crash_at(K)` for every `K`, asserting the invariant at
-//! each prefix. (Known stub failure offline: serialization needs the
-//! real `serde_json`; see `.verify/README.md`.)
+//! each prefix.
 
 use std::fs;
 use std::path::PathBuf;

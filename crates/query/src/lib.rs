@@ -12,8 +12,8 @@
 //!
 //! The flow is three layers, each independently testable:
 //!
-//! 1. **Parse + validate** ([`ast`], on top of the dependency-free JSON
-//!    parser in [`json`]): a query document becomes a [`CarveQuery`] or
+//! 1. **Parse + validate** ([`ast`], on top of the docstore's JSON
+//!    reader, [`json`]): a query document becomes a [`CarveQuery`] or
 //!    a typed [`QueryError`] carrying the byte offset (JSON errors) or
 //!    the stage index and field path (structure/validation errors).
 //! 2. **Catalog** ([`catalog`]): one queryable [`Document`] per cluster
@@ -38,7 +38,10 @@
 pub mod ast;
 pub mod catalog;
 pub mod exec;
-pub mod json;
+
+/// The workspace's JSON reader, which lives beside the `Value` it
+/// produces; re-exported so `nc_query::json::parse` stays a valid path.
+pub use nc_docstore::json;
 
 pub use ast::{CarveQuery, QueryError, QueryErrorKind, QueryFootprint, QueryStage};
 pub use catalog::{ClusterCatalog, FieldKind, ERROR_KINDS, SCHEMA};

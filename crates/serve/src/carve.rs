@@ -21,6 +21,7 @@ use std::sync::Arc;
 use nc_core::customize::{CustomDataset, CustomizeParams};
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::snapshot::StoreSnapshot;
+use nc_docstore::json;
 use nc_docstore::value::Document;
 use nc_query::{
     execute, plan_query, CarveQuery, ClusterCatalog, ExecOptions, Explain, QueryFootprint,
@@ -693,8 +694,9 @@ fn validate_params(params: &CustomizeParams) -> Result<(), CarveError> {
 
 /// Render a carved dataset as JSON lines: one object per record,
 /// labeled with its gold-standard cluster index and NCID, with the
-/// non-empty attributes in schema order. All emission is hand-rolled —
-/// the serve crate must not depend on a JSON library.
+/// non-empty attributes in schema order. The line is a template (schema
+/// order, not a `Value`'s sorted keys); every string in it goes through
+/// the workspace's one escaper, [`json::escape_into`].
 pub fn render_lines(dataset: &CustomDataset) -> Vec<String> {
     let mut lines = Vec::with_capacity(dataset.record_count());
     for (cluster, cluster_data) in dataset.clusters.iter().enumerate() {
@@ -732,7 +734,7 @@ fn render_record(cluster: usize, ncid: &str, record: &Row) -> String {
     line.push_str("{\"cluster\":");
     line.push_str(&cluster.to_string());
     line.push_str(",\"ncid\":\"");
-    json_escape_into(&mut line, ncid);
+    json::escape_into(&mut line, ncid);
     line.push_str("\",\"record\":{");
     let mut first = true;
     for (attr, value) in SCHEMA.iter().zip(record.values()) {
@@ -744,30 +746,13 @@ fn render_record(cluster: usize, ncid: &str, record: &Row) -> String {
         }
         first = false;
         line.push('"');
-        json_escape_into(&mut line, attr.name);
+        json::escape_into(&mut line, attr.name);
         line.push_str("\":\"");
-        json_escape_into(&mut line, value);
+        json::escape_into(&mut line, value);
         line.push('"');
     }
     line.push_str("}}");
     line
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Build a [`CarveRequest`] from decoded key/value pairs (query string

@@ -30,11 +30,11 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::TrySendError;
 use nc_core::scoring::ScoringConfig;
-
+use nc_docstore::json;
 use nc_query::{CarveQuery, QueryError, QueryErrorKind};
 
 use crate::carve::{
-    json_escape_into, parse_carve_request, parse_encoding_params, CarveError, CarveEngine,
+    parse_carve_request, parse_encoding_params, CarveError, CarveEngine,
     CarveOutcome, RequestDefaults,
 };
 use crate::http::{parse_form, read_request_limited, ParseError, Request, Response};
@@ -464,14 +464,14 @@ fn watch(request: &Request, state: &ServeState) -> Response {
 fn delta_json_line(delta: &PublishDelta) -> String {
     let mut line = String::with_capacity(64);
     line.push_str(&format!("{{\"version\":{},\"date\":\"", delta.version));
-    json_escape_into(&mut line, &delta.date);
+    json::escape_into(&mut line, &delta.date);
     line.push_str("\",\"founded\":[");
     for (i, ncid) in delta.founded.iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
         line.push('"');
-        json_escape_into(&mut line, ncid);
+        json::escape_into(&mut line, ncid);
         line.push('"');
     }
     line.push_str("],\"revised\":[");
@@ -480,7 +480,7 @@ fn delta_json_line(delta: &PublishDelta) -> String {
             line.push(',');
         }
         line.push('"');
-        json_escape_into(&mut line, ncid);
+        json::escape_into(&mut line, ncid);
         line.push('"');
     }
     line.push_str("]}\n");

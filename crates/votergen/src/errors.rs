@@ -389,15 +389,20 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_value_rate_one_always_corrupts() {
-        let mut r = rng();
+    fn corrupt_value_rate_one_always_dispatches_to_typo() {
+        // `typo` itself may be a no-op on the value (a substitution can
+        // redraw the same letter, a transposition can swap `LL`), so
+        // assert the dispatch: after the one roll, `corrupt_value` is
+        // exactly `typo` on the same stream.
         let rates = ErrorRates {
             typo: 1.0,
             ..ErrorRates::none()
         };
+        let (mut dispatched, mut direct) = (rng(), rng());
         for _ in 0..20 {
-            let out = corrupt_value(&mut r, &rates, "WILLIAMS");
-            assert_ne!(out, "WILLIAMS");
+            let out = corrupt_value(&mut dispatched, &rates, "WILLIAMS");
+            let _roll: f64 = direct.gen();
+            assert_eq!(out, typo(&mut direct, "WILLIAMS"));
         }
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Syscall-fault sweep: runs every offline-capable crash/fault test
-# (shard engine syscall sweeps, the checkpoint write_atomic sweep, the
-# FaultVfs unit tests), then the bench_faults binary — a full
+# Syscall-fault sweep: runs every crash/fault test (docstore save and
+# shard engine syscall sweeps, the checkpoint write_atomic and
+# resumable-import sweeps, the FaultVfs unit tests), then the bench_faults binary — a full
 # crash-at-every-syscall sweep plus seeded random chaos — and writes
 # BENCH_faults.json in the repo root. Any extra arguments are passed to
 # every cargo invocation (e.g. --offline --config .verify/patch.toml).
@@ -11,8 +11,11 @@ cd "$(dirname "$0")/.."
 echo "=== shard syscall sweep ==="
 cargo test -q -p nc-shard --test syscall_sweep "$@"
 
-echo "=== checkpoint atomic-write sweep ==="
-cargo test -q -p nc-core "$@" -- write_atomic_crash_sweep
+echo "=== docstore save syscall sweep ==="
+cargo test -q -p nc-docstore --test syscall_sweep "$@"
+
+echo "=== checkpoint atomic-write + resumable-import sweeps ==="
+cargo test -q -p nc-core "$@" -- write_atomic_crash_sweep crash_at_every_syscall
 
 echo "=== fault vfs unit tests ==="
 cargo test -q -p nc-vfs "$@"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Build + test in the network-less container using the .verify stubs.
-# See .verify/README.md for the expected (stub-induced) failures.
+# Every test passes under the stubs: a non-zero exit status is a
+# regression (see .verify/README.md for what each stub stands in for).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
