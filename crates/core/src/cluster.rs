@@ -313,120 +313,6 @@ impl ClusterStore {
     pub fn collection_view(&self) -> nc_docstore::collection::CollectionView<'_> {
         self.collection.view()
     }
-
-    /// Rebuild a store from a collection produced by a *finalized*
-    /// store (e.g. persisted with [`nc_docstore::persist::save`] and
-    /// reloaded). The side state needed for further imports —
-    /// fingerprints, per-snapshot counters, version and snapshot
-    /// membership — is reconstructed from each document's `meta`
-    /// sub-document, so importing more snapshots into the rebuilt store
-    /// behaves exactly as if the original had never been persisted.
-    ///
-    /// Returns a description of the first inconsistency when the
-    /// collection does not look like a finalized cluster store.
-    pub fn from_finalized_collection(mut collection: Collection) -> Result<Self, String> {
-        // Index definitions are not persisted; re-declare the NCID index.
-        collection.create_index("ncid", IndexKind::Hash);
-        let mut ncid_to_doc = HashMap::new();
-        let mut state = HashMap::new();
-        let mut records_total: u64 = 0;
-        let mut rows_total: u64 = 0;
-        let mut max_version: u32 = 0;
-        for (doc_id, doc) in collection.iter_ordered() {
-            let ncid = doc
-                .get_str("ncid")
-                .ok_or_else(|| format!("cluster doc {doc_id}: missing ncid"))?
-                .to_owned();
-            let n_records = doc.get_array("records").map_or(0, |r| r.len());
-            let hash_vals = doc
-                .get_array("meta.hashes")
-                .ok_or_else(|| format!("cluster {ncid}: missing meta.hashes (store not finalized?)"))?;
-            let mut hashes = Vec::with_capacity(hash_vals.len());
-            for v in hash_vals {
-                let hex = v
-                    .as_str()
-                    .ok_or_else(|| format!("cluster {ncid}: non-string hash"))?;
-                hashes.push(
-                    Digest::from_hex(hex)
-                        .ok_or_else(|| format!("cluster {ncid}: bad hash {hex:?}"))?,
-                );
-            }
-            if hashes.len() != n_records {
-                return Err(format!(
-                    "cluster {ncid}: {} hashes for {n_records} records",
-                    hashes.len()
-                ));
-            }
-            let rows_seen = doc
-                .get_i64("meta.rows_seen")
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| format!("cluster {ncid}: missing meta.rows_seen"))?;
-            let mut snapshot_counts = Vec::new();
-            if let Some(counts) = doc.get_path("meta.snapshot_counts").and_then(Value::as_doc) {
-                for (date, n) in counts.iter() {
-                    let n = n
-                        .as_i64()
-                        .and_then(|v| u64::try_from(v).ok())
-                        .ok_or_else(|| format!("cluster {ncid}: bad snapshot count"))?;
-                    snapshot_counts.push((date.clone(), n));
-                }
-            }
-            let first_version: Vec<u32> = doc
-                .get_array("meta.record_first_version")
-                .unwrap_or(&[])
-                .iter()
-                .map(|v| {
-                    v.as_i64()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| format!("cluster {ncid}: bad record version"))
-                })
-                .collect::<Result<_, _>>()?;
-            let record_snapshots: Vec<Vec<String>> = doc
-                .get_array("meta.record_snapshots")
-                .unwrap_or(&[])
-                .iter()
-                .map(|v| {
-                    v.as_array()
-                        .ok_or_else(|| format!("cluster {ncid}: bad record snapshots"))
-                        .map(|snaps| {
-                            snaps
-                                .iter()
-                                .filter_map(Value::as_str)
-                                .map(str::to_owned)
-                                .collect()
-                        })
-                })
-                .collect::<Result<_, _>>()?;
-            if first_version.len() != hashes.len() || record_snapshots.len() != hashes.len() {
-                return Err(format!("cluster {ncid}: meta arrays disagree in length"));
-            }
-            records_total += hashes.len() as u64;
-            rows_total += rows_seen;
-            max_version = first_version.iter().copied().fold(max_version, u32::max);
-            let hash_set = hashes.iter().copied().collect();
-            state.insert(
-                doc_id,
-                ClusterState {
-                    hashes,
-                    hash_set,
-                    rows_seen,
-                    snapshot_counts,
-                    first_version,
-                    record_snapshots,
-                },
-            );
-            ncid_to_doc.insert(ncid, doc_id);
-        }
-        Ok(ClusterStore {
-            collection,
-            ncid_to_doc,
-            state,
-            records_total,
-            rows_total,
-            max_version,
-            finalized: true,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -542,50 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn finalized_round_trip_preserves_import_behavior() {
-        // Build, persist (in memory via the collection), rebuild — then
-        // verify the rebuilt store dedups exactly like the original.
-        let mut store = ClusterStore::new();
-        store.import_row(row("A1", "SMITH", "40", "2008-11-04"), DedupPolicy::Trimmed, "2008-11-04", 1);
-        store.import_row(row("A1", "SMYTHE", "40", "2009-01-01"), DedupPolicy::Trimmed, "2009-01-01", 1);
-        store.import_row(row("A2", "JONES", "50", "2009-01-01"), DedupPolicy::Trimmed, "2009-01-01", 1);
-        store.finalize();
-
-        // Clone the collection by re-inserting documents id-for-id.
-        let mut copy = Collection::new("clusters");
-        for (_, doc) in store.collection().iter_ordered() {
-            copy.insert(doc.clone());
-        }
-        let mut rebuilt = ClusterStore::from_finalized_collection(copy).unwrap();
-        assert_eq!(rebuilt.cluster_count(), store.cluster_count());
-        assert_eq!(rebuilt.record_count(), store.record_count());
-        assert_eq!(rebuilt.rows_imported(), store.rows_imported());
-        assert_eq!(rebuilt.record_versions("A1"), store.record_versions("A1"));
-        assert_eq!(rebuilt.record_snapshots("A1"), store.record_snapshots("A1"));
-
-        // An exact duplicate of an already-stored record is still dropped.
-        let out = rebuilt.import_row(row("A1", "SMITH", "40", "2010-01-01"), DedupPolicy::Trimmed, "2010-01-01", 2);
-        assert_eq!(out, RowOutcome::DuplicateDropped);
-        // A genuinely new record still lands in the right cluster.
-        let out = rebuilt.import_row(row("A2", "JONES-SMITH", "50", "2010-01-01"), DedupPolicy::Trimmed, "2010-01-01", 2);
-        assert_eq!(out, RowOutcome::NewRecord);
-        assert_eq!(rebuilt.cluster_count(), 2);
-    }
-
-    #[test]
-    fn from_finalized_rejects_unfinalized_collection() {
-        let mut store = ClusterStore::new();
-        store.import_row(row("A1", "SMITH", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
-        // No finalize(): meta is missing.
-        let mut copy = Collection::new("clusters");
-        for (_, doc) in store.collection().iter_ordered() {
-            copy.insert(doc.clone());
-        }
-        let err = ClusterStore::from_finalized_collection(copy).unwrap_err();
-        assert!(err.contains("meta.hashes"), "{err}");
-    }
-
-    #[test]
     fn sizes_and_rows_seen() {
         let mut store = ClusterStore::new();
         store.import_row(row("A1", "SMITH", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
@@ -625,7 +467,7 @@ mod review_repro {
         assert_eq!(store.record_snapshots("A1").unwrap()[0], vec!["s1".to_string(), "s2".to_string()]);
         store.finalize();
         let doc = store.cluster_doc("A1").unwrap();
-        // ...but the persisted meta must too (this is what a checkpoint saves).
+        // ...but the persisted meta must too (`VersionManager::reconstruct` reads it).
         assert_eq!(doc.get_i64("meta.rows_seen"), Some(2), "meta.rows_seen is stale");
         let snaps = doc.get_array("meta.record_snapshots").unwrap();
         assert_eq!(snaps[0].as_array().unwrap().len(), 2, "meta.record_snapshots is stale");

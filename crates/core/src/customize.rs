@@ -123,10 +123,7 @@ impl CustomDataset {
 /// Step 2b of the recipe for one cluster: scan the records in order and
 /// keep every record whose heterogeneity to all previously *kept*
 /// records lies within the bounds (the first record is always kept).
-fn reduce_cluster<'a, I>(rows: I, scorer: &HeterogeneityScorer, params: &CustomizeParams) -> Vec<Row>
-where
-    I: IntoIterator<Item = &'a Row>,
-{
+fn reduce_cluster(rows: &[Row], scorer: &HeterogeneityScorer, params: &CustomizeParams) -> Vec<Row> {
     let mut kept: Vec<Row> = Vec::new();
     for row in rows {
         let ok = kept.iter().all(|prev| {
@@ -140,29 +137,15 @@ where
     kept
 }
 
-/// Sort reduced clusters largest-first (NCID breaks ties) and keep the
-/// best `output_clusters` (step 3 of the recipe).
-fn rank_and_truncate(
-    mut reduced: Vec<CustomCluster>,
-    sampled: Vec<String>,
-    params: &CustomizeParams,
-) -> CustomDataset {
-    reduced.sort_by(|a, b| {
-        b.records
-            .len()
-            .cmp(&a.records.len())
-            .then_with(|| a.ncid.cmp(&b.ncid))
-    });
-    reduced.truncate(params.output_clusters);
-    CustomDataset {
-        clusters: reduced,
-        sampled,
-    }
-}
-
-/// Run the customization recipe over a cluster store.
-pub fn customize(
-    store: &ClusterStore,
+/// The recipe, written once over "`count` clusters in
+/// [`ClusterStore::cluster_ids`] order, `ncid(i)`, `rows(i)`": both
+/// public entry points are this function. Sampling shuffles cluster
+/// *indices*, so the draw depends only on `count` and the seed, and
+/// `rows` is asked for the sampled clusters only.
+fn carve<'a, R: AsRef<[Row]>>(
+    count: usize,
+    ncid: impl Fn(usize) -> &'a str,
+    rows: impl Fn(usize) -> R,
     scorer: &HeterogeneityScorer,
     params: &CustomizeParams,
 ) -> CustomDataset {
@@ -170,57 +153,66 @@ pub fn customize(
     let mut rng = StdRng::seed_from_u64(params.seed);
 
     // Step 2a: random sample of clusters.
-    let mut ids = store.cluster_ids();
-    ids.shuffle(&mut rng);
-    ids.truncate(params.sample_clusters);
+    let mut order: Vec<usize> = (0..count).collect();
+    order.shuffle(&mut rng);
+    order.truncate(params.sample_clusters);
 
-    // Step 2b: reduce every cluster to records within the bounds.
-    let sampled: Vec<String> = ids.iter().map(|(ncid, _)| ncid.clone()).collect();
-    let mut reduced: Vec<CustomCluster> = Vec::with_capacity(ids.len());
-    for (ncid, _) in ids {
-        let rows = store.cluster_rows(&ncid);
-        let records = reduce_cluster(&rows, scorer, params);
-        reduced.push(CustomCluster { ncid, records });
-    }
+    // Step 2b: reduce every sampled cluster to records within the bounds.
+    let mut clusters: Vec<CustomCluster> = order
+        .iter()
+        .map(|&i| CustomCluster {
+            ncid: ncid(i).to_owned(),
+            records: reduce_cluster(rows(i).as_ref(), scorer, params),
+        })
+        .collect();
+    let sampled = clusters.iter().map(|c| c.ncid.clone()).collect();
 
-    rank_and_truncate(reduced, sampled, params)
+    // Step 3: largest first (NCID breaks ties), keep the best.
+    clusters.sort_by(|a, b| {
+        b.records
+            .len()
+            .cmp(&a.records.len())
+            .then_with(|| a.ncid.cmp(&b.ncid))
+    });
+    clusters.truncate(params.output_clusters);
+    CustomDataset { clusters, sampled }
 }
 
-/// Run the customization recipe over pre-materialized clusters — the
-/// borrowed-snapshot twin of [`customize`].
+/// Run the customization recipe over a cluster store, materializing
+/// only the sampled clusters' rows.
+pub fn customize(
+    store: &ClusterStore,
+    scorer: &HeterogeneityScorer,
+    params: &CustomizeParams,
+) -> CustomDataset {
+    let ids = store.cluster_ids();
+    carve(
+        ids.len(),
+        |i| ids[i].0.as_str(),
+        |i| store.cluster_rows(&ids[i].0),
+        scorer,
+        params,
+    )
+}
+
+/// Run the customization recipe over pre-materialized clusters.
 ///
 /// `clusters` must be in [`ClusterStore::cluster_ids`] order (which is
-/// what [`crate::snapshot::StoreSnapshot`] captures). Sampling shuffles
-/// the cluster *indices* with the same seeded RNG as [`customize`]
-/// shuffles its id list; a Fisher–Yates shuffle draws only from the
-/// slice length, so for the same store both paths sample the same
-/// clusters in the same order and the result is **bit-identical** to
-/// `customize(store, ..)` — asserted by the determinism tests
-/// (`crates/core/tests/customize_determinism.rs`).
+/// what [`crate::snapshot::StoreSnapshot`] captures); the result is
+/// then **bit-identical** to `customize(store, ..)` — asserted by the
+/// determinism tests (`crates/core/tests/customize_determinism.rs`).
 pub fn customize_clusters(
     clusters: &[(String, Vec<Row>)],
     scorer: &HeterogeneityScorer,
     params: &CustomizeParams,
 ) -> CustomDataset {
-    assert!(params.h_low <= params.h_high, "invalid heterogeneity bounds");
-    let mut rng = StdRng::seed_from_u64(params.seed);
-
-    let mut order: Vec<usize> = (0..clusters.len()).collect();
-    order.shuffle(&mut rng);
-    order.truncate(params.sample_clusters);
-
-    let sampled: Vec<String> = order.iter().map(|&i| clusters[i].0.clone()).collect();
-    let mut reduced: Vec<CustomCluster> = Vec::with_capacity(order.len());
-    for i in order {
-        let (ncid, rows) = &clusters[i];
-        let records = reduce_cluster(rows, scorer, params);
-        reduced.push(CustomCluster {
-            ncid: ncid.clone(),
-            records,
-        });
-    }
-
-    rank_and_truncate(reduced, sampled, params)
+    carve(
+        clusters.len(),
+        |i| clusters[i].0.as_str(),
+        |i| &clusters[i].1,
+        scorer,
+        params,
+    )
 }
 
 #[cfg(test)]

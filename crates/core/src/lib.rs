@@ -25,10 +25,11 @@
 //!    published version reconstructible (Section 5.1–5.2).
 //! 5. **Customization** ([`customize`]): heterogeneity-bounded cluster
 //!    selection producing datasets like the paper's NC1/NC2/NC3.
-//! 6. **Fault tolerance** ([`tsv`], [`checkpoint`]): quarantine-mode
-//!    import that diverts malformed archive input instead of aborting,
-//!    and checkpointed archive ingest that resumes an interrupted run
-//!    after the last completed snapshot.
+//! 6. **Fault tolerance** ([`tsv`]): quarantine-mode import that
+//!    diverts malformed archive input instead of aborting, and the one
+//!    archive loop ([`tsv::import_archive_pending`]) that `nc-shard`'s
+//!    WAL engine runs to resume an interrupted ingest after the last
+//!    committed snapshot.
 //! 7. **Serving hooks** ([`snapshot`]): immutable version-pinned
 //!    [`snapshot::StoreSnapshot`] exports that the `nc-serve` crate
 //!    carves concurrent customized datasets from.
@@ -53,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod cluster;
 pub mod customize;
 pub mod heterogeneity;

@@ -8,7 +8,6 @@ use nc_votergen::config::GeneratorConfig;
 use nc_votergen::registry::Registry;
 use nc_votergen::snapshot::standard_calendar;
 
-use crate::checkpoint;
 use crate::cluster::ClusterStore;
 use crate::heterogeneity::HeterogeneityScorer;
 use crate::import::{import_archive_streaming, ImportStats};
@@ -80,10 +79,6 @@ pub struct ArchiveRunOutcome {
     pub imports: Vec<ImportStats>,
     /// Aggregate quarantine accounting (empty under strict mode).
     pub quarantine: QuarantineReport,
-    /// Snapshots skipped because a checkpoint already covered them.
-    pub resumed_snapshots: usize,
-    /// Why an existing checkpoint was discarded, if one was.
-    pub checkpoint_discarded: Option<String>,
 }
 
 /// The pipeline driver.
@@ -147,58 +142,28 @@ impl TestDataGenerator {
         }
     }
 
-    /// Run the pipeline over an on-disk archive directory, with
-    /// fault-tolerant ingest and optional checkpointing.
-    ///
-    /// With `state_dir = Some(..)` a checkpoint (store + manifest) is
-    /// persisted after every imported snapshot, so an interrupted run
-    /// resumes after the last completed snapshot when called again with
-    /// the same parameters (see [`checkpoint`]). With `None`, the
-    /// archive is imported in one pass without checkpoints. Quarantine
-    /// handling and the error budget follow `options`.
+    /// Run the pipeline over an on-disk archive directory in one
+    /// in-memory pass. Quarantine handling and the error budget follow
+    /// `options`. (A resumable, crash-safe ingest of the same archive
+    /// is `nc-shard`'s `ShardEngine::ingest_archive`.)
     pub fn run_archive(
         archive_dir: &Path,
-        state_dir: Option<&Path>,
         policy: DedupPolicy,
         options: &ImportOptions,
     ) -> Result<ArchiveRunOutcome, TsvError> {
         let mut versions = VersionManager::new();
         let version = versions.next_version();
-        match state_dir {
-            Some(state) => {
-                let out = checkpoint::import_archive_dir_resumable(
-                    archive_dir,
-                    state,
-                    policy,
-                    version,
-                    options,
-                )?;
-                versions.publish(&out.store, &out.stats);
-                Ok(ArchiveRunOutcome {
-                    store: out.store,
-                    versions,
-                    imports: out.stats,
-                    quarantine: out.quarantine,
-                    resumed_snapshots: out.resumed_snapshots,
-                    checkpoint_discarded: out.checkpoint_discarded,
-                })
-            }
-            None => {
-                let mut store = ClusterStore::new();
-                let outcome =
-                    tsv::import_archive_dir_with(&mut store, archive_dir, policy, version, options)?;
-                versions.publish(&store, &outcome.stats);
-                store.finalize();
-                Ok(ArchiveRunOutcome {
-                    store,
-                    versions,
-                    imports: outcome.stats,
-                    quarantine: outcome.quarantine,
-                    resumed_snapshots: 0,
-                    checkpoint_discarded: None,
-                })
-            }
-        }
+        let mut store = ClusterStore::new();
+        let outcome =
+            tsv::import_archive_dir_with(&mut store, archive_dir, policy, version, options)?;
+        versions.publish(&store, &outcome.stats);
+        store.finalize();
+        Ok(ArchiveRunOutcome {
+            store,
+            versions,
+            imports: outcome.stats,
+            quarantine: outcome.quarantine,
+        })
     }
 }
 
@@ -301,13 +266,9 @@ mod tests {
         write_archive(&dir, 16, 50, 3);
 
         let mem = TestDataGenerator::run(cfg(16, 50, 3));
-        let disk = TestDataGenerator::run_archive(
-            &dir,
-            None,
-            DedupPolicy::Trimmed,
-            &ImportOptions::strict(),
-        )
-        .unwrap();
+        let disk =
+            TestDataGenerator::run_archive(&dir, DedupPolicy::Trimmed, &ImportOptions::strict())
+                .unwrap();
         assert_eq!(disk.imports, mem.imports);
         assert_eq!(disk.store.record_count(), mem.store.record_count());
         assert_eq!(disk.store.cluster_count(), mem.store.cluster_count());
@@ -324,51 +285,5 @@ mod tests {
         );
 
         std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn archive_run_with_state_dir_checkpoints_and_agrees() {
-        let dir = std::env::temp_dir()
-            .join(format!("nc_pipe_ckpt_archive_{}", std::process::id()));
-        let state = std::env::temp_dir()
-            .join(format!("nc_pipe_ckpt_state_{}", std::process::id()));
-        for d in [&dir, &state] {
-            let _ = std::fs::remove_dir_all(d);
-        }
-        write_archive(&dir, 17, 40, 2);
-
-        let plain = TestDataGenerator::run_archive(
-            &dir,
-            None,
-            DedupPolicy::Trimmed,
-            &ImportOptions::strict(),
-        )
-        .unwrap();
-        let ckpt = TestDataGenerator::run_archive(
-            &dir,
-            Some(&state),
-            DedupPolicy::Trimmed,
-            &ImportOptions::strict(),
-        )
-        .unwrap();
-        assert_eq!(ckpt.imports, plain.imports);
-        assert_eq!(ckpt.resumed_snapshots, 0);
-        assert!(checkpoint::manifest_path(&state).exists());
-
-        // A second run resumes entirely from the checkpoint.
-        let resumed = TestDataGenerator::run_archive(
-            &dir,
-            Some(&state),
-            DedupPolicy::Trimmed,
-            &ImportOptions::strict(),
-        )
-        .unwrap();
-        assert_eq!(resumed.resumed_snapshots, 2);
-        assert_eq!(resumed.imports, plain.imports);
-        assert_eq!(resumed.store.record_count(), plain.store.record_count());
-
-        for d in [dir, state] {
-            std::fs::remove_dir_all(d).unwrap();
-        }
     }
 }

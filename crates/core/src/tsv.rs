@@ -22,6 +22,7 @@
 //!   too much input has been diverted, so a systematically broken
 //!   archive still fails loudly rather than importing near-nothing.
 
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read as _, Write};
 use std::path::{Path, PathBuf};
@@ -63,8 +64,9 @@ pub enum TsvError {
         /// Quarantine events observed when the budget tripped.
         quarantined: u64,
     },
-    /// A checkpoint manifest exists but cannot be resumed under the
-    /// requested parameters (see [`crate::checkpoint`]).
+    /// Durable ingest state exists but cannot be resumed: it was
+    /// written under different parameters, or a failed recovery left it
+    /// unusable (raised by `nc-shard`'s engine, the resumable ingest).
     Checkpoint {
         /// What went wrong.
         message: String,
@@ -218,6 +220,16 @@ impl ImportOptions {
         self.quarantine_path = Some(path.into());
         self
     }
+
+    /// Fail once `events` quarantine events exceed the error budget.
+    fn check_budget(&self, events: u64) -> Result<(), TsvError> {
+        match self.error_budget {
+            Some(budget) if events > budget => {
+                Err(TsvError::QuarantineBudget { budget, quarantined: events })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Aggregate quarantine accounting for one archive import.
@@ -314,24 +326,16 @@ fn map_drifted_header(header: &str) -> Option<Vec<Option<usize>>> {
     Some(mapping)
 }
 
-/// Read one snapshot file under the given options.
+/// Read one snapshot file under the given options, with
+/// `prior_events` quarantine events already charged against the error
+/// budget (archive-level accounting).
 ///
 /// In [`ImportMode::Strict`] this is exactly [`read_snapshot`]. In
 /// [`ImportMode::Quarantine`], malformed lines (wrong field count,
 /// invalid UTF-8) are diverted — to the sink, if one is configured —
 /// and a drifted header is remapped by column name when possible.
 /// `Ok(None)` means the whole file was quarantined (unmappable header).
-pub fn read_snapshot_lenient(
-    path: &Path,
-    options: &ImportOptions,
-) -> Result<Option<ParsedSnapshot>, TsvError> {
-    read_snapshot_budgeted(path, options, 0)
-}
-
-/// [`read_snapshot_lenient`] with `prior_events` quarantine events
-/// already charged against the budget (archive-level accounting, used
-/// by the checkpointed and sharded archive importers).
-pub fn read_snapshot_budgeted(
+fn read_snapshot_budgeted(
     path: &Path,
     options: &ImportOptions,
     prior_events: u64,
@@ -368,15 +372,6 @@ pub fn read_snapshot_budgeted(
 
     let mut rows = Vec::new();
     let mut quarantined: u64 = 0;
-    let check_budget = |quarantined: u64| -> Result<(), TsvError> {
-        if let Some(budget) = options.error_budget {
-            let events = prior_events + quarantined;
-            if events > budget {
-                return Err(TsvError::QuarantineBudget { budget, quarantined: events });
-            }
-        }
-        Ok(())
-    };
     for (i, raw) in lines.enumerate() {
         if raw.is_empty() || raw.iter().all(|b| b.is_ascii_whitespace()) {
             continue;
@@ -385,7 +380,7 @@ pub fn read_snapshot_budgeted(
         let Ok(line) = std::str::from_utf8(raw) else {
             quarantined += 1;
             sink.write(path, Some(lineno), "invalid-utf8", raw)?;
-            check_budget(quarantined)?;
+            options.check_budget(prior_events + quarantined)?;
             continue;
         };
         let row = match &mapping {
@@ -410,7 +405,7 @@ pub fn read_snapshot_budgeted(
             None => {
                 quarantined += 1;
                 sink.write(path, Some(lineno), "field-count-mismatch", raw)?;
-                check_budget(quarantined)?;
+                options.check_budget(prior_events + quarantined)?;
             }
         }
     }
@@ -422,68 +417,21 @@ pub fn read_snapshot_budgeted(
     }))
 }
 
-/// Everything produced by a fault-tolerant archive import.
-#[derive(Debug)]
+/// What one archive import call did.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchiveImportOutcome {
-    /// Per-snapshot import statistics (quarantine counts included).
+    /// Stats of the snapshots imported *by this call*, in archive order
+    /// (quarantine counts included).
     pub stats: Vec<ImportStats>,
-    /// Aggregate quarantine accounting.
+    /// Snapshot files skipped because they were already completed.
+    pub resumed: usize,
+    /// Cumulative archive-level quarantine accounting (all runs).
     pub quarantine: QuarantineReport,
 }
 
-/// Import every snapshot file of an archive directory under the given
-/// fault-handling options.
-///
-/// In quarantine mode the sink file (if configured) is truncated at the
-/// start of the run and receives every diverted line with provenance
-/// comments. The error budget is enforced across the whole run.
-pub fn import_archive_dir_with(
-    store: &mut ClusterStore,
-    dir: &Path,
-    policy: DedupPolicy,
-    version: u32,
-    options: &ImportOptions,
-) -> Result<ArchiveImportOutcome, TsvError> {
-    if let Some(sink) = &options.quarantine_path {
-        // Fresh sink per run; read_snapshot_budgeted appends.
-        File::create(sink)?;
-    }
-    let mut stats = Vec::new();
-    let mut report = QuarantineReport::default();
-    for path in archive_files(dir)? {
-        match read_snapshot_budgeted(&path, options, report.events())? {
-            Some(parsed) => {
-                report.lines_quarantined += parsed.quarantined;
-                if parsed.remapped {
-                    report.remapped_headers += 1;
-                }
-                let mut st =
-                    crate::import::import_snapshot(store, &parsed.snapshot, policy, version);
-                st.quarantined = parsed.quarantined;
-                report
-                    .per_snapshot
-                    .push((st.date.clone(), parsed.quarantined));
-                stats.push(st);
-            }
-            None => {
-                report.files_quarantined += 1;
-                if let Some(budget) = options.error_budget {
-                    if report.events() > budget {
-                        return Err(TsvError::QuarantineBudget {
-                            budget,
-                            quarantined: report.events(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(ArchiveImportOutcome { stats, quarantine: report })
-}
-
-/// List the snapshot files of an archive directory, sorted by date
-/// (belatedly published snapshots thus import in calendar order).
-pub fn archive_files(dir: &Path) -> Result<Vec<PathBuf>, TsvError> {
+/// The snapshot files of an archive directory with their dates, sorted
+/// by date.
+fn dated_archive_files(dir: &Path) -> Result<Vec<(String, PathBuf)>, TsvError> {
     let mut files: Vec<(String, PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
@@ -494,7 +442,86 @@ pub fn archive_files(dir: &Path) -> Result<Vec<PathBuf>, TsvError> {
         }
     }
     files.sort();
-    Ok(files.into_iter().map(|(_, p)| p).collect())
+    Ok(files)
+}
+
+/// List the snapshot files of an archive directory, sorted by date
+/// (belatedly published snapshots thus import in calendar order).
+pub fn archive_files(dir: &Path) -> Result<Vec<PathBuf>, TsvError> {
+    Ok(dated_archive_files(dir)?.into_iter().map(|(_, p)| p).collect())
+}
+
+/// The archive loop, written once: read every snapshot file of `dir`
+/// whose date is not in `completed`, in calendar order, and hand each
+/// to `commit` — the sink that makes it part of a store (a
+/// [`ClusterStore`] import here, a WAL + manifest commit in
+/// `nc-shard`'s engine).
+///
+/// `quarantine` is the accounting of the runs that produced
+/// `completed`; the error budget is enforced against it plus whatever
+/// this call diverts, so the budget spans resumes. `commit` sees the
+/// parsed snapshot and the accounting *including* it (what a durable
+/// sink persists with that snapshot) and returns the snapshot's stats;
+/// its error aborts the run. A wholly quarantined file is counted but
+/// never committed, so a later run over a repaired file picks it up.
+///
+/// The sink file, when configured, is truncated only when nothing is
+/// completed yet; a resumed run appends, keeping the provenance lines
+/// of the snapshots it skips.
+pub fn import_archive_pending(
+    dir: &Path,
+    options: &ImportOptions,
+    completed: &BTreeSet<String>,
+    mut quarantine: QuarantineReport,
+    mut commit: impl FnMut(&ParsedSnapshot, &QuarantineReport) -> Result<ImportStats, TsvError>,
+) -> Result<ArchiveImportOutcome, TsvError> {
+    if completed.is_empty() {
+        if let Some(sink) = &options.quarantine_path {
+            File::create(sink)?;
+        }
+    }
+    let mut stats = Vec::new();
+    let mut resumed = 0;
+    for (date, path) in dated_archive_files(dir)? {
+        if completed.contains(&date) {
+            resumed += 1;
+            continue;
+        }
+        let Some(parsed) = read_snapshot_budgeted(&path, options, quarantine.events())? else {
+            quarantine.files_quarantined += 1;
+            options.check_budget(quarantine.events())?;
+            continue;
+        };
+        quarantine.lines_quarantined += parsed.quarantined;
+        quarantine.remapped_headers += u64::from(parsed.remapped);
+        quarantine.per_snapshot.push((date, parsed.quarantined));
+        stats.push(commit(&parsed, &quarantine)?);
+    }
+    Ok(ArchiveImportOutcome { stats, resumed, quarantine })
+}
+
+/// Import every snapshot file of an archive directory into an in-memory
+/// store under the given fault-handling options (not resumable: the
+/// durable, resumable ingest is `nc-shard`'s engine, over the same
+/// loop).
+pub fn import_archive_dir_with(
+    store: &mut ClusterStore,
+    dir: &Path,
+    policy: DedupPolicy,
+    version: u32,
+    options: &ImportOptions,
+) -> Result<ArchiveImportOutcome, TsvError> {
+    import_archive_pending(
+        dir,
+        options,
+        &BTreeSet::new(),
+        QuarantineReport::default(),
+        |parsed, _| {
+            let mut stats = crate::import::import_snapshot(store, &parsed.snapshot, policy, version);
+            stats.quarantined = parsed.quarantined;
+            Ok(stats)
+        },
+    )
 }
 
 /// Import every snapshot file of an archive directory into a store,
@@ -630,7 +657,7 @@ mod tests {
         let dir = tmp_dir("lenient_strict");
         let (s0, _) = two_snapshots(5);
         let path = write_snapshot(&dir, &s0).unwrap();
-        let parsed = read_snapshot_lenient(&path, &ImportOptions::strict())
+        let parsed = read_snapshot_budgeted(&path, &ImportOptions::strict(), 0)
             .unwrap()
             .unwrap();
         assert_eq!(parsed.snapshot.rows, read_snapshot(&path).unwrap().rows);
@@ -649,7 +676,7 @@ mod tests {
         let sink = dir.join("quarantine.tsv");
 
         let options = ImportOptions::quarantine().with_sink(&sink);
-        let parsed = read_snapshot_lenient(&path, &options).unwrap().unwrap();
+        let parsed = read_snapshot_budgeted(&path, &options, 0).unwrap().unwrap();
         assert_eq!(parsed.snapshot.rows, s0.rows, "good rows survive intact");
         assert_eq!(parsed.quarantined, 2);
 
@@ -667,7 +694,7 @@ mod tests {
         let (s0, _) = two_snapshots(7);
         let path = write_snapshot(&dir, &s0).unwrap();
         append_raw(&path, b"too\tfew\tfields");
-        let err = read_snapshot_lenient(&path, &ImportOptions::strict()).unwrap_err();
+        let err = read_snapshot_budgeted(&path, &ImportOptions::strict(), 0).unwrap_err();
         assert!(matches!(err, TsvError::BadLine { .. }), "{err}");
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -689,7 +716,7 @@ mod tests {
         }
         std::fs::write(&path, text).unwrap();
 
-        let parsed = read_snapshot_lenient(&path, &ImportOptions::quarantine())
+        let parsed = read_snapshot_budgeted(&path, &ImportOptions::quarantine(), 0)
             .unwrap()
             .unwrap();
         assert!(parsed.remapped);
@@ -707,7 +734,7 @@ mod tests {
         let sink = dir.join("quarantine.tsv");
 
         let options = ImportOptions::quarantine().with_sink(&sink);
-        assert!(read_snapshot_lenient(&path, &options).unwrap().is_none());
+        assert!(read_snapshot_budgeted(&path, &options, 0).unwrap().is_none());
         let text = std::fs::read_to_string(&sink).unwrap();
         assert!(text.contains("header-unmappable"), "{text}");
         std::fs::remove_dir_all(dir).unwrap();
@@ -723,10 +750,10 @@ mod tests {
 
         // Budget 2 tolerates both diverted lines...
         let lenient = ImportOptions::quarantine().with_budget(2);
-        assert!(read_snapshot_lenient(&path, &lenient).is_ok());
+        assert!(read_snapshot_budgeted(&path, &lenient, 0).is_ok());
         // ...budget 1 trips on the second.
         let tight = ImportOptions::quarantine().with_budget(1);
-        let err = read_snapshot_lenient(&path, &tight).unwrap_err();
+        let err = read_snapshot_budgeted(&path, &tight, 0).unwrap_err();
         assert!(
             matches!(err, TsvError::QuarantineBudget { budget: 1, quarantined: 2 }),
             "{err}"

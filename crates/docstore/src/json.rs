@@ -3,9 +3,9 @@
 //! [`parse`] turns bytes into a [`Value`] tree; [`Value::render_json`]
 //! is its inverse (`parse(render(v)) == v` for every finite `v`, see
 //! `tests/properties.rs`). Everything that stores or ships JSON goes
-//! through this pair: collection files ([`crate::persist`]), nc-core's
-//! checkpoint manifest, nc-bench's result files, and the query bodies
-//! and carve lines of nc-serve. Every parse failure carries the byte
+//! through this pair: collection files ([`crate::persist`]),
+//! nc-bench's result files, and the query bodies and carve lines of
+//! nc-serve. Every parse failure carries the byte
 //! offset of the offending input, which `POST /carve` surfaces in its
 //! typed 400 error body.
 

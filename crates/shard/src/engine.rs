@@ -28,7 +28,7 @@
 //! instead of appending to logs of unknown integrity.
 
 use std::collections::BTreeSet;
-use std::fs::{self, File};
+use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,13 +37,11 @@ use nc_core::import::ImportStats;
 use nc_core::record::DedupPolicy;
 use nc_core::snapshot::StoreSnapshot;
 use nc_core::tsv::{
-    archive_files, date_from_file_name, read_snapshot_budgeted, ImportOptions, QuarantineReport,
-    TsvError,
+    self, ArchiveImportOutcome, ImportOptions, ParsedSnapshot, QuarantineReport, TsvError,
 };
 use nc_serve::retry::{RetryExhausted, RetryPolicy};
 use nc_serve::snapshot::{ServeSnapshot, SnapshotRegistry};
 use nc_vfs::{StdVfs, Vfs};
-use nc_votergen::snapshot::Snapshot;
 
 use crate::ingest;
 use crate::store::ShardedStore;
@@ -80,18 +78,6 @@ impl ShardEngineConfig {
         }
     }
 }
-
-/// What one [`ShardEngine::ingest_archive`] call did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardIngestOutcome {
-    /// Stats of the snapshots ingested *by this call*, in archive order.
-    pub stats: Vec<ImportStats>,
-    /// Snapshot files skipped because the manifest already lists them.
-    pub resumed: usize,
-    /// Cumulative archive-level quarantine accounting (all runs).
-    pub quarantine: QuarantineReport,
-}
-
 
 /// What a rollback after a mid-ingest write failure did — the typed
 /// post-mortem behind [`ShardEngine::last_failure`].
@@ -291,88 +277,50 @@ impl ShardEngine {
         Ok(bytes)
     }
 
-    fn manifest(&self) -> ShardManifest {
-        ShardManifest {
-            shards: self.config.shards,
-            policy: self.config.policy,
-            version: self.config.version,
-            completed: self.completed.clone(),
-            quarantine: self.quarantine.clone(),
-        }
-    }
-
     /// Ingest every snapshot file of `archive_dir` that the manifest
     /// does not already list, committing each one before moving on.
     ///
-    /// Quarantine semantics match
-    /// [`nc_core::tsv::import_archive_dir_with`] exactly (same budget
-    /// accounting, carried across resumes via the manifest); the sink
-    /// file, when configured, is truncated per call.
+    /// This is [`nc_core::tsv::import_archive_pending`] — the loop the
+    /// in-memory import runs — with the WAL + manifest commit as its
+    /// sink, so quarantine semantics, budget accounting (carried across
+    /// resumes via the manifest) and the truncate-or-append rule of the
+    /// sink file are the same by construction.
     pub fn ingest_archive(
         &mut self,
         archive_dir: &Path,
         options: &ImportOptions,
-    ) -> Result<ShardIngestOutcome, TsvError> {
+    ) -> Result<ArchiveImportOutcome, TsvError> {
         if let Some(reason) = &self.poisoned {
             return Err(TsvError::Checkpoint {
                 message: format!("engine is poisoned: {reason}"),
             });
         }
-        if let Some(sink) = &options.quarantine_path {
-            File::create(sink)?;
-        }
-        let done: BTreeSet<&str> = self.completed.iter().map(|s| s.date.as_str()).collect();
-        let mut pending = Vec::new();
-        let mut resumed = 0;
-        for path in archive_files(archive_dir)? {
-            let date = date_from_file_name(&path).ok_or_else(|| TsvError::BadFileName {
-                file: path.clone(),
-            })?;
-            if done.contains(date.as_str()) {
-                resumed += 1;
-            } else {
-                pending.push(path);
-            }
-        }
-
-        let mut stats = Vec::new();
-        for path in pending {
-            match read_snapshot_budgeted(&path, options, self.quarantine.events())? {
-                Some(parsed) => {
-                    self.quarantine.lines_quarantined += parsed.quarantined;
-                    if parsed.remapped {
-                        self.quarantine.remapped_headers += 1;
-                    }
-                    let snap = parsed.snapshot;
-                    match self.ingest_one(&snap, parsed.quarantined) {
-                        Ok(total) => stats.push(total),
-                        Err(err) => return Err(self.roll_back(&snap.date, err)),
-                    }
-                }
-                None => {
-                    self.quarantine.files_quarantined += 1;
-                    if let Some(budget) = options.error_budget {
-                        if self.quarantine.events() > budget {
-                            return Err(TsvError::QuarantineBudget {
-                                budget,
-                                quarantined: self.quarantine.events(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(ShardIngestOutcome {
-            stats,
-            resumed,
-            quarantine: self.quarantine.clone(),
-        })
+        let done: BTreeSet<String> = self.completed.iter().map(|s| s.date.clone()).collect();
+        let outcome = tsv::import_archive_pending(
+            archive_dir,
+            options,
+            &done,
+            self.quarantine.clone(),
+            |parsed, quarantine| {
+                self.ingest_one(parsed, quarantine)
+                    .map_err(|err| self.roll_back(&parsed.snapshot.date, err))
+            },
+        )?;
+        // Wholly quarantined files are counted without a commit.
+        self.quarantine.clone_from(&outcome.quarantine);
+        Ok(outcome)
     }
 
     /// The write path of one parsed snapshot: WAL begin/rows/commit,
-    /// rotation, then the manifest commit. Any error leaves memory and
-    /// disk out of step — the caller must roll back.
-    fn ingest_one(&mut self, snap: &Snapshot, quarantined: u64) -> Result<ImportStats, TsvError> {
+    /// rotation, then the manifest commit carrying `quarantine` (the
+    /// archive accounting including this snapshot). Any error leaves
+    /// memory and disk out of step — the caller must roll back.
+    fn ingest_one(
+        &mut self,
+        parsed: &ParsedSnapshot,
+        quarantine: &QuarantineReport,
+    ) -> Result<ImportStats, TsvError> {
+        let snap = &parsed.snapshot;
         for wal in &mut self.wals {
             wal.begin_snapshot(&snap.date, self.config.version)?;
         }
@@ -398,13 +346,18 @@ impl ShardEngine {
         for part in &parts {
             total.merge(part);
         }
-        total.quarantined = quarantined;
-        self.quarantine
-            .per_snapshot
-            .push((total.date.clone(), quarantined));
+        total.quarantined = parsed.quarantined;
         self.completed.push(total.clone());
         // Step 2: the manifest makes it official.
-        self.manifest().save(&self.state_dir, self.vfs.as_ref())?;
+        let manifest = ShardManifest {
+            shards: self.config.shards,
+            policy: self.config.policy,
+            version: self.config.version,
+            completed: self.completed.clone(),
+            quarantine: quarantine.clone(),
+        };
+        manifest.save(&self.state_dir, self.vfs.as_ref())?;
+        self.quarantine = manifest.quarantine;
         Ok(total)
     }
 

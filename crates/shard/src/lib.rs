@@ -49,7 +49,7 @@ pub(crate) mod ingest;
 pub mod store;
 pub mod wal;
 
-pub use engine::{RecoveryReport, ShardEngine, ShardEngineConfig, ShardIngestOutcome};
+pub use engine::{RecoveryReport, ShardEngine, ShardEngineConfig};
 pub use store::{shard_of, ShardedDocId, ShardedStore};
 pub use wal::{
     shard_log_dir, tail_group, ManifestState, ShardManifest, TailCursor, TailGroup, WalRecovery,

@@ -16,78 +16,20 @@
 //! numbers syscalls deterministically. Pure TSV on disk — runs for
 //! real under the offline `.verify` stub harness.
 
+mod common;
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nc_core::import::ImportStats;
-use nc_core::record::DedupPolicy;
-use nc_core::tsv::{self, ImportOptions, TsvError};
+use common::{archive_prefix, fingerprint, tmp_dir, write_archive, Fingerprint};
+use nc_core::tsv::{ImportOptions, TsvError};
 use nc_shard::{ShardEngine, ShardEngineConfig};
 use nc_vfs::fault::{FaultVfs, InjectedFault};
-use nc_votergen::config::GeneratorConfig;
-use nc_votergen::registry::Registry;
-use nc_votergen::snapshot::standard_calendar;
-
-const SNAPSHOTS: usize = 3;
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("nc_shard_sweep_{name}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_archive(dir: &Path, seed: u64, population: usize) -> Vec<String> {
-    let mut registry = Registry::new(GeneratorConfig {
-        seed,
-        initial_population: population,
-        ..Default::default()
-    });
-    standard_calendar()
-        .iter()
-        .take(SNAPSHOTS)
-        .map(|info| {
-            let snap = registry.generate_snapshot(info);
-            tsv::write_snapshot(dir, &snap).unwrap();
-            snap.date.clone()
-        })
-        .collect()
-}
 
 fn config(shards: usize) -> ShardEngineConfig {
-    ShardEngineConfig {
-        // Tiny segments so the sweep also crosses segment rotation.
-        segment_bytes: 8 << 10,
-        ..ShardEngineConfig::new(shards, DedupPolicy::Trimmed, 1)
-    }
-}
-
-/// Everything observable about an engine's state, byte-exact.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    cluster_ids: Vec<String>,
-    rows: Vec<Vec<String>>,
-    record_count: u64,
-    rows_imported: u64,
-    completed: Vec<ImportStats>,
-}
-
-fn fingerprint(engine: &ShardEngine) -> Fingerprint {
-    let store = engine.store();
-    let cluster_ids: Vec<String> = store.cluster_ids().into_iter().map(|(n, _)| n).collect();
-    let rows = cluster_ids
-        .iter()
-        .map(|n| store.cluster_rows(n).iter().map(|r| r.to_tsv()).collect())
-        .collect();
-    Fingerprint {
-        cluster_ids,
-        rows,
-        record_count: store.record_count(),
-        rows_imported: store.rows_imported(),
-        completed: engine.completed().to_vec(),
-    }
+    // Tiny segments so the sweep also crosses segment rotation.
+    common::config(shards, 8 << 10)
 }
 
 /// Recursively copy a state directory (fresh trial per crash point).
@@ -126,10 +68,7 @@ fn scenario(tag: &str, seed: u64, shards: usize) -> Scenario {
     let archive = tmp_dir(&format!("{tag}_archive"));
     let dates = write_archive(&archive, seed, 100);
 
-    let partial = tmp_dir(&format!("{tag}_partial"));
-    for path in tsv::archive_files(&archive).unwrap().into_iter().take(2) {
-        fs::copy(&path, partial.join(path.file_name().unwrap())).unwrap();
-    }
+    let partial = archive_prefix(&archive, 2, &format!("{tag}_partial"));
     let base = tmp_dir(&format!("{tag}_base"));
     let mut engine = ShardEngine::open(&base, config(shards)).unwrap();
     engine

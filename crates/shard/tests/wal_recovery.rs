@@ -4,79 +4,22 @@
 //! final store to be **byte-identical** to an uninterrupted run — for
 //! shard counts 1, 3 and 8, with exact loss reporting along the way.
 
+mod common;
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use nc_core::import::ImportStats;
+use common::{archive_prefix, fingerprint, tmp_dir, write_archive, Fingerprint, SNAPSHOTS};
 use nc_core::record::DedupPolicy;
-use nc_core::tsv::{self, ImportOptions, TsvError};
+use nc_core::tsv::{ImportOptions, TsvError};
 use nc_docstore::faults::{inject, Fault};
 use nc_shard::{ShardEngine, ShardEngineConfig};
-use nc_votergen::config::GeneratorConfig;
-use nc_votergen::registry::Registry;
-use nc_votergen::snapshot::standard_calendar;
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
-const SNAPSHOTS: usize = 3;
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("nc_shard_recovery_{name}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Write a small archive of TSV snapshot files.
-fn write_archive(dir: &Path, seed: u64, population: usize) -> Vec<String> {
-    let mut registry = Registry::new(GeneratorConfig {
-        seed,
-        initial_population: population,
-        ..Default::default()
-    });
-    standard_calendar()
-        .iter()
-        .take(SNAPSHOTS)
-        .map(|info| {
-            let snap = registry.generate_snapshot(info);
-            tsv::write_snapshot(dir, &snap).unwrap();
-            snap.date.clone()
-        })
-        .collect()
-}
 
 fn config(shards: usize) -> ShardEngineConfig {
-    ShardEngineConfig {
-        // Tiny segments so rotation happens even in these small runs.
-        segment_bytes: 16 << 10,
-        ..ShardEngineConfig::new(shards, DedupPolicy::Trimmed, 1)
-    }
-}
-
-/// Everything observable about an engine's state, byte-exact.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    cluster_ids: Vec<String>,
-    rows: Vec<Vec<String>>,
-    record_count: u64,
-    rows_imported: u64,
-    completed: Vec<ImportStats>,
-}
-
-fn fingerprint(engine: &ShardEngine) -> Fingerprint {
-    let store = engine.store();
-    let cluster_ids: Vec<String> = store.cluster_ids().into_iter().map(|(n, _)| n).collect();
-    let rows = cluster_ids
-        .iter()
-        .map(|n| store.cluster_rows(n).iter().map(|r| r.to_tsv()).collect())
-        .collect();
-    Fingerprint {
-        cluster_ids,
-        rows,
-        record_count: store.record_count(),
-        rows_imported: store.rows_imported(),
-        completed: engine.completed().to_vec(),
-    }
+    // Tiny segments so rotation happens even in these small runs.
+    common::config(shards, 16 << 10)
 }
 
 /// Reference: one uninterrupted ingest of the whole archive.
@@ -150,10 +93,7 @@ fn torn_tail_is_dropped_with_exact_byte_accounting_and_resume_matches() {
         let state = tmp_dir(&format!("state_torn_{shards}"));
 
         // Partial run: only the first two snapshots exist yet.
-        let partial = tmp_dir(&format!("partial_torn_{shards}"));
-        for path in tsv::archive_files(&archive).unwrap().into_iter().take(2) {
-            fs::copy(&path, partial.join(path.file_name().unwrap())).unwrap();
-        }
+        let partial = archive_prefix(&archive, 2, &format!("partial_torn_{shards}"));
         let mut engine = ShardEngine::open(&state, config(shards)).unwrap();
         engine
             .ingest_archive(&partial, &ImportOptions::strict())
@@ -207,10 +147,7 @@ fn wal_committed_but_unmanifested_snapshot_rolls_back_with_exact_row_counts() {
         let reference = reference_run(&archive, shards, "rollback");
         let state = tmp_dir(&format!("state_rollback_{shards}"));
 
-        let partial = tmp_dir(&format!("partial_rollback_{shards}"));
-        for path in tsv::archive_files(&archive).unwrap().into_iter().take(2) {
-            fs::copy(&path, partial.join(path.file_name().unwrap())).unwrap();
-        }
+        let partial = archive_prefix(&archive, 2, &format!("partial_rollback_{shards}"));
         let mut engine = ShardEngine::open(&state, config(shards)).unwrap();
         engine
             .ingest_archive(&partial, &ImportOptions::strict())

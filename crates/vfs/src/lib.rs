@@ -2,7 +2,7 @@
 //!
 //! Every write path whose crash-safety the workspace asserts — the
 //! docstore's atomic saves, the shard WAL appenders and segment
-//! rotation, the shard manifest commit, and the checkpoint manifests —
+//! rotation, and the shard manifest commit —
 //! performs its mutating syscalls through the [`Vfs`] trait instead of
 //! `std::fs` directly. [`StdVfs`] is the zero-cost production
 //! implementation; [`fault::FaultVfs`] is the adversarial one, able to

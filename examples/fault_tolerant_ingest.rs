@@ -1,4 +1,4 @@
-//! Fault-tolerant archive ingest: quarantine, checkpoints, salvage.
+//! Fault-tolerant archive ingest: quarantine, resumable ingest, salvage.
 //!
 //! This example damages an on-disk TSV archive the way real registry
 //! exports get damaged — torn lines, garbage sectors — and shows the
@@ -6,8 +6,10 @@
 //!
 //! 1. **Quarantine import**: malformed lines are diverted to a sink
 //!    file (with provenance) instead of aborting the whole ingest.
-//! 2. **Checkpointed runs**: a manifest + store checkpoint after every
-//!    snapshot lets an interrupted import resume where it stopped.
+//! 2. **Resumable ingest**: the shard engine write-ahead logs every
+//!    row and commits each snapshot through its manifest, so an
+//!    interrupted import resumes where it stopped — and damaged state
+//!    is discarded, never trusted.
 //! 3. **Salvage**: a persisted store truncated by a crash recovers
 //!    every intact document and reports exactly what was lost.
 //!
@@ -16,11 +18,12 @@
 //! cargo run --release -p nc-suite --example fault_tolerant_ingest
 //! ```
 
-use nc_suite::core::checkpoint;
+use nc_suite::core::cluster::ClusterStore;
 use nc_suite::core::record::DedupPolicy;
 use nc_suite::core::tsv::{self, ImportOptions};
 use nc_suite::docstore::faults::{self, Fault};
 use nc_suite::docstore::persist;
+use nc_suite::shard::{ShardEngine, ShardEngineConfig};
 use nc_suite::votergen::config::GeneratorConfig;
 use nc_suite::votergen::registry::Registry;
 use nc_suite::votergen::snapshot::standard_calendar;
@@ -56,50 +59,49 @@ fn main() {
     println!("damaged {}", victim.display());
 
     // 3. Strict import fails fast — the historical contract.
-    let mut strict_store = nc_suite::core::cluster::ClusterStore::new();
+    let mut strict_store = ClusterStore::new();
     let err = tsv::import_archive_dir(&mut strict_store, &archive, DedupPolicy::Trimmed, 1)
         .expect_err("strict import must fail");
     println!("strict import  : failed fast as expected ({err})");
 
-    // 4. Quarantine import finishes, diverting the bad lines. The error
-    //    budget still caps how much damage we silently tolerate.
+    // 4. Quarantine ingest through the shard engine finishes, diverting
+    //    the bad lines. The error budget still caps how much damage we
+    //    silently tolerate.
     let options = ImportOptions::quarantine().with_sink(&sink).with_budget(100);
-    let outcome = checkpoint::import_archive_dir_resumable(
-        &archive,
-        &state,
-        DedupPolicy::Trimmed,
-        1,
-        &options,
-    )
-    .expect("quarantine import");
+    let config = ShardEngineConfig::new(1, DedupPolicy::Trimmed, 1);
+    let mut engine = ShardEngine::open(&state, config).expect("open engine");
+    let outcome = engine.ingest_archive(&archive, &options).expect("quarantine ingest");
     println!(
         "quarantine run : {} snapshots, {} records, {} lines quarantined",
         outcome.stats.len(),
-        outcome.store.record_count(),
+        engine.store().record_count(),
         outcome.quarantine.lines_quarantined
     );
     println!("quarantine sink: {}", sink.display());
+    drop(engine);
 
-    // 5. Resume: a second run with the same parameters skips everything
-    //    already checkpointed.
-    let resumed = checkpoint::import_archive_dir_resumable(
-        &archive,
-        &state,
-        DedupPolicy::Trimmed,
-        1,
-        &options,
-    )
-    .expect("resume");
+    // 5. Resume: a new process over the same state directory replays
+    //    the logs and skips every committed snapshot.
+    let mut engine = ShardEngine::open(&state, config).expect("reopen engine");
+    let resumed = engine.ingest_archive(&archive, &options).expect("resume");
     println!(
         "resumed run    : {} snapshots skipped, {} imported (stats identical: {})",
-        resumed.resumed_snapshots,
-        resumed.imported_snapshots,
-        resumed.stats == outcome.stats
+        resumed.resumed,
+        resumed.stats.len(),
+        engine.completed() == outcome.stats
     );
+    drop(engine);
 
-    // 6. Crash-safety: truncate the persisted store mid-file and salvage
-    //    the intact prefix.
-    let store_file = checkpoint::store_path(&state);
+    // 6. Crash-safety of a persisted store: save the same archive's
+    //    in-memory import, truncate the file mid-way and salvage the
+    //    intact prefix.
+    let mut store = ClusterStore::new();
+    let no_sink = ImportOptions::quarantine();
+    tsv::import_archive_dir_with(&mut store, &archive, DedupPolicy::Trimmed, 1, &no_sink)
+        .expect("in-memory quarantine import");
+    store.finalize();
+    let store_file = base.join("store.jsonl");
+    persist::save(store.collection(), &store_file).expect("save store");
     let bytes = std::fs::read(&store_file).expect("read store");
     std::fs::write(&store_file, &bytes[..bytes.len() * 2 / 3]).expect("truncate store");
     let salvaged = persist::salvage("clusters", &store_file).expect("salvage");
@@ -115,21 +117,20 @@ fn main() {
             .unwrap_or("file intact")
     );
 
-    // 7. And the next resumable run notices the damaged checkpoint and
-    //    rebuilds from the archive instead of trusting it.
-    let rebuilt = checkpoint::import_archive_dir_resumable(
-        &archive,
-        &state,
-        DedupPolicy::Trimmed,
-        1,
-        &options,
-    )
-    .expect("rebuild");
+    // 7. And an engine whose log rotted under a committed snapshot
+    //    notices, discards the state and rebuilds from the archive
+    //    instead of trusting it.
+    let log = state.join("shard-0").join("wal-000000.log");
+    faults::inject(&log, &Fault::FlipBit { offset: 40, bit: 3 }).expect("rot the log");
+    let mut engine = ShardEngine::open(&state, config).expect("reopen over damage");
+    let why = engine.discarded().map(str::to_owned);
+    let rebuilt = engine.ingest_archive(&archive, &options).expect("rebuild");
     println!(
-        "rebuild        : checkpoint discarded ({}), stats identical: {}",
-        rebuilt.checkpoint_discarded.as_deref().unwrap_or("-"),
+        "rebuild        : state discarded ({}), stats identical: {}",
+        why.as_deref().unwrap_or("-"),
         rebuilt.stats == outcome.stats
     );
+    assert!(why.is_some(), "damage must be noticed");
     assert_eq!(rebuilt.stats, outcome.stats);
 
     std::fs::remove_dir_all(&base).ok();

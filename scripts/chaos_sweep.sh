@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Syscall-fault sweep: runs every crash/fault test (docstore save and
-# shard engine syscall sweeps, the checkpoint write_atomic and
-# resumable-import sweeps, the FaultVfs unit tests), then the bench_faults binary — a full
-# crash-at-every-syscall sweep plus seeded random chaos — and writes
-# BENCH_faults.json in the repo root. Any extra arguments are passed to
-# every cargo invocation (e.g. --offline --config .verify/patch.toml).
+# shard engine syscall sweeps, the FaultVfs unit tests), then the
+# bench_faults binary — a full crash-at-every-syscall sweep plus seeded
+# random chaos — and writes BENCH_faults.json in the repo root. Any
+# extra arguments are passed to every cargo invocation (e.g. --offline
+# --config .verify/patch.toml).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,9 +13,6 @@ cargo test -q -p nc-shard --test syscall_sweep "$@"
 
 echo "=== docstore save syscall sweep ==="
 cargo test -q -p nc-docstore --test syscall_sweep "$@"
-
-echo "=== checkpoint atomic-write + resumable-import sweeps ==="
-cargo test -q -p nc-core "$@" -- write_atomic_crash_sweep crash_at_every_syscall
 
 echo "=== fault vfs unit tests ==="
 cargo test -q -p nc-vfs "$@"

@@ -1,11 +1,11 @@
 //! Fault-injection tests across the ingest and persistence layers:
-//! quarantine-mode import against corrupted TSV archives, crash-safe
-//! store persistence under deterministic chaos, and checkpointed
-//! archive runs that resume after an interruption.
+//! quarantine-mode import against corrupted TSV archives and crash-safe
+//! store persistence under deterministic chaos. (Interrupted-and-resumed
+//! quarantine ingest is the shard engine's:
+//! `crates/shard/tests/quarantine.rs`.)
 
 use std::path::{Path, PathBuf};
 
-use nc_suite::core::checkpoint;
 use nc_suite::core::cluster::ClusterStore;
 use nc_suite::core::record::DedupPolicy;
 use nc_suite::core::tsv::{self, ImportOptions, TsvError};
@@ -278,61 +278,4 @@ fn save_all_batch_survives_chaos_on_any_file() {
 
     std::fs::remove_dir_all(archive).unwrap();
     std::fs::remove_dir_all(saved).unwrap();
-}
-
-/// Kill-test: an archive import interrupted after snapshot `k` resumes
-/// to byte-identical import statistics — even with quarantined rows in
-/// the mix.
-#[test]
-fn interrupted_quarantine_import_resumes_identically() {
-    let (dirty, expected) = corrupted_archive(46);
-    let options = ImportOptions::quarantine();
-
-    // Reference: uninterrupted resumable run over the dirty archive.
-    let ref_state = tmp_dir("resume_ref");
-    let reference = checkpoint::import_archive_dir_resumable(
-        &dirty,
-        &ref_state,
-        DedupPolicy::Trimmed,
-        1,
-        &options,
-    )
-    .unwrap();
-
-    // Interrupted: first run only sees the first snapshot, second run
-    // the full archive.
-    let partial = tmp_dir("resume_partial");
-    std::fs::create_dir_all(&partial).unwrap();
-    let files = tsv::archive_files(&dirty).unwrap();
-    std::fs::copy(&files[0], partial.join(files[0].file_name().unwrap())).unwrap();
-
-    let state = tmp_dir("resume_state");
-    let first = checkpoint::import_archive_dir_resumable(
-        &partial,
-        &state,
-        DedupPolicy::Trimmed,
-        1,
-        &options,
-    )
-    .unwrap();
-    assert_eq!(first.imported_snapshots, 1);
-
-    let second = checkpoint::import_archive_dir_resumable(
-        &dirty,
-        &state,
-        DedupPolicy::Trimmed,
-        1,
-        &options,
-    )
-    .unwrap();
-    assert_eq!(second.resumed_snapshots, 1);
-    assert_eq!(second.imported_snapshots, 1);
-    assert_eq!(second.stats, reference.stats, "resumed stats must be identical");
-    assert_eq!(second.quarantine, reference.quarantine);
-    assert_eq!(second.store.record_count(), reference.store.record_count());
-    assert_eq!(second.store.cluster_count(), reference.store.cluster_count());
-
-    for d in [dirty, expected, ref_state, partial, state] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
