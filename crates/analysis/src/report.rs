@@ -264,19 +264,18 @@ pub fn analyze(data: &Dataset, config: &AnalysisConfig) -> ErrorProfile {
         merge_counts(&mut counts, scan_pairs(data, config, &analyzed, &gold));
     } else {
         let shard_len = gold.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = gold
                 .chunks(shard_len)
                 .map(|shard| {
                     let analyzed = &analyzed;
-                    scope.spawn(move |_| scan_pairs(data, config, analyzed, shard))
+                    scope.spawn(move || scan_pairs(data, config, analyzed, shard))
                 })
                 .collect();
             for handle in handles {
                 merge_counts(&mut counts, handle.join().expect("pair-scan worker panicked"));
             }
-        })
-        .expect("pair-scan pool panicked");
+        });
     }
 
     let records = data.len() as u64;

@@ -12,10 +12,7 @@
 //! Applied with bounds (0.06, 0.2), (0.2, 0.4) and (0.4, 1.0) this
 //! produces the paper's NC1, NC2 and NC3 datasets.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
+use nc_votergen::rng::Rng;
 use nc_votergen::schema::Row;
 
 use crate::cluster::ClusterStore;
@@ -150,11 +147,11 @@ fn carve<'a, R: AsRef<[Row]>>(
     params: &CustomizeParams,
 ) -> CustomDataset {
     assert!(params.h_low <= params.h_high, "invalid heterogeneity bounds");
-    let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut rng = Rng::seed_from_u64(params.seed);
 
     // Step 2a: random sample of clusters.
     let mut order: Vec<usize> = (0..count).collect();
-    order.shuffle(&mut rng);
+    rng.shuffle(&mut order);
     order.truncate(params.sample_clusters);
 
     // Step 2b: reduce every sampled cluster to records within the bounds.

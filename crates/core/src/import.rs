@@ -96,9 +96,9 @@ pub fn import_archive_streaming(
 ) -> Vec<ImportStats> {
     let mut all_stats = Vec::with_capacity(calendar.len());
     // Bounded channel: at most two snapshots in flight keeps memory flat.
-    let (tx, rx) = crossbeam::channel::bounded::<Snapshot>(2);
-    crossbeam::thread::scope(|scope| {
-        scope.spawn(|_| {
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Snapshot>(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
             for info in calendar {
                 let snap = registry.generate_snapshot(info);
                 if tx.send(snap).is_err() {
@@ -110,8 +110,7 @@ pub fn import_archive_streaming(
         for snapshot in rx.iter() {
             all_stats.push(import_snapshot(store, &snapshot, policy, version));
         }
-    })
-    .expect("import pipeline thread panicked");
+    });
     all_stats
 }
 

@@ -41,22 +41,6 @@ impl Digest {
         }
         s
     }
-
-    /// Parse a 32-character hex rendering back into a digest (the
-    /// inverse of [`Digest::to_hex`]; accepts either case).
-    pub fn from_hex(s: &str) -> Option<Digest> {
-        let bytes = s.as_bytes();
-        if bytes.len() != 32 {
-            return None;
-        }
-        let mut out = [0u8; 16];
-        for (i, pair) in bytes.chunks_exact(2).enumerate() {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
-            out[i] = (hi * 16 + lo) as u8;
-        }
-        Some(Digest(out))
-    }
 }
 
 impl std::fmt::Display for Digest {
@@ -258,14 +242,5 @@ mod tests {
     fn binary_input_supported() {
         let d = md5(&[0u8, 255, 128, 7]);
         assert_eq!(d.to_hex().len(), 32);
-    }
-
-    #[test]
-    fn hex_round_trip() {
-        let d = md5(b"round trip");
-        assert_eq!(Digest::from_hex(&d.to_hex()), Some(d));
-        assert_eq!(Digest::from_hex(&d.to_hex().to_uppercase()), Some(d));
-        assert_eq!(Digest::from_hex("short"), None);
-        assert_eq!(Digest::from_hex(&"zz".repeat(16)), None);
     }
 }

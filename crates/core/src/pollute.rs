@@ -10,11 +10,9 @@
 //! without touching the gold standard. It can also synthesize extra
 //! duplicate records (erroneous copies) to densify clusters.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use nc_votergen::config::ErrorRates;
 use nc_votergen::errors;
+use nc_votergen::rng::Rng;
 use nc_votergen::schema::{AttrGroup, Row, SCHEMA};
 
 use crate::customize::CustomDataset;
@@ -52,6 +50,32 @@ impl Default for PollutionConfig {
     }
 }
 
+impl PollutionConfig {
+    /// Validate rates; returns a description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        let rates = [
+            ("whitespace_rate", self.whitespace_rate),
+            ("confusion_rate", self.confusion_rate),
+            ("duplicate_rate", self.duplicate_rate),
+            ("rates.typo", self.rates.typo),
+            ("rates.ocr", self.rates.ocr),
+            ("rates.phonetic", self.rates.phonetic),
+            ("rates.abbreviation", self.rates.abbreviation),
+            ("rates.missing", self.rates.missing),
+            ("rates.case_flip", self.rates.case_flip),
+        ];
+        for (name, r) in rates {
+            if !(0.0..=1.0).contains(&r) {
+                return Err(format!("{name} must be in [0,1], got {r}"));
+            }
+        }
+        if self.rates.total() > 1.0 {
+            return Err(format!("rates sum to {} > 1", self.rates.total()));
+        }
+        Ok(())
+    }
+}
+
 /// Summary of what a pollution pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PollutionStats {
@@ -64,7 +88,7 @@ pub struct PollutionStats {
 }
 
 /// Corrupt one row in place; returns the number of corrupted values.
-fn pollute_row<R: Rng>(rng: &mut R, cfg: &PollutionConfig, row: &mut Row) -> u64 {
+fn pollute_row(rng: &mut Rng, cfg: &PollutionConfig, row: &mut Row) -> u64 {
     let mut corrupted = 0;
     for (attr, spec) in SCHEMA.iter().enumerate() {
         if cfg.person_attrs_only && spec.group != AttrGroup::Person {
@@ -94,9 +118,13 @@ fn pollute_row<R: Rng>(rng: &mut R, cfg: &PollutionConfig, row: &mut Row) -> u64
 ///
 /// The cluster structure (the gold standard) is preserved: corrupted
 /// records keep their cluster membership and synthesized duplicates are
-/// appended to the cluster they copy.
+/// appended to the cluster they copy. Panics when the configuration is
+/// invalid, before anything is drawn or mutated.
 pub fn pollute(dataset: &mut CustomDataset, cfg: &PollutionConfig) -> PollutionStats {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    if let Err(e) = cfg.validate() {
+        panic!("invalid pollution config: {e}");
+    }
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut stats = PollutionStats::default();
     for cluster in &mut dataset.clusters {
         let mut extra: Vec<Row> = Vec::new();
@@ -182,6 +210,33 @@ mod tests {
         for (a, b) in before.iter().zip(&ds.clusters) {
             assert_eq!(a.records, b.records);
         }
+    }
+
+    #[test]
+    fn invalid_rate_is_rejected_by_name_before_any_mutation() {
+        let typos = ErrorRates {
+            typo: 1.0,
+            ..ErrorRates::none()
+        };
+        let cases = [
+            ("duplicate_rate", PollutionConfig { rates: typos, duplicate_rate: 1.5, ..Default::default() }),
+            ("confusion_rate", PollutionConfig { rates: typos, confusion_rate: f64::NAN, ..Default::default() }),
+            ("whitespace_rate", PollutionConfig { rates: typos, whitespace_rate: -0.1, ..Default::default() }),
+            ("rates.ocr", PollutionConfig { rates: ErrorRates { ocr: 2.0, ..typos }, ..Default::default() }),
+            ("rates sum", PollutionConfig { rates: ErrorRates { missing: 0.5, ..typos }, ..Default::default() }),
+        ];
+        for (field, cfg) in cases {
+            assert!(cfg.validate().unwrap_err().contains(field));
+            let mut ds = dataset();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pollute(&mut ds, &cfg)))
+                .expect_err("an invalid config must not run");
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains(field), "{message}");
+            for (a, b) in dataset().clusters.iter().zip(&ds.clusters) {
+                assert_eq!(a.records, b.records, "{field}: dataset left untouched");
+            }
+        }
+        assert_eq!(PollutionConfig::default().validate(), Ok(()));
     }
 
     #[test]

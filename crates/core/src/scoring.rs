@@ -74,12 +74,12 @@ where
     // division so at most `threads` shards exist.
     let shard_len = clusters.len().div_ceil(threads);
     let mut out = Vec::with_capacity(clusters.len());
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = clusters
             .chunks(shard_len)
             .map(|shard| {
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = Scratch::new();
                     shard.iter().map(|c| f(&mut scratch, c)).collect::<Vec<T>>()
                 })
@@ -88,8 +88,7 @@ where
         for handle in handles {
             out.extend(handle.join().expect("scoring worker panicked"));
         }
-    })
-    .expect("scoring pool panicked");
+    });
     out
 }
 

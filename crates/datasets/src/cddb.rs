@@ -6,10 +6,9 @@
 //! Duplicates differ in punctuation, casing, artist-token order
 //! ("BEATLES, THE"), missing years and typos.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use nc_detect::dataset::Dataset;
+use nc_votergen::errors::typo;
+use nc_votergen::rng::Rng;
 
 use crate::corrupt;
 
@@ -58,7 +57,7 @@ struct TrueCd {
     label: usize,
 }
 
-fn random_cd(rng: &mut StdRng) -> TrueCd {
+fn random_cd(rng: &mut Rng) -> TrueCd {
     let artist = {
         let n = rng.gen_range(1..=3);
         (0..n)
@@ -83,7 +82,7 @@ fn random_cd(rng: &mut StdRng) -> TrueCd {
     }
 }
 
-fn render(rng: &mut StdRng, cd: &TrueCd, is_duplicate: bool) -> Vec<String> {
+fn render(rng: &mut Rng, cd: &TrueCd, is_duplicate: bool) -> Vec<String> {
     let mut artist = cd.artist.clone();
     let mut title = cd.title.clone();
     let mut year = cd.year.to_string();
@@ -102,7 +101,7 @@ fn render(rng: &mut StdRng, cd: &TrueCd, is_duplicate: bool) -> Vec<String> {
             title = corrupt::repunctuate(rng, &title);
         }
         if rng.gen_bool(0.25) {
-            title = corrupt::typo(rng, &title);
+            title = typo(rng, &title);
         }
         if rng.gen_bool(0.3) {
             year = String::new();
@@ -121,7 +120,7 @@ fn render(rng: &mut StdRng, cd: &TrueCd, is_duplicate: bool) -> Vec<String> {
 
 /// Generate the CDDB-like dataset.
 pub fn generate(seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xCDDB);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xCDDB);
     let mut data = Dataset::new(ATTRS.iter().map(|s| (*s).to_owned()).collect());
     for (cluster, size) in cluster_sizes().into_iter().enumerate() {
         let cd = random_cd(&mut rng);

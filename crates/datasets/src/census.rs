@@ -6,10 +6,9 @@
 //! — the paper's Table 4 reports that 65 % of its duplicate pairs differ
 //! in the last name by one character.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use nc_detect::dataset::Dataset;
+use nc_votergen::errors::typo;
+use nc_votergen::rng::Rng;
 
 use crate::corrupt;
 
@@ -62,7 +61,7 @@ struct TruePerson {
     street: String,
 }
 
-fn random_person(rng: &mut StdRng) -> TruePerson {
+fn random_person(rng: &mut Rng) -> TruePerson {
     TruePerson {
         last: LAST[rng.gen_range(0..LAST.len())].to_owned(),
         first: FIRST[rng.gen_range(0..FIRST.len())].to_owned(),
@@ -73,7 +72,7 @@ fn random_person(rng: &mut StdRng) -> TruePerson {
     }
 }
 
-fn render(rng: &mut StdRng, p: &TruePerson, is_duplicate: bool) -> Vec<String> {
+fn render(rng: &mut Rng, p: &TruePerson, is_duplicate: bool) -> Vec<String> {
     let mut last = p.last.clone();
     let mut first = p.first.clone();
     let mut midl = p.midl.to_string();
@@ -83,10 +82,10 @@ fn render(rng: &mut StdRng, p: &TruePerson, is_duplicate: bool) -> Vec<String> {
         // Heavy typo profile: most duplicate re-entries corrupt the last
         // name, many also the first.
         if rng.gen_bool(0.65) {
-            last = corrupt::typo(rng, &last);
+            last = typo(rng, &last);
         }
         if rng.gen_bool(0.35) {
-            first = corrupt::typo(rng, &first);
+            first = typo(rng, &first);
         }
         if rng.gen_bool(0.2) {
             first = corrupt::initialize(&first);
@@ -95,7 +94,7 @@ fn render(rng: &mut StdRng, p: &TruePerson, is_duplicate: bool) -> Vec<String> {
             midl = String::new();
         }
         if rng.gen_bool(0.1) {
-            house = corrupt::typo(rng, &house);
+            house = typo(rng, &house);
         }
     }
     vec![last, first, midl, p.zip.clone(), house, p.street.clone()]
@@ -103,7 +102,7 @@ fn render(rng: &mut StdRng, p: &TruePerson, is_duplicate: bool) -> Vec<String> {
 
 /// Generate the Census-like dataset.
 pub fn generate(seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xCE9505);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xCE9505);
     let mut data = Dataset::new(ATTRS.iter().map(|s| (*s).to_owned()).collect());
     for (cluster, size) in cluster_sizes().into_iter().enumerate() {
         let person = random_person(&mut rng);

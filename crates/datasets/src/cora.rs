@@ -6,10 +6,9 @@
 //! same paper differ in author formatting, venue abbreviations, dropped
 //! tokens, page/volume notation and typos.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use nc_detect::dataset::Dataset;
+use nc_votergen::errors::typo;
+use nc_votergen::rng::Rng;
 
 use crate::corrupt;
 
@@ -92,7 +91,7 @@ struct Paper {
     publisher: usize,
 }
 
-fn random_paper(rng: &mut StdRng) -> Paper {
+fn random_paper(rng: &mut Rng) -> Paper {
     let n_authors = rng.gen_range(1..=3);
     let authors = (0..n_authors)
         .map(|_| {
@@ -120,7 +119,7 @@ fn random_paper(rng: &mut StdRng) -> Paper {
 }
 
 /// Render one citation of a paper with style variation and errors.
-fn cite(rng: &mut StdRng, paper: &Paper) -> Vec<String> {
+fn cite(rng: &mut Rng, paper: &Paper) -> Vec<String> {
     let mut values = vec![String::new(); ATTRS.len()];
 
     // Authors: one of several common styles.
@@ -144,7 +143,7 @@ fn cite(rng: &mut StdRng, paper: &Paper) -> Vec<String> {
     // Title with occasional corruption.
     let mut title = paper.title.clone();
     if rng.gen_bool(0.25) {
-        title = corrupt::typo(rng, &title);
+        title = typo(rng, &title);
     }
     if rng.gen_bool(0.15) {
         title = corrupt::drop_token(rng, &title);
@@ -197,7 +196,7 @@ fn cite(rng: &mut StdRng, paper: &Paper) -> Vec<String> {
 
 /// Generate the Cora-like dataset.
 pub fn generate(seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC04A);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xC04A);
     let mut data = Dataset::new(ATTRS.iter().map(|s| (*s).to_owned()).collect());
     for (cluster, size) in cluster_sizes().into_iter().enumerate() {
         let paper = random_paper(&mut rng);

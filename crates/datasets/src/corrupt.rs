@@ -4,37 +4,7 @@
 //! strings accumulate abbreviations and token drops, census records are
 //! dominated by typos, CD titles differ in punctuation and casing.
 
-use rand::Rng;
-
-const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ";
-
-/// Apply a single random character typo (substitute/delete/insert/
-/// transpose). Strings shorter than two characters pass through.
-pub fn typo<R: Rng>(rng: &mut R, s: &str) -> String {
-    let mut chars: Vec<char> = s.chars().collect();
-    if chars.len() < 2 {
-        return s.to_owned();
-    }
-    match rng.gen_range(0..4u8) {
-        0 => {
-            let i = rng.gen_range(0..chars.len());
-            chars[i] = ALPHABET[rng.gen_range(0..ALPHABET.len())] as char;
-        }
-        1 => {
-            let i = rng.gen_range(0..chars.len());
-            chars.remove(i);
-        }
-        2 => {
-            let i = rng.gen_range(0..=chars.len());
-            chars.insert(i, ALPHABET[rng.gen_range(0..ALPHABET.len())] as char);
-        }
-        _ => {
-            let i = rng.gen_range(0..chars.len() - 1);
-            chars.swap(i, i + 1);
-        }
-    }
-    chars.into_iter().collect()
-}
+use nc_votergen::rng::Rng;
 
 /// Abbreviate every token of a phrase to its first letter with a dot
 /// (`COMPUTER SCIENCE` → `C. S.`).
@@ -47,7 +17,7 @@ pub fn abbreviate_tokens(s: &str) -> String {
 }
 
 /// Drop one random token from a phrase (no-op on single-token strings).
-pub fn drop_token<R: Rng>(rng: &mut R, s: &str) -> String {
+pub fn drop_token(rng: &mut Rng, s: &str) -> String {
     let toks: Vec<&str> = s.split_whitespace().collect();
     if toks.len() < 2 {
         return s.to_owned();
@@ -62,7 +32,7 @@ pub fn drop_token<R: Rng>(rng: &mut R, s: &str) -> String {
 }
 
 /// Swap two adjacent tokens (token transposition).
-pub fn swap_tokens<R: Rng>(rng: &mut R, s: &str) -> String {
+pub fn swap_tokens(rng: &mut Rng, s: &str) -> String {
     let mut toks: Vec<&str> = s.split_whitespace().collect();
     if toks.len() < 2 {
         return s.to_owned();
@@ -73,7 +43,7 @@ pub fn swap_tokens<R: Rng>(rng: &mut R, s: &str) -> String {
 }
 
 /// Re-punctuate: replace spaces with a random separator style.
-pub fn repunctuate<R: Rng>(rng: &mut R, s: &str) -> String {
+pub fn repunctuate(rng: &mut Rng, s: &str) -> String {
     let sep = [" ", "-", ", ", " / "][rng.gen_range(0..4)];
     s.split_whitespace().collect::<Vec<_>>().join(sep)
 }
@@ -106,21 +76,9 @@ pub fn initialize(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(9)
-    }
-
-    #[test]
-    fn typo_is_single_edit() {
-        let mut r = rng();
-        for _ in 0..50 {
-            let out = typo(&mut r, "CITATION");
-            assert!(nc_similarity::damerau::distance("CITATION", &out) <= 1);
-        }
-        assert_eq!(typo(&mut r, "A"), "A");
+    fn rng() -> Rng {
+        Rng::seed_from_u64(9)
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! id `i`, with the smaller ids deduplicated through a per-record
 //! sorted run). Because emission order is a pure function of the
 //! record order, the parallel probe — contiguous record ranges over a
-//! scoped crossbeam pool, buffers concatenated in range order — is
+//! scoped thread pool, buffers concatenated in range order — is
 //! bit-identical to the sequential one for every thread count. The
 //! `threads: 0` sentinel resolves to the available hardware
 //! parallelism, following the `nc_core::scoring::ScoringConfig`
@@ -204,14 +204,14 @@ where
         .step_by(chunk_len)
         .map(|lo| lo..(lo + chunk_len).min(n))
         .collect();
-    let buffers: Vec<Vec<Pair>> = crossbeam::thread::scope(|scope| {
+    let buffers: Vec<Vec<Pair>> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .iter()
             .cloned()
             .map(|range| {
                 let per_record = &per_record;
                 let make_scratch = &make_scratch;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = make_scratch();
                     let mut out = Vec::new();
                     for i in range {
@@ -225,8 +225,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("probe worker panicked"))
             .collect()
-    })
-    .expect("probe pool panicked");
+    });
     for buffer in buffers {
         for p in buffer {
             sink.push(p);

@@ -2,9 +2,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::collection::Collection;
 use crate::persist::{self, PersistError, SalvageReport};
@@ -15,6 +13,12 @@ use crate::persist::{self, PersistError, SalvageReport};
 /// its own lock so that independent collections can be written in
 /// parallel (the paper's update process imports several snapshots
 /// concurrently).
+///
+/// The store's own methods recover a poisoned lock instead of failing:
+/// a writer that panicked leaves its collection as far as it got, and
+/// one lost writer must not wedge `save_all` and every later reader.
+/// Callers locking a [`DocStore::collection`] handle themselves choose
+/// per call site (`unwrap`, or `PoisonError::into_inner`).
 #[derive(Debug, Default)]
 pub struct DocStore {
     collections: RwLock<HashMap<String, Arc<RwLock<Collection>>>>,
@@ -28,10 +32,12 @@ impl DocStore {
 
     /// Get (or create) the collection with the given name.
     pub fn collection(&self, name: &str) -> Arc<RwLock<Collection>> {
-        if let Some(c) = self.collections.read().get(name) {
+        let map = self.collections.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(c) = map.get(name) {
             return Arc::clone(c);
         }
-        let mut map = self.collections.write();
+        drop(map);
+        let mut map = self.collections.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry(name.to_owned())
                 .or_insert_with(|| Arc::new(RwLock::new(Collection::new(name)))),
@@ -40,14 +46,16 @@ impl DocStore {
 
     /// Names of all existing collections, sorted.
     pub fn collection_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.collections.read().keys().cloned().collect();
+        let map = self.collections.read().unwrap_or_else(PoisonError::into_inner);
+        let mut names: Vec<String> = map.keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Drop a collection. Returns `true` if it existed.
     pub fn drop_collection(&self, name: &str) -> bool {
-        self.collections.write().remove(name).is_some()
+        let mut map = self.collections.write().unwrap_or_else(PoisonError::into_inner);
+        map.remove(name).is_some()
     }
 
     /// Persist every collection into `dir` as `<name>.jsonl`.
@@ -63,7 +71,7 @@ impl DocStore {
         std::fs::create_dir_all(dir)?;
         for name in self.collection_names() {
             let coll = self.collection(&name);
-            let coll = coll.read();
+            let coll = coll.read().unwrap_or_else(PoisonError::into_inner);
             persist::save(&coll, &dir.join(format!("{name}.jsonl")))?;
         }
         persist::sync_dir(dir)?;
@@ -75,7 +83,7 @@ impl DocStore {
     /// Loading is strict: a single damaged file fails the whole load.
     /// Use [`DocStore::salvage_all`] to recover what is intact instead.
     pub fn load_all(dir: &Path) -> Result<Self, PersistError> {
-        let store = Self::new();
+        let mut map = HashMap::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let path = entry.path();
@@ -86,13 +94,10 @@ impl DocStore {
                     .unwrap_or("unnamed")
                     .to_owned();
                 let coll = persist::load(&name, &path)?;
-                store
-                    .collections
-                    .write()
-                    .insert(name, Arc::new(RwLock::new(coll)));
+                map.insert(name, Arc::new(RwLock::new(coll)));
             }
         }
-        Ok(store)
+        Ok(DocStore { collections: RwLock::new(map) })
     }
 
     /// Salvage every `*.jsonl` file in `dir`: each collection keeps its
@@ -100,7 +105,7 @@ impl DocStore {
     /// exactly what (if anything) was dropped. Only failing to read the
     /// directory or a file at all is an error.
     pub fn salvage_all(dir: &Path) -> Result<(Self, Vec<(String, SalvageReport)>), PersistError> {
-        let store = Self::new();
+        let mut map = HashMap::new();
         let mut reports = Vec::new();
         let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
             .filter_map(|e| e.ok().map(|e| e.path()))
@@ -115,12 +120,9 @@ impl DocStore {
                 .to_owned();
             let salvage = persist::salvage(&name, &path)?;
             reports.push((name.clone(), salvage.report));
-            store
-                .collections
-                .write()
-                .insert(name, Arc::new(RwLock::new(salvage.collection)));
+            map.insert(name, Arc::new(RwLock::new(salvage.collection)));
         }
-        Ok((store, reports))
+        Ok((DocStore { collections: RwLock::new(map) }, reports))
     }
 }
 
@@ -134,7 +136,7 @@ mod tests {
     fn lazily_creates_collections() {
         let store = DocStore::new();
         assert!(store.collection_names().is_empty());
-        store.collection("a").write().insert(doc! { "x" => 1_i64 });
+        store.collection("a").write().unwrap().insert(doc! { "x" => 1_i64 });
         store.collection("b");
         assert_eq!(store.collection_names(), vec!["a", "b"]);
     }
@@ -144,8 +146,8 @@ mod tests {
         let store = DocStore::new();
         let h1 = store.collection("shared");
         let h2 = store.collection("shared");
-        h1.write().insert(doc! { "x" => 1_i64 });
-        assert_eq!(h2.read().len(), 1);
+        h1.write().unwrap().insert(doc! { "x" => 1_i64 });
+        assert_eq!(h2.read().unwrap().len(), 1);
     }
 
     #[test]
@@ -165,7 +167,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let coll = store.collection(&format!("c{i}"));
                 for j in 0..100_i64 {
-                    coll.write().insert(doc! { "j" => j });
+                    coll.write().unwrap().insert(doc! { "j" => j });
                 }
             }));
         }
@@ -173,7 +175,7 @@ mod tests {
             h.join().unwrap();
         }
         for i in 0..4 {
-            assert_eq!(store.collection(&format!("c{i}")).read().len(), 100);
+            assert_eq!(store.collection(&format!("c{i}")).read().unwrap().len(), 100);
         }
     }
 
@@ -182,14 +184,14 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("nc_docstore_store_{}", std::process::id()));
         let store = DocStore::new();
-        store.collection("x").write().insert(doc! { "v" => "one" });
-        store.collection("y").write().insert(doc! { "v" => "two" });
+        store.collection("x").write().unwrap().insert(doc! { "v" => "one" });
+        store.collection("y").write().unwrap().insert(doc! { "v" => "two" });
         store.save_all(&dir).unwrap();
 
         let loaded = DocStore::load_all(&dir).unwrap();
         assert_eq!(loaded.collection_names(), vec!["x", "y"]);
         let y = loaded.collection("y");
-        let y = y.read();
+        let y = y.read().unwrap();
         assert!(y.find_one(&Filter::eq("v", "two")).is_some());
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -199,8 +201,8 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("nc_docstore_salvage_{}", std::process::id()));
         let store = DocStore::new();
-        store.collection("ok").write().insert(doc! { "v" => "fine" });
-        store.collection("hurt").write().insert(doc! { "v" => "gone" });
+        store.collection("ok").write().unwrap().insert(doc! { "v" => "fine" });
+        store.collection("hurt").write().unwrap().insert(doc! { "v" => "gone" });
         store.save_all(&dir).unwrap();
 
         // Tear the second collection's file mid-line.
@@ -214,7 +216,40 @@ mod tests {
         let by_name: HashMap<_, _> = reports.into_iter().collect();
         assert!(by_name["ok"].is_clean());
         assert!(!by_name["hurt"].is_clean());
-        assert_eq!(salvaged.collection("ok").read().len(), 1);
+        assert_eq!(salvaged.collection("ok").read().unwrap().len(), 1);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A writer that panics while holding a collection's write lock
+    /// poisons it; the store keeps reading, saving and salvaging what
+    /// the writer had completed.
+    #[test]
+    fn a_panicking_writer_does_not_wedge_the_store() {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("nc_docstore_poison_{}", std::process::id()));
+        let store = DocStore::new();
+        store.collection("calm").write().unwrap().insert(doc! { "v" => "fine" });
+        let writer = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let coll = store.collection("hit");
+                let mut coll = coll.write().unwrap();
+                coll.insert(doc! { "v" => "kept" });
+                panic!("writer dies holding the lock");
+            });
+            writer.join()
+        });
+        assert!(writer.is_err());
+
+        let hit = store.collection("hit");
+        assert!(hit.read().is_err(), "std reports the poison to direct lockers");
+        assert_eq!(hit.read().unwrap_or_else(PoisonError::into_inner).len(), 1);
+        assert_eq!(store.collection_names(), vec!["calm", "hit"]);
+        store.save_all(&dir).unwrap();
+        let (salvaged, reports) = DocStore::salvage_all(&dir).unwrap();
+        assert!(reports.iter().all(|(_, report)| report.is_clean()));
+        assert_eq!(salvaged.collection("hit").read().unwrap().len(), 1);
+        assert_eq!(salvaged.collection("calm").read().unwrap().len(), 1);
+        assert!(store.drop_collection("hit"));
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

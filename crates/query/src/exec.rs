@@ -7,13 +7,15 @@
 //! time, to the docstore's own [`Stage::apply`], so planned execution is
 //! equivalent to a naive [`Pipeline::run_docs`] by construction — the
 //! only part the planner changes is how the first stage sources rows.
-//! The `sample` stage (which docstore pipelines do not model) uses a
-//! self-contained splitmix64 + Fisher–Yates shuffle, so the same
-//! `(seed, query, version)` reproduces the same sample on every build.
+//! The `sample` stage (which docstore pipelines do not model) is a
+//! partial Fisher–Yates shuffle over the workspace PRNG
+//! ([`nc_votergen::rng`]), so the same `(seed, query, version)`
+//! reproduces the same sample on every build.
 
 use nc_docstore::pipeline::Pipeline;
 use nc_docstore::plan::{ConjunctAccess, ConjunctDecision};
 use nc_docstore::value::{Document, Value};
+use nc_votergen::rng::Rng;
 
 use crate::ast::{CarveQuery, QueryStage};
 use crate::catalog::ClusterCatalog;
@@ -352,9 +354,8 @@ pub fn execute_naive(catalog: &ClusterCatalog, query: &CarveQuery) -> Vec<Docume
 
 /// Seeded deterministic sampling. Keeps up to `size` documents (per
 /// stratum when `by` is set), preserving the incoming stream order of
-/// the survivors. Uses splitmix64 + a partial Fisher–Yates shuffle, so
-/// the sample depends only on `(seed, stream length, strata)` — never
-/// on platform RNGs, making carves reproducible across builds.
+/// the survivors. The sample depends only on `(seed, stream length,
+/// strata)`, making carves reproducible across builds.
 pub fn sample_docs(docs: Vec<Document>, size: usize, seed: u64, by: Option<&str>) -> Vec<Document> {
     match by {
         None => {
@@ -390,17 +391,15 @@ pub fn sample_docs(docs: Vec<Document>, size: usize, seed: u64, by: Option<&str>
 }
 
 /// `k` distinct indices from `0..n`, ascending, via partial
-/// Fisher–Yates over a splitmix64 stream.
+/// Fisher–Yates.
 fn choose(n: usize, k: usize, seed: u64) -> Vec<usize> {
     if k >= n {
         return (0..n).collect();
     }
     let mut idx: Vec<usize> = (0..n).collect();
-    let mut state = seed ^ 0x6C62_272E_07BB_0142;
+    let mut rng = Rng::seed_from_u64(seed ^ 0x6C62_272E_07BB_0142);
     for i in 0..k {
-        // Modulo bias is irrelevant here: the draw only needs to be
-        // deterministic and well-spread, not cryptographically uniform.
-        let j = i + (splitmix64(&mut state) as usize) % (n - i);
+        let j = rng.gen_range(i..n);
         idx.swap(i, j);
     }
     let mut keep = idx[..k].to_vec();
@@ -413,14 +412,6 @@ fn take_indices(docs: Vec<Document>, keep: Vec<usize>) -> Vec<Document> {
     keep.into_iter()
         .filter_map(|i| slots.get_mut(i).and_then(Option::take))
         .collect()
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -454,6 +445,20 @@ mod tests {
         let snapshot = StoreSnapshot::from_clusters(7, clusters);
         let het = snapshot.entropy_scorer(Scope::Person);
         ClusterCatalog::build(&snapshot, &het)
+    }
+
+    /// Recorded before `choose` moved onto the workspace PRNG: a served
+    /// `sample` carve must not move a byte.
+    #[test]
+    fn choose_stream_is_pinned() {
+        assert_eq!(choose(10, 3, 0), [2, 4, 5]);
+        assert_eq!(choose(1000, 5, 42), [55, 357, 477, 727, 960]);
+        assert_eq!(choose(7, 6, u64::MAX), [0, 1, 2, 3, 5, 6]);
+        assert_eq!(choose(5, 5, 9), [0, 1, 2, 3, 4]);
+        assert_eq!(
+            choose(100, 20, 7),
+            [7, 10, 14, 16, 17, 19, 26, 28, 41, 42, 45, 49, 55, 56, 69, 72, 81, 84, 86, 96]
+        );
     }
 
     #[test]

@@ -42,10 +42,10 @@
 //!   chunked JSON lines so subscribers can catch up incrementally —
 //!   or learn (via `410 Gone`) that they must re-fetch a full carve.
 //!
-//! Requests are dispatched to a crossbeam-channel worker pool sized by
-//! [`nc_core::scoring::ScoringConfig`] — the same "0 means hardware
-//! parallelism, degrade to inline on one core" machinery the scoring
-//! pool uses.
+//! Requests are dispatched over a bounded channel to a worker pool
+//! sized by [`nc_core::scoring::ScoringConfig`] — the same "0 means
+//! hardware parallelism, degrade to inline on one core" machinery the
+//! scoring pool uses.
 //!
 //! Correctness invariant (asserted by `tests/serve.rs`): a carve
 //! response pinned to version `v` is **bit-identical** to calling

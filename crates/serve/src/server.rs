@@ -2,7 +2,7 @@
 //! shutdown.
 //!
 //! Connections are accepted on a nonblocking `std::net::TcpListener`
-//! and pushed into a bounded crossbeam channel; a pool of worker
+//! and pushed into a bounded `mpsc` channel; a pool of worker
 //! threads (sized by [`nc_core::scoring::ScoringConfig`] — the same
 //! "0 means hardware parallelism" convention as the scoring pool)
 //! drains the channel and handles one request per connection. Shutdown
@@ -25,10 +25,10 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::TrySendError;
 use nc_core::scoring::ScoringConfig;
 use nc_docstore::json;
 use nc_query::{CarveQuery, QueryError, QueryErrorKind};
@@ -199,16 +199,16 @@ fn run(listener: TcpListener, state: Arc<ServeState>, stop: Arc<AtomicBool>) {
         .max(1);
     let queue_depth = state.config.queue_depth.max(1);
 
-    crossbeam::thread::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(queue_depth);
-        // The crossbeam stub's Receiver wraps mpsc (not Sync), so the
+    std::thread::scope(|scope| {
+        let (tx, rx) = sync_channel::<TcpStream>(queue_depth);
+        // An `mpsc` receiver is single-consumer (`!Sync`), so the
         // workers share it behind a mutex; each holds the lock only
         // while blocked in `recv`, never while handling a connection.
         let rx = Arc::new(Mutex::new(rx));
         for _ in 0..workers {
             let rx = Arc::clone(&rx);
             let state = Arc::clone(&state);
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 // Outer supervision layer: if a panic ever escapes the
                 // per-request catch in `handle_connection`, count it
                 // and resurrect the worker instead of shrinking the
@@ -254,8 +254,7 @@ fn run(listener: TcpListener, state: Arc<ServeState>, stop: Arc<AtomicBool>) {
         // Dropping the sender lets the workers drain what is queued and
         // then exit; the scope joins them before `run` returns.
         drop(tx);
-    })
-    .expect("serve scope");
+    });
 }
 
 /// Turn a connection away because the worker queue is full: `503` with

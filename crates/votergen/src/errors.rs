@@ -8,9 +8,8 @@
 //! multi-attribute corruptions ([`confuse_values`], [`integrate_value`],
 //! [`scatter_values`]) act on the (first, middle, last) name triple.
 
-use rand::Rng;
-
 use crate::config::ErrorRates;
+use crate::rng::Rng;
 use crate::schema::{Row, FIRST_NAME, LAST_NAME, MIDL_NAME};
 
 /// Visually confusable (letter, digit) pairs used for OCR errors.
@@ -44,7 +43,7 @@ const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ";
 
 /// Introduce a single random typo (insert, delete, substitute or
 /// transpose). Values shorter than two characters are returned unchanged.
-pub fn typo<R: Rng>(rng: &mut R, s: &str) -> String {
+pub fn typo(rng: &mut Rng, s: &str) -> String {
     let chars: Vec<char> = s.chars().collect();
     if chars.len() < 2 {
         return s.to_owned();
@@ -79,7 +78,7 @@ pub fn typo<R: Rng>(rng: &mut R, s: &str) -> String {
 
 /// Replace one letter with its visually confusable digit (an OCR error).
 /// Returns the input unchanged if it contains no confusable letter.
-pub fn ocr_corrupt<R: Rng>(rng: &mut R, s: &str) -> String {
+pub fn ocr_corrupt(rng: &mut Rng, s: &str) -> String {
     let positions: Vec<(usize, char)> = s
         .char_indices()
         .filter_map(|(i, c)| {
@@ -102,7 +101,7 @@ pub fn ocr_corrupt<R: Rng>(rng: &mut R, s: &str) -> String {
 
 /// Apply a phonetic-preserving misspelling. Returns the input unchanged
 /// when no rewrite applies.
-pub fn phonetic_corrupt<R: Rng>(rng: &mut R, s: &str) -> String {
+pub fn phonetic_corrupt(rng: &mut Rng, s: &str) -> String {
     let applicable: Vec<&(&str, &str)> = PHONETIC_REWRITES
         .iter()
         .filter(|(from, _)| s.contains(from))
@@ -116,7 +115,7 @@ pub fn phonetic_corrupt<R: Rng>(rng: &mut R, s: &str) -> String {
 
 /// Abbreviate a value to its first letter, optionally followed by a
 /// period.
-pub fn abbreviate<R: Rng>(rng: &mut R, s: &str) -> String {
+pub fn abbreviate(rng: &mut Rng, s: &str) -> String {
     match s.chars().next() {
         Some(c) if c.is_alphabetic() => {
             if rng.gen_bool(0.5) {
@@ -130,7 +129,7 @@ pub fn abbreviate<R: Rng>(rng: &mut R, s: &str) -> String {
 }
 
 /// Add stray leading and/or trailing whitespace.
-pub fn pad_whitespace<R: Rng>(rng: &mut R, s: &str) -> String {
+pub fn pad_whitespace(rng: &mut Rng, s: &str) -> String {
     if s.is_empty() {
         return s.to_owned();
     }
@@ -147,7 +146,7 @@ pub fn lowercase_value(s: &str) -> String {
 }
 
 /// Produce an outlier age value such as the paper's `age = 5069`.
-pub fn make_outlier_age<R: Rng>(rng: &mut R) -> String {
+pub fn make_outlier_age(rng: &mut Rng) -> String {
     if rng.gen_bool(0.5) {
         // Concatenation artifact: two plausible ages glued together.
         format!("{}{}", rng.gen_range(18..99), rng.gen_range(18..99))
@@ -158,7 +157,7 @@ pub fn make_outlier_age<R: Rng>(rng: &mut R) -> String {
 }
 
 /// Swap the values of two name attributes (a value confusion).
-pub fn confuse_values<R: Rng>(rng: &mut R, row: &mut Row) {
+pub fn confuse_values(rng: &mut Rng, row: &mut Row) {
     let pairs = [
         (FIRST_NAME, MIDL_NAME),
         (MIDL_NAME, LAST_NAME),
@@ -186,7 +185,7 @@ pub fn integrate_value(row: &mut Row) {
 /// Scatter the tokens of first + middle name across the two attributes
 /// differently (e.g. `AN LE` + `MA` → `AN` + `LE MA`). No-op when there
 /// are fewer than two tokens in total.
-pub fn scatter_values<R: Rng>(rng: &mut R, row: &mut Row) {
+pub fn scatter_values(rng: &mut Rng, row: &mut Row) {
     let first_tokens = row.get(FIRST_NAME).split_whitespace().count();
     let mut toks: Vec<String> = Vec::new();
     toks.extend(row.get(FIRST_NAME).split_whitespace().map(str::to_owned));
@@ -213,7 +212,7 @@ pub fn scatter_values<R: Rng>(rng: &mut R, row: &mut Row) {
 /// differences; stacking many corruptions on one value would mostly
 /// create unclassifiable noise, which exists in the real data but is
 /// rare).
-pub fn corrupt_value<R: Rng>(rng: &mut R, rates: &ErrorRates, s: &str) -> String {
+pub fn corrupt_value(rng: &mut Rng, rates: &ErrorRates, s: &str) -> String {
     if s.is_empty() {
         return s.to_owned();
     }
@@ -249,11 +248,9 @@ pub fn corrupt_value<R: Rng>(rng: &mut R, rates: &ErrorRates, s: &str) -> String
 mod tests {
     use super::*;
     use nc_similarity::soundex::soundex;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(42)
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //! Records carry the voter's stable `NCID`, so the gold standard comes
 //! for free — exactly the property the paper exploits.
 //!
-//! Generation is deterministic given a [`config::GeneratorConfig`] seed,
-//! and streaming: snapshots are produced one at a time so that archives
-//! far larger than memory can be fed into the `nc-core` import pipeline.
+//! Generation is deterministic given a [`config::GeneratorConfig`] seed
+//! — the stream behind it is the in-tree [`rng::Rng`], so the same seed
+//! yields the same bytes on every build — and streaming: snapshots are
+//! produced one at a time so that archives far larger than memory can
+//! be fed into the `nc-core` import pipeline.
 //!
 //! # Example
 //!
@@ -51,5 +53,6 @@ pub mod errors;
 pub mod names;
 pub mod person;
 pub mod registry;
+pub mod rng;
 pub mod schema;
 pub mod snapshot;

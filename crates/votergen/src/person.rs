@@ -7,12 +7,11 @@
 //! between, which is exactly how the real register accumulates outdated
 //! values.
 
-use rand::Rng;
-
 use crate::config::GeneratorConfig;
 use crate::date::Date;
 use crate::errors;
 use crate::names;
+use crate::rng::Rng;
 use crate::schema::{self, Row};
 
 /// Voter registration status.
@@ -120,7 +119,7 @@ pub struct Person {
 impl Person {
     /// Create a random voter (true state only; call
     /// [`Person::register`] to capture the recorded entry).
-    pub fn random<R: Rng>(rng: &mut R, id: u64, ncid: String, current_year: i32) -> Self {
+    pub fn random(rng: &mut Rng, id: u64, ncid: String, current_year: i32) -> Self {
         let female = rng.gen_bool(0.52);
         let sex_undesignated = rng.gen_bool(0.02);
         let first_pool = if female {
@@ -193,7 +192,7 @@ impl Person {
 
     /// Capture the recorded register entry from a hand-filled form,
     /// injecting errors per the configured rates.
-    pub fn register<R: Rng>(&mut self, rng: &mut R, cfg: &GeneratorConfig, date: Date) {
+    pub fn register(&mut self, rng: &mut Rng, cfg: &GeneratorConfig, date: Date) {
         self.registr_dt = date;
         let rates = &cfg.error_rates;
         let mut row = Row::empty();
@@ -304,9 +303,9 @@ impl Person {
     ///
     /// Per-emission effects (stray whitespace, age jitter) are re-rolled
     /// here; everything else comes from the recorded entry.
-    pub fn emit_row<R: Rng>(
+    pub fn emit_row(
         &self,
-        rng: &mut R,
+        rng: &mut Rng,
         cfg: &GeneratorConfig,
         snapshot_date: Date,
     ) -> Row {
@@ -373,7 +372,7 @@ impl Person {
 }
 
 /// Party selection with realistic weights.
-fn weighted_party<R: Rng>(rng: &mut R) -> usize {
+fn weighted_party(rng: &mut Rng) -> usize {
     let roll: f64 = rng.gen();
     if roll < 0.38 {
         0 // DEM
@@ -389,11 +388,9 @@ fn weighted_party<R: Rng>(rng: &mut R) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn mk_person(seed: u64) -> (StdRng, Person, GeneratorConfig) {
-        let mut rng = StdRng::seed_from_u64(seed);
+    fn mk_person(seed: u64) -> (Rng, Person, GeneratorConfig) {
+        let mut rng = Rng::seed_from_u64(seed);
         let cfg = GeneratorConfig::small(seed);
         let mut p = Person::random(&mut rng, 1, "AA000001".into(), 2008);
         p.register(&mut rng, &cfg, Date::new(2008, 1, 15));
@@ -473,8 +470,8 @@ mod tests {
         let (_, p, mut cfg) = mk_person(7);
         cfg.whitespace_rate = 0.0;
         cfg.age_jitter_rate = 0.0;
-        let mut rng1 = StdRng::seed_from_u64(100);
-        let mut rng2 = StdRng::seed_from_u64(200);
+        let mut rng1 = Rng::seed_from_u64(100);
+        let mut rng2 = Rng::seed_from_u64(200);
         let r1 = p.emit_row(&mut rng1, &cfg, Date::new(2016, 3, 15));
         let r2 = p.emit_row(&mut rng2, &cfg, Date::new(2016, 3, 15));
         assert_eq!(r1, r2, "emission must be deterministic modulo noise");

@@ -2,13 +2,11 @@
 
 use std::collections::HashSet;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::config::GeneratorConfig;
 use crate::date::Date;
 use crate::names;
 use crate::person::{Person, Status};
+use crate::rng::Rng;
 use crate::snapshot::{Snapshot, SnapshotInfo};
 
 /// The simulated State Board of Elections: owns the voter population and
@@ -20,7 +18,7 @@ use crate::snapshot::{Snapshot, SnapshotInfo};
 #[derive(Debug)]
 pub struct Registry {
     cfg: GeneratorConfig,
-    rng: StdRng,
+    rng: Rng,
     persons: Vec<Person>,
     next_person_id: u64,
     ncid_seq: u64,
@@ -39,7 +37,7 @@ impl Registry {
         if let Err(e) = cfg.validate() {
             panic!("invalid generator config: {e}");
         }
-        let rng = StdRng::seed_from_u64(cfg.seed);
+        let rng = Rng::seed_from_u64(cfg.seed);
         Registry {
             cfg,
             rng,

@@ -2,9 +2,8 @@
 //! against the plain `Vec<String>` a row used to be, through every
 //! read path, plus the edges of `from_tsv` and the tab rule of `set`.
 
+use nc_votergen::rng::Rng;
 use nc_votergen::schema::{Row, CANCELLATION_DT, LAST_NAME, NCID, NUM_ATTRS};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Values that grow, shrink and empty a field, in one to four bytes
 /// per character. None contains a tab.
@@ -44,7 +43,7 @@ fn assert_matches_model(row: &Row, model: &[String]) {
 #[test]
 fn random_sets_match_the_vec_of_strings_model() {
     for seed in 0..40u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut row = Row::empty();
         let mut model = vec![String::new(); NUM_ATTRS];
         assert_matches_model(&row, &model);

@@ -8,6 +8,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "=== dependency gate ==="
+# What a seed produces must not depend on the build environment
+# (DESIGN.md §5): a [dependencies] table may name nc-* crates only.
+# Dev-dependencies (proptest, criterion) are exempt.
+foreign=$(awk '
+    /^\[/ {
+        deps = ($0 == "[dependencies]")
+        if ($0 ~ /^\[dependencies\./ && $0 !~ /^\[dependencies\.nc-/) print FILENAME ": " $0
+        next
+    }
+    deps && /^[^#[:space:]]/ && !/^nc-/ { print FILENAME ": " $0 }
+' crates/*/Cargo.toml)
+if [ -n "$foreign" ]; then
+    echo "non-nc-* crate in a [dependencies] table:" >&2
+    echo "$foreign" >&2
+    exit 1
+fi
+
 echo "=== build (release) ==="
 cargo build --release --workspace "$@"
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Build + test in the network-less container using the .verify stubs.
-# Every test passes under the stubs: a non-zero exit status is a
-# regression (see .verify/README.md for what each stub stands in for).
+# Build + test in the network-less container, with the .verify stubs
+# standing in for the two dev-only crates (proptest, criterion; see
+# .verify/README.md). Every test passes: a non-zero exit status is a
+# regression.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

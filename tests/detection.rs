@@ -3,9 +3,10 @@
 use nc_suite::bridge;
 use nc_suite::core::customize::{customize, CustomizeParams};
 use nc_suite::core::heterogeneity::{AttributeWeights, HeterogeneityScorer, Scope};
+use nc_suite::core::md5::md5;
 use nc_suite::core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_suite::core::record::DedupPolicy;
-use nc_suite::datasets::{cddb, census};
+use nc_suite::datasets::{cddb, census, cora};
 use nc_suite::detect::blocking::{blocking_quality, Blocker, FullPairwise, SortedNeighborhood};
 use nc_suite::detect::dataset::Dataset;
 use nc_suite::detect::eval::{best_f1, linspace, score_candidates, threshold_sweep};
@@ -18,6 +19,29 @@ fn best_f1_for(data: &Dataset, kind: MeasureKind, name_group: Vec<usize>) -> f64
     let gold = data.gold_pairs();
     let sweep = threshold_sweep(&scored, &gold, &linspace(0.3, 0.98, 35));
     best_f1(&sweep).map(|p| p.prf.f1).unwrap_or(0.0)
+}
+
+/// `generate(seed)` of each comparator is pinned to the byte: cluster
+/// label and values of every record, in order. Recorded at the commit
+/// before the generators moved from the `rand` stand-in to
+/// `nc_votergen::rng` (and onto votergen's `typo`).
+#[test]
+fn comparator_datasets_are_pinned() {
+    let digest = |data: &Dataset| {
+        let mut text = String::new();
+        for record in &data.records {
+            text.push_str(&record.cluster.to_string());
+            for value in &record.values {
+                text.push('\t');
+                text.push_str(value);
+            }
+            text.push('\n');
+        }
+        md5(text.as_bytes()).to_hex()
+    };
+    assert_eq!(digest(&cora::generate(1)), "d626e3a06fcadf0880651baaf54d0d64");
+    assert_eq!(digest(&census::generate(1)), "8412fe1251ae9425f3111d7501a84b2e");
+    assert_eq!(digest(&cddb::generate(1)), "684c302b16c5ce93e0ce4559eb4a4186");
 }
 
 /// The Census-like comparator is dominated by single typos — every

@@ -244,7 +244,7 @@ fn save_all_batch_survives_chaos_on_any_file() {
     for (i, (ncid, _)) in store.cluster_ids().iter().enumerate() {
         let name = format!("part{}", i % 3);
         let coll = docs.collection(&name);
-        let mut coll = coll.write();
+        let mut coll = coll.write().unwrap();
         for row in store.cluster_rows(ncid) {
             coll.insert(nc_suite::docstore::doc! { "ncid" => ncid.as_str(), "tsv" => row.to_tsv() });
         }
@@ -252,7 +252,7 @@ fn save_all_batch_survives_chaos_on_any_file() {
     let saved = tmp_dir("saveall_dir");
     docs.save_all(&saved).unwrap();
     let sizes: Vec<usize> = (0..3)
-        .map(|i| docs.collection(&format!("part{i}")).read().len())
+        .map(|i| docs.collection(&format!("part{i}")).read().unwrap().len())
         .collect();
 
     for victim in 0..3usize {
@@ -269,7 +269,7 @@ fn save_all_batch_survives_chaos_on_any_file() {
                 let i: usize = name.strip_prefix("part").unwrap().parse().unwrap();
                 if i != victim {
                     assert!(report.is_clean(), "undamaged {name} must load clean");
-                    assert_eq!(salvaged.collection(name).read().len(), sizes[i]);
+                    assert_eq!(salvaged.collection(name).read().unwrap().len(), sizes[i]);
                 }
             }
             std::fs::remove_dir_all(dir).unwrap();
