@@ -23,11 +23,10 @@ fn sample_clusters() -> Vec<Vec<Row>> {
     });
     outcome
         .store
-        .cluster_ids()
-        .into_iter()
-        .map(|(ncid, _)| outcome.store.cluster_rows(&ncid))
-        .filter(|rows| rows.len() >= 2)
+        .iter_clusters()
+        .filter(|(_, rows)| rows.len() >= 2)
         .take(100)
+        .map(|(_, rows)| rows.to_vec())
         .collect()
 }
 

@@ -90,17 +90,16 @@ fn naive_reconstruct(
 ) -> StoreSnapshot {
     let _ = versions;
     let mut out = Vec::new();
-    for (ncid, _) in store.cluster_ids() {
-        let record_versions = store.record_versions(&ncid).expect("version info");
-        let kept: Vec<Row> = store
-            .cluster_rows(&ncid)
-            .into_iter()
-            .zip(record_versions.iter())
+    for (ncid, rows) in store.iter_clusters() {
+        let record_versions = store.record_versions(ncid).expect("version info");
+        let kept: Vec<Row> = rows
+            .iter()
+            .zip(record_versions)
             .filter(|(_, &v)| v <= version)
-            .map(|(r, _)| r)
+            .map(|(r, _)| r.clone())
             .collect();
         if !kept.is_empty() {
-            out.push((ncid, kept));
+            out.push((ncid.to_owned(), kept));
         }
     }
     StoreSnapshot::from_clusters(version, out)

@@ -181,19 +181,18 @@ fn plausibility_ablation(scale: &ExperimentScale) -> PlausibilityAblation {
 
     let mut sums = [0.0f64; 4]; // sound/unsound × paper/uniform
     let mut counts = [0u64; 2];
-    for (ncid, _) in store.cluster_ids() {
-        let rows = store.cluster_rows(&ncid);
+    for (ncid, rows) in store.iter_clusters() {
         if rows.len() < 2 {
             continue;
         }
-        let unsound = outcome.unsound_ncids.contains(&ncid);
+        let unsound = outcome.unsound_ncids.contains(ncid);
         let idx = usize::from(unsound);
         if !unsound && counts[0] >= 400 {
             continue; // cap sound-cluster work
         }
         counts[idx] += 1;
-        sums[idx * 2] += scorer.cluster(&rows);
-        sums[idx * 2 + 1] += cluster_uniform(&rows);
+        sums[idx * 2] += scorer.cluster(rows);
+        sums[idx * 2 + 1] += cluster_uniform(rows);
     }
     let mean = |sum: f64, n: u64| if n == 0 { 0.0 } else { sum / n as f64 };
     let sound_paper = mean(sums[0], counts[0]);
@@ -215,8 +214,7 @@ fn measure_ablation(scale: &ExperimentScale) -> MeasureAblation {
     let gj = GeneralizedJaccard::new(DamerauLevenshtein::new());
 
     let mut diffs = Vec::new();
-    for (ncid, _) in store.cluster_ids().into_iter().take(300) {
-        let rows = store.cluster_rows(&ncid);
+    for (_, rows) in store.iter_clusters().take(300) {
         for w in rows.windows(2) {
             let name = |r: &nc_votergen::schema::Row| {
                 format!(

@@ -204,8 +204,7 @@ fn main() {
             records: full.records[..n].to_vec(),
         };
         let keys = data.top_entropy_attrs(args.keys.min(data.num_attrs()));
-        let mut gold: Vec<Pair> = data.gold_pairs().into_iter().collect();
-        gold.sort_unstable();
+        let gold = data.sorted_gold_pairs();
         eprintln!("scale {n}: keys {keys:?}, {} gold pairs", gold.len());
 
         let snm = SortedNeighborhood { keys: keys.clone(), window: args.window };

@@ -146,9 +146,9 @@ fn main() {
     // every within-cluster pair — the revisions of one person.
     let mut rows = Vec::new();
     let mut gold: HashSet<Pair> = HashSet::new();
-    for (ncid, _) in store.cluster_ids() {
+    for (_, cluster) in store.iter_clusters() {
         let first = rows.len();
-        rows.extend(store.cluster_rows(&ncid));
+        rows.extend_from_slice(cluster);
         for a in first..rows.len() {
             for b in (a + 1)..rows.len() {
                 gold.insert(Pair::new(a, b));

@@ -90,13 +90,9 @@ fn main() {
         snapshots: args.snapshots,
     });
     let store = &outcome.store;
-    let firsts: Vec<_> = store
-        .cluster_ids()
-        .iter()
-        .filter_map(|(n, _)| store.cluster_rows(n).into_iter().next())
-        .collect();
+    let firsts = store.iter_clusters().map(|(_, rows)| &rows[0]);
     let plaus = PlausibilityScorer::new();
-    let het = HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts.iter()));
+    let het = HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts));
 
     let par_cfg = ScoringConfig::with_threads(args.threads);
     let par_threads = par_cfg.effective_threads();

@@ -170,8 +170,7 @@ fn main() {
     let publish_noop = start.elapsed().as_secs_f64();
     assert_eq!(noop.clusters(), cold.clusters());
 
-    // Incremental: one more snapshot; the publish re-reads only the
-    // clusters it founded or that gained a record.
+    // One more snapshot, then a publish of the grown store.
     let extra = registry.generate_snapshot(&calendar[args.snapshots]);
     tsv::write_snapshot(&archive, &extra).expect("write extra snapshot");
     engine
@@ -180,10 +179,10 @@ fn main() {
     let start = Instant::now();
     let incremental = engine.publish(2);
     let publish_incremental = start.elapsed().as_secs_f64();
-    // How much of the store that publish had to re-read: clusters the
+    // How much of the store changed under that publish: clusters the
     // extra snapshot founded or gave a record. With the default
     // arguments that is every cluster — the ninth calendar snapshot
-    // adds a record to each — so the default run times the worst case.
+    // adds a record to each.
     let changed = incremental
         .clusters()
         .iter()
@@ -200,10 +199,9 @@ fn main() {
     let replay_secs = start.elapsed().as_secs_f64();
     assert!(replayed.recovery().is_clean(), "replay must be clean");
     let replayed_rows = replayed.store().rows_imported();
-    // The reopened engine has no cache to patch, so its publish is the
-    // bulk build of the very store the incremental publish patched: the
-    // two must be equal, and this is the cold time to compare against
-    // (`publish_cold_secs` read one snapshot less).
+    // The reopened engine publishes the very store the live engine
+    // just published: the two must be equal, and this is the time to
+    // compare against (`publish_cold_secs` read one snapshot less).
     let start = Instant::now();
     let recold = replayed.publish(2);
     let publish_cold_same_state = start.elapsed().as_secs_f64();

@@ -80,16 +80,10 @@ impl NcContext {
     /// Build the context at a scale with an explicit scoring pool.
     pub fn build_with(scale: &ExperimentScale, scoring: ScoringConfig) -> Self {
         let outcome = scale.run(DedupPolicy::Trimmed);
-        let firsts: Vec<_> = outcome
-            .store
-            .cluster_ids()
-            .iter()
-            .filter_map(|(n, _)| outcome.store.cluster_rows(n).into_iter().next())
-            .collect();
+        let firsts = || outcome.store.iter_clusters().map(|(_, rows)| &rows[0]);
         let het_person =
-            HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts.iter()));
-        let het_all =
-            HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::All, firsts.iter()));
+            HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts()));
+        let het_all = HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::All, firsts()));
         NcContext {
             outcome,
             het_person,

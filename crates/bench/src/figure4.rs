@@ -86,12 +86,11 @@ impl Figure4a {
 }
 
 /// The multi-record clusters of a store, in `cluster_ids` order.
-fn multi_record_clusters(ctx: &NcContext) -> Vec<Vec<Row>> {
-    let store = &ctx.outcome.store;
-    store
-        .cluster_ids()
-        .into_iter()
-        .map(|(ncid, _)| store.cluster_rows(&ncid))
+fn multi_record_clusters(ctx: &NcContext) -> Vec<&[Row]> {
+    ctx.outcome
+        .store
+        .iter_clusters()
+        .map(|(_, rows)| rows)
         .filter(|rows| rows.len() >= 2)
         .collect()
 }

@@ -1,17 +1,18 @@
 //! The aggregate-oriented cluster store.
 //!
-//! One document per voter (duplicate cluster), holding all of the
-//! voter's records plus meta data (record fingerprints, per-snapshot
+//! One aggregate per voter (duplicate cluster): the voter's records as
+//! packed [`Row`]s plus meta data (record fingerprints, per-snapshot
 //! insert counters, version and snapshot-membership arrays). This is the
-//! storage layout of Section 5, on top of the [`nc_docstore`] substrate.
+//! storage layout of Section 5. The nested cluster *document* of that
+//! section is a view derived on demand ([`ClusterStore::cluster_doc`],
+//! [`ClusterStore::to_collection`]), so it can never be stale and costs
+//! no memory while a store is being built or served.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use nc_docstore::collection::{Collection, DocId};
-use nc_docstore::index::IndexKind;
 use nc_docstore::value::{Document, Value};
 use nc_votergen::schema::Row;
-// (Value is used for array construction below.)
 
 use crate::md5::Digest;
 use crate::record::{self, DedupPolicy};
@@ -27,55 +28,65 @@ pub enum RowOutcome {
     DuplicateDropped,
 }
 
-/// Side state per cluster kept outside the document for import speed.
-#[derive(Debug, Default)]
-struct ClusterState {
-    /// Fingerprints of stored records, in record order.
+/// The copy of a row the store keeps: trimmed when the policy trims.
+fn stored_row(row: &Row, policy: DedupPolicy) -> Row {
+    let mut stored = row.clone();
+    if policy.trims() {
+        record::trim_row(&mut stored);
+    }
+    stored
+}
+
+/// Position of a snapshot date in [`ClusterStore::dates`]. A date is
+/// held once per store, not once per record that a snapshot contains.
+type DateId = u32;
+
+/// One duplicate cluster. The four per-record vectors are
+/// index-parallel.
+#[derive(Debug)]
+struct Cluster {
+    /// Stored records in insertion order, trimmed when the policy that
+    /// imported them trims. Never empty.
+    rows: Vec<Row>,
+    /// Fingerprint of each record.
     hashes: Vec<Digest>,
-    /// Fast membership test over `hashes`.
-    hash_set: HashSet<Digest>,
-    /// Rows ever seen for this NCID (including dropped duplicates).
-    rows_seen: u64,
-    /// New records inserted per snapshot date.
-    snapshot_counts: Vec<(String, u64)>,
     /// Version that introduced each record.
     first_version: Vec<u32>,
-    /// Snapshot dates containing each record.
-    record_snapshots: Vec<Vec<String>>,
+    /// Snapshots containing each record.
+    record_snapshots: Vec<Vec<DateId>>,
+    /// Rows ever seen for this NCID (including dropped duplicates).
+    rows_seen: u64,
+    /// New records inserted per snapshot.
+    snapshot_counts: Vec<(DateId, u64)>,
 }
 
-/// The cluster store.
-#[derive(Debug)]
-pub struct ClusterStore {
-    collection: Collection,
-    ncid_to_doc: HashMap<String, DocId>,
-    state: HashMap<DocId, ClusterState>,
-    records_total: u64,
-    rows_total: u64,
-    max_version: u32,
-    finalized: bool,
-}
-
-impl Default for ClusterStore {
-    fn default() -> Self {
-        Self::new()
+impl Cluster {
+    /// The cluster's key. Every row of a cluster trims to the same
+    /// NCID, so the first one carries it.
+    fn ncid(&self) -> &str {
+        self.rows[0].ncid().trim()
     }
 }
 
+/// The cluster store.
+#[derive(Debug, Default)]
+pub struct ClusterStore {
+    /// Clusters in founding order: a cluster's [`DocId`] is its
+    /// position.
+    clusters: Vec<Cluster>,
+    /// Trimmed NCID → position in `clusters`.
+    by_ncid: HashMap<String, usize>,
+    /// Snapshot dates in first-seen order.
+    dates: Vec<String>,
+    records_total: u64,
+    rows_total: u64,
+    max_version: u32,
+}
+
 impl ClusterStore {
-    /// Create an empty store with an NCID index.
+    /// Create an empty store.
     pub fn new() -> Self {
-        let mut collection = Collection::new("clusters");
-        collection.create_index("ncid", IndexKind::Hash);
-        ClusterStore {
-            collection,
-            ncid_to_doc: HashMap::new(),
-            state: HashMap::new(),
-            records_total: 0,
-            rows_total: 0,
-            max_version: 0,
-            finalized: false,
-        }
+        Self::default()
     }
 
     /// Import one snapshot row under a dedup policy.
@@ -93,9 +104,9 @@ impl ClusterStore {
         self.import_row_ref(&row, policy, snapshot_date, version)
     }
 
-    /// [`ClusterStore::import_row`] over a borrowed row. The row itself
-    /// is never copied: a dropped duplicate costs its fingerprint, and a
-    /// kept row is read once to build its stored document.
+    /// [`ClusterStore::import_row`] over a borrowed row: a dropped
+    /// duplicate costs its fingerprint, and a kept row is copied once,
+    /// into the store.
     pub fn import_row_ref(
         &mut self,
         row: &Row,
@@ -108,116 +119,109 @@ impl ClusterStore {
         // the NCID is trimmed explicitly.
         let fp = record::fingerprint(row, policy);
         let ncid = row.ncid().trim();
+        let date = self.date_id(snapshot_date);
 
-        if let Some(&doc_id) = self.ncid_to_doc.get(ncid) {
-            let state = self.state.get_mut(&doc_id).expect("state exists");
-            state.rows_seen += 1;
-            match state.snapshot_counts.last_mut() {
-                Some((d, _)) if d == snapshot_date => {}
-                _ => state.snapshot_counts.push((snapshot_date.to_owned(), 0)),
-            }
-            if policy != DedupPolicy::None && state.hash_set.contains(&fp) {
+        let Some(&pos) = self.by_ncid.get(ncid) else {
+            self.by_ncid.insert(ncid.to_owned(), self.clusters.len());
+            self.clusters.push(Cluster {
+                rows: vec![stored_row(row, policy)],
+                hashes: vec![fp],
+                first_version: vec![version],
+                record_snapshots: vec![vec![date]],
+                rows_seen: 1,
+                snapshot_counts: vec![(date, 1)],
+            });
+            self.records_total += 1;
+            self.max_version = self.max_version.max(version);
+            return RowOutcome::NewCluster;
+        };
+        let cluster = &mut self.clusters[pos];
+        cluster.rows_seen += 1;
+        if cluster.snapshot_counts.last().map(|(d, _)| *d) != Some(date) {
+            cluster.snapshot_counts.push((date, 0));
+        }
+        if policy != DedupPolicy::None {
+            if let Some(idx) = cluster.hashes.iter().position(|h| *h == fp) {
                 // Record the snapshot membership of the matching record.
-                if let Some(idx) = state.hashes.iter().position(|h| *h == fp) {
-                    let snaps = &mut state.record_snapshots[idx];
-                    if snaps.last().map(String::as_str) != Some(snapshot_date) {
-                        snaps.push(snapshot_date.to_owned());
-                    }
+                let snaps = &mut cluster.record_snapshots[idx];
+                if snaps.last() != Some(&date) {
+                    snaps.push(date);
                 }
-                // rows_seen and the membership arrays changed, so the
-                // persisted meta must be rebuilt on the next finalize.
-                self.finalized = false;
                 return RowOutcome::DuplicateDropped;
             }
-            // Append the record to the cluster document.
-            let rec_doc = record::row_to_document(row, policy.trims());
-            self.collection.update(doc_id, |doc| {
-                doc.push_path("records", Value::Doc(rec_doc));
-            });
-            state.hashes.push(fp);
-            state.hash_set.insert(fp);
-            state.first_version.push(version);
-            self.max_version = self.max_version.max(version);
-            state.record_snapshots.push(vec![snapshot_date.to_owned()]);
-            if let Some((d, n)) = state.snapshot_counts.last_mut() {
-                if d == snapshot_date {
-                    *n += 1;
-                }
-            }
-            self.records_total += 1;
-            self.finalized = false;
-            RowOutcome::NewRecord
-        } else {
-            let rec_doc = record::row_to_document(row, policy.trims());
-            let mut doc = Document::new();
-            doc.set("ncid", ncid);
-            doc.set("records", Value::Array(vec![Value::Doc(rec_doc)]));
-            let doc_id = self.collection.insert(doc);
-            self.ncid_to_doc.insert(ncid.to_owned(), doc_id);
-            self.state.insert(
-                doc_id,
-                ClusterState {
-                    hashes: vec![fp],
-                    hash_set: HashSet::from([fp]),
-                    rows_seen: 1,
-                    snapshot_counts: vec![(snapshot_date.to_owned(), 1)],
-                    first_version: vec![version],
-                    record_snapshots: vec![vec![snapshot_date.to_owned()]],
-                },
-            );
-            self.records_total += 1;
-            self.max_version = self.max_version.max(version);
-            self.finalized = false;
-            RowOutcome::NewCluster
         }
+        // A row is ~200 bytes inline and most clusters stay small, so
+        // the slack of a doubling `Vec` would cost more than the rows.
+        cluster.rows.reserve_exact(1);
+        cluster.rows.push(stored_row(row, policy));
+        cluster.hashes.push(fp);
+        cluster.first_version.push(version);
+        cluster.record_snapshots.push(vec![date]);
+        cluster.snapshot_counts.last_mut().expect("pushed above").1 += 1;
+        self.records_total += 1;
+        self.max_version = self.max_version.max(version);
+        RowOutcome::NewRecord
     }
 
-    /// Write all accumulated meta data into the cluster documents.
-    /// Must be called before persisting or reading meta via documents.
-    pub fn finalize(&mut self) {
-        if self.finalized {
-            return;
+    /// Intern a snapshot date. A snapshot's rows arrive together, so
+    /// the date is nearly always the one interned last.
+    fn date_id(&mut self, date: &str) -> DateId {
+        let pos = self.dates.iter().rposition(|d| d == date).unwrap_or_else(|| {
+            self.dates.push(date.to_owned());
+            self.dates.len() - 1
+        });
+        DateId::try_from(pos).expect("fewer than 2^32 snapshots")
+    }
+
+    fn date(&self, id: DateId) -> &str {
+        &self.dates[id as usize]
+    }
+
+    /// The nested document view of the cluster at `pos`: `_id` and
+    /// NCID, one sparse sub-document per record, and the meta data.
+    fn document(&self, pos: usize) -> Document {
+        let cluster = &self.clusters[pos];
+        let mut meta = Document::new();
+        meta.set(
+            "hashes",
+            Value::Array(cluster.hashes.iter().map(|h| Value::from(h.to_hex())).collect()),
+        );
+        meta.set("rows_seen", cluster.rows_seen as i64);
+        let mut counts = Document::new();
+        for &(d, n) in &cluster.snapshot_counts {
+            counts.set(self.date(d), n as i64);
         }
-        let ids: Vec<DocId> = self.ncid_to_doc.values().copied().collect();
-        for doc_id in ids {
-            let state = &self.state[&doc_id];
-            let mut meta = Document::new();
-            meta.set(
-                "hashes",
-                Value::Array(state.hashes.iter().map(|h| Value::from(h.to_hex())).collect()),
-            );
-            meta.set("rows_seen", state.rows_seen as i64);
-            let mut counts = Document::new();
-            for (d, n) in &state.snapshot_counts {
-                counts.set(d.clone(), *n as i64);
-            }
-            meta.set("snapshot_counts", counts);
-            meta.set(
-                "record_first_version",
-                Value::Array(state.first_version.iter().map(|&v| Value::from(v as i64)).collect()),
-            );
-            meta.set(
-                "record_snapshots",
-                Value::Array(
-                    state
-                        .record_snapshots
-                        .iter()
-                        .map(|snaps| {
-                            Value::Array(snaps.iter().map(|s| Value::from(s.clone())).collect())
-                        })
-                        .collect(),
-                ),
-            );
-            self.collection.update(doc_id, move |doc| {
-                doc.set("meta", meta);
-            });
-        }
-        self.finalized = true;
+        meta.set("snapshot_counts", counts);
+        meta.set(
+            "record_first_version",
+            Value::Array(cluster.first_version.iter().map(|&v| Value::from(v as i64)).collect()),
+        );
+        meta.set(
+            "record_snapshots",
+            Value::Array(
+                cluster
+                    .record_snapshots
+                    .iter()
+                    .map(|snaps| {
+                        Value::Array(snaps.iter().map(|&d| Value::from(self.date(d))).collect())
+                    })
+                    .collect(),
+            ),
+        );
+        let mut doc = Document::new();
+        doc.set("_id", pos as i64);
+        doc.set("ncid", cluster.ncid());
+        doc.set(
+            "records",
+            Value::Array(cluster.rows.iter().map(|r| Value::Doc(record::row_to_document(r))).collect()),
+        );
+        doc.set("meta", meta);
+        doc
     }
 
     /// Number of duplicate clusters (= distinct NCIDs = objects).
     pub fn cluster_count(&self) -> usize {
-        self.ncid_to_doc.len()
+        self.clusters.len()
     }
 
     /// Number of stored records (after dedup).
@@ -230,56 +234,61 @@ impl ClusterStore {
         self.rows_total
     }
 
-    /// Iterate over `(ncid, doc_id)` pairs in document order.
+    /// Every cluster's NCID and records, borrowed, in founding order
+    /// (ascending [`DocId`]).
+    pub fn iter_clusters(&self) -> impl ExactSizeIterator<Item = (&str, &[Row])> {
+        self.clusters.iter().map(|c| (c.ncid(), c.rows.as_slice()))
+    }
+
+    /// `(ncid, doc_id)` pairs in founding order: ids count up from 0
+    /// with no gaps.
     pub fn cluster_ids(&self) -> Vec<(String, DocId)> {
-        let mut v: Vec<(String, DocId)> = self
-            .ncid_to_doc
+        self.clusters
             .iter()
-            .map(|(n, &d)| (n.clone(), d))
-            .collect();
-        v.sort_by_key(|(_, d)| *d);
-        v
+            .enumerate()
+            .map(|(pos, c)| (c.ncid().to_owned(), pos as DocId))
+            .collect()
     }
 
-    /// The document id of the cluster with this (trimmed) NCID. In a
-    /// store filled by imports alone, ids count up from 0 in founding
-    /// order with no gaps.
-    pub fn doc_id(&self, ncid: &str) -> Option<DocId> {
-        self.ncid_to_doc.get(ncid).copied()
+    fn cluster(&self, ncid: &str) -> Option<&Cluster> {
+        self.by_ncid.get(ncid).map(|&pos| &self.clusters[pos])
     }
 
-    /// The cluster document for an NCID.
-    pub fn cluster_doc(&self, ncid: &str) -> Option<&Document> {
-        self.ncid_to_doc
-            .get(ncid)
-            .and_then(|&id| self.collection.get(id))
+    /// The cluster document for a (trimmed) NCID, derived from the
+    /// stored rows and meta data as they are now.
+    pub fn cluster_doc(&self, ncid: &str) -> Option<Document> {
+        self.by_ncid.get(ncid).map(|&pos| self.document(pos))
     }
 
-    /// The records of a cluster as dense rows.
-    pub fn cluster_rows(&self, ncid: &str) -> Vec<Row> {
-        let records = self
-            .cluster_doc(ncid)
-            .and_then(|doc| doc.get_array("records"))
-            .unwrap_or_default();
-        // Sized up front: a row is ~200 bytes inline, so the slack of a
-        // grown `Vec` would outweigh a small cluster's rows.
-        let mut rows = Vec::with_capacity(records.len());
-        rows.extend(records.iter().filter_map(Value::as_doc).map(record::document_to_row));
-        rows
+    /// Every cluster document, `_id` = [`DocId`], as an owned
+    /// collection — for [`nc_docstore::persist`] and for aggregation
+    /// pipelines over the cluster documents.
+    pub fn to_collection(&self) -> Collection {
+        let mut collection = Collection::new("clusters");
+        for pos in 0..self.clusters.len() {
+            collection.insert(self.document(pos));
+        }
+        collection
     }
 
-    /// Cluster sizes (record counts per cluster).
+    /// The records of a cluster (none for an unknown NCID).
+    pub fn cluster_rows(&self, ncid: &str) -> &[Row] {
+        self.cluster(ncid).map_or(&[], |c| &c.rows)
+    }
+
+    /// Cluster sizes (record counts per cluster), in founding order.
     pub fn cluster_sizes(&self) -> Vec<usize> {
-        self.state.values().map(|s| s.hashes.len()).collect()
+        self.clusters.iter().map(|c| c.rows.len()).collect()
     }
 
-    /// Rows ever seen per cluster (cluster sizes under `DedupPolicy::None`).
+    /// Rows ever seen per cluster (cluster sizes under
+    /// `DedupPolicy::None`), in founding order.
     pub fn cluster_rows_seen(&self) -> Vec<u64> {
-        self.state.values().map(|s| s.rows_seen).collect()
+        self.clusters.iter().map(|c| c.rows_seen).collect()
     }
 
     /// The highest version stamped on any record in the store (`0` for
-    /// an empty store). O(1): maintained on import and rebuilt on load.
+    /// an empty store). O(1): maintained on import.
     /// When this is ≤ a published version `v`, reconstructing `v` is
     /// equivalent to capturing the live store — the fast path
     /// [`crate::snapshot::StoreSnapshot::capture_version`] relies on.
@@ -289,29 +298,13 @@ impl ClusterStore {
 
     /// The version that introduced each record of a cluster.
     pub fn record_versions(&self, ncid: &str) -> Option<&[u32]> {
-        self.ncid_to_doc
-            .get(ncid)
-            .map(|id| self.state[id].first_version.as_slice())
+        self.cluster(ncid).map(|c| c.first_version.as_slice())
     }
 
     /// The snapshot dates containing each record of a cluster.
-    pub fn record_snapshots(&self, ncid: &str) -> Option<&[Vec<String>]> {
-        self.ncid_to_doc
-            .get(ncid)
-            .map(|id| self.state[id].record_snapshots.as_slice())
-    }
-
-    /// Borrow the underlying collection (e.g. to run aggregation
-    /// pipelines over the cluster documents).
-    pub fn collection(&self) -> &Collection {
-        &self.collection
-    }
-
-    /// A read-only query view of the underlying collection. Snapshot
-    /// capture and the serving layer read through this so published
-    /// cluster documents cannot be mutated by mistake.
-    pub fn collection_view(&self) -> nc_docstore::collection::CollectionView<'_> {
-        self.collection.view()
+    pub fn record_snapshots(&self, ncid: &str) -> Option<Vec<Vec<&str>>> {
+        let snapshots = &self.cluster(ncid)?.record_snapshots;
+        Some(snapshots.iter().map(|s| s.iter().map(|&d| self.date(d)).collect()).collect())
     }
 }
 
@@ -393,19 +386,27 @@ mod tests {
     #[test]
     fn trimming_policies_store_trimmed_values() {
         let mut store = ClusterStore::new();
-        store.import_row(row("A1", " SMITH ", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
-        let rows = store.cluster_rows("A1");
-        assert_eq!(rows[0].get(LAST_NAME), "SMITH");
+        store.import_row(row(" A1", " SMITH ", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
+        assert_eq!(store.cluster_rows("A1")[0].get(LAST_NAME), "SMITH");
+
+        // The other policies store the row as it came; the key is
+        // trimmed all the same.
+        let mut store = ClusterStore::new();
+        store.import_row(row(" A1", " SMITH ", "40", "s1"), DedupPolicy::Exact, "s1", 1);
+        assert_eq!(store.cluster_rows("A1")[0].get(LAST_NAME), " SMITH ");
+        assert_eq!(store.cluster_ids(), vec![("A1".to_owned(), 0)]);
     }
 
     #[test]
-    fn finalize_writes_meta_into_documents() {
+    fn derived_document_carries_the_meta_data() {
         let mut store = ClusterStore::new();
         store.import_row(row("A1", "SMITH", "40", "2008-11-04"), DedupPolicy::Trimmed, "2008-11-04", 1);
         store.import_row(row("A1", "SMITH", "41", "2009-01-01"), DedupPolicy::Trimmed, "2009-01-01", 1);
         store.import_row(row("A1", "SMYTHE", "41", "2009-01-01"), DedupPolicy::Trimmed, "2009-01-01", 2);
-        store.finalize();
         let doc = store.cluster_doc("A1").unwrap();
+        assert_eq!(doc.get_i64("_id"), Some(0));
+        assert_eq!(doc.get_str("ncid"), Some("A1"));
+        assert_eq!(doc.get_array("records").unwrap().len(), 2);
         assert_eq!(doc.get_i64("meta.rows_seen"), Some(3));
         assert_eq!(doc.get_array("meta.hashes").unwrap().len(), 2);
         assert_eq!(doc.get_i64("meta.snapshot_counts.2008-11-04"), Some(1));
@@ -413,6 +414,27 @@ mod tests {
         let versions = doc.get_array("meta.record_first_version").unwrap();
         assert_eq!(versions.len(), 2);
         assert_eq!(versions[1].as_i64(), Some(2));
+        assert_eq!(store.to_collection().get(0), Some(&doc));
+        assert!(store.cluster_doc("NOPE").is_none());
+    }
+
+    /// The meta data used to be copied into stored documents by an
+    /// explicit step, and a snapshot of dropped duplicates after that
+    /// step left the copy stale. A derived view has no copy to go stale.
+    #[test]
+    fn duplicate_only_snapshot_shows_up_in_the_next_derived_view() {
+        let mut store = ClusterStore::new();
+        store.import_row(row("A1", "SMITH", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
+        let before = store.cluster_doc("A1").unwrap();
+        assert_eq!(before.get_i64("meta.rows_seen"), Some(1));
+        // Snapshot 2: same row again -> DuplicateDropped only.
+        let out = store.import_row(row("A1", "SMITH", "40", "s2"), DedupPolicy::Trimmed, "s2", 1);
+        assert_eq!(out, RowOutcome::DuplicateDropped);
+        let doc = store.cluster_doc("A1").unwrap();
+        assert_eq!(doc.get_i64("meta.rows_seen"), Some(2));
+        let snaps = doc.get_array("meta.record_snapshots").unwrap();
+        assert_eq!(snaps[0].as_array().unwrap().len(), 2);
+        assert_eq!(doc.get_array("records"), before.get_array("records"));
     }
 
     #[test]
@@ -427,49 +449,31 @@ mod tests {
         assert_eq!(store.cluster_ids().len(), 2);
     }
 
+    /// Sizes, rows seen and the borrowed iterator all follow
+    /// `cluster_ids` (founding) order, whatever the process' hash seed.
     #[test]
-    fn sizes_and_rows_seen() {
+    fn per_cluster_vectors_are_in_founding_order() {
         let mut store = ClusterStore::new();
-        store.import_row(row("A1", "SMITH", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
-        store.import_row(row("A1", "SMITH", "40", "s2"), DedupPolicy::Trimmed, "s2", 1);
-        store.import_row(row("A1", "SMYTHE", "40", "s3"), DedupPolicy::Trimmed, "s3", 1);
-        let mut sizes = store.cluster_sizes();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![2]);
-        assert_eq!(store.cluster_rows_seen(), vec![3]);
-    }
-}
-
-#[cfg(test)]
-mod review_repro {
-    use super::*;
-    use crate::record::DedupPolicy;
-    use nc_votergen::schema::Row;
-
-    fn row(ncid: &str, last: &str, age: &str, date: &str) -> Row {
-        let mut r = Row::empty();
-        r.set(nc_votergen::schema::NCID, ncid);
-        r.set(nc_votergen::schema::attr_id("last_name").unwrap(), last);
-        r.set(nc_votergen::schema::attr_id("age").unwrap(), age);
-        let _ = date;
-        r
-    }
-
-    #[test]
-    fn duplicate_only_snapshot_after_finalize_leaves_meta_stale() {
-        let mut store = ClusterStore::new();
-        store.import_row(row("A1", "SMITH", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
-        store.finalize();
-        // Snapshot 2: same row again -> DuplicateDropped only.
-        let out = store.import_row(row("A1", "SMITH", "40", "s2"), DedupPolicy::Trimmed, "s2", 1);
-        assert_eq!(out, RowOutcome::DuplicateDropped);
-        // In-memory state saw snapshot s2...
-        assert_eq!(store.record_snapshots("A1").unwrap()[0], vec!["s1".to_string(), "s2".to_string()]);
-        store.finalize();
-        let doc = store.cluster_doc("A1").unwrap();
-        // ...but the persisted meta must too (`VersionManager::reconstruct` reads it).
-        assert_eq!(doc.get_i64("meta.rows_seen"), Some(2), "meta.rows_seen is stale");
-        let snaps = doc.get_array("meta.record_snapshots").unwrap();
-        assert_eq!(snaps[0].as_array().unwrap().len(), 2, "meta.record_snapshots is stale");
+        let ncids: Vec<String> = (0..40).rev().map(|i| format!("N{i}")).collect();
+        for (i, ncid) in ncids.iter().enumerate() {
+            // Cluster i keeps i % 4 + 1 records and drops i % 3 duplicates.
+            for r in 0..i % 4 + 1 {
+                store.import_row(row(ncid, &format!("NAME{r}"), "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
+            }
+            for _ in 0..i % 3 {
+                store.import_row(row(ncid, "NAME0", "41", "s2"), DedupPolicy::Trimmed, "s2", 1);
+            }
+        }
+        let ids = store.cluster_ids();
+        assert_eq!(ids.iter().map(|(n, _)| n).collect::<Vec<_>>(), ncids.iter().collect::<Vec<_>>());
+        assert_eq!(ids.iter().map(|(_, d)| *d).collect::<Vec<_>>(), (0..40).collect::<Vec<_>>());
+        let sizes: Vec<usize> = (0..40).map(|i| i % 4 + 1).collect();
+        assert_eq!(store.cluster_sizes(), sizes);
+        let seen: Vec<u64> = (0..40).map(|i| (i % 4 + 1 + i % 3) as u64).collect();
+        assert_eq!(store.cluster_rows_seen(), seen);
+        for ((ncid, rows), (id, _)) in store.iter_clusters().zip(&ids) {
+            assert_eq!(ncid, id);
+            assert_eq!(rows, store.cluster_rows(id));
+        }
     }
 }

@@ -137,12 +137,11 @@ fn reduce_cluster(rows: &[Row], scorer: &HeterogeneityScorer, params: &Customize
 /// The recipe, written once over "`count` clusters in
 /// [`ClusterStore::cluster_ids`] order, `ncid(i)`, `rows(i)`": both
 /// public entry points are this function. Sampling shuffles cluster
-/// *indices*, so the draw depends only on `count` and the seed, and
-/// `rows` is asked for the sampled clusters only.
-fn carve<'a, R: AsRef<[Row]>>(
+/// *indices*, so the draw depends only on `count` and the seed.
+fn carve<'a>(
     count: usize,
     ncid: impl Fn(usize) -> &'a str,
-    rows: impl Fn(usize) -> R,
+    rows: impl Fn(usize) -> &'a [Row],
     scorer: &HeterogeneityScorer,
     params: &CustomizeParams,
 ) -> CustomDataset {
@@ -159,7 +158,7 @@ fn carve<'a, R: AsRef<[Row]>>(
         .iter()
         .map(|&i| CustomCluster {
             ncid: ncid(i).to_owned(),
-            records: reduce_cluster(rows(i).as_ref(), scorer, params),
+            records: reduce_cluster(rows(i), scorer, params),
         })
         .collect();
     let sampled = clusters.iter().map(|c| c.ncid.clone()).collect();
@@ -175,18 +174,17 @@ fn carve<'a, R: AsRef<[Row]>>(
     CustomDataset { clusters, sampled }
 }
 
-/// Run the customization recipe over a cluster store, materializing
-/// only the sampled clusters' rows.
+/// Run the customization recipe over a cluster store.
 pub fn customize(
     store: &ClusterStore,
     scorer: &HeterogeneityScorer,
     params: &CustomizeParams,
 ) -> CustomDataset {
-    let ids = store.cluster_ids();
+    let clusters: Vec<(&str, &[Row])> = store.iter_clusters().collect();
     carve(
-        ids.len(),
-        |i| ids[i].0.as_str(),
-        |i| store.cluster_rows(&ids[i].0),
+        clusters.len(),
+        |i| clusters[i].0,
+        |i| clusters[i].1,
         scorer,
         params,
     )
@@ -246,12 +244,8 @@ mod tests {
     /// this concentrates weight on the varying (name) attributes instead
     /// of diluting it across the many empty ones.
     fn scorer_for(store: &ClusterStore) -> HeterogeneityScorer {
-        let firsts: Vec<Row> = store
-            .cluster_ids()
-            .iter()
-            .filter_map(|(ncid, _)| store.cluster_rows(ncid).into_iter().next())
-            .collect();
-        let weights = AttributeWeights::from_rows(Scope::Person, firsts.iter());
+        let firsts = store.iter_clusters().map(|(_, rows)| &rows[0]);
+        let weights = AttributeWeights::from_rows(Scope::Person, firsts);
         HeterogeneityScorer::new(weights)
     }
 
@@ -349,14 +343,8 @@ mod tests {
     fn customize_clusters_matches_store_path() {
         let store = store_with_clusters();
         let scorer = scorer_for(&store);
-        let clusters: Vec<(String, Vec<Row>)> = store
-            .cluster_ids()
-            .into_iter()
-            .map(|(ncid, _)| {
-                let rows = store.cluster_rows(&ncid);
-                (ncid, rows)
-            })
-            .collect();
+        let snapshot = crate::snapshot::StoreSnapshot::capture(&store, 1);
+        let clusters = snapshot.clusters();
         for seed in [0, 1, 7] {
             let params = CustomizeParams {
                 h_low: 0.0,
@@ -366,7 +354,7 @@ mod tests {
                 seed,
             };
             let from_store = customize(&store, &scorer, &params);
-            let from_slice = customize_clusters(&clusters, &scorer, &params);
+            let from_slice = customize_clusters(clusters, &scorer, &params);
             assert_eq!(from_store.clusters.len(), from_slice.clusters.len());
             for (a, b) in from_store.clusters.iter().zip(&from_slice.clusters) {
                 assert_eq!(a.ncid, b.ncid);

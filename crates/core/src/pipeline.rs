@@ -43,7 +43,7 @@ impl Default for GenerationConfig {
 /// Everything produced by a generation run.
 #[derive(Debug)]
 pub struct GenerationOutcome {
-    /// The populated cluster store (finalized).
+    /// The populated cluster store.
     pub store: ClusterStore,
     /// Version history (one version published for the whole run).
     pub versions: VersionManager,
@@ -71,7 +71,7 @@ impl GenerationOutcome {
 /// Everything produced by an on-disk archive run.
 #[derive(Debug)]
 pub struct ArchiveRunOutcome {
-    /// The populated cluster store (finalized).
+    /// The populated cluster store.
     pub store: ClusterStore,
     /// Version history (one version published for the whole run).
     pub versions: VersionManager,
@@ -87,8 +87,7 @@ pub struct TestDataGenerator;
 
 impl TestDataGenerator {
     /// Run the full pipeline: generate the archive, import every
-    /// snapshot under the policy, publish version 1 and finalize the
-    /// store's document meta data.
+    /// snapshot under the policy and publish version 1.
     pub fn run(config: GenerationConfig) -> GenerationOutcome {
         let calendar: Vec<_> = standard_calendar()
             .into_iter()
@@ -106,7 +105,6 @@ impl TestDataGenerator {
             version,
         );
         versions.publish(&store, &imports);
-        store.finalize();
         GenerationOutcome {
             unsound_ncids: registry.unsound_ncids().clone(),
             store,
@@ -133,7 +131,6 @@ impl TestDataGenerator {
             versions.publish(&store, std::slice::from_ref(&stats));
             imports.push(stats);
         }
-        store.finalize();
         GenerationOutcome {
             unsound_ncids: registry.unsound_ncids().clone(),
             store,
@@ -157,7 +154,6 @@ impl TestDataGenerator {
         let outcome =
             tsv::import_archive_dir_with(&mut store, archive_dir, policy, version, options)?;
         versions.publish(&store, &outcome.stats);
-        store.finalize();
         Ok(ArchiveRunOutcome {
             store,
             versions,

@@ -1,8 +1,8 @@
 //! Record canonicalization: trimming, fingerprinting and the nested
-//! document layout of stored records.
+//! document view of a record.
 
 use nc_docstore::value::Document;
-use nc_votergen::schema::{AttrGroup, AttrId, Attribute, Row, NUM_ATTRS, SCHEMA};
+use nc_votergen::schema::{AttrGroup, Attribute, Row, NUM_ATTRS, SCHEMA};
 
 use crate::md5::{Digest, Md5};
 
@@ -76,27 +76,15 @@ pub fn trim_row(row: &mut Row) {
     }
 }
 
-/// Sub-document name of an attribute group.
-pub fn group_name(group: AttrGroup) -> &'static str {
-    match group {
-        AttrGroup::Person => "person",
-        AttrGroup::District => "district",
-        AttrGroup::Election => "election",
-        AttrGroup::Meta => "meta",
-    }
-}
-
-/// Convert a row to the stored nested document layout: four
-/// sub-documents (person/district/election/meta), with missing values
-/// omitted so that sparse records stay small. With `trim`, every value
-/// is stored trimmed, as [`trim_row`] would leave it.
-pub fn row_to_document(row: &Row, trim: bool) -> Document {
+/// The nested document view of a record: four sub-documents
+/// (person/district/election/meta), with missing values omitted so
+/// that sparse records stay small.
+pub fn row_to_document(row: &Row) -> Document {
     let mut person = Document::new();
     let mut district = Document::new();
     let mut election = Document::new();
     let mut meta = Document::new();
     for (attr, v) in SCHEMA.iter().zip(row.values()) {
-        let v = if trim { v.trim() } else { v };
         if v.is_empty() {
             continue;
         }
@@ -114,19 +102,6 @@ pub fn row_to_document(row: &Row, trim: bool) -> Document {
     doc.set("election", election);
     doc.set("meta", meta);
     doc
-}
-
-/// Read an attribute value back out of a stored record document.
-/// Returns `None` when the value was missing.
-pub fn record_value(doc: &Document, attr: AttrId) -> Option<&str> {
-    let a = &SCHEMA[attr];
-    // Attribute names contain no `.`, so the path is two plain keys.
-    doc.get(group_name(a.group))?.as_doc()?.get(a.name)?.as_str()
-}
-
-/// Reconstruct a dense [`Row`] from a stored record document.
-pub fn document_to_row(doc: &Document) -> Row {
-    Row::from_values(&std::array::from_fn(|id| record_value(doc, id).unwrap_or("")))
 }
 
 #[cfg(test)]
@@ -232,36 +207,21 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_document_is_the_document_of_the_trimmed_row() {
-        let mut row = sample_row();
-        row.set(FIRST_NAME, "   "); // trims to missing: omitted
-        let mut trimmed = row.clone();
-        trim_row(&mut trimmed);
-        assert_eq!(trimmed.get(FIRST_NAME), "");
-        assert_eq!(row_to_document(&row, true), row_to_document(&trimmed, false));
-        assert_ne!(row_to_document(&row, false), row_to_document(&trimmed, false));
-    }
-
-    #[test]
     fn document_layout_is_nested_and_sparse() {
-        let doc = row_to_document(&sample_row(), false);
+        let mut row = sample_row();
+        row.set(FIRST_NAME, "   "); // trims to missing: omitted once trimmed
+        let doc = row_to_document(&row);
         assert_eq!(doc.get_str("person.last_name"), Some("SMITH "));
+        assert_eq!(doc.get_str("person.first_name"), Some("   "));
         assert_eq!(doc.get_str("district.nc_house_abbrv"), Some("64TH HOUSE"));
         assert_eq!(doc.get_str("meta.snapshot_dt"), Some("2008-11-04"));
         // Missing values are omitted entirely.
         assert!(doc.get_path("person.midl_name").is_none());
         assert!(doc.get_path("election.party_cd").is_none());
-    }
 
-    #[test]
-    fn record_value_and_round_trip() {
-        let row = sample_row();
-        let doc = row_to_document(&row, false);
-        assert_eq!(record_value(&doc, LAST_NAME), Some("SMITH "));
-        assert_eq!(record_value(&doc, FIRST_NAME), Some("JOHN"));
-        assert_eq!(record_value(&doc, NC_HOUSE), Some("64TH HOUSE"));
-        assert_eq!(record_value(&doc, nc_votergen::schema::MIDL_NAME), None);
-        let back = document_to_row(&doc);
-        assert_eq!(back, row);
+        trim_row(&mut row);
+        let doc = row_to_document(&row);
+        assert_eq!(doc.get_str("person.last_name"), Some("SMITH"));
+        assert!(doc.get_path("person.first_name").is_none());
     }
 }

@@ -116,22 +116,33 @@ pub fn score_store(
     heterogeneity: &HeterogeneityScorer,
     config: &ScoringConfig,
 ) -> Vec<ClusterScore> {
-    let clusters: Vec<(String, Vec<Row>)> = store
-        .cluster_ids()
-        .into_iter()
-        .map(|(ncid, _)| {
-            let rows = store.cluster_rows(&ncid);
-            (ncid, rows)
-        })
-        .collect();
-    score_clusters(&clusters, plausibility, heterogeneity, config)
+    let clusters: Vec<(&str, &[Row])> = store.iter_clusters().collect();
+    map_clusters(config, &clusters, |scratch, &(ncid, rows)| {
+        score(scratch, ncid, rows, plausibility, heterogeneity)
+    })
+}
+
+/// One cluster's scores: the kernel every entry point below maps.
+fn score(
+    scratch: &mut Scratch,
+    ncid: &str,
+    rows: &[Row],
+    plausibility: &PlausibilityScorer,
+    heterogeneity: &HeterogeneityScorer,
+) -> ClusterScore {
+    ClusterScore {
+        ncid: ncid.to_owned(),
+        records: rows.len(),
+        plausibility: plausibility.cluster_with(scratch, rows),
+        heterogeneity: heterogeneity.cluster_with(scratch, rows),
+    }
 }
 
 /// Score pre-materialized clusters, sharded over `config` workers.
 ///
 /// The result is in input order and bit-identical for every thread
-/// count — [`score_store`] delegates here, and sharded stores
-/// (`nc-shard`) score their merged cluster lists through the same path,
+/// count — [`score_store`] maps the same kernel, and sharded stores
+/// (`nc-shard`) score their merged cluster lists through this path,
 /// which is what makes sharded and unsharded scoring byte-comparable.
 pub fn score_clusters(
     clusters: &[(String, Vec<Row>)],
@@ -139,11 +150,8 @@ pub fn score_clusters(
     heterogeneity: &HeterogeneityScorer,
     config: &ScoringConfig,
 ) -> Vec<ClusterScore> {
-    map_clusters(config, clusters, |scratch, (ncid, rows)| ClusterScore {
-        ncid: ncid.clone(),
-        records: rows.len(),
-        plausibility: plausibility.cluster_with(scratch, rows),
-        heterogeneity: heterogeneity.cluster_with(scratch, rows),
+    map_clusters(config, clusters, |scratch, (ncid, rows)| {
+        score(scratch, ncid, rows, plausibility, heterogeneity)
     })
 }
 
@@ -192,14 +200,8 @@ pub fn score_clusters_incremental(
         .collect();
     // Score through the same map_clusters kernel path as
     // score_clusters, over borrowed clusters (no row clones).
-    let mut rescored = map_clusters(config, &stale, |scratch, c| {
-        let (ncid, rows) = *c;
-        ClusterScore {
-            ncid: ncid.clone(),
-            records: rows.len(),
-            plausibility: plausibility.cluster_with(scratch, rows),
-            heterogeneity: heterogeneity.cluster_with(scratch, rows),
-        }
+    let mut rescored = map_clusters(config, &stale, |scratch, (ncid, rows)| {
+        score(scratch, ncid, rows, plausibility, heterogeneity)
     })
     .into_iter();
     let spliced: Vec<ClusterScore> = clusters
@@ -217,62 +219,12 @@ pub fn score_clusters_incremental(
     spliced
 }
 
-/// Incrementally score a store: like [`score_store`], but clusters not
-/// in `dirty` reuse their entry from `previous` *without being
-/// materialized at all* — the work avoided is both the scoring kernels
-/// and the per-cluster row clones, which is what makes low-churn
-/// re-scoring sub-linear in store size.
-///
-/// Unlike [`score_clusters_incremental`] this variant cannot apply the
-/// defensive record-count check without materializing rows, so `dirty`
-/// must cover every cluster changed since `previous` was computed (the
-/// change stream's founded + revised sets satisfy this by
-/// construction). Output is bit-identical to a full [`score_store`]
-/// pass.
-pub fn score_store_incremental(
-    store: &ClusterStore,
-    previous: &[ClusterScore],
-    dirty: &HashSet<String>,
-    plausibility: &PlausibilityScorer,
-    heterogeneity: &HeterogeneityScorer,
-    config: &ScoringConfig,
-) -> Vec<ClusterScore> {
-    let ids = store.cluster_ids();
-    let reusable = |i: usize, ncid: &str| {
-        previous
-            .get(i)
-            .is_some_and(|p| p.ncid == ncid && !dirty.contains(ncid))
-    };
-    let stale: Vec<(String, Vec<Row>)> = ids
-        .iter()
-        .enumerate()
-        .filter(|(i, (ncid, _))| !reusable(*i, ncid))
-        .map(|(_, (ncid, _))| {
-            let rows = store.cluster_rows(ncid);
-            (ncid.clone(), rows)
-        })
-        .collect();
-    let mut rescored = score_clusters(&stale, plausibility, heterogeneity, config).into_iter();
-    let spliced: Vec<ClusterScore> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, (ncid, _))| {
-            if reusable(i, ncid) {
-                previous[i].clone()
-            } else {
-                rescored.next().expect("one rescored entry per stale cluster")
-            }
-        })
-        .collect();
-    debug_assert!(rescored.next().is_none());
-    spliced
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heterogeneity::{AttributeWeights, Scope};
     use crate::record::DedupPolicy;
+    use crate::snapshot::StoreSnapshot;
     use nc_votergen::schema::{FIRST_NAME, LAST_NAME, MIDL_NAME, NCID};
 
     fn store() -> ClusterStore {
@@ -331,8 +283,8 @@ mod tests {
         for score in &scores {
             let rows = store.cluster_rows(&score.ncid);
             assert_eq!(score.records, rows.len());
-            assert_eq!(score.plausibility.to_bits(), plaus.cluster(&rows).to_bits());
-            assert_eq!(score.heterogeneity.to_bits(), het.cluster(&rows).to_bits());
+            assert_eq!(score.plausibility.to_bits(), plaus.cluster(rows).to_bits());
+            assert_eq!(score.heterogeneity.to_bits(), het.cluster(rows).to_bits());
         }
     }
 
@@ -395,28 +347,19 @@ mod tests {
         let dirty: HashSet<String> = ["C3".to_owned(), "C11".to_owned(), "C99".to_owned()].into();
 
         let full = score_store(&store, &plaus, &het, &cfg);
-        let inc_store = score_store_incremental(&store, &before, &dirty, &plaus, &het, &cfg);
-        assert_bits_equal(&full, &inc_store);
-
-        let clusters: Vec<(String, Vec<Row>)> = store
-            .cluster_ids()
-            .into_iter()
-            .map(|(ncid, _)| {
-                let rows = store.cluster_rows(&ncid);
-                (ncid, rows)
-            })
-            .collect();
-        let inc = score_clusters_incremental(&clusters, &before, &dirty, &plaus, &het, &cfg);
+        let clusters = StoreSnapshot::capture(&store, 2);
+        let clusters = clusters.clusters();
+        let inc = score_clusters_incremental(clusters, &before, &dirty, &plaus, &het, &cfg);
         assert_bits_equal(&full, &inc);
 
         // An empty dirty set over an unchanged store reuses everything.
-        let clean = score_store_incremental(&store, &full, &HashSet::new(), &plaus, &het, &cfg);
+        let clean = score_clusters_incremental(clusters, &full, &HashSet::new(), &plaus, &het, &cfg);
         assert_bits_equal(&full, &clean);
 
         // The defensive record-count check catches an under-approximated
-        // dirty set in the materialized variant.
+        // dirty set.
         let stale_guard =
-            score_clusters_incremental(&clusters, &before, &HashSet::new(), &plaus, &het, &cfg);
+            score_clusters_incremental(clusters, &before, &HashSet::new(), &plaus, &het, &cfg);
         assert_bits_equal(&full, &stale_guard);
     }
 }

@@ -105,20 +105,11 @@ impl StoreSnapshot {
     /// order, which is what makes snapshot-based customization
     /// bit-identical to the store-based path.
     pub fn capture(store: &ClusterStore, version: u32) -> Self {
-        let clusters: Vec<(String, Vec<Row>)> = store
-            .cluster_ids()
-            .into_iter()
-            .map(|(ncid, _)| {
-                let rows = store.cluster_rows(&ncid);
-                (ncid, rows)
-            })
+        let clusters = store
+            .iter_clusters()
+            .map(|(ncid, rows)| (ncid.to_owned(), rows.to_vec()))
             .collect();
-        let records = clusters.iter().map(|(_, r)| r.len() as u64).sum();
-        StoreSnapshot {
-            version,
-            clusters,
-            records,
-        }
+        Self::from_clusters(version, clusters)
     }
 
     /// Build a snapshot from already-materialized clusters.
@@ -127,8 +118,7 @@ impl StoreSnapshot {
     /// order [`ClusterStore::cluster_ids`] would yield for the
     /// equivalent store, or customization loses its bit-identity
     /// guarantee. `nc-shard` uses this for its publishes, where the
-    /// per-shard cluster lists (patched at the clusters that changed)
-    /// are merged back into global founding order.
+    /// shards' clusters are merged back into global founding order.
     pub fn from_clusters(version: u32, clusters: Vec<(String, Vec<Row>)>) -> Self {
         let records = clusters.iter().map(|(_, r)| r.len() as u64).sum();
         StoreSnapshot {
@@ -167,13 +157,7 @@ impl StoreSnapshot {
         if version == published && store.max_record_version() <= version {
             return Ok(Self::capture(store, version));
         }
-        let clusters = versions.reconstruct(store, version);
-        let records = clusters.iter().map(|(_, r)| r.len() as u64).sum();
-        Ok(StoreSnapshot {
-            version,
-            clusters,
-            records,
-        })
+        Ok(Self::from_clusters(version, versions.reconstruct(store, version)))
     }
 
     /// The pinned version identifier.

@@ -73,28 +73,24 @@ impl VersionManager {
     /// qualifying record are omitted.
     pub fn reconstruct(&self, store: &ClusterStore, version: u32) -> Vec<(String, Vec<Row>)> {
         let mut out = Vec::new();
-        for (ncid, _) in store.cluster_ids() {
+        for (ncid, rows) in store.iter_clusters() {
             let versions = store
-                .record_versions(&ncid)
+                .record_versions(ncid)
                 .expect("cluster has version info");
             // Clusters whose records all qualify — every cluster when
-            // reconstructing the current version — keep their
-            // materialized rows as-is instead of paying the
-            // zip/filter re-collect.
-            if versions.iter().all(|&v| v <= version) {
-                let rows = store.cluster_rows(&ncid);
-                out.push((ncid, rows));
-                continue;
-            }
-            let rows = store.cluster_rows(&ncid);
-            let kept: Vec<Row> = rows
-                .into_iter()
-                .zip(versions.iter())
-                .filter(|(_, &v)| v <= version)
-                .map(|(r, _)| r)
-                .collect();
+            // reconstructing the current version — are copied whole,
+            // into an exactly sized `Vec`.
+            let kept: Vec<Row> = if versions.iter().all(|&v| v <= version) {
+                rows.to_vec()
+            } else {
+                rows.iter()
+                    .zip(versions)
+                    .filter(|(_, &v)| v <= version)
+                    .map(|(r, _)| r.clone())
+                    .collect()
+            };
             if !kept.is_empty() {
-                out.push((ncid, kept));
+                out.push((ncid.to_owned(), kept));
             }
         }
         out
@@ -108,19 +104,18 @@ impl VersionManager {
         snapshots: &HashSet<String>,
     ) -> Vec<(String, Vec<Row>)> {
         let mut out = Vec::new();
-        for (ncid, _) in store.cluster_ids() {
-            let rows = store.cluster_rows(&ncid);
+        for (ncid, rows) in store.iter_clusters() {
             let membership = store
-                .record_snapshots(&ncid)
+                .record_snapshots(ncid)
                 .expect("cluster has snapshot info");
             let kept: Vec<Row> = rows
-                .into_iter()
-                .zip(membership.iter())
-                .filter(|(_, snaps)| snaps.iter().any(|s| snapshots.contains(s)))
-                .map(|(r, _)| r)
+                .iter()
+                .zip(&membership)
+                .filter(|(_, snaps)| snaps.iter().any(|&s| snapshots.contains(s)))
+                .map(|(r, _)| r.clone())
                 .collect();
             if !kept.is_empty() {
-                out.push((ncid, kept));
+                out.push((ncid.to_owned(), kept));
             }
         }
         out

@@ -43,12 +43,8 @@ fn build_store(stamp: u64, clusters: usize) -> ClusterStore {
 /// The scorer derivation used throughout the repo (and by the serve
 /// layer): entropy weights from one record per cluster, person scope.
 fn scorer_for(store: &ClusterStore) -> HeterogeneityScorer {
-    let firsts: Vec<_> = store
-        .cluster_ids()
-        .iter()
-        .filter_map(|(n, _)| store.cluster_rows(n).into_iter().next())
-        .collect();
-    HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts.iter()))
+    let firsts = store.iter_clusters().map(|(_, rows)| &rows[0]);
+    HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts))
 }
 
 /// Bit-exact rendering of a dataset for comparison: NCIDs plus every
@@ -111,12 +107,8 @@ proptest! {
 
         // Through the raw clusters slice…
         let clusters: Vec<(String, Vec<Row>)> = store
-            .cluster_ids()
-            .into_iter()
-            .map(|(ncid, _)| {
-                let rows = store.cluster_rows(&ncid);
-                (ncid, rows)
-            })
+            .iter_clusters()
+            .map(|(ncid, rows)| (ncid.to_owned(), rows.to_vec()))
             .collect();
         let via_slice = customize_clusters(&clusters, &scorer, &params);
         prop_assert_eq!(render(&direct), render(&via_slice));

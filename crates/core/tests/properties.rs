@@ -4,11 +4,18 @@ use nc_core::cluster::{ClusterStore, RowOutcome};
 use nc_core::md5::md5_str;
 use nc_core::record::{fingerprint, trim_row, DedupPolicy};
 use nc_core::stats::pairs_in_cluster;
-use nc_votergen::schema::{Row, AGE, FIRST_NAME, LAST_NAME, NCID, SNAPSHOT_DT};
+use nc_votergen::schema::{
+    AttrGroup, Row, AGE, FIRST_NAME, LAST_NAME, MIDL_NAME, NCID, NC_HOUSE, PARTY_CD, SCHEMA, SNAPSHOT_DT,
+};
 use proptest::prelude::*;
 
 fn word() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[A-Z]{0,10}").unwrap()
+}
+
+/// A value that may be padded, empty, or whitespace only.
+fn padded() -> impl Strategy<Value = String> {
+    proptest::string::string_regex(" {0,2}[A-Z]{0,4} {0,2}").unwrap()
 }
 
 fn row_strategy() -> impl Strategy<Value = Row> {
@@ -109,6 +116,60 @@ proptest! {
         let seen: u64 = store.cluster_rows_seen().iter().sum();
         prop_assert_eq!(seen, store.rows_imported());
         prop_assert!(store.record_count() <= store.rows_imported());
+    }
+
+    /// What the store keeps of a row is the row — trimmed when the
+    /// policy trims, untouched otherwise — and the derived document
+    /// lists exactly the stored row's non-empty values under their
+    /// group, so nothing about a record exists only in the view.
+    #[test]
+    fn stored_row_and_its_document_view_agree(
+        ncid in "[A-Z]{2}[0-9]{3}",
+        first in padded(),
+        midl in padded(),
+        last in padded(),
+        house in padded(),
+        party in padded(),
+    ) {
+        let mut row = Row::empty();
+        row.set(NCID, format!(" {ncid} "));
+        let values = [
+            (FIRST_NAME, first),
+            (MIDL_NAME, midl),
+            (LAST_NAME, last),
+            (NC_HOUSE, house),
+            (PARTY_CD, party),
+        ];
+        for (attr, value) in values {
+            row.set(attr, value);
+        }
+        row.set(SNAPSHOT_DT, "2010-01-01");
+        for policy in DedupPolicy::ALL {
+            let mut store = ClusterStore::new();
+            store.import_row_ref(&row, policy, "2010-01-01", 1);
+            let mut expected = row.clone();
+            if policy.trims() {
+                trim_row(&mut expected);
+            }
+            prop_assert_eq!(store.cluster_rows(&ncid), std::slice::from_ref(&expected));
+
+            let doc = store.cluster_doc(&ncid).unwrap();
+            prop_assert_eq!(doc.get_str("ncid"), Some(ncid.as_str()));
+            let records = doc.get_array("records").unwrap();
+            prop_assert_eq!(records.len(), 1);
+            let record = records[0].as_doc().unwrap();
+            for (attr, value) in SCHEMA.iter().zip(expected.values()) {
+                let group = match attr.group {
+                    AttrGroup::Person => "person",
+                    AttrGroup::District => "district",
+                    AttrGroup::Election => "election",
+                    AttrGroup::Meta => "meta",
+                };
+                let path = format!("{group}.{}", attr.name);
+                let expected = (!value.is_empty()).then_some(value);
+                prop_assert_eq!(record.get_str(&path), expected, "{:?} {}", policy, path);
+            }
+        }
     }
 
     /// trim_row is idempotent.

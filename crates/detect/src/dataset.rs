@@ -88,6 +88,15 @@ impl Dataset {
         pairs
     }
 
+    /// The gold standard in ascending order. Iterate this, not the set,
+    /// wherever the order can show in a result: a float sum over the
+    /// pairs, the shards of a parallel scan.
+    pub fn sorted_gold_pairs(&self) -> Vec<Pair> {
+        let mut pairs: Vec<Pair> = self.gold_pairs().into_iter().collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
     /// Entropy of every attribute over all records (the detection-side
     /// weighting: the user cannot exclude duplicates they do not know).
     pub fn attribute_entropies(&self) -> Vec<f64> {
@@ -160,6 +169,10 @@ mod tests {
             d.push(vec!["V".into()], 7);
         }
         assert_eq!(d.gold_pairs().len(), 6);
+        assert_eq!(
+            d.sorted_gold_pairs(),
+            vec![Pair(0, 1), Pair(0, 2), Pair(0, 3), Pair(1, 2), Pair(1, 3), Pair(2, 3)]
+        );
     }
 
     #[test]

@@ -347,14 +347,6 @@ impl Collection {
             .and_then(|id| self.docs.get(id))
     }
 
-    /// A read-only view of this collection. The view exposes the full
-    /// query surface but no mutation, so it can be handed to snapshot
-    /// and serving code as a compile-time guarantee that published data
-    /// is never written through.
-    pub fn view(&self) -> CollectionView<'_> {
-        CollectionView { inner: self }
-    }
-
     /// Whether a document with an indexed `path == value` exists. This is
     /// the hot call of the dedup import path, so it avoids materializing
     /// posting lists when possible.
@@ -366,79 +358,6 @@ impl Collection {
                 .values()
                 .any(|d| d.get_path(path).is_some_and(|v| v.query_eq(value)))
         }
-    }
-}
-
-/// A borrowed, read-only window onto a [`Collection`].
-///
-/// Every accessor forwards to the underlying collection; there is no
-/// way to insert, update, delete or re-index through a view. Cluster
-/// snapshots and the serving layer read through views so the type
-/// system rules out accidental writes to published data.
-#[derive(Debug, Clone, Copy)]
-pub struct CollectionView<'a> {
-    inner: &'a Collection,
-}
-
-impl<'a> CollectionView<'a> {
-    /// The collection name.
-    pub fn name(&self) -> &'a str {
-        self.inner.name()
-    }
-
-    /// Number of stored documents.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the collection is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Fetch a document by id.
-    pub fn get(&self, id: DocId) -> Option<&'a Document> {
-        self.inner.get(id)
-    }
-
-    /// Find all documents matching `filter`, ordered by `_id`.
-    pub fn find(&self, filter: &Filter) -> Vec<&'a Document> {
-        self.inner.find(filter)
-    }
-
-    /// Find matching document ids, ordered ascending.
-    pub fn find_ids(&self, filter: &Filter) -> Vec<DocId> {
-        self.inner.find_ids(filter)
-    }
-
-    /// First matching document, by ascending `_id`.
-    pub fn find_one(&self, filter: &Filter) -> Option<&'a Document> {
-        self.inner.find_one(filter)
-    }
-
-    /// Count matching documents.
-    pub fn count(&self, filter: &Filter) -> usize {
-        self.inner.count(filter)
-    }
-
-    /// Whether a document with `path == value` exists.
-    pub fn exists_eq(&self, path: &str, value: &Value) -> bool {
-        self.inner.exists_eq(path, value)
-    }
-
-    /// The paths that currently have indexes.
-    pub fn indexed_paths(&self) -> Vec<&'a str> {
-        self.inner.indexed_paths()
-    }
-
-    /// Plan the access path for `filter` (see [`Collection::plan`]).
-    pub fn plan(&self, filter: &Filter) -> AccessPlan {
-        self.inner.plan(filter)
-    }
-
-    /// Iterate over `(id, document)` pairs in ascending id order.
-    pub fn iter_ordered(&self) -> impl Iterator<Item = (DocId, &'a Document)> {
-        self.inner.iter_ordered()
     }
 }
 
@@ -667,28 +586,6 @@ mod tests {
             let age = d.get_i64("age").unwrap();
             assert!((20..=21).contains(&age));
         }
-    }
-
-    #[test]
-    fn read_view_exposes_queries_only() {
-        let mut c = voters();
-        c.create_index("name", IndexKind::Hash);
-        let view = c.view();
-        assert_eq!(view.name(), "voters");
-        assert_eq!(view.len(), 3);
-        assert!(!view.is_empty());
-        assert_eq!(view.find(&Filter::eq("name", "SMITH")).len(), 2);
-        assert_eq!(view.count(&Filter::eq("name", "SMITH")), 2);
-        assert_eq!(view.find_ids(&Filter::eq("name", "JONES")), vec![1]);
-        assert_eq!(
-            view.find_one(&Filter::eq("name", "SMITH")).unwrap().get_str("ncid"),
-            Some("A1")
-        );
-        assert!(view.exists_eq("name", &Value::Str("JONES".into())));
-        assert_eq!(view.indexed_paths(), vec!["name"]);
-        assert_eq!(view.get(0).unwrap().get_str("ncid"), Some("A1"));
-        let ids: Vec<DocId> = view.iter_ordered().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
     }
 
     #[test]

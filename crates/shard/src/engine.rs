@@ -391,11 +391,10 @@ impl ShardEngine {
         cause
     }
 
-    /// Materialize a versioned [`StoreSnapshot`]. After the first
-    /// publish of an engine's lifetime only the clusters founded or
-    /// given a record since the last one are re-read from the shards;
-    /// see [`ShardedStore::publish`] for what stays proportional to
-    /// the store.
+    /// A versioned [`StoreSnapshot`] of everything ingested so far
+    /// ([`ShardedStore::publish`]). It only reads; the receiver stays
+    /// `&mut` for `bench_pipeline`, which binds engines `mut` just to
+    /// call this and is frozen while this signature is compared.
     pub fn publish(&mut self, version: u32) -> StoreSnapshot {
         self.store.publish(version)
     }
@@ -442,12 +441,6 @@ impl ShardEngine {
     /// The in-memory sharded store.
     pub fn store(&self) -> &ShardedStore {
         &self.store
-    }
-
-    /// Mutable access to the store (pure in-memory mutations bypass the
-    /// WAL — meant for `finalize` and publish bookkeeping).
-    pub fn store_mut(&mut self) -> &mut ShardedStore {
-        &mut self.store
     }
 
     /// Stats of every committed snapshot, in ingest order.

@@ -27,10 +27,8 @@
 //!   founding order — the same order the unsharded store yields — so
 //!   scoring, customize and carving stay bit-identical under any shard
 //!   count (asserted by proptest in `tests/determinism.rs`).
-//! * **Incremental publish** ([`engine`]): after a snapshot lands,
-//!   only the clusters it founded or gave a new record are re-read
-//!   into the shards' materialized lists (duplicate-dropped rows
-//!   dirty nothing); the lists are then merged into the next
+//! * **Publish** ([`engine`]): the shards' clusters are copied out of
+//!   their stores and merged by founding sequence number into the next
 //!   [`nc_core::snapshot::StoreSnapshot`], which publishes straight
 //!   into `nc-serve`'s snapshot registry.
 //! * **Fault injection and rollback** ([`engine`], [`wal`]): every

@@ -2,10 +2,10 @@
 //!
 //! # Why merged iteration is deterministic
 //!
-//! The unsharded [`ClusterStore::cluster_ids`] sorts clusters by
-//! `DocId`, and `DocId`s are assigned in insertion order, so the
-//! unsharded order is *global founding order*: the order in which each
-//! NCID was first seen. Sharding partitions whole clusters (the shard
+//! The unsharded [`ClusterStore`] keeps and yields its clusters in
+//! `DocId` order, and a `DocId` is the cluster's insertion position, so
+//! the unsharded order is *global founding order*: the order in which
+//! each NCID was first seen. Sharding partitions whole clusters (the shard
 //! key is the NCID), a row's global sequence number is its position
 //! in the row stream, and each shard's worker walks that stream in
 //! order — so a shard observes its subset of rows in exactly the
@@ -47,17 +47,11 @@ pub fn shard_of(ncid: &str, shards: usize) -> usize {
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) store: ClusterStore,
-    /// `(global row sequence number, NCID)` per founded cluster, in
-    /// founding order — the merge key for [`ShardedStore::cluster_ids`].
-    founded: Vec<(u64, String)>,
-    /// Founding positions (indexes into `founded`) of the clusters whose
-    /// rows changed since `cache` was last brought up to date; repeats
-    /// allowed. Only tracked while a cache exists — without one the next
-    /// materialization is a bulk build that reads every cluster anyway.
-    dirty: Vec<usize>,
-    /// Materialized clusters, index-parallel to `founded` once `dirty`
-    /// has been applied. `None` until the first publish after open.
-    cache: Option<Vec<(u64, String, Vec<Row>)>>,
+    /// Global sequence number of each cluster's founding row, in
+    /// founding order — index-parallel to the store's clusters, and the
+    /// merge key of [`ShardedStore::cluster_ids`] and
+    /// [`ShardedStore::publish`].
+    founded: Vec<u64>,
 }
 
 impl Shard {
@@ -65,8 +59,6 @@ impl Shard {
         Shard {
             store: ClusterStore::new(),
             founded: Vec::new(),
-            dirty: Vec::new(),
-            cache: None,
         }
     }
 
@@ -81,64 +73,20 @@ impl Shard {
         version: u32,
     ) -> RowOutcome {
         let outcome = self.store.import_row_ref(row, policy, date, version);
-        // A dropped duplicate changes side state only, never the
-        // cluster's rows, so it leaves the materialized cluster valid.
-        if outcome != RowOutcome::DuplicateDropped {
-            let ncid = row.ncid().trim();
-            if outcome == RowOutcome::NewCluster {
-                self.founded.push((seq, ncid.to_owned()));
-            }
-            if self.cache.is_some() {
-                // Clusters are the store's only documents and are never
-                // deleted, so a cluster's DocId is its founding position.
-                let pos = self.store.doc_id(ncid).expect("row was just imported") as usize;
-                assert!(
-                    self.founded.get(pos).is_some_and(|(_, n)| n == ncid),
-                    "DocId must equal founding position"
-                );
-                self.dirty.push(pos);
-            }
+        if outcome == RowOutcome::NewCluster {
+            self.founded.push(seq);
         }
         outcome
     }
 
-    /// Whether the next materialization has work to do.
-    fn is_dirty(&self) -> bool {
-        self.cache.is_none() || !self.dirty.is_empty()
-    }
-
-    /// The shard's clusters in founding order. With a cache, only the
-    /// clusters that gained a record since the last call are re-read
-    /// from the docstore (founded ones are appended — they arrive in
-    /// founding order); without one (first publish, WAL replay,
-    /// rollback reopen) every cluster is read once.
-    fn materialize(&mut self) -> &[(u64, String, Vec<Row>)] {
-        let Shard {
-            store,
-            founded,
-            dirty,
-            cache,
-        } = self;
-        let clusters = cache.get_or_insert_with(|| {
-            founded
-                .iter()
-                .map(|(seq, ncid)| (*seq, ncid.clone(), store.cluster_rows(ncid)))
-                .collect()
-        });
-        dirty.sort_unstable();
-        dirty.dedup();
-        for pos in dirty.drain(..) {
-            let (seq, ncid) = &founded[pos];
-            let rows = store.cluster_rows(ncid);
-            match clusters.get_mut(pos) {
-                Some(cluster) => cluster.2 = rows,
-                None => {
-                    assert_eq!(pos, clusters.len(), "founded clusters append in order");
-                    clusters.push((*seq, ncid.clone(), rows));
-                }
-            }
-        }
-        clusters
+    /// The shard's clusters in founding order, each with the sequence
+    /// number of its founding row.
+    fn clusters(&self) -> impl Iterator<Item = (u64, &str, &[Row])> {
+        assert_eq!(self.founded.len(), self.store.cluster_count());
+        self.founded
+            .iter()
+            .zip(self.store.iter_clusters())
+            .map(|(&seq, (ncid, rows))| (seq, ncid, rows))
     }
 }
 
@@ -231,20 +179,13 @@ impl ShardedStore {
     pub fn cluster_ids(&self) -> Vec<(String, ShardedDocId)> {
         let mut merged: Vec<(u64, String, ShardedDocId)> = Vec::with_capacity(self.cluster_count());
         for (shard_idx, shard) in self.shards.iter().enumerate() {
-            // Within a shard, founding order and DocId order coincide
-            // (clusters are the only inserts); zip them to attach ids.
-            let by_doc = shard.store.cluster_ids();
-            debug_assert_eq!(by_doc.len(), shard.founded.len());
-            for ((seq, ncid), (doc_ncid, doc)) in shard.founded.iter().zip(by_doc) {
-                debug_assert_eq!(*ncid, doc_ncid, "founding order must match DocId order");
-                merged.push((
-                    *seq,
-                    ncid.clone(),
-                    ShardedDocId {
-                        shard: shard_idx,
-                        doc,
-                    },
-                ));
+            // Within a shard a cluster's DocId is its founding position.
+            for (pos, (seq, ncid, _)) in shard.clusters().enumerate() {
+                let id = ShardedDocId {
+                    shard: shard_idx,
+                    doc: pos as DocId,
+                };
+                merged.push((seq, ncid.to_owned(), id));
             }
         }
         merged.sort_by_key(|(seq, _, _)| *seq);
@@ -252,7 +193,7 @@ impl ShardedStore {
     }
 
     /// The rows of one cluster, routed to its shard.
-    pub fn cluster_rows(&self, ncid: &str) -> Vec<Row> {
+    pub fn cluster_rows(&self, ncid: &str) -> &[Row] {
         self.shards[shard_of(ncid, self.shards.len())]
             .store
             .cluster_rows(ncid)
@@ -273,40 +214,19 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.store.rows_imported()).sum()
     }
 
-    /// Indexes of the shards the next [`ShardedStore::publish`] must
-    /// touch: never materialized, or a cluster gained a record since.
-    /// A shard that only saw duplicate-dropped rows is not dirty.
-    pub fn dirty_shards(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_dirty())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Finalize every shard's document metadata (see
-    /// [`ClusterStore::finalize`]).
-    pub fn finalize(&mut self) {
-        for shard in &mut self.shards {
-            shard.store.finalize();
-        }
-    }
-
-    /// Materialize a [`StoreSnapshot`] pinned to `version`.
+    /// A [`StoreSnapshot`] of the store as it is now, pinned to
+    /// `version`.
     ///
-    /// Incremental at cluster granularity: each shard re-reads only the
-    /// clusters that gained a record since its last materialization
-    /// (all of them the first time). The per-shard lists (already in
-    /// founding order) are then cloned and merged by global sequence
-    /// number — the one step still proportional to the store — so the
-    /// snapshot's cluster order is identical to
-    /// [`StoreSnapshot::capture`] on the unsharded twin.
-    pub fn publish(&mut self, version: u32) -> StoreSnapshot {
+    /// Every cluster is copied straight out of its shard's store (the
+    /// shards already hold founding order) and the copies are merged by
+    /// global sequence number, so the snapshot's cluster order is
+    /// identical to [`StoreSnapshot::capture`] on the unsharded twin.
+    /// The copy and the merge are proportional to the store.
+    pub fn publish(&self, version: u32) -> StoreSnapshot {
         let mut merged: Vec<(u64, (String, Vec<Row>))> = Vec::with_capacity(self.cluster_count());
-        for shard in &mut self.shards {
-            for (seq, ncid, rows) in shard.materialize() {
-                merged.push((*seq, (ncid.clone(), rows.clone())));
+        for shard in &self.shards {
+            for (seq, ncid, rows) in shard.clusters() {
+                merged.push((seq, (ncid.to_owned(), rows.to_vec())));
             }
         }
         merged.sort_by_key(|(seq, _)| *seq);
@@ -375,10 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn publish_is_incremental_over_dirty_shards() {
+    fn every_publish_equals_a_capture_of_the_unsharded_twin() {
         let mut snaps = snapshots(42, 60, 2);
         // Whatever the generator drew, the second snapshot founds a
-        // cluster, so the append branch of the patch path runs.
+        // cluster as well as revising some.
         let mut founder = snaps[1].rows[0].clone();
         founder.set(nc_votergen::schema::NCID, "ZZ-FOUNDED-LATE");
         snaps[1].rows.push(founder);
@@ -386,30 +306,21 @@ mod tests {
         let mut plain = ClusterStore::new();
         sharded.ingest_snapshot(&snaps[0], DedupPolicy::Trimmed, 1);
         import_snapshot(&mut plain, &snaps[0], DedupPolicy::Trimmed, 1);
-        assert!(!sharded.dirty_shards().is_empty());
         let v1 = sharded.publish(1);
         assert_eq!(v1.clusters(), StoreSnapshot::capture(&plain, 1).clusters());
-        assert!(
-            sharded.dirty_shards().is_empty(),
-            "publish cleans every shard"
-        );
-        // A second publish with no new rows reuses every cache.
-        let v1_again = sharded.publish(1);
-        assert_eq!(v1_again.clusters(), v1.clusters());
+        // A second publish with no new rows publishes the same clusters.
+        assert_eq!(sharded.publish(1).clusters(), v1.clusters());
 
-        // The patched caches (revised clusters replaced in place,
-        // founded ones appended) equal a capture of the unsharded twin.
         sharded.ingest_snapshot(&snaps[1], DedupPolicy::Trimmed, 1);
         import_snapshot(&mut plain, &snaps[1], DedupPolicy::Trimmed, 1);
-        assert!(!sharded.dirty_shards().is_empty());
         let v2 = sharded.publish(2);
         assert_eq!(v2.clusters(), StoreSnapshot::capture(&plain, 2).clusters());
         assert!(v2.cluster_count() > v1.cluster_count(), "snapshot 2 founds clusters");
-        assert!(sharded.dirty_shards().is_empty());
+        assert!(v2.record_count() > v1.record_count() + 1, "and revises some");
     }
 
     #[test]
-    fn all_duplicate_snapshot_dirties_no_cluster() {
+    fn all_duplicate_snapshot_changes_no_published_cluster() {
         let snaps = snapshots(44, 60, 1);
         let mut sharded = ShardedStore::new(3);
         sharded.ingest_snapshot(&snaps[0], DedupPolicy::Trimmed, 1);
@@ -420,10 +331,6 @@ mod tests {
         let stats = sharded.ingest_snapshot(&replay, DedupPolicy::Trimmed, 1);
         assert_eq!(stats.total_rows, replay.rows.len() as u64);
         assert_eq!(stats.new_records, 0, "every row is a dropped duplicate");
-        assert!(
-            sharded.dirty_shards().is_empty(),
-            "dropped duplicates never change cluster rows"
-        );
         assert_eq!(sharded.publish(2).clusters(), v1.clusters());
     }
 

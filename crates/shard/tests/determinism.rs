@@ -203,12 +203,11 @@ fn oracle_dir(name: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The cluster-granular publish against two oracles that share none
-    /// of its bookkeeping: whatever interleaving of ingests, publishes
-    /// and restarts came before, `publish(v)` equals — to the byte — the
-    /// publish of a from-scratch in-memory [`ShardedStore`] fed the same
-    /// rows (always the bulk build) and the capture of the unsharded
-    /// twin.
+    /// The engine's publish against two oracles that share none of its
+    /// history: whatever interleaving of ingests, publishes and restarts
+    /// came before, `publish(v)` equals — to the byte — the publish of a
+    /// from-scratch in-memory [`ShardedStore`] fed the same rows and the
+    /// capture of the unsharded twin.
     #[test]
     fn engine_publish_equals_from_scratch_oracles_under_any_interleaving(
         seed in 0u64..10_000,
@@ -273,7 +272,7 @@ proptest! {
                     // is ingested in file-name order.
                     let snap = Snapshot { index: i, date: format!("{:04}-01-01", 2000 + i), rows };
                     let path = tsv::write_snapshot(&archive, &snap).unwrap();
-                    let dirty_before = engine.store().dirty_shards();
+                    let before = matches!(step, Step::Duplicate).then(|| engine.publish(version));
                     let outcome = engine
                         .ingest_archive(&archive, &ImportOptions::strict())
                         .unwrap();
@@ -281,12 +280,12 @@ proptest! {
                     let read_back = tsv::read_snapshot(&path).unwrap();
                     let stats = import_snapshot(&mut plain, &read_back, DedupPolicy::Trimmed, 1);
                     prop_assert_eq!(&outcome.stats[0], &stats);
-                    if matches!(step, Step::Duplicate) {
+                    if let Some(before) = before {
                         prop_assert_eq!(stats.new_records, 0);
                         prop_assert_eq!(
-                            engine.store().dirty_shards(),
-                            dirty_before,
-                            "dropped duplicates dirty no shard, shards={}", shards
+                            engine.publish(version).clusters(),
+                            before.clusters(),
+                            "dropped duplicates change no published cluster, shards={}", shards
                         );
                     }
                     ingested.push(read_back);
@@ -301,7 +300,6 @@ proptest! {
 
                 version += 1;
                 let published = engine.publish(version);
-                prop_assert!(engine.store().dirty_shards().is_empty());
                 let twin = StoreSnapshot::capture(&plain, version);
                 prop_assert_eq!(
                     published.clusters(), twin.clusters(),
@@ -318,8 +316,8 @@ proptest! {
                     "engine vs from-scratch sharded store at step {}, shards={}", i, shards
                 );
                 if matches!(step, Step::PublishAgain) {
-                    // Nothing landed since: repeated publishes are
-                    // no-ops over the same caches.
+                    // Nothing landed since: repeated publishes publish
+                    // the same clusters.
                     for _ in 0..2 {
                         version += 1;
                         let again = engine.publish(version);

@@ -54,8 +54,8 @@ pub mod bridge {
     pub fn dataset_from_store(store: &ClusterStore, attrs: &[AttrId]) -> Dataset {
         let names = attrs.iter().map(|&a| SCHEMA[a].name.to_owned()).collect();
         let mut data = Dataset::new(names);
-        for (label, (ncid, _)) in store.cluster_ids().iter().enumerate() {
-            for row in store.cluster_rows(ncid) {
+        for (label, (_, rows)) in store.iter_clusters().enumerate() {
+            for row in rows {
                 let values = attrs.iter().map(|&a| row.get(a).trim().to_owned()).collect();
                 data.push(values, label);
             }

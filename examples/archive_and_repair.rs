@@ -58,12 +58,8 @@ fn main() {
     // 3. Score plausibility and apply the two §3.1.1 actions.
     let scorer = PlausibilityScorer::new();
     let clusters: Vec<(String, Vec<_>)> = store
-        .cluster_ids()
-        .into_iter()
-        .map(|(ncid, _)| {
-            let rows = store.cluster_rows(&ncid);
-            (ncid, rows)
-        })
+        .iter_clusters()
+        .map(|(ncid, rows)| (ncid.to_owned(), rows.to_vec()))
         .collect();
 
     let known_unsound = registry.unsound_ncids();

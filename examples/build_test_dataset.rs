@@ -93,7 +93,7 @@ fn main() {
     let dir = std::env::temp_dir().join("ncvoter_testdata_example");
     std::fs::create_dir_all(&dir).expect("create output dir");
     let path = dir.join("clusters.jsonl");
-    persist::save(outcome.store.collection(), &path).expect("persist clusters");
+    persist::save(&outcome.store.to_collection(), &path).expect("persist clusters");
     let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!("\npersisted cluster store to {} ({size} bytes)", path.display());
 

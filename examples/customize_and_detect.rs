@@ -37,12 +37,8 @@ fn main() {
 
     // Heterogeneity scorer with entropy weights from one record per
     // cluster (Section 6.3).
-    let firsts: Vec<_> = store
-        .cluster_ids()
-        .iter()
-        .filter_map(|(n, _)| store.cluster_rows(n).into_iter().next())
-        .collect();
-    let weights = AttributeWeights::from_rows(Scope::Person, firsts.iter());
+    let firsts = store.iter_clusters().map(|(_, rows)| &rows[0]);
+    let weights = AttributeWeights::from_rows(Scope::Person, firsts);
     let scorer = HeterogeneityScorer::new(weights);
 
     let presets = [

@@ -99,9 +99,8 @@ fn main() {
     let no_sink = ImportOptions::quarantine();
     tsv::import_archive_dir_with(&mut store, &archive, DedupPolicy::Trimmed, 1, &no_sink)
         .expect("in-memory quarantine import");
-    store.finalize();
     let store_file = base.join("store.jsonl");
-    persist::save(store.collection(), &store_file).expect("save store");
+    persist::save(&store.to_collection(), &store_file).expect("save store");
     let bytes = std::fs::read(&store_file).expect("read store");
     std::fs::write(&store_file, &bytes[..bytes.len() * 2 / 3]).expect("truncate store");
     let salvaged = persist::salvage("clusters", &store_file).expect("salvage");

@@ -45,12 +45,8 @@ fn build_store(seed: u64, population: usize, snapshots: usize) -> ClusterStore {
 }
 
 fn scorer_for(store: &ClusterStore) -> HeterogeneityScorer {
-    let firsts: Vec<_> = store
-        .cluster_ids()
-        .iter()
-        .filter_map(|(n, _)| store.cluster_rows(n).into_iter().next())
-        .collect();
-    HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts.iter()))
+    let firsts = store.iter_clusters().map(|(_, rows)| &rows[0]);
+    HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts))
 }
 
 /// One scripted request, printed the way a `curl` user would see it.

@@ -49,21 +49,16 @@ fn main() {
     // 3. Score plausibility (gold-standard soundness) and heterogeneity
     //    (dirtiness) for every cluster.
     let plaus = PlausibilityScorer::new();
-    let first_rows: Vec<_> = store
-        .cluster_ids()
-        .iter()
-        .filter_map(|(ncid, _)| store.cluster_rows(ncid).into_iter().next())
-        .collect();
-    let weights = AttributeWeights::from_rows(Scope::Person, first_rows.iter());
+    let first_rows = store.iter_clusters().map(|(_, rows)| &rows[0]);
+    let weights = AttributeWeights::from_rows(Scope::Person, first_rows);
     let het = HeterogeneityScorer::new(weights);
 
     let mut plaus_dist = stats::ScoreDistribution::new(20);
     let mut het_dist = stats::ScoreDistribution::new(20);
-    for (ncid, _) in store.cluster_ids() {
-        let rows = store.cluster_rows(&ncid);
-        plaus_dist.observe(plaus.cluster(&rows));
+    for (_, rows) in store.iter_clusters() {
+        plaus_dist.observe(plaus.cluster(rows));
         if rows.len() >= 2 {
-            het_dist.observe(het.cluster(&rows));
+            het_dist.observe(het.cluster(rows));
         }
     }
 

@@ -112,12 +112,8 @@ fn main() {
     //    clusters, same founding order, same rows.
     let published = engine.publish(1);
     let plain: Vec<(String, Vec<_>)> = reference
-        .cluster_ids()
-        .into_iter()
-        .map(|(ncid, _)| {
-            let rows = reference.cluster_rows(&ncid);
-            (ncid, rows)
-        })
+        .iter_clusters()
+        .map(|(ncid, rows)| (ncid.to_owned(), rows.to_vec()))
         .collect();
     assert_eq!(published.clusters(), &plain[..], "sharded == unsharded");
     let sample = &plain[0].0;

@@ -88,6 +88,15 @@ cargo run --release -q -p nc-bench --bin bench_pprl "$@" -- \
     --bands 32 --band-bits 14 --max-cand-per-record 50 \
     --out target/BENCH_pprl_smoke.json > /dev/null
 
+echo "=== pipeline smoke ==="
+# The end-to-end benchmark's suite at its smallest scale: all four
+# workloads (build_cold, refresh, serve_mix, detect_carved) run once
+# and check their outputs — digests, byte-equal carves, clean replay.
+# The binary exits non-zero unless every workload prints correct=true.
+cargo run --release -q -p nc-pipeline-bench --bin bench_pipeline "$@" -- \
+    --scale tiny --seconds 1 --runs 1 \
+    --out target/pipeline_smoke.jsonl > /dev/null
+
 echo "=== serve smoke ==="
 # End-to-end smoke of the carving service on an ephemeral port:
 # /healthz, a carved page (cold + cached), and a clean shutdown —

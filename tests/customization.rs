@@ -18,13 +18,8 @@ fn build() -> (nc_suite::core::pipeline::GenerationOutcome, HeterogeneityScorer)
         policy: DedupPolicy::Trimmed,
         snapshots: 14,
     });
-    let firsts: Vec<_> = outcome
-        .store
-        .cluster_ids()
-        .iter()
-        .filter_map(|(n, _)| outcome.store.cluster_rows(n).into_iter().next())
-        .collect();
-    let weights = AttributeWeights::from_rows(Scope::Person, firsts.iter());
+    let firsts = outcome.store.iter_clusters().map(|(_, rows)| &rows[0]);
+    let weights = AttributeWeights::from_rows(Scope::Person, firsts);
     (outcome, HeterogeneityScorer::new(weights))
 }
 

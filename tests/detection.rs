@@ -78,13 +78,8 @@ fn nc_bands_order_detection_quality() {
         policy: DedupPolicy::Trimmed,
         snapshots: 14,
     });
-    let firsts: Vec<_> = outcome
-        .store
-        .cluster_ids()
-        .iter()
-        .filter_map(|(n, _)| outcome.store.cluster_rows(n).into_iter().next())
-        .collect();
-    let weights = AttributeWeights::from_rows(Scope::Person, firsts.iter());
+    let firsts = outcome.store.iter_clusters().map(|(_, rows)| &rows[0]);
+    let weights = AttributeWeights::from_rows(Scope::Person, firsts);
     let scorer = HeterogeneityScorer::new(weights);
     let attrs = Scope::Person.attrs();
 

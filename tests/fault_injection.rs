@@ -151,14 +151,13 @@ fn truncated_store_salvages_at_every_offset() {
     write_archive(&archive, 44, 8, 1);
     let mut store = ClusterStore::new();
     tsv::import_archive_dir(&mut store, &archive, DedupPolicy::Trimmed, 1).unwrap();
-    store.finalize();
 
     let saved = tmp_dir("trunc_saved");
     std::fs::create_dir_all(&saved).unwrap();
     let full_path = saved.join("store.jsonl");
-    persist::save(store.collection(), &full_path).unwrap();
+    persist::save(&store.to_collection(), &full_path).unwrap();
     let full = std::fs::read(&full_path).unwrap();
-    let docs_total = store.collection().len();
+    let docs_total = store.cluster_count();
 
     // Every offset, exhaustively — this is the durability contract.
     let cut_path = saved.join("cut.jsonl");
@@ -194,13 +193,12 @@ fn chaos_on_persisted_store_never_panics() {
     write_archive(&archive, 45, 25, 1);
     let mut store = ClusterStore::new();
     tsv::import_archive_dir(&mut store, &archive, DedupPolicy::Trimmed, 1).unwrap();
-    store.finalize();
 
     let dir = tmp_dir("chaos_store");
     std::fs::create_dir_all(&dir).unwrap();
     let pristine = dir.join("pristine.jsonl");
-    persist::save(store.collection(), &pristine).unwrap();
-    let docs_total = store.collection().len();
+    persist::save(&store.to_collection(), &pristine).unwrap();
+    let docs_total = store.cluster_count();
 
     let damaged = dir.join("damaged.jsonl");
     for seed in 0..16u64 {
@@ -241,12 +239,12 @@ fn save_all_batch_survives_chaos_on_any_file() {
     tsv::import_archive_dir(&mut store, &archive, DedupPolicy::Trimmed, 1).unwrap();
 
     let docs = DocStore::new();
-    for (i, (ncid, _)) in store.cluster_ids().iter().enumerate() {
+    for (i, (ncid, rows)) in store.iter_clusters().enumerate() {
         let name = format!("part{}", i % 3);
         let coll = docs.collection(&name);
         let mut coll = coll.write().unwrap();
-        for row in store.cluster_rows(ncid) {
-            coll.insert(nc_suite::docstore::doc! { "ncid" => ncid.as_str(), "tsv" => row.to_tsv() });
+        for row in rows {
+            coll.insert(nc_suite::docstore::doc! { "ncid" => ncid, "tsv" => row.to_tsv() });
         }
     }
     let saved = tmp_dir("saveall_dir");

@@ -124,17 +124,14 @@ fn plausibility_flags_unsound_clusters() {
 
     let mut unsound_scores = Vec::new();
     for ncid in &reused {
-        unsound_scores.push(scorer.cluster(&store.cluster_rows(ncid)));
+        unsound_scores.push(scorer.cluster(store.cluster_rows(ncid)));
     }
     let avg_unsound: f64 = unsound_scores.iter().sum::<f64>() / unsound_scores.len() as f64;
 
     let mut sound_scores = Vec::new();
-    for (ncid, _) in store.cluster_ids() {
-        if !outcome.unsound_ncids.contains(&ncid) {
-            let rows = store.cluster_rows(&ncid);
-            if rows.len() >= 2 {
-                sound_scores.push(scorer.cluster(&rows));
-            }
+    for (ncid, rows) in store.iter_clusters() {
+        if !outcome.unsound_ncids.contains(ncid) && rows.len() >= 2 {
+            sound_scores.push(scorer.cluster(rows));
         }
         if sound_scores.len() >= 300 {
             break;

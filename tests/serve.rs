@@ -34,12 +34,8 @@ fn build_store(seed: u64, population: usize, snapshots: usize) -> ClusterStore {
 /// The same scorer derivation the serve layer uses: entropy weights
 /// from one record per cluster, person scope.
 fn scorer_for(store: &ClusterStore) -> HeterogeneityScorer {
-    let firsts: Vec<_> = store
-        .cluster_ids()
-        .iter()
-        .filter_map(|(n, _)| store.cluster_rows(n).into_iter().next())
-        .collect();
-    HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts.iter()))
+    let firsts = store.iter_clusters().map(|(_, rows)| &rows[0]);
+    HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts))
 }
 
 fn spawn_server(registry: SnapshotRegistry) -> (Arc<ServeState>, ServerHandle) {
