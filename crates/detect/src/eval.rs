@@ -43,70 +43,59 @@ pub fn evaluate(predicted: &HashSet<Pair>, gold: &HashSet<Pair>) -> PrF {
     PrF::from_counts(tp, predicted.len(), gold.len())
 }
 
+/// Score the distinct pairs a collector holds, best score first; equal
+/// scores are ordered by pair.
+///
+/// The dataset is interned once ([`RecordMatcher::prepare`]) and every
+/// pair is scored through it; the scores are bit for bit those of
+/// [`RecordMatcher::similarity`]. The pairs are read in ascending order
+/// straight out of the collector's packed buffer: one record's
+/// candidates follow each other, so the memo rows of its values stay
+/// cached while they are scored.
+fn score_collected(
+    data: &Dataset,
+    matcher: &RecordMatcher,
+    collector: PairCollector,
+) -> Vec<ScoredPair> {
+    let mut prepared = matcher.prepare(data);
+    let mut scored: Vec<ScoredPair> = collector
+        .into_pairs()
+        .map(|pair| ScoredPair {
+            pair,
+            score: prepared.score(pair),
+        })
+        .collect();
+    // A total order (no two entries share a pair), so an unstable sort
+    // gives the stable sort's result without its scratch buffer.
+    scored.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.pair.cmp(&b.pair)));
+    scored
+}
+
 /// Score every candidate pair of a dataset with a matcher.
 pub fn score_candidates(
     data: &Dataset,
     blocker: &dyn Blocker,
     matcher: &RecordMatcher,
 ) -> Vec<ScoredPair> {
-    let mut scored: Vec<ScoredPair> = blocker
-        .candidates(data)
-        .into_iter()
-        .map(|pair| ScoredPair {
-            pair,
-            score: matcher.similarity(&data.records[pair.0], &data.records[pair.1]),
-        })
-        .collect();
-    scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.pair.cmp(&b.pair)));
-    scored
+    let mut collector = PairCollector::new();
+    for pair in blocker.candidates(data) {
+        collector.push(pair);
+    }
+    score_collected(data, matcher, collector)
 }
 
-/// Streaming twin of [`score_candidates`]: candidate pairs flow from
-/// the blocker straight into the matcher without a materialized set.
-///
-/// Distinct-emitting blockers (`emits_distinct()`) are scored as they
-/// stream; multi-pass emitters are deduplicated through a
-/// [`PairCollector`] first so no pair is scored twice. The result is
-/// identical to [`score_candidates`] over the same blocker.
+/// [`score_candidates`] without the materialized `HashSet`: the blocker
+/// streams into the [`PairCollector`], which drops the pairs a
+/// multi-pass blocker rediscovers. The result is identical to
+/// [`score_candidates`] over the same blocker.
 pub fn score_candidates_streaming(
     data: &Dataset,
     blocker: &dyn StreamBlocker,
     matcher: &RecordMatcher,
 ) -> Vec<ScoredPair> {
-    struct ScoringSink<'a> {
-        data: &'a Dataset,
-        matcher: &'a RecordMatcher,
-        scored: Vec<ScoredPair>,
-    }
-    impl CandidateSink for ScoringSink<'_> {
-        fn push(&mut self, pair: Pair) {
-            self.scored.push(ScoredPair {
-                pair,
-                score: self
-                    .matcher
-                    .similarity(&self.data.records[pair.0], &self.data.records[pair.1]),
-            });
-        }
-    }
-
-    let mut scored = if blocker.emits_distinct() {
-        let mut sink = ScoringSink { data, matcher, scored: Vec::new() };
-        blocker.stream_into(data, &mut sink);
-        sink.scored
-    } else {
-        let mut collector = PairCollector::new();
-        blocker.stream_into(data, &mut collector);
-        collector
-            .finish()
-            .into_iter()
-            .map(|pair| ScoredPair {
-                pair,
-                score: matcher.similarity(&data.records[pair.0], &data.records[pair.1]),
-            })
-            .collect()
-    };
-    scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.pair.cmp(&b.pair)));
-    scored
+    let mut collector = PairCollector::new();
+    blocker.stream_into(data, &mut collector);
+    score_collected(data, matcher, collector)
 }
 
 /// One point of an F1-vs-threshold curve.
@@ -260,16 +249,39 @@ mod tests {
 
     #[test]
     fn streaming_scoring_matches_materialized_scoring() {
+        let bits = |scored: &[ScoredPair]| -> Vec<(Pair, u64)> {
+            scored.iter().map(|s| (s.pair, s.score.to_bits())).collect()
+        };
         let d = toy_dataset();
-        let m = RecordMatcher::with_kind(MeasureKind::JaroWinkler, vec![1.0, 1.0], vec![]);
-        // Distinct emitter (FullPairwise) and a multi-pass emitter.
-        let full_set = score_candidates(&d, &FullPairwise, &m);
-        let full_stream = score_candidates_streaming(&d, &FullPairwise, &m);
-        assert_eq!(full_set, full_stream);
-        let snm = crate::blocking::SortedNeighborhood { keys: vec![0, 1], window: 3 };
-        let snm_set = score_candidates(&d, &snm, &m);
-        let snm_stream = score_candidates_streaming(&d, &snm, &m);
-        assert_eq!(snm_set, snm_stream);
+        for kind in MeasureKind::ALL {
+            let m = RecordMatcher::with_kind(kind, vec![1.0, 1.0], vec![0, 1]);
+            // Distinct emitter (FullPairwise) and a multi-pass emitter.
+            let full_set = score_candidates(&d, &FullPairwise, &m);
+            let full_stream = score_candidates_streaming(&d, &FullPairwise, &m);
+            assert_eq!(bits(&full_set), bits(&full_stream));
+            let snm = crate::blocking::SortedNeighborhood { keys: vec![0, 1], window: 3 };
+            let snm_set = score_candidates(&d, &snm, &m);
+            let snm_stream = score_candidates_streaming(&d, &snm, &m);
+            assert_eq!(bits(&snm_set), bits(&snm_stream));
+        }
+    }
+
+    #[test]
+    fn scores_are_the_matchers_and_ties_order_by_pair() {
+        let mut d = toy_dataset();
+        // Two more copies of record 0: three pairs tie at 1.0.
+        d.push(vec!["ANNA".into(), "SMITH".into()], 0);
+        d.push(vec!["ANNA".into(), "SMITH".into()], 0);
+        let m = RecordMatcher::with_kind(MeasureKind::JaroWinkler, vec![1.0, 2.0], vec![]);
+        let scored = score_candidates(&d, &FullPairwise, &m);
+        assert_eq!(
+            scored[..3].iter().map(|s| s.pair).collect::<Vec<_>>(),
+            [Pair(0, 4), Pair(0, 5), Pair(4, 5)]
+        );
+        for s in &scored {
+            let direct = m.similarity(&d.records[s.pair.0], &d.records[s.pair.1]);
+            assert_eq!(s.score.to_bits(), direct.to_bits(), "{:?}", s.pair);
+        }
     }
 
     #[test]

@@ -928,7 +928,7 @@ mod tests {
         assert!(!composite.is_empty());
         let mut collector = PairCollector::new();
         composite.stream_into(&d, &mut collector);
-        let unioned = collector.finish_set();
+        let unioned: HashSet<Pair> = collector.finish().into_iter().collect();
         let mut expected = qgram.candidates(&d);
         expected.extend(sdx.candidates(&d));
         assert_eq!(unioned, expected);

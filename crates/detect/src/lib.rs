@@ -19,7 +19,9 @@
 //!   with deterministic parallel probe;
 //! * [`matcher`] — record similarity as the entropy-weighted average of
 //!   attribute similarities, with the best 1:1 matching over the name
-//!   attributes (names are often confused between fields);
+//!   attributes (names are often confused between fields); a dataset is
+//!   scored through its prepared form: interned values, and a bounded
+//!   memo so each distinct value pair reaches the kernel once;
 //! * [`classify`] — threshold classification and transitive closure;
 //! * [`cluster_eval`] — stricter cluster-level metrics (closed pairwise
 //!   and exact-cluster P/R/F1);

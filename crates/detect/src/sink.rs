@@ -8,7 +8,7 @@
 //! discovered, and the sink decides what to keep. A sink can
 //! deduplicate ([`PairCollector`]), count ([`CountingSink`]), measure
 //! recall against a gold standard without storing anything
-//! ([`QualitySink`]), or hand each pair straight to a matcher (see
+//! ([`QualitySink`]), or hand the distinct pairs to a matcher (see
 //! [`crate::eval::score_candidates_streaming`]).
 //!
 //! [`PairCollector`] packs each pair into a `u64` and deduplicates by
@@ -101,9 +101,18 @@ impl PairCollector {
     }
 
     /// Finish: the distinct candidate pairs in ascending `(a, b)` order.
-    pub fn finish(mut self) -> Vec<Pair> {
+    pub fn finish(self) -> Vec<Pair> {
+        self.into_pairs().collect()
+    }
+
+    /// Finish into an iterator over the distinct candidate pairs in
+    /// ascending `(a, b)` order, read straight out of the compacted
+    /// buffer (shrunk to its length: 8 bytes per pair, where
+    /// [`finish`](Self::finish) builds 16 more).
+    pub fn into_pairs(mut self) -> impl ExactSizeIterator<Item = Pair> {
         self.compact();
-        self.packed.iter().map(|&p| unpack(p)).collect()
+        self.packed.shrink_to_fit();
+        self.packed.into_iter().map(unpack)
     }
 
     /// Finish into the distinct candidate count alone.
@@ -112,11 +121,6 @@ impl PairCollector {
         self.packed.len()
     }
 
-    /// Finish into a `HashSet<Pair>` (compatibility shim).
-    pub fn finish_set(mut self) -> HashSet<Pair> {
-        self.compact();
-        self.packed.iter().map(|&p| unpack(p)).collect()
-    }
 }
 
 impl CandidateSink for PairCollector {
@@ -225,6 +229,19 @@ mod tests {
     }
 
     #[test]
+    fn into_pairs_is_finish_without_the_copy() {
+        let pushes = [(3, 4), (1, 2), (3, 4), (0, 9)];
+        let (mut a, mut b) = (PairCollector::new(), PairCollector::new());
+        for &(x, y) in &pushes {
+            a.push(Pair(x, y));
+            b.push(Pair(x, y));
+        }
+        let pairs = a.into_pairs();
+        assert_eq!(pairs.len(), 3);
+        assert_eq!(pairs.collect::<Vec<_>>(), b.finish());
+    }
+
+    #[test]
     fn collector_set_matches_hashset_semantics() {
         let mut set = HashSet::new();
         let mut c = PairCollector::new();
@@ -233,7 +250,7 @@ mod tests {
             set.push(p);
             c.push(p);
         }
-        assert_eq!(c.finish_set(), set);
+        assert_eq!(c.finish().into_iter().collect::<HashSet<_>>(), set);
     }
 
     #[test]

@@ -202,6 +202,7 @@ proptest! {
         prop_assert_eq!(sink.gold_hits(), found);
         let mut collector = PairCollector::new();
         snm.stream_into(&data, &mut collector);
-        prop_assert_eq!(collector.finish_set(), materialized);
+        let collected: HashSet<Pair> = collector.finish().into_iter().collect();
+        prop_assert_eq!(collected, materialized);
     }
 }

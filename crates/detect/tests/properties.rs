@@ -5,7 +5,12 @@ use std::collections::HashSet;
 use nc_detect::blocking::{blocking_quality, Blocker, FullPairwise, SortedNeighborhood, StandardBlocking};
 use nc_detect::classify::{transitive_closure, ScoredPair};
 use nc_detect::dataset::{Dataset, Pair};
-use nc_detect::eval::{evaluate, linspace, threshold_sweep, PrF};
+use nc_detect::eval::{
+    evaluate, linspace, score_candidates, score_candidates_streaming, threshold_sweep, PrF,
+};
+use nc_detect::matcher::{MeasureKind, RecordMatcher};
+use nc_similarity::StringSimilarity;
+use nc_votergen::rng::Rng;
 use proptest::prelude::*;
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
@@ -133,5 +138,162 @@ proptest! {
         prop_assert!(pairs.is_subset(&once));
         let twice = transitive_closure(12, &once);
         prop_assert_eq!(once, twice);
+    }
+
+    /// The prepared form scores every pair to the bit as
+    /// `RecordMatcher::similarity` does: all three measures, name group
+    /// on and off, over values that are missing, padded, repeated and
+    /// not ASCII.
+    #[test]
+    fn prepared_scores_equal_per_pair_scores(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let data = register(&mut rng);
+        let weights = weights(&mut rng, data.num_attrs());
+        for kind in MeasureKind::ALL {
+            for group in [vec![], name_group(&mut rng, data.num_attrs())] {
+                let matcher = RecordMatcher::with_kind(kind, weights.clone(), group.clone());
+                let mut prepared = matcher.prepare(&data);
+                // Twice: the second pass reads what the first remembered.
+                for _ in 0..2 {
+                    for a in 0..data.len() {
+                        for b in a + 1..data.len() {
+                            let direct = matcher.similarity(&data.records[a], &data.records[b]);
+                            prop_assert_eq!(
+                                prepared.score(Pair(a, b)).to_bits(),
+                                direct.to_bits(),
+                                "{:?} group {:?} pair ({}, {})", kind, group, a, b
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both scoring drivers give the same pairs with the same score
+    /// bits in the same order, and those are the matcher's scores.
+    #[test]
+    fn scoring_drivers_agree_to_the_bit(seed in any::<u64>(), window in 2usize..6) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let data = register(&mut rng);
+        let matcher = RecordMatcher::with_kind(
+            MeasureKind::ALL[rng.gen_range(0..3)],
+            weights(&mut rng, data.num_attrs()),
+            name_group(&mut rng, data.num_attrs()),
+        );
+        let snm = SortedNeighborhood { keys: vec![0, 1], window };
+        let materialized = score_candidates(&data, &snm, &matcher);
+        let streamed = score_candidates_streaming(&data, &snm, &matcher);
+        prop_assert_eq!(bits(&materialized), bits(&streamed));
+        prop_assert_eq!(materialized.len(), snm.candidates(&data).len());
+        for s in &materialized {
+            let direct = matcher.similarity(&data.records[s.pair.0], &data.records[s.pair.1]);
+            prop_assert_eq!(s.score.to_bits(), direct.to_bits());
+        }
+        prop_assert!(materialized
+            .windows(2)
+            .all(|w| w[0].score > w[1].score || (w[0].score == w[1].score && w[0].pair < w[1].pair)));
+    }
+}
+
+/// Values a register field takes: repeated, confusable, missing, blank,
+/// padded, not ASCII.
+const POOL: [&str; 16] = [
+    "ANNA", "ANNE", "SMITH", "SMYTH", "", "  ", " ANNA", "SMITH  ", "JOSÉ", "JOSE", "MÜLLER",
+    "ÅSA", "李 娜", "O'NEIL", "MARY ANN", "A",
+];
+
+/// 2–40 records over 3–6 attributes. Each attribute draws from its own
+/// slice of [`POOL`], so some repeat heavily (memoised) and others
+/// rarely; the last is key-like and never repeats.
+fn register(rng: &mut Rng) -> Dataset {
+    let attrs = 3 + rng.gen_range(0..4);
+    let mut data = Dataset::new((0..attrs).map(|k| format!("a{k}")).collect());
+    let spans: Vec<usize> = (0..attrs).map(|_| 1 + rng.gen_range(0..POOL.len())).collect();
+    for i in 0..2 + rng.gen_range(0..39) {
+        let mut values: Vec<String> = spans
+            .iter()
+            .map(|&span| POOL[rng.gen_range(0..span)].to_owned())
+            .collect();
+        values[attrs - 1] = format!("K{i}");
+        data.push(values, rng.gen_range(0..8));
+    }
+    data
+}
+
+/// Non-negative weights, some of them zero.
+fn weights(rng: &mut Rng, attrs: usize) -> Vec<f64> {
+    (0..attrs).map(|_| rng.gen_range(0..4) as f64 * 0.5).collect()
+}
+
+/// Two or three distinct attributes, in any order.
+fn name_group(rng: &mut Rng, attrs: usize) -> Vec<usize> {
+    let mut all: Vec<usize> = (0..attrs).collect();
+    let mut group = Vec::new();
+    for _ in 0..2 + rng.gen_range(0..2) {
+        group.push(all.swap_remove(rng.gen_range(0..all.len())));
+    }
+    group
+}
+
+fn bits(scored: &[ScoredPair]) -> Vec<(Pair, u64)> {
+    scored.iter().map(|s| (s.pair, s.score.to_bits())).collect()
+}
+
+/// A name dictionary past the memo's bound (more than 512 values, each
+/// occurring four times on average, so it is memoised, and more ordered
+/// value pairs than the memo has slots, so it evicts) beside a small
+/// one tabulated in full and a key-like one that is not memoised.
+#[test]
+fn a_dictionary_past_the_memo_bound_changes_no_score() {
+    const NAMES: usize = 530;
+    const RECORDS: usize = 720;
+    let mut rng = Rng::seed_from_u64(2021);
+    let mut data = Dataset::new(
+        ["first", "midl", "last", "city", "id"].map(String::from).to_vec(),
+    );
+    for i in 0..RECORDS {
+        // Every name occurs (3 i + k covers the pool); the rest is drawn.
+        let name = |n: usize| format!("N{}X{}", n % NAMES, (n % NAMES) * 7919 % 1000);
+        let values = vec![
+            name(3 * i),
+            name(if rng.gen_range(0..2) == 0 { 3 * i + 1 } else { rng.gen_range(0..NAMES) }),
+            name(if rng.gen_range(0..2) == 0 { 3 * i + 2 } else { rng.gen_range(0..NAMES) }),
+            format!("CITY{}", rng.gen_range(0..20)),
+            format!("ID{i}"),
+        ];
+        data.push(values, i / 2);
+    }
+    // The benchmark's measure, and one that is plainly not symmetric:
+    // a memo keyed on the unordered value pair fails the second.
+    let measures: [Box<dyn StringSimilarity + Send + Sync>; 2] =
+        [MeasureKind::JaroWinkler.instantiate(), Box::new(ShareOfFirst)];
+    for measure in measures {
+        let matcher = RecordMatcher::new(measure, data.entropy_weights(), vec![0, 1, 2]);
+        let mut prepared = matcher.prepare(&data);
+        let mut checked = 0usize;
+        for a in 0..RECORDS {
+            for b in a + 1..RECORDS {
+                let score = prepared.score(Pair(a, b));
+                // Every pair goes through the memo; every seventh is
+                // compared with the per-pair entry point.
+                if (a + b) % 7 == 0 {
+                    let direct = matcher.similarity(&data.records[a], &data.records[b]);
+                    assert_eq!(score.to_bits(), direct.to_bits(), "pair ({a}, {b})");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 30_000);
+    }
+}
+
+/// The share of `a` in the two lengths: a measure whose value depends
+/// on the order of its arguments, which `StringSimilarity` allows.
+struct ShareOfFirst;
+
+impl StringSimilarity for ShareOfFirst {
+    fn sim(&self, a: &str, b: &str) -> f64 {
+        a.len() as f64 / (a.len() + b.len()).max(1) as f64
     }
 }

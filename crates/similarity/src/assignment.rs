@@ -151,6 +151,28 @@ pub(crate) fn assign_core(
     total
 }
 
+/// [`max_weight_assignment`] over a flat row-major `rows × cols` matrix
+/// with caller-owned buffers: no allocation after warm-up. Returns the
+/// total assigned weight; the pairs are in [`AssignScratch::pairs`],
+/// exactly those `max_weight_assignment` yields for the same weights.
+///
+/// # Panics
+///
+/// Panics if `weights.len() != rows * cols` or any weight is negative
+/// or non-finite.
+pub fn max_weight_assignment_with(
+    scratch: &mut AssignScratch,
+    weights: &[f64],
+    rows: usize,
+    cols: usize,
+) -> f64 {
+    assert_eq!(weights.len(), rows * cols, "weight matrix is not rows x cols");
+    for &w in weights {
+        assert!(w.is_finite() && w >= 0.0, "weights must be finite and >= 0");
+    }
+    assign_core(scratch, rows, cols, |i, j| weights[i * cols + j])
+}
+
 /// Compute a maximum-weight 1:1 assignment for a (possibly rectangular)
 /// weight matrix `weights[i][j] ≥ 0`.
 ///

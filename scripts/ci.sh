@@ -97,6 +97,17 @@ cargo run --release -q -p nc-pipeline-bench --bin bench_pipeline "$@" -- \
     --scale tiny --seconds 1 --runs 1 \
     --out target/pipeline_smoke.jsonl > /dev/null
 
+echo "=== experiment drift ==="
+# Figure 5 and the pollution extension are byte-reproducible, so their
+# committed results are a check: regenerate both at the committed scale
+# (the binary's defaults) and compare to the byte. A change that moves
+# a number has to say so by recommitting results/ and EXPERIMENTS.md.
+for name in figure5 pollution; do
+    cargo run --release -q -p nc-bench --bin experiments "$@" -- \
+        "$name" --out target/results_check > /dev/null
+    cmp "target/results_check/$name.json" "results/$name.json"
+done
+
 echo "=== serve smoke ==="
 # End-to-end smoke of the carving service on an ephemeral port:
 # /healthz, a carved page (cold + cached), and a clean shutdown —

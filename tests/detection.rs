@@ -8,6 +8,7 @@ use nc_suite::core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_suite::core::record::DedupPolicy;
 use nc_suite::datasets::{cddb, census, cora};
 use nc_suite::detect::blocking::{blocking_quality, Blocker, FullPairwise, SortedNeighborhood};
+use nc_suite::detect::classify::classify;
 use nc_suite::detect::dataset::Dataset;
 use nc_suite::detect::eval::{best_f1, linspace, score_candidates, threshold_sweep};
 use nc_suite::detect::matcher::{MeasureKind, RecordMatcher};
@@ -188,4 +189,73 @@ fn name_group_matching_helps_on_confused_names() {
         .f1;
     assert!(f1_g > f1_p, "group {f1_g} vs plain {f1_p}");
     assert!((f1_g - 1.0).abs() < 1e-9, "group matching should be perfect here");
+}
+
+/// Detection over the NC2 carve of the fixture above is pinned to the
+/// bit: every scored pair with its score (`f64::to_bits`, in output
+/// order) and the pair set predicted at threshold 0.8, under each
+/// measure with the 1:1 name group. Recorded at the commit before the
+/// matcher began scoring interned values through a memo; a failing pin
+/// means a score or the order moved — fix the code, do not re-record.
+#[test]
+fn nc2_detection_is_pinned() {
+    let outcome = TestDataGenerator::run(GenerationConfig {
+        generator: nc_suite::votergen::config::GeneratorConfig {
+            seed: 21,
+            initial_population: 900,
+            ..Default::default()
+        },
+        policy: DedupPolicy::Trimmed,
+        snapshots: 14,
+    });
+    let firsts = outcome.store.iter_clusters().map(|(_, rows)| &rows[0]);
+    let scorer = HeterogeneityScorer::new(AttributeWeights::from_rows(Scope::Person, firsts));
+    let attrs = Scope::Person.attrs();
+    let carve = customize(&outcome.store, &scorer, &CustomizeParams::nc2(700, 150, 2));
+    let data = bridge::dataset_from_custom(&carve, attrs);
+    let blocker = SortedNeighborhood::multi_pass(data.top_entropy_attrs(5));
+
+    let pins = [
+        (
+            MeasureKind::MongeElkanLevenshtein,
+            "e823fc203e2f3954d0dcda9a63fb8394",
+            "e4463bcbf2677f73346184281a282676",
+        ),
+        (
+            MeasureKind::JaroWinkler,
+            "20c5e387c0f0d7d56b010d76477f3007",
+            "3b6c89daa0d30070b535e90a90b54ece",
+        ),
+        (
+            MeasureKind::TrigramJaccard,
+            "a29c45634382ba0761c87d21144684f4",
+            "35bf5fc0fb73feee81098f50dda11169",
+        ),
+    ];
+    for (kind, scores_pin, predicted_pin) in pins {
+        let matcher = RecordMatcher::with_kind(
+            kind,
+            data.entropy_weights(),
+            bridge::name_group_positions(attrs),
+        );
+        let scored = score_candidates(&data, &blocker, &matcher);
+        assert!(scored.len() > data.len(), "{kind:?}: {} pairs", scored.len());
+        let mut bytes = Vec::with_capacity(scored.len() * 24);
+        for s in &scored {
+            bytes.extend_from_slice(&(s.pair.0 as u64).to_le_bytes());
+            bytes.extend_from_slice(&(s.pair.1 as u64).to_le_bytes());
+            bytes.extend_from_slice(&s.score.to_bits().to_le_bytes());
+        }
+        assert_eq!(md5(&bytes).to_hex(), scores_pin, "{kind:?} scores");
+
+        let mut predicted: Vec<_> = classify(&scored, 0.8).into_iter().collect();
+        predicted.sort_unstable();
+        assert!(!predicted.is_empty(), "{kind:?} predicts nothing");
+        let mut bytes = Vec::with_capacity(predicted.len() * 16);
+        for pair in &predicted {
+            bytes.extend_from_slice(&(pair.0 as u64).to_le_bytes());
+            bytes.extend_from_slice(&(pair.1 as u64).to_le_bytes());
+        }
+        assert_eq!(md5(&bytes).to_hex(), predicted_pin, "{kind:?} predicted pairs");
+    }
 }
