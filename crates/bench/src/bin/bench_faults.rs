@@ -11,10 +11,8 @@
 //! `--stride 1` sweeps every operation (what the CI smoke runs with a
 //! larger stride); the chaos phase then replays the same scenario under
 //! seeded random fault schedules ([`FaultVfs::with_seed`]) and counts
-//! how many injected faults the engine survived. Everything here is
-//! TSV-based, so the binary runs for real under the offline `.verify`
-//! stub harness. The JSON is written by hand so the binary has no
-//! serialization dependency.
+//! how many injected faults the engine survived. The JSON is written
+//! by hand so the binary has no serialization dependency.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -9,8 +9,8 @@ use nc_core::customize::{customize, customize_clusters, CustomDataset, Customize
 use nc_core::heterogeneity::{AttributeWeights, HeterogeneityScorer, Scope};
 use nc_core::record::DedupPolicy;
 use nc_core::snapshot::StoreSnapshot;
+use nc_propcheck::check;
 use nc_votergen::schema::{Row, FIRST_NAME, LAST_NAME, MIDL_NAME, NCID, RES_CITY};
-use proptest::prelude::*;
 
 const FIRSTS: [&str; 6] = ["MARY", "JAMES", "PATRICIA", "ROBERT", "LINDA", "MICHAEL"];
 const LASTS: [&str; 6] = ["SMITH", "JOHNSON", "WILLIAMS", "BROWN", "JONES", "GARCIA"];
@@ -58,19 +58,16 @@ fn render(ds: &CustomDataset) -> Vec<String> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Same `(seed, params, store)` → identical dataset, every time.
-    #[test]
-    fn customize_is_deterministic(
-        stamp in 0u64..40,
-        seed in 0u64..1_000,
-        lo_tenths in 0u32..8,
-        width_tenths in 0u32..10,
-        sample in 1usize..40,
-        output in 1usize..25,
-    ) {
+/// Same `(seed, params, store)` → identical dataset, every time.
+#[test]
+fn customize_is_deterministic() {
+    check("customize_is_deterministic", |g| {
+        let stamp = g.range(0u64..40);
+        let seed = g.range(0u64..1_000);
+        let lo_tenths = g.range(0u32..8);
+        let width_tenths = g.range(0u32..10);
+        let sample = g.range(1usize..40);
+        let output = g.range(1usize..25);
         let store = build_store(stamp, 30);
         let scorer = scorer_for(&store);
         let params = CustomizeParams {
@@ -82,18 +79,19 @@ proptest! {
         };
         let a = customize(&store, &scorer, &params);
         let b = customize(&store, &scorer, &params);
-        prop_assert_eq!(render(&a), render(&b));
-    }
+        assert_eq!(render(&a), render(&b));
+    });
+}
 
-    /// The borrowed-clusters path (what a serve snapshot runs) is
-    /// bit-identical to customizing the store directly.
-    #[test]
-    fn snapshot_path_matches_store_path(
-        stamp in 0u64..40,
-        seed in 0u64..1_000,
-        sample in 1usize..40,
-        output in 1usize..25,
-    ) {
+/// The borrowed-clusters path (what a serve snapshot runs) is
+/// bit-identical to customizing the store directly.
+#[test]
+fn snapshot_path_matches_store_path() {
+    check("snapshot_path_matches_store_path", |g| {
+        let stamp = g.range(0u64..40);
+        let seed = g.range(0u64..1_000);
+        let sample = g.range(1usize..40);
+        let output = g.range(1usize..25);
         let store = build_store(stamp, 30);
         let scorer = scorer_for(&store);
         let params = CustomizeParams {
@@ -111,23 +109,24 @@ proptest! {
             .map(|(ncid, rows)| (ncid.to_owned(), rows.to_vec()))
             .collect();
         let via_slice = customize_clusters(&clusters, &scorer, &params);
-        prop_assert_eq!(render(&direct), render(&via_slice));
+        assert_eq!(render(&direct), render(&via_slice));
 
         // …and through a captured snapshot with its own derived scorer
         // (the serve layer's exact path).
         let snapshot = StoreSnapshot::capture(&store, 1);
         let via_snapshot = snapshot.customize(&snapshot.entropy_scorer(Scope::Person), &params);
-        prop_assert_eq!(render(&direct), render(&via_snapshot));
-    }
+        assert_eq!(render(&direct), render(&via_snapshot));
+    });
+}
 
-    /// Two snapshots captured from the same store version carve
-    /// identically — a cached serve result can never drift from a
-    /// fresh one.
-    #[test]
-    fn recaptured_snapshots_carve_identically(
-        stamp in 0u64..40,
-        seed in 0u64..1_000,
-    ) {
+/// Two snapshots captured from the same store version carve
+/// identically — a cached serve result can never drift from a
+/// fresh one.
+#[test]
+fn recaptured_snapshots_carve_identically() {
+    check("recaptured_snapshots_carve_identically", |g| {
+        let stamp = g.range(0u64..40);
+        let seed = g.range(0u64..1_000);
         let store = build_store(stamp, 25);
         let params = CustomizeParams {
             h_low: 0.1,
@@ -140,8 +139,8 @@ proptest! {
         let snap_b = StoreSnapshot::capture(&store, 3);
         let a = snap_a.customize(&snap_a.entropy_scorer(Scope::Person), &params);
         let b = snap_b.customize(&snap_b.entropy_scorer(Scope::Person), &params);
-        prop_assert_eq!(render(&a), render(&b));
-    }
+        assert_eq!(render(&a), render(&b));
+    });
 }
 
 /// Different seeds must be able to produce different samples (the RNG

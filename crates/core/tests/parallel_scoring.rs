@@ -6,8 +6,8 @@ use nc_core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::record::DedupPolicy;
 use nc_core::scoring::{score_store, ClusterScore, ScoringConfig};
+use nc_propcheck::check;
 use nc_votergen::config::GeneratorConfig;
-use proptest::prelude::*;
 
 /// Generate a registry and score it at a given thread count.
 fn scores_at(seed: u64, population: usize, snapshots: usize, threads: usize) -> Vec<ClusterScore> {
@@ -62,29 +62,26 @@ fn fixed_seed_scores_are_thread_count_invariant() {
     }
 }
 
-proptest! {
-    // Generation dominates the cost of each case, so keep the
-    // populations small; the cluster shapes still vary widely with the
-    // seed (singletons, long histories, polluted records).
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn random_registries_score_identically_across_thread_counts(
-        seed in 0u64..1000,
-        population in 40usize..80,
-        snapshots in 2usize..5,
-    ) {
+// Generation dominates the cost of each case, so keep the
+// populations small; the cluster shapes still vary widely with the
+// seed (singletons, long histories, polluted records).
+#[test]
+fn random_registries_score_identically_across_thread_counts() {
+    check("random_registries_score_identically_across_thread_counts", |g| {
+        let seed = g.range(0u64..1000);
+        let population = g.range(40usize..80);
+        let snapshots = g.range(2usize..5);
         let seq = scores_at(seed, population, snapshots, 1);
-        prop_assert!(!seq.is_empty());
+        assert!(!seq.is_empty());
         for threads in [2usize, 8] {
             let par = scores_at(seed, population, snapshots, threads);
-            prop_assert_eq!(seq.len(), par.len());
+            assert_eq!(seq.len(), par.len());
             for (s, p) in seq.iter().zip(&par) {
-                prop_assert_eq!(&s.ncid, &p.ncid);
-                prop_assert_eq!(s.records, p.records);
-                prop_assert_eq!(s.plausibility.to_bits(), p.plausibility.to_bits());
-                prop_assert_eq!(s.heterogeneity.to_bits(), p.heterogeneity.to_bits());
+                assert_eq!(&s.ncid, &p.ncid);
+                assert_eq!(s.records, p.records);
+                assert_eq!(s.plausibility.to_bits(), p.plausibility.to_bits());
+                assert_eq!(s.heterogeneity.to_bits(), p.heterogeneity.to_bits());
             }
         }
-    }
+    });
 }

@@ -4,133 +4,160 @@ use nc_core::cluster::{ClusterStore, RowOutcome};
 use nc_core::md5::md5_str;
 use nc_core::record::{fingerprint, trim_row, DedupPolicy};
 use nc_core::stats::pairs_in_cluster;
+use nc_propcheck::{check, Gen, DIGITS, LOWER, UPPER};
 use nc_votergen::schema::{
     AttrGroup, Row, AGE, FIRST_NAME, LAST_NAME, MIDL_NAME, NCID, NC_HOUSE, PARTY_CD, SCHEMA, SNAPSHOT_DT,
 };
-use proptest::prelude::*;
 
-fn word() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[A-Z]{0,10}").unwrap()
+fn word(g: &mut Gen) -> String {
+    g.string(UPPER, 0..=10)
 }
 
 /// A value that may be padded, empty, or whitespace only.
-fn padded() -> impl Strategy<Value = String> {
-    proptest::string::string_regex(" {0,2}[A-Z]{0,4} {0,2}").unwrap()
+fn padded(g: &mut Gen) -> String {
+    g.string(" ", 0..=2) + &g.string(UPPER, 0..=4) + &g.string(" ", 0..=2)
 }
 
-fn row_strategy() -> impl Strategy<Value = Row> {
-    (word(), word(), "[A-Z]{2}[0-9]{3}", "[0-9]{1,3}").prop_map(|(first, last, ncid, age)| {
-        let mut r = Row::empty();
-        r.set(NCID, ncid);
-        r.set(FIRST_NAME, first);
-        r.set(LAST_NAME, last);
-        r.set(AGE, age);
-        r.set(SNAPSHOT_DT, "2010-01-01");
-        r
-    })
+/// Two letters and three digits.
+fn ncid(g: &mut Gen) -> String {
+    g.string(UPPER, 2..=2) + &g.string(DIGITS, 3..=3)
 }
 
-proptest! {
-    /// MD5 is deterministic and 32 hex characters.
-    #[test]
-    fn md5_shape(s in ".{0,200}") {
+fn age(g: &mut Gen) -> String {
+    g.string(DIGITS, 1..=3)
+}
+
+fn row(g: &mut Gen) -> Row {
+    let mut r = Row::empty();
+    r.set(FIRST_NAME, word(g));
+    r.set(LAST_NAME, word(g));
+    r.set(NCID, ncid(g));
+    r.set(AGE, age(g));
+    r.set(SNAPSHOT_DT, "2010-01-01");
+    r
+}
+
+/// MD5 is deterministic and 32 hex characters.
+#[test]
+fn md5_shape() {
+    let printable: String = (' '..='~').collect();
+    check("md5_shape", |g| {
+        let s = g.string(&printable, 0..=200);
         let d1 = md5_str(&s);
         let d2 = md5_str(&s);
-        prop_assert_eq!(d1, d2);
+        assert_eq!(d1, d2);
         let hex = d1.to_hex();
-        prop_assert_eq!(hex.len(), 32);
-        prop_assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
-    }
+        assert_eq!(hex.len(), 32);
+        assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
+    });
+}
 
-    /// Distinct inputs virtually never collide (sanity check over small
-    /// random inputs).
-    #[test]
-    fn md5_injective_on_small_inputs(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
+/// Distinct inputs virtually never collide (sanity check over small
+/// random inputs).
+#[test]
+fn md5_injective_on_small_inputs() {
+    check("md5_injective_on_small_inputs", |g| {
+        let (a, b) = (g.string(LOWER, 0..=12), g.string(LOWER, 0..=12));
         if a != b {
-            prop_assert_ne!(md5_str(&a), md5_str(&b));
+            assert_ne!(md5_str(&a), md5_str(&b));
         }
-    }
+    });
+}
 
-    /// Fingerprints ignore age and snapshot date under every policy.
-    #[test]
-    fn fingerprint_ignores_time_attributes(
-        row in row_strategy(),
-        age2 in "[0-9]{1,3}",
-        date2 in "20[0-2][0-9]-0[1-9]-0[1-9]",
-    ) {
+/// Fingerprints ignore age and snapshot date under every policy.
+#[test]
+fn fingerprint_ignores_time_attributes() {
+    check("fingerprint_ignores_time_attributes", |g| {
+        let row = row(g);
+        let age2 = age(g);
+        let date2 = format!(
+            "20{}{}-0{}-0{}",
+            g.range(0..=2),
+            g.range(0..=9),
+            g.range(1..=9),
+            g.range(1..=9)
+        );
         let mut other = row.clone();
         other.set(AGE, age2);
         other.set(SNAPSHOT_DT, date2);
         for policy in [DedupPolicy::Exact, DedupPolicy::Trimmed, DedupPolicy::PersonData] {
-            prop_assert_eq!(fingerprint(&row, policy), fingerprint(&other, policy));
+            assert_eq!(fingerprint(&row, policy), fingerprint(&other, policy));
         }
-    }
+    });
+}
 
-    /// Trimmed fingerprints are invariant under added whitespace.
-    #[test]
-    fn trimmed_fingerprint_ignores_padding(row in row_strategy()) {
+/// Trimmed fingerprints are invariant under added whitespace.
+#[test]
+fn trimmed_fingerprint_ignores_padding() {
+    check("trimmed_fingerprint_ignores_padding", |g| {
+        let row = row(g);
         let mut padded = row.clone();
         let v = padded.get(LAST_NAME).to_owned();
         padded.set(LAST_NAME, format!("  {v} "));
-        prop_assert_eq!(
+        assert_eq!(
             fingerprint(&row, DedupPolicy::Trimmed),
             fingerprint(&padded, DedupPolicy::Trimmed)
         );
         // The Exact policy distinguishes them (unless the name is empty).
         if !v.is_empty() {
-            prop_assert_ne!(
+            assert_ne!(
                 fingerprint(&row, DedupPolicy::Exact),
                 fingerprint(&padded, DedupPolicy::Exact)
             );
         }
-    }
+    });
+}
 
-    /// Importing the same row twice is idempotent under any
-    /// deduplicating policy.
-    #[test]
-    fn import_is_idempotent(row in row_strategy(), n in 2usize..6) {
+/// Importing the same row twice is idempotent under any
+/// deduplicating policy.
+#[test]
+fn import_is_idempotent() {
+    check("import_is_idempotent", |g| {
+        let row = row(g);
+        let n = g.range(2usize..6);
         for policy in [DedupPolicy::Exact, DedupPolicy::Trimmed, DedupPolicy::PersonData] {
             let mut store = ClusterStore::new();
             let first = store.import_row(row.clone(), policy, "s1", 1);
-            prop_assert_eq!(first, RowOutcome::NewCluster);
+            assert_eq!(first, RowOutcome::NewCluster);
             for _ in 1..n {
                 let out = store.import_row(row.clone(), policy, "s2", 1);
-                prop_assert_eq!(out, RowOutcome::DuplicateDropped);
+                assert_eq!(out, RowOutcome::DuplicateDropped);
             }
-            prop_assert_eq!(store.record_count(), 1);
-            prop_assert_eq!(store.rows_imported(), n as u64);
+            assert_eq!(store.record_count(), 1);
+            assert_eq!(store.rows_imported(), n as u64);
         }
-    }
+    });
+}
 
-    /// Clusters partition the imported rows: record counts per cluster
-    /// sum to the store's record count, and rows seen sum to the rows
-    /// imported.
-    #[test]
-    fn cluster_accounting_is_consistent(rows in proptest::collection::vec(row_strategy(), 1..30)) {
+/// Clusters partition the imported rows: record counts per cluster
+/// sum to the store's record count, and rows seen sum to the rows
+/// imported.
+#[test]
+fn cluster_accounting_is_consistent() {
+    check("cluster_accounting_is_consistent", |g| {
+        let rows = g.vec(1..30, row);
         let mut store = ClusterStore::new();
         for row in rows {
             store.import_row(row, DedupPolicy::Trimmed, "s1", 1);
         }
         let sizes: u64 = store.cluster_sizes().iter().map(|&s| s as u64).sum();
-        prop_assert_eq!(sizes, store.record_count());
+        assert_eq!(sizes, store.record_count());
         let seen: u64 = store.cluster_rows_seen().iter().sum();
-        prop_assert_eq!(seen, store.rows_imported());
-        prop_assert!(store.record_count() <= store.rows_imported());
-    }
+        assert_eq!(seen, store.rows_imported());
+        assert!(store.record_count() <= store.rows_imported());
+    });
+}
 
-    /// What the store keeps of a row is the row — trimmed when the
-    /// policy trims, untouched otherwise — and the derived document
-    /// lists exactly the stored row's non-empty values under their
-    /// group, so nothing about a record exists only in the view.
-    #[test]
-    fn stored_row_and_its_document_view_agree(
-        ncid in "[A-Z]{2}[0-9]{3}",
-        first in padded(),
-        midl in padded(),
-        last in padded(),
-        house in padded(),
-        party in padded(),
-    ) {
+/// What the store keeps of a row is the row — trimmed when the
+/// policy trims, untouched otherwise — and the derived document
+/// lists exactly the stored row's non-empty values under their
+/// group, so nothing about a record exists only in the view.
+#[test]
+fn stored_row_and_its_document_view_agree() {
+    check("stored_row_and_its_document_view_agree", |g| {
+        let ncid = ncid(g);
+        let (first, midl, last) = (padded(g), padded(g), padded(g));
+        let (house, party) = (padded(g), padded(g));
         let mut row = Row::empty();
         row.set(NCID, format!(" {ncid} "));
         let values = [
@@ -151,12 +178,12 @@ proptest! {
             if policy.trims() {
                 trim_row(&mut expected);
             }
-            prop_assert_eq!(store.cluster_rows(&ncid), std::slice::from_ref(&expected));
+            assert_eq!(store.cluster_rows(&ncid), std::slice::from_ref(&expected));
 
             let doc = store.cluster_doc(&ncid).unwrap();
-            prop_assert_eq!(doc.get_str("ncid"), Some(ncid.as_str()));
+            assert_eq!(doc.get_str("ncid"), Some(ncid.as_str()));
             let records = doc.get_array("records").unwrap();
-            prop_assert_eq!(records.len(), 1);
+            assert_eq!(records.len(), 1);
             let record = records[0].as_doc().unwrap();
             for (attr, value) in SCHEMA.iter().zip(expected.values()) {
                 let group = match attr.group {
@@ -167,30 +194,36 @@ proptest! {
                 };
                 let path = format!("{group}.{}", attr.name);
                 let expected = (!value.is_empty()).then_some(value);
-                prop_assert_eq!(record.get_str(&path), expected, "{:?} {}", policy, path);
+                assert_eq!(record.get_str(&path), expected, "{:?} {}", policy, path);
             }
         }
-    }
+    });
+}
 
-    /// trim_row is idempotent.
-    #[test]
-    fn trim_is_idempotent(row in row_strategy()) {
+/// trim_row is idempotent.
+#[test]
+fn trim_is_idempotent() {
+    check("trim_is_idempotent", |g| {
+        let row = row(g);
         let mut once = row.clone();
         trim_row(&mut once);
         let mut twice = once.clone();
         trim_row(&mut twice);
-        prop_assert_eq!(once, twice);
-    }
+        assert_eq!(once, twice);
+    });
+}
 
-    /// The pair-count formula matches the naive loop.
-    #[test]
-    fn pairs_formula_matches_loop(n in 0u64..200) {
+/// The pair-count formula matches the naive loop.
+#[test]
+fn pairs_formula_matches_loop() {
+    check("pairs_formula_matches_loop", |g| {
+        let n = g.range(0u64..200);
         let mut count = 0u64;
         for i in 0..n {
             for _ in (i + 1)..n {
                 count += 1;
             }
         }
-        prop_assert_eq!(pairs_in_cluster(n), count);
-    }
+        assert_eq!(pairs_in_cluster(n), count);
+    });
 }

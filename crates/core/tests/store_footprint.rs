@@ -8,10 +8,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nc_core::cluster::{ClusterStore, RowOutcome};
-use nc_core::import::import_snapshot;
+use nc_core::import::{import_snapshot, ImportStats};
 use nc_core::record::DedupPolicy;
+use nc_core::snapshot::StoreSnapshot;
+use nc_core::version::VersionManager;
 use nc_votergen::config::GeneratorConfig;
 use nc_votergen::registry::Registry;
+use nc_votergen::schema::{Row, FIRST_NAME, LAST_NAME, NCID};
 use nc_votergen::snapshot::{standard_calendar, Snapshot};
 
 thread_local! {
@@ -144,9 +147,64 @@ fn importing_a_row_allocates_a_handful_of_times() {
     // snapshot list, one step of growth in each per-record vector, and
     // a second copy of the row when it had to be trimmed.
     for row in &mut snapshot.rows {
-        row.set(nc_votergen::schema::LAST_NAME, "REVISED");
+        row.set(LAST_NAME, "REVISED");
     }
     let (kept, n) = import_rows(&mut store, &snapshot);
     assert_eq!((kept, store.cluster_count() as u64), (rows, rows));
     assert!(n <= 7 * rows, "{n} allocations for {rows} joining rows");
+}
+
+/// Capturing the current version takes the fast path, which allocates
+/// no more than [`VersionManager::reconstruct`] and no more than a
+/// version filter re-collecting every cluster. (That the three routes
+/// agree is `capture_version_fast_path_matches_reconstruction`.)
+#[test]
+fn capturing_the_current_version_allocates_no_more_than_rebuilding_it() {
+    // Three records per cluster: two at version 1, one at version 2.
+    let mut store = ClusterStore::new();
+    let mut versions = VersionManager::new();
+    for (version, lasts) in [(1, &["ALPHA", "ALPHB"][..]), (2, &["BRAVO"])] {
+        let date = format!("s{version}");
+        for last in lasts {
+            for i in 0..2_000 {
+                let mut row = Row::empty();
+                row.set(NCID, format!("VB{i:06}"));
+                row.set(FIRST_NAME, "QUINN");
+                row.set(LAST_NAME, *last);
+                store.import_row(row, DedupPolicy::Trimmed, &date, version);
+            }
+        }
+        let stats = ImportStats {
+            date,
+            total_rows: 0,
+            new_records: 0,
+            new_clusters: 0,
+            quarantined: 0,
+        };
+        versions.publish(&store, std::slice::from_ref(&stats));
+    }
+    let current = versions.current().unwrap().number;
+    assert_eq!((current, store.record_count()), (2, 6_000));
+
+    let (fast, fast_allocs) =
+        allocations_during(|| StoreSnapshot::capture_version(&store, &versions, current).unwrap());
+    let (_, rebuilt_allocs) = allocations_during(|| {
+        StoreSnapshot::from_clusters(current, versions.reconstruct(&store, current))
+    });
+    let (naive, naive_allocs) = allocations_during(|| {
+        let clusters = store.iter_clusters().map(|(ncid, rows)| {
+            let kept = rows
+                .iter()
+                .zip(store.record_versions(ncid).expect("version info"))
+                .filter(|(_, &v)| v <= current)
+                .map(|(row, _)| row.clone());
+            (ncid.to_owned(), kept.collect::<Vec<Row>>())
+        });
+        StoreSnapshot::from_clusters(current, clusters.collect())
+    });
+    assert_eq!(fast.clusters(), naive.clusters());
+    assert!(
+        fast_allocs <= rebuilt_allocs && fast_allocs <= naive_allocs,
+        "fast path {fast_allocs}, reconstruct {rebuilt_allocs}, naive re-collect {naive_allocs}"
+    );
 }

@@ -12,40 +12,37 @@ use nc_detect::index::{
 };
 use nc_detect::qgram_blocking::QGramBlocking;
 use nc_detect::sink::{CandidateSink, PairCollector, QualitySink};
-use proptest::prelude::*;
+use nc_propcheck::{check, Gen};
 
 /// Random datasets over a small alphabet (high gram collision rate) —
 /// one noisy name-like attribute and one short code attribute.
-fn dataset_strategy() -> impl Strategy<Value = Dataset> {
-    proptest::collection::vec(("[A-D]{0,6}", "[A-C]{1,3}", 0usize..8), 2..40).prop_map(|rows| {
-        let mut d = Dataset::new(vec!["name".into(), "code".into()]);
-        for (a, b, cluster) in rows {
-            d.push(vec![a, b], cluster);
-        }
-        d
-    })
+fn dataset(g: &mut Gen) -> Dataset {
+    let mut d = Dataset::new(vec!["name".into(), "code".into()]);
+    for _ in 0..g.range(2..40) {
+        let values = vec![g.string("ABCD", 0..=6), g.string("ABC", 1..=3)];
+        d.push(values, g.range(0..8));
+    }
+    d
 }
 
 /// Datasets with some unicode and whitespace mixed in.
-fn messy_dataset_strategy() -> impl Strategy<Value = Dataset> {
-    proptest::collection::vec(("[a-dÄö ]{0,8}", 0usize..6), 2..25).prop_map(|rows| {
-        let mut d = Dataset::new(vec!["v".into()]);
-        for (a, cluster) in rows {
-            d.push(vec![a], cluster);
-        }
-        d
-    })
+fn messy_dataset(g: &mut Gen) -> Dataset {
+    let mut d = Dataset::new(vec!["v".into()]);
+    for _ in 0..g.range(2..25) {
+        let values = vec![g.string("abcdÄö ", 0..=8)];
+        d.push(values, g.range(0..6));
+    }
+    d
 }
 
-proptest! {
-    /// The indexed q-gram blocker emits exactly the candidate set of
-    /// the scan-based q-gram blocker under the same fraction policy.
-    #[test]
-    fn indexed_qgram_equals_scan_qgram(
-        data in dataset_strategy(),
-        q in 1usize..4,
-        frac in 0.02f64..1.0,
-    ) {
+/// The indexed q-gram blocker emits exactly the candidate set of
+/// the scan-based q-gram blocker under the same fraction policy.
+#[test]
+fn indexed_qgram_equals_scan_qgram() {
+    check("indexed_qgram_equals_scan_qgram", |g| {
+        let data = dataset(g);
+        let q = g.range(1usize..4);
+        let frac = g.range(0.02f64..1.0);
         let scan = QGramBlocking { key: 0, q, max_block_fraction: frac }.candidates(&data);
         let indexed = IndexedQGramBlocker {
             key: 0,
@@ -54,12 +51,16 @@ proptest! {
             threads: 1,
         }
         .candidates(&data);
-        prop_assert_eq!(scan, indexed);
-    }
+        assert_eq!(scan, indexed);
+    });
+}
 
-    /// Scan/index parity holds on messy (unicode, whitespace) values.
-    #[test]
-    fn indexed_qgram_parity_on_messy_values(data in messy_dataset_strategy(), q in 1usize..4) {
+/// Scan/index parity holds on messy (unicode, whitespace) values.
+#[test]
+fn indexed_qgram_parity_on_messy_values() {
+    check("indexed_qgram_parity_on_messy_values", |g| {
+        let data = messy_dataset(g);
+        let q = g.range(1usize..4);
         let scan = QGramBlocking { key: 0, q, max_block_fraction: 0.5 }.candidates(&data);
         let indexed = IndexedQGramBlocker {
             key: 0,
@@ -68,16 +69,17 @@ proptest! {
             threads: 1,
         }
         .candidates(&data);
-        prop_assert_eq!(scan, indexed);
-    }
+        assert_eq!(scan, indexed);
+    });
+}
 
-    /// The deduplicating collector has exactly `HashSet<Pair>` member
-    /// semantics for any emission sequence, and its sorted output is
-    /// duplicate-free.
-    #[test]
-    fn collector_dedup_equals_hashset(
-        raw in proptest::collection::vec((0usize..30, 0usize..30), 0..300),
-    ) {
+/// The deduplicating collector has exactly `HashSet<Pair>` member
+/// semantics for any emission sequence, and its sorted output is
+/// duplicate-free.
+#[test]
+fn collector_dedup_equals_hashset() {
+    check("collector_dedup_equals_hashset", |g| {
+        let raw = g.vec(0..300, |g| (g.range(0..30usize), g.range(0..30usize)));
         let pairs: Vec<Pair> = raw
             .into_iter()
             .filter(|(a, b)| a != b)
@@ -89,17 +91,21 @@ proptest! {
             set.push(p);
             collector.push(p);
         }
-        prop_assert_eq!(collector.emitted(), pairs.len() as u64);
+        assert_eq!(collector.emitted(), pairs.len() as u64);
         let sorted = collector.finish();
-        prop_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        assert!(sorted.windows(2).all(|w| w[0] < w[1]));
         let as_set: HashSet<Pair> = sorted.into_iter().collect();
-        prop_assert_eq!(as_set, set);
-    }
+        assert_eq!(as_set, set);
+    });
+}
 
-    /// Every indexed blocker's parallel probe is bit-identical to the
-    /// sequential one for threads ∈ {1, 2, 4}: same pairs, same order.
-    #[test]
-    fn parallel_probe_bit_identical(data in dataset_strategy(), q in 1usize..4) {
+/// Every indexed blocker's parallel probe is bit-identical to the
+/// sequential one for threads ∈ {1, 2, 4}: same pairs, same order.
+#[test]
+fn parallel_probe_bit_identical() {
+    check("parallel_probe_bit_identical", |g| {
+        let data = dataset(g);
+        let q = g.range(1usize..4);
         type MakeBlocker = Box<dyn Fn(usize) -> Box<dyn StreamBlocker>>;
         let blockers: Vec<MakeBlocker> = vec![
             Box::new(move |t| Box::new(IndexedQGramBlocker {
@@ -121,15 +127,19 @@ proptest! {
             for threads in [2usize, 4] {
                 let mut par: Vec<Pair> = Vec::new();
                 make(threads).stream_into(&data, &mut par);
-                prop_assert_eq!(&seq, &par, "threads={}", threads);
+                assert_eq!(&seq, &par, "threads={}", threads);
             }
         }
-    }
+    });
+}
 
-    /// Distinct emitters really emit each pair once: raw emission count
-    /// equals the distinct candidate count.
-    #[test]
-    fn distinct_emitters_emit_once(data in dataset_strategy(), q in 1usize..4) {
+/// Distinct emitters really emit each pair once: raw emission count
+/// equals the distinct candidate count.
+#[test]
+fn distinct_emitters_emit_once() {
+    check("distinct_emitters_emit_once", |g| {
+        let data = dataset(g);
+        let q = g.range(1usize..4);
         let blockers: Vec<Box<dyn StreamBlocker>> = vec![
             Box::new(IndexedQGramBlocker { key: 0, q, stop: StopPolicy::Fraction(0.4), threads: 1 }),
             Box::new(IndexedTokenBlocker { keys: vec![0], min_overlap: 1, stop: StopPolicy::None, threads: 1 }),
@@ -139,21 +149,25 @@ proptest! {
             }),
         ];
         for b in &blockers {
-            prop_assert!(b.emits_distinct());
+            assert!(b.emits_distinct());
             let mut raw: Vec<Pair> = Vec::new();
             b.stream_into(&data, &mut raw);
             let distinct: HashSet<Pair> = raw.iter().copied().collect();
-            prop_assert_eq!(raw.len(), distinct.len());
+            assert_eq!(raw.len(), distinct.len());
             for p in &raw {
-                prop_assert!(p.0 < p.1 && p.1 < data.len());
+                assert!(p.0 < p.1 && p.1 < data.len());
             }
         }
-    }
+    });
+}
 
-    /// The q-gram count filter admits every pair within the configured
-    /// edit distance when nothing is stop-pruned (no false dismissal).
-    #[test]
-    fn count_filter_admits_within_distance(data in dataset_strategy(), k in 1usize..3) {
+/// The q-gram count filter admits every pair within the configured
+/// edit distance when nothing is stop-pruned (no false dismissal).
+#[test]
+fn count_filter_admits_within_distance() {
+    check("count_filter_admits_within_distance", |g| {
+        let data = dataset(g);
+        let k = g.range(1usize..3);
         let b = FreqVectorBlocker {
             key: 0,
             q: 2,
@@ -177,32 +191,33 @@ proptest! {
                     continue;
                 }
                 if nc_similarity::damerau::distance(&a, &c) <= k {
-                    prop_assert!(
+                    assert!(
                         candidates.contains(&Pair(j, i)),
                         "({}, {}) within distance {} but dismissed", a, c, k
                     );
                 }
             }
         }
-    }
+    });
+}
 
-    /// Streamed quality accounting agrees with materialized accounting
-    /// for the multi-pass SNM baseline.
-    #[test]
-    fn quality_sink_matches_materialized_completeness(
-        data in dataset_strategy(),
-        window in 2usize..6,
-    ) {
+/// Streamed quality accounting agrees with materialized accounting
+/// for the multi-pass SNM baseline.
+#[test]
+fn quality_sink_matches_materialized_completeness() {
+    check("quality_sink_matches_materialized_completeness", |g| {
+        let data = dataset(g);
+        let window = g.range(2usize..6);
         let snm = SortedNeighborhood { keys: vec![0, 1], window };
         let materialized = snm.candidates(&data);
         let gold = data.gold_pairs();
         let mut sink = QualitySink::new(&gold);
         snm.stream_into(&data, &mut sink);
         let found = gold.iter().filter(|p| materialized.contains(p)).count();
-        prop_assert_eq!(sink.gold_hits(), found);
+        assert_eq!(sink.gold_hits(), found);
         let mut collector = PairCollector::new();
         snm.stream_into(&data, &mut collector);
         let collected: HashSet<Pair> = collector.finish().into_iter().collect();
-        prop_assert_eq!(collected, materialized);
-    }
+        assert_eq!(collected, materialized);
+    });
 }

@@ -9,25 +9,26 @@ use nc_detect::eval::{
     evaluate, linspace, score_candidates, score_candidates_streaming, threshold_sweep, PrF,
 };
 use nc_detect::matcher::{MeasureKind, RecordMatcher};
+use nc_propcheck::{check, check_n, Gen};
 use nc_similarity::StringSimilarity;
 use nc_votergen::rng::Rng;
-use proptest::prelude::*;
 
-fn dataset_strategy() -> impl Strategy<Value = Dataset> {
-    proptest::collection::vec(("[A-E]{1,4}", "[A-E]{1,4}", 0usize..6), 2..30).prop_map(|rows| {
-        let mut d = Dataset::new(vec!["a".into(), "b".into()]);
-        for (a, b, cluster) in rows {
-            d.push(vec![a, b], cluster);
-        }
-        d
-    })
+fn dataset(g: &mut Gen) -> Dataset {
+    let mut d = Dataset::new(vec!["a".into(), "b".into()]);
+    for _ in 0..g.range(2..30) {
+        let values = vec![g.string("ABCDE", 1..=4), g.string("ABCDE", 1..=4)];
+        d.push(values, g.range(0..6));
+    }
+    d
 }
 
-proptest! {
-    /// Every blocker's candidate set is a subset of the full pairwise
-    /// enumeration, and pairs are well-formed (i < j, in range).
-    #[test]
-    fn candidates_are_valid_pairs(data in dataset_strategy(), window in 2usize..8) {
+/// Every blocker's candidate set is a subset of the full pairwise
+/// enumeration, and pairs are well-formed (i < j, in range).
+#[test]
+fn candidates_are_valid_pairs() {
+    check("candidates_are_valid_pairs", |g| {
+        let data = dataset(g);
+        let window = g.range(2usize..8);
         let full = FullPairwise.candidates(&data);
         let blockers: Vec<Box<dyn Blocker>> = vec![
             Box::new(StandardBlocking { key: 0 }),
@@ -36,50 +37,64 @@ proptest! {
         for blocker in &blockers {
             let cands = blocker.candidates(&data);
             for p in &cands {
-                prop_assert!(p.0 < p.1);
-                prop_assert!(p.1 < data.len());
-                prop_assert!(full.contains(p));
+                assert!(p.0 < p.1);
+                assert!(p.1 < data.len());
+                assert!(full.contains(p));
             }
         }
-    }
+    });
+}
 
-    /// Growing the SNM window never loses candidates.
-    #[test]
-    fn snm_window_is_monotone(data in dataset_strategy(), w in 2usize..6) {
+/// Growing the SNM window never loses candidates.
+#[test]
+fn snm_window_is_monotone() {
+    check("snm_window_is_monotone", |g| {
+        let data = dataset(g);
+        let w = g.range(2usize..6);
         let small = SortedNeighborhood { keys: vec![0], window: w }.candidates(&data);
         let large = SortedNeighborhood { keys: vec![0], window: w + 3 }.candidates(&data);
-        prop_assert!(small.is_subset(&large));
-    }
+        assert!(small.is_subset(&large));
+    });
+}
 
-    /// Blocking quality metrics are well-formed.
-    #[test]
-    fn quality_metrics_bounded(data in dataset_strategy(), window in 2usize..8) {
+/// Blocking quality metrics are well-formed.
+#[test]
+fn quality_metrics_bounded() {
+    check("quality_metrics_bounded", |g| {
+        let data = dataset(g);
+        let window = g.range(2usize..8);
         let c = SortedNeighborhood { keys: vec![0], window }.candidates(&data);
         let q = blocking_quality(&data, &c);
-        prop_assert!((0.0..=1.0).contains(&q.reduction_ratio));
-        prop_assert!((0.0..=1.0).contains(&q.pair_completeness));
-        prop_assert_eq!(q.candidates, c.len());
-    }
+        assert!((0.0..=1.0).contains(&q.reduction_ratio));
+        assert!((0.0..=1.0).contains(&q.pair_completeness));
+        assert_eq!(q.candidates, c.len());
+    });
+}
 
-    /// Precision and recall are in [0, 1] and F1 is their harmonic mean.
-    #[test]
-    fn prf_invariants(tp in 0usize..50, extra_pred in 0usize..50, extra_gold in 0usize..50) {
+/// Precision and recall are in [0, 1] and F1 is their harmonic mean.
+#[test]
+fn prf_invariants() {
+    check("prf_invariants", |g| {
+        let tp = g.range(0usize..50);
+        let extra_pred = g.range(0usize..50);
+        let extra_gold = g.range(0usize..50);
         let prf = PrF::from_counts(tp, tp + extra_pred, tp + extra_gold);
-        prop_assert!((0.0..=1.0).contains(&prf.precision));
-        prop_assert!((0.0..=1.0).contains(&prf.recall));
-        prop_assert!((0.0..=1.0).contains(&prf.f1));
+        assert!((0.0..=1.0).contains(&prf.precision));
+        assert!((0.0..=1.0).contains(&prf.recall));
+        assert!((0.0..=1.0).contains(&prf.f1));
         if prf.precision + prf.recall > 0.0 {
             let hm = 2.0 * prf.precision * prf.recall / (prf.precision + prf.recall);
-            prop_assert!((prf.f1 - hm).abs() < 1e-12);
+            assert!((prf.f1 - hm).abs() < 1e-12);
         }
-    }
+    });
+}
 
-    /// Recall is non-increasing in the threshold over any scored list.
-    #[test]
-    fn sweep_recall_monotone(
-        scores in proptest::collection::vec(0.0f64..1.0, 1..40),
-        gold_mask in proptest::collection::vec(any::<bool>(), 1..40),
-    ) {
+/// Recall is non-increasing in the threshold over any scored list.
+#[test]
+fn sweep_recall_monotone() {
+    check("sweep_recall_monotone", |g| {
+        let scores = g.vec(1..40, |g| g.range(0.0..1.0));
+        let gold_mask = g.vec(1..40, Gen::bool);
         let mut scored: Vec<ScoredPair> = scores
             .iter()
             .enumerate()
@@ -94,18 +109,19 @@ proptest! {
             .collect();
         let points = threshold_sweep(&scored, &gold, &linspace(0.0, 1.0, 11));
         for w in points.windows(2) {
-            prop_assert!(w[0].prf.recall >= w[1].prf.recall - 1e-12);
+            assert!(w[0].prf.recall >= w[1].prf.recall - 1e-12);
         }
         // Threshold 0 predicts everything.
-        prop_assert_eq!(points[0].prf.recall, 1.0);
-    }
+        assert_eq!(points[0].prf.recall, 1.0);
+    });
+}
 
-    /// The sweep agrees with direct evaluation at every threshold.
-    #[test]
-    fn sweep_agrees_with_direct_eval(
-        scores in proptest::collection::vec(0.0f64..1.0, 1..30),
-        t in 0.0f64..1.0,
-    ) {
+/// The sweep agrees with direct evaluation at every threshold.
+#[test]
+fn sweep_agrees_with_direct_eval() {
+    check("sweep_agrees_with_direct_eval", |g| {
+        let scores = g.vec(1..30, |g| g.range(0.0..1.0));
+        let t = g.range(0.0f64..1.0);
         let mut scored: Vec<ScoredPair> = scores
             .iter()
             .enumerate()
@@ -120,37 +136,40 @@ proptest! {
             .map(|s| s.pair)
             .collect();
         let slow = evaluate(&predicted, &gold);
-        prop_assert!((fast.precision - slow.precision).abs() < 1e-12);
-        prop_assert!((fast.recall - slow.recall).abs() < 1e-12);
-    }
+        assert!((fast.precision - slow.precision).abs() < 1e-12);
+        assert!((fast.recall - slow.recall).abs() < 1e-12);
+    });
+}
 
-    /// Transitive closure is idempotent and only adds pairs.
-    #[test]
-    fn closure_is_idempotent_superset(
-        edges in proptest::collection::vec((0usize..12, 0usize..12), 0..20),
-    ) {
+/// Transitive closure is idempotent and only adds pairs.
+#[test]
+fn closure_is_idempotent_superset() {
+    check("closure_is_idempotent_superset", |g| {
+        let edges = g.vec(0..20, |g| (g.range(0..12usize), g.range(0..12usize)));
         let pairs: HashSet<Pair> = edges
             .into_iter()
             .filter(|(a, b)| a != b)
             .map(|(a, b)| Pair::new(a, b))
             .collect();
         let once = transitive_closure(12, &pairs);
-        prop_assert!(pairs.is_subset(&once));
+        assert!(pairs.is_subset(&once));
         let twice = transitive_closure(12, &once);
-        prop_assert_eq!(once, twice);
-    }
+        assert_eq!(once, twice);
+    });
+}
 
-    /// The prepared form scores every pair to the bit as
-    /// `RecordMatcher::similarity` does: all three measures, name group
-    /// on and off, over values that are missing, padded, repeated and
-    /// not ASCII.
-    #[test]
-    fn prepared_scores_equal_per_pair_scores(seed in any::<u64>()) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let data = register(&mut rng);
-        let weights = weights(&mut rng, data.num_attrs());
+/// The prepared form scores every pair to the bit as
+/// `RecordMatcher::similarity` does: all three measures, name group
+/// on and off, over values that are missing, padded, repeated and
+/// not ASCII.
+#[test]
+fn prepared_scores_equal_per_pair_scores() {
+    // Each case scores every pair of up to 40 records twelve times over.
+    check_n("prepared_scores_equal_per_pair_scores", 24, |g| {
+        let data = register(g);
+        let weights = weights(g, data.num_attrs());
         for kind in MeasureKind::ALL {
-            for group in [vec![], name_group(&mut rng, data.num_attrs())] {
+            for group in [vec![], name_group(g, data.num_attrs())] {
                 let matcher = RecordMatcher::with_kind(kind, weights.clone(), group.clone());
                 let mut prepared = matcher.prepare(&data);
                 // Twice: the second pass reads what the first remembered.
@@ -158,7 +177,7 @@ proptest! {
                     for a in 0..data.len() {
                         for b in a + 1..data.len() {
                             let direct = matcher.similarity(&data.records[a], &data.records[b]);
-                            prop_assert_eq!(
+                            assert_eq!(
                                 prepared.score(Pair(a, b)).to_bits(),
                                 direct.to_bits(),
                                 "{:?} group {:?} pair ({}, {})", kind, group, a, b
@@ -168,32 +187,34 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    /// Both scoring drivers give the same pairs with the same score
-    /// bits in the same order, and those are the matcher's scores.
-    #[test]
-    fn scoring_drivers_agree_to_the_bit(seed in any::<u64>(), window in 2usize..6) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let data = register(&mut rng);
+/// Both scoring drivers give the same pairs with the same score
+/// bits in the same order, and those are the matcher's scores.
+#[test]
+fn scoring_drivers_agree_to_the_bit() {
+    check("scoring_drivers_agree_to_the_bit", |g| {
+        let window = g.range(2usize..6);
+        let data = register(g);
         let matcher = RecordMatcher::with_kind(
-            MeasureKind::ALL[rng.gen_range(0..3)],
-            weights(&mut rng, data.num_attrs()),
-            name_group(&mut rng, data.num_attrs()),
+            g.pick(&MeasureKind::ALL),
+            weights(g, data.num_attrs()),
+            name_group(g, data.num_attrs()),
         );
         let snm = SortedNeighborhood { keys: vec![0, 1], window };
         let materialized = score_candidates(&data, &snm, &matcher);
         let streamed = score_candidates_streaming(&data, &snm, &matcher);
-        prop_assert_eq!(bits(&materialized), bits(&streamed));
-        prop_assert_eq!(materialized.len(), snm.candidates(&data).len());
+        assert_eq!(bits(&materialized), bits(&streamed));
+        assert_eq!(materialized.len(), snm.candidates(&data).len());
         for s in &materialized {
             let direct = matcher.similarity(&data.records[s.pair.0], &data.records[s.pair.1]);
-            prop_assert_eq!(s.score.to_bits(), direct.to_bits());
+            assert_eq!(s.score.to_bits(), direct.to_bits());
         }
-        prop_assert!(materialized
+        assert!(materialized
             .windows(2)
             .all(|w| w[0].score > w[1].score || (w[0].score == w[1].score && w[0].pair < w[1].pair)));
-    }
+    });
 }
 
 /// Values a register field takes: repeated, confusable, missing, blank,
@@ -206,32 +227,32 @@ const POOL: [&str; 16] = [
 /// 2–40 records over 3–6 attributes. Each attribute draws from its own
 /// slice of [`POOL`], so some repeat heavily (memoised) and others
 /// rarely; the last is key-like and never repeats.
-fn register(rng: &mut Rng) -> Dataset {
-    let attrs = 3 + rng.gen_range(0..4);
+fn register(g: &mut Gen) -> Dataset {
+    let attrs = 3 + g.range(0..4);
     let mut data = Dataset::new((0..attrs).map(|k| format!("a{k}")).collect());
-    let spans: Vec<usize> = (0..attrs).map(|_| 1 + rng.gen_range(0..POOL.len())).collect();
-    for i in 0..2 + rng.gen_range(0..39) {
+    let spans: Vec<usize> = (0..attrs).map(|_| 1 + g.range(0..POOL.len())).collect();
+    for i in 0..2 + g.range(0..39) {
         let mut values: Vec<String> = spans
             .iter()
-            .map(|&span| POOL[rng.gen_range(0..span)].to_owned())
+            .map(|&span| g.pick(&POOL[..span]).to_owned())
             .collect();
         values[attrs - 1] = format!("K{i}");
-        data.push(values, rng.gen_range(0..8));
+        data.push(values, g.range(0..8));
     }
     data
 }
 
 /// Non-negative weights, some of them zero.
-fn weights(rng: &mut Rng, attrs: usize) -> Vec<f64> {
-    (0..attrs).map(|_| rng.gen_range(0..4) as f64 * 0.5).collect()
+fn weights(g: &mut Gen, attrs: usize) -> Vec<f64> {
+    (0..attrs).map(|_| g.range(0..4) as f64 * 0.5).collect()
 }
 
 /// Two or three distinct attributes, in any order.
-fn name_group(rng: &mut Rng, attrs: usize) -> Vec<usize> {
+fn name_group(g: &mut Gen, attrs: usize) -> Vec<usize> {
     let mut all: Vec<usize> = (0..attrs).collect();
     let mut group = Vec::new();
-    for _ in 0..2 + rng.gen_range(0..2) {
-        group.push(all.swap_remove(rng.gen_range(0..all.len())));
+    for _ in 0..2 + g.range(0..2) {
+        group.push(all.swap_remove(g.range(0..all.len())));
     }
     group
 }

@@ -5,82 +5,90 @@
 
 use nc_docstore::json;
 use nc_docstore::prelude::*;
-use proptest::prelude::*;
+use nc_propcheck::{check, Gen, DIGITS, LOWER, UPPER};
 
-fn scalar_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        any::<bool>().prop_map(Value::Bool),
-        (-1000i64..1000).prop_map(Value::Int),
-        (-100.0f64..100.0).prop_map(Value::Float),
-        "[a-zA-Z0-9 ]{0,12}".prop_map(Value::from),
-    ]
+fn scalar_value(g: &mut Gen) -> Value {
+    match g.range(0..5) {
+        0 => Value::Null,
+        1 => Value::Bool(g.bool()),
+        2 => Value::Int(int(g, -1000..1000)),
+        3 => Value::Float(g.range(-100.0..100.0)),
+        _ => Value::from(g.string(&format!("{LOWER}{UPPER}{DIGITS} "), 0..=12)),
+    }
 }
 
-fn field_name() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,8}".prop_map(|s| s)
+/// `[a-z][a-z0-9_]{0,8}`.
+fn field_name(g: &mut Gen) -> String {
+    g.string(LOWER, 1..=1) + &g.string(&format!("{LOWER}{DIGITS}_"), 0..=8)
 }
 
-proptest! {
-    /// set_path followed by get_path returns the value just written.
-    #[test]
-    fn set_then_get_round_trips(
-        segs in proptest::collection::vec(field_name(), 1..4),
-        value in scalar_value(),
-    ) {
+fn int(g: &mut Gen, range: std::ops::Range<i32>) -> i64 {
+    i64::from(g.range(range))
+}
+
+/// set_path followed by get_path returns the value just written.
+#[test]
+fn set_then_get_round_trips() {
+    check("set_then_get_round_trips", |g| {
+        let segs = g.vec(1..4, field_name);
+        let value = scalar_value(g);
         let path = segs.join(".");
         let mut doc = Document::new();
-        prop_assert!(doc.set_path(&path, value.clone()));
+        assert!(doc.set_path(&path, value.clone()));
         let got = doc.get_path(&path).expect("just set");
-        prop_assert!(got.query_eq(&value) || (got.is_null() && value.is_null()));
-    }
+        assert!(got.query_eq(&value) || (got.is_null() && value.is_null()));
+    });
+}
 
-    /// Writing one path never clobbers a sibling path.
-    #[test]
-    fn sibling_paths_are_independent(
-        a in field_name(),
-        b in field_name(),
-        va in scalar_value(),
-        vb in scalar_value(),
-    ) {
-        prop_assume!(a != b);
+/// Writing one path never clobbers a sibling path.
+#[test]
+fn sibling_paths_are_independent() {
+    check("sibling_paths_are_independent", |g| {
+        let (a, b) = (field_name(g), field_name(g));
+        let (va, vb) = (scalar_value(g), scalar_value(g));
+        if a == b {
+            return;
+        }
         let mut doc = Document::new();
         doc.set_path(&a, va.clone());
         doc.set_path(&b, vb);
         let got = doc.get_path(&a).expect("still present");
-        prop_assert!(got.query_eq(&va) || (got.is_null() && va.is_null()));
-    }
+        assert!(got.query_eq(&va) || (got.is_null() && va.is_null()));
+    });
+}
 
-    /// total_cmp is a total order: antisymmetric and transitive on
-    /// random triples.
-    #[test]
-    fn total_cmp_laws(
-        a in scalar_value(),
-        b in scalar_value(),
-        c in scalar_value(),
-    ) {
+/// total_cmp is a total order: antisymmetric and transitive on
+/// random triples.
+#[test]
+fn total_cmp_laws() {
+    check("total_cmp_laws", |g| {
+        let (a, b, c) = (scalar_value(g), scalar_value(g), scalar_value(g));
         use std::cmp::Ordering;
-        prop_assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
+        assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
         if a.total_cmp(&b) != Ordering::Greater && b.total_cmp(&c) != Ordering::Greater {
-            prop_assert_ne!(a.total_cmp(&c), Ordering::Greater);
+            assert_ne!(a.total_cmp(&c), Ordering::Greater);
         }
-        prop_assert_eq!(a.total_cmp(&a), Ordering::Equal);
-    }
+        assert_eq!(a.total_cmp(&a), Ordering::Equal);
+    });
+}
 
-    /// Equal values (by query semantics) hash identically.
-    #[test]
-    fn query_eq_implies_hash_eq(a in scalar_value(), b in scalar_value()) {
+/// Equal values (by query semantics) hash identically.
+#[test]
+fn query_eq_implies_hash_eq() {
+    check("query_eq_implies_hash_eq", |g| {
+        let (a, b) = (scalar_value(g), scalar_value(g));
         if a.query_eq(&b) {
-            prop_assert_eq!(a.stable_hash(), b.stable_hash());
+            assert_eq!(a.stable_hash(), b.stable_hash());
         }
-    }
+    });
+}
 
-    /// An indexed equality find returns exactly what a full scan does.
-    #[test]
-    fn indexed_find_agrees_with_scan(
-        values in proptest::collection::vec("[A-D]", 1..40),
-        probe in "[A-E]",
-    ) {
+/// An indexed equality find returns exactly what a full scan does.
+#[test]
+fn indexed_find_agrees_with_scan() {
+    check("indexed_find_agrees_with_scan", |g| {
+        let values = g.vec(1..40, |g| g.string("ABCD", 1..=1));
+        let probe = g.string("ABCDE", 1..=1);
         let mut indexed = Collection::new("i");
         indexed.create_index("k", IndexKind::Hash);
         let mut plain = Collection::new("p");
@@ -93,16 +101,17 @@ proptest! {
             indexed.find(&filter).iter().filter_map(|d| d.get_i64("_id")).collect();
         let from_scan: Vec<i64> =
             plain.find(&filter).iter().filter_map(|d| d.get_i64("_id")).collect();
-        prop_assert_eq!(from_index, from_scan);
-    }
+        assert_eq!(from_index, from_scan);
+    });
+}
 
-    /// Range finds via an ordered index agree with scans.
-    #[test]
-    fn range_find_agrees_with_scan(
-        values in proptest::collection::vec(-50i64..50, 1..40),
-        lo in -60i64..60,
-        len in 0i64..40,
-    ) {
+/// Range finds via an ordered index agree with scans.
+#[test]
+fn range_find_agrees_with_scan() {
+    check("range_find_agrees_with_scan", |g| {
+        let values = g.vec(1..40, |g| int(g, -50..50));
+        let lo = int(g, -60..60);
+        let len = int(g, 0..40);
         let hi = lo + len;
         let mut indexed = Collection::new("i");
         indexed.create_index("k", IndexKind::Ordered);
@@ -114,12 +123,15 @@ proptest! {
         let filter = Filter::between("k", lo, hi);
         let a: Vec<i64> = indexed.find(&filter).iter().filter_map(|d| d.get_i64("_id")).collect();
         let b: Vec<i64> = plain.find(&filter).iter().filter_map(|d| d.get_i64("_id")).collect();
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
+}
 
-    /// Delete removes exactly the targeted document from finds.
-    #[test]
-    fn delete_removes_from_results(values in proptest::collection::vec("[A-C]", 2..20)) {
+/// Delete removes exactly the targeted document from finds.
+#[test]
+fn delete_removes_from_results() {
+    check("delete_removes_from_results", |g| {
+        let values = g.vec(2..20, |g| g.string("ABC", 1..=1));
         let mut coll = Collection::new("d");
         coll.create_index("k", IndexKind::Hash);
         let ids: Vec<DocId> = values.iter().map(|v| coll.insert(doc! { "k" => v.as_str() })).collect();
@@ -127,98 +139,80 @@ proptest! {
         let victim_key = values[0].clone();
         coll.delete(victim);
         let hits = coll.find_ids(&Filter::eq("k", victim_key.as_str()));
-        prop_assert!(!hits.contains(&victim));
-        prop_assert_eq!(coll.len(), values.len() - 1);
-    }
+        assert!(!hits.contains(&victim));
+        assert_eq!(coll.len(), values.len() - 1);
+    });
+}
 
-    /// Filter::Not is an involution over random documents.
-    #[test]
-    fn not_not_is_identity(v in scalar_value(), probe in scalar_value()) {
+/// Filter::Not is an involution over random documents.
+#[test]
+fn not_not_is_identity() {
+    check("not_not_is_identity", |g| {
+        let (v, probe) = (scalar_value(g), scalar_value(g));
         let doc = doc! { "k" => v };
         let f = Filter::eq("k", probe);
         let nn = Filter::not(Filter::not(f.clone()));
-        prop_assert_eq!(f.matches(&doc), nn.matches(&doc));
-    }
+        assert_eq!(f.matches(&doc), nn.matches(&doc));
+    });
+}
 
-    /// `parse(render(v)) == v`, to the bit, for arbitrary nested values.
-    #[test]
-    fn json_round_trips_arbitrary_values(seed in any::<u64>()) {
-        let value = arbitrary_value(&mut Rng(seed));
+/// `parse(render(v)) == v`, to the bit, for arbitrary nested values.
+#[test]
+fn json_round_trips_arbitrary_values() {
+    check("json_round_trips_arbitrary_values", |g| {
+        let value = arbitrary_value(g);
         let rendered = value.to_json();
         let back = json::parse(rendered.as_bytes());
-        prop_assert_eq!(back.as_ref(), Ok(&value), "{}", rendered);
+        assert_eq!(back.as_ref(), Ok(&value), "{}", rendered);
         // `PartialEq` calls `-0.0 == 0.0`; the rendering does not.
-        prop_assert_eq!(back.unwrap().to_json(), rendered);
-    }
+        assert_eq!(back.unwrap().to_json(), rendered);
+    });
+}
 
-    /// Every proper prefix of a valid document is an error inside the
-    /// input, never a panic and never a value.
-    #[test]
-    fn truncated_documents_are_errors(seed in any::<u64>()) {
-        let rendered = doc! { "v" => arbitrary_value(&mut Rng(seed)) }.to_json();
+/// Every proper prefix of a valid document is an error inside the
+/// input, never a panic and never a value.
+#[test]
+fn truncated_documents_are_errors() {
+    check("truncated_documents_are_errors", |g| {
+        let rendered = doc! { "v" => arbitrary_value(g) }.to_json();
         for cut in 0..rendered.len() {
             let err = json::parse(&rendered.as_bytes()[..cut]).expect_err("a proper prefix");
-            prop_assert!(err.offset <= cut, "cut {} of {}: {}", cut, rendered, err);
+            assert!(err.offset <= cut, "cut {} of {}: {}", cut, rendered, err);
         }
-    }
+    });
+}
 
-    /// Arbitrary bytes — raw, and spliced into a valid document — never
-    /// panic, and an error points inside the input.
-    #[test]
-    fn arbitrary_bytes_never_panic(
-        noise in proptest::collection::vec(any::<u8>(), 0..48),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Rng(seed);
-        let mut spliced = arbitrary_value(&mut rng).to_json().into_bytes();
-        let at = rng.below(spliced.len() as u64 + 1) as usize;
+/// Arbitrary bytes — raw, and spliced into a valid document — never
+/// panic, and an error points inside the input.
+#[test]
+fn arbitrary_bytes_never_panic() {
+    check("arbitrary_bytes_never_panic", |g| {
+        let noise = g.vec(0..48, |g| g.range(0..=u8::MAX));
+        let mut spliced = arbitrary_value(g).to_json().into_bytes();
+        let at = g.range(0..=spliced.len());
         spliced.splice(at..at, noise.iter().copied());
         for input in [&noise, &spliced] {
             if let Err(e) = json::parse(input) {
-                prop_assert!(e.offset <= input.len(), "{:?}: {}", input, e);
+                assert!(e.offset <= input.len(), "{:?}: {}", input, e);
             }
         }
-    }
-}
-
-/// SplitMix64: the nested-value generator below is driven by one
-/// `u64` seed so it runs the same under any proptest.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
+    });
 }
 
 /// Strings over the characters the escaper and the reader treat
 /// specially: controls, quote, backslash, slash, non-ASCII, astral.
-fn arbitrary_string(rng: &mut Rng) -> String {
-    const ALPHABET: [char; 16] = [
-        'a', 'Z', '7', ' ', '"', '\\', '/', '\0', '\u{8}', '\u{c}', '\n', '\t', '\u{1f}', 'é',
-        '\u{ffff}', '\u{1F600}',
-    ];
-    (0..rng.below(6))
-        .map(|_| ALPHABET[rng.below(16) as usize])
-        .collect()
+fn arbitrary_string(g: &mut Gen) -> String {
+    g.string("aZ7 \"\\/\0\u{8}\u{c}\n\t\u{1f}é\u{ffff}\u{1F600}", 0..6)
 }
 
-fn arbitrary_float(rng: &mut Rng) -> f64 {
-    match rng.below(6) {
+fn arbitrary_float(g: &mut Gen) -> f64 {
+    match g.range(0..6) {
         0 => -0.0,
-        1 => rng.next() as i32 as f64,
-        2 => f64::from_bits(rng.below(1 << 52)),
+        1 => g.u64() as i32 as f64,
+        2 => f64::from_bits(g.range(0..1u64 << 52)),
         3 => i64::MAX as f64,
         _ => loop {
-            let f = f64::from_bits(rng.next());
+            let f = f64::from_bits(g.u64());
             if f.is_finite() {
                 break f;
             }
@@ -226,17 +220,17 @@ fn arbitrary_float(rng: &mut Rng) -> f64 {
     }
 }
 
-fn arbitrary_tree(rng: &mut Rng, budget: usize) -> Value {
-    match rng.below(if budget == 0 { 6 } else { 10 }) {
+fn arbitrary_tree(g: &mut Gen, budget: usize) -> Value {
+    match g.range(0..if budget == 0 { 6 } else { 10 }) {
         0 => Value::Null,
-        1 => Value::Bool(rng.below(2) == 1),
-        2 => Value::Int([i64::MIN, i64::MAX, 0, rng.next() as i64][rng.below(4) as usize]),
-        3 | 4 => Value::Float(arbitrary_float(rng)),
-        5 => Value::Str(arbitrary_string(rng)),
-        6 | 7 => Value::Array((0..rng.below(4)).map(|_| arbitrary_tree(rng, budget - 1)).collect()),
+        1 => Value::Bool(g.bool()),
+        2 => Value::Int([i64::MIN, i64::MAX, 0, g.u64() as i64][g.range(0..4usize)]),
+        3 | 4 => Value::Float(arbitrary_float(g)),
+        5 => Value::Str(arbitrary_string(g)),
+        6 | 7 => Value::Array(g.vec(0..4, |g| arbitrary_tree(g, budget - 1))),
         _ => Value::Doc(
-            (0..rng.below(4))
-                .map(|_| (arbitrary_string(rng), arbitrary_tree(rng, budget - 1)))
+            g.vec(0..4, |g| (arbitrary_string(g), arbitrary_tree(g, budget - 1)))
+                .into_iter()
                 .collect(),
         ),
     }
@@ -245,14 +239,14 @@ fn arbitrary_tree(rng: &mut Rng, budget: usize) -> Value {
 /// A small random tree under a random spine of single-child arrays and
 /// documents, so the whole value nests anywhere up to the reader's
 /// `MAX_DEPTH`.
-fn arbitrary_value(rng: &mut Rng) -> Value {
+fn arbitrary_value(g: &mut Gen) -> Value {
     const TREE: usize = 4;
-    let mut value = arbitrary_tree(rng, TREE);
-    for _ in 0..rng.below((json::MAX_DEPTH - TREE + 1) as u64) {
-        value = if rng.below(2) == 0 {
+    let mut value = arbitrary_tree(g, TREE);
+    for _ in 0..g.range(0..=json::MAX_DEPTH - TREE) {
+        value = if g.bool() {
             Value::Array(vec![value])
         } else {
-            Value::Doc(doc! { arbitrary_string(rng) => value })
+            Value::Doc(doc! { arbitrary_string(g) => value })
         };
     }
     value

@@ -4,10 +4,9 @@
 
 use std::path::PathBuf;
 
-use proptest::prelude::*;
-
 use nc_docstore::persist::{salvage, save, FooterStatus};
 use nc_docstore::prelude::*;
+use nc_propcheck::check;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("nc_salvage_prop_{}_{}", std::process::id(), name))
@@ -35,14 +34,11 @@ fn line_ends(bytes: &[u8]) -> Vec<usize> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn truncation_loses_at_most_the_final_partial_document(
-        n in 1usize..12,
-        cut in 0.0f64..1.0,
-    ) {
+#[test]
+fn truncation_loses_at_most_the_final_partial_document() {
+    check("truncation_loses_at_most_the_final_partial_document", |g| {
+        let n = g.range(1usize..12);
+        let cut = g.range(0.0f64..1.0);
         let c = build_collection(n);
         let path = tmp("trunc");
         save(&c, &path).unwrap();
@@ -57,36 +53,37 @@ proptest! {
         // landed in is the only one that may be lost.
         let ends = line_ends(&full);
         let data_lines = ends.len() - 1; // the last line is the footer
-        prop_assert_eq!(data_lines, n);
+        assert_eq!(data_lines, n);
         let expected_docs = ends[..data_lines].iter().filter(|&&e| e <= k).count();
-        prop_assert_eq!(s.collection.len(), expected_docs);
-        prop_assert_eq!(s.report.docs_recovered, expected_docs);
+        assert_eq!(s.collection.len(), expected_docs);
+        assert_eq!(s.report.docs_recovered, expected_docs);
 
         // Loss accounting: bytes from the last intact line boundary to
         // the (truncated) EOF, and at most one torn line.
         let boundary = ends.iter().copied().filter(|&e| e <= k).max().unwrap_or(0);
-        prop_assert_eq!(s.report.bytes_dropped, (k - boundary) as u64);
-        prop_assert!(s.report.lines_dropped <= 1);
-        prop_assert_eq!(s.report.lines_dropped, usize::from(k > boundary));
+        assert_eq!(s.report.bytes_dropped, (k - boundary) as u64);
+        assert!(s.report.lines_dropped <= 1);
+        assert_eq!(s.report.lines_dropped, usize::from(k > boundary));
 
         // The footer cannot survive a real truncation.
         if k == full.len() {
-            prop_assert_eq!(s.report.footer, FooterStatus::Valid);
-            prop_assert!(s.report.is_clean());
+            assert_eq!(s.report.footer, FooterStatus::Valid);
+            assert!(s.report.is_clean());
         } else {
-            prop_assert_eq!(s.report.footer, FooterStatus::Missing);
-            prop_assert_eq!(s.report.detail.is_some(), k > boundary);
+            assert_eq!(s.report.footer, FooterStatus::Missing);
+            assert_eq!(s.report.detail.is_some(), k > boundary);
         }
 
         std::fs::remove_file(&path).unwrap();
-    }
+    });
+}
 
-    #[test]
-    fn arbitrary_single_byte_corruption_never_panics(
-        n in 1usize..8,
-        offset in 0usize..4096,
-        flip in 0u8..8,
-    ) {
+#[test]
+fn arbitrary_single_byte_corruption_never_panics() {
+    check("arbitrary_single_byte_corruption_never_panics", |g| {
+        let n = g.range(1usize..8);
+        let offset = g.range(0usize..4096);
+        let flip = g.range(0u8..8);
         let c = build_collection(n);
         let path = tmp("flip");
         save(&c, &path).unwrap();
@@ -98,10 +95,10 @@ proptest! {
         // Salvage must never panic or error on a read-able file, and it
         // can only ever recover documents the file actually held.
         let s = salvage("v", &path).unwrap();
-        prop_assert!(s.collection.len() <= n);
+        assert!(s.collection.len() <= n);
         // Whatever strict load says, it must not panic either.
         let _ = nc_docstore::persist::load("v", &path);
 
         std::fs::remove_file(&path).unwrap();
-    }
+    });
 }

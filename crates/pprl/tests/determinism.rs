@@ -10,12 +10,12 @@ use nc_core::import::import_snapshot;
 use nc_core::record::DedupPolicy;
 use nc_core::snapshot::StoreSnapshot;
 use nc_pprl::{render_encoded_record, EncodeScratch, EncodingParams, RecordEncoder};
+use nc_propcheck::{check, check_n, Gen, DIGITS, UPPER};
 use nc_shard::ShardedStore;
 use nc_votergen::config::GeneratorConfig;
 use nc_votergen::registry::Registry;
 use nc_votergen::schema::{Row, FIRST_NAME, LAST_NAME, NCID, RES_STREET};
 use nc_votergen::snapshot::{standard_calendar, Snapshot};
-use proptest::prelude::*;
 
 fn row(ncid: &str, first: &str, last: &str, street: &str) -> Row {
     let mut r = Row::empty();
@@ -26,20 +26,18 @@ fn row(ncid: &str, first: &str, last: &str, street: &str) -> Row {
     r
 }
 
-fn name_strategy() -> impl Strategy<Value = String> {
-    "[A-Z]{1,12}"
+fn name(g: &mut Gen) -> String {
+    g.string(UPPER, 1..=12)
 }
 
-proptest! {
-    /// Same `(key, params)` on independent encoders on independent
-    /// threads: byte-identical rendered lines.
-    #[test]
-    fn encoding_is_identical_across_threads(
-        key in any::<u64>(),
-        first in name_strategy(),
-        last in name_strategy(),
-        street in "[A-Z0-9 ]{0,20}",
-    ) {
+/// Same `(key, params)` on independent encoders on independent
+/// threads: byte-identical rendered lines.
+#[test]
+fn encoding_is_identical_across_threads() {
+    check("encoding_is_identical_across_threads", |g| {
+        let key = g.u64();
+        let (first, last) = (name(g), name(g));
+        let street = g.string(&format!("{UPPER}{DIGITS} "), 0..=20);
         let params = EncodingParams { key, ..Default::default() };
         let r = row("C1", &first, &last, &street);
         let here = {
@@ -63,30 +61,32 @@ proptest! {
                 .collect()
         });
         for line in threads {
-            prop_assert_eq!(&line, &here);
+            assert_eq!(&line, &here);
         }
-    }
+    });
+}
 
-    /// Different keys never produce linkable encodings: the NCID
-    /// tokens differ and the record CLKs differ (beyond-chance
-    /// collisions would need 64 matching bits resp. hundreds).
-    #[test]
-    fn different_keys_are_unlinkable(
-        key_a in any::<u64>(),
-        key_b in any::<u64>(),
-        first in name_strategy(),
-        last in name_strategy(),
-    ) {
-        prop_assume!(key_a != key_b);
+/// Different keys never produce linkable encodings: the NCID
+/// tokens differ and the record CLKs differ (beyond-chance
+/// collisions would need 64 matching bits resp. hundreds).
+#[test]
+fn different_keys_are_unlinkable() {
+    check("different_keys_are_unlinkable", |g| {
+        let key_a = g.u64();
+        let key_b = g.u64();
+        let (first, last) = (name(g), name(g));
+        if key_a == key_b {
+            return;
+        }
         let r = row("C7", &first, &last, "12 OAK ST");
         let mut scratch = EncodeScratch::new();
         let ea = RecordEncoder::new(EncodingParams { key: key_a, ..Default::default() })
             .encode_row(&r, &mut scratch);
         let eb = RecordEncoder::new(EncodingParams { key: key_b, ..Default::default() })
             .encode_row(&r, &mut scratch);
-        prop_assert_ne!(ea.ncid_token, eb.ncid_token);
-        prop_assert_ne!(ea.record_clk, eb.record_clk);
-    }
+        assert_ne!(ea.ncid_token, eb.ncid_token);
+        assert_ne!(ea.record_clk, eb.record_clk);
+    });
 }
 
 fn generate_snapshots(seed: u64, population: usize, count: usize) -> Vec<Snapshot> {
@@ -102,18 +102,16 @@ fn generate_snapshots(seed: u64, population: usize, count: usize) -> Vec<Snapsho
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The full export path is shard-count independent: ingesting the
-    /// same snapshots through 1/2/3/8 shards, publishing, carving and
-    /// encoding yields byte-identical encoded lines.
-    #[test]
-    fn sharded_publish_encodes_identically(
-        seed in 0u64..10_000,
-        key in any::<u64>(),
-        population in 40usize..70,
-    ) {
+/// The full export path is shard-count independent: ingesting the
+/// same snapshots through 1/2/3/8 shards, publishing, carving and
+/// encoding yields byte-identical encoded lines.
+#[test]
+fn sharded_publish_encodes_identically() {
+    // Each case generates a registry and ingests it once per shard count.
+    check_n("sharded_publish_encodes_identically", 24, |g| {
+        let seed = g.range(0u64..10_000);
+        let key = g.u64();
+        let population = g.range(40usize..70);
         let snapshots = generate_snapshots(seed, population, 2);
         let params = CustomizeParams::nc2(20, 8, seed);
         let encoding = EncodingParams { key, ..Default::default() };
@@ -126,7 +124,7 @@ proptest! {
         let reference = StoreSnapshot::capture(&plain, 1);
         let entropy = reference.entropy_scorer(Scope::Person);
         let reference_lines = encode_carve(&customize(&plain, &entropy, &params), &encoding);
-        prop_assert!(!reference_lines.is_empty(), "carve produced no records");
+        assert!(!reference_lines.is_empty(), "carve produced no records");
 
         for shards in [2usize, 3, 8] {
             let mut sharded = ShardedStore::new(shards);
@@ -141,9 +139,9 @@ proptest! {
                 &params,
             );
             let lines = encode_carve(&carved, &encoding);
-            prop_assert_eq!(&lines, &reference_lines, "shards={}", shards);
+            assert_eq!(&lines, &reference_lines, "shards={}", shards);
         }
-    }
+    });
 }
 
 /// Encode every record of a carved dataset as its rendered line, with

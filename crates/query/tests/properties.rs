@@ -13,9 +13,9 @@
 
 use nc_core::heterogeneity::Scope;
 use nc_core::snapshot::StoreSnapshot;
+use nc_propcheck::{check, Gen};
 use nc_query::{execute, execute_naive, CarveQuery, ClusterCatalog, ExecOptions};
 use nc_votergen::schema::{Row, FIRST_NAME, LAST_NAME, NCID, SNAPSHOT_DT};
-use proptest::prelude::*;
 
 const FIRSTS: [&str; 4] = ["ANNA", "BRUNO", "CLARA", "DILIP"];
 const LASTS: [&str; 4] = ["SMITH", "SMYTH", "NGUYEN", "OKAFOR"];
@@ -30,7 +30,7 @@ fn row(ncid: &str, first: &str, last: &str, snap: &str) -> Row {
     r
 }
 
-/// One cluster's shape, drawn by proptest: how many extra records it
+/// One cluster's shape, drawn per case: how many extra records it
 /// holds beyond the founding one, and which name/date variants seed it.
 #[derive(Debug, Clone)]
 struct ClusterSpec {
@@ -70,29 +70,12 @@ fn catalog_from(specs: &[ClusterSpec]) -> ClusterCatalog {
     ClusterCatalog::build(&snapshot, &het)
 }
 
-fn cluster_specs() -> impl Strategy<Value = Vec<ClusterSpec>> {
-    proptest::collection::vec(
-        (0usize..4, 0usize..4, 0usize..3)
-            .prop_map(|(extra, name, date)| ClusterSpec { extra, name, date }),
-        1..40,
-    )
-}
-
-/// `proptest::option::of` — the offline stub doesn't ship the `option`
-/// module, so emulate it with a two-way choice.
-fn maybe<S: Strategy<Value = String> + 'static>(s: S) -> impl Strategy<Value = Option<String>> {
-    prop_oneof![Just(None), s.prop_map(Some)]
-}
-
-fn op() -> impl Strategy<Value = &'static str> {
-    prop_oneof![
-        Just("eq"),
-        Just("ne"),
-        Just("gt"),
-        Just("gte"),
-        Just("lt"),
-        Just("lte"),
-    ]
+fn cluster_specs(g: &mut Gen) -> Vec<ClusterSpec> {
+    g.vec(1..40, |g| ClusterSpec {
+        extra: g.range(0..4),
+        name: g.range(0..4),
+        date: g.range(0..3),
+    })
 }
 
 /// One conjunct per field, so the generated match object never has
@@ -100,77 +83,69 @@ fn op() -> impl Strategy<Value = &'static str> {
 /// indexes, `ncid` a hash index, and `errors.total` is deliberately
 /// unindexed — so random pipelines cover indexed, hash-miss (range on
 /// hash) and scan access paths alike.
-fn match_stage() -> impl Strategy<Value = String> {
-    let size = (op(), 0u64..6).prop_map(|(op, v)| format!(r#""size": {{"{op}": {v}}}"#));
-    let plaus =
-        (op(), -20i32..60).prop_map(|(op, v)| format!(r#""plaus": {{"{op}": {:?}}}"#, v as f64 / 8.0));
-    let ncid = (op(), 0usize..40).prop_map(|(op, i)| format!(r#""ncid": {{"{op}": "C{i:04}"}}"#));
-    let date =
-        (op(), 0usize..3).prop_map(|(op, d)| format!(r#""snapshot.first": {{"{op}": "{}"}}"#, DATES[d]));
-    let errors = (op(), 0u64..4).prop_map(|(op, v)| format!(r#""errors.total": {{"{op}": {v}}}"#));
-    (
-        maybe(size),
-        maybe(plaus),
-        maybe(ncid),
-        maybe(date),
-        maybe(errors),
-    )
-        .prop_map(|(a, b, c, d, e)| {
-            let parts: Vec<String> = [a, b, c, d, e].into_iter().flatten().collect();
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!(r#"{{"match": {{{}}}}}"#, parts.join(", "))
-            }
-        })
+fn match_stage(g: &mut Gen) -> String {
+    let conjuncts = [
+        ("size", g.range(0..6u64).to_string()),
+        ("plaus", format!("{:?}", f64::from(g.range(-20..60)) / 8.0)),
+        ("ncid", format!(r#""C{:04}""#, g.range(0..40))),
+        ("snapshot.first", format!(r#""{}""#, g.pick(&DATES))),
+        ("errors.total", g.range(0..4u64).to_string()),
+    ];
+    let mut parts = Vec::new();
+    for (field, value) in conjuncts {
+        if g.bool() {
+            let op = g.pick(&["eq", "ne", "gt", "gte", "lt", "lte"]);
+            parts.push(format!(r#""{field}": {{"{op}": {value}}}"#));
+        }
+    }
+    if parts.is_empty() {
+        String::new()
+    } else {
+        format!(r#"{{"match": {{{}}}}}"#, parts.join(", "))
+    }
 }
 
-fn tail_stage() -> impl Strategy<Value = String> {
-    let sample = (1usize..8, any::<u32>())
-        .prop_map(|(n, seed)| format!(r#"{{"sample": {{"size": {n}, "seed": {seed}}}}}"#));
-    let stratified = (1usize..4, any::<u32>()).prop_map(|(n, seed)| {
-        format!(r#"{{"sample": {{"size": {n}, "seed": {seed}, "by": "size"}}}}"#)
-    });
-    let sort = (
-        prop_oneof![Just("size"), Just("het"), Just("plaus"), Just("ncid")],
-        any::<bool>(),
-    )
-        .prop_map(|(by, desc)| format!(r#"{{"sort": {{"by": "{by}", "descending": {desc}}}}}"#));
-    let skip = (0usize..6).prop_map(|n| format!(r#"{{"skip": {n}}}"#));
-    let limit = (1usize..10).prop_map(|n| format!(r#"{{"limit": {n}}}"#));
-    prop_oneof![sample, stratified, sort, skip, limit]
+fn tail_stage(g: &mut Gen) -> String {
+    match g.range(0..5) {
+        0 => format!(
+            r#"{{"sample": {{"size": {}, "seed": {}}}}}"#,
+            g.range(1..8),
+            g.range(0..=u32::MAX)
+        ),
+        1 => format!(
+            r#"{{"sample": {{"size": {}, "seed": {}, "by": "size"}}}}"#,
+            g.range(1..4),
+            g.range(0..=u32::MAX)
+        ),
+        2 => format!(
+            r#"{{"sort": {{"by": "{}", "descending": {}}}}}"#,
+            g.pick(&["size", "het", "plaus", "ncid"]),
+            g.bool()
+        ),
+        3 => format!(r#"{{"skip": {}}}"#, g.range(0..6)),
+        _ => format!(r#"{{"limit": {}}}"#, g.range(1..10)),
+    }
 }
 
-fn terminal() -> impl Strategy<Value = Option<String>> {
-    prop_oneof![
-        Just(None),
-        Just(None),
-        Just(Some(r#"{"count": true}"#.to_string())),
-        Just(Some(r#"{"project": ["ncid", "size", "het"]}"#.to_string())),
-        Just(Some(
-            r#"{"group": {"by": "size", "agg": {"n": "count", "max_plaus": {"max": "plaus"}}}}"#
-                .to_string()
-        )),
-    ]
+fn terminal(g: &mut Gen) -> Option<&'static str> {
+    g.pick(&[
+        None,
+        None,
+        Some(r#"{"count": true}"#),
+        Some(r#"{"project": ["ncid", "size", "het"]}"#),
+        Some(r#"{"group": {"by": "size", "agg": {"n": "count", "max_plaus": {"max": "plaus"}}}}"#),
+    ])
 }
 
-fn pipeline() -> impl Strategy<Value = String> {
-    (
-        match_stage(),
-        proptest::collection::vec(tail_stage(), 0..3),
-        terminal(),
-    )
-        .prop_map(|(m, tails, term)| {
-            let mut stages: Vec<String> = Vec::new();
-            if !m.is_empty() {
-                stages.push(m);
-            }
-            stages.extend(tails);
-            if let Some(t) = term {
-                stages.push(t);
-            }
-            format!(r#"{{"pipeline": [{}]}}"#, stages.join(", "))
-        })
+fn pipeline(g: &mut Gen) -> String {
+    let mut stages: Vec<String> = Vec::new();
+    let m = match_stage(g);
+    if !m.is_empty() {
+        stages.push(m);
+    }
+    stages.extend(g.vec(0..3, tail_stage));
+    stages.extend(terminal(g).map(String::from));
+    format!(r#"{{"pipeline": [{}]}}"#, stages.join(", "))
 }
 
 fn parse(body: &str) -> CarveQuery {
@@ -182,46 +157,50 @@ fn rendered(docs: &[nc_docstore::value::Document]) -> Vec<String> {
     docs.iter().map(|d| d.to_json()).collect()
 }
 
-proptest! {
-    /// The indexed plan and a forced full scan produce byte-identical
-    /// results — same matched set, same capture positions, same
-    /// rendered documents.
-    #[test]
-    fn indexed_plan_matches_forced_scan(specs in cluster_specs(), body in pipeline()) {
+/// The indexed plan and a forced full scan produce byte-identical
+/// results — same matched set, same capture positions, same
+/// rendered documents.
+#[test]
+fn indexed_plan_matches_forced_scan() {
+    check("indexed_plan_matches_forced_scan", |g| {
+        let (specs, body) = (cluster_specs(g), pipeline(g));
         let cat = catalog_from(&specs);
         let query = parse(&body);
         let fast = execute(&cat, &query, ExecOptions::default());
         let slow = execute(&cat, &query, ExecOptions { force_scan: true });
-        prop_assert!(slow.explain.full_scan);
-        prop_assert_eq!(&fast.matched, &slow.matched, "query: {}", body);
-        prop_assert_eq!(&fast.positions, &slow.positions, "query: {}", body);
-        prop_assert_eq!(rendered(&fast.docs), rendered(&slow.docs), "query: {}", body);
-    }
+        assert!(slow.explain.full_scan);
+        assert_eq!(&fast.matched, &slow.matched, "query: {}", body);
+        assert_eq!(&fast.positions, &slow.positions, "query: {}", body);
+        assert_eq!(rendered(&fast.docs), rendered(&slow.docs), "query: {}", body);
+    });
+}
 
-    /// Planned execution equals the naive reference: every cluster doc
-    /// pushed through `Pipeline::run_docs` one stage at a time.
-    #[test]
-    fn planned_execution_equals_naive(specs in cluster_specs(), body in pipeline()) {
+/// Planned execution equals the naive reference: every cluster doc
+/// pushed through `Pipeline::run_docs` one stage at a time.
+#[test]
+fn planned_execution_equals_naive() {
+    check("planned_execution_equals_naive", |g| {
+        let (specs, body) = (cluster_specs(g), pipeline(g));
         let cat = catalog_from(&specs);
         let query = parse(&body);
         let planned = execute(&cat, &query, ExecOptions::default());
         let naive = execute_naive(&cat, &query);
-        prop_assert_eq!(rendered(&planned.docs), rendered(&naive), "query: {}", body);
-    }
+        assert_eq!(rendered(&planned.docs), rendered(&naive), "query: {}", body);
+    });
+}
 
-    /// Rebuilding the catalog from scratch and replaying the same query
-    /// (same seed embedded in the body) reproduces the identical carve.
-    #[test]
-    fn replay_from_rebuilt_catalog_is_bit_identical(
-        specs in cluster_specs(),
-        body in pipeline(),
-    ) {
+/// Rebuilding the catalog from scratch and replaying the same query
+/// (same seed embedded in the body) reproduces the identical carve.
+#[test]
+fn replay_from_rebuilt_catalog_is_bit_identical() {
+    check("replay_from_rebuilt_catalog_is_bit_identical", |g| {
+        let (specs, body) = (cluster_specs(g), pipeline(g));
         let first = execute(&catalog_from(&specs), &parse(&body), ExecOptions::default());
         let second = execute(&catalog_from(&specs), &parse(&body), ExecOptions::default());
-        prop_assert_eq!(&first.matched, &second.matched);
-        prop_assert_eq!(&first.positions, &second.positions);
-        prop_assert_eq!(rendered(&first.docs), rendered(&second.docs));
-    }
+        assert_eq!(&first.matched, &second.matched);
+        assert_eq!(&first.positions, &second.positions);
+        assert_eq!(rendered(&first.docs), rendered(&second.docs));
+    });
 }
 
 /// A sampled query carve is reproducible across a *sharded* publish:

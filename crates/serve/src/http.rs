@@ -4,13 +4,13 @@
 //! connection (`Connection: close` on every response), request-line +
 //! headers + optional `Content-Length` body, and
 //! `application/x-www-form-urlencoded` / query-string decoding. No
-//! chunked encoding, no keep-alive, no TLS — and no dependencies, so
-//! the offline `.verify` stub harness keeps working.
+//! chunked request bodies (a `Transfer-Encoding` request header is
+//! refused), no keep-alive, no TLS — and no dependencies.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// Largest accepted request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Default cap on the request body; [`read_request_limited`] lets the
 /// server lower or raise it per deployment (`ServeConfig::max_body_bytes`).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
@@ -87,10 +87,9 @@ pub fn read_request_limited<S: Read>(
     let mut reader = BufReader::new(stream);
 
     let mut consumed = 0usize;
-    let request_line = read_head_line(&mut reader, &mut consumed)?;
-    if request_line.is_empty() {
+    let Some(request_line) = read_head_line(&mut reader, &mut consumed)? else {
         return Err(ParseError::ConnectionClosed);
-    }
+    };
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -116,7 +115,8 @@ pub fn read_request_limited<S: Read>(
 
     let mut headers = Vec::new();
     loop {
-        let line = read_head_line(&mut reader, &mut consumed)?;
+        let line = read_head_line(&mut reader, &mut consumed)?
+            .ok_or_else(|| ParseError::Malformed("head ended before its blank line".into()))?;
         if line.is_empty() {
             break;
         }
@@ -126,15 +126,30 @@ pub fn read_request_limited<S: Read>(
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| ParseError::Malformed(format!("bad content-length `{v}`")))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    let mut declared = None;
+    for (name, value) in &headers {
+        match name.as_str() {
+            "content-length" => {
+                // Digits only: `usize::from_str` would take `+5`.
+                let length = value
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                    .ok_or_else(|| ParseError::Malformed(format!("bad content-length `{value}`")))?;
+                if declared.is_some_and(|earlier| earlier != length) {
+                    return Err(ParseError::Malformed("conflicting content-length headers".into()));
+                }
+                declared = Some(length);
+            }
+            // No request coding is implemented; ignoring the header
+            // would read a chunked body as empty.
+            "transfer-encoding" => {
+                return Err(ParseError::Malformed(format!("unsupported transfer-encoding `{value}`")));
+            }
+            _ => {}
+        }
+    }
+    let content_length = declared.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(ParseError::TooLarge);
     }
@@ -154,29 +169,32 @@ pub fn read_request_limited<S: Read>(
 /// Read one CRLF- (or LF-) terminated head line, enforcing the head
 /// size cap across calls via `consumed`. `consumed` counts every wire
 /// byte, including the CR/LF terminators stripped from returned lines.
-fn read_head_line<R: BufRead>(reader: &mut R, consumed: &mut usize) -> Result<String, ParseError> {
+/// `None` means the stream ended where the line would have begun.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    consumed: &mut usize,
+) -> Result<Option<String>, ParseError> {
     let mut line = String::new();
     let n = reader
         .take((MAX_HEAD_BYTES - (*consumed).min(MAX_HEAD_BYTES)) as u64)
         .read_line(&mut line)?;
     *consumed += n;
-    if n == 0 {
-        if *consumed >= MAX_HEAD_BYTES {
-            // The cap ran out exactly at a line boundary: `take(0)`
-            // reads nothing, which must not masquerade as
-            // end-of-headers (or a closed connection).
-            return Err(ParseError::TooLarge);
-        }
-        return Ok(String::new());
-    }
     if !line.ends_with('\n') {
-        // `take` ran dry mid-line: the head is over the cap.
-        return Err(ParseError::TooLarge);
+        // No terminator: `take` ran dry — mid-line, or exactly at a line
+        // boundary, where `take(0)` reads nothing and must not
+        // masquerade as a closed connection — or the peer stopped.
+        return if *consumed >= MAX_HEAD_BYTES {
+            Err(ParseError::TooLarge)
+        } else if n == 0 {
+            Ok(None)
+        } else {
+            Err(ParseError::Malformed("head cut off mid-line".into()))
+        };
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
-    Ok(line)
+    Ok(Some(line))
 }
 
 /// The body of a [`Response`]: either a single buffer sent with
@@ -422,6 +440,41 @@ mod tests {
             read_request(huge.as_bytes()),
             Err(ParseError::TooLarge)
         ));
+    }
+
+    #[test]
+    fn a_head_cut_off_under_the_cap_is_malformed_not_too_large() {
+        for raw in [&b"GET / HTTP/1.1"[..], b"GET / HTTP/1.1\r\nHost: x", b"GET / HTTP/1.1\r\nHost: x\r\n"] {
+            let err = read_request(raw).unwrap_err();
+            assert!(matches!(err, ParseError::Malformed(_)), "{err:?}");
+            assert_eq!(err.status(), 400);
+        }
+    }
+
+    #[test]
+    fn rejects_a_signed_content_length() {
+        for value in ["+5", "-0", " 5 5", "0x5", ""] {
+            let raw = format!("POST /carve HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            let err = read_request(raw.as_bytes()).unwrap_err();
+            assert!(matches!(err, ParseError::Malformed(_)), "{value:?}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        let raw = b"POST /carve HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello";
+        assert!(matches!(read_request(&raw[..]), Err(ParseError::Malformed(_))));
+        // A repeated header that agrees with itself is one declaration.
+        let raw = b"POST /carve HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(read_request(&raw[..]).unwrap().body, b"hello");
+    }
+
+    #[test]
+    fn rejects_transfer_encoding_on_a_request() {
+        let raw = b"POST /carve HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        let err = read_request(&raw[..]).unwrap_err();
+        assert!(matches!(err, ParseError::Malformed(_)), "{err:?}");
+        assert_eq!(err.status(), 400);
     }
 
     #[test]

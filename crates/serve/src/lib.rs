@@ -21,8 +21,7 @@
 //!   results, so warm requests skip the cluster scan entirely;
 //!   hit/miss/eviction counters are exported via `/metrics`.
 //! * [`http`] + [`server`] — a from-scratch HTTP/1.1 front end over
-//!   `std::net::TcpListener` (no new dependencies; the offline
-//!   `.verify` stub harness keeps working). `GET /healthz`,
+//!   `std::net::TcpListener` (no dependencies). `GET /healthz`,
 //!   `GET /metrics` (text counters and per-endpoint latency
 //!   histograms), `POST /carve` and `GET /datasets/{nc1|nc2|nc3}`
 //!   return paginated labeled records as JSON lines. A JSON body on

@@ -26,7 +26,7 @@
 //!   [`store::ShardedStore::cluster_ids`] yields clusters in global
 //!   founding order — the same order the unsharded store yields — so
 //!   scoring, customize and carving stay bit-identical under any shard
-//!   count (asserted by proptest in `tests/determinism.rs`).
+//!   count (asserted by the properties in `tests/determinism.rs`).
 //! * **Publish** ([`engine`]): the shards' clusters are copied out of
 //!   their stores and merged by founding sequence number into the next
 //!   [`nc_core::snapshot::StoreSnapshot`], which publishes straight

@@ -14,14 +14,17 @@ use nc_core::plausibility::PlausibilityScorer;
 use nc_core::record::DedupPolicy;
 use nc_core::scoring::{score_clusters, score_store, ScoringConfig};
 use nc_core::snapshot::StoreSnapshot;
+use nc_propcheck::check_n;
 use nc_shard::ShardedStore;
 use nc_votergen::config::GeneratorConfig;
 use nc_votergen::registry::Registry;
 use nc_votergen::schema::Row;
 use nc_votergen::snapshot::{standard_calendar, Snapshot};
-use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
+
+/// Each case generates a registry and builds it once per shard count.
+const CASES: u32 = 24;
 
 fn generate_snapshots(seed: u64, population: usize, count: usize) -> Vec<Snapshot> {
     let mut registry = Registry::new(GeneratorConfig {
@@ -47,15 +50,12 @@ fn render(ds: &CustomDataset) -> Vec<String> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn sharded_store_is_bit_identical_to_unsharded(
-        seed in 0u64..10_000,
-        population in 40usize..80,
-        snapshot_count in 1usize..4,
-    ) {
+#[test]
+fn sharded_store_is_bit_identical_to_unsharded() {
+    check_n("sharded_store_is_bit_identical_to_unsharded", CASES, |g| {
+        let seed = g.range(0u64..10_000);
+        let population = g.range(40usize..80);
+        let snapshot_count = g.range(1usize..4);
         let snapshots = generate_snapshots(seed, population, snapshot_count);
 
         // Unsharded reference: store, stats, snapshot, scores.
@@ -88,7 +88,7 @@ proptest! {
                 .iter()
                 .map(|snap| sharded.ingest_snapshot(snap, DedupPolicy::Trimmed, 1))
                 .collect();
-            prop_assert_eq!(&stats, &plain_stats, "stats, shards={}", shards);
+            assert_eq!(&stats, &plain_stats, "stats, shards={}", shards);
 
             // Merged iteration order is the unsharded founding order.
             let plain_ids: Vec<&str> = reference
@@ -101,11 +101,11 @@ proptest! {
                 .into_iter()
                 .map(|(ncid, _)| ncid)
                 .collect();
-            prop_assert_eq!(&sharded_ids, &plain_ids, "order, shards={}", shards);
+            assert_eq!(&sharded_ids, &plain_ids, "order, shards={}", shards);
 
             // The published snapshot is the same object, byte for byte.
             let published = sharded.publish(1);
-            prop_assert_eq!(
+            assert_eq!(
                 published.clusters(),
                 reference.clusters(),
                 "published clusters, shards={}",
@@ -121,18 +121,18 @@ proptest! {
                 &published.entropy_scorer(Scope::Person),
                 &ScoringConfig::with_threads(0),
             );
-            prop_assert_eq!(scores.len(), plain_scores.len());
+            assert_eq!(scores.len(), plain_scores.len());
             for (got, want) in scores.iter().zip(&plain_scores) {
-                prop_assert_eq!(&got.ncid, &want.ncid);
-                prop_assert_eq!(got.records, want.records);
-                prop_assert_eq!(
+                assert_eq!(&got.ncid, &want.ncid);
+                assert_eq!(got.records, want.records);
+                assert_eq!(
                     got.plausibility.to_bits(),
                     want.plausibility.to_bits(),
                     "plausibility of {} differs, shards={}",
                     got.ncid.clone(),
                     shards
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     got.heterogeneity.to_bits(),
                     want.heterogeneity.to_bits(),
                     "heterogeneity of {} differs, shards={}",
@@ -152,9 +152,9 @@ proptest! {
                 render(&published.customize(&published.entropy_scorer(Scope::Person), params))
             })
             .collect();
-            prop_assert_eq!(&carves, &plain_carves, "carves, shards={}", shards);
+            assert_eq!(&carves, &plain_carves, "carves, shards={}", shards);
         }
-    }
+    });
 }
 
 /// One step of the publish oracle's plan.
@@ -200,20 +200,17 @@ fn oracle_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The engine's publish against two oracles that share none of its
-    /// history: whatever interleaving of ingests, publishes and restarts
-    /// came before, `publish(v)` equals — to the byte — the publish of a
-    /// from-scratch in-memory [`ShardedStore`] fed the same rows and the
-    /// capture of the unsharded twin.
-    #[test]
-    fn engine_publish_equals_from_scratch_oracles_under_any_interleaving(
-        seed in 0u64..10_000,
-        population in 30usize..60,
-        codes in proptest::collection::vec(0u8..6, 4usize..12),
-    ) {
+/// The engine's publish against two oracles that share none of its
+/// history: whatever interleaving of ingests, publishes and restarts
+/// came before, `publish(v)` equals — to the byte — the publish of a
+/// from-scratch in-memory [`ShardedStore`] fed the same rows and the
+/// capture of the unsharded twin.
+#[test]
+fn engine_publish_equals_from_scratch_oracles_under_any_interleaving() {
+    check_n("engine_publish_equals_from_scratch_oracles_under_any_interleaving", CASES, |g| {
+        let seed = g.range(0u64..10_000);
+        let population = g.range(30usize..60);
+        let codes = g.vec(4..12, |g| g.range(0u8..6));
         use nc_core::tsv::{self, ImportOptions};
         use nc_shard::{ShardEngine, ShardEngineConfig};
         use nc_votergen::schema::{FIRST_NAME, LAST_NAME, NCID};
@@ -276,13 +273,13 @@ proptest! {
                     let outcome = engine
                         .ingest_archive(&archive, &ImportOptions::strict())
                         .unwrap();
-                    prop_assert_eq!(outcome.stats.len(), 1);
+                    assert_eq!(outcome.stats.len(), 1);
                     let read_back = tsv::read_snapshot(&path).unwrap();
                     let stats = import_snapshot(&mut plain, &read_back, DedupPolicy::Trimmed, 1);
-                    prop_assert_eq!(&outcome.stats[0], &stats);
+                    assert_eq!(&outcome.stats[0], &stats);
                     if let Some(before) = before {
-                        prop_assert_eq!(stats.new_records, 0);
-                        prop_assert_eq!(
+                        assert_eq!(stats.new_records, 0);
+                        assert_eq!(
                             engine.publish(version).clusters(),
                             before.clusters(),
                             "dropped duplicates change no published cluster, shards={}", shards
@@ -294,24 +291,24 @@ proptest! {
                 if matches!(step, Step::Reopen) {
                     drop(engine);
                     engine = ShardEngine::open(&state, config).unwrap();
-                    prop_assert!(engine.recovery().is_clean());
+                    assert!(engine.recovery().is_clean());
                     continue;
                 }
 
                 version += 1;
                 let published = engine.publish(version);
                 let twin = StoreSnapshot::capture(&plain, version);
-                prop_assert_eq!(
+                assert_eq!(
                     published.clusters(), twin.clusters(),
                     "engine vs unsharded twin at step {} ({:?}), shards={}", i, step, shards
                 );
-                prop_assert_eq!(published.record_count(), twin.record_count());
+                assert_eq!(published.record_count(), twin.record_count());
                 let mut scratch = ShardedStore::new(shards);
                 for snap in &ingested {
                     scratch.ingest_snapshot(snap, DedupPolicy::Trimmed, 1);
                 }
                 let cold = scratch.publish(version);
-                prop_assert_eq!(
+                assert_eq!(
                     published.clusters(), cold.clusters(),
                     "engine vs from-scratch sharded store at step {}, shards={}", i, shards
                 );
@@ -321,13 +318,13 @@ proptest! {
                     for _ in 0..2 {
                         version += 1;
                         let again = engine.publish(version);
-                        prop_assert_eq!(again.clusters(), published.clusters());
-                        prop_assert_eq!(again.version(), version);
+                        assert_eq!(again.clusters(), published.clusters());
+                        assert_eq!(again.version(), version);
                     }
                 }
             }
             let _ = std::fs::remove_dir_all(&state);
             let _ = std::fs::remove_dir_all(&archive);
         }
-    }
+    });
 }

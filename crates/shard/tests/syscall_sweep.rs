@@ -13,8 +13,7 @@
 //! The crash sweep runs with parallel fan-out (op interleaving varies,
 //! the invariant must hold for every prefix of every interleaving);
 //! the pinned-fault tests use one shard, whose inline ingest path
-//! numbers syscalls deterministically. Pure TSV on disk — runs for
-//! real under the offline `.verify` stub harness.
+//! numbers syscalls deterministically.
 
 mod common;
 

@@ -29,13 +29,13 @@ use nc_core::record::DedupPolicy;
 use nc_core::scoring::{score_clusters, score_clusters_incremental, ClusterScore, ScoringConfig};
 use nc_core::tsv::{write_snapshot, ImportOptions};
 use nc_docstore::query::Filter;
+use nc_propcheck::check_n;
 use nc_query::{CarveQuery, ClusterCatalog};
 use nc_serve::{CarveEngine, CarveRequest, ServeSnapshot, SnapshotRegistry};
 use nc_shard::{ShardEngine, ShardEngineConfig};
 use nc_stream::{fold_delta, ChangeKind, ChangeStream};
 use nc_votergen::schema::{Row, FIRST_NAME, LAST_NAME, NCID};
 use nc_votergen::snapshot::Snapshot;
-use proptest::prelude::*;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -53,7 +53,7 @@ fn scratch_dir(label: &str) -> PathBuf {
 
 /// One churn snapshot: each touch appends one fresh row to cluster
 /// `NC<id>`; ids never seen before found new clusters.
-fn churn_snapshot(index: usize, touches: &[u16]) -> Snapshot {
+fn churn_snapshot(index: usize, touches: &[u32]) -> Snapshot {
     let date = format!("2020-01-{:02}", index);
     let rows = touches
         .iter()
@@ -157,21 +157,15 @@ fn assert_catalog_matches_fresh_build(serving: &CarveEngine) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn churn_streams_score_and_carve_bit_identically(
-        shards in 1usize..4,
-        seed in 0u64..1_000,
-        plan in proptest::collection::vec(
-            proptest::collection::vec(0u16..24, 0..16),
-            2usize..5,
-        ),
-    ) {
+#[test]
+fn churn_streams_score_and_carve_bit_identically() {
+    // Each case runs an engine, a stream and a carve service on disk.
+    check_n("churn_streams_score_and_carve_bit_identically", 24, |g| {
+        let shards = g.range(1usize..4);
+        let seed = g.range(0u64..1_000);
         // The first snapshot must found at least one cluster so every
         // published version has a scorable, carvable store.
-        let mut plan = plan;
+        let mut plan = g.vec(2..5, |g| g.vec(0..16, |g| g.range(0..24u32)));
         plan[0].push(0);
         // And the last one only revises that cluster, so at least one
         // publish carries the catalog forward.
@@ -201,11 +195,11 @@ proptest! {
             // Exactly one new committed snapshot; classification must
             // match the model exactly, in first-touch order.
             let batches = stream.drain().unwrap();
-            prop_assert_eq!(batches.len(), 1);
+            assert_eq!(batches.len(), 1);
             let batch = &batches[0];
-            prop_assert_eq!(batch.index, i + 1);
-            prop_assert_eq!(&batch.date, &snapshot.date);
-            prop_assert_eq!(batch.rows, touches.len() as u64);
+            assert_eq!(batch.index, i + 1);
+            assert_eq!(&batch.date, &snapshot.date);
+            assert_eq!(batch.rows, touches.len() as u64);
             let mut expected_order: Vec<String> = Vec::new();
             let mut expected_rows: HashMap<String, u64> = HashMap::new();
             for id in touches {
@@ -215,16 +209,16 @@ proptest! {
                 }
                 *expected_rows.entry(ncid).or_insert(0) += 1;
             }
-            prop_assert_eq!(batch.changes.len(), expected_order.len());
+            assert_eq!(batch.changes.len(), expected_order.len());
             for (change, ncid) in batch.changes.iter().zip(&expected_order) {
-                prop_assert_eq!(&change.ncid, ncid);
-                prop_assert_eq!(change.rows, expected_rows[ncid]);
+                assert_eq!(&change.ncid, ncid);
+                assert_eq!(change.rows, expected_rows[ncid]);
                 let expected_kind = if model_known.contains(ncid) {
                     ChangeKind::Revised
                 } else {
                     ChangeKind::Founded
                 };
-                prop_assert_eq!(change.kind, expected_kind);
+                assert_eq!(change.kind, expected_kind);
             }
             model_known.extend(expected_order.iter().cloned());
 
@@ -269,7 +263,7 @@ proptest! {
             for (p, request) in preset_requests(seed).iter().enumerate() {
                 let served = carve_lines(serving, request);
                 let direct = carve_lines(&fresh, request);
-                prop_assert_eq!(&served, &direct,
+                assert_eq!(&served, &direct,
                     "preset {} differs at version {}", p, version);
                 expected_carves.insert((version, p), served);
             }
@@ -279,15 +273,15 @@ proptest! {
             for (q, query) in query_requests().iter().enumerate() {
                 let served = serving.carve_query(query).expect("query carve");
                 let direct = fresh.carve_query(query).expect("query carve");
-                prop_assert_eq!(served.version, version);
-                prop_assert_eq!(&served.result.lines, &direct.result.lines,
+                assert_eq!(served.version, version);
+                assert_eq!(&served.result.lines, &direct.result.lines,
                     "query {} differs at version {}", q, version);
             }
             assert_catalog_matches_fresh_build(serving);
             all_batches.extend(batches);
         }
 
-        prop_assert!(
+        assert!(
             carve_engine.as_ref().unwrap().delta_stats().catalog_carried >= 1,
             "the closing revise-only publish carries the catalog"
         );
@@ -300,27 +294,27 @@ proptest! {
             let mut request = preset_requests(seed).swap_remove(*p);
             request.version = Some(*version);
             let lines = carve_lines(serving, &request);
-            prop_assert_eq!(&lines, expected,
+            assert_eq!(&lines, expected,
                 "pinned carve of preset {} at version {} drifted", p, version);
         }
 
         // Replay equivalence: from scratch, from open_at, and from a
         // saved cursor, the stream reproduces the same batches.
         let replayed = ChangeStream::open(&state_dir).drain().unwrap();
-        prop_assert_eq!(&replayed, &all_batches);
+        assert_eq!(&replayed, &all_batches);
 
         let mid = all_batches.len() / 2;
         let tail = ChangeStream::open_at(&state_dir, mid).unwrap().drain().unwrap();
-        prop_assert_eq!(&tail, &all_batches[mid..].to_vec());
+        assert_eq!(&tail, &all_batches[mid..].to_vec());
 
         let cursor_path = state_dir.join("consumer.cursor");
         let parked = ChangeStream::open_at(&state_dir, mid).unwrap();
-        prop_assert_eq!(parked.cursor_version(), mid);
+        assert_eq!(parked.cursor_version(), mid);
         parked.save_cursor(&cursor_path).unwrap();
         let mut resumed = ChangeStream::resume(&state_dir, &cursor_path).unwrap();
-        prop_assert_eq!(&resumed.drain().unwrap(), &all_batches[mid..].to_vec());
+        assert_eq!(&resumed.drain().unwrap(), &all_batches[mid..].to_vec());
 
         let _ = std::fs::remove_dir_all(&state_dir);
         let _ = std::fs::remove_dir_all(&archive_dir);
-    }
+    });
 }

@@ -89,7 +89,7 @@ macro_rules! uniform_int {
     )*};
 }
 // The widths the workspace draws; another is one more entry here.
-uniform_int!(u8, u32, usize, i32);
+uniform_int!(u8, u32, u64, usize, i32);
 
 impl SampleUniform for f64 {
     fn sample_between(rng: &mut Rng, lo: Self, hi: Self, _inclusive: bool) -> Self {
@@ -185,6 +185,7 @@ mod tests {
         let draw = || Rng::seed_from_u64(1);
         assert_eq!(draw().gen_range(0..4u8), (x % 4) as u8);
         assert_eq!(draw().gen_range(0..10_000_000u32), (x % 10_000_000) as u32);
+        assert_eq!(draw().gen_range(0..10_000u64), x % 10_000);
         assert_eq!(draw().gen_range(3..26usize), 3 + (x % 23) as usize);
         assert_eq!(draw().gen_range(-9i32..=9), -9 + (x % 19) as i32);
         // An unsuffixed literal range takes its type from the context.
@@ -192,6 +193,7 @@ mod tests {
         assert_eq!(year, 2008 - (x % 10) as i32);
         // Spans the element type cannot hold.
         assert_eq!(draw().gen_range(0..=usize::MAX), x as usize);
+        assert_eq!(draw().gen_range(0..=u64::MAX), x);
         let full = draw().gen_range(i32::MIN..=i32::MAX);
         assert_eq!(
             i64::from(full),

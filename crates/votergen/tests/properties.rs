@@ -2,11 +2,11 @@
 
 use std::collections::HashSet;
 
+use nc_propcheck::check;
 use nc_votergen::config::{ErrorRates, GeneratorConfig};
 use nc_votergen::registry::Registry;
 use nc_votergen::schema::{self, Row};
 use nc_votergen::snapshot::standard_calendar;
-use proptest::prelude::*;
 
 fn registry_config(seed: u64, pop: usize) -> GeneratorConfig {
     GeneratorConfig {
@@ -16,54 +16,60 @@ fn registry_config(seed: u64, pop: usize) -> GeneratorConfig {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Every emitted row is structurally valid: full arity, an NCID,
-    /// names present (modulo injected missing values), a parsable
-    /// snapshot date matching the snapshot, status from the code book.
-    #[test]
-    fn emitted_rows_are_structurally_valid(seed in 0u64..1000, pop in 20usize..80) {
+/// Every emitted row is structurally valid: full arity, an NCID,
+/// names present (modulo injected missing values), a parsable
+/// snapshot date matching the snapshot, status from the code book.
+#[test]
+fn emitted_rows_are_structurally_valid() {
+    check("emitted_rows_are_structurally_valid", |g| {
+        let seed = g.range(0u64..1000);
+        let pop = g.range(20usize..80);
         let mut reg = Registry::new(registry_config(seed, pop));
         let cal = standard_calendar();
         for info in cal.iter().take(3) {
             let snap = reg.generate_snapshot(info);
-            prop_assert!(!snap.rows.is_empty());
+            assert!(!snap.rows.is_empty());
             for row in &snap.rows {
-                prop_assert_eq!(row.values().len(), schema::NUM_ATTRS);
-                prop_assert!(!row.ncid().trim().is_empty());
-                prop_assert_eq!(row.get(schema::SNAPSHOT_DT).trim(), snap.date.as_str());
+                assert_eq!(row.values().len(), schema::NUM_ATTRS);
+                assert!(!row.ncid().trim().is_empty());
+                assert_eq!(row.get(schema::SNAPSHOT_DT).trim(), snap.date.as_str());
                 let status = row.get(schema::STATUS).trim();
-                prop_assert!(
+                assert!(
                     ["ACTIVE", "INACTIVE", "REMOVED"].contains(&status),
                     "unexpected status {status}"
                 );
                 // County id is numeric when present.
                 let county = row.get(schema::COUNTY_ID).trim();
-                prop_assert!(county.parse::<u32>().is_ok(), "county {county}");
+                assert!(county.parse::<u32>().is_ok(), "county {county}");
             }
         }
-    }
+    });
+}
 
-    /// NCIDs within one snapshot are unique (each voter appears once).
-    #[test]
-    fn ncids_unique_within_snapshot(seed in 0u64..1000) {
+/// NCIDs within one snapshot are unique (each voter appears once).
+#[test]
+fn ncids_unique_within_snapshot() {
+    check("ncids_unique_within_snapshot", |g| {
+        let seed = g.range(0u64..1000);
         let mut reg = Registry::new(registry_config(seed, 50));
         let cal = standard_calendar();
         for info in cal.iter().take(2) {
             let snap = reg.generate_snapshot(info);
             let ncids: HashSet<&str> = snap.rows.iter().map(Row::ncid).collect();
-            prop_assert_eq!(ncids.len(), snap.rows.len());
+            assert_eq!(ncids.len(), snap.rows.len());
         }
-    }
+    });
+}
 
-    /// With error injection disabled, re-registration is lossless: the
-    /// same voter emits identical hash-relevant person values across
-    /// consecutive snapshots unless a life event occurred — so the
-    /// duplicate rate over hash attributes is exactly the fraction of
-    /// unchanged voters (no noise).
-    #[test]
-    fn clean_config_produces_pure_exact_duplicates(seed in 0u64..500) {
+/// With error injection disabled, re-registration is lossless: the
+/// same voter emits identical hash-relevant person values across
+/// consecutive snapshots unless a life event occurred — so the
+/// duplicate rate over hash attributes is exactly the fraction of
+/// unchanged voters (no noise).
+#[test]
+fn clean_config_produces_pure_exact_duplicates() {
+    check("clean_config_produces_pure_exact_duplicates", |g| {
+        let seed = g.range(0u64..500);
         let cfg = GeneratorConfig {
             seed,
             initial_population: 40,
@@ -97,19 +103,22 @@ proptest! {
         // …but with all noise disabled, every re-registered record equals
         // its predecessor on the person attributes.
         for row in &s1.rows {
-            prop_assert!(set0.contains(&key(row)), "unexpected change for {}", row.ncid());
+            assert!(set0.contains(&key(row)), "unexpected change for {}", row.ncid());
         }
-    }
+    });
+}
 
-    /// Rows per snapshot never exceed the total population ever created
-    /// and never fall below the surviving voters.
-    #[test]
-    fn roll_size_is_bounded(seed in 0u64..500) {
+/// Rows per snapshot never exceed the total population ever created
+/// and never fall below the surviving voters.
+#[test]
+fn roll_size_is_bounded() {
+    check("roll_size_is_bounded", |g| {
+        let seed = g.range(0u64..500);
         let mut reg = Registry::new(registry_config(seed, 30));
         let cal = standard_calendar();
         for info in cal.iter().take(4) {
             let snap = reg.generate_snapshot(info);
-            prop_assert!(snap.rows.len() <= reg.population());
+            assert!(snap.rows.len() <= reg.population());
         }
-    }
+    });
 }

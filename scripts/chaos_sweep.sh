@@ -3,8 +3,7 @@
 # shard engine syscall sweeps, the FaultVfs unit tests), then the
 # bench_faults binary — a full crash-at-every-syscall sweep plus seeded
 # random chaos — and writes BENCH_faults.json in the repo root. Any
-# extra arguments are passed to every cargo invocation (e.g. --offline
-# --config .verify/patch.toml).
+# extra arguments are passed to every cargo invocation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

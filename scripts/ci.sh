@@ -3,31 +3,48 @@
 #
 #   ./scripts/ci.sh
 #
-# Any extra arguments are forwarded to every cargo invocation (e.g.
-# --offline when a vendored registry is available).
+# The workspace has no external dependency, so this runs as written on
+# a machine with no registry. Any extra arguments are forwarded to
+# every cargo invocation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "=== dependency gate ==="
-# What a seed produces must not depend on the build environment
-# (DESIGN.md §5): a [dependencies] table may name nc-* crates only.
-# Dev-dependencies (proptest, criterion) are exempt.
+# What a seed produces, and what the tests check, must not depend on the
+# build environment (DESIGN.md §5): every dependency table of every
+# manifest names nc-* crates only, and the property runner is a
+# dev-dependency — no product crate carries a test runner.
 foreign=$(awk '
     /^\[/ {
-        deps = ($0 == "[dependencies]")
-        if ($0 ~ /^\[dependencies\./ && $0 !~ /^\[dependencies\.nc-/) print FILENAME ": " $0
+        deps = ($0 ~ /dependencies\]$/)
+        dev = ($0 == "[dev-dependencies]" || $0 == "[workspace.dependencies]")
+        if ($0 ~ /dependencies\./) print FILENAME ": " $0
         next
     }
     deps && /^[^#[:space:]]/ && !/^nc-/ { print FILENAME ": " $0 }
-' crates/*/Cargo.toml)
+    deps && !dev && /^nc-propcheck/ { print FILENAME ": " $0 " (outside [dev-dependencies])" }
+' Cargo.toml crates/*/Cargo.toml)
 if [ -n "$foreign" ]; then
-    echo "non-nc-* crate in a [dependencies] table:" >&2
+    echo "a dependency table may name nc-* crates only, nc-propcheck under [dev-dependencies] only:" >&2
     echo "$foreign" >&2
+    exit 1
+fi
+
+echo "=== lock gate ==="
+# A package with a `source` came from a registry or a git remote; the
+# lock file names workspace crates only.
+if grep -n '^source = ' Cargo.lock >&2; then
+    echo "Cargo.lock names a package from outside the workspace" >&2
     exit 1
 fi
 
 echo "=== build (release) ==="
 cargo build --release --workspace "$@"
+
+echo "=== property runner self-test ==="
+# Every property suite below trusts the runner to report a failing
+# case's seed and to replay it; check that first.
+cargo test -q -p nc-propcheck "$@"
 
 echo "=== test ==="
 cargo test -q --workspace "$@"
