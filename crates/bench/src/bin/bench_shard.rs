@@ -105,6 +105,21 @@ fn time_memory_ingest(snapshots: &[Snapshot], n: usize, reps: usize) -> (f64, f6
     (best(&one), best(&many))
 }
 
+/// Bytes of every file under `dir`, shard log directories included.
+fn dir_bytes(dir: &Path) -> u64 {
+    let entries = fs::read_dir(dir).expect("list directory");
+    entries
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                dir_bytes(&path)
+            } else {
+                fs::metadata(&path).expect("file size").len()
+            }
+        })
+        .sum()
+}
+
 fn engine_config(shards: usize) -> ShardEngineConfig {
     ShardEngineConfig::new(shards, DedupPolicy::Trimmed, 1)
 }
@@ -192,6 +207,9 @@ fn main() {
         })
         .count();
     drop(engine);
+    // What the restart below has to read: the logs hold a kept row in
+    // full and a dropped one as a short `D` record.
+    let (archive_bytes, state_bytes) = (dir_bytes(&archive), dir_bytes(&state));
 
     eprintln!("replaying WAL…");
     let start = Instant::now();
@@ -221,7 +239,8 @@ fn main() {
          engine ingest (WAL on): {:.0} rows/s\n\
          publish: cold {:.1} ms, incremental {:.1} ms over {changed} changed clusters \
          (cold on the same state {:.1} ms), no-op {:.1} ms\n\
-         replay: {replayed_rows} rows in {:.1} ms ({:.0} rows/s)",
+         replay: {replayed_rows} rows in {:.1} ms ({:.0} rows/s) from {state_bytes} bytes of state \
+         ({archive_bytes} of archive)",
         args.shards,
         rows as f64 / engine_secs,
         publish_cold * 1e3,
@@ -253,6 +272,9 @@ fn main() {
             "  \"publish_incremental_changed_clusters\": {},\n",
             "  \"publish_cold_same_state_secs\": {:.6},\n",
             "  \"publish_noop_secs\": {:.6},\n",
+            "  \"archive_bytes\": {},\n",
+            "  \"state_bytes\": {},\n",
+            "  \"state_bytes_per_archive_byte\": {:.4},\n",
             "  \"wal_replay_secs\": {:.6},\n",
             "  \"wal_replay_rows_per_sec\": {:.1}\n",
             "}}\n"
@@ -274,6 +296,9 @@ fn main() {
         changed,
         publish_cold_same_state,
         publish_noop,
+        archive_bytes,
+        state_bytes,
+        state_bytes as f64 / archive_bytes as f64,
         replay_secs,
         replayed_rows as f64 / replay_secs,
     );

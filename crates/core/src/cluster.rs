@@ -8,6 +8,7 @@
 //! [`ClusterStore::to_collection`]), so it can never be stale and costs
 //! no memory while a store is being built or served.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use nc_docstore::collection::{Collection, DocId};
@@ -28,9 +29,34 @@ pub enum RowOutcome {
     DuplicateDropped,
 }
 
-/// The copy of a row the store keeps: trimmed when the policy trims.
-fn stored_row(row: &Row, policy: DedupPolicy) -> Row {
-    let mut stored = row.clone();
+/// What importing a row will do, decided before anything changes:
+/// [`ClusterStore::decide`] makes the decision, [`ClusterStore::apply`]
+/// carries it out. A decision holds for the store state it was made
+/// against and no other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowDecision {
+    /// The row repeats record `record` of the cluster at position
+    /// `cluster` and will be dropped.
+    Duplicate {
+        /// Position ([`DocId`]) of the row's cluster.
+        cluster: usize,
+        /// Index of the repeated record within the cluster.
+        record: usize,
+    },
+    /// The row will be kept under `fingerprint`: as a new record of
+    /// the cluster at `cluster`, or founding one.
+    Keep {
+        /// Position of the row's cluster, if its NCID has one.
+        cluster: Option<usize>,
+        /// The row's dedup fingerprint.
+        fingerprint: Digest,
+    },
+}
+
+/// The form of a row the store keeps: trimmed when the policy trims. A
+/// borrowed row is copied once; an owned one is trimmed in place.
+fn stored_row(row: Cow<'_, Row>, policy: DedupPolicy) -> Row {
+    let mut stored = row.into_owned();
     if policy.trims() {
         record::trim_row(&mut stored);
     }
@@ -66,6 +92,15 @@ impl Cluster {
     fn ncid(&self) -> &str {
         self.rows[0].ncid().trim()
     }
+
+    /// The insert counter of the snapshot being imported, opened at 0
+    /// by the cluster's first row of that snapshot.
+    fn count_in(&mut self, date: DateId) -> &mut (DateId, u64) {
+        if self.snapshot_counts.last().map(|(d, _)| *d) != Some(date) {
+            self.snapshot_counts.push((date, 0));
+        }
+        self.snapshot_counts.last_mut().expect("pushed above")
+    }
 }
 
 /// The cluster store.
@@ -78,6 +113,11 @@ pub struct ClusterStore {
     by_ncid: HashMap<String, usize>,
     /// Snapshot dates in first-seen order.
     dates: Vec<String>,
+    /// The one policy every row so far was imported under; `None` in an
+    /// empty store and once two have been mixed. A stored row says what
+    /// its fingerprint covered only under the policy that stored it, so
+    /// [`ClusterStore::decide`] compares values under that policy alone.
+    policy: Option<DedupPolicy>,
     records_total: u64,
     rows_total: u64,
     max_version: u32,
@@ -93,7 +133,7 @@ impl ClusterStore {
     ///
     /// `snapshot_date` is the snapshot's publication date and `version`
     /// the dataset version currently being built (both recorded for
-    /// reproducibility).
+    /// reproducibility). A kept row moves into the store.
     pub fn import_row(
         &mut self,
         row: Row,
@@ -101,12 +141,13 @@ impl ClusterStore {
         snapshot_date: &str,
         version: u32,
     ) -> RowOutcome {
-        self.import_row_ref(&row, policy, snapshot_date, version)
+        let decision = self.decide(&row, policy);
+        self.apply(decision, Cow::Owned(row), policy, snapshot_date, version)
     }
 
     /// [`ClusterStore::import_row`] over a borrowed row: a dropped
-    /// duplicate costs its fingerprint, and a kept row is copied once,
-    /// into the store.
+    /// duplicate costs a comparison with its cluster's records, and a
+    /// kept row is copied once, into the store.
     pub fn import_row_ref(
         &mut self,
         row: &Row,
@@ -114,53 +155,119 @@ impl ClusterStore {
         snapshot_date: &str,
         version: u32,
     ) -> RowOutcome {
-        self.rows_total += 1;
-        // The fingerprint normalizes according to the policy itself, and
-        // the NCID is trimmed explicitly.
-        let fp = record::fingerprint(row, policy);
-        let ncid = row.ncid().trim();
-        let date = self.date_id(snapshot_date);
+        let decision = self.decide(row, policy);
+        self.apply(decision, Cow::Borrowed(row), policy, snapshot_date, version)
+    }
 
-        let Some(&pos) = self.by_ncid.get(ncid) else {
-            self.by_ncid.insert(ncid.to_owned(), self.clusters.len());
+    /// Decide what importing `row` under `policy` will do.
+    ///
+    /// A row whose hashed values equal a stored record's repeats it —
+    /// equal values are equal hash input, and a cluster's fingerprints
+    /// are distinct, so that record is the one whose fingerprint the
+    /// row's would match. Only a row that differs from every record of
+    /// its cluster is fingerprinted and looked up in the cluster's
+    /// fingerprints (so a hash collision still drops).
+    pub fn decide(&self, row: &Row, policy: DedupPolicy) -> RowDecision {
+        let cluster = self.by_ncid.get(row.ncid().trim()).copied();
+        // The records the row may repeat: none under `DedupPolicy::None`.
+        let stored = cluster
+            .filter(|_| policy != DedupPolicy::None)
+            .map(|pos| (pos, &self.clusters[pos]));
+        if let Some((pos, stored)) = stored.filter(|_| self.policy == Some(policy)) {
+            // The record a register repeats is most often its latest.
+            let repeated = stored.rows.iter().rposition(|kept| record::repeats(row, kept, policy));
+            if let Some(record) = repeated {
+                return RowDecision::Duplicate { cluster: pos, record };
+            }
+        }
+        // The fingerprint normalizes according to the policy itself.
+        let fingerprint = record::fingerprint(row, policy);
+        if let Some((pos, stored)) = stored {
+            if let Some(record) = stored.hashes.iter().position(|h| *h == fingerprint) {
+                return RowDecision::Duplicate { cluster: pos, record };
+            }
+        }
+        RowDecision::Keep { cluster, fingerprint }
+    }
+
+    /// Carry out a decision [`ClusterStore::decide`] made about `row`
+    /// against the store as it is now.
+    pub fn apply(
+        &mut self,
+        decision: RowDecision,
+        row: Cow<'_, Row>,
+        policy: DedupPolicy,
+        snapshot_date: &str,
+        version: u32,
+    ) -> RowOutcome {
+        let date = self.date_id(snapshot_date);
+        if self.policy != Some(policy) {
+            self.policy = (self.rows_total == 0).then_some(policy);
+        }
+        let (cluster, fingerprint) = match decision {
+            RowDecision::Duplicate { cluster, record } => {
+                self.note_duplicate(cluster, record, date);
+                return RowOutcome::DuplicateDropped;
+            }
+            RowDecision::Keep { cluster, fingerprint } => (cluster, fingerprint),
+        };
+        self.rows_total += 1;
+        self.records_total += 1;
+        self.max_version = self.max_version.max(version);
+        let Some(pos) = cluster else {
+            // The NCID is trimmed explicitly, whatever the policy.
+            self.by_ncid.insert(row.ncid().trim().to_owned(), self.clusters.len());
             self.clusters.push(Cluster {
                 rows: vec![stored_row(row, policy)],
-                hashes: vec![fp],
+                hashes: vec![fingerprint],
                 first_version: vec![version],
                 record_snapshots: vec![vec![date]],
                 rows_seen: 1,
                 snapshot_counts: vec![(date, 1)],
             });
-            self.records_total += 1;
-            self.max_version = self.max_version.max(version);
             return RowOutcome::NewCluster;
         };
         let cluster = &mut self.clusters[pos];
         cluster.rows_seen += 1;
-        if cluster.snapshot_counts.last().map(|(d, _)| *d) != Some(date) {
-            cluster.snapshot_counts.push((date, 0));
-        }
-        if policy != DedupPolicy::None {
-            if let Some(idx) = cluster.hashes.iter().position(|h| *h == fp) {
-                // Record the snapshot membership of the matching record.
-                let snaps = &mut cluster.record_snapshots[idx];
-                if snaps.last() != Some(&date) {
-                    snaps.push(date);
-                }
-                return RowOutcome::DuplicateDropped;
-            }
-        }
         // A row is ~200 bytes inline and most clusters stay small, so
         // the slack of a doubling `Vec` would cost more than the rows.
         cluster.rows.reserve_exact(1);
         cluster.rows.push(stored_row(row, policy));
-        cluster.hashes.push(fp);
+        cluster.hashes.push(fingerprint);
         cluster.first_version.push(version);
         cluster.record_snapshots.push(vec![date]);
-        cluster.snapshot_counts.last_mut().expect("pushed above").1 += 1;
-        self.records_total += 1;
-        self.max_version = self.max_version.max(version);
+        cluster.count_in(date).1 += 1;
         RowOutcome::NewRecord
+    }
+
+    /// Re-apply a logged duplicate decision: the row that repeated
+    /// record `record` of cluster `ncid` in snapshot `snapshot_date`
+    /// left nothing but bookkeeping, so that is all there is to redo.
+    /// `false`, with the store untouched, when the store has no such
+    /// cluster or record — the decision was made against another store.
+    pub fn replay_duplicate(&mut self, ncid: &str, record: usize, snapshot_date: &str) -> bool {
+        let Some(&pos) = self.by_ncid.get(ncid) else {
+            return false;
+        };
+        if record >= self.clusters[pos].rows.len() {
+            return false;
+        }
+        let date = self.date_id(snapshot_date);
+        self.note_duplicate(pos, record, date);
+        true
+    }
+
+    /// The bookkeeping of a dropped duplicate: the row counts as seen,
+    /// and the record it repeats is a member of the snapshot.
+    fn note_duplicate(&mut self, cluster: usize, record: usize, date: DateId) {
+        self.rows_total += 1;
+        let cluster = &mut self.clusters[cluster];
+        cluster.rows_seen += 1;
+        cluster.count_in(date);
+        let snaps = &mut cluster.record_snapshots[record];
+        if snaps.last() != Some(&date) {
+            snaps.push(date);
+        }
     }
 
     /// Intern a snapshot date. A snapshot's rows arrive together, so
@@ -381,6 +488,50 @@ mod tests {
         store.import_row(row("A1", "SMITH", "40", "s1"), DedupPolicy::Exact, "s1", 1);
         let out = store.import_row(row("A1", " SMITH ", "40", "s2"), DedupPolicy::Exact, "s2", 1);
         assert_eq!(out, RowOutcome::NewRecord);
+    }
+
+    /// Person data is a subset of what `Trimmed` hashes, so a row can
+    /// equal a record stored under `PersonData` value for value and
+    /// still carry another fingerprint. A store that has seen two
+    /// policies decides by fingerprint alone, as it always did.
+    #[test]
+    fn a_store_of_mixed_policies_decides_by_fingerprint() {
+        let mut store = ClusterStore::new();
+        store.import_row(row("A1", "SMITH", "40", "s1"), DedupPolicy::PersonData, "s1", 1);
+        let same = row("A1", "SMITH", "40", "s2");
+        assert_eq!(
+            store.decide(&same, DedupPolicy::PersonData),
+            RowDecision::Duplicate { cluster: 0, record: 0 }
+        );
+        let out = store.import_row(same.clone(), DedupPolicy::Trimmed, "s2", 1);
+        assert_eq!(out, RowOutcome::NewRecord, "other attributes, other fingerprint");
+        // Mixed from here on: the fingerprints still find both.
+        for policy in [DedupPolicy::PersonData, DedupPolicy::Trimmed] {
+            let out = store.import_row(same.clone(), policy, "s3", 1);
+            assert_eq!(out, RowOutcome::DuplicateDropped, "{policy:?}");
+        }
+        assert_eq!(store.record_snapshots("A1").unwrap(), vec![vec!["s1", "s3"], vec!["s2", "s3"]]);
+    }
+
+    /// A logged duplicate decision is redone as the bookkeeping the
+    /// dropped row left, and refused when it names nothing stored.
+    #[test]
+    fn replayed_duplicate_equals_importing_the_duplicate() {
+        let mut imported = ClusterStore::new();
+        let mut replayed = ClusterStore::new();
+        for store in [&mut imported, &mut replayed] {
+            store.import_row(row("A1", "SMITH", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
+            store.import_row(row("A1", "SMYTHE", "40", "s1"), DedupPolicy::Trimmed, "s1", 1);
+        }
+        imported.import_row(row(" A1", "SMITH ", "41", "s2"), DedupPolicy::Trimmed, "s2", 1);
+        assert!(replayed.replay_duplicate("A1", 0, "s2"));
+        assert_eq!(replayed.cluster_doc("A1"), imported.cluster_doc("A1"));
+        assert_eq!(replayed.rows_imported(), 3);
+
+        let before = replayed.cluster_doc("A1");
+        assert!(!replayed.replay_duplicate("A1", 2, "s3"), "no third record");
+        assert!(!replayed.replay_duplicate("A2", 0, "s3"), "no such cluster");
+        assert_eq!((replayed.cluster_doc("A1"), replayed.rows_imported()), (before, 3));
     }
 
     #[test]

@@ -455,4 +455,11 @@ mod tests {
         let sum: f64 = Scope::All.attrs().iter().map(|&a| w.weight(a)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
+
+    #[test]
+    fn pair_scores_of_fewer_than_two_records_are_empty() {
+        let s = scorer(Scope::Person);
+        assert!(s.pair_scores(&[]).is_empty());
+        assert!(s.pair_scores(&[person("MARY", "ANN", "SMITH", "RALEIGH")]).is_empty());
+    }
 }

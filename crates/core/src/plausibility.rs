@@ -171,7 +171,7 @@ impl PlausibilityScorer {
     /// scratch buffers; bit-identical scores.
     pub fn pair_scores_with(&self, scratch: &mut Scratch, records: &[Row]) -> Vec<f64> {
         let n = records.len();
-        let mut out = Vec::with_capacity(n * (n - 1) / 2);
+        let mut out = Vec::with_capacity(n.saturating_sub(1) * n / 2);
         for i in 0..n {
             for j in (i + 1)..n {
                 out.push(self.pair_with(scratch, &records[i], &records[j]));
@@ -316,5 +316,14 @@ mod tests {
         let r = |n: &str| row(n, "", "S", "F", "30", "2010-01-01", "");
         let scores = scorer().pair_scores(&[r("A"), r("B"), r("C")]);
         assert_eq!(scores.len(), 3);
+    }
+
+    /// An empty cluster and a singleton have no pairs (and `n - 1`
+    /// must not underflow for `n = 0`).
+    #[test]
+    fn pair_scores_of_fewer_than_two_records_are_empty() {
+        assert!(scorer().pair_scores(&[]).is_empty());
+        let one = row("A", "", "S", "F", "30", "2010-01-01", "");
+        assert!(scorer().pair_scores(&[one]).is_empty());
     }
 }

@@ -1,8 +1,10 @@
 //! Property-based tests on the core pipeline invariants.
 
-use nc_core::cluster::{ClusterStore, RowOutcome};
-use nc_core::md5::md5_str;
-use nc_core::record::{fingerprint, trim_row, DedupPolicy};
+use std::borrow::Cow;
+
+use nc_core::cluster::{ClusterStore, RowDecision, RowOutcome};
+use nc_core::md5::{md5_str, Digest};
+use nc_core::record::{fingerprint, repeats, trim_row, DedupPolicy};
 use nc_core::stats::pairs_in_cluster;
 use nc_propcheck::{check, Gen, DIGITS, LOWER, UPPER};
 use nc_votergen::schema::{
@@ -127,6 +129,142 @@ fn import_is_idempotent() {
             assert_eq!(store.rows_imported(), n as u64);
         }
     });
+}
+
+/// The importer that fingerprints every row: per cluster, in founding
+/// order, the NCID, the fingerprints of the kept records and the
+/// records as the policy stores them.
+#[derive(Default)]
+struct FingerprintEveryRow {
+    clusters: Vec<(String, Vec<Digest>, Vec<Row>)>,
+}
+
+impl FingerprintEveryRow {
+    fn import(&mut self, row: &Row, policy: DedupPolicy) -> RowDecision {
+        let fp = fingerprint(row, policy);
+        let cluster = self.clusters.iter().position(|(ncid, ..)| ncid == row.ncid().trim());
+        if let Some(pos) = cluster.filter(|_| policy != DedupPolicy::None) {
+            if let Some(record) = self.clusters[pos].1.iter().position(|h| *h == fp) {
+                return RowDecision::Duplicate { cluster: pos, record };
+            }
+        }
+        let mut stored = row.clone();
+        if policy.trims() {
+            trim_row(&mut stored);
+        }
+        match cluster {
+            Some(pos) => {
+                self.clusters[pos].1.push(fp);
+                self.clusters[pos].2.push(stored);
+            }
+            None => self.clusters.push((row.ncid().trim().to_owned(), vec![fp], vec![stored])),
+        }
+        RowDecision::Keep { cluster, fingerprint: fp }
+    }
+}
+
+/// A value out of a small pool of padded, blank, non-ASCII, repeated
+/// and near-equal spellings (U+00A0 and U+2003 are whitespace to
+/// `str::trim`).
+fn spelling(g: &mut Gen) -> &'static str {
+    g.pick(&[
+        "", " ", "SMITH", "SMITH ", "  SMITH", "SMYTH", "SMITH JR", "ÅSA", "\u{a0}ÅSA\u{2003}", "ÅSE", "ASA",
+    ])
+}
+
+const RESPELLED: [usize; 6] = [LAST_NAME, FIRST_NAME, NC_HOUSE, PARTY_CD, AGE, SNAPSHOT_DT];
+
+/// A history of rows over few NCIDs (padded spellings of the same key
+/// included): each row is one of a few base rows with up to two of its
+/// hashed person, district and election values or hash-excluded age
+/// and date respelled, so rows repeat, nearly repeat and differ.
+fn history(g: &mut Gen) -> Vec<Vec<Row>> {
+    let bases = g.vec(2..4, |g| {
+        let mut row = Row::empty();
+        for attr in RESPELLED {
+            row.set(attr, spelling(g));
+        }
+        row
+    });
+    g.vec(1..4, |g| {
+        g.vec(0..14, |g| {
+            let mut row = g.pick(&bases);
+            row.set(NCID, g.pick(&["AA1", " AA1", "AA1 ", "BB2", "\u{a0}BB2", "CC3"]));
+            for _ in 0..g.range(0usize..3) {
+                row.set(g.pick(&RESPELLED), spelling(g));
+            }
+            row
+        })
+    })
+}
+
+/// Deciding by comparison changes nothing: under every policy the store
+/// makes the decision of an importer that fingerprints every row, and
+/// ends up — outcomes, stored rows, fingerprints, counters, the derived
+/// documents to the byte — where applying that importer's decisions
+/// leaves a second store. The lemma it rests on is checked on the way:
+/// a row repeats a stored record exactly when their fingerprints match.
+#[test]
+fn deciding_by_comparison_equals_fingerprinting_every_row() {
+    // Rows dropped and rows kept over all cases, per policy.
+    let decided = std::cell::Cell::new([(0u32, 0u32); 4]);
+    check("deciding_by_comparison_equals_fingerprinting_every_row", |g| {
+        let history = history(g);
+        for (p, policy) in DedupPolicy::ALL.into_iter().enumerate() {
+            let mut store = ClusterStore::new();
+            let mut twin = ClusterStore::new();
+            let mut reference = FingerprintEveryRow::default();
+            for (s, rows) in history.iter().enumerate() {
+                let (date, version) = (format!("s{s}"), s as u32 + 1);
+                for row in rows {
+                    for (_, hashes, records) in &reference.clusters {
+                        for (hash, record) in hashes.iter().zip(records) {
+                            assert_eq!(
+                                repeats(row, record, policy),
+                                fingerprint(row, policy) == *hash,
+                                "{policy:?}: {row:?} against {record:?}"
+                            );
+                        }
+                    }
+                    let decision = reference.import(row, policy);
+                    assert_eq!(store.decide(row, policy), decision, "{policy:?}: {row:?}");
+                    let expected = twin.apply(decision, Cow::Borrowed(row), policy, &date, version);
+                    let outcome = store.import_row_ref(row, policy, &date, version);
+                    assert_eq!(outcome, expected, "{policy:?}: {row:?}");
+                    let mut counts = decided.get();
+                    match outcome {
+                        RowOutcome::DuplicateDropped => counts[p].0 += 1,
+                        _ => counts[p].1 += 1,
+                    }
+                    decided.set(counts);
+                }
+            }
+            assert_eq!(store.cluster_count(), reference.clusters.len());
+            for ((ncid, rows), (ref_ncid, hashes, records)) in store.iter_clusters().zip(&reference.clusters) {
+                assert_eq!((ncid, rows), (ref_ncid.as_str(), records.as_slice()), "{policy:?}");
+                let doc = store.cluster_doc(ncid).unwrap();
+                let stored: Vec<&str> =
+                    doc.get_array("meta.hashes").unwrap().iter().map(|h| h.as_str().unwrap()).collect();
+                let hexes: Vec<String> = hashes.iter().map(|h| h.to_hex()).collect();
+                assert_eq!(stored, hexes, "{policy:?} {ncid}");
+                assert_eq!(store.record_versions(ncid), twin.record_versions(ncid));
+                assert_eq!(store.record_snapshots(ncid), twin.record_snapshots(ncid));
+            }
+            assert_eq!(
+                (store.rows_imported(), store.record_count(), store.max_record_version()),
+                (twin.rows_imported(), twin.record_count(), twin.max_record_version())
+            );
+            assert_eq!(store.cluster_rows_seen(), twin.cluster_rows_seen());
+            let json = |s: &ClusterStore| -> Vec<String> {
+                s.to_collection().iter_ordered().map(|(_, doc)| doc.to_json()).collect()
+            };
+            assert_eq!(json(&store), json(&twin), "{policy:?}");
+        }
+    });
+    // The histories exercise both decisions under every policy that has two.
+    let [none, rest @ ..] = decided.get();
+    assert!(none.0 == 0 && none.1 > 500, "{none:?}");
+    assert!(rest.iter().all(|&(dropped, kept)| dropped > 100 && kept > 100), "{rest:?}");
 }
 
 /// Clusters partition the imported rows: record counts per cluster

@@ -144,14 +144,38 @@ fn importing_a_row_allocates_a_handful_of_times() {
     );
 
     // A record joining a cluster (6.2 when written): the row, its
-    // snapshot list, one step of growth in each per-record vector, and
-    // a second copy of the row when it had to be trimmed.
+    // snapshot list and one step of growth in each per-record vector
+    // (a row that has to be trimmed is trimmed within its allocation).
     for row in &mut snapshot.rows {
         row.set(LAST_NAME, "REVISED");
     }
     let (kept, n) = import_rows(&mut store, &snapshot);
     assert_eq!((kept, store.cluster_count() as u64), (rows, rows));
     assert!(n <= 7 * rows, "{n} allocations for {rows} joining rows");
+
+    // A row handed over by value — WAL replay parses a log line into a
+    // `Row` and gives it away — is the store's copy: the one allocation
+    // of the parse, trimmed in place, plus one step of growth in each of
+    // the five per-record vectors. No second copy.
+    let lines: Vec<String> = snapshot
+        .rows
+        .iter_mut()
+        .map(|row| {
+            row.set(LAST_NAME, "  REVISED AGAIN ");
+            row.to_tsv()
+        })
+        .collect();
+    let (kept, n) = allocations_during(|| {
+        let kept = lines.iter().filter(|line| {
+            let row = Row::from_tsv(line).expect("a row's own line");
+            store.import_row(row, DedupPolicy::Trimmed, &snapshot.date, 1) == RowOutcome::NewRecord
+        });
+        kept.count() as u64
+    });
+    assert_eq!(kept, rows);
+    assert!(n <= (1 + 5) * rows, "{n} allocations for {rows} replayed joining rows");
+    let stored = store.cluster_rows(snapshot.rows[0].ncid().trim());
+    assert_eq!(stored.last().unwrap().get(LAST_NAME), "REVISED AGAIN");
 }
 
 /// Capturing the current version takes the fast path, which allocates

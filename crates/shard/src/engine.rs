@@ -145,11 +145,15 @@ impl ShardEngine {
         match ShardManifest::load(state_dir)? {
             ManifestState::Absent => {
                 // Logs without a manifest never committed anything:
-                // replaying against an empty completed-set truncates
-                // them with exact accounting.
-                let nothing = BTreeSet::new();
-                for shard in 0..shards {
-                    let replay = wal::replay_shard(&shard_dir(state_dir, shard), &nothing)?;
+                // replaying against an empty list applies nothing and
+                // truncates them with exact accounting.
+                for (shard, unused) in store.shards_mut().iter_mut().enumerate() {
+                    let replay = wal::replay_shard(
+                        &shard_dir(state_dir, shard),
+                        &[],
+                        unused,
+                        config.policy,
+                    )?;
                     recovery.absorb(replay.recovery);
                 }
                 if !recovery.is_clean() {
@@ -180,36 +184,28 @@ impl ShardEngine {
                         ),
                     });
                 }
-                let dates = manifest.completed_dates();
                 let expected: Vec<&str> =
                     manifest.completed.iter().map(|s| s.date.as_str()).collect();
                 let mut broken: Option<String> = None;
                 let mut max_seq: Option<u64> = None;
-                'shards: for shard in 0..shards {
-                    let replay = wal::replay_shard(&shard_dir(state_dir, shard), &dates)?;
-                    let got: Vec<&str> =
-                        replay.snapshots.iter().map(|s| s.date.as_str()).collect();
-                    if got != expected {
-                        broken = Some(format!(
-                            "shard-{shard}: log holds committed snapshots {got:?} but the \
-                             manifest promises {expected:?}"
-                        ));
-                        recovery.absorb(replay.recovery);
-                        break 'shards;
-                    }
-                    for snapshot in &replay.snapshots {
-                        for (seq, row) in &snapshot.rows {
-                            store.shards_mut()[shard].apply(
-                                *seq,
-                                row,
-                                config.policy,
-                                &snapshot.date,
-                                snapshot.version,
-                            );
-                            max_seq = Some(max_seq.map_or(*seq, |m| m.max(*seq)));
-                        }
-                    }
+                for shard in 0..shards {
+                    let replay = wal::replay_shard(
+                        &shard_dir(state_dir, shard),
+                        &expected,
+                        &mut store.shards_mut()[shard],
+                        config.policy,
+                    )?;
+                    let applied = replay.recovery.snapshots_applied;
+                    max_seq = max_seq.max(replay.max_seq);
                     recovery.absorb(replay.recovery);
+                    if applied != expected.len() {
+                        broken = Some(format!(
+                            "shard-{shard}: log holds committed snapshots {:?} but the \
+                             manifest promises {expected:?}",
+                            &expected[..applied]
+                        ));
+                        break;
+                    }
                 }
                 match broken {
                     None => {

@@ -10,9 +10,10 @@
 //! and the dedup state being per-cluster (see the [`crate::store`]
 //! module docs).
 
+use std::borrow::Cow;
 use std::io;
 
-use nc_core::cluster::RowOutcome;
+use nc_core::cluster::{RowDecision, RowOutcome};
 use nc_core::import::ImportStats;
 use nc_core::record::DedupPolicy;
 use nc_votergen::schema::Row;
@@ -20,9 +21,12 @@ use nc_votergen::schema::Row;
 use crate::store::{shard_of, Shard};
 use crate::wal::ShardWal;
 
-/// Route one row into its shard, logging it first when a WAL is
-/// attached (log-before-apply; the manifest is the commit point, so a
-/// logged-but-unapplied row is simply replayed or discarded later).
+/// Route one row into its shard: decide what it will do to the store,
+/// log the decision when a WAL is attached — the row itself when it is
+/// kept, a short `D` record when it repeats a stored record — then
+/// apply it (still log-before-apply; the manifest is the commit point,
+/// so a logged-but-unapplied row is simply replayed or discarded
+/// later).
 #[allow(clippy::too_many_arguments)]
 fn apply_one(
     shard: &mut Shard,
@@ -34,11 +38,17 @@ fn apply_one(
     version: u32,
     stats: &mut ImportStats,
 ) -> io::Result<()> {
+    let decision = shard.store.decide(row, policy);
     if let Some(wal) = wal {
-        wal.append_row(seq, row)?;
+        match decision {
+            RowDecision::Duplicate { record, .. } => {
+                wal.append_duplicate(seq, row.ncid().trim(), record)?
+            }
+            RowDecision::Keep { .. } => wal.append_row(seq, row)?,
+        }
     }
     stats.total_rows += 1;
-    match shard.apply(seq, row, policy, date, version) {
+    match shard.apply(seq, decision, Cow::Borrowed(row), policy, date, version) {
         RowOutcome::NewCluster => {
             stats.new_clusters += 1;
             stats.new_records += 1;
@@ -53,8 +63,8 @@ fn apply_one(
 /// [`ImportStats`] per shard (in shard-index order).
 ///
 /// Every row is offered — duplicates too, since they still mutate the
-/// owning cluster's `rows_seen`/membership bookkeeping and must be
-/// replayed identically from the WAL. `start_seq` is the global
+/// owning cluster's `rows_seen`/membership bookkeeping, which the WAL
+/// must be able to redo. `start_seq` is the global
 /// sequence number of `rows[0]`; the caller advances its counter by
 /// `rows.len()` afterwards.
 ///

@@ -11,12 +11,15 @@
 //!   snapshot's rows and applies those that route to it (one thread
 //!   does it all when there are fewer cores than shards). Each worker
 //!   owns its shard exclusively — no locks and no hand-off on the hot
-//!   path — and reuses
-//!   [`nc_core::cluster::ClusterStore::import_row_ref`] and the
-//!   quarantine-mode semantics of `nc_core::tsv`, so every per-row
-//!   outcome is identical to the sequential importer's.
-//! * **Write-ahead logging** ([`wal`]): each shard appends its rows to
-//!   an append-only log using the CRC-32 line framing of
+//!   path — and runs the two halves of
+//!   [`nc_core::cluster::ClusterStore::import_row_ref`]
+//!   (`decide`, `apply`) and the quarantine-mode semantics of
+//!   `nc_core::tsv`, so every per-row outcome is identical to the
+//!   sequential importer's.
+//! * **Write-ahead logging** ([`wal`]): between the two halves each
+//!   shard appends what the row will do — the row itself when it is
+//!   kept, a short record of the decision when it is dropped — to an
+//!   append-only log using the CRC-32 line framing of
 //!   [`nc_docstore::persist`], so applying snapshot k+1 appends deltas
 //!   instead of rewriting the store. Segments rotate at a size bound,
 //!   a manifest records completed snapshots (the commit point), and

@@ -15,11 +15,14 @@
 //! reproduces the unsharded founding order exactly (bit-identical
 //! downstream scoring/customize/carving; see `tests/determinism.rs`).
 
-use nc_core::cluster::{ClusterStore, RowOutcome};
+use std::borrow::Cow;
+
+use nc_core::cluster::{ClusterStore, RowDecision, RowOutcome};
 use nc_core::import::ImportStats;
 use nc_core::record::DedupPolicy;
 use nc_core::snapshot::StoreSnapshot;
 use nc_docstore::collection::DocId;
+use nc_docstore::value::Document;
 use nc_votergen::schema::Row;
 use nc_votergen::snapshot::Snapshot;
 
@@ -55,28 +58,44 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Shard {
             store: ClusterStore::new(),
             founded: Vec::new(),
         }
     }
 
-    /// Import one row (with its global sequence number) into this
-    /// shard. The caller guarantees the row's NCID routes here.
+    /// Carry out what [`ClusterStore::decide`] decided about `row` (with
+    /// its global sequence number) on this shard's store. The caller
+    /// guarantees the row's NCID routes here.
     pub(crate) fn apply(
         &mut self,
         seq: u64,
-        row: &Row,
+        decision: RowDecision,
+        row: Cow<'_, Row>,
         policy: DedupPolicy,
         date: &str,
         version: u32,
     ) -> RowOutcome {
-        let outcome = self.store.import_row_ref(row, policy, date, version);
+        let outcome = self.store.apply(decision, row, policy, date, version);
         if outcome == RowOutcome::NewCluster {
             self.founded.push(seq);
         }
         outcome
+    }
+
+    /// Decide and apply in one step, handing the row over: the replay
+    /// path, where the log has the decision's input and nobody to tell.
+    pub(crate) fn import(
+        &mut self,
+        seq: u64,
+        row: Row,
+        policy: DedupPolicy,
+        date: &str,
+        version: u32,
+    ) -> RowOutcome {
+        let decision = self.store.decide(&row, policy);
+        self.apply(seq, decision, Cow::Owned(row), policy, date, version)
     }
 
     /// The shard's clusters in founding order, each with the sequence
@@ -197,6 +216,15 @@ impl ShardedStore {
         self.shards[shard_of(ncid, self.shards.len())]
             .store
             .cluster_rows(ncid)
+    }
+
+    /// The derived document of one cluster ([`ClusterStore::cluster_doc`]),
+    /// routed to its shard; `_id` is the cluster's position *within*
+    /// that shard's store.
+    pub fn cluster_doc(&self, ncid: &str) -> Option<Document> {
+        self.shards[shard_of(ncid, self.shards.len())]
+            .store
+            .cluster_doc(ncid)
     }
 
     /// Total clusters across all shards.

@@ -15,11 +15,24 @@
 //! are detected line-by-line. WAL record grammar (bodies, pre-framing):
 //!
 //! ```text
-//! B\t<date>\t<version>      snapshot begins
-//! R\t<seq>\t<row-tsv>       one routed row (duplicates included —
-//!                           they still mutate cluster bookkeeping)
-//! C\t<date>\t<rows>         snapshot ends; <rows> = this shard's count
+//! B\t<date>\t<version>         snapshot begins
+//! R\t<seq>\t<row-tsv>          one routed row that was kept
+//! D\t<seq>\t<ncid>\t<record>   one routed row that was dropped: it
+//!                              repeated record <record> of cluster
+//!                              <ncid>, and left only bookkeeping
+//! C\t<date>\t<rows>            snapshot ends; <rows> = this shard's
+//!                              count of R and D records
 //! ```
+//!
+//! A `D` record is a logged *decision*: the engine decides what a row
+//! will do to the store, logs that, then applies it, so the log still
+//! runs ahead of the store. The decision only means something against
+//! the exact prefix it was made on, which is why replay is
+//! prefix-exact: it applies the manifest's snapshots in the manifest's
+//! order and nothing after the first group that is not the next one. A
+//! log of `R` records only (every row logged in full, as earlier
+//! versions wrote it) replays through the same path: each row is
+//! decided again.
 //!
 //! # Commit point
 //!
@@ -32,7 +45,6 @@
 //! source file reproduces the same store state, whereas replaying it
 //! and then re-importing would double the rows-seen bookkeeping.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs::{self, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -45,6 +57,8 @@ use nc_core::tsv::QuarantineReport;
 use nc_docstore::persist::{frame_in_place, frame_line, read_framed, sync_dir};
 use nc_vfs::{Vfs, VfsFile};
 use nc_votergen::schema::Row;
+
+use crate::store::Shard;
 
 /// Aggregated outcome of WAL recovery across all shards.
 ///
@@ -193,51 +207,76 @@ pub fn tail_group(dir: &Path, cursor: TailCursor) -> io::Result<Option<TailGroup
             let Some(body) = std::str::from_utf8(line).ok().and_then(read_framed) else {
                 return Ok(None); // corrupt frame: awaiting recovery
             };
-            if let Some(rest) = body.strip_prefix("B\t") {
-                let parsed = rest
-                    .split_once('\t')
-                    .and_then(|(date, v)| v.parse::<u32>().ok().map(|v| (date.to_owned(), v)));
-                match parsed {
-                    Some(begin) if current.is_none() => current = Some(begin),
-                    _ => return Ok(None),
+            // Anything out of grammar or out of place: awaiting recovery.
+            match (Record::parse(body), &current) {
+                (Some(Record::Begin { date, version }), None) => {
+                    current = Some((date.to_owned(), version));
                 }
-            } else if let Some(rest) = body.strip_prefix("R\t") {
-                let parsed = rest.split_once('\t').and_then(|(seq, tsv)| {
-                    let ncid = tsv.split('\t').next()?.trim().to_owned();
-                    Some((seq.parse::<u64>().ok()?, ncid))
-                });
-                match (parsed, current.is_some()) {
-                    (Some(entry), true) => rows.push(entry),
-                    _ => return Ok(None),
+                (Some(Record::Row { seq, tsv }), Some(_)) => {
+                    let ncid = tsv.split('\t').next().unwrap_or_default().trim();
+                    rows.push((seq, ncid.to_owned()));
                 }
-            } else if let Some(rest) = body.strip_prefix("C\t") {
-                let parsed = rest
-                    .split_once('\t')
-                    .and_then(|(date, n)| n.parse::<u64>().ok().map(|n| (date, n)));
-                let consistent = matches!(
-                    (&parsed, &current),
-                    (Some((date, n)), Some((cur, _)))
-                        if *date == cur.as_str() && *n == rows.len() as u64
-                );
-                if !consistent {
-                    return Ok(None);
+                (Some(Record::Duplicate { seq, ncid, .. }), Some(_)) => {
+                    rows.push((seq, ncid.to_owned()));
                 }
-                let (date, version) = current.take().expect("checked above");
-                return Ok(Some(TailGroup {
-                    date,
-                    version,
-                    rows,
-                    next: TailCursor {
-                        segment,
-                        offset: (pos + nl + 1) as u64,
-                    },
-                }));
-            } else {
-                return Ok(None);
+                (Some(Record::Commit { date, rows: n }), Some((cur, _)))
+                    if date == cur && n == rows.len() as u64 =>
+                {
+                    let (date, version) = current.take().expect("matched above");
+                    return Ok(Some(TailGroup {
+                        date,
+                        version,
+                        rows,
+                        next: TailCursor {
+                            segment,
+                            offset: (pos + nl + 1) as u64,
+                        },
+                    }));
+                }
+                _ => return Ok(None),
             }
             pos += nl + 1;
         }
-        return Ok(None); // B (+ some R) but no C yet: group in flight
+        return Ok(None); // B (+ some rows) but no C yet: group in flight
+    }
+}
+
+/// One WAL record body, parsed but not interpreted.
+enum Record<'a> {
+    Begin { date: &'a str, version: u32 },
+    Row { seq: u64, tsv: &'a str },
+    Duplicate { seq: u64, ncid: &'a str, record: usize },
+    Commit { date: &'a str, rows: u64 },
+}
+
+impl<'a> Record<'a> {
+    /// `None` for anything outside the grammar in the module docs.
+    fn parse(body: &'a str) -> Option<Self> {
+        let (kind, rest) = body.split_once('\t')?;
+        let (first, rest) = rest.split_once('\t')?;
+        Some(match kind {
+            "B" => Record::Begin {
+                date: first,
+                version: rest.parse().ok()?,
+            },
+            "R" => Record::Row {
+                seq: first.parse().ok()?,
+                tsv: rest,
+            },
+            "D" => {
+                let (ncid, record) = rest.split_once('\t')?;
+                Record::Duplicate {
+                    seq: first.parse().ok()?,
+                    ncid,
+                    record: record.parse().ok()?,
+                }
+            }
+            "C" => Record::Commit {
+                date: first,
+                rows: rest.parse().ok()?,
+            },
+            _ => return None,
+        })
     }
 }
 
@@ -322,12 +361,24 @@ impl ShardWal {
         self.append(|body| write!(body, "B\t{date}\t{version}").expect("String write"))
     }
 
-    /// Log one routed row under its global sequence number.
+    /// Log one routed row that will be kept, under its global sequence
+    /// number.
     pub(crate) fn append_row(&mut self, seq: u64, row: &Row) -> io::Result<()> {
         self.append(|body| {
             write!(body, "R\t{seq}\t").expect("String write");
             body.push_str(row.as_tsv());
         })
+    }
+
+    /// Log, under its global sequence number, that a routed row
+    /// repeated record `record` of cluster `ncid` and was dropped.
+    pub(crate) fn append_duplicate(
+        &mut self,
+        seq: u64,
+        ncid: &str,
+        record: usize,
+    ) -> io::Result<()> {
+        self.append(|body| write!(body, "D\t{seq}\t{ncid}\t{record}").expect("String write"))
     }
 
     /// Log the end of a snapshot (`rows` = this shard's routed count)
@@ -357,31 +408,44 @@ impl ShardWal {
     }
 }
 
-/// One manifest-committed snapshot recovered from a shard's log.
-#[derive(Debug)]
-pub(crate) struct ReplaySnapshot {
-    /// Snapshot date from the `B` record.
-    pub date: String,
-    /// Import version from the `B` record.
-    pub version: u32,
-    /// `(global sequence number, row)` in logged (= original) order.
-    pub rows: Vec<(u64, Row)>,
-}
-
-/// Everything recovered from one shard's log.
+/// What replaying one shard's log did.
 #[derive(Debug)]
 pub(crate) struct ShardReplay {
-    /// Snapshots to re-apply, in commit order.
-    pub snapshots: Vec<ReplaySnapshot>,
+    /// Highest global sequence number among the re-applied rows.
+    pub max_seq: Option<u64>,
     /// This shard's contribution to the aggregate [`WalRecovery`].
     pub recovery: WalRecovery,
 }
 
-/// Replay one shard's log, keeping only snapshots in `completed` (the
-/// manifest's list) and truncating everything after the last kept
-/// commit — torn tails, corrupt lines, and WAL-committed-but-
-/// unmanifested snapshots alike — with exact loss accounting.
-pub(crate) fn replay_shard(dir: &Path, completed: &BTreeSet<String>) -> io::Result<ShardReplay> {
+/// The `B..C` group a replay is inside of.
+struct OpenGroup {
+    date: String,
+    version: u32,
+    /// `R` and `D` records read so far.
+    rows: u64,
+    /// Whether this is the snapshot the manifest lists next, so its
+    /// records are being applied as they are read.
+    applying: bool,
+}
+
+/// Replay one shard's log into `shard`: the snapshots of `expected`
+/// (the manifest's list, in its order) are re-applied for as long as
+/// the log delivers exactly them, and everything after the last one
+/// applied — torn tails, corrupt or out-of-grammar lines, duplicate
+/// records that name nothing in the store, WAL-committed snapshots the
+/// manifest does not list next, and whatever follows any of these — is
+/// truncated with exact loss accounting.
+///
+/// Records are applied as they are read, so when fewer than
+/// `expected.len()` snapshots come back applied the shard may hold part
+/// of the next one: the manifest promised a snapshot the log cannot
+/// deliver, and the caller discards the state.
+pub(crate) fn replay_shard(
+    dir: &Path,
+    expected: &[&str],
+    shard: &mut Shard,
+    policy: DedupPolicy,
+) -> io::Result<ShardReplay> {
     let shard_name = dir
         .file_name()
         .and_then(|n| n.to_str())
@@ -389,17 +453,17 @@ pub(crate) fn replay_shard(dir: &Path, completed: &BTreeSet<String>) -> io::Resu
         .to_owned();
     let segs = segments(dir)?;
     let mut out = ShardReplay {
-        snapshots: Vec::new(),
+        max_seq: None,
         recovery: WalRecovery::default(),
     };
 
     // Prefix-scan the segments in order; `keep` is the position just
     // after the last commit we re-applied.
     let mut keep: Option<(usize, u64)> = None;
-    let mut pending: Vec<(u64, Row)> = Vec::new();
-    let mut current: Option<(String, u32)> = None;
     let mut damaged: Option<String> = None;
-    let mut discarded_rows_after_keep: u64 = 0;
+    let mut current: Option<OpenGroup> = None;
+    // Prefix-exact: false once a group was passed over.
+    let mut exact = true;
 
     'segments: for (si, (_, path)) in segs.iter().enumerate() {
         let data = fs::read(path)?;
@@ -410,85 +474,78 @@ pub(crate) fn replay_shard(dir: &Path, completed: &BTreeSet<String>) -> io::Resu
                 break 'segments;
             };
             let line = &data[offset..offset + nl];
-            let body = match std::str::from_utf8(line).ok().and_then(read_framed) {
-                Some(body) => body,
-                None => {
-                    damaged = Some(format!(
-                        "{shard_name}: corrupt record at byte {offset} of segment {si}"
-                    ));
-                    break 'segments;
-                }
-            };
-            if let Some(rest) = body.strip_prefix("B\t") {
-                let parsed = rest
-                    .split_once('\t')
-                    .and_then(|(date, v)| v.parse::<u32>().ok().map(|v| (date.to_owned(), v)));
-                match parsed {
-                    Some(begin) if current.is_none() => {
-                        current = Some(begin);
-                        pending.clear();
-                    }
-                    _ => {
-                        damaged = Some(format!(
-                            "{shard_name}: malformed or misplaced begin record at byte {offset}"
-                        ));
-                        break 'segments;
-                    }
-                }
-            } else if let Some(rest) = body.strip_prefix("R\t") {
-                let parsed = rest.split_once('\t').and_then(|(seq, tsv)| {
-                    Some((seq.parse::<u64>().ok()?, Row::from_tsv(tsv)?))
-                });
-                match (parsed, current.is_some()) {
-                    (Some(entry), true) => pending.push(entry),
-                    _ => {
-                        damaged = Some(format!(
-                            "{shard_name}: malformed or stray row record at byte {offset}"
-                        ));
-                        break 'segments;
-                    }
-                }
-            } else if let Some(rest) = body.strip_prefix("C\t") {
-                let parsed = rest
-                    .split_once('\t')
-                    .and_then(|(date, n)| n.parse::<u64>().ok().map(|n| (date, n)));
-                let consistent = matches!(
-                    (&parsed, &current),
-                    (Some((date, rows)), Some((cur, _)))
-                        if *date == cur.as_str() && *rows == pending.len() as u64
-                );
-                if !consistent {
-                    damaged = Some(format!(
-                        "{shard_name}: commit record disagrees with its snapshot at byte {offset}"
-                    ));
-                    break 'segments;
-                }
-                let (date, version) = current.take().expect("checked above");
-                if completed.contains(&date) {
-                    let rows = std::mem::take(&mut pending);
-                    out.recovery.rows_replayed += rows.len() as u64;
-                    out.recovery.snapshots_applied += 1;
-                    out.snapshots.push(ReplaySnapshot {
-                        date,
-                        version,
-                        rows,
-                    });
-                    keep = Some((si, (offset + nl + 1) as u64));
-                    discarded_rows_after_keep = 0;
-                } else {
-                    // Logged and WAL-committed, but the manifest never
-                    // advanced: the crash hit between the two steps.
-                    discarded_rows_after_keep += pending.len() as u64;
-                    out.recovery.details.push(format!(
-                        "{shard_name}: rolled back snapshot {date} ({} rows) — \
-                         logged but never committed to the manifest",
-                        pending.len()
-                    ));
-                    pending.clear();
-                }
-            } else {
+            let Some(body) = std::str::from_utf8(line).ok().and_then(read_framed) else {
                 damaged = Some(format!(
-                    "{shard_name}: unknown record type at byte {offset}"
+                    "{shard_name}: corrupt record at byte {offset} of segment {si}"
+                ));
+                break 'segments;
+            };
+            let problem = match (Record::parse(body), &mut current) {
+                (Some(Record::Begin { date, version }), None) => {
+                    // Only the snapshot the manifest lists next, and
+                    // nothing once one group was passed over.
+                    exact &= expected.get(out.recovery.snapshots_applied) == Some(&date);
+                    current = Some(OpenGroup {
+                        date: date.to_owned(),
+                        version,
+                        rows: 0,
+                        applying: exact,
+                    });
+                    None
+                }
+                (Some(Record::Row { seq, tsv }), Some(group)) => match Row::from_tsv(tsv) {
+                    Some(row) => {
+                        group.rows += 1;
+                        if group.applying {
+                            shard.import(seq, row, policy, &group.date, group.version);
+                            out.max_seq = out.max_seq.max(Some(seq));
+                        }
+                        None
+                    }
+                    None => Some("malformed row record"),
+                },
+                (Some(Record::Duplicate { seq, ncid, record }), Some(group)) => {
+                    group.rows += 1;
+                    if !group.applying {
+                        None
+                    } else if shard.store.replay_duplicate(ncid, record, &group.date) {
+                        out.max_seq = out.max_seq.max(Some(seq));
+                        None
+                    } else {
+                        Some("duplicate record names no stored record")
+                    }
+                }
+                (Some(Record::Commit { date, rows }), Some(group))
+                    if date == group.date && rows == group.rows =>
+                {
+                    if group.applying {
+                        out.recovery.rows_replayed += rows;
+                        out.recovery.snapshots_applied += 1;
+                        keep = Some((si, (offset + nl + 1) as u64));
+                    } else {
+                        out.recovery.rows_discarded += rows;
+                        out.recovery.details.push(format!(
+                            "{shard_name}: rolled back snapshot {date} ({rows} rows) — {}",
+                            if expected.contains(&date) {
+                                "the manifest lists it, but not after this log's prefix"
+                            } else {
+                                // The crash hit between the two commit steps.
+                                "logged but never committed to the manifest"
+                            }
+                        ));
+                    }
+                    current = None;
+                    None
+                }
+                (Some(Record::Commit { .. }), _) => {
+                    Some("commit record disagrees with its snapshot")
+                }
+                (Some(_), _) => Some("misplaced record"),
+                (None, _) => Some("malformed record or unknown record type"),
+            };
+            if let Some(problem) = problem {
+                damaged = Some(format!(
+                    "{shard_name}: {problem} at byte {offset} of segment {si}"
                 ));
                 break 'segments;
             }
@@ -500,17 +557,15 @@ pub(crate) fn replay_shard(dir: &Path, completed: &BTreeSet<String>) -> io::Resu
         out.recovery.torn_tails += 1;
         out.recovery.details.push(reason);
     }
-    // Rows from a snapshot cut off mid-flight (B + some R, no C).
-    if !pending.is_empty() {
-        if let Some((date, _)) = &current {
+    // Rows from a snapshot cut off mid-flight (B + some rows, no C).
+    if let Some(OpenGroup { date, rows, .. }) = current {
+        if rows > 0 {
             out.recovery.details.push(format!(
-                "{shard_name}: dropped incomplete snapshot {date} ({} rows)",
-                pending.len()
+                "{shard_name}: dropped incomplete snapshot {date} ({rows} rows)"
             ));
         }
-        discarded_rows_after_keep += pending.len() as u64;
+        out.recovery.rows_discarded += rows;
     }
-    out.recovery.rows_discarded += discarded_rows_after_keep;
 
     // Truncate the logs back to the keep point and account for every
     // byte dropped.
@@ -599,11 +654,6 @@ pub enum ManifestState {
 }
 
 impl ShardManifest {
-    /// Dates of every completed snapshot, for WAL replay filtering.
-    pub fn completed_dates(&self) -> BTreeSet<String> {
-        self.completed.iter().map(|s| s.date.clone()).collect()
-    }
-
     /// Atomically persist the manifest into `state_dir`
     /// (tmp + fsync + rename + directory fsync), making everything the
     /// WALs hold for the listed snapshots durable-by-reference. Every
@@ -762,6 +812,10 @@ mod tests {
         r
     }
 
+    fn replay_into(dir: &Path, expected: &[&str], shard: &mut Shard) -> ShardReplay {
+        replay_shard(dir, expected, shard, DedupPolicy::Trimmed).unwrap()
+    }
+
     fn write_snapshot_records(wal: &mut ShardWal, date: &str, seqs: &[u64]) {
         wal.begin_snapshot(date, 1).unwrap();
         for &seq in seqs {
@@ -778,20 +832,20 @@ mod tests {
         write_snapshot_records(&mut wal, "2009-01-01", &[5, 7]);
         drop(wal);
 
-        let completed: BTreeSet<String> = ["2008-11-04".to_owned()].into();
-        let replay = replay_shard(&dir, &completed).unwrap();
-        assert_eq!(replay.snapshots.len(), 1);
-        assert_eq!(replay.snapshots[0].date, "2008-11-04");
-        assert_eq!(replay.snapshots[0].rows.len(), 3);
+        let completed = ["2008-11-04"];
+        let mut shard = Shard::new();
+        let replay = replay_into(&dir, &completed, &mut shard);
+        assert_eq!(replay.recovery.snapshots_applied, 1);
         assert_eq!(replay.recovery.rows_replayed, 3);
+        assert_eq!((shard.store.rows_imported(), replay.max_seq), (3, Some(2)));
         // The unmanifested second snapshot rolls back with exact loss.
         assert_eq!(replay.recovery.rows_discarded, 2);
         assert!(replay.recovery.bytes_discarded > 0);
         assert_eq!(replay.recovery.torn_tails, 0);
 
         // After truncation the log replays identically again.
-        let again = replay_shard(&dir, &completed).unwrap();
-        assert_eq!(again.snapshots.len(), 1);
+        let again = replay_into(&dir, &completed, &mut Shard::new());
+        assert_eq!(again.recovery.snapshots_applied, 1);
         assert!(again.recovery.is_clean());
         fs::remove_dir_all(dir).unwrap();
     }
@@ -812,16 +866,16 @@ mod tests {
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 7]).unwrap();
 
-        let completed: BTreeSet<String> = ["2008-11-04".to_owned()].into();
-        let replay = replay_shard(&dir, &completed).unwrap();
-        assert_eq!(replay.snapshots.len(), 1);
+        let completed = ["2008-11-04"];
+        let replay = replay_into(&dir, &completed, &mut Shard::new());
+        assert_eq!(replay.recovery.snapshots_applied, 1);
         assert_eq!(replay.recovery.rows_replayed, 2);
         assert_eq!(replay.recovery.rows_discarded, 1, "the parsed row of the torn snapshot");
         assert_eq!(replay.recovery.torn_tails, 1);
         assert!(replay.recovery.bytes_discarded > 0);
         assert!(fs::metadata(&seg).unwrap().len() < full);
         // Idempotent after truncation.
-        assert!(replay_shard(&dir, &completed).unwrap().recovery.is_clean());
+        assert!(replay_into(&dir, &completed, &mut Shard::new()).recovery.is_clean());
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -835,10 +889,9 @@ mod tests {
         drop(wal);
         assert_eq!(segments(&dir).unwrap().len(), 2);
 
-        let completed: BTreeSet<String> =
-            ["2008-11-04".to_owned(), "2009-01-01".to_owned()].into();
-        let replay = replay_shard(&dir, &completed).unwrap();
-        assert_eq!(replay.snapshots.len(), 2);
+        let completed = ["2008-11-04", "2009-01-01"];
+        let replay = replay_into(&dir, &completed, &mut Shard::new());
+        assert_eq!(replay.recovery.snapshots_applied, 2);
         assert_eq!(replay.recovery.rows_replayed, 6);
         assert!(replay.recovery.is_clean());
 
@@ -866,12 +919,11 @@ mod tests {
         bytes[target] ^= 0x40;
         fs::write(&seg, &bytes).unwrap();
 
-        let completed: BTreeSet<String> =
-            ["2008-11-04".to_owned(), "2009-01-01".to_owned()].into();
-        let replay = replay_shard(&dir, &completed).unwrap();
+        let completed = ["2008-11-04", "2009-01-01"];
+        let replay = replay_into(&dir, &completed, &mut Shard::new());
         // Only the first snapshot survives; the engine notices the
         // second is missing and escalates to a full restart.
-        assert_eq!(replay.snapshots.len(), 1);
+        assert_eq!(replay.recovery.snapshots_applied, 1);
         assert_eq!(replay.recovery.torn_tails, 1);
         assert_eq!(fs::metadata(&seg).unwrap().len(), keep_len);
         fs::remove_dir_all(dir).unwrap();
@@ -899,6 +951,62 @@ mod tests {
         assert_eq!(second.rows, vec![(5, "NC5".into()), (7, "NC7".into())]);
         // Cursor now sits at the durable end.
         assert_eq!(tail_group(&dir, second.next).unwrap(), None);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A `D` record counts as a row everywhere a row is counted — the
+    /// commit count, the tailer's `(seq, ncid)` list, `rows_replayed` —
+    /// and replays as the bookkeeping of the row it stands for.
+    #[test]
+    fn duplicate_records_are_tailed_and_replayed_as_rows() {
+        let dir = tmp_dir("duplicates");
+        let mut wal = ShardWal::open(&dir, 1 << 20, Arc::new(StdVfs)).unwrap();
+        write_snapshot_records(&mut wal, "2008-11-04", &[0, 1]);
+        wal.begin_snapshot("2009-01-01", 1).unwrap();
+        wal.append_duplicate(4, "NC1", 0).unwrap();
+        wal.append_row(6, &row(" NC6 ")).unwrap();
+        wal.append_duplicate(7, "NC6", 0).unwrap();
+        wal.commit_snapshot("2009-01-01", 3).unwrap();
+        // Names a record NC0 does not have: decided on another store.
+        wal.begin_snapshot("2009-03-01", 1).unwrap();
+        wal.append_duplicate(9, "NC0", 1).unwrap();
+        wal.commit_snapshot("2009-03-01", 1).unwrap();
+        drop(wal);
+
+        let first = tail_group(&dir, TailCursor::default()).unwrap().unwrap();
+        let second = tail_group(&dir, first.next).unwrap().unwrap();
+        assert_eq!(
+            second.rows,
+            vec![(4, "NC1".into()), (6, "NC6".into()), (7, "NC6".into())]
+        );
+
+        let mut shard = Shard::new();
+        let replay = replay_into(&dir, &["2008-11-04", "2009-01-01"], &mut shard);
+        assert!(replay.recovery.rows_discarded == 1 && replay.recovery.torn_tails == 0);
+        assert_eq!((replay.recovery.rows_replayed, replay.max_seq), (5, Some(7)));
+        assert_eq!((shard.store.rows_imported(), shard.store.record_count()), (5, 3));
+        assert_eq!(
+            shard.store.record_snapshots("NC1").unwrap(),
+            vec![vec!["2008-11-04", "2009-01-01"]]
+        );
+        assert_eq!(shard.store.cluster_rows_seen(), vec![1, 2, 2]);
+
+        // Promised the third snapshot too, the replay stops at its `D`.
+        write_snapshot_records(
+            &mut ShardWal::open(&dir, 1 << 20, Arc::new(StdVfs)).unwrap(),
+            "2009-03-01",
+            &[],
+        );
+        let mut wal = ShardWal::open(&dir, 1 << 20, Arc::new(StdVfs)).unwrap();
+        wal.begin_snapshot("2009-05-01", 1).unwrap();
+        wal.append_duplicate(9, "NC0", 1).unwrap();
+        wal.commit_snapshot("2009-05-01", 1).unwrap();
+        drop(wal);
+        let expected = ["2008-11-04", "2009-01-01", "2009-03-01", "2009-05-01"];
+        let replay = replay_into(&dir, &expected, &mut Shard::new());
+        assert_eq!(replay.recovery.snapshots_applied, 3);
+        assert_eq!((replay.recovery.rows_discarded, replay.recovery.torn_tails), (1, 1));
+        assert!(replay.recovery.details[0].contains("names no stored record"));
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -966,11 +1074,6 @@ mod tests {
             ManifestState::Loaded(loaded) => assert_eq!(loaded, manifest),
             other => panic!("expected Loaded, got {other:?}"),
         }
-        assert_eq!(
-            manifest.completed_dates(),
-            ["2008-11-04".to_owned(), "2009-01-01".to_owned()].into()
-        );
-
         // Absent in an empty directory.
         let empty = tmp_dir("manifest_empty");
         assert!(matches!(

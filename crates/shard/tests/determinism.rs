@@ -328,3 +328,111 @@ fn engine_publish_equals_from_scratch_oracles_under_any_interleaving() {
         }
     });
 }
+
+/// Rewrite every shard log under `state` in the format earlier versions
+/// wrote: each `D` record becomes the `R` record of the full row it
+/// stood for. Returns how many `(R, D)` records the logs held.
+fn rewrite_logs_with_full_rows(state: &std::path::Path, shards: usize, rows: &[Row]) -> (usize, usize) {
+    use nc_docstore::persist::{frame_line, read_framed};
+    let (mut full, mut short) = (0, 0);
+    for shard in 0..shards {
+        for entry in std::fs::read_dir(nc_shard::shard_log_dir(state, shard)).unwrap() {
+            let path = entry.unwrap().path();
+            let mut text = String::new();
+            for line in std::fs::read_to_string(&path).unwrap().lines() {
+                let body = read_framed(line).expect("clean log");
+                let fields: Vec<&str> = body.splitn(3, '\t').collect();
+                let body = match fields[0] {
+                    "D" => {
+                        short += 1;
+                        let seq: usize = fields[1].parse().unwrap();
+                        format!("R\t{seq}\t{}", rows[seq].as_tsv())
+                    }
+                    kind => {
+                        full += usize::from(kind == "R");
+                        body.to_owned()
+                    }
+                };
+                text.push_str(&frame_line(&body));
+                text.push('\n');
+            }
+            std::fs::write(path, text).unwrap();
+        }
+    }
+    (full, short)
+}
+
+/// A restart redoes logged decisions instead of making them again, and
+/// lands where making them again lands: an engine reopened over its own
+/// log — kept rows in full, dropped rows as `D` records — and one
+/// reopened over the same log with every row in full (what earlier
+/// versions wrote) both replay every archive row and equal the
+/// unsharded twin, published clusters and per-cluster meta data alike.
+#[test]
+fn reopened_engine_equals_the_unsharded_twin_from_either_log_format() {
+    use nc_core::tsv::{self, ImportOptions};
+    use nc_shard::{ShardEngine, ShardEngineConfig};
+
+    let mut snapshots = generate_snapshots(77, 70, 3);
+    // A snapshot of nothing but repeats, and rows that repeat a record
+    // only once trimmed.
+    let mut repeats = snapshots[2].clone();
+    repeats.date = "2099-01-01".to_owned();
+    for row in repeats.rows.iter_mut().step_by(3) {
+        let padded = format!("  {} ", row.get(nc_votergen::schema::LAST_NAME));
+        row.set(nc_votergen::schema::LAST_NAME, padded);
+    }
+    snapshots.push(repeats);
+
+    let archive = oracle_dir("reopen_archive");
+    for snapshot in &snapshots {
+        tsv::write_snapshot(&archive, snapshot).unwrap();
+    }
+    let rows: Vec<Row> = snapshots.iter().flat_map(|s| s.rows.iter().cloned()).collect();
+    let mut plain = ClusterStore::new();
+    for snapshot in &snapshots {
+        import_snapshot(&mut plain, snapshot, DedupPolicy::Trimmed, 1);
+    }
+    let twin = StoreSnapshot::capture(&plain, 1);
+    let dropped = (plain.rows_imported() - plain.record_count()) as usize;
+    assert!(dropped > snapshots[3].rows.len(), "the archive repeats itself");
+
+    for shards in [1, 3] {
+        let state = oracle_dir("reopen_state");
+        // Small segments: the logs rotate between snapshots.
+        let config = ShardEngineConfig {
+            segment_bytes: 16 << 10,
+            ..ShardEngineConfig::new(shards, DedupPolicy::Trimmed, 1)
+        };
+        let mut engine = ShardEngine::open(&state, config).unwrap();
+        engine.ingest_archive(&archive, &ImportOptions::strict()).unwrap();
+        drop(engine);
+
+        let check_reopened = |what: &str| {
+            let mut engine = ShardEngine::open(&state, config).unwrap();
+            let recovery = engine.recovery();
+            assert!(recovery.is_clean(), "{what}, shards={shards}: {recovery:?}");
+            assert_eq!(recovery.rows_replayed, rows.len() as u64, "{what}, shards={shards}");
+            assert_eq!(recovery.snapshots_applied, snapshots.len() * shards);
+            assert_eq!(engine.store().rows_imported(), plain.rows_imported());
+            assert_eq!(engine.publish(1).clusters(), twin.clusters(), "{what}, shards={shards}");
+            for (ncid, _) in twin.clusters() {
+                let (got, want) = (engine.store().cluster_doc(ncid).unwrap(), plain.cluster_doc(ncid).unwrap());
+                for part in ["ncid", "records", "meta"] {
+                    assert_eq!(got.get(part), want.get(part), "{what}, shards={shards}: {ncid} {part}");
+                }
+            }
+            // The reopened engine goes on as the dropped one would have.
+            let outcome = engine.ingest_archive(&archive, &ImportOptions::strict()).unwrap();
+            assert_eq!((outcome.resumed, outcome.stats.len()), (snapshots.len(), 0));
+        };
+        check_reopened("decisions logged");
+        let (full, short) = rewrite_logs_with_full_rows(&state, shards, &rows);
+        assert_eq!((full, short), (rows.len() - dropped, dropped), "shards={shards}");
+        check_reopened("every row logged in full");
+        assert_eq!(rewrite_logs_with_full_rows(&state, shards, &rows), (rows.len(), 0));
+
+        let _ = std::fs::remove_dir_all(&state);
+    }
+    let _ = std::fs::remove_dir_all(&archive);
+}

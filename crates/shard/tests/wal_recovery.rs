@@ -13,6 +13,7 @@ use common::{archive_prefix, fingerprint, tmp_dir, write_archive, Fingerprint, S
 use nc_core::record::DedupPolicy;
 use nc_core::tsv::{ImportOptions, TsvError};
 use nc_docstore::faults::{inject, Fault};
+use nc_docstore::persist::{frame_line, read_framed};
 use nc_shard::{ShardEngine, ShardEngineConfig};
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
@@ -309,6 +310,150 @@ fn parameter_drift_is_a_hard_error() {
     let engine = ShardEngine::open(&state, config(3)).unwrap();
     assert!(engine.recovery().is_clean());
 
+    fs::remove_dir_all(state).unwrap();
+    fs::remove_dir_all(archive).unwrap();
+}
+
+/// The record bodies of a cleanly written log or manifest file.
+fn read_bodies(path: &Path) -> Vec<String> {
+    let text = fs::read_to_string(path).unwrap();
+    text.lines()
+        .map(|line| read_framed(line).expect("cleanly written").to_owned())
+        .collect()
+}
+
+/// Write record bodies back, each under a valid frame: the damage the
+/// tests below do is to what the records *say*, which no CRC catches.
+fn write_bodies(path: &Path, bodies: &[String]) {
+    let text: String = bodies.iter().map(|body| frame_line(body) + "\n").collect();
+    fs::write(path, text).unwrap();
+}
+
+/// Bytes of the manifest (if there is one) and every log segment under
+/// `state`.
+fn state_bytes(state: &Path, shards: usize) -> u64 {
+    let mut files = vec![state.join("manifest.tsv")];
+    for shard in 0..shards {
+        files.extend(fs::read_dir(state.join(format!("shard-{shard}"))).unwrap().map(|e| e.unwrap().path()));
+    }
+    files.iter().map(|path| fs::metadata(path).map_or(0, |meta| meta.len())).sum()
+}
+
+/// What every test below requires of a state that cannot be replayed
+/// as the manifest promises: nothing of it is in memory or on disk, the
+/// loss is reported to the row and to the byte, and a re-ingest
+/// reproduces the uninterrupted run.
+fn assert_discarded_whole(
+    state: &Path,
+    archive: &Path,
+    shards: usize,
+    reference: &Fingerprint,
+    rows_discarded: u64,
+    detail: &str,
+) {
+    let bytes = state_bytes(state, shards);
+    let mut recovered = ShardEngine::open(state, config(shards)).unwrap();
+    let reason = recovered.discarded().expect("the state is discarded, not partially replayed");
+    assert!(reason.contains("shard-0") && reason.contains("manifest promises"), "{reason}");
+    assert_eq!(recovered.store().rows_imported(), 0, "nothing stays applied");
+    assert_eq!(recovered.store().cluster_count(), 0);
+    assert!(recovered.completed().is_empty());
+    let recovery = recovered.recovery().clone();
+    assert_eq!(recovery.rows_discarded, rows_discarded, "{:?}", recovery.details);
+    assert_eq!(recovery.bytes_discarded, bytes, "every byte of the state is accounted for");
+    assert!(recovery.details.iter().any(|d| d.contains(detail)), "{:?}", recovery.details);
+    assert_eq!(state_bytes(state, shards), 0, "logs are empty, the manifest is gone");
+
+    let outcome = recovered.ingest_archive(archive, &ImportOptions::strict()).unwrap();
+    assert_eq!((outcome.resumed, outcome.stats.len()), (0, SNAPSHOTS));
+    assert_eq!(&fingerprint(&recovered), reference);
+    drop(recovered);
+    let reopened = ShardEngine::open(state, config(shards)).unwrap();
+    assert!(reopened.recovery().is_clean());
+    assert_eq!(&fingerprint(&reopened), reference);
+}
+
+/// A `D` record is a decision about the store its writer saw. One that
+/// names a record index the cluster does not have, or a cluster the
+/// store does not have, was not written against this log's prefix —
+/// under a valid CRC, so only replay can tell — and is handled like any
+/// other record that cannot be honoured.
+#[test]
+fn a_duplicate_record_naming_no_stored_record_discards_the_state() {
+    let archive = tmp_dir("archive_bad_duplicate");
+    write_archive(&archive, 907, 120);
+    let shards = 3;
+    let reference = reference_run(&archive, shards, "bad_duplicate");
+    // What the record names instead: (ncid, record), `None` = as logged.
+    let damages = [("index", None, Some("9999")), ("ncid", Some("NO-SUCH-VOTER"), None)];
+    for (name, ncid, record) in damages {
+        let state = tmp_dir(&format!("state_bad_duplicate_{name}"));
+        let mut engine = ShardEngine::open(&state, common::config(shards, 4 << 20)).unwrap();
+        engine.ingest_archive(&archive, &ImportOptions::strict()).unwrap();
+        drop(engine);
+
+        // Rewrite the fifth `D` record of shard 0's second snapshot.
+        let log = state.join("shard-0").join("wal-000000.log");
+        let mut bodies = read_bodies(&log);
+        let begins: Vec<usize> =
+            (0..bodies.len()).filter(|&i| bodies[i].starts_with("B\t")).collect();
+        let second = begins[1];
+        let target = (second..begins[2])
+            .filter(|&i| bodies[i].starts_with("D\t"))
+            .nth(4)
+            .expect("the second snapshot mostly repeats the first");
+        let fields: Vec<&str> = bodies[target].split('\t').collect();
+        assert_eq!(fields.len(), 4, "D, seq, ncid, record");
+        let (ncid, record) = (ncid.unwrap_or(fields[2]), record.unwrap_or(fields[3]));
+        bodies[target] = format!("D\t{}\t{ncid}\t{record}", fields[1]);
+        write_bodies(&log, &bodies);
+
+        // The rows of the snapshot read up to and including that record.
+        let read = (target - second) as u64;
+        assert_discarded_whole(&state, &archive, shards, &reference, read, "names no stored record");
+        fs::remove_dir_all(state).unwrap();
+    }
+    fs::remove_dir_all(archive).unwrap();
+}
+
+/// Replay is prefix-exact: a logged snapshot the manifest does not list
+/// *next* ends the replay, even when the manifest lists the snapshots
+/// after it — their `D` records were decided on a store that held the
+/// passed-over snapshot too.
+#[test]
+fn a_snapshot_missing_from_the_middle_of_the_manifest_discards_the_state() {
+    let archive = tmp_dir("archive_middle");
+    write_archive(&archive, 908, 120);
+    let shards = 3;
+    let reference = reference_run(&archive, shards, "middle");
+    let state = tmp_dir("state_middle");
+    let mut engine = ShardEngine::open(&state, config(shards)).unwrap();
+    engine.ingest_archive(&archive, &ImportOptions::strict()).unwrap();
+    drop(engine);
+
+    // Drop the second snapshot's line from the manifest: header, Q, S S S.
+    let manifest = state.join("manifest.tsv");
+    let mut lines = read_bodies(&manifest);
+    assert_eq!(lines.len(), 2 + SNAPSHOTS);
+    let dropped = lines.remove(3);
+    write_bodies(&manifest, &lines);
+
+    // Shard 0's second and third snapshots are both lost, whole.
+    let date = dropped.split('\t').nth(1).unwrap().to_owned();
+    let mut lost = 0;
+    let mut past = false;
+    for entry in fs::read_dir(state.join("shard-0")).unwrap() {
+        for body in read_bodies(&entry.unwrap().path()) {
+            if let Some(rest) = body.strip_prefix("C\t") {
+                let (committed, rows) = rest.split_once('\t').unwrap();
+                past |= committed == date;
+                if past || committed > date.as_str() {
+                    lost += rows.parse::<u64>().unwrap();
+                }
+            }
+        }
+    }
+    assert_discarded_whole(&state, &archive, shards, &reference, lost, "not after this log's prefix");
     fs::remove_dir_all(state).unwrap();
     fs::remove_dir_all(archive).unwrap();
 }

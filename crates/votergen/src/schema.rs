@@ -214,6 +214,39 @@ impl Row {
         self.line.replace_range(span, value);
     }
 
+    /// Trim every value (`str::trim`) in place: the line is compacted
+    /// within its own allocation, and a row with nothing to trim is
+    /// left untouched.
+    pub fn trim_values(&mut self) {
+        // Where each trimmed value sits in the line as it is now.
+        let spans: [(usize, usize); NUM_ATTRS] = std::array::from_fn(|id| {
+            let value = self.get(id);
+            let rest = value.trim_start();
+            let from = self.starts[id] as usize + value.len() - rest.len();
+            (from, rest.trim_end().len())
+        });
+        let trimmed: usize = spans.iter().map(|&(_, len)| len).sum();
+        if trimmed + NUM_ATTRS - 1 == self.line.len() {
+            return;
+        }
+        let mut bytes = std::mem::take(&mut self.line).into_bytes();
+        let mut at = 0;
+        for (id, &(from, len)) in spans.iter().enumerate() {
+            if id > 0 {
+                bytes[at] = b'\t';
+                at += 1;
+            }
+            self.starts[id] = at as u32;
+            // Values only move towards the front, so no source is
+            // overwritten before it is read.
+            bytes.copy_within(from..from + len, at);
+            at += len;
+        }
+        bytes.truncate(at);
+        self.starts[NUM_ATTRS] = at as u32 + 1;
+        self.line = String::from_utf8(bytes).expect("whole values of a valid line");
+    }
+
     /// The row's NCID.
     pub fn ncid(&self) -> &str {
         self.get(NCID)
@@ -344,6 +377,29 @@ mod tests {
         assert_eq!(r.get(LAST_NAME), "SMITH");
         assert_eq!(r.ncid(), "AA1");
         assert_eq!(r.get(FIRST_NAME), "");
+    }
+
+    #[test]
+    fn trim_values_equals_trimming_each_value() {
+        let mut r = Row::empty();
+        r.set(NCID, "  AA1");
+        r.set(LAST_NAME, " O'NEIL \u{a0}");
+        r.set(FIRST_NAME, "   ");
+        r.set(AGE, "\u{2003}ÅSA\u{2003}");
+        r.set(CANCELLATION_DT, "2011-01-01 \n");
+        let expected: Vec<String> = r.values().map(|v| v.trim().to_owned()).collect();
+        let before = r.as_tsv().as_ptr();
+        r.trim_values();
+        assert_eq!(r.values().collect::<Vec<_>>(), expected);
+        assert_eq!(Row::from_tsv(r.as_tsv()).unwrap(), r, "offsets follow the compacted line");
+        assert_eq!(r.as_tsv().as_ptr(), before, "compacted within its allocation");
+        // Nothing left to trim: untouched.
+        let line = r.to_tsv();
+        r.trim_values();
+        assert_eq!(r.as_tsv(), line);
+        let mut empty = Row::empty();
+        empty.trim_values();
+        assert_eq!(empty, Row::empty());
     }
 
     #[test]
