@@ -1,8 +1,8 @@
 //! Design-choice ablations called out in DESIGN.md:
 //!
 //! 1. **Blocking**: multi-pass Sorted Neighborhood (window sweep) vs
-//!    standard blocking vs full pairwise — pair completeness and
-//!    reduction ratio.
+//!    standard blocking vs q-gram blocking vs full pairwise — pair
+//!    completeness and reduction ratio.
 //! 2. **Plausibility weighting**: the paper's name-heavy weights (0.5 /
 //!    0.15…) vs uniform weighting — separation between sound and
 //!    unsound clusters.
@@ -17,8 +17,10 @@ use nc_core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::record::DedupPolicy;
 use nc_datasets::census;
-use nc_detect::blocking::{blocking_quality, Blocker, FullPairwise, SortedNeighborhood, StandardBlocking};
-use nc_detect::qgram_blocking::QGramBlocking;
+use nc_detect::blocking::{
+    blocking_quality, FullPairwise, SortedNeighborhood, StandardBlocking, StreamBlocker,
+};
+use nc_detect::index::IndexedQGramBlocker;
 use nc_similarity::damerau::DamerauLevenshtein;
 use nc_similarity::gen_jaccard::GeneralizedJaccard;
 use nc_similarity::monge_elkan::MongeElkan;
@@ -124,9 +126,8 @@ fn blocking_rows(seed: u64) -> Vec<BlockingRow> {
     let keys = data.top_entropy_attrs(5);
     let mut rows = Vec::new();
 
-    let mut push = |label: String, blocker: &dyn Blocker| {
-        let c = blocker.candidates(&data);
-        let q = blocking_quality(&data, &c);
+    let mut push = |label: String, blocker: &dyn StreamBlocker| {
+        let q = blocking_quality(&data, blocker);
         rows.push(BlockingRow {
             config: label,
             candidates: q.candidates,
@@ -137,7 +138,7 @@ fn blocking_rows(seed: u64) -> Vec<BlockingRow> {
 
     push("full pairwise".into(), &FullPairwise);
     push("standard blocking (last_name)".into(), &StandardBlocking { key: 0 });
-    push("q-gram blocking (last_name)".into(), &QGramBlocking::trigrams(0));
+    push("q-gram blocking (last_name)".into(), &IndexedQGramBlocker::trigrams(0));
     for window in [5, 10, 20, 40] {
         push(
             format!("SNM multi-pass w={window}"),

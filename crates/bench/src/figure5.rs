@@ -9,7 +9,7 @@ use nc_core::heterogeneity::Scope;
 use nc_datasets::{cddb, census, cora};
 use nc_detect::blocking::SortedNeighborhood;
 use nc_detect::dataset::Dataset;
-use nc_detect::eval::{linspace, score_candidates, threshold_sweep};
+use nc_detect::eval::{linspace, score_candidates_streaming, threshold_sweep};
 use nc_detect::matcher::{MeasureKind, RecordMatcher};
 
 use crate::context::NcContext;
@@ -96,7 +96,7 @@ pub fn panel(label: &str, data: &Dataset, name_group: Vec<usize>) -> Panel {
         .iter()
         .map(|&kind| {
             let matcher = RecordMatcher::with_kind(kind, weights.clone(), name_group.clone());
-            let scored = score_candidates(data, &blocker, &matcher);
+            let scored = score_candidates_streaming(data, &blocker, &matcher);
             let sweep = threshold_sweep(&scored, &gold, &thresholds);
             let f1: Vec<f64> = sweep.iter().map(|p| p.prf.f1).collect();
             let (best_idx, best_f1) = f1

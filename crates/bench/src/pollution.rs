@@ -13,7 +13,7 @@ use nc_core::customize::{customize, CustomizeParams};
 use nc_core::heterogeneity::Scope;
 use nc_core::pollute::{pollute, PollutionConfig, PollutionStats};
 use nc_detect::blocking::SortedNeighborhood;
-use nc_detect::eval::{best_f1, linspace, score_candidates, threshold_sweep};
+use nc_detect::eval::{best_f1, linspace, score_candidates_streaming, threshold_sweep};
 use nc_detect::matcher::{MeasureKind, RecordMatcher};
 use nc_votergen::config::ErrorRates;
 
@@ -108,7 +108,7 @@ pub fn run(ctx: &NcContext, sizes: &NcBandSizes, seed: u64) -> Pollution {
             .map(|&kind| {
                 let matcher =
                     RecordMatcher::with_kind(kind, weights.clone(), name_group.clone());
-                let scored = score_candidates(&data, &blocker, &matcher);
+                let scored = score_candidates_streaming(&data, &blocker, &matcher);
                 best_f1(&threshold_sweep(&scored, &gold, &thresholds))
                     .map(|p| p.prf.f1)
                     .unwrap_or(0.0)

@@ -6,17 +6,15 @@
 //! blocking and full pairwise enumeration are provided as baselines for
 //! the blocking ablation.
 //!
-//! Blockers implement the streaming [`StreamBlocker`] trait and push
-//! candidate pairs into a [`CandidateSink`](crate::sink::CandidateSink)
-//! as they are found; the original [`Blocker`] trait survives as a
-//! blanket compatibility shim that collects the stream into a
-//! `HashSet<Pair>`. The indexed strategies live in [`crate::index`].
+//! Every blocker implements [`StreamBlocker`] and pushes candidate
+//! pairs into a [`CandidateSink`] as they are found; nothing
+//! materializes a candidate set unless the sink does. The indexed
+//! strategies live in [`crate::index`].
 
-use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::collections::HashMap;
 
 use crate::dataset::{Dataset, Pair};
-use crate::sink::CandidateSink;
+use crate::sink::{CandidateSink, PairCollector, QualitySink};
 
 /// A streaming blocking strategy: candidate pairs are pushed into the
 /// sink as they are discovered, never materialized by the blocker.
@@ -33,58 +31,6 @@ pub trait StreamBlocker {
         false
     }
 }
-
-/// A blocking strategy produces the candidate pair set.
-///
-/// Compatibility shim: every [`StreamBlocker`] is a `Blocker` via a
-/// blanket impl that collects the stream into a set. Prefer streaming
-/// through [`StreamBlocker::stream_into`] — at archive scale the set
-/// materialization is the dominant cost.
-pub trait Blocker {
-    /// Candidate pairs for a dataset.
-    fn candidates(&self, data: &Dataset) -> HashSet<Pair>;
-}
-
-impl<B: StreamBlocker> Blocker for B {
-    fn candidates(&self, data: &Dataset) -> HashSet<Pair> {
-        let mut out = HashSet::new();
-        self.stream_into(data, &mut out);
-        out
-    }
-}
-
-/// A blocking configuration that cannot produce meaningful candidates.
-///
-/// Detection runs over archive-scale datasets take hours; aborting one
-/// on a bad window via `assert!` (the historical behavior) is not
-/// acceptable. Validating constructors return this error instead, and
-/// the streaming path documents its clamping fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockingConfigError {
-    /// A Sorted-Neighborhood window below 2 cannot cover a pair.
-    WindowTooSmall {
-        /// The rejected window.
-        window: usize,
-    },
-    /// A pass list with no key attributes blocks nothing.
-    NoKeys,
-    /// A gram size of zero is meaningless.
-    ZeroGramSize,
-}
-
-impl fmt::Display for BlockingConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BlockingConfigError::WindowTooSmall { window } => {
-                write!(f, "sorted-neighborhood window {window} cannot cover two records (needs >= 2)")
-            }
-            BlockingConfigError::NoKeys => write!(f, "blocking needs at least one key attribute"),
-            BlockingConfigError::ZeroGramSize => write!(f, "gram size must be at least 1"),
-        }
-    }
-}
-
-impl std::error::Error for BlockingConfigError {}
 
 /// All `C(n, 2)` pairs — exact but quadratic.
 #[derive(Debug, Clone, Copy, Default)]
@@ -144,25 +90,11 @@ pub struct SortedNeighborhood {
     /// Key attribute indices, one pass per key.
     pub keys: Vec<usize>,
     /// Window size (the paper uses 20). Windows below 2 cannot cover a
-    /// pair and are clamped to 2 when streaming; use
-    /// [`SortedNeighborhood::new`] to reject them up front.
+    /// pair and are clamped to 2 when streaming.
     pub window: usize,
 }
 
 impl SortedNeighborhood {
-    /// A validated configuration: rejects windows that cannot cover a
-    /// pair and empty key lists instead of surprising a long detection
-    /// run later.
-    pub fn new(keys: Vec<usize>, window: usize) -> Result<Self, BlockingConfigError> {
-        if window < 2 {
-            return Err(BlockingConfigError::WindowTooSmall { window });
-        }
-        if keys.is_empty() {
-            return Err(BlockingConfigError::NoKeys);
-        }
-        Ok(SortedNeighborhood { keys, window })
-    }
-
     /// The paper's configuration: one pass per given key, window 20.
     pub fn multi_pass(keys: Vec<usize>) -> Self {
         SortedNeighborhood { keys, window: 20 }
@@ -211,58 +143,33 @@ pub struct BlockingQuality {
     pub candidates: usize,
 }
 
-/// Evaluate a candidate set against a dataset's gold standard.
-pub fn blocking_quality(data: &Dataset, candidates: &HashSet<Pair>) -> BlockingQuality {
+/// Measure a blocker against a dataset's gold standard in one
+/// streaming pass. Candidates are always counted once each: a blocker
+/// that [`emits_distinct`](StreamBlocker::emits_distinct) streams
+/// straight into a [`QualitySink`], any other goes through a
+/// [`PairCollector`] first.
+pub fn blocking_quality(data: &Dataset, blocker: &dyn StreamBlocker) -> BlockingQuality {
     let n = data.len() as u64;
     let all_pairs = n * n.saturating_sub(1) / 2;
     let gold = data.gold_pairs();
-    let found = gold.iter().filter(|p| candidates.contains(p)).count();
-    BlockingQuality {
-        reduction_ratio: if all_pairs == 0 {
-            0.0
-        } else {
-            1.0 - candidates.len() as f64 / all_pairs as f64
-        },
-        pair_completeness: if gold.is_empty() {
-            1.0
-        } else {
-            found as f64 / gold.len() as f64
-        },
-        candidates: candidates.len(),
-    }
-}
-
-/// Streaming twin of [`blocking_quality`]: measures candidate volume
-/// and pair completeness without materializing the candidate set. The
-/// distinct count is taken through a [`crate::sink::PairCollector`]
-/// when `distinct` is requested, otherwise the emitted (with
-/// multiplicity) count is reported.
-pub fn streaming_quality(data: &Dataset, blocker: &dyn StreamBlocker, distinct: bool) -> BlockingQuality {
-    let gold = data.gold_pairs();
-    let n = data.len() as u64;
-    let all_pairs = n * n.saturating_sub(1) / 2;
-    let (candidates, found) = if distinct && !blocker.emits_distinct() {
-        let mut collector = crate::sink::PairCollector::new();
-        blocker.stream_into(data, &mut collector);
-        let pairs = collector.finish();
-        let found = gold.iter().filter(|p| pairs.binary_search(p).is_ok()).count();
-        (pairs.len(), found)
+    let mut quality = QualitySink::new(&gold);
+    if blocker.emits_distinct() {
+        blocker.stream_into(data, &mut quality);
     } else {
-        let mut sink = crate::sink::QualitySink::new(&gold);
-        blocker.stream_into(data, &mut sink);
-        (sink.emitted as usize, sink.gold_hits())
-    };
+        let mut collector = PairCollector::new();
+        blocker.stream_into(data, &mut collector);
+        for pair in collector.into_pairs() {
+            quality.push(pair);
+        }
+    }
+    let candidates = quality.emitted as usize;
     BlockingQuality {
         reduction_ratio: if all_pairs == 0 {
             0.0
         } else {
             1.0 - candidates as f64 / all_pairs as f64
         },
-        pair_completeness: if gold.is_empty() {
-            1.0
-        } else {
-            found as f64 / gold.len() as f64
-        },
+        pair_completeness: quality.completeness(),
         candidates,
     }
 }
@@ -270,6 +177,7 @@ pub fn streaming_quality(data: &Dataset, blocker: &dyn StreamBlocker, distinct: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn data() -> Dataset {
         let mut d = Dataset::new(vec!["last".into(), "zip".into()]);
@@ -282,12 +190,19 @@ mod tests {
         d
     }
 
+    /// The distinct candidates of a blocker.
+    fn candidates(blocker: &dyn StreamBlocker, d: &Dataset) -> HashSet<Pair> {
+        let mut collector = PairCollector::new();
+        blocker.stream_into(d, &mut collector);
+        collector.into_pairs().collect()
+    }
+
     #[test]
     fn full_pairwise_enumerates_everything() {
         let d = data();
-        let c = FullPairwise.candidates(&d);
-        assert_eq!(c.len(), 15);
-        let q = blocking_quality(&d, &c);
+        assert_eq!(candidates(&FullPairwise, &d).len(), 15);
+        let q = blocking_quality(&d, &FullPairwise);
+        assert_eq!(q.candidates, 15);
         assert_eq!(q.pair_completeness, 1.0);
         assert_eq!(q.reduction_ratio, 0.0);
     }
@@ -295,10 +210,9 @@ mod tests {
     #[test]
     fn standard_blocking_groups_equal_keys() {
         let d = data();
-        let c = StandardBlocking { key: 0 }.candidates(&d);
+        let q = blocking_quality(&d, &StandardBlocking { key: 0 });
         // SMITH block: 1 pair; JONES block: 1 pair.
-        assert_eq!(c.len(), 2);
-        let q = blocking_quality(&d, &c);
+        assert_eq!(q.candidates, 2);
         // The SMYTH typo escapes its block → one gold pair lost… in fact
         // two (SMYTH pairs with both SMITHs).
         assert!(q.pair_completeness < 1.0);
@@ -308,8 +222,7 @@ mod tests {
     #[test]
     fn snm_window_catches_near_sorted_neighbors() {
         let d = data();
-        let snm = SortedNeighborhood { keys: vec![0], window: 3 };
-        let c = snm.candidates(&d);
+        let c = candidates(&SortedNeighborhood { keys: vec![0], window: 3 }, &d);
         // Sorted by last name, SMITH/SMITH/SMYTH are adjacent.
         assert!(c.contains(&Pair(0, 1)));
         assert!(c.contains(&Pair(0, 2)) || c.contains(&Pair(1, 2)));
@@ -318,24 +231,22 @@ mod tests {
     #[test]
     fn snm_multi_pass_unions_passes() {
         let d = data();
-        let single = SortedNeighborhood { keys: vec![0], window: 2 }.candidates(&d);
-        let multi = SortedNeighborhood { keys: vec![0, 1], window: 2 }.candidates(&d);
-        assert!(multi.len() >= single.len());
-        assert!(single.iter().all(|p| multi.contains(p)));
+        let single = candidates(&SortedNeighborhood { keys: vec![0], window: 2 }, &d);
+        let multi = candidates(&SortedNeighborhood { keys: vec![0, 1], window: 2 }, &d);
+        assert!(single.is_subset(&multi));
     }
 
     #[test]
     fn snm_full_window_equals_full_pairwise() {
         let d = data();
-        let c = SortedNeighborhood { keys: vec![0], window: d.len() }.candidates(&d);
+        let c = candidates(&SortedNeighborhood { keys: vec![0], window: d.len() }, &d);
         assert_eq!(c.len(), 15);
     }
 
     #[test]
     fn paper_configuration_loses_no_gold_pair_here() {
         let d = data();
-        let c = SortedNeighborhood::multi_pass(vec![0, 1]).candidates(&d);
-        let q = blocking_quality(&d, &c);
+        let q = blocking_quality(&d, &SortedNeighborhood::multi_pass(vec![0, 1]));
         assert_eq!(q.pair_completeness, 1.0);
     }
 
@@ -344,50 +255,36 @@ mod tests {
         // Regression for the old `assert!(window >= 2)` abort: a bad
         // window now clamps to the smallest pair-covering window.
         let d = data();
-        let degenerate = SortedNeighborhood { keys: vec![0], window: 1 }.candidates(&d);
-        let clamped = SortedNeighborhood { keys: vec![0], window: 2 }.candidates(&d);
+        let degenerate = candidates(&SortedNeighborhood { keys: vec![0], window: 1 }, &d);
+        let clamped = candidates(&SortedNeighborhood { keys: vec![0], window: 2 }, &d);
         assert_eq!(degenerate, clamped);
         assert_eq!(SortedNeighborhood { keys: vec![0], window: 0 }.effective_window(), 2);
     }
 
     #[test]
-    fn validating_constructor_rejects_bad_configs() {
-        assert_eq!(
-            SortedNeighborhood::new(vec![0], 1).unwrap_err(),
-            BlockingConfigError::WindowTooSmall { window: 1 }
-        );
-        assert_eq!(
-            SortedNeighborhood::new(vec![], 5).unwrap_err(),
-            BlockingConfigError::NoKeys
-        );
-        let ok = SortedNeighborhood::new(vec![0, 1], 5).unwrap();
-        assert_eq!(ok.window, 5);
-        // The error is a real std error with a readable message.
-        let msg = BlockingConfigError::WindowTooSmall { window: 1 }.to_string();
-        assert!(msg.contains("window 1"), "{msg}");
-        let _: &dyn std::error::Error = &BlockingConfigError::NoKeys;
-    }
-
-    #[test]
     fn empty_dataset_yields_no_candidates() {
         let d = Dataset::new(vec!["a".into()]);
-        assert!(FullPairwise.candidates(&d).is_empty());
-        assert!(StandardBlocking { key: 0 }.candidates(&d).is_empty());
-        assert!(SortedNeighborhood { keys: vec![0], window: 5 }
-            .candidates(&d)
-            .is_empty());
+        let snm = SortedNeighborhood { keys: vec![0], window: 5 };
+        for blocker in [&FullPairwise as &dyn StreamBlocker, &StandardBlocking { key: 0 }, &snm] {
+            assert!(candidates(blocker, &d).is_empty());
+            let q = blocking_quality(&d, blocker);
+            assert_eq!((q.candidates, q.reduction_ratio, q.pair_completeness), (0, 0.0, 1.0));
+        }
     }
 
     #[test]
-    fn streaming_quality_agrees_with_materialized_quality() {
+    fn quality_counts_each_candidate_once() {
+        // Two passes over a full window emit every pair twice; counting
+        // emissions would report 2·C(6, 2) = 30 candidates and a
+        // reduction ratio of −1.
         let d = data();
-        let snm = SortedNeighborhood { keys: vec![0, 1], window: 3 };
-        let materialized = blocking_quality(&d, &snm.candidates(&d));
-        let streamed = streaming_quality(&d, &snm, true);
-        assert_eq!(materialized, streamed);
-        // Non-distinct accounting can only report more candidates.
-        let emitted = streaming_quality(&d, &snm, false);
-        assert!(emitted.candidates >= streamed.candidates);
-        assert_eq!(emitted.pair_completeness, streamed.pair_completeness);
+        let snm = SortedNeighborhood { keys: vec![0, 1], window: d.len() };
+        let mut emitted = Vec::new();
+        snm.stream_into(&d, &mut emitted);
+        assert_eq!(emitted.len(), 30);
+        let q = blocking_quality(&d, &snm);
+        assert_eq!(q.candidates, 15);
+        assert_eq!(q.reduction_ratio, 0.0);
+        assert_eq!(q, blocking_quality(&d, &FullPairwise));
     }
 }

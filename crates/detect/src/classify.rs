@@ -1,4 +1,4 @@
-//! Classification: thresholding scored pairs and transitive closure.
+//! Classification: thresholding scored pairs.
 
 use std::collections::HashSet;
 
@@ -22,98 +22,6 @@ pub fn classify(scored: &[ScoredPair], threshold: f64) -> HashSet<Pair> {
         .collect()
 }
 
-/// Union-find over record indices.
-#[derive(Debug, Clone)]
-pub struct UnionFind {
-    parent: Vec<usize>,
-    rank: Vec<u8>,
-}
-
-impl UnionFind {
-    /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-            rank: vec![0; n],
-        }
-    }
-
-    /// Find with path compression.
-    pub fn find(&mut self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
-        }
-        let mut cur = x;
-        while self.parent[cur] != root {
-            let next = self.parent[cur];
-            self.parent[cur] = root;
-            cur = next;
-        }
-        root
-    }
-
-    /// Union by rank; returns `true` when two sets merged.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        match self.rank[ra].cmp(&self.rank[rb]) {
-            std::cmp::Ordering::Less => self.parent[ra] = rb,
-            std::cmp::Ordering::Greater => self.parent[rb] = ra,
-            std::cmp::Ordering::Equal => {
-                self.parent[rb] = ra;
-                self.rank[ra] += 1;
-            }
-        }
-        true
-    }
-}
-
-/// Transitive closure: expand a duplicate-pair decision into clusters
-/// and return the full pair set implied by them.
-pub fn transitive_closure(n: usize, pairs: &HashSet<Pair>) -> HashSet<Pair> {
-    let mut uf = UnionFind::new(n);
-    for p in pairs {
-        uf.union(p.0, p.1);
-    }
-    let mut members: std::collections::HashMap<usize, Vec<usize>> =
-        std::collections::HashMap::new();
-    for i in 0..n {
-        members.entry(uf.find(i)).or_default().push(i);
-    }
-    let mut out = HashSet::new();
-    for group in members.values() {
-        for i in 0..group.len() {
-            for j in (i + 1)..group.len() {
-                out.insert(Pair::new(group[i], group[j]));
-            }
-        }
-    }
-    out
-}
-
-/// Predicted clusters (as sorted member lists) from a duplicate-pair
-/// decision.
-pub fn clusters_from_pairs(n: usize, pairs: &HashSet<Pair>) -> Vec<Vec<usize>> {
-    let mut uf = UnionFind::new(n);
-    for p in pairs {
-        uf.union(p.0, p.1);
-    }
-    let mut members: std::collections::HashMap<usize, Vec<usize>> =
-        std::collections::HashMap::new();
-    for i in 0..n {
-        members.entry(uf.find(i)).or_default().push(i);
-    }
-    let mut out: Vec<Vec<usize>> = members.into_values().collect();
-    for g in &mut out {
-        g.sort_unstable();
-    }
-    out.sort();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,40 +43,8 @@ mod tests {
     }
 
     #[test]
-    fn union_find_basics() {
-        let mut uf = UnionFind::new(5);
-        assert!(uf.union(0, 1));
-        assert!(uf.union(1, 2));
-        assert!(!uf.union(0, 2));
-        assert_eq!(uf.find(0), uf.find(2));
-        assert_ne!(uf.find(0), uf.find(3));
-    }
-
-    #[test]
-    fn closure_completes_triangles() {
-        let pairs: HashSet<Pair> = [Pair(0, 1), Pair(1, 2)].into();
-        let closed = transitive_closure(4, &pairs);
-        assert!(closed.contains(&Pair(0, 2)));
-        assert_eq!(closed.len(), 3);
-    }
-
-    #[test]
-    fn closure_of_closed_set_is_identity() {
-        let pairs: HashSet<Pair> = [Pair(0, 1), Pair(1, 2), Pair(0, 2)].into();
-        assert_eq!(transitive_closure(3, &pairs), pairs);
-    }
-
-    #[test]
-    fn clusters_from_pairs_partition() {
-        let pairs: HashSet<Pair> = [Pair(0, 1), Pair(2, 3), Pair(3, 4)].into();
-        let clusters = clusters_from_pairs(6, &pairs);
-        assert_eq!(clusters, vec![vec![0, 1], vec![2, 3, 4], vec![5]]);
-    }
-
-    #[test]
     fn empty_inputs() {
         assert!(classify(&[], 0.5).is_empty());
-        assert!(transitive_closure(0, &HashSet::new()).is_empty());
-        assert_eq!(clusters_from_pairs(2, &HashSet::new()), vec![vec![0], vec![1]]);
+        assert!(classify(&[sp(0, 1, 0.4)], 0.5).is_empty());
     }
 }

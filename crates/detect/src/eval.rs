@@ -2,11 +2,11 @@
 
 use std::collections::HashSet;
 
-use crate::blocking::{Blocker, StreamBlocker};
+use crate::blocking::StreamBlocker;
 use crate::classify::ScoredPair;
 use crate::dataset::{Dataset, Pair};
 use crate::matcher::RecordMatcher;
-use crate::sink::{CandidateSink, PairCollector};
+use crate::sink::PairCollector;
 
 /// Precision / recall / F1 of a pair decision against a gold standard.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,20 +43,24 @@ pub fn evaluate(predicted: &HashSet<Pair>, gold: &HashSet<Pair>) -> PrF {
     PrF::from_counts(tp, predicted.len(), gold.len())
 }
 
-/// Score the distinct pairs a collector holds, best score first; equal
-/// scores are ordered by pair.
+/// Score every candidate pair of a dataset with a matcher, best score
+/// first; equal scores are ordered by pair.
 ///
-/// The dataset is interned once ([`RecordMatcher::prepare`]) and every
-/// pair is scored through it; the scores are bit for bit those of
-/// [`RecordMatcher::similarity`]. The pairs are read in ascending order
-/// straight out of the collector's packed buffer: one record's
-/// candidates follow each other, so the memo rows of its values stay
-/// cached while they are scored.
-fn score_collected(
+/// The blocker streams into a [`PairCollector`], which drops the pairs
+/// a multi-pass blocker rediscovers. The dataset is interned once
+/// ([`RecordMatcher::prepare`]) and every pair is scored through it;
+/// the scores are bit for bit those of [`RecordMatcher::similarity`].
+/// The pairs are read in ascending order straight out of the
+/// collector's packed buffer: one record's candidates follow each
+/// other, so the memo rows of its values stay cached while they are
+/// scored.
+pub fn score_candidates_streaming(
     data: &Dataset,
+    blocker: &dyn StreamBlocker,
     matcher: &RecordMatcher,
-    collector: PairCollector,
 ) -> Vec<ScoredPair> {
+    let mut collector = PairCollector::new();
+    blocker.stream_into(data, &mut collector);
     let mut prepared = matcher.prepare(data);
     let mut scored: Vec<ScoredPair> = collector
         .into_pairs()
@@ -71,33 +75,6 @@ fn score_collected(
     scored
 }
 
-/// Score every candidate pair of a dataset with a matcher.
-pub fn score_candidates(
-    data: &Dataset,
-    blocker: &dyn Blocker,
-    matcher: &RecordMatcher,
-) -> Vec<ScoredPair> {
-    let mut collector = PairCollector::new();
-    for pair in blocker.candidates(data) {
-        collector.push(pair);
-    }
-    score_collected(data, matcher, collector)
-}
-
-/// [`score_candidates`] without the materialized `HashSet`: the blocker
-/// streams into the [`PairCollector`], which drops the pairs a
-/// multi-pass blocker rediscovers. The result is identical to
-/// [`score_candidates`] over the same blocker.
-pub fn score_candidates_streaming(
-    data: &Dataset,
-    blocker: &dyn StreamBlocker,
-    matcher: &RecordMatcher,
-) -> Vec<ScoredPair> {
-    let mut collector = PairCollector::new();
-    blocker.stream_into(data, &mut collector);
-    score_collected(data, matcher, collector)
-}
-
 /// One point of an F1-vs-threshold curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
@@ -110,8 +87,9 @@ pub struct SweepPoint {
 /// Sweep classification thresholds over pre-scored pairs.
 ///
 /// `scored` must be sorted by descending score (as produced by
-/// [`score_candidates`]); the sweep then costs `O(|scored| + |thresholds|
-/// log |scored|)` via cumulative true-positive counts.
+/// [`score_candidates_streaming`]); the sweep then costs
+/// `O(|scored| + |thresholds| log |scored|)` via cumulative
+/// true-positive counts.
 pub fn threshold_sweep(
     scored: &[ScoredPair],
     gold: &HashSet<Pair>,
@@ -207,7 +185,7 @@ mod tests {
     fn score_candidates_is_sorted_descending() {
         let d = toy_dataset();
         let m = RecordMatcher::with_kind(MeasureKind::JaroWinkler, vec![1.0, 1.0], vec![]);
-        let scored = score_candidates(&d, &FullPairwise, &m);
+        let scored = score_candidates_streaming(&d, &FullPairwise, &m);
         assert_eq!(scored.len(), 6);
         assert!(scored.windows(2).all(|w| w[0].score >= w[1].score));
         // The true duplicate must rank first.
@@ -218,7 +196,7 @@ mod tests {
     fn sweep_tracks_threshold_tradeoff() {
         let d = toy_dataset();
         let m = RecordMatcher::with_kind(MeasureKind::JaroWinkler, vec![1.0, 1.0], vec![]);
-        let scored = score_candidates(&d, &FullPairwise, &m);
+        let scored = score_candidates_streaming(&d, &FullPairwise, &m);
         let gold = d.gold_pairs();
         let points = threshold_sweep(&scored, &gold, &linspace(0.0, 1.0, 21));
         // At threshold 0 everything is predicted → recall 1, low precision.
@@ -237,7 +215,7 @@ mod tests {
     fn sweep_matches_naive_classification() {
         let d = toy_dataset();
         let m = RecordMatcher::with_kind(MeasureKind::TrigramJaccard, vec![1.0, 1.0], vec![]);
-        let scored = score_candidates(&d, &FullPairwise, &m);
+        let scored = score_candidates_streaming(&d, &FullPairwise, &m);
         let gold = d.gold_pairs();
         for &t in &[0.3, 0.5, 0.7, 0.9] {
             let fast = threshold_sweep(&scored, &gold, &[t])[0].prf;
@@ -249,20 +227,31 @@ mod tests {
 
     #[test]
     fn streaming_scoring_matches_materialized_scoring() {
+        // The reference materializes the distinct candidates, scores
+        // each pair on its own and sorts: what streaming must equal.
+        let materialized = |d: &Dataset, blocker: &dyn StreamBlocker, m: &RecordMatcher| {
+            let mut emitted = Vec::new();
+            blocker.stream_into(d, &mut emitted);
+            let pairs: HashSet<Pair> = emitted.into_iter().collect();
+            let mut scored: Vec<(Pair, u64)> = pairs
+                .into_iter()
+                .map(|p| (p, m.similarity(&d.records[p.0], &d.records[p.1]).to_bits()))
+                .collect();
+            scored.sort_by(|a, b| f64::from_bits(b.1).total_cmp(&f64::from_bits(a.1)).then(a.0.cmp(&b.0)));
+            scored
+        };
         let bits = |scored: &[ScoredPair]| -> Vec<(Pair, u64)> {
             scored.iter().map(|s| (s.pair, s.score.to_bits())).collect()
         };
         let d = toy_dataset();
+        let snm = crate::blocking::SortedNeighborhood { keys: vec![0, 1], window: 3 };
         for kind in MeasureKind::ALL {
             let m = RecordMatcher::with_kind(kind, vec![1.0, 1.0], vec![0, 1]);
             // Distinct emitter (FullPairwise) and a multi-pass emitter.
-            let full_set = score_candidates(&d, &FullPairwise, &m);
-            let full_stream = score_candidates_streaming(&d, &FullPairwise, &m);
-            assert_eq!(bits(&full_set), bits(&full_stream));
-            let snm = crate::blocking::SortedNeighborhood { keys: vec![0, 1], window: 3 };
-            let snm_set = score_candidates(&d, &snm, &m);
-            let snm_stream = score_candidates_streaming(&d, &snm, &m);
-            assert_eq!(bits(&snm_set), bits(&snm_stream));
+            for blocker in [&FullPairwise as &dyn StreamBlocker, &snm] {
+                let streamed = score_candidates_streaming(&d, blocker, &m);
+                assert_eq!(bits(&streamed), materialized(&d, blocker, &m));
+            }
         }
     }
 
@@ -273,7 +262,7 @@ mod tests {
         d.push(vec!["ANNA".into(), "SMITH".into()], 0);
         d.push(vec!["ANNA".into(), "SMITH".into()], 0);
         let m = RecordMatcher::with_kind(MeasureKind::JaroWinkler, vec![1.0, 2.0], vec![]);
-        let scored = score_candidates(&d, &FullPairwise, &m);
+        let scored = score_candidates_streaming(&d, &FullPairwise, &m);
         assert_eq!(
             scored[..3].iter().map(|s| s.pair).collect::<Vec<_>>(),
             [Pair(0, 4), Pair(0, 5), Pair(4, 5)]

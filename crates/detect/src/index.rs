@@ -1,5 +1,5 @@
-//! Indexed candidate generation: inverted q-gram / token indexes,
-//! phonetic buckets and a sparse gram-frequency-vector index.
+//! Indexed candidate generation: inverted q-gram / token indexes and
+//! phonetic buckets, unioned by [`CompositeBlocker`].
 //!
 //! Every blocker here follows the same shape: **build** an inverted
 //! index over normalized key values ([`TermIndex`]) in one pass, then
@@ -20,8 +20,6 @@
 //! that share *only* ubiquitous terms for candidate counts that stay
 //! sub-linear in the dataset (the fraction of grams under an absolute
 //! cap shrinks as the dataset grows).
-
-use std::collections::HashSet;
 
 use nc_similarity::soundex::soundex;
 
@@ -97,8 +95,8 @@ impl NormalizedKey {
 /// Visit every q-gram of a normalized value as a byte slice: windows of
 /// `q` characters (byte windows on the ASCII fast path), the whole
 /// value when it is shorter than `q` chars, nothing when empty.
-/// Duplicate grams are visited once per occurrence — the index
-/// collapses them into counts.
+/// Duplicate grams are visited once per occurrence — the index posts
+/// each once per record.
 pub(crate) fn for_each_gram(value: &str, q: usize, mut f: impl FnMut(&[u8])) {
     let q = q.max(1);
     if value.is_empty() {
@@ -138,8 +136,7 @@ pub(crate) fn for_each_gram(value: &str, q: usize, mut f: impl FnMut(&[u8])) {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopPolicy {
     /// Skip terms posted by more than `ceil(fraction · n)` records
-    /// (floored at 2 so a pair can always form) — the historical
-    /// `QGramBlocking::max_block_fraction` semantics. Under this policy
+    /// (floored at 2 so a pair can always form). Under this policy
     /// block capacity grows with the dataset, and so does the
     /// worst-case candidate tail (O(n²) within capped blocks).
     Fraction(f64),
@@ -234,112 +231,14 @@ where
 }
 
 // ---------------------------------------------------------------------
-// q-gram index
-// ---------------------------------------------------------------------
-
-/// A reusable q-gram inverted index over one key attribute.
-///
-/// Build once with [`QGramIndex::build`], probe many times (the
-/// blockers below build per call to stay drop-in `Blocker`s; long-lived
-/// pipelines should hold the index).
-#[derive(Debug)]
-pub struct QGramIndex {
-    index: TermIndex,
-    /// Total gram occurrences per record (multiset size).
-    totals: Vec<u32>,
-    q: usize,
-}
-
-impl QGramIndex {
-    /// Index attribute `key` of every record with grams of `q` chars.
-    pub fn build(data: &Dataset, key: usize, q: usize) -> Self {
-        assert!(data.len() <= u32::MAX as usize, "indexes address records as u32");
-        let view = NormalizedKey::build(data, key);
-        let mut index = TermIndex::new();
-        let mut totals = Vec::with_capacity(data.len());
-        for i in 0..view.len() {
-            index.open_record(i as u32);
-            let mut total = 0u32;
-            for_each_gram(view.value(i), q, |g| {
-                index.insert(g);
-                total += 1;
-            });
-            index.close_record();
-            totals.push(total);
-        }
-        QGramIndex { index, totals, q }
-    }
-
-    /// The gram size the index was built with.
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
-    /// Distinct grams indexed.
-    pub fn terms(&self) -> usize {
-        self.index.terms()
-    }
-
-    /// Records indexed.
-    pub fn records(&self) -> usize {
-        self.index.records()
-    }
-
-    /// Gram occurrences (with multiplicity) of record `i`.
-    pub fn total_grams(&self, i: usize) -> u32 {
-        self.totals[i]
-    }
-
-    /// Append the ids `j < i` sharing at least one un-capped gram with
-    /// record `i` to `out` (sorted, distinct).
-    fn neighbors_below(&self, i: usize, cap: usize, out: &mut Vec<u32>) {
-        out.clear();
-        let i32id = i as u32;
-        for (slot, _) in self.index.record_terms(i32id) {
-            if self.index.df(slot) > cap {
-                continue;
-            }
-            let p = self.index.posting(slot);
-            let below = &p[..p.partition_point(|&j| j < i32id)];
-            out.extend_from_slice(below);
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Append `(j, overlap)` for all `j < i`, where `overlap` is the
-    /// multiset gram overlap `Σ_g min(count_i(g), count_j(g))` over
-    /// un-capped grams, to `out` in ascending `j` order.
-    fn overlaps_below(&self, i: usize, cap: usize, entries: &mut Vec<(u32, u32)>, out: &mut Vec<(u32, u32)>) {
-        entries.clear();
-        out.clear();
-        let i32id = i as u32;
-        for (slot, count_i) in self.index.record_terms(i32id) {
-            if self.index.df(slot) > cap {
-                continue;
-            }
-            let p = self.index.posting(slot);
-            let c = self.index.posting_counts(slot);
-            let k = p.partition_point(|&j| j < i32id);
-            for (&j, &count_j) in p[..k].iter().zip(&c[..k]) {
-                entries.push((j, count_i.min(count_j)));
-            }
-        }
-        union_weighted(entries, |j, overlap| out.push((j, overlap)));
-    }
-}
-
-// ---------------------------------------------------------------------
 // Blockers
 // ---------------------------------------------------------------------
 
 /// Indexed q-gram blocking: two records are candidates when they share
 /// at least one gram whose document frequency is under the stop cap.
-///
-/// With `StopPolicy::Fraction` this emits exactly the candidate set of
-/// the scan-based [`crate::qgram_blocking::QGramBlocking`] (property-
-/// tested), but streams distinct pairs through the index instead of
-/// materializing blocks.
+/// Each candidate is emitted once, read off the posting lists of the
+/// record with the larger id; `tests/index_parity.rs` holds it to a
+/// naive all-pairs reference.
 #[derive(Debug, Clone)]
 pub struct IndexedQGramBlocker {
     /// Index of the blocking-key attribute.
@@ -353,7 +252,8 @@ pub struct IndexedQGramBlocker {
 }
 
 impl IndexedQGramBlocker {
-    /// Trigram blocking with the historical 5 % fraction cap.
+    /// Trigram blocking with a 5 % fraction cap (the blocking
+    /// ablation's q-gram row).
     pub fn trigrams(key: usize) -> Self {
         IndexedQGramBlocker {
             key,
@@ -372,18 +272,40 @@ impl IndexedQGramBlocker {
             threads: 1,
         }
     }
+
+    fn build(&self, data: &Dataset) -> TermIndex {
+        assert!(data.len() <= u32::MAX as usize, "indexes address records as u32");
+        let view = NormalizedKey::build(data, self.key);
+        let mut index = TermIndex::new();
+        for i in 0..view.len() {
+            index.open_record(i as u32);
+            for_each_gram(view.value(i), self.q, |g| index.insert(g));
+            index.close_record();
+        }
+        index
+    }
 }
 
 impl StreamBlocker for IndexedQGramBlocker {
     fn stream_into(&self, data: &Dataset, sink: &mut dyn CandidateSink) {
-        let ix = QGramIndex::build(data, self.key, self.q);
+        let ix = self.build(data);
         let cap = self.stop.cap(data.len());
         probe_streamed(
             data.len(),
             self.threads,
             Vec::new,
             |ids: &mut Vec<u32>, i, out| {
-                ix.neighbors_below(i, cap, ids);
+                // The ids below `i` sharing an un-capped gram, distinct.
+                let i32id = i as u32;
+                ids.clear();
+                for slot in ix.record_terms(i32id) {
+                    if ix.df(slot) <= cap {
+                        let p = ix.posting(slot);
+                        ids.extend_from_slice(&p[..p.partition_point(|&j| j < i32id)]);
+                    }
+                }
+                ids.sort_unstable();
+                ids.dedup();
                 out.extend(ids.iter().map(|&j| Pair(j as usize, i)));
             },
             sink,
@@ -470,7 +392,7 @@ impl StreamBlocker for IndexedTokenBlocker {
                 let i32id = i as u32;
                 s.slots.clear();
                 s.slots
-                    .extend(ix.record_terms(i32id).map(|(slot, _)| slot).filter(|&t| ix.df(t) <= cap));
+                    .extend(ix.record_terms(i32id).filter(|&t| ix.df(t) <= cap));
                 if s.slots.len() < min_overlap {
                     return;
                 }
@@ -561,103 +483,12 @@ impl StreamBlocker for SoundexBlocker {
             |_, i, out| {
                 let i32id = i as u32;
                 // At most one code per record — already distinct.
-                for (slot, _) in index.record_terms(i32id) {
+                for slot in index.record_terms(i32id) {
                     if index.df(slot) > cap {
                         continue;
                     }
                     let p = index.posting(slot);
                     for &j in &p[..p.partition_point(|&j| j < i32id)] {
-                        out.push(Pair(j as usize, i));
-                    }
-                }
-            },
-            sink,
-        );
-    }
-
-    fn emits_distinct(&self) -> bool {
-        true
-    }
-}
-
-/// The candidate bound of the frequency-vector index.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OverlapBound {
-    /// Candidates must share at least `ratio · min(|a|, |b|)` grams
-    /// (multiset overlap over gram counts), and at least one. A soft,
-    /// tunable bound for fuzzy lookup.
-    Ratio(f64),
-    /// The classic q-gram count filter: an (Damerau-)edit distance of
-    /// at most `k` destroys at most `k · q` grams, so candidates must
-    /// share at least `max(|a|, |b|) − k·q` grams. With
-    /// `StopPolicy::None` this never dismisses a true match within the
-    /// distance, **provided the values are long enough that `k` edits
-    /// cannot destroy every gram** (`max(|a|, |b|) − k·q ≥ 1`) — a
-    /// zero-overlap pair shares no posting list and cannot be
-    /// discovered by any index. Stop-pruning additionally trades the
-    /// guarantee for scale.
-    EditDistance(usize),
-}
-
-/// Sparse gram-frequency-vector blocking: records are multisets of
-/// q-gram counts, and a pair survives only when the count-overlap
-/// lower bound of [`OverlapBound`] holds — non-candidates are rejected
-/// from posting arithmetic alone, without a single string comparison.
-#[derive(Debug, Clone)]
-pub struct FreqVectorBlocker {
-    /// Index of the blocking-key attribute.
-    pub key: usize,
-    /// Gram size in chars.
-    pub q: usize,
-    /// The candidate bound.
-    pub bound: OverlapBound,
-    /// Stop-gram policy.
-    pub stop: StopPolicy,
-    /// Probe workers; `0` = available parallelism.
-    pub threads: usize,
-}
-
-impl FreqVectorBlocker {
-    /// Trigram count vectors admitting pairs within edit distance `k`,
-    /// stop-capped at `cap`.
-    pub fn within_edits(key: usize, k: usize, cap: usize) -> Self {
-        FreqVectorBlocker {
-            key,
-            q: 3,
-            bound: OverlapBound::EditDistance(k),
-            stop: StopPolicy::Absolute(cap),
-            threads: 1,
-        }
-    }
-
-    fn min_overlap(&self, ta: u32, tb: u32) -> u32 {
-        match self.bound {
-            OverlapBound::Ratio(r) => ((r * ta.min(tb) as f64).ceil() as u32).max(1),
-            OverlapBound::EditDistance(k) => {
-                let destroyed = (k * self.q) as u32;
-                ta.max(tb).saturating_sub(destroyed).max(1)
-            }
-        }
-    }
-}
-
-/// Reusable per-worker scratch of the frequency-vector probe: raw
-/// `(id, weight)` entries and the merged `(id, overlap)` runs.
-type OverlapScratch = (Vec<(u32, u32)>, Vec<(u32, u32)>);
-
-impl StreamBlocker for FreqVectorBlocker {
-    fn stream_into(&self, data: &Dataset, sink: &mut dyn CandidateSink) {
-        let ix = QGramIndex::build(data, self.key, self.q);
-        let cap = self.stop.cap(data.len());
-        probe_streamed(
-            data.len(),
-            self.threads,
-            || (Vec::new(), Vec::new()),
-            |(entries, overlaps): &mut OverlapScratch, i, out| {
-                ix.overlaps_below(i, cap, entries, overlaps);
-                let ti = ix.total_grams(i);
-                for &(j, overlap) in overlaps.iter() {
-                    if overlap >= self.min_overlap(ti, ix.total_grams(j as usize)) {
                         out.push(Pair(j as usize, i));
                     }
                 }
@@ -710,21 +541,20 @@ impl StreamBlocker for CompositeBlocker {
     }
 }
 
-/// Convenience: collect a streaming blocker's distinct candidates into
-/// a `HashSet<Pair>` (the compatibility path used by the blanket
-/// [`crate::blocking::Blocker`] impl).
-pub fn collect_candidates(blocker: &dyn StreamBlocker, data: &Dataset) -> HashSet<Pair> {
-    let mut set = HashSet::new();
-    blocker.stream_into(data, &mut set);
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking::{blocking_quality, Blocker};
-    use crate::qgram_blocking::QGramBlocking;
+    use std::collections::HashSet;
+
+    use crate::blocking::blocking_quality;
     use crate::sink::PairCollector;
+
+    /// The distinct candidates of a blocker.
+    fn candidates(blocker: &dyn StreamBlocker, d: &Dataset) -> HashSet<Pair> {
+        let mut collector = PairCollector::new();
+        blocker.stream_into(d, &mut collector);
+        collector.into_pairs().collect()
+    }
 
     fn typo_data() -> Dataset {
         let mut d = Dataset::new(vec!["last".into(), "city".into()]);
@@ -768,12 +598,15 @@ mod tests {
 
     #[test]
     fn indexed_qgram_matches_scan_qgram() {
+        // Scanning the five last names by hand: only the two typo
+        // pairs share a trigram, and no trigram is in more than two
+        // records (the 5 % cap floors at 2).
         let d = typo_data();
-        let scan = QGramBlocking::trigrams(0).candidates(&d);
-        let indexed = IndexedQGramBlocker::trigrams(0).candidates(&d);
-        assert_eq!(scan, indexed);
-        let q = blocking_quality(&d, &indexed);
+        let indexed = candidates(&IndexedQGramBlocker::trigrams(0), &d);
+        assert_eq!(indexed, HashSet::from([Pair(0, 1), Pair(2, 3)]));
+        let q = blocking_quality(&d, &IndexedQGramBlocker::trigrams(0));
         assert_eq!(q.pair_completeness, 1.0);
+        assert_eq!(q.candidates, 2);
     }
 
     #[test]
@@ -791,14 +624,14 @@ mod tests {
         for i in 0..50 {
             d.push(vec![format!("AAA{i:03}")], i);
         }
-        let capped = IndexedQGramBlocker::trigrams_capped(0, 4).candidates(&d);
+        let capped = candidates(&IndexedQGramBlocker::trigrams_capped(0, 4), &d);
         let uncapped = IndexedQGramBlocker {
             key: 0,
             q: 3,
             stop: StopPolicy::None,
             threads: 1,
-        }
-        .candidates(&d);
+        };
+        let uncapped = candidates(&uncapped, &d);
         assert_eq!(uncapped.len(), 50 * 49 / 2, "shared AAA joins everything");
         assert!(capped.len() < uncapped.len() / 10, "{}", capped.len());
     }
@@ -811,7 +644,7 @@ mod tests {
         d.push(vec!["JOHN DOE".into()], 1);
         d.push(vec!["JANE DOE".into()], 1);
         d.push(vec!["UNRELATED".into()], 2);
-        let one = IndexedTokenBlocker::any_token(vec![0], 64).candidates(&d);
+        let one = candidates(&IndexedTokenBlocker::any_token(vec![0], 64), &d);
         assert!(one.contains(&Pair(0, 1)));
         assert!(one.contains(&Pair(2, 3)));
         assert!(!one.iter().any(|p| p.0 == 4 || p.1 == 4));
@@ -820,8 +653,8 @@ mod tests {
             min_overlap: 2,
             stop: StopPolicy::None,
             threads: 1,
-        }
-        .candidates(&d);
+        };
+        let two = candidates(&two, &d);
         assert!(two.contains(&Pair(0, 1)), "MARY + SMITH shared");
         assert!(!two.contains(&Pair(2, 3)), "only DOE shared");
     }
@@ -842,7 +675,7 @@ mod tests {
                 stop: StopPolicy::None,
                 threads: 1,
             };
-            let mut reference = std::collections::HashSet::new();
+            let mut reference = HashSet::new();
             for i in 0..d.len() {
                 for j in 0..i {
                     let ti: HashSet<&str> = d.records[i].values[0].split_whitespace().collect();
@@ -852,7 +685,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(b.candidates(&d), reference, "min_overlap={min_overlap}");
+            assert_eq!(candidates(&b, &d), reference, "min_overlap={min_overlap}");
         }
     }
 
@@ -865,57 +698,10 @@ mod tests {
         d.push(vec!["ASHCROFT".into()], 1);
         d.push(vec!["12345".into()], 2); // no code: joins no bucket
         d.push(vec!["12345".into()], 2);
-        let c = SoundexBlocker::new(0, 64).candidates(&d);
+        let c = candidates(&SoundexBlocker::new(0, 64), &d);
         assert!(c.contains(&Pair(0, 1)));
         assert!(c.contains(&Pair(2, 3)));
         assert!(!c.iter().any(|p| p.0 >= 4 || p.1 >= 4));
-    }
-
-    #[test]
-    fn freq_vector_edit_bound_admits_true_typos() {
-        let d = typo_data();
-        // Each typo pair is within Damerau distance 1; with no stop
-        // pruning the count filter must keep every gold pair.
-        let b = FreqVectorBlocker {
-            key: 0,
-            q: 3,
-            bound: OverlapBound::EditDistance(1),
-            stop: StopPolicy::None,
-            threads: 1,
-        };
-        let q = blocking_quality(&d, &b.candidates(&d));
-        assert_eq!(q.pair_completeness, 1.0);
-    }
-
-    #[test]
-    fn freq_vector_rejects_disjoint_values_without_comparisons() {
-        let mut d = Dataset::new(vec!["v".into()]);
-        d.push(vec!["AAAAAA".into()], 0);
-        d.push(vec!["BBBBBB".into()], 1);
-        d.push(vec!["AAAAAB".into()], 0);
-        let b = FreqVectorBlocker::within_edits(0, 1, 64);
-        let c = b.candidates(&d);
-        assert!(c.contains(&Pair(0, 2)));
-        assert!(!c.contains(&Pair(0, 1)));
-        assert!(!c.contains(&Pair(1, 2)));
-    }
-
-    #[test]
-    fn freq_vector_ratio_bound_orders_by_overlap() {
-        let mut d = Dataset::new(vec!["v".into()]);
-        d.push(vec!["ABCDEFGH".into()], 0);
-        d.push(vec!["ABCDEFGX".into()], 0); // high overlap
-        d.push(vec!["ABXXXXXX".into()], 1); // low overlap with 0
-        let strict = FreqVectorBlocker {
-            key: 0,
-            q: 2,
-            bound: OverlapBound::Ratio(0.8),
-            stop: StopPolicy::None,
-            threads: 1,
-        };
-        let c = strict.candidates(&d);
-        assert!(c.contains(&Pair(0, 1)));
-        assert!(!c.contains(&Pair(0, 2)));
     }
 
     #[test]
@@ -929,8 +715,8 @@ mod tests {
         let mut collector = PairCollector::new();
         composite.stream_into(&d, &mut collector);
         let unioned: HashSet<Pair> = collector.finish().into_iter().collect();
-        let mut expected = qgram.candidates(&d);
-        expected.extend(sdx.candidates(&d));
+        let mut expected = candidates(&qgram, &d);
+        expected.extend(candidates(&sdx, &d));
         assert_eq!(unioned, expected);
     }
 
@@ -954,12 +740,12 @@ mod tests {
     #[test]
     fn empty_dataset_and_empty_values() {
         let empty = Dataset::new(vec!["v".into()]);
-        assert!(IndexedQGramBlocker::trigrams(0).candidates(&empty).is_empty());
-        assert!(SoundexBlocker::new(0, 8).candidates(&empty).is_empty());
+        assert!(candidates(&IndexedQGramBlocker::trigrams(0), &empty).is_empty());
+        assert!(candidates(&SoundexBlocker::new(0, 8), &empty).is_empty());
         let mut blanks = Dataset::new(vec!["v".into()]);
         blanks.push(vec!["".into()], 0);
         blanks.push(vec!["  ".into()], 0);
-        assert!(IndexedQGramBlocker::trigrams(0).candidates(&blanks).is_empty());
-        assert!(FreqVectorBlocker::within_edits(0, 1, 8).candidates(&blanks).is_empty());
+        assert!(candidates(&IndexedQGramBlocker::trigrams(0), &blanks).is_empty());
+        assert!(candidates(&IndexedTokenBlocker::any_token(vec![0], 8), &blanks).is_empty());
     }
 }

@@ -4,39 +4,27 @@
 //! A [`TermIndex`] maps byte-string terms (q-grams, tokens, phonetic
 //! codes) to posting lists of `u32` record ids. Records are inserted in
 //! ascending id order, so every posting list is sorted and distinct by
-//! construction — within-record duplicate terms collapse into a count
-//! instead of a second posting entry. Alongside the postings the index
-//! keeps a CSR map from record id back to its term slots, so probing a
-//! record never re-tokenizes its value.
+//! construction — a term repeated within a record is posted once.
+//! Alongside the postings the index keeps a CSR map from record id back
+//! to its term slots, so probing a record never re-tokenizes its value.
 //!
 //! Posting lists are combined with [`intersect_gallop`] (galloping /
 //! exponential search, `O(m log(n/m))` for lists of length `m ≤ n`)
-//! and [`union_counts`] (k-way concatenation with sort-and-run-length
-//! counting, which doubles as the overlap accumulator of the
-//! frequency-vector index).
+//! and [`union_weighted`] (k-way concatenation with sort-and-run-length
+//! summing, the overlap counter of token blocking).
 
 use std::collections::HashMap;
-
-/// One interned term's posting data.
-#[derive(Debug, Default, Clone)]
-struct Posting {
-    /// Sorted, distinct record ids containing the term.
-    ids: Vec<u32>,
-    /// Per-id term frequency, parallel to `ids`.
-    counts: Vec<u32>,
-}
 
 /// An inverted index over byte-string terms with a CSR record→term map.
 #[derive(Debug, Default)]
 pub struct TermIndex {
     /// Term bytes → slot.
     slots: HashMap<Box<[u8]>, u32>,
-    postings: Vec<Posting>,
+    /// Per slot: the sorted, distinct record ids containing the term.
+    postings: Vec<Vec<u32>>,
     /// CSR storage: term slots of record `i` live at
     /// `record_terms[record_offsets[i]..record_offsets[i + 1]]`.
     record_terms: Vec<u32>,
-    /// Per-record term frequency, parallel to `record_terms`.
-    record_counts: Vec<u32>,
     record_offsets: Vec<u32>,
     /// Id of the record currently being inserted.
     open_record: Option<u32>,
@@ -60,9 +48,8 @@ impl TermIndex {
         self.open_record = Some(id);
     }
 
-    /// Insert one term occurrence of the open record. Repeated terms
-    /// within a record bump the occurrence count instead of growing the
-    /// posting list.
+    /// Insert one term occurrence of the open record. A term the record
+    /// already holds is not posted again.
     pub fn insert(&mut self, term: &[u8]) {
         let id = self.open_record.expect("open_record before insert");
         let slot = match self.slots.get(term) {
@@ -70,24 +57,14 @@ impl TermIndex {
             None => {
                 let slot = self.postings.len() as u32;
                 self.slots.insert(term.into(), slot);
-                self.postings.push(Posting::default());
+                self.postings.push(Vec::new());
                 slot
             }
         };
         let posting = &mut self.postings[slot as usize];
-        if posting.ids.last() == Some(&id) {
-            // Within-record duplicate: count it, don't re-post it. The
-            // CSR segment already holds the slot; bump its count too.
-            *posting.counts.last_mut().expect("counts parallel to ids") += 1;
-            let open = self.record_offsets[id as usize] as usize;
-            let seg = &self.record_terms[open..];
-            let k = open + seg.iter().position(|&s| s == slot).expect("slot in open segment");
-            self.record_counts[k] += 1;
-        } else {
-            posting.ids.push(id);
-            posting.counts.push(1);
+        if posting.last() != Some(&id) {
+            posting.push(id);
             self.record_terms.push(slot);
-            self.record_counts.push(1);
         }
     }
 
@@ -110,33 +87,20 @@ impl TermIndex {
 
     /// Document frequency of a term slot (records containing it).
     pub fn df(&self, slot: u32) -> usize {
-        self.postings[slot as usize].ids.len()
+        self.postings[slot as usize].len()
     }
 
     /// The sorted posting list of a term slot.
     pub fn posting(&self, slot: u32) -> &[u32] {
-        &self.postings[slot as usize].ids
+        &self.postings[slot as usize]
     }
 
-    /// Per-record term frequencies parallel to [`TermIndex::posting`].
-    pub fn posting_counts(&self, slot: u32) -> &[u32] {
-        &self.postings[slot as usize].counts
-    }
-
-    /// Look a term up by its bytes.
-    pub fn slot_of(&self, term: &[u8]) -> Option<u32> {
-        self.slots.get(term).copied()
-    }
-
-    /// The distinct term slots of record `id` with their in-record
-    /// occurrence counts.
-    pub fn record_terms(&self, id: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+    /// The distinct term slots of record `id`, in first-occurrence
+    /// order.
+    pub fn record_terms(&self, id: u32) -> impl Iterator<Item = u32> + '_ {
         let lo = self.record_offsets[id as usize] as usize;
         let hi = self.record_offsets[id as usize + 1] as usize;
-        self.record_terms[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.record_counts[lo..hi].iter().copied())
+        self.record_terms[lo..hi].iter().copied()
     }
 }
 
@@ -166,48 +130,6 @@ pub fn intersect_gallop(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
         if lo >= large.len() {
             break;
         }
-    }
-}
-
-/// Multi-way intersection: lists are intersected smallest-first so the
-/// running result only shrinks. Returns the ids present in **every**
-/// list. `scratch` is working memory reused across calls.
-pub fn intersect_all(lists: &mut [&[u32]], scratch: &mut Vec<u32>, out: &mut Vec<u32>) {
-    out.clear();
-    if lists.is_empty() {
-        return;
-    }
-    lists.sort_by_key(|l| l.len());
-    out.extend_from_slice(lists[0]);
-    for rest in &lists[1..] {
-        scratch.clear();
-        intersect_gallop(out, rest, scratch);
-        std::mem::swap(out, scratch);
-        if out.is_empty() {
-            return;
-        }
-    }
-}
-
-/// k-way union with multiplicity: append every id of every list to
-/// `scratch`, sort, and emit `(id, occurrences)` runs to `f`. The
-/// weighted variant used by the frequency-vector index pushes a weight
-/// per occurrence instead; see [`union_weighted`].
-pub fn union_counts(lists: &[&[u32]], scratch: &mut Vec<u32>, mut f: impl FnMut(u32, u32)) {
-    scratch.clear();
-    for list in lists {
-        scratch.extend_from_slice(list);
-    }
-    scratch.sort_unstable();
-    let mut i = 0;
-    while i < scratch.len() {
-        let id = scratch[i];
-        let mut n = 0u32;
-        while i < scratch.len() && scratch[i] == id {
-            n += 1;
-            i += 1;
-        }
-        f(id, n);
     }
 }
 
@@ -245,6 +167,8 @@ mod tests {
 
     #[test]
     fn postings_sorted_distinct_with_counts() {
+        // Slots are handed out in first-appearance order: AB, BC, ZZ.
+        let (ab, bc, zz) = (0, 1, 2);
         let ix = build(&[
             &[b"AB", b"BC", b"AB"],
             &[b"BC"],
@@ -252,23 +176,18 @@ mod tests {
         ]);
         assert_eq!(ix.records(), 3);
         assert_eq!(ix.terms(), 3);
-        let ab = ix.slot_of(b"AB").unwrap();
         assert_eq!(ix.posting(ab), &[0, 2]);
-        assert_eq!(ix.posting_counts(ab), &[2, 1]);
         assert_eq!(ix.df(ab), 2);
-        let bc = ix.slot_of(b"BC").unwrap();
         assert_eq!(ix.posting(bc), &[0, 1]);
-        assert!(ix.slot_of(b"QQ").is_none());
+        assert_eq!(ix.posting(zz), &[2]);
+        assert_eq!(ix.df(zz), 1);
     }
 
     #[test]
     fn record_terms_round_trip() {
         let ix = build(&[&[b"AB", b"BC", b"AB"], &[b"ZZ"]]);
-        let terms: Vec<(u32, u32)> = ix.record_terms(0).collect();
-        let ab = ix.slot_of(b"AB").unwrap();
-        let bc = ix.slot_of(b"BC").unwrap();
-        assert_eq!(terms, vec![(ab, 2), (bc, 1)]);
-        assert_eq!(ix.record_terms(1).count(), 1);
+        assert_eq!(ix.record_terms(0).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(ix.record_terms(1).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
@@ -289,27 +208,6 @@ mod tests {
             intersect_gallop(b, a, &mut out);
             assert_eq!(out, naive, "swapped a={a:?} b={b:?}");
         }
-    }
-
-    #[test]
-    fn intersect_all_requires_every_list() {
-        let lists: Vec<&[u32]> = vec![&[1, 2, 3, 9], &[2, 3, 9], &[0, 3, 9, 12]];
-        let mut lists = lists;
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        intersect_all(&mut lists, &mut scratch, &mut out);
-        assert_eq!(out, vec![3, 9]);
-        let mut empty: Vec<&[u32]> = vec![];
-        intersect_all(&mut empty, &mut scratch, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn union_counts_runs() {
-        let lists: Vec<&[u32]> = vec![&[1, 2], &[2, 3], &[2]];
-        let mut scratch = Vec::new();
-        let mut seen = Vec::new();
-        union_counts(&lists, &mut scratch, |id, n| seen.push((id, n)));
-        assert_eq!(seen, vec![(1, 1), (2, 3), (3, 1)]);
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Streaming candidate emission.
 //!
-//! The original `Blocker` API materialized every candidate set as a
-//! `HashSet<Pair>` — at 10M records a multi-pass blocking run emits
-//! hundreds of millions of pairs, and a hash insert per pair (plus the
-//! table itself) dominates candidate generation. This module inverts
-//! the flow: blockers *push* pairs into a [`CandidateSink`] as they are
-//! discovered, and the sink decides what to keep. A sink can
-//! deduplicate ([`PairCollector`]), count ([`CountingSink`]), measure
-//! recall against a gold standard without storing anything
-//! ([`QualitySink`]), or hand the distinct pairs to a matcher (see
-//! [`crate::eval::score_candidates_streaming`]).
+//! Blockers *push* pairs into a [`CandidateSink`] as they are
+//! discovered, and the sink decides what to keep: it can deduplicate
+//! ([`PairCollector`]), measure recall against a gold standard without
+//! storing the candidates ([`QualitySink`]), or hand the distinct pairs
+//! to a matcher (see [`crate::eval::score_candidates_streaming`]). At
+//! 10M records a multi-pass blocking run emits hundreds of millions of
+//! pairs, so no sink hashes every pair.
 //!
 //! [`PairCollector`] packs each pair into a `u64` and deduplicates by
 //! periodic sort-and-dedup compaction of a flat buffer (a sorted-run
@@ -29,13 +26,6 @@ use crate::dataset::Pair;
 pub trait CandidateSink {
     /// Offer one candidate pair (already normalized, `0 < 1`).
     fn push(&mut self, pair: Pair);
-}
-
-/// The compatibility sink: exact `HashSet<Pair>` semantics.
-impl CandidateSink for HashSet<Pair> {
-    fn push(&mut self, pair: Pair) {
-        self.insert(pair);
-    }
 }
 
 /// A raw sink keeping every emission, duplicates included (useful for
@@ -120,7 +110,6 @@ impl PairCollector {
         self.compact();
         self.packed.len()
     }
-
 }
 
 impl CandidateSink for PairCollector {
@@ -130,19 +119,6 @@ impl CandidateSink for PairCollector {
         if self.packed.len() >= self.watermark {
             self.compact();
         }
-    }
-}
-
-/// Counts emissions without storing anything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingSink {
-    /// Pairs pushed, duplicates included.
-    pub emitted: u64,
-}
-
-impl CandidateSink for CountingSink {
-    fn push(&mut self, _pair: Pair) {
-        self.emitted += 1;
     }
 }
 
@@ -247,18 +223,10 @@ mod tests {
         let mut c = PairCollector::new();
         for i in 0..1000usize {
             let p = Pair(i % 13, 13 + i % 29);
-            set.push(p);
+            set.insert(p);
             c.push(p);
         }
         assert_eq!(c.finish().into_iter().collect::<HashSet<_>>(), set);
-    }
-
-    #[test]
-    fn counting_sink_counts() {
-        let mut s = CountingSink::default();
-        s.push(Pair(0, 1));
-        s.push(Pair(0, 1));
-        assert_eq!(s.emitted, 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use nc_suite::core::heterogeneity::{AttributeWeights, HeterogeneityScorer, Scope
 use nc_suite::core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_suite::core::record::DedupPolicy;
 use nc_suite::detect::blocking::SortedNeighborhood;
-use nc_suite::detect::eval::{best_f1, linspace, score_candidates, threshold_sweep};
+use nc_suite::detect::eval::{best_f1, linspace, score_candidates_streaming, threshold_sweep};
 use nc_suite::detect::matcher::{MeasureKind, RecordMatcher};
 use nc_suite::votergen::config::GeneratorConfig;
 
@@ -73,7 +73,7 @@ fn main() {
         );
         for kind in MeasureKind::ALL {
             let matcher = RecordMatcher::with_kind(kind, entropy_weights.clone(), name_group.clone());
-            let scored = score_candidates(&data, &blocker, &matcher);
+            let scored = score_candidates_streaming(&data, &blocker, &matcher);
             let sweep = threshold_sweep(&scored, &gold, &linspace(0.3, 0.95, 40));
             if let Some(best) = best_f1(&sweep) {
                 println!(

@@ -49,6 +49,13 @@ cargo test -q -p nc-propcheck "$@"
 echo "=== test ==="
 cargo test -q --workspace "$@"
 
+echo "=== property sweep ==="
+# The #[ignore]d twins of the cheap properties: each reruns a tier-1
+# property under its own name at 3 000 cases (the tier-1 cases first,
+# since case seeds derive from the name), so a property that holds at
+# 64 cases and not at 3 000 is found here rather than by hand.
+cargo test --release -q -p nc-detect -p nc-pprl "$@" -- --ignored
+
 echo "=== shard smoke ==="
 # Tiny-parameter pass through the shard benchmark: in-memory fan-out,
 # WAL-backed archive ingest, publish and a clean replay — the binary

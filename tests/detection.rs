@@ -7,16 +7,16 @@ use nc_suite::core::md5::md5;
 use nc_suite::core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_suite::core::record::DedupPolicy;
 use nc_suite::datasets::{cddb, census, cora};
-use nc_suite::detect::blocking::{blocking_quality, Blocker, FullPairwise, SortedNeighborhood};
+use nc_suite::detect::blocking::{blocking_quality, FullPairwise, SortedNeighborhood};
 use nc_suite::detect::classify::classify;
 use nc_suite::detect::dataset::Dataset;
-use nc_suite::detect::eval::{best_f1, linspace, score_candidates, threshold_sweep};
+use nc_suite::detect::eval::{best_f1, linspace, score_candidates_streaming, threshold_sweep};
 use nc_suite::detect::matcher::{MeasureKind, RecordMatcher};
 
 fn best_f1_for(data: &Dataset, kind: MeasureKind, name_group: Vec<usize>) -> f64 {
     let blocker = SortedNeighborhood::multi_pass(data.top_entropy_attrs(5.min(data.num_attrs())));
     let matcher = RecordMatcher::with_kind(kind, data.entropy_weights(), name_group);
-    let scored = score_candidates(data, &blocker, &matcher);
+    let scored = score_candidates_streaming(data, &blocker, &matcher);
     let gold = data.gold_pairs();
     let sweep = threshold_sweep(&scored, &gold, &linspace(0.3, 0.98, 35));
     best_f1(&sweep).map(|p| p.prf.f1).unwrap_or(0.0)
@@ -117,8 +117,7 @@ fn nc_bands_order_detection_quality() {
 fn snm_keeps_recall_and_reduces_pairs() {
     let data = census::generate(2);
     let snm = SortedNeighborhood::multi_pass(data.top_entropy_attrs(5));
-    let candidates = snm.candidates(&data);
-    let quality = blocking_quality(&data, &candidates);
+    let quality = blocking_quality(&data, &snm);
     assert!(
         quality.pair_completeness > 0.97,
         "completeness {}",
@@ -126,8 +125,8 @@ fn snm_keeps_recall_and_reduces_pairs() {
     );
     assert!(quality.reduction_ratio > 0.5, "reduction {}", quality.reduction_ratio);
 
-    let full = FullPairwise.candidates(&data);
-    assert!(candidates.len() < full.len());
+    let full = blocking_quality(&data, &FullPairwise);
+    assert!(quality.candidates < full.candidates);
 }
 
 /// Blocking ablation: growing the SNM window can only help recall and
@@ -140,11 +139,10 @@ fn snm_window_tradeoff() {
     let mut prev_completeness = 0.0f64;
     for window in [3, 10, 30] {
         let snm = SortedNeighborhood { keys: keys.clone(), window };
-        let c = snm.candidates(&data);
-        let q = blocking_quality(&data, &c);
-        assert!(c.len() >= prev_candidates);
+        let q = blocking_quality(&data, &snm);
+        assert!(q.candidates >= prev_candidates);
         assert!(q.pair_completeness >= prev_completeness - 1e-12);
-        prev_candidates = c.len();
+        prev_candidates = q.candidates;
         prev_completeness = q.pair_completeness;
     }
 }
@@ -177,8 +175,8 @@ fn name_group_matching_helps_on_confused_names() {
     );
     let without = RecordMatcher::with_kind(MeasureKind::JaroWinkler, vec![1.0; 3], vec![]);
 
-    let scored_g = score_candidates(&data, &FullPairwise, &with_group);
-    let scored_p = score_candidates(&data, &FullPairwise, &without);
+    let scored_g = score_candidates_streaming(&data, &FullPairwise, &with_group);
+    let scored_p = score_candidates_streaming(&data, &FullPairwise, &without);
     let f1_g = best_f1(&threshold_sweep(&scored_g, &gold, &linspace(0.3, 0.99, 30)))
         .unwrap()
         .prf
@@ -238,7 +236,7 @@ fn nc2_detection_is_pinned() {
             data.entropy_weights(),
             bridge::name_group_positions(attrs),
         );
-        let scored = score_candidates(&data, &blocker, &matcher);
+        let scored = score_candidates_streaming(&data, &blocker, &matcher);
         assert!(scored.len() > data.len(), "{kind:?}: {} pairs", scored.len());
         let mut bytes = Vec::with_capacity(scored.len() * 24);
         for s in &scored {
