@@ -19,7 +19,8 @@ pub struct Assignment {
 /// Reusable working set for the Hungarian algorithm: potentials,
 /// matching state and the output pair list. Owned by
 /// [`crate::scratch::Scratch`] so repeated assignments allocate
-/// nothing after warm-up.
+/// nothing after warm-up. Matrices of at most 8 rows and 8 columns
+/// run on stack arrays instead and use only the pair list.
 #[derive(Debug, Default)]
 pub struct AssignScratch {
     u: Vec<f64>,
@@ -40,28 +41,81 @@ impl AssignScratch {
     }
 }
 
-/// Hungarian algorithm over an abstract weight accessor with reusable
-/// buffers. `weight(i, j)` must be finite, non-negative and cheap (it
-/// is consulted `O(n³)` times — precompute a matrix for expensive
-/// weights). Fills `scratch.pairs` (sorted by row) and returns the
-/// total assigned weight. Produces exactly the pairs
+/// The widest matrix whose working set lives on the stack. The paper's
+/// name group is 3 × 3 and person names have at most four tokens.
+const STACK_COLS: usize = 8;
+
+/// One run's working arrays, `cols + 1` entries each (1-indexed, as in
+/// the classic formulation; `u` only needs `rows + 1`).
+struct Work<'a> {
+    u: &'a mut [f64],
+    v: &'a mut [f64],
+    matched_col: &'a mut [usize],
+    way: &'a mut [usize],
+    minv: &'a mut [f64],
+    used: &'a mut [bool],
+}
+
+/// Hungarian algorithm over a flat row-major `n × m` matrix of finite,
+/// non-negative weights. Fills `scratch.pairs` (sorted by row) and
+/// returns the total assigned weight; produces exactly the pairs
 /// [`max_weight_assignment`] would.
-pub(crate) fn assign_core(
-    scratch: &mut AssignScratch,
-    n: usize,
-    m: usize,
-    weight: impl Fn(usize, usize) -> f64,
-) -> f64 {
+pub(crate) fn assign_core(scratch: &mut AssignScratch, weights: &[f64], n: usize, m: usize) -> f64 {
     scratch.pairs.clear();
     if n == 0 || m == 0 {
         return 0.0;
     }
+    let len = n.max(m) + 1;
+    if n.max(m) <= STACK_COLS {
+        let (mut u, mut v, mut minv) = (
+            [0.0; STACK_COLS + 1],
+            [0.0; STACK_COLS + 1],
+            [0.0; STACK_COLS + 1],
+        );
+        let (mut matched_col, mut way) = ([0; STACK_COLS + 1], [0; STACK_COLS + 1]);
+        let mut used = [false; STACK_COLS + 1];
+        let work = Work {
+            u: &mut u[..len],
+            v: &mut v[..len],
+            matched_col: &mut matched_col[..len],
+            way: &mut way[..len],
+            minv: &mut minv[..len],
+            used: &mut used[..len],
+        };
+        hungarian(work, weights, n, m, &mut scratch.pairs)
+    } else {
+        scratch.u.resize(len, 0.0);
+        scratch.v.resize(len, 0.0);
+        scratch.matched_col.resize(len, 0);
+        scratch.way.resize(len, 0);
+        scratch.minv.resize(len, 0.0);
+        scratch.used.resize(len, false);
+        let work = Work {
+            u: &mut scratch.u[..len],
+            v: &mut scratch.v[..len],
+            matched_col: &mut scratch.matched_col[..len],
+            way: &mut scratch.way[..len],
+            minv: &mut scratch.minv[..len],
+            used: &mut scratch.used[..len],
+        };
+        hungarian(work, weights, n, m, &mut scratch.pairs)
+    }
+}
 
+/// The algorithm itself, on whichever storage [`assign_core`] chose.
+fn hungarian(
+    w: Work<'_>,
+    weights: &[f64],
+    n: usize,
+    m: usize,
+    pairs: &mut Vec<(usize, usize)>,
+) -> f64 {
     // The potential-based Hungarian algorithm minimizes cost over a matrix
     // with rows <= cols; we maximize weight by negating. Transpose when
     // there are more rows than columns.
     let transpose = n > m;
     let (rows, cols) = if transpose { (m, n) } else { (n, m) };
+    let weight = |i: usize, j: usize| weights[i * m + j];
     let cost = |i: usize, j: usize| -> f64 {
         if transpose {
             -weight(j, i)
@@ -71,30 +125,24 @@ pub(crate) fn assign_core(
     };
 
     const INF: f64 = f64::INFINITY;
-    // 1-indexed potentials and matching arrays, as in the classic
-    // formulation.
-    scratch.u.clear();
-    scratch.u.resize(rows + 1, 0.0);
-    scratch.v.clear();
-    scratch.v.resize(cols + 1, 0.0);
-    scratch.matched_col.clear();
-    scratch.matched_col.resize(cols + 1, 0); // column -> row (0 = free)
-    scratch.way.clear();
-    scratch.way.resize(cols + 1, 0);
-    let u = &mut scratch.u;
-    let v = &mut scratch.v;
-    let matched_col = &mut scratch.matched_col;
-    let way = &mut scratch.way;
+    let Work {
+        u,
+        v,
+        matched_col,
+        way,
+        minv,
+        used,
+    } = w;
+    u.fill(0.0);
+    v.fill(0.0);
+    matched_col.fill(0); // column -> row (0 = free)
+    way.fill(0);
 
     for i in 1..=rows {
         matched_col[0] = i;
         let mut j0 = 0usize;
-        scratch.minv.clear();
-        scratch.minv.resize(cols + 1, INF);
-        scratch.used.clear();
-        scratch.used.resize(cols + 1, false);
-        let minv = &mut scratch.minv;
-        let used = &mut scratch.used;
+        minv.fill(INF);
+        used.fill(false);
         loop {
             used[j0] = true;
             let i0 = matched_col[j0];
@@ -143,11 +191,11 @@ pub(crate) fn assign_core(
         let i = matched_col[j];
         if i != 0 {
             let (ri, cj) = if transpose { (j - 1, i - 1) } else { (i - 1, j - 1) };
-            scratch.pairs.push((ri, cj));
+            pairs.push((ri, cj));
             total += weight(ri, cj);
         }
     }
-    scratch.pairs.sort_unstable();
+    pairs.sort_unstable();
     total
 }
 
@@ -170,7 +218,7 @@ pub fn max_weight_assignment_with(
     for &w in weights {
         assert!(w.is_finite() && w >= 0.0, "weights must be finite and >= 0");
     }
-    assign_core(scratch, rows, cols, |i, j| weights[i * cols + j])
+    assign_core(scratch, weights, rows, cols)
 }
 
 /// Compute a maximum-weight 1:1 assignment for a (possibly rectangular)
@@ -196,7 +244,7 @@ pub fn max_weight_assignment(weights: &[Vec<f64>]) -> Assignment {
         }
     }
     let mut scratch = AssignScratch::default();
-    let total = assign_core(&mut scratch, n, m, |i, j| weights[i][j]);
+    let total = assign_core(&mut scratch, &weights.concat(), n, m);
     Assignment { pairs: scratch.pairs, total }
 }
 

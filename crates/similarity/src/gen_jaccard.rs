@@ -127,7 +127,7 @@ impl<S: ScratchSimilarity> GeneralizedJaccard<S> {
     /// flattened `rows × cols` weight matrix and apply the threshold
     /// and Jaccard normalization exactly as `sim_tokens` does.
     fn score_weights(&self, scratch: &mut Scratch, weights: &[f64], rows: usize, cols: usize) -> f64 {
-        assignment::assign_core(&mut scratch.assign, rows, cols, |i, j| weights[i * cols + j]);
+        assignment::assign_core(&mut scratch.assign, weights, rows, cols);
         let mut total = 0.0;
         let mut matched = 0usize;
         for &(i, j) in scratch.assign.pairs() {

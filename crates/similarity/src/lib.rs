@@ -20,8 +20,11 @@
 //!   measures.
 //!
 //! All measures return scores in `[0, 1]` where `1` means identical. They
-//! operate on `char` sequences, so multi-byte UTF-8 input is handled
-//! correctly.
+//! are defined over `char` sequences, so multi-byte UTF-8 input is handled
+//! correctly. The scratch-based kernels ([`scratch`]) compute the same
+//! scores faster where the input allows: over bytes when both values are
+//! ASCII, and Jaro over one `u64` word per value when both are also at
+//! most 64 bytes long.
 //!
 //! # Example
 //!

@@ -4,16 +4,22 @@
 //! [`crate::monge_elkan`], [`crate::gen_jaccard`]) has a `*_with`
 //! variant taking a `&mut Scratch`. The scratch owns every buffer the
 //! kernels would otherwise allocate per call — Damerau–Levenshtein DP
-//! rows, Jaro match bitmaps, `char` decode buffers for non-ASCII
-//! input, token ranges, Generalized-Jaccard weight matrices and the
-//! Hungarian-algorithm working set — so a tight scoring loop performs
-//! no heap allocation after warm-up.
+//! rows, Jaro match bitmaps and its per-byte pattern table, `char`
+//! decode buffers for non-ASCII input, token ranges,
+//! Generalized-Jaccard weight matrices and the Hungarian-algorithm
+//! working set — so a tight scoring loop performs no heap allocation
+//! after warm-up.
 //!
 //! All `*_with` entry points take an ASCII byte-slice fast path when
 //! both inputs are ASCII (voter data always is): byte length equals
 //! `char` count there, so every distance, window and normalization is
 //! bit-identical to the `char` path, which remains as the fallback for
-//! arbitrary UTF-8.
+//! arbitrary UTF-8. Jaro goes one step further when both ASCII values
+//! fit in 64 bytes: each value is a `u64` of positions, and matching
+//! one symbol against its window is a handful of word operations
+//! (`jaro_words`). It computes the same match and transposition
+//! counts as the scalar kernel and feeds them to the same formula, so
+//! the scores are the same to the bit.
 //!
 //! A `Scratch` is cheap to create and intended to live one-per-thread;
 //! it is deliberately `!Sync` in usage (`&mut` everywhere) so a worker
@@ -33,6 +39,8 @@ pub struct Scratch {
     pub(crate) chars: CharBufs,
     /// Jaro match bookkeeping.
     pub(crate) jaro: JaroBufs,
+    /// Per-byte position masks for the word-parallel Jaro path.
+    pub(crate) pattern: PatternTable,
     /// Token byte ranges of the first tokenized input.
     pub(crate) tokens_a: Vec<(usize, usize)>,
     /// Token byte ranges of the second tokenized input.
@@ -60,10 +68,12 @@ impl Scratch {
         }
     }
 
-    /// Jaro similarity between two strings, using the ASCII byte path
-    /// when possible.
+    /// Jaro similarity between two strings: word-parallel for ASCII
+    /// values of at most 64 bytes, the ASCII byte path for longer ones.
     pub(crate) fn jaro(&mut self, a: &str, b: &str) -> f64 {
-        if a.is_ascii() && b.is_ascii() {
+        if let Some(score) = jaro_words(&mut self.pattern, a, b) {
+            score
+        } else if a.is_ascii() && b.is_ascii() {
             jaro_core(&mut self.jaro, a.as_bytes(), b.as_bytes())
         } else {
             self.chars.fill(a, b);
@@ -104,6 +114,85 @@ pub(crate) struct JaroBufs {
     matched_b: Vec<bool>,
     match_idx_a: Vec<usize>,
     match_idx_b: Vec<usize>,
+}
+
+/// For each ASCII byte, the positions of a value where it occurs, as
+/// bits of a word. All zero between calls: [`jaro_words`] sets the
+/// entries of one value and clears them again before it returns.
+#[derive(Debug)]
+pub(crate) struct PatternTable([u64; 128]);
+
+impl Default for PatternTable {
+    fn default() -> Self {
+        Self([0; 128])
+    }
+}
+
+/// Jaro similarity of two ASCII values of at most 64 bytes each, or
+/// `None` for any other input (which [`jaro_core`] then scores).
+///
+/// The integer steps are [`jaro_core`]'s, done a word at a time: bit
+/// `j` of `pattern[c]` says `b[j] == c`, so the unmatched positions of
+/// `b` within `a[i]`'s window that hold `a[i]` are one `and` of three
+/// words, and the lowest of them is the lowest index `jaro_core`'s
+/// scan stops at. Matched positions collect in `matched_a` and
+/// `matched_b`; walking their set bits in order pairs the `k`-th match
+/// of `a` with the `k`-th of `b`, as `jaro_core`'s zip does. The loop
+/// has no data-dependent branch. Same counts, same float formula, same
+/// bits.
+pub(crate) fn jaro_words(pattern: &mut PatternTable, a: &str, b: &str) -> Option<f64> {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() > 64 || b.len() > 64 || !a.is_ascii() || !b.is_ascii() {
+        return None;
+    }
+    if a.is_empty() && b.is_empty() {
+        return Some(1.0);
+    }
+    if a.is_empty() || b.is_empty() {
+        return Some(0.0);
+    }
+    if a == b {
+        return Some(1.0);
+    }
+    // ASCII, so `& 0x7f` changes no byte; it only lets the compiler see
+    // every index is in bounds.
+    let pm = &mut pattern.0;
+    for (j, &c) in b.iter().enumerate() {
+        pm[usize::from(c & 0x7f)] |= 1 << j;
+    }
+    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    // Positions `i - window ..= i + window` of `b`, for `i = 0`; `pm`
+    // has no bit at or past `b.len()`, so that end needs no clipping.
+    let mut in_window = (2u64 << window) - 1;
+    let (mut matched_a, mut matched_b) = (0u64, 0u64);
+    for (i, &c) in a.iter().enumerate() {
+        let candidates = pm[usize::from(c & 0x7f)] & !matched_b & in_window;
+        let first = candidates & candidates.wrapping_neg();
+        matched_b |= first;
+        matched_a |= u64::from(first != 0) << i;
+        // Slide to `i + 1`: the end moves up one; the start, clipped at
+        // 0, moves up once `i >= window`.
+        in_window = (in_window << 1) | u64::from(i < window);
+    }
+    for &c in b {
+        pm[usize::from(c & 0x7f)] = 0;
+    }
+    let m = matched_a.count_ones();
+    if m == 0 {
+        return Some(0.0);
+    }
+    let mut transpositions = 0u32;
+    while matched_a != 0 {
+        let (i, j) = (matched_a.trailing_zeros(), matched_b.trailing_zeros());
+        transpositions += u32::from(a[i as usize] != b[j as usize]);
+        matched_a &= matched_a - 1;
+        matched_b &= matched_b - 1;
+    }
+    let m = f64::from(m);
+    let t = f64::from(transpositions / 2);
+    Some(crate::clamp01(
+        (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0,
+    ))
 }
 
 /// OSA Damerau–Levenshtein distance over generic symbol slices with
@@ -260,6 +349,36 @@ mod tests {
                 let want = jaro(&chars(a), &chars(b));
                 assert!((got - want).abs() < 1e-15, "{a} vs {b}: {got} vs {want}");
             }
+        }
+    }
+
+    #[test]
+    fn jaro_words_takes_what_fits_a_word_and_leaves_the_table_clear() {
+        let mut pattern = PatternTable::default();
+        let w64 = "AB".repeat(32);
+        let w65 = format!("{w64}A");
+        for (a, b) in [
+            ("", ""),
+            ("", "ABC"),
+            ("MARTHA", "MARHTA"),
+            (&w64, "BA"),
+            (&w64, &w64),
+        ] {
+            let got = jaro_words(&mut pattern, a, b).expect("fits a word");
+            assert_eq!(
+                got.to_bits(),
+                jaro(&chars(a), &chars(b)).to_bits(),
+                "{a} vs {b}"
+            );
+            assert!(pattern.0.iter().all(|&bits| bits == 0), "{a} vs {b}");
+        }
+        for (a, b) in [
+            (w65.as_str(), "AB"),
+            ("AB", &w65),
+            ("ÅSA", "ASA"),
+            ("JOSE", "JOSÉ"),
+        ] {
+            assert_eq!(jaro_words(&mut pattern, a, b), None, "{a} vs {b}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the similarity measures.
 
-use nc_propcheck::{check, Gen, LOWER, UPPER};
+use nc_propcheck::{check, check_n, Gen, LOWER, UPPER};
 use nc_similarity::damerau::{distance, DamerauLevenshtein, ExtendedDamerauLevenshtein};
 use nc_similarity::gen_jaccard::GeneralizedJaccard;
 use nc_similarity::jaro::{Jaro, JaroWinkler};
@@ -22,31 +22,63 @@ macro_rules! measure_properties {
         mod $name {
             use super::*;
 
+            fn bounded_prop(g: &mut Gen) {
+                let (a, b) = ($gen(g), $gen(g));
+                let s = $measure.sim(&a, &b);
+                assert!((0.0..=1.0).contains(&s), "sim out of range: {s}");
+            }
+
+            fn symmetric_prop(g: &mut Gen) {
+                let (a, b) = ($gen(g), $gen(g));
+                let ab = $measure.sim(&a, &b);
+                let ba = $measure.sim(&b, &a);
+                assert!((ab - ba).abs() < 1e-9, "asymmetric: {ab} vs {ba}");
+            }
+
+            fn reflexive_prop(g: &mut Gen) {
+                let a = $gen(g);
+                assert_eq!($measure.sim(&a, &a), 1.0);
+            }
+
             #[test]
             fn bounded() {
-                check(concat!(stringify!($name), "::bounded"), |g| {
-                    let (a, b) = ($gen(g), $gen(g));
-                    let s = $measure.sim(&a, &b);
-                    assert!((0.0..=1.0).contains(&s), "sim out of range: {s}");
-                });
+                check(concat!(stringify!($name), "::bounded"), bounded_prop);
             }
 
             #[test]
             fn symmetric() {
-                check(concat!(stringify!($name), "::symmetric"), |g| {
-                    let (a, b) = ($gen(g), $gen(g));
-                    let ab = $measure.sim(&a, &b);
-                    let ba = $measure.sim(&b, &a);
-                    assert!((ab - ba).abs() < 1e-9, "asymmetric: {ab} vs {ba}");
-                });
+                check(concat!(stringify!($name), "::symmetric"), symmetric_prop);
             }
 
             #[test]
             fn reflexive() {
-                check(concat!(stringify!($name), "::reflexive"), |g| {
-                    let a = $gen(g);
-                    assert_eq!($measure.sim(&a, &a), 1.0);
-                });
+                check(concat!(stringify!($name), "::reflexive"), reflexive_prop);
+            }
+
+            #[test]
+            #[ignore = "wide sweep: cargo test -- --ignored"]
+            fn bounded_wide() {
+                check_n(concat!(stringify!($name), "::bounded"), 3_000, bounded_prop);
+            }
+
+            #[test]
+            #[ignore = "wide sweep: cargo test -- --ignored"]
+            fn symmetric_wide() {
+                check_n(
+                    concat!(stringify!($name), "::symmetric"),
+                    3_000,
+                    symmetric_prop,
+                );
+            }
+
+            #[test]
+            #[ignore = "wide sweep: cargo test -- --ignored"]
+            fn reflexive_wide() {
+                check_n(
+                    concat!(stringify!($name), "::reflexive"),
+                    3_000,
+                    reflexive_prop,
+                );
             }
         }
     };
@@ -70,72 +102,137 @@ measure_properties!(
 
 /// Edit distance is a metric on the OSA-reachable space: triangle
 /// inequality holds for the OSA distance on short strings.
+fn damerau_triangle_inequality_prop(g: &mut Gen) {
+    let a = g.string(UPPER, 0..=6);
+    let b = g.string(UPPER, 0..=6);
+    let c = g.string(UPPER, 0..=6);
+    let ab = distance(&a, &b);
+    let bc = distance(&b, &c);
+    let ac = distance(&a, &c);
+    assert!(
+        ac <= ab + bc,
+        "triangle violated: d({a},{c})={ac} > {ab}+{bc}"
+    );
+}
+
 #[test]
 fn damerau_triangle_inequality() {
-    check("damerau_triangle_inequality", |g| {
-        let a = g.string(UPPER, 0..=6);
-        let b = g.string(UPPER, 0..=6);
-        let c = g.string(UPPER, 0..=6);
-        let ab = distance(&a, &b);
-        let bc = distance(&b, &c);
-        let ac = distance(&a, &c);
-        assert!(
-            ac <= ab + bc,
-            "triangle violated: d({a},{c})={ac} > {ab}+{bc}"
-        );
-    });
+    check(
+        "damerau_triangle_inequality",
+        damerau_triangle_inequality_prop,
+    );
 }
 
 /// Single-character edits move the distance by at most one.
+fn damerau_edit_prop(g: &mut Gen) {
+    let a = g.string(UPPER, 1..=10);
+    let b = g.string(UPPER, 1..=10);
+    let mut chars: Vec<char> = a.chars().collect();
+    let idx = g.range(0..chars.len());
+    chars[idx] = g.range(b'A'..=b'Z') as char;
+    let a2: String = chars.iter().collect();
+    let d1 = distance(&a, &b);
+    let d2 = distance(&a2, &b);
+    assert!(d1.abs_diff(d2) <= 1);
+}
+
 #[test]
 fn damerau_edit_changes_distance_by_at_most_one() {
-    check("damerau_edit_changes_distance_by_at_most_one", |g| {
-        let a = g.string(UPPER, 1..=10);
-        let b = g.string(UPPER, 1..=10);
-        let mut chars: Vec<char> = a.chars().collect();
-        let idx = g.range(0..chars.len());
-        chars[idx] = g.range(b'A'..=b'Z') as char;
-        let a2: String = chars.iter().collect();
-        let d1 = distance(&a, &b);
-        let d2 = distance(&a2, &b);
-        assert!(d1.abs_diff(d2) <= 1);
-    });
+    check(
+        "damerau_edit_changes_distance_by_at_most_one",
+        damerau_edit_prop,
+    );
 }
 
 /// Soundex always yields a letter followed by three digits.
+fn soundex_shape_prop(g: &mut Gen) {
+    let s = g.string(&format!("{UPPER}{LOWER}'- "), 1..=20);
+    if let Some(code) = soundex(&s) {
+        assert_eq!(code.len(), 4);
+        let cs: Vec<char> = code.chars().collect();
+        assert!(cs[0].is_ascii_uppercase());
+        assert!(cs[1..].iter().all(|c| c.is_ascii_digit()));
+    }
+}
+
 #[test]
 fn soundex_shape() {
-    let alphabet = format!("{UPPER}{LOWER}'- ");
-    check("soundex_shape", |g| {
-        let s = g.string(&alphabet, 1..=20);
-        if let Some(code) = soundex(&s) {
-            assert_eq!(code.len(), 4);
-            let cs: Vec<char> = code.chars().collect();
-            assert!(cs[0].is_ascii_uppercase());
-            assert!(cs[1..].iter().all(|c| c.is_ascii_digit()));
-        }
-    });
+    check("soundex_shape", soundex_shape_prop);
 }
 
 /// Soundex is insensitive to case and non-letter characters.
+fn soundex_case_insensitive_prop(g: &mut Gen) {
+    let s = g.string(&format!("{UPPER}{LOWER}"), 1..=12);
+    assert_eq!(soundex(&s), soundex(&s.to_uppercase()));
+    assert_eq!(soundex(&s), soundex(&s.to_lowercase()));
+}
+
 #[test]
 fn soundex_case_insensitive() {
-    let alphabet = format!("{UPPER}{LOWER}");
-    check("soundex_case_insensitive", |g| {
-        let s = g.string(&alphabet, 1..=12);
-        assert_eq!(soundex(&s), soundex(&s.to_uppercase()));
-        assert_eq!(soundex(&s), soundex(&s.to_lowercase()));
-    });
+    check("soundex_case_insensitive", soundex_case_insensitive_prop);
 }
 
 /// The extended measure dominates the plain one (its relaxations can
 /// only raise similarity).
+fn extended_damerau_dominates_plain_prop(g: &mut Gen) {
+    let (a, b) = (word(g), word(g));
+    let plain = DamerauLevenshtein::new().sim(&a, &b);
+    let ext = ExtendedDamerauLevenshtein::new().sim(&a, &b);
+    assert!(ext >= plain - 1e-12, "ext {ext} < plain {plain}");
+}
+
 #[test]
 fn extended_damerau_dominates_plain() {
-    check("extended_damerau_dominates_plain", |g| {
-        let (a, b) = (word(g), word(g));
-        let plain = DamerauLevenshtein::new().sim(&a, &b);
-        let ext = ExtendedDamerauLevenshtein::new().sim(&a, &b);
-        assert!(ext >= plain - 1e-12, "ext {ext} < plain {plain}");
-    });
+    check(
+        "extended_damerau_dominates_plain",
+        extended_damerau_dominates_plain_prop,
+    );
+}
+
+// The wide twins run 3 000 cases under the tier-1 names. Case seeds
+// derive from the name, so they run the tier-1 cases first, then more.
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn damerau_triangle_inequality_wide() {
+    check_n(
+        "damerau_triangle_inequality",
+        3_000,
+        damerau_triangle_inequality_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn damerau_edit_changes_distance_by_at_most_one_wide() {
+    check_n(
+        "damerau_edit_changes_distance_by_at_most_one",
+        3_000,
+        damerau_edit_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn soundex_shape_wide() {
+    check_n("soundex_shape", 3_000, soundex_shape_prop);
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn soundex_case_insensitive_wide() {
+    check_n(
+        "soundex_case_insensitive",
+        3_000,
+        soundex_case_insensitive_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn extended_damerau_dominates_plain_wide() {
+    check_n(
+        "extended_damerau_dominates_plain",
+        3_000,
+        extended_damerau_dominates_plain_prop,
+    );
 }

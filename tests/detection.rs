@@ -12,6 +12,9 @@ use nc_suite::detect::classify::classify;
 use nc_suite::detect::dataset::Dataset;
 use nc_suite::detect::eval::{best_f1, linspace, score_candidates_streaming, threshold_sweep};
 use nc_suite::detect::matcher::{MeasureKind, RecordMatcher};
+use nc_suite::similarity::assignment::{
+    max_weight_assignment, max_weight_assignment_with, AssignScratch,
+};
 
 fn best_f1_for(data: &Dataset, kind: MeasureKind, name_group: Vec<usize>) -> f64 {
     let blocker = SortedNeighborhood::multi_pass(data.top_entropy_attrs(5.min(data.num_attrs())));
@@ -256,4 +259,65 @@ fn nc2_detection_is_pinned() {
         }
         assert_eq!(md5(&bytes).to_hex(), predicted_pin, "{kind:?} predicted pairs");
     }
+}
+
+/// Detection over the Cora comparator is pinned to the bit: every
+/// scored pair with its score (`f64::to_bits`, in output order) under
+/// Jaro–Winkler and multi-pass SNM. Cora's titles and author lists run
+/// past 64 bytes, so this pin covers the kernel's long-value path as
+/// well as the short one (the NC2 pin above has no value over 64
+/// bytes). Recorded before Jaro gained its word-parallel path.
+#[test]
+fn cora_detection_is_pinned_across_the_64_byte_boundary() {
+    let data = cora::generate(1);
+    let long: Vec<usize> = data
+        .records
+        .iter()
+        .flat_map(|r| r.values.iter().map(|v| v.trim().len()))
+        .filter(|&n| n > 64)
+        .collect();
+    assert_eq!(long.len(), 366, "values over 64 bytes");
+    assert_eq!(long.iter().max(), Some(&89));
+
+    let blocker = SortedNeighborhood::multi_pass(data.top_entropy_attrs(5));
+    let matcher = RecordMatcher::with_kind(MeasureKind::JaroWinkler, data.entropy_weights(), vec![]);
+    let scored = score_candidates_streaming(&data, &blocker, &matcher);
+    let mut bytes = Vec::with_capacity(scored.len() * 24);
+    for s in &scored {
+        bytes.extend_from_slice(&(s.pair.0 as u64).to_le_bytes());
+        bytes.extend_from_slice(&(s.pair.1 as u64).to_le_bytes());
+        bytes.extend_from_slice(&s.score.to_bits().to_le_bytes());
+    }
+    assert_eq!(md5(&bytes).to_hex(), "27457068f95923f6289f811285da46b9", "{} pairs", scored.len());
+}
+
+/// The name-group assignment is pinned on the matrices where the
+/// Hungarian algorithm's tie-breaking shows: all 3^9 = 19 683 3×3
+/// matrices with entries in {0, ½, 1}, each digested as its chosen
+/// pairs and the total's bits. Recorded before the assignment moved to
+/// stack storage for small matrices; a failing pin means an operation
+/// order moved.
+#[test]
+fn name_group_assignment_is_pinned_on_tie_heavy_matrices() {
+    let mut scratch = AssignScratch::default();
+    let mut bytes = Vec::new();
+    let mut weights = [0.0; 9];
+    for code in 0..3usize.pow(9) {
+        let mut rest = code;
+        for w in &mut weights {
+            *w = (rest % 3) as f64 / 2.0;
+            rest /= 3;
+        }
+        let total = max_weight_assignment_with(&mut scratch, &weights, 3, 3);
+        let rows: Vec<Vec<f64>> = weights.chunks(3).map(<[f64]>::to_vec).collect();
+        let owned = max_weight_assignment(&rows);
+        assert_eq!(owned.pairs, scratch.pairs(), "matrix {code}");
+        assert_eq!(owned.total.to_bits(), total.to_bits(), "matrix {code}");
+        for &(i, j) in scratch.pairs() {
+            bytes.push(i as u8);
+            bytes.push(j as u8);
+        }
+        bytes.extend_from_slice(&total.to_bits().to_le_bytes());
+    }
+    assert_eq!(md5(&bytes).to_hex(), "66629597065e26c38e66dee65534a16e");
 }
