@@ -46,20 +46,21 @@ pub fn evaluate(predicted: &HashSet<Pair>, gold: &HashSet<Pair>) -> PrF {
 /// Score every candidate pair of a dataset with a matcher, best score
 /// first; equal scores are ordered by pair.
 ///
-/// The blocker streams into a [`PairCollector`], which drops the pairs
-/// a multi-pass blocker rediscovers. The dataset is interned once
-/// ([`RecordMatcher::prepare`]) and every pair is scored through it;
-/// the scores are bit for bit those of [`RecordMatcher::similarity`].
-/// The pairs are read in ascending order straight out of the
-/// collector's packed buffer: one record's candidates follow each
-/// other, so the memo rows of its values stay cached while they are
-/// scored.
+/// The blocker streams into a [`PairCollector`] sized for the dataset
+/// ([`PairCollector::with_records`]: a bitmap over the pair triangle up
+/// to 4 096 records), which drops the pairs a multi-pass blocker
+/// rediscovers. The dataset is interned once ([`RecordMatcher::prepare`])
+/// and every pair is scored through it; the scores are bit for bit
+/// those of [`RecordMatcher::similarity`]. The pairs are read in
+/// ascending order straight out of the collector: one record's
+/// candidates follow each other, so the memo rows of its values stay
+/// cached while they are scored.
 pub fn score_candidates_streaming(
     data: &Dataset,
     blocker: &dyn StreamBlocker,
     matcher: &RecordMatcher,
 ) -> Vec<ScoredPair> {
-    let mut collector = PairCollector::new();
+    let mut collector = PairCollector::with_records(data.len());
     blocker.stream_into(data, &mut collector);
     let mut prepared = matcher.prepare(data);
     let mut scored: Vec<ScoredPair> = collector

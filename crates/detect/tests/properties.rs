@@ -10,7 +10,7 @@ use nc_detect::dataset::{Dataset, Pair};
 use nc_detect::eval::{evaluate, linspace, score_candidates_streaming, threshold_sweep, PrF};
 use nc_detect::index::{CompositeBlocker, IndexedQGramBlocker, IndexedTokenBlocker};
 use nc_detect::matcher::{MeasureKind, RecordMatcher};
-use nc_detect::sink::PairCollector;
+use nc_detect::sink::{CandidateSink, PairCollector, MAX_TRIANGLE_BITS};
 use nc_propcheck::{check, check_n, Gen};
 use nc_similarity::StringSimilarity;
 use nc_votergen::rng::Rng;
@@ -105,6 +105,72 @@ fn quality_metrics_bounded() {
 #[ignore = "wide sweep: cargo test -- --ignored"]
 fn quality_metrics_bounded_wide() {
     check_n("quality_metrics_bounded", 3_000, quality_metrics_bounded_prop);
+}
+
+/// The most records whose pair triangle [`PairCollector::with_records`]
+/// keeps as a bitmap.
+const TRIANGLE_RECORDS: usize = 4_096;
+const _: () = assert!(
+    TRIANGLE_RECORDS * (TRIANGLE_RECORDS - 1) / 2 <= MAX_TRIANGLE_BITS
+        && (TRIANGLE_RECORDS + 1) * TRIANGLE_RECORDS / 2 > MAX_TRIANGLE_BITS
+);
+
+/// A collector sized for `n` records and the packed one of
+/// [`PairCollector::new`] agree on a stream of valid pairs with
+/// duplicates: the same distinct pairs in the same order, the same
+/// `emitted()`, `finish_count()` and iterator lengths — for `n` on both
+/// sides of the bitmap's cap, and for streams long enough to compact
+/// the packed buffer.
+fn collector_forms_agree_prop(g: &mut Gen) {
+    let n = if g.bool() {
+        g.range(2usize..80)
+    } else {
+        g.range(TRIANGLE_RECORDS - 6..TRIANGLE_RECORDS + 6)
+    };
+    let pool = g.vec(1..60, |g| {
+        let b = if g.range(0..4) == 0 { n - 1 } else { g.range(1..n) };
+        Pair(g.range(0..b), b)
+    });
+    let pushes = if g.range(0..16) == 0 { 70_000 } else { g.range(0..400) };
+    let stream: Vec<Pair> = (0..pushes).map(|_| g.pick(&pool)).collect();
+    // One pass over the stream feeds every collector: the sized form at
+    // the even places, one collector per way of finishing it.
+    let mut collectors = [(); 5].map(|_| PairCollector::new());
+    for c in collectors.iter_mut().step_by(2) {
+        *c = PairCollector::with_records(n);
+    }
+    for &pair in &stream {
+        for c in &mut collectors {
+            c.push(pair);
+        }
+    }
+    for c in &collectors {
+        assert_eq!(c.emitted(), stream.len() as u64);
+    }
+    let [sized, packed, sized_count, packed_count, sized_pairs] = collectors;
+    let (mut sized, mut packed) = (sized.into_pairs(), packed.into_pairs());
+    while packed.len() > 0 {
+        assert_eq!(sized.len(), packed.len(), "n = {n}");
+        assert_eq!(sized.next(), packed.next(), "n = {n}");
+    }
+    assert_eq!((sized.len(), sized.next()), (0, None));
+    let distinct: HashSet<Pair> = stream.iter().copied().collect();
+    assert_eq!(sized_count.finish_count(), distinct.len());
+    assert_eq!(packed_count.finish_count(), distinct.len());
+    let pairs = sized_pairs.finish();
+    assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+    assert_eq!(pairs.into_iter().collect::<HashSet<_>>(), distinct);
+}
+
+#[test]
+fn collector_forms_agree() {
+    check("collector_forms_agree", collector_forms_agree_prop);
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn collector_forms_agree_wide() {
+    check_n("collector_forms_agree", 3_000, collector_forms_agree_prop);
 }
 
 /// Precision and recall are in [0, 1] and F1 is their harmonic mean.

@@ -48,11 +48,15 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// 120 records: three name attributes over a pool of 12 (memoised in
+/// 121 records: three name attributes over a pool of 12 (memoised in
 /// full), a city out of five, a street that never repeats (compared by
 /// the kernel every time) and a mostly missing phone number. One name
 /// is not ASCII and every fourth street runs past 64 bytes, so both of
 /// Jaro's paths run: the word-parallel one and the scalar fallback.
+/// The last record is record 5 with first and last name swapped, whose
+/// name group against record 5 has one clear best assignment, off the
+/// diagonal (the enumerated path); records whose first name is their
+/// middle name tie (the Hungarian fallback).
 fn register() -> Dataset {
     let names = [
         "ANNA", "BOB", "CARLA", "DEBRA", "EARL", "FAYE", "GUS", "HANNAH", "IVAN", "JOSÉ", "", "KIM",
@@ -80,6 +84,10 @@ fn register() -> Dataset {
             i / 2,
         );
     }
+    let mut swapped = data.records[5].clone();
+    swapped.values.swap(0, 2);
+    assert_ne!(swapped.values[0], swapped.values[2]);
+    data.push(swapped.values, swapped.cluster);
     data
 }
 

@@ -5,7 +5,7 @@
 
 use nc_docstore::json;
 use nc_docstore::prelude::*;
-use nc_propcheck::{check, Gen, DIGITS, LOWER, UPPER};
+use nc_propcheck::{check, check_n, Gen, DIGITS, LOWER, UPPER};
 
 fn scalar_value(g: &mut Gen) -> Value {
     match g.range(0..5) {
@@ -27,176 +27,338 @@ fn int(g: &mut Gen, range: std::ops::Range<i32>) -> i64 {
 }
 
 /// set_path followed by get_path returns the value just written.
+fn set_then_get_round_trips_prop(g: &mut Gen) {
+    let segs = g.vec(1..4, field_name);
+    let value = scalar_value(g);
+    let path = segs.join(".");
+    let mut doc = Document::new();
+    assert!(doc.set_path(&path, value.clone()));
+    let got = doc.get_path(&path).expect("just set");
+    assert!(got.query_eq(&value) || (got.is_null() && value.is_null()));
+}
+
 #[test]
 fn set_then_get_round_trips() {
-    check("set_then_get_round_trips", |g| {
-        let segs = g.vec(1..4, field_name);
-        let value = scalar_value(g);
-        let path = segs.join(".");
-        let mut doc = Document::new();
-        assert!(doc.set_path(&path, value.clone()));
-        let got = doc.get_path(&path).expect("just set");
-        assert!(got.query_eq(&value) || (got.is_null() && value.is_null()));
-    });
+    check("set_then_get_round_trips", set_then_get_round_trips_prop);
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn set_then_get_round_trips_wide() {
+    check_n(
+        "set_then_get_round_trips",
+        3_000,
+        set_then_get_round_trips_prop,
+    );
 }
 
 /// Writing one path never clobbers a sibling path.
+fn sibling_paths_are_independent_prop(g: &mut Gen) {
+    let (a, b) = (field_name(g), field_name(g));
+    let (va, vb) = (scalar_value(g), scalar_value(g));
+    if a == b {
+        return;
+    }
+    let mut doc = Document::new();
+    doc.set_path(&a, va.clone());
+    doc.set_path(&b, vb);
+    let got = doc.get_path(&a).expect("still present");
+    assert!(got.query_eq(&va) || (got.is_null() && va.is_null()));
+}
+
 #[test]
 fn sibling_paths_are_independent() {
-    check("sibling_paths_are_independent", |g| {
-        let (a, b) = (field_name(g), field_name(g));
-        let (va, vb) = (scalar_value(g), scalar_value(g));
-        if a == b {
-            return;
-        }
-        let mut doc = Document::new();
-        doc.set_path(&a, va.clone());
-        doc.set_path(&b, vb);
-        let got = doc.get_path(&a).expect("still present");
-        assert!(got.query_eq(&va) || (got.is_null() && va.is_null()));
-    });
+    check(
+        "sibling_paths_are_independent",
+        sibling_paths_are_independent_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn sibling_paths_are_independent_wide() {
+    check_n(
+        "sibling_paths_are_independent",
+        3_000,
+        sibling_paths_are_independent_prop,
+    );
 }
 
 /// total_cmp is a total order: antisymmetric and transitive on
 /// random triples.
+fn total_cmp_laws_prop(g: &mut Gen) {
+    let (a, b, c) = (scalar_value(g), scalar_value(g), scalar_value(g));
+    use std::cmp::Ordering;
+    assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
+    if a.total_cmp(&b) != Ordering::Greater && b.total_cmp(&c) != Ordering::Greater {
+        assert_ne!(a.total_cmp(&c), Ordering::Greater);
+    }
+    assert_eq!(a.total_cmp(&a), Ordering::Equal);
+}
+
 #[test]
 fn total_cmp_laws() {
-    check("total_cmp_laws", |g| {
-        let (a, b, c) = (scalar_value(g), scalar_value(g), scalar_value(g));
-        use std::cmp::Ordering;
-        assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
-        if a.total_cmp(&b) != Ordering::Greater && b.total_cmp(&c) != Ordering::Greater {
-            assert_ne!(a.total_cmp(&c), Ordering::Greater);
-        }
-        assert_eq!(a.total_cmp(&a), Ordering::Equal);
-    });
+    check("total_cmp_laws", total_cmp_laws_prop);
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn total_cmp_laws_wide() {
+    check_n("total_cmp_laws", 3_000, total_cmp_laws_prop);
 }
 
 /// Equal values (by query semantics) hash identically.
+fn query_eq_implies_hash_eq_prop(g: &mut Gen) {
+    let (a, b) = (scalar_value(g), scalar_value(g));
+    if a.query_eq(&b) {
+        assert_eq!(a.stable_hash(), b.stable_hash());
+    }
+}
+
 #[test]
 fn query_eq_implies_hash_eq() {
-    check("query_eq_implies_hash_eq", |g| {
-        let (a, b) = (scalar_value(g), scalar_value(g));
-        if a.query_eq(&b) {
-            assert_eq!(a.stable_hash(), b.stable_hash());
-        }
-    });
+    check("query_eq_implies_hash_eq", query_eq_implies_hash_eq_prop);
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn query_eq_implies_hash_eq_wide() {
+    check_n(
+        "query_eq_implies_hash_eq",
+        3_000,
+        query_eq_implies_hash_eq_prop,
+    );
 }
 
 /// An indexed equality find returns exactly what a full scan does.
+fn indexed_find_agrees_with_scan_prop(g: &mut Gen) {
+    let values = g.vec(1..40, |g| g.string("ABCD", 1..=1));
+    let probe = g.string("ABCDE", 1..=1);
+    let mut indexed = Collection::new("i");
+    indexed.create_index("k", IndexKind::Hash);
+    let mut plain = Collection::new("p");
+    for v in &values {
+        indexed.insert(doc! { "k" => v.as_str() });
+        plain.insert(doc! { "k" => v.as_str() });
+    }
+    let filter = Filter::eq("k", probe.as_str());
+    let from_index: Vec<i64> = indexed
+        .find(&filter)
+        .iter()
+        .filter_map(|d| d.get_i64("_id"))
+        .collect();
+    let from_scan: Vec<i64> = plain
+        .find(&filter)
+        .iter()
+        .filter_map(|d| d.get_i64("_id"))
+        .collect();
+    assert_eq!(from_index, from_scan);
+}
+
 #[test]
 fn indexed_find_agrees_with_scan() {
-    check("indexed_find_agrees_with_scan", |g| {
-        let values = g.vec(1..40, |g| g.string("ABCD", 1..=1));
-        let probe = g.string("ABCDE", 1..=1);
-        let mut indexed = Collection::new("i");
-        indexed.create_index("k", IndexKind::Hash);
-        let mut plain = Collection::new("p");
-        for v in &values {
-            indexed.insert(doc! { "k" => v.as_str() });
-            plain.insert(doc! { "k" => v.as_str() });
-        }
-        let filter = Filter::eq("k", probe.as_str());
-        let from_index: Vec<i64> =
-            indexed.find(&filter).iter().filter_map(|d| d.get_i64("_id")).collect();
-        let from_scan: Vec<i64> =
-            plain.find(&filter).iter().filter_map(|d| d.get_i64("_id")).collect();
-        assert_eq!(from_index, from_scan);
-    });
+    check(
+        "indexed_find_agrees_with_scan",
+        indexed_find_agrees_with_scan_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn indexed_find_agrees_with_scan_wide() {
+    check_n(
+        "indexed_find_agrees_with_scan",
+        3_000,
+        indexed_find_agrees_with_scan_prop,
+    );
 }
 
 /// Range finds via an ordered index agree with scans.
+fn range_find_agrees_with_scan_prop(g: &mut Gen) {
+    let values = g.vec(1..40, |g| int(g, -50..50));
+    let lo = int(g, -60..60);
+    let len = int(g, 0..40);
+    let hi = lo + len;
+    let mut indexed = Collection::new("i");
+    indexed.create_index("k", IndexKind::Ordered);
+    let mut plain = Collection::new("p");
+    for v in &values {
+        indexed.insert(doc! { "k" => *v });
+        plain.insert(doc! { "k" => *v });
+    }
+    let filter = Filter::between("k", lo, hi);
+    let a: Vec<i64> = indexed
+        .find(&filter)
+        .iter()
+        .filter_map(|d| d.get_i64("_id"))
+        .collect();
+    let b: Vec<i64> = plain
+        .find(&filter)
+        .iter()
+        .filter_map(|d| d.get_i64("_id"))
+        .collect();
+    assert_eq!(a, b);
+}
+
 #[test]
 fn range_find_agrees_with_scan() {
-    check("range_find_agrees_with_scan", |g| {
-        let values = g.vec(1..40, |g| int(g, -50..50));
-        let lo = int(g, -60..60);
-        let len = int(g, 0..40);
-        let hi = lo + len;
-        let mut indexed = Collection::new("i");
-        indexed.create_index("k", IndexKind::Ordered);
-        let mut plain = Collection::new("p");
-        for v in &values {
-            indexed.insert(doc! { "k" => *v });
-            plain.insert(doc! { "k" => *v });
-        }
-        let filter = Filter::between("k", lo, hi);
-        let a: Vec<i64> = indexed.find(&filter).iter().filter_map(|d| d.get_i64("_id")).collect();
-        let b: Vec<i64> = plain.find(&filter).iter().filter_map(|d| d.get_i64("_id")).collect();
-        assert_eq!(a, b);
-    });
+    check(
+        "range_find_agrees_with_scan",
+        range_find_agrees_with_scan_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn range_find_agrees_with_scan_wide() {
+    check_n(
+        "range_find_agrees_with_scan",
+        3_000,
+        range_find_agrees_with_scan_prop,
+    );
 }
 
 /// Delete removes exactly the targeted document from finds.
+fn delete_removes_from_results_prop(g: &mut Gen) {
+    let values = g.vec(2..20, |g| g.string("ABC", 1..=1));
+    let mut coll = Collection::new("d");
+    coll.create_index("k", IndexKind::Hash);
+    let ids: Vec<DocId> = values
+        .iter()
+        .map(|v| coll.insert(doc! { "k" => v.as_str() }))
+        .collect();
+    let victim = ids[0];
+    let victim_key = values[0].clone();
+    coll.delete(victim);
+    let hits = coll.find_ids(&Filter::eq("k", victim_key.as_str()));
+    assert!(!hits.contains(&victim));
+    assert_eq!(coll.len(), values.len() - 1);
+}
+
 #[test]
 fn delete_removes_from_results() {
-    check("delete_removes_from_results", |g| {
-        let values = g.vec(2..20, |g| g.string("ABC", 1..=1));
-        let mut coll = Collection::new("d");
-        coll.create_index("k", IndexKind::Hash);
-        let ids: Vec<DocId> = values.iter().map(|v| coll.insert(doc! { "k" => v.as_str() })).collect();
-        let victim = ids[0];
-        let victim_key = values[0].clone();
-        coll.delete(victim);
-        let hits = coll.find_ids(&Filter::eq("k", victim_key.as_str()));
-        assert!(!hits.contains(&victim));
-        assert_eq!(coll.len(), values.len() - 1);
-    });
+    check(
+        "delete_removes_from_results",
+        delete_removes_from_results_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn delete_removes_from_results_wide() {
+    check_n(
+        "delete_removes_from_results",
+        3_000,
+        delete_removes_from_results_prop,
+    );
 }
 
 /// Filter::Not is an involution over random documents.
+fn not_not_is_identity_prop(g: &mut Gen) {
+    let (v, probe) = (scalar_value(g), scalar_value(g));
+    let doc = doc! { "k" => v };
+    let f = Filter::eq("k", probe);
+    let nn = Filter::not(Filter::not(f.clone()));
+    assert_eq!(f.matches(&doc), nn.matches(&doc));
+}
+
 #[test]
 fn not_not_is_identity() {
-    check("not_not_is_identity", |g| {
-        let (v, probe) = (scalar_value(g), scalar_value(g));
-        let doc = doc! { "k" => v };
-        let f = Filter::eq("k", probe);
-        let nn = Filter::not(Filter::not(f.clone()));
-        assert_eq!(f.matches(&doc), nn.matches(&doc));
-    });
+    check("not_not_is_identity", not_not_is_identity_prop);
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn not_not_is_identity_wide() {
+    check_n("not_not_is_identity", 3_000, not_not_is_identity_prop);
 }
 
 /// `parse(render(v)) == v`, to the bit, for arbitrary nested values.
+fn json_round_trips_arbitrary_values_prop(g: &mut Gen) {
+    let value = arbitrary_value(g);
+    let rendered = value.to_json();
+    let back = json::parse(rendered.as_bytes());
+    assert_eq!(back.as_ref(), Ok(&value), "{}", rendered);
+    // `PartialEq` calls `-0.0 == 0.0`; the rendering does not.
+    assert_eq!(back.unwrap().to_json(), rendered);
+}
+
 #[test]
 fn json_round_trips_arbitrary_values() {
-    check("json_round_trips_arbitrary_values", |g| {
-        let value = arbitrary_value(g);
-        let rendered = value.to_json();
-        let back = json::parse(rendered.as_bytes());
-        assert_eq!(back.as_ref(), Ok(&value), "{}", rendered);
-        // `PartialEq` calls `-0.0 == 0.0`; the rendering does not.
-        assert_eq!(back.unwrap().to_json(), rendered);
-    });
+    check(
+        "json_round_trips_arbitrary_values",
+        json_round_trips_arbitrary_values_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn json_round_trips_arbitrary_values_wide() {
+    check_n(
+        "json_round_trips_arbitrary_values",
+        3_000,
+        json_round_trips_arbitrary_values_prop,
+    );
 }
 
 /// Every proper prefix of a valid document is an error inside the
 /// input, never a panic and never a value.
+fn truncated_documents_are_errors_prop(g: &mut Gen) {
+    let rendered = doc! { "v" => arbitrary_value(g) }.to_json();
+    for cut in 0..rendered.len() {
+        let err = json::parse(&rendered.as_bytes()[..cut]).expect_err("a proper prefix");
+        assert!(err.offset <= cut, "cut {} of {}: {}", cut, rendered, err);
+    }
+}
+
 #[test]
 fn truncated_documents_are_errors() {
-    check("truncated_documents_are_errors", |g| {
-        let rendered = doc! { "v" => arbitrary_value(g) }.to_json();
-        for cut in 0..rendered.len() {
-            let err = json::parse(&rendered.as_bytes()[..cut]).expect_err("a proper prefix");
-            assert!(err.offset <= cut, "cut {} of {}: {}", cut, rendered, err);
-        }
-    });
+    check(
+        "truncated_documents_are_errors",
+        truncated_documents_are_errors_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn truncated_documents_are_errors_wide() {
+    check_n(
+        "truncated_documents_are_errors",
+        3_000,
+        truncated_documents_are_errors_prop,
+    );
 }
 
 /// Arbitrary bytes — raw, and spliced into a valid document — never
 /// panic, and an error points inside the input.
+fn arbitrary_bytes_never_panic_prop(g: &mut Gen) {
+    let noise = g.vec(0..48, |g| g.range(0..=u8::MAX));
+    let mut spliced = arbitrary_value(g).to_json().into_bytes();
+    let at = g.range(0..=spliced.len());
+    spliced.splice(at..at, noise.iter().copied());
+    for input in [&noise, &spliced] {
+        if let Err(e) = json::parse(input) {
+            assert!(e.offset <= input.len(), "{:?}: {}", input, e);
+        }
+    }
+}
+
 #[test]
 fn arbitrary_bytes_never_panic() {
-    check("arbitrary_bytes_never_panic", |g| {
-        let noise = g.vec(0..48, |g| g.range(0..=u8::MAX));
-        let mut spliced = arbitrary_value(g).to_json().into_bytes();
-        let at = g.range(0..=spliced.len());
-        spliced.splice(at..at, noise.iter().copied());
-        for input in [&noise, &spliced] {
-            if let Err(e) = json::parse(input) {
-                assert!(e.offset <= input.len(), "{:?}: {}", input, e);
-            }
-        }
-    });
+    check(
+        "arbitrary_bytes_never_panic",
+        arbitrary_bytes_never_panic_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn arbitrary_bytes_never_panic_wide() {
+    check_n(
+        "arbitrary_bytes_never_panic",
+        3_000,
+        arbitrary_bytes_never_panic_prop,
+    );
 }
 
 /// Strings over the characters the escaper and the reader treat
@@ -229,9 +391,11 @@ fn arbitrary_tree(g: &mut Gen, budget: usize) -> Value {
         5 => Value::Str(arbitrary_string(g)),
         6 | 7 => Value::Array(g.vec(0..4, |g| arbitrary_tree(g, budget - 1))),
         _ => Value::Doc(
-            g.vec(0..4, |g| (arbitrary_string(g), arbitrary_tree(g, budget - 1)))
-                .into_iter()
-                .collect(),
+            g.vec(0..4, |g| {
+                (arbitrary_string(g), arbitrary_tree(g, budget - 1))
+            })
+            .into_iter()
+            .collect(),
         ),
     }
 }
@@ -286,7 +450,8 @@ fn collection_file_in_the_earlier_spelling_still_loads() {
         "#nc-footer:{{\"count\":3,\"crc\":\"{:08x}\"}}\n",
         running.finalize()
     ));
-    let path = std::env::temp_dir().join(format!("nc_docstore_parent_format_{}", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("nc_docstore_parent_format_{}", std::process::id()));
     std::fs::write(&path, file).unwrap();
 
     let loaded = load("v", &path).unwrap();
@@ -303,6 +468,10 @@ fn collection_file_in_the_earlier_spelling_still_loads() {
     ];
     let docs: Vec<&Document> = loaded.iter_ordered().map(|(_, d)| d).collect();
     assert_eq!(docs, expected.iter().collect::<Vec<_>>());
-    assert_eq!(docs[0].get("het"), Some(&Value::Float(1.0)), "1.0 stays a float");
+    assert_eq!(
+        docs[0].get("het"),
+        Some(&Value::Float(1.0)),
+        "1.0 stays a float"
+    );
     assert_eq!(docs[0].get("whole"), Some(&Value::Int(3)), "3 stays an int");
 }

@@ -3,13 +3,18 @@
 //! most the final partial document — with the loss reported accurately.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nc_docstore::persist::{salvage, save, FooterStatus};
 use nc_docstore::prelude::*;
-use nc_propcheck::check;
+use nc_propcheck::{check, check_n, Gen};
 
+/// A file path of its own for every call, so a property and its wide
+/// twin can run side by side.
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("nc_salvage_prop_{}_{}", std::process::id(), name))
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let (pid, call) = (std::process::id(), CALLS.fetch_add(1, Ordering::Relaxed));
+    std::env::temp_dir().join(format!("nc_salvage_prop_{pid}_{name}_{call}"))
 }
 
 fn build_collection(n: usize) -> Collection {
@@ -34,71 +39,101 @@ fn line_ends(bytes: &[u8]) -> Vec<usize> {
         .collect()
 }
 
+fn truncation_loses_at_most_the_final_partial_document_prop(g: &mut Gen) {
+    let n = g.range(1usize..12);
+    let cut = g.range(0.0f64..1.0);
+    let c = build_collection(n);
+    let path = tmp("trunc");
+    save(&c, &path).unwrap();
+    let full = std::fs::read(&path).unwrap();
+    let k = ((cut * full.len() as f64) as usize).min(full.len());
+    std::fs::write(&path, &full[..k]).unwrap();
+
+    let s = salvage("v", &path).unwrap();
+
+    // Every data line (all lines except the trailing footer) that
+    // survived the cut in full must be recovered; the line the cut
+    // landed in is the only one that may be lost.
+    let ends = line_ends(&full);
+    let data_lines = ends.len() - 1; // the last line is the footer
+    assert_eq!(data_lines, n);
+    let expected_docs = ends[..data_lines].iter().filter(|&&e| e <= k).count();
+    assert_eq!(s.collection.len(), expected_docs);
+    assert_eq!(s.report.docs_recovered, expected_docs);
+
+    // Loss accounting: bytes from the last intact line boundary to
+    // the (truncated) EOF, and at most one torn line.
+    let boundary = ends.iter().copied().filter(|&e| e <= k).max().unwrap_or(0);
+    assert_eq!(s.report.bytes_dropped, (k - boundary) as u64);
+    assert!(s.report.lines_dropped <= 1);
+    assert_eq!(s.report.lines_dropped, usize::from(k > boundary));
+
+    // The footer cannot survive a real truncation.
+    if k == full.len() {
+        assert_eq!(s.report.footer, FooterStatus::Valid);
+        assert!(s.report.is_clean());
+    } else {
+        assert_eq!(s.report.footer, FooterStatus::Missing);
+        assert_eq!(s.report.detail.is_some(), k > boundary);
+    }
+
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn truncation_loses_at_most_the_final_partial_document() {
-    check("truncation_loses_at_most_the_final_partial_document", |g| {
-        let n = g.range(1usize..12);
-        let cut = g.range(0.0f64..1.0);
-        let c = build_collection(n);
-        let path = tmp("trunc");
-        save(&c, &path).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        let k = ((cut * full.len() as f64) as usize).min(full.len());
-        std::fs::write(&path, &full[..k]).unwrap();
+    check(
+        "truncation_loses_at_most_the_final_partial_document",
+        truncation_loses_at_most_the_final_partial_document_prop,
+    );
+}
 
-        let s = salvage("v", &path).unwrap();
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn truncation_loses_at_most_the_final_partial_document_wide() {
+    check_n(
+        "truncation_loses_at_most_the_final_partial_document",
+        3_000,
+        truncation_loses_at_most_the_final_partial_document_prop,
+    );
+}
 
-        // Every data line (all lines except the trailing footer) that
-        // survived the cut in full must be recovered; the line the cut
-        // landed in is the only one that may be lost.
-        let ends = line_ends(&full);
-        let data_lines = ends.len() - 1; // the last line is the footer
-        assert_eq!(data_lines, n);
-        let expected_docs = ends[..data_lines].iter().filter(|&&e| e <= k).count();
-        assert_eq!(s.collection.len(), expected_docs);
-        assert_eq!(s.report.docs_recovered, expected_docs);
+fn arbitrary_single_byte_corruption_never_panics_prop(g: &mut Gen) {
+    let n = g.range(1usize..8);
+    let offset = g.range(0usize..4096);
+    let flip = g.range(0u8..8);
+    let c = build_collection(n);
+    let path = tmp("flip");
+    save(&c, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = offset % bytes.len();
+    bytes[at] ^= 1 << flip;
+    std::fs::write(&path, &bytes).unwrap();
 
-        // Loss accounting: bytes from the last intact line boundary to
-        // the (truncated) EOF, and at most one torn line.
-        let boundary = ends.iter().copied().filter(|&e| e <= k).max().unwrap_or(0);
-        assert_eq!(s.report.bytes_dropped, (k - boundary) as u64);
-        assert!(s.report.lines_dropped <= 1);
-        assert_eq!(s.report.lines_dropped, usize::from(k > boundary));
+    // Salvage must never panic or error on a read-able file, and it
+    // can only ever recover documents the file actually held.
+    let s = salvage("v", &path).unwrap();
+    assert!(s.collection.len() <= n);
+    // Whatever strict load says, it must not panic either.
+    let _ = nc_docstore::persist::load("v", &path);
 
-        // The footer cannot survive a real truncation.
-        if k == full.len() {
-            assert_eq!(s.report.footer, FooterStatus::Valid);
-            assert!(s.report.is_clean());
-        } else {
-            assert_eq!(s.report.footer, FooterStatus::Missing);
-            assert_eq!(s.report.detail.is_some(), k > boundary);
-        }
-
-        std::fs::remove_file(&path).unwrap();
-    });
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn arbitrary_single_byte_corruption_never_panics() {
-    check("arbitrary_single_byte_corruption_never_panics", |g| {
-        let n = g.range(1usize..8);
-        let offset = g.range(0usize..4096);
-        let flip = g.range(0u8..8);
-        let c = build_collection(n);
-        let path = tmp("flip");
-        save(&c, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = offset % bytes.len();
-        bytes[at] ^= 1 << flip;
-        std::fs::write(&path, &bytes).unwrap();
+    check(
+        "arbitrary_single_byte_corruption_never_panics",
+        arbitrary_single_byte_corruption_never_panics_prop,
+    );
+}
 
-        // Salvage must never panic or error on a read-able file, and it
-        // can only ever recover documents the file actually held.
-        let s = salvage("v", &path).unwrap();
-        assert!(s.collection.len() <= n);
-        // Whatever strict load says, it must not panic either.
-        let _ = nc_docstore::persist::load("v", &path);
-
-        std::fs::remove_file(&path).unwrap();
-    });
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn arbitrary_single_byte_corruption_never_panics_wide() {
+    check_n(
+        "arbitrary_single_byte_corruption_never_panics",
+        3_000,
+        arbitrary_single_byte_corruption_never_panics_prop,
+    );
 }

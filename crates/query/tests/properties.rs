@@ -13,7 +13,7 @@
 
 use nc_core::heterogeneity::Scope;
 use nc_core::snapshot::StoreSnapshot;
-use nc_propcheck::{check, Gen};
+use nc_propcheck::{check, check_n, Gen};
 use nc_query::{execute, execute_naive, CarveQuery, ClusterCatalog, ExecOptions};
 use nc_votergen::schema::{Row, FIRST_NAME, LAST_NAME, NCID, SNAPSHOT_DT};
 
@@ -160,47 +160,97 @@ fn rendered(docs: &[nc_docstore::value::Document]) -> Vec<String> {
 /// The indexed plan and a forced full scan produce byte-identical
 /// results — same matched set, same capture positions, same
 /// rendered documents.
+fn indexed_plan_matches_forced_scan_prop(g: &mut Gen) {
+    let (specs, body) = (cluster_specs(g), pipeline(g));
+    let cat = catalog_from(&specs);
+    let query = parse(&body);
+    let fast = execute(&cat, &query, ExecOptions::default());
+    let slow = execute(&cat, &query, ExecOptions { force_scan: true });
+    assert!(slow.explain.full_scan);
+    assert_eq!(&fast.matched, &slow.matched, "query: {}", body);
+    assert_eq!(&fast.positions, &slow.positions, "query: {}", body);
+    assert_eq!(
+        rendered(&fast.docs),
+        rendered(&slow.docs),
+        "query: {}",
+        body
+    );
+}
+
 #[test]
 fn indexed_plan_matches_forced_scan() {
-    check("indexed_plan_matches_forced_scan", |g| {
-        let (specs, body) = (cluster_specs(g), pipeline(g));
-        let cat = catalog_from(&specs);
-        let query = parse(&body);
-        let fast = execute(&cat, &query, ExecOptions::default());
-        let slow = execute(&cat, &query, ExecOptions { force_scan: true });
-        assert!(slow.explain.full_scan);
-        assert_eq!(&fast.matched, &slow.matched, "query: {}", body);
-        assert_eq!(&fast.positions, &slow.positions, "query: {}", body);
-        assert_eq!(rendered(&fast.docs), rendered(&slow.docs), "query: {}", body);
-    });
+    check(
+        "indexed_plan_matches_forced_scan",
+        indexed_plan_matches_forced_scan_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn indexed_plan_matches_forced_scan_wide() {
+    check_n(
+        "indexed_plan_matches_forced_scan",
+        3_000,
+        indexed_plan_matches_forced_scan_prop,
+    );
 }
 
 /// Planned execution equals the naive reference: every cluster doc
 /// pushed through `Pipeline::run_docs` one stage at a time.
+fn planned_execution_equals_naive_prop(g: &mut Gen) {
+    let (specs, body) = (cluster_specs(g), pipeline(g));
+    let cat = catalog_from(&specs);
+    let query = parse(&body);
+    let planned = execute(&cat, &query, ExecOptions::default());
+    let naive = execute_naive(&cat, &query);
+    assert_eq!(rendered(&planned.docs), rendered(&naive), "query: {}", body);
+}
+
 #[test]
 fn planned_execution_equals_naive() {
-    check("planned_execution_equals_naive", |g| {
-        let (specs, body) = (cluster_specs(g), pipeline(g));
-        let cat = catalog_from(&specs);
-        let query = parse(&body);
-        let planned = execute(&cat, &query, ExecOptions::default());
-        let naive = execute_naive(&cat, &query);
-        assert_eq!(rendered(&planned.docs), rendered(&naive), "query: {}", body);
-    });
+    check(
+        "planned_execution_equals_naive",
+        planned_execution_equals_naive_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn planned_execution_equals_naive_wide() {
+    check_n(
+        "planned_execution_equals_naive",
+        3_000,
+        planned_execution_equals_naive_prop,
+    );
 }
 
 /// Rebuilding the catalog from scratch and replaying the same query
 /// (same seed embedded in the body) reproduces the identical carve.
+fn replay_from_rebuilt_catalog_is_bit_identical_prop(g: &mut Gen) {
+    let (specs, body) = (cluster_specs(g), pipeline(g));
+    let first = execute(&catalog_from(&specs), &parse(&body), ExecOptions::default());
+    let second = execute(&catalog_from(&specs), &parse(&body), ExecOptions::default());
+    assert_eq!(&first.matched, &second.matched);
+    assert_eq!(&first.positions, &second.positions);
+    assert_eq!(rendered(&first.docs), rendered(&second.docs));
+}
+
 #[test]
 fn replay_from_rebuilt_catalog_is_bit_identical() {
-    check("replay_from_rebuilt_catalog_is_bit_identical", |g| {
-        let (specs, body) = (cluster_specs(g), pipeline(g));
-        let first = execute(&catalog_from(&specs), &parse(&body), ExecOptions::default());
-        let second = execute(&catalog_from(&specs), &parse(&body), ExecOptions::default());
-        assert_eq!(&first.matched, &second.matched);
-        assert_eq!(&first.positions, &second.positions);
-        assert_eq!(rendered(&first.docs), rendered(&second.docs));
-    });
+    check(
+        "replay_from_rebuilt_catalog_is_bit_identical",
+        replay_from_rebuilt_catalog_is_bit_identical_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn replay_from_rebuilt_catalog_is_bit_identical_wide() {
+    check_n(
+        "replay_from_rebuilt_catalog_is_bit_identical",
+        3_000,
+        replay_from_rebuilt_catalog_is_bit_identical_prop,
+    );
 }
 
 /// A sampled query carve is reproducible across a *sharded* publish:

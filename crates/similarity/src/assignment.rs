@@ -3,9 +3,18 @@
 //! The Generalized Jaccard Coefficient and the paper's name matcher
 //! (Section 6.5: "we matched every combination of them and used the 1:1
 //! matching with the highest similarity") need an exact maximum-weight
-//! bipartite matching. Token sets are tiny (person names have ≤ 4
-//! tokens), so the `O(n³)` Hungarian algorithm is more than fast enough
-//! while avoiding the pitfalls of greedy matching.
+//! bipartite matching, not a greedy one.
+//!
+//! Every matrix runs the `O(n³)` Hungarian algorithm except the small
+//! ones the paper's matcher spends its time on: with at most three rows
+//! and three columns there are at most six injective assignments, so
+//! `assign_core` totals each of them and takes the best when it beats
+//! the runner-up by a margin far above the Hungarian's rounding error
+//! (`certified_small`). There the Hungarian could only have found the
+//! same assignment, and its total is summed in the Hungarian's order,
+//! so both the pairs and the total's bits are the Hungarian's. Ties and
+//! near-ties, where the Hungarian's tie-breaking decides the pairs, run
+//! the Hungarian itself.
 
 /// Result of a maximum-weight assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,14 +65,20 @@ struct Work<'a> {
     used: &'a mut [bool],
 }
 
-/// Hungarian algorithm over a flat row-major `n × m` matrix of finite,
-/// non-negative weights. Fills `scratch.pairs` (sorted by row) and
-/// returns the total assigned weight; produces exactly the pairs
-/// [`max_weight_assignment`] would.
+/// Maximum-weight assignment of a flat row-major `n × m` matrix of
+/// finite, non-negative weights: [`certified_small`] where it is
+/// certain, else the Hungarian algorithm. Fills `scratch.pairs` (sorted
+/// by row) and returns the total assigned weight; produces exactly the
+/// pairs [`max_weight_assignment`] would.
 pub(crate) fn assign_core(scratch: &mut AssignScratch, weights: &[f64], n: usize, m: usize) -> f64 {
     scratch.pairs.clear();
     if n == 0 || m == 0 {
         return 0.0;
+    }
+    if n.max(m) <= ENUM_SIDE {
+        if let Some(total) = certified_small(weights, n, m, &mut scratch.pairs) {
+            return total;
+        }
     }
     let len = n.max(m) + 1;
     if n.max(m) <= STACK_COLS {
@@ -100,6 +115,80 @@ pub(crate) fn assign_core(scratch: &mut AssignScratch, weights: &[f64], n: usize
         };
         hungarian(work, weights, n, m, &mut scratch.pairs)
     }
+}
+
+/// The widest matrix side [`certified_small`] enumerates.
+const ENUM_SIDE: usize = 3;
+
+/// Marks a long-side index no short-side index is assigned to.
+const FREE: u8 = u8::MAX;
+
+/// Every injective assignment of a short side of `k` indices into a
+/// long side of `l ≥ k` (`l ≤ 3`), each as its inverse: entry `t` is the
+/// short index assigned to long index `t`, or [`FREE`].
+fn injections(k: usize, l: usize) -> &'static [[u8; ENUM_SIDE]] {
+    const F: u8 = FREE;
+    match (k, l) {
+        (1, 1) => &[[0, F, F]],
+        (1, 2) => &[[0, F, F], [F, 0, F]],
+        (2, 2) => &[[0, 1, F], [1, 0, F]],
+        (1, 3) => &[[0, F, F], [F, 0, F], [F, F, 0]],
+        (2, 3) => &[[0, 1, F], [0, F, 1], [1, 0, F], [F, 0, 1], [1, F, 0], [F, 1, 0]],
+        (3, 3) => &[[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]],
+        _ => unreachable!("{k} x {l} is not a small assignment"),
+    }
+}
+
+/// The assignment of a matrix with at most [`ENUM_SIDE`] rows and
+/// columns by enumeration, when it is certain: the best total must beat
+/// every other injection's by more than `1e-9 · max(1, best)`. No
+/// weight exceeds `best` (each extends to a full injection), so the
+/// Hungarian's potentials stay within a few ulps of `best` and it
+/// cannot prefer an assignment that much worse. Fills `pairs` (sorted
+/// by row) and returns the total summed as [`hungarian`] sums it, over
+/// the long side in ascending order; `None` on a tie or a near-tie.
+fn certified_small(
+    weights: &[f64],
+    n: usize,
+    m: usize,
+    pairs: &mut Vec<(usize, usize)>,
+) -> Option<f64> {
+    // As in the Hungarian: the short side indexes the assignment, the
+    // long side is summed over. Cell `(s, t)` is `weights[s * ss + t * ts]`.
+    let transpose = n > m;
+    let (short, long, ss, ts) = if transpose { (m, n, 1, m) } else { (n, m, m, 1) };
+    let candidates = injections(short, long);
+    // At most 3! totals; fixed trip counts, the unused ones stay at -∞.
+    let mut totals = [f64::NEG_INFINITY; 6];
+    for (total, inverse) in totals.iter_mut().zip(candidates) {
+        *total = 0.0;
+        for (t, &s) in inverse.iter().enumerate() {
+            if s != FREE {
+                *total += weights[s as usize * ss + t * ts];
+            }
+        }
+    }
+    let (mut best, mut runner_up, mut chosen) = (f64::NEG_INFINITY, f64::NEG_INFINITY, 0);
+    for (c, &total) in totals.iter().enumerate() {
+        if total > best {
+            (runner_up, best, chosen) = (best, total, c);
+        } else if total > runner_up {
+            runner_up = total;
+        }
+    }
+    // False, so the Hungarian runs, when the margin is NaN (both totals
+    // infinite).
+    let certain = best - runner_up > 1e-9 * best.max(1.0);
+    if !certain {
+        return None;
+    }
+    for (t, &s) in candidates[chosen].iter().enumerate() {
+        if s != FREE {
+            pairs.push(if transpose { (t, s as usize) } else { (s as usize, t) });
+        }
+    }
+    pairs.sort_unstable();
+    Some(best)
 }
 
 /// The algorithm itself, on whichever storage [`assign_core`] chose.
@@ -353,6 +442,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The Hungarian alone, on heap storage.
+    fn hungarian_only(weights: &[f64], n: usize, m: usize) -> (Vec<(usize, usize)>, f64) {
+        let len = n.max(m) + 1;
+        let (mut u, mut v, mut minv) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+        let (mut matched_col, mut way, mut used) = (vec![0; len], vec![0; len], vec![false; len]);
+        let work = Work {
+            u: &mut u,
+            v: &mut v,
+            matched_col: &mut matched_col,
+            way: &mut way,
+            minv: &mut minv,
+            used: &mut used,
+        };
+        let mut pairs = Vec::new();
+        let total = hungarian(work, weights, n, m, &mut pairs);
+        (pairs, total)
+    }
+
+    #[test]
+    fn certified_small_assignments_are_the_hungarians() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut certified, mut fell_back) = (0, 0);
+        for n in 1..=3usize {
+            for m in 1..=3usize {
+                for case in 0..600 {
+                    let scale = [1.0, 1e-6, 1e6][case % 3];
+                    let w: Vec<f64> = (0..n * m)
+                        .map(|_| match case % 4 {
+                            // Coarse values tie often; fine ones rarely.
+                            0 => (next() * 3.0).floor() / 2.0,
+                            _ => next() * scale,
+                        })
+                        .collect();
+                    let mut pairs = Vec::new();
+                    let expected = hungarian_only(&w, n, m);
+                    match certified_small(&w, n, m, &mut pairs) {
+                        Some(total) => {
+                            certified += 1;
+                            assert_eq!(pairs, expected.0, "{n}x{m} {w:?}");
+                            assert_eq!(total.to_bits(), expected.1.to_bits(), "{n}x{m} {w:?}");
+                        }
+                        None => fell_back += 1,
+                    }
+                }
+            }
+        }
+        assert!(certified > 0 && fell_back > 0, "{certified} certified, {fell_back} fell back");
+    }
+
+    #[test]
+    fn a_tie_is_left_to_the_hungarian() {
+        let mut pairs = Vec::new();
+        assert_eq!(certified_small(&[1.0, 1.0, 1.0, 1.0], 2, 2, &mut pairs), None);
+        assert_eq!(certified_small(&[0.5, 0.5 + 1e-12], 1, 2, &mut pairs), None);
+        assert!(pairs.is_empty());
+        assert_eq!(certified_small(&[0.5, 0.5 + 1e-6], 1, 2, &mut pairs), Some(0.5 + 1e-6));
+        assert_eq!(pairs, vec![(0, 1)]);
     }
 
     #[test]

@@ -54,7 +54,11 @@ echo "=== property sweep ==="
 # property under its own name at 3 000 cases (the tier-1 cases first,
 # since case seeds derive from the name), so a property that holds at
 # 64 cases and not at 3 000 is found here rather than by hand.
-cargo test --release -q -p nc-detect -p nc-pprl -p nc-similarity "$@" -- --ignored
+# Skipped for cost: nc-core's thread-count scoring property (threads per
+# case) and its three carve properties (a store built and carved per
+# case).
+cargo test --release -q -p nc-core -p nc-detect -p nc-docstore -p nc-pprl -p nc-query \
+    -p nc-similarity -p nc-votergen "$@" -- --ignored
 
 echo "=== shard smoke ==="
 # Tiny-parameter pass through the shard benchmark: in-memory fan-out,

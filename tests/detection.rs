@@ -321,3 +321,104 @@ fn name_group_assignment_is_pinned_on_tie_heavy_matrices() {
     }
     assert_eq!(md5(&bytes).to_hex(), "66629597065e26c38e66dee65534a16e");
 }
+
+/// Digest one assignment: its chosen pairs and its total's bits, after
+/// checking the owned and the scratch entry points agree on both.
+fn digest_assignment(
+    bytes: &mut Vec<u8>,
+    scratch: &mut AssignScratch,
+    weights: &[f64],
+    rows: usize,
+    cols: usize,
+) {
+    let total = max_weight_assignment_with(scratch, weights, rows, cols);
+    let owned: Vec<Vec<f64>> = weights.chunks(cols).map(<[f64]>::to_vec).collect();
+    let owned = max_weight_assignment(&owned);
+    assert_eq!(owned.pairs, scratch.pairs(), "{rows}x{cols} {weights:?}");
+    assert_eq!(owned.total.to_bits(), total.to_bits(), "{rows}x{cols} {weights:?}");
+    for &(i, j) in scratch.pairs() {
+        bytes.push(i as u8);
+        bytes.push(j as u8);
+    }
+    bytes.extend_from_slice(&total.to_bits().to_le_bytes());
+}
+
+/// Every matrix of every shape from 1 × 1 to 3 × 3 with entries in
+/// {0, ½, 1}, both rectangular orientations included: 3^(rows·cols)
+/// matrices per shape, each digested as its chosen pairs and the
+/// total's bits. Recorded before small assignments stopped running the
+/// Hungarian algorithm when their optimum is certain; ties and their
+/// tie-breaking are most of these matrices.
+#[test]
+fn small_assignments_of_every_shape_are_pinned() {
+    let mut scratch = AssignScratch::default();
+    let mut bytes = Vec::new();
+    for rows in 1..=3usize {
+        for cols in 1..=3usize {
+            let cells = rows * cols;
+            let mut weights = vec![0.0; cells];
+            for code in 0..3usize.pow(cells as u32) {
+                let mut rest = code;
+                for w in &mut weights {
+                    *w = (rest % 3) as f64 / 2.0;
+                    rest /= 3;
+                }
+                digest_assignment(&mut bytes, &mut scratch, &weights, rows, cols);
+            }
+        }
+    }
+    assert_eq!(md5(&bytes).to_hex(), "2b311e5e869a3bc3a113700af72ef402");
+}
+
+/// Seeded near-ties: every injective assignment of a matrix
+/// `a_i + b_j` totals the same, then two cell-disjoint assignments get
+/// a bonus and the first of them `gap` more, so the best two are
+/// `gap` apart (0, 1 ulp of a cell, or 1e-12, 1e-10, 1e-8 of the
+/// scale) with entries scaled by 1, 1e3 and 1e6. Shapes 2 × 2 to
+/// 3 × 3, both orientations; recorded with the pin above.
+#[test]
+fn near_tie_assignments_are_pinned() {
+    use nc_suite::votergen::rng::Rng;
+    let mut rng = Rng::seed_from_u64(0x5EED_A551);
+    let mut scratch = AssignScratch::default();
+    let mut bytes = Vec::new();
+    for (short, long) in [(2usize, 2usize), (2, 3), (3, 3)] {
+        for scale in [1.0, 1e3, 1e6] {
+            for gap in [None, Some(0.0), Some(1e-12), Some(1e-10), Some(1e-8)] {
+                for _ in 0..40 {
+                    // Rows of the short side, columns of the long one;
+                    // the long side's offsets are equal so that every
+                    // injection ties before the bonus.
+                    let a: Vec<f64> = (0..short).map(|_| rng.gen() * 0.25 * scale).collect();
+                    let b0 = rng.gen() * 0.25 * scale;
+                    let b: Vec<f64> = (0..long)
+                        .map(|_| if short == long { rng.gen() * 0.25 * scale } else { b0 })
+                        .collect();
+                    let mut cols: Vec<usize> = (0..long).collect();
+                    rng.shuffle(&mut cols);
+                    let best: Vec<usize> = cols[..short].to_vec();
+                    let runner_up: Vec<usize> =
+                        (0..short).map(|i| best[(i + 1) % short]).collect();
+                    let mut w: Vec<f64> =
+                        (0..short * long).map(|c| a[c / long] + b[c % long]).collect();
+                    for i in 0..short {
+                        w[i * long + best[i]] += 0.25 * scale;
+                        w[i * long + runner_up[i]] += 0.25 * scale;
+                    }
+                    let cell = &mut w[best[0]];
+                    *cell = match gap {
+                        None => f64::from_bits(cell.to_bits() + 1),
+                        Some(g) => *cell + g * scale,
+                    };
+                    digest_assignment(&mut bytes, &mut scratch, &w, short, long);
+                    if short != long {
+                        let t: Vec<f64> =
+                            (0..long * short).map(|c| w[(c % short) * long + c / short]).collect();
+                        digest_assignment(&mut bytes, &mut scratch, &t, long, short);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(md5(&bytes).to_hex(), "dc49ea359b5b3ec3a2d66626d16f31de");
+}
