@@ -1,7 +1,7 @@
 //! Pair-based irregularities: detectable only between two duplicate
 //! records (Section 6.4).
 
-use nc_similarity::damerau::osa_distance;
+use nc_similarity::damerau;
 use nc_similarity::soundex::phonetic_match;
 use nc_similarity::token::{same_token_multiset, strip_non_alnum};
 
@@ -19,12 +19,11 @@ pub fn is_typo(a: &str, b: &str) -> bool {
     if a.chars().count() <= 2 || b.chars().count() <= 2 {
         return false;
     }
-    let la: Vec<char> = a.to_lowercase().chars().collect();
-    let lb: Vec<char> = b.to_lowercase().chars().collect();
+    let (la, lb) = (a.to_lowercase(), b.to_lowercase());
     if la == lb {
         return false;
     }
-    osa_distance(&la, &lb) == 1
+    damerau::distance(&la, &lb) == 1
 }
 
 /// Phonetic error: same Soundex code, not identical after removing

@@ -198,9 +198,9 @@ impl Collection {
         let mut out = lists.next()?;
         for other in lists {
             // Posting lists come back sorted ascending, so candidates
-            // stay ordered by `_id` through the intersection.
-            let keep: std::collections::HashSet<DocId> = other.into_iter().collect();
-            out.retain(|id| keep.contains(id));
+            // stay ordered by `_id` through the intersection and
+            // membership is a binary search.
+            out.retain(|id| other.binary_search(id).is_ok());
             if out.is_empty() {
                 break;
             }

@@ -6,7 +6,7 @@
 //! semantics — essential for the voter data where most of the 90
 //! attributes are missing in most records).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::collection::DocId;
 use crate::value::Value;
@@ -41,19 +41,21 @@ impl Ord for OrdKey {
     }
 }
 
-/// A secondary index instance.
+/// A secondary index instance. A posting list is a sorted `Vec` of
+/// distinct ids: one `u64` per posting, kept in order by binary-search
+/// insert and remove.
 #[derive(Debug, Clone)]
 pub enum Index {
     /// Hash-based equality index (buckets by stable hash; collisions
     /// resolved by `query_eq`).
     Hash {
         /// stable_hash(value) → (value, posting list) entries.
-        buckets: HashMap<u64, Vec<(Value, HashSet<DocId>)>>,
+        buckets: HashMap<u64, Vec<(Value, Vec<DocId>)>>,
     },
     /// Ordered B-tree index.
     Ordered {
         /// value → posting list, ordered by `total_cmp`.
-        tree: BTreeMap<OrdKey, HashSet<DocId>>,
+        tree: BTreeMap<OrdKey, Vec<DocId>>,
     },
 }
 
@@ -85,13 +87,13 @@ impl Index {
                 let h = value.stable_hash();
                 let bucket = buckets.entry(h).or_default();
                 if let Some((_, ids)) = bucket.iter_mut().find(|(v, _)| v.query_eq(value)) {
-                    ids.insert(id);
+                    insert_posting(ids, id);
                 } else {
-                    bucket.push((value.clone(), HashSet::from([id])));
+                    bucket.push((value.clone(), vec![id]));
                 }
             }
             Index::Ordered { tree } => {
-                tree.entry(OrdKey(value.clone())).or_default().insert(id);
+                insert_posting(tree.entry(OrdKey(value.clone())).or_default(), id);
             }
         }
     }
@@ -103,7 +105,7 @@ impl Index {
                 let h = value.stable_hash();
                 if let Some(bucket) = buckets.get_mut(&h) {
                     if let Some((_, ids)) = bucket.iter_mut().find(|(v, _)| v.query_eq(value)) {
-                        ids.remove(&id);
+                        remove_posting(ids, id);
                     }
                     bucket.retain(|(_, ids)| !ids.is_empty());
                     if bucket.is_empty() {
@@ -114,7 +116,7 @@ impl Index {
             Index::Ordered { tree } => {
                 let key = OrdKey(value.clone());
                 if let Some(ids) = tree.get_mut(&key) {
-                    ids.remove(&id);
+                    remove_posting(ids, id);
                     if ids.is_empty() {
                         tree.remove(&key);
                     }
@@ -168,6 +170,20 @@ impl Index {
             Index::Hash { buckets } => buckets.values().map(Vec::len).sum(),
             Index::Ordered { tree } => tree.len(),
         }
+    }
+}
+
+/// Add `id` to a sorted posting list unless it is already there.
+fn insert_posting(ids: &mut Vec<DocId>, id: DocId) {
+    if let Err(pos) = ids.binary_search(&id) {
+        ids.insert(pos, id);
+    }
+}
+
+/// Drop `id` from a sorted posting list if it is there.
+fn remove_posting(ids: &mut Vec<DocId>, id: DocId) {
+    if let Ok(pos) = ids.binary_search(&id) {
+        ids.remove(pos);
     }
 }
 
@@ -225,6 +241,20 @@ mod tests {
         assert_eq!(ix.lookup_eq(&Value::Int(5)), vec![10, 11]);
         ix.remove(&Value::Int(5), 10);
         assert_eq!(ix.lookup_eq(&Value::Int(5)), vec![11]);
+    }
+
+    #[test]
+    fn postings_stay_sorted_and_distinct() {
+        for kind in [IndexKind::Hash, IndexKind::Ordered] {
+            let mut ix = Index::new(kind);
+            for id in [7, 3, 9, 3, 1, 7] {
+                ix.insert(&v("A"), id);
+            }
+            assert_eq!(ix.lookup_eq(&v("A")), vec![1, 3, 7, 9], "{kind:?}");
+            ix.remove(&v("A"), 3);
+            ix.remove(&v("A"), 4);
+            assert_eq!(ix.lookup_eq(&v("A")), vec![1, 7, 9], "{kind:?}");
+        }
     }
 
     #[test]

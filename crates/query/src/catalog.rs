@@ -27,7 +27,7 @@ use nc_docstore::query::Filter;
 use nc_docstore::value::Document;
 use nc_similarity::damerau;
 use nc_similarity::soundex::soundex;
-use nc_similarity::with_thread_scratch;
+use nc_similarity::{with_thread_scratch, Scratch};
 use nc_votergen::schema::{Row, AGE, NCID, NUM_ATTRS, SNAPSHOT_DT};
 
 /// Value type of a catalog field, for operand validation.
@@ -123,7 +123,7 @@ impl ClusterCatalog {
             for (ncid, rows) in snapshot.clusters() {
                 let facts =
                     ClusterFacts::compute_with(scratch, ncid, rows, heterogeneity, &plausibility);
-                collection.insert(Self::doc_from_facts(&facts, rows));
+                collection.insert(Self::doc_from_facts(scratch, &facts, rows));
             }
         });
         ClusterCatalog {
@@ -196,11 +196,14 @@ impl ClusterCatalog {
         heterogeneity: &HeterogeneityScorer,
         plausibility: &PlausibilityScorer,
     ) -> Document {
-        let facts = ClusterFacts::compute(ncid, rows, heterogeneity, plausibility);
-        Self::doc_from_facts(&facts, rows)
+        with_thread_scratch(|scratch| {
+            let facts =
+                ClusterFacts::compute_with(scratch, ncid, rows, heterogeneity, plausibility);
+            Self::doc_from_facts(scratch, &facts, rows)
+        })
     }
 
-    fn doc_from_facts(facts: &ClusterFacts, rows: &[Row]) -> Document {
+    fn doc_from_facts(scratch: &mut Scratch, facts: &ClusterFacts, rows: &[Row]) -> Document {
         let mut doc = Document::new();
         doc.set("ncid", facts.ncid.as_str());
         doc.set("size", facts.size as i64);
@@ -210,7 +213,7 @@ impl ClusterCatalog {
         snap.set("first", facts.first_snapshot.as_str());
         snap.set("last", facts.last_snapshot.as_str());
         doc.set("snapshot", snap);
-        doc.set("errors", error_counts(rows));
+        doc.set("errors", error_counts(scratch, rows));
         doc
     }
 
@@ -247,7 +250,7 @@ impl ClusterCatalog {
 /// cluster and its founding (first) record, bucketed by the votergen
 /// error taxonomy. Differences on `ncid`/`snapshot_dt` are skipped —
 /// those legitimately vary across re-registrations.
-fn error_counts(rows: &[Row]) -> Document {
+fn error_counts(scratch: &mut Scratch, rows: &[Row]) -> Document {
     let mut counts = [0i64; ERROR_KINDS.len()];
     if let Some((first, rest)) = rows.split_first() {
         for row in rest {
@@ -260,7 +263,7 @@ fn error_counts(rows: &[Row]) -> Document {
                 if a == b {
                     continue;
                 }
-                let kind = classify_difference(attr, a, b);
+                let kind = classify_difference(scratch, attr, a, b);
                 let idx = ERROR_KINDS
                     .iter()
                     .position(|k| *k == kind)
@@ -284,7 +287,9 @@ fn error_counts(rows: &[Row]) -> Document {
 /// the checks run from the most structurally specific class down to
 /// edit-distance fallbacks, so e.g. a soundex-preserving rewrite counts
 /// as `phonetic` even though its edit distance would also pass `typo`.
-fn classify_difference(attr: usize, a: &str, b: &str) -> &'static str {
+/// Values of at most 64 bytes are uppercased on the stack, so a
+/// classification allocates nothing.
+fn classify_difference(scratch: &mut Scratch, attr: usize, a: &str, b: &str) -> &'static str {
     if attr == AGE && is_outlier_age(a, b) {
         return "outlier";
     }
@@ -298,19 +303,38 @@ fn classify_difference(attr: usize, a: &str, b: &str) -> &'static str {
     if ta.eq_ignore_ascii_case(tb) {
         return "case";
     }
-    let (ua, ub) = (ta.to_ascii_uppercase(), tb.to_ascii_uppercase());
-    if is_abbreviation(&ua, &ub) || is_abbreviation(&ub, &ua) {
+    let (mut buf_a, mut buf_b) = ([0u8; 64], [0u8; 64]);
+    match (upper_into(ta, &mut buf_a), upper_into(tb, &mut buf_b)) {
+        (Some(ua), Some(ub)) => classify_uppercased(scratch, ua, ub),
+        _ => classify_uppercased(scratch, &ta.to_ascii_uppercase(), &tb.to_ascii_uppercase()),
+    }
+}
+
+/// `s` with ASCII letters uppercased, written into `buf`; `None` when
+/// it does not fit.
+fn upper_into<'b>(s: &str, buf: &'b mut [u8; 64]) -> Option<&'b str> {
+    let out = buf.get_mut(..s.len())?;
+    out.copy_from_slice(s.as_bytes());
+    let out = std::str::from_utf8_mut(out).expect("copied from a str");
+    out.make_ascii_uppercase();
+    Some(out)
+}
+
+/// The classes of [`classify_difference`] that compare the trimmed,
+/// uppercased values `ua` and `ub`.
+fn classify_uppercased(scratch: &mut Scratch, ua: &str, ub: &str) -> &'static str {
+    if is_abbreviation(ua, ub) || is_abbreviation(ub, ua) {
         return "abbrev";
     }
-    if is_ocr_confusion(&ua, &ub) {
+    if is_ocr_confusion(ua, ub) {
         return "ocr";
     }
-    if let (Some(sa), Some(sb)) = (soundex(&ua), soundex(&ub)) {
+    if let (Some(sa), Some(sb)) = (soundex(ua), soundex(ub)) {
         if sa == sb {
             return "phonetic";
         }
     }
-    if damerau::distance(&ua, &ub) <= 2 {
+    if damerau::distance_with(scratch, ua, ub) <= 2 {
         return "typo";
     }
     "other"
@@ -471,19 +495,39 @@ mod tests {
 
     #[test]
     fn classifier_unit_cases() {
-        assert_eq!(classify_difference(FIRST_NAME, "MARY", " MARY "), "whitespace");
-        assert_eq!(classify_difference(FIRST_NAME, "MARY", "mary"), "case");
-        assert_eq!(classify_difference(FIRST_NAME, "MARY", ""), "missing");
-        assert_eq!(classify_difference(FIRST_NAME, "MARY", "M"), "abbrev");
-        assert_eq!(classify_difference(FIRST_NAME, "MARY", "M."), "abbrev");
-        assert_eq!(classify_difference(FIRST_NAME, "MARY", "MARYX"), "typo");
-        assert_eq!(classify_difference(LAST_NAME, "OXENDINE", "0XEND1NE"), "ocr");
-        assert_eq!(classify_difference(AGE, "40", "5069"), "outlier");
-        assert_eq!(classify_difference(AGE, "40", "999"), "outlier");
-        assert_eq!(
-            classify_difference(FIRST_NAME, "MARY", "ELIZABETH"),
-            "other"
-        );
+        let mut scratch = Scratch::new();
+        let mut classify = |attr, a, b| classify_difference(&mut scratch, attr, a, b);
+        assert_eq!(classify(FIRST_NAME, "MARY", " MARY "), "whitespace");
+        assert_eq!(classify(FIRST_NAME, "MARY", "mary"), "case");
+        assert_eq!(classify(FIRST_NAME, "MARY", ""), "missing");
+        assert_eq!(classify(FIRST_NAME, "MARY", "M"), "abbrev");
+        assert_eq!(classify(FIRST_NAME, "MARY", "M."), "abbrev");
+        assert_eq!(classify(FIRST_NAME, "MARY", "MARYX"), "typo");
+        assert_eq!(classify(LAST_NAME, "OXENDINE", "0XEND1NE"), "ocr");
+        assert_eq!(classify(AGE, "40", "5069"), "outlier");
+        assert_eq!(classify(AGE, "40", "999"), "outlier");
+        assert_eq!(classify(FIRST_NAME, "MARY", "ELIZABETH"), "other");
+    }
+
+    #[test]
+    fn classifier_agrees_across_the_stack_buffer_boundary() {
+        let mut scratch = Scratch::new();
+        let w64 = "abcd".repeat(16);
+        let w65 = format!("{w64}e");
+        let mut buf = [0u8; 64];
+        assert_eq!(upper_into(&w64, &mut buf), Some(w64.to_ascii_uppercase().as_str()));
+        assert_eq!(upper_into(&w65, &mut buf), None);
+        assert_eq!(upper_into("müller", &mut buf), Some("MüLLER"));
+        // A typo, a phonetic rewrite and a case flip, each with one or
+        // both sides past the buffer, classify as they do inside it.
+        for (a, b, kind) in [
+            (&w64[..], format!("X{w64}"), "typo"),
+            (&w65[..], format!("X{w65}"), "typo"),
+            (&w65[..], w65.to_ascii_uppercase(), "case"),
+            ("SMITH", "SMYTH".to_owned(), "phonetic"),
+        ] {
+            assert_eq!(classify_difference(&mut scratch, FIRST_NAME, a, &b), kind, "{a} {b}");
+        }
     }
 
     #[test]

@@ -58,8 +58,9 @@ pub fn distance(a: &str, b: &str) -> usize {
     with_thread_scratch(|s| distance_with(s, a, b))
 }
 
-/// Allocation-free variant of [`distance`]: reuses the scratch's DP
-/// rows, taking the ASCII byte path when both inputs are ASCII.
+/// Allocation-free variant of [`distance`]: bit-parallel when both
+/// inputs are ASCII and at most 64 bytes long, the scratch's DP rows
+/// otherwise.
 pub fn distance_with(scratch: &mut Scratch, a: &str, b: &str) -> usize {
     scratch.osa(a, b)
 }
@@ -80,15 +81,17 @@ impl DamerauLevenshtein {
     pub fn sim_with(&self, scratch: &mut Scratch, a: &str, b: &str) -> f64 {
         // For ASCII inputs byte length equals char count, so the
         // normalization denominator is unchanged on the fast path.
-        let max_len = if a.is_ascii() && b.is_ascii() {
-            a.len().max(b.len())
+        let (d, max_len) = if a.is_ascii() && b.is_ascii() {
+            (
+                scratch.osa_ascii(a.as_bytes(), b.as_bytes()),
+                a.len().max(b.len()),
+            )
         } else {
-            a.chars().count().max(b.chars().count())
+            (scratch.osa(a, b), a.chars().count().max(b.chars().count()))
         };
         if max_len == 0 {
             return 1.0;
         }
-        let d = scratch.osa(a, b);
         clamp01(1.0 - d as f64 / max_len as f64)
     }
 }

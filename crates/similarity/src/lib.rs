@@ -23,8 +23,8 @@
 //! are defined over `char` sequences, so multi-byte UTF-8 input is handled
 //! correctly. The scratch-based kernels ([`scratch`]) compute the same
 //! scores faster where the input allows: over bytes when both values are
-//! ASCII, and Jaro over one `u64` word per value when both are also at
-//! most 64 bytes long.
+//! ASCII, and Jaro and the OSA distance over one `u64` word per value
+//! when both are also at most 64 bytes long.
 //!
 //! # Example
 //!

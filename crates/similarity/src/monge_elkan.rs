@@ -5,8 +5,12 @@
 //! Generalized Jaccard Coefficient is "computationally too expensive when
 //! working on 90 attributes". Monge–Elkan is asymmetric, so — following
 //! the paper's footnote 13 — [`MongeElkan`] computes it in both
-//! directions and averages.
+//! directions and averages. The scratch entry point
+//! ([`MongeElkan::sim_with`]) is defined for that inner measure only:
+//! it reads both directions from one token-pair matrix, which is exact
+//! because Damerau–Levenshtein similarity is symmetric.
 
+use crate::damerau::DamerauLevenshtein;
 use crate::scratch::{self, Scratch};
 use crate::{clamp01, ScratchSimilarity, StringSimilarity};
 
@@ -81,10 +85,20 @@ impl<S: ScratchSimilarity> MongeElkan<S> {
         }
         clamp01((self.directed_with(scratch, a, b) + self.directed_with(scratch, b, a)) / 2.0)
     }
+}
 
-    /// Allocation-free [`StringSimilarity::sim`]: tokenizes into the
-    /// scratch's token-range buffers instead of allocating a token
-    /// vector per call. Bit-identical scores.
+impl MongeElkan<DamerauLevenshtein> {
+    /// Allocation-free [`StringSimilarity::sim`], bit-identical to
+    /// [`MongeElkan::sim_tokens_with`] over the same tokens.
+    ///
+    /// Tokenizes into the scratch's token-range buffers and fills one
+    /// token-pair matrix, `sim(a_i, b_j)` at `i * |B| + j`. Both
+    /// directed scores are read from it: row maxima summed over `i` for
+    /// `ME(A → B)`, then column maxima summed over `j` for `ME(B → A)`.
+    /// The two-pass form scores `sim(b_j, a_i)` for the second; the OSA
+    /// distance and the `max(len)` it is divided by are both symmetric,
+    /// so that is the same float, and the maxima and sums run in the
+    /// same order. Only this inner measure gets the one-matrix form.
     pub fn sim_with(&self, scratch: &mut Scratch, a: &str, b: &str) -> f64 {
         let mut ta = std::mem::take(&mut scratch.tokens_a);
         let mut tb = std::mem::take(&mut scratch.tokens_b);
@@ -92,45 +106,40 @@ impl<S: ScratchSimilarity> MongeElkan<S> {
         scratch::tokenize_into(b, &mut tb);
         let out = if ta.is_empty() && tb.is_empty() {
             1.0
+        } else if ta.is_empty() || tb.is_empty() {
+            0.0
         } else {
-            let ab = self.directed_ranges(scratch, a, &ta, b, &tb);
-            let ba = self.directed_ranges(scratch, b, &tb, a, &ta);
+            let mut matrix = std::mem::take(&mut scratch.weights);
+            matrix.clear();
+            for &(s0, e0) in &ta {
+                for &(s1, e1) in &tb {
+                    matrix.push(self.inner.sim_with(scratch, &a[s0..e0], &b[s1..e1]));
+                }
+            }
+            let cols = tb.len();
+            let mut sum = 0.0;
+            for row in matrix.chunks_exact(cols) {
+                sum += row.iter().fold(0.0f64, |best, &s| best.max(s));
+            }
+            let ab = clamp01(sum / ta.len() as f64);
+            let mut sum = 0.0;
+            for j in 0..cols {
+                sum += matrix[j..]
+                    .iter()
+                    .step_by(cols)
+                    .fold(0.0f64, |best, &s| best.max(s));
+            }
+            let ba = clamp01(sum / cols as f64);
+            scratch.weights = matrix;
             clamp01((ab + ba) / 2.0)
         };
         scratch.tokens_a = ta;
         scratch.tokens_b = tb;
         out
     }
-
-    /// [`MongeElkan::directed`] over token byte ranges into the
-    /// original strings.
-    fn directed_ranges(
-        &self,
-        scratch: &mut Scratch,
-        sa: &str,
-        ta: &[(usize, usize)],
-        sb: &str,
-        tb: &[(usize, usize)],
-    ) -> f64 {
-        if ta.is_empty() {
-            return f64::from(tb.is_empty());
-        }
-        if tb.is_empty() {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        for &(s0, e0) in ta {
-            let mut best = 0.0f64;
-            for &(s1, e1) in tb {
-                best = best.max(self.inner.sim_scratch(scratch, &sa[s0..e0], &sb[s1..e1]));
-            }
-            sum += best;
-        }
-        clamp01(sum / ta.len() as f64)
-    }
 }
 
-impl<S: ScratchSimilarity> ScratchSimilarity for MongeElkan<S> {
+impl ScratchSimilarity for MongeElkan<DamerauLevenshtein> {
     fn sim_scratch(&self, scratch: &mut Scratch, a: &str, b: &str) -> f64 {
         self.sim_with(scratch, a, b)
     }
@@ -147,7 +156,6 @@ impl<S: StringSimilarity> StringSimilarity for MongeElkan<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::damerau::DamerauLevenshtein;
 
     fn me() -> MongeElkan<DamerauLevenshtein> {
         MongeElkan::new(DamerauLevenshtein::new())

@@ -14,12 +14,13 @@
 //! both inputs are ASCII (voter data always is): byte length equals
 //! `char` count there, so every distance, window and normalization is
 //! bit-identical to the `char` path, which remains as the fallback for
-//! arbitrary UTF-8. Jaro goes one step further when both ASCII values
-//! fit in 64 bytes: each value is a `u64` of positions, and matching
-//! one symbol against its window is a handful of word operations
-//! (`jaro_words`). It computes the same match and transposition
-//! counts as the scalar kernel and feeds them to the same formula, so
-//! the scores are the same to the bit.
+//! arbitrary UTF-8. Jaro and OSA go one step further when both ASCII
+//! values fit in 64 bytes: each value is a `u64` of positions, and one
+//! symbol costs a handful of word operations — matching it against its
+//! Jaro window (`jaro_words`), or advancing a whole DP column of the
+//! OSA distance (`osa_words`, Hyyrö's bit-vector recurrence). Each
+//! computes the same integers as its scalar kernel and feeds them to
+//! the same formula, so the scores are the same to the bit.
 //!
 //! A `Scratch` is cheap to create and intended to live one-per-thread;
 //! it is deliberately `!Sync` in usage (`&mut` everywhere) so a worker
@@ -39,13 +40,14 @@ pub struct Scratch {
     pub(crate) chars: CharBufs,
     /// Jaro match bookkeeping.
     pub(crate) jaro: JaroBufs,
-    /// Per-byte position masks for the word-parallel Jaro path.
+    /// Per-byte position masks for the word-parallel Jaro and OSA paths.
     pub(crate) pattern: PatternTable,
     /// Token byte ranges of the first tokenized input.
     pub(crate) tokens_a: Vec<(usize, usize)>,
     /// Token byte ranges of the second tokenized input.
     pub(crate) tokens_b: Vec<(usize, usize)>,
-    /// Flattened `rows × cols` weight matrix for Generalized Jaccard.
+    /// Flattened `rows × cols` token-pair matrix for Generalized Jaccard
+    /// and Monge–Elkan.
     pub(crate) weights: Vec<f64>,
     /// Hungarian-algorithm working set.
     pub(crate) assign: AssignScratch,
@@ -61,10 +63,20 @@ impl Scratch {
     /// ASCII byte path when possible.
     pub(crate) fn osa(&mut self, a: &str, b: &str) -> usize {
         if a.is_ascii() && b.is_ascii() {
-            osa_core(&mut self.dp, a.as_bytes(), b.as_bytes())
+            self.osa_ascii(a.as_bytes(), b.as_bytes())
         } else {
             self.chars.fill(a, b);
             osa_core(&mut self.dp, &self.chars.a, &self.chars.b)
+        }
+    }
+
+    /// OSA distance between two ASCII values: bit-parallel when both
+    /// fit in 64 bytes, the byte DP for longer ones.
+    pub(crate) fn osa_ascii(&mut self, a: &[u8], b: &[u8]) -> usize {
+        if a.len() <= 64 && b.len() <= 64 {
+            osa_words(&mut self.pattern, a, b)
+        } else {
+            osa_core(&mut self.dp, a, b)
         }
     }
 
@@ -117,8 +129,9 @@ pub(crate) struct JaroBufs {
 }
 
 /// For each ASCII byte, the positions of a value where it occurs, as
-/// bits of a word. All zero between calls: [`jaro_words`] sets the
-/// entries of one value and clears them again before it returns.
+/// bits of a word. All zero between calls: [`jaro_words`] and
+/// [`osa_words`] set the entries of one value and clear them again
+/// before they return.
 #[derive(Debug)]
 pub(crate) struct PatternTable([u64; 128]);
 
@@ -193,6 +206,53 @@ pub(crate) fn jaro_words(pattern: &mut PatternTable, a: &str, b: &str) -> Option
     Some(crate::clamp01(
         (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0,
     ))
+}
+
+/// OSA distance of two ASCII values of at most 64 bytes each, by
+/// Hyyrö's bit-vector recurrence for the restricted Damerau distance
+/// (Hyyrö, "A bit-vector algorithm for computing Levenshtein and
+/// Damerau edit distances", Nordic J. Computing 10(1), 2003).
+///
+/// Bit `j` of the words below stands for row `j + 1` of [`osa_core`]'s
+/// DP column over `b`: `vp` / `vn` mark where the column steps up / down
+/// by one from row `j` to `j + 1`, and `d0` where the diagonal step is
+/// free. One symbol of `a` advances every row at once; the `tr` term is
+/// the adjacent transposition: `b[j - 1..=j]` equals `a[i..=i - 1]`
+/// reversed and the diagonal before it was not already free. `dist`
+/// follows the last row, which is the distance. The same integer as
+/// [`osa_core`]; every float formula over it is unchanged.
+pub(crate) fn osa_words(pattern: &mut PatternTable, a: &[u8], b: &[u8]) -> usize {
+    debug_assert!(a.len() <= 64 && b.len() <= 64 && a.is_ascii() && b.is_ascii());
+    if b.is_empty() {
+        return a.len();
+    }
+    // ASCII, so `& 0x7f` changes no byte; it only lets the compiler see
+    // every index is in bounds.
+    let pm = &mut pattern.0;
+    for (j, &c) in b.iter().enumerate() {
+        pm[usize::from(c & 0x7f)] |= 1 << j;
+    }
+    let last = b.len() - 1;
+    let (mut vp, mut vn, mut d0, mut pm_prev) = (!0u64, 0u64, 0u64, 0u64);
+    let mut dist = b.len();
+    for &c in a {
+        let pm_c = pm[usize::from(c & 0x7f)];
+        let tr = ((!d0 & pm_c) << 1) & pm_prev;
+        d0 = (((pm_c & vp).wrapping_add(vp)) ^ vp) | pm_c | vn | tr;
+        let hp = vn | !(d0 | vp);
+        let hn = d0 & vp;
+        dist += ((hp >> last) & 1) as usize;
+        dist -= ((hn >> last) & 1) as usize;
+        let hp = (hp << 1) | 1;
+        let hn = hn << 1;
+        vp = hn | !(d0 | hp);
+        vn = hp & d0;
+        pm_prev = pm_c;
+    }
+    for &c in b {
+        pm[usize::from(c & 0x7f)] = 0;
+    }
+    dist
 }
 
 /// OSA Damerau–Levenshtein distance over generic symbol slices with
@@ -379,6 +439,29 @@ mod tests {
             ("JOSE", "JOSÉ"),
         ] {
             assert_eq!(jaro_words(&mut pattern, a, b), None, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn osa_words_matches_the_dp_and_leaves_the_table_clear() {
+        let mut pattern = PatternTable::default();
+        let w64 = "AB".repeat(32);
+        for (a, b) in [
+            ("", ""),
+            ("", "ABC"),
+            ("ABC", ""),
+            ("MARHTA", "MARTHA"),
+            ("CA", "ABC"),
+            (&w64, "BA"),
+            (&w64, &w64[1..]),
+            (&w64, &w64),
+        ] {
+            assert_eq!(
+                osa_words(&mut pattern, a.as_bytes(), b.as_bytes()),
+                osa_distance(&chars(a), &chars(b)),
+                "{a} vs {b}"
+            );
+            assert!(pattern.0.iter().all(|&bits| bits == 0), "{a} vs {b}");
         }
     }
 

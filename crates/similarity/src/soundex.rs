@@ -5,56 +5,75 @@
 //! non-letter characters, are both longer than two characters and share
 //! the same Soundex code.
 
+/// A four-character Soundex code: a letter and three digits, held by
+/// value. It derefs to `str`, so it reads like the text it is.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Code([u8; 4]);
+
+impl std::ops::Deref for Code {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("a Soundex code is ASCII")
+    }
+}
+
+impl std::fmt::Debug for Code {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Compute the 4-character American Soundex code of `s`.
 ///
 /// Returns `None` when the input contains no ASCII letter. Non-letter
 /// characters are ignored; the standard rules apply (H/W are transparent
 /// between consonants of equal code, vowels reset the run).
-pub fn soundex(s: &str) -> Option<String> {
-    let letters: Vec<char> = s
-        .chars()
-        .filter(|c| c.is_ascii_alphabetic())
-        .map(|c| c.to_ascii_uppercase())
-        .collect();
-    let first = *letters.first()?;
+pub fn soundex(s: &str) -> Option<Code> {
+    // Bytes of a multi-byte character are never ASCII letters, so this
+    // sees exactly the ASCII letters of `s`, in order.
+    let mut letters = s
+        .bytes()
+        .filter(u8::is_ascii_alphabetic)
+        .map(|c| c.to_ascii_uppercase());
+    let first = letters.next()?;
 
-    fn code(c: char) -> u8 {
+    fn code(c: u8) -> u8 {
         match c {
-            'B' | 'F' | 'P' | 'V' => 1,
-            'C' | 'G' | 'J' | 'K' | 'Q' | 'S' | 'X' | 'Z' => 2,
-            'D' | 'T' => 3,
-            'L' => 4,
-            'M' | 'N' => 5,
-            'R' => 6,
+            b'B' | b'F' | b'P' | b'V' => 1,
+            b'C' | b'G' | b'J' | b'K' | b'Q' | b'S' | b'X' | b'Z' => 2,
+            b'D' | b'T' => 3,
+            b'L' => 4,
+            b'M' | b'N' => 5,
+            b'R' => 6,
             // Vowels and Y separate runs; H and W are transparent.
-            'A' | 'E' | 'I' | 'O' | 'U' | 'Y' => 0,
+            b'A' | b'E' | b'I' | b'O' | b'U' | b'Y' => 0,
             _ => 7, // H, W
         }
     }
 
-    let mut out = String::with_capacity(4);
-    out.push(first);
+    // Digits not emitted stay '0', the standard padding.
+    let mut out = [first, b'0', b'0', b'0'];
+    let mut len = 1;
     let mut last_code = code(first);
-    for &c in letters.iter().skip(1) {
+    for c in letters {
         let k = code(c);
         match k {
-            0 => last_code = 0,     // vowel: reset run, emit nothing
-            7 => {}                 // H/W: transparent, keep last_code
+            0 => last_code = 0, // vowel: reset run, emit nothing
+            7 => {}             // H/W: transparent, keep last_code
             _ => {
                 if k != last_code {
-                    out.push(char::from(b'0' + k));
-                    if out.len() == 4 {
-                        return Some(out);
+                    out[len] = b'0' + k;
+                    len += 1;
+                    if len == 4 {
+                        break;
                     }
                 }
                 last_code = k;
             }
         }
     }
-    while out.len() < 4 {
-        out.push('0');
-    }
-    Some(out)
+    Some(Code(out))
 }
 
 /// Whether two values plausibly represent a phonetic misspelling of one
@@ -108,6 +127,13 @@ mod tests {
         assert_eq!(soundex(""), None);
         assert_eq!(soundex("1234"), None);
         assert_eq!(soundex("---"), None);
+    }
+
+    #[test]
+    fn codes_read_as_their_text() {
+        let code = soundex("Robert").unwrap();
+        assert_eq!(format!("{code:?}"), "\"R163\"");
+        assert_eq!(code.as_bytes(), b"R163");
     }
 
     #[test]

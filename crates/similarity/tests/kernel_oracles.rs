@@ -3,14 +3,23 @@
 //! `Jaro` and `JaroWinkler` take a word-parallel path when both values
 //! are ASCII and at most 64 bytes long, and the scalar kernel
 //! otherwise; both must give `f64::to_bits`-equal scores to the
-//! reference `jaro::jaro` over `char` slices. The assignment keeps its
+//! reference `jaro::jaro` over `char` slices. The OSA distance takes
+//! Hyyrö's bit-vector path under the same condition and must equal
+//! `damerau::osa_distance`. Monge–Elkan over Damerau–Levenshtein reads
+//! both directions from one token-pair matrix and must equal the
+//! two-pass `directed_with` form. Soundex codes must equal the
+//! `String`-building algorithm they replaced. The assignment keeps its
 //! working set on the stack for small matrices and in
 //! [`AssignScratch`] above that; both storages must find a maximum
 //! matching.
 
 use nc_propcheck::{check, check_n, Gen, UPPER};
 use nc_similarity::assignment::{max_weight_assignment, max_weight_assignment_with, AssignScratch};
+use nc_similarity::damerau::{self, osa_distance, DamerauLevenshtein};
 use nc_similarity::jaro::{jaro, Jaro, JaroWinkler};
+use nc_similarity::monge_elkan::MongeElkan;
+use nc_similarity::soundex::soundex;
+use nc_similarity::token::tokens;
 use nc_similarity::{Scratch, StringSimilarity};
 
 /// Jaro–Winkler with the default parameters, computed from the
@@ -51,11 +60,29 @@ fn assert_bit_equal(scratch: &mut Scratch, a: &str, b: &str) {
     assert_eq!(jw.sim(a, b).to_bits(), want, "Jaro–Winkler {a:?} {b:?}");
 }
 
-/// Every ordered pair of strings of length ≤ 5 over {A, B, C}: 364²
-/// pairs, through one scratch, so a pattern-table bit left behind by
-/// one call would show in a later one.
-#[test]
-fn jaro_equals_reference_on_every_short_ternary_pair() {
+/// The OSA distance and the Damerau–Levenshtein similarity, through
+/// the caller's scratch and through the thread's, equal the reference
+/// distance over `char` slices and the formula over it.
+fn assert_osa_equal(scratch: &mut Scratch, a: &str, b: &str) {
+    let (ca, cb): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let want = osa_distance(&ca, &cb);
+    assert_eq!(damerau::distance_with(scratch, a, b), want, "OSA {a:?} {b:?}");
+    assert_eq!(damerau::distance(a, b), want, "OSA {a:?} {b:?}");
+    let max_len = ca.len().max(cb.len());
+    let sim = if max_len == 0 {
+        1.0
+    } else {
+        (1.0 - want as f64 / max_len as f64).clamp(0.0, 1.0)
+    };
+    assert_eq!(
+        DamerauLevenshtein.sim_with(scratch, a, b).to_bits(),
+        sim.to_bits(),
+        "Damerau–Levenshtein {a:?} {b:?}"
+    );
+}
+
+/// Every string of length ≤ 5 over {A, B, C}: 364 of them.
+fn short_ternary_words() -> Vec<String> {
     let mut words = vec![String::new()];
     let mut last = vec![String::new()];
     for _ in 0..5 {
@@ -66,10 +93,32 @@ fn jaro_equals_reference_on_every_short_ternary_pair() {
         words.extend(last.iter().cloned());
     }
     assert_eq!(words.len(), 364);
+    words
+}
+
+/// Every ordered pair of strings of length ≤ 5 over {A, B, C}: 364²
+/// pairs, through one scratch, so a pattern-table bit left behind by
+/// one call would show in a later one.
+#[test]
+fn jaro_equals_reference_on_every_short_ternary_pair() {
+    let words = short_ternary_words();
     let mut scratch = Scratch::new();
     for a in &words {
         for b in &words {
             assert_bit_equal(&mut scratch, a, b);
+        }
+    }
+}
+
+/// The same 364² pairs for the OSA distance: every adjacent
+/// transposition of up to five symbols is among them.
+#[test]
+fn osa_equals_reference_on_every_short_ternary_pair() {
+    let words = short_ternary_words();
+    let mut scratch = Scratch::new();
+    for a in &words {
+        for b in &words {
+            assert_osa_equal(&mut scratch, a, b);
         }
     }
 }
@@ -202,6 +251,164 @@ fn jaro_matches_reference_on_register_shaped_pairs_wide() {
         "jaro_matches_reference_on_register_shaped_pairs",
         3_000,
         jaro_matches_reference_prop,
+    );
+}
+
+fn osa_matches_reference_prop(g: &mut Gen) {
+    let (a, b) = value_pair(g);
+    assert_osa_equal(&mut Scratch::new(), &a, &b);
+}
+
+#[test]
+fn osa_matches_reference_on_register_shaped_pairs() {
+    check(
+        "osa_matches_reference_on_register_shaped_pairs",
+        osa_matches_reference_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn osa_matches_reference_on_register_shaped_pairs_wide() {
+    check_n(
+        "osa_matches_reference_on_register_shaped_pairs",
+        3_000,
+        osa_matches_reference_prop,
+    );
+}
+
+/// Two multi-token values: register-shaped token pairs, some tokens
+/// dropped or added on one side, the order sometimes reversed, and
+/// runs of blanks between tokens.
+fn token_values(g: &mut Gen) -> (String, String) {
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for _ in 0..g.range(0..=4) {
+        let (x, y) = value_pair(g);
+        ta.push(x);
+        if g.bool() {
+            tb.push(y);
+        }
+    }
+    for _ in 0..g.range(0..=2) {
+        tb.push(g.string(UPPER, 1..=8));
+    }
+    if g.bool() {
+        tb.reverse();
+    }
+    let sep = g.pick(&[" ", "  ", " \t "]);
+    (ta.join(sep), tb.join(" "))
+}
+
+fn monge_elkan_one_matrix_prop(g: &mut Gen) {
+    let (a, b) = token_values(g);
+    let me = MongeElkan::new(DamerauLevenshtein::new());
+    let mut scratch = Scratch::new();
+    let (ta, tb) = (tokens(&a), tokens(&b));
+    let two_pass = me.sim_tokens_with(&mut scratch, &ta, &tb).to_bits();
+    assert_eq!(
+        me.sim_with(&mut scratch, &a, &b).to_bits(),
+        two_pass,
+        "{a:?} {b:?}"
+    );
+    assert_eq!(me.sim(&a, &b).to_bits(), two_pass, "{a:?} {b:?}");
+    assert_eq!(
+        me.sim_with(&mut scratch, &b, &a).to_bits(),
+        me.sim_tokens_with(&mut scratch, &tb, &ta).to_bits(),
+        "{b:?} {a:?}"
+    );
+}
+
+#[test]
+fn monge_elkan_one_matrix_equals_two_pass() {
+    check(
+        "monge_elkan_one_matrix_equals_two_pass",
+        monge_elkan_one_matrix_prop,
+    );
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn monge_elkan_one_matrix_equals_two_pass_wide() {
+    check_n(
+        "monge_elkan_one_matrix_equals_two_pass",
+        3_000,
+        monge_elkan_one_matrix_prop,
+    );
+}
+
+/// The `String`-building Soundex the four-byte code replaced, kept
+/// verbatim as the oracle.
+fn reference_soundex(s: &str) -> Option<String> {
+    let letters: Vec<char> = s
+        .chars()
+        .filter(|c| c.is_ascii_alphabetic())
+        .map(|c| c.to_ascii_uppercase())
+        .collect();
+    let first = *letters.first()?;
+
+    fn code(c: char) -> u8 {
+        match c {
+            'B' | 'F' | 'P' | 'V' => 1,
+            'C' | 'G' | 'J' | 'K' | 'Q' | 'S' | 'X' | 'Z' => 2,
+            'D' | 'T' => 3,
+            'L' => 4,
+            'M' | 'N' => 5,
+            'R' => 6,
+            'A' | 'E' | 'I' | 'O' | 'U' | 'Y' => 0,
+            _ => 7,
+        }
+    }
+
+    let mut out = String::with_capacity(4);
+    out.push(first);
+    let mut last_code = code(first);
+    for &c in letters.iter().skip(1) {
+        let k = code(c);
+        match k {
+            0 => last_code = 0,
+            7 => {}
+            _ => {
+                if k != last_code {
+                    out.push(char::from(b'0' + k));
+                    if out.len() == 4 {
+                        return Some(out);
+                    }
+                }
+                last_code = k;
+            }
+        }
+    }
+    while out.len() < 4 {
+        out.push('0');
+    }
+    Some(out)
+}
+
+fn soundex_matches_reference_prop(g: &mut Gen) {
+    let s = match g.range(0..3) {
+        0 => g.string("ABCDEFGHIJKLMNOPQRSTUVWXYZ", 0..=12),
+        1 => g.string("abcdefghijklmnopqrstuvwxyzHW", 0..=12),
+        _ => g.string("AEHWYBCDLMR'- .09ÅÉÜß", 0..=16),
+    };
+    assert_eq!(
+        soundex(&s).as_deref(),
+        reference_soundex(&s).as_deref(),
+        "{s:?}"
+    );
+}
+
+#[test]
+fn soundex_matches_reference() {
+    check("soundex_matches_reference", soundex_matches_reference_prop);
+}
+
+#[test]
+#[ignore = "wide sweep: cargo test -- --ignored"]
+fn soundex_matches_reference_wide() {
+    check_n(
+        "soundex_matches_reference",
+        3_000,
+        soundex_matches_reference_prop,
     );
 }
 
