@@ -115,31 +115,44 @@ impl Md5 {
     }
 }
 
-/// Fold one 64-byte block into the state.
+/// The message word each step reads (RFC 1321 §3.4): in order, then
+/// `(5i + 1) mod 16`, `(3i + 5) mod 16` and `7i mod 16`.
+const G: [usize; 64] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, //
+    1, 6, 11, 0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, //
+    5, 8, 11, 14, 1, 4, 7, 10, 13, 0, 3, 6, 9, 12, 15, 2, //
+    0, 7, 14, 5, 12, 3, 10, 1, 8, 15, 6, 13, 4, 11, 2, 9,
+];
+
+/// Fold one 64-byte block into the state: four rounds of sixteen steps,
+/// each round with its own boolean function, written out so that no
+/// step has to ask which round it is in.
 fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
     let mut m = [0u32; 16];
-    for (i, w) in block.chunks_exact(4).enumerate() {
-        m[i] = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
+    // One step of step `i`: `a = b + ((a + f + K[i] + M[G[i]]) <<< S[i])`.
+    let step = |a: u32, b: u32, f: u32, i: usize| {
+        b.wrapping_add(a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[G[i]]).rotate_left(S[i]))
+    };
     let [mut a, mut b, mut c, mut d] = *state;
-    for i in 0..64 {
-        let (f, g) = match i {
-            0..=15 => ((b & c) | (!b & d), i),
-            16..=31 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-            32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
-            _ => (c ^ (b | !d), (7 * i) % 16),
+    // Sixteen steps of one round; the roles of a, b, c, d rotate by one
+    // each step.
+    macro_rules! round {
+        ($f:expr, $($i:expr),+) => {
+            $(
+                a = step(a, b, $f(b, c, d), $i);
+                d = step(d, a, $f(a, b, c), $i + 1);
+                c = step(c, d, $f(d, a, b), $i + 2);
+                b = step(b, c, $f(c, d, a), $i + 3);
+            )+
         };
-        let tmp = d;
-        d = c;
-        c = b;
-        b = b.wrapping_add(
-            a.wrapping_add(f)
-                .wrapping_add(K[i])
-                .wrapping_add(m[g])
-                .rotate_left(S[i]),
-        );
-        a = tmp;
     }
+    round!(|x: u32, y: u32, z: u32| (x & y) | (!x & z), 0, 4, 8, 12);
+    round!(|x: u32, y: u32, z: u32| (x & z) | (y & !z), 16, 20, 24, 28);
+    round!(|x: u32, y: u32, z: u32| x ^ y ^ z, 32, 36, 40, 44);
+    round!(|x: u32, y: u32, z: u32| y ^ (x | !z), 48, 52, 56, 60);
     state[0] = state[0].wrapping_add(a);
     state[1] = state[1].wrapping_add(b);
     state[2] = state[2].wrapping_add(c);

@@ -1,10 +1,12 @@
 //! Record canonicalization: trimming, fingerprinting and the nested
 //! document view of a record.
 
-use nc_docstore::value::Document;
-use nc_votergen::schema::{AttrGroup, Attribute, Row, SCHEMA};
+use std::ops::Range;
 
-use crate::md5::{Digest, Md5};
+use nc_docstore::value::Document;
+use nc_votergen::schema::{AttrGroup, AttrId, Attribute, Row, NUM_ATTRS, SCHEMA};
+
+use crate::md5::{md5, Digest};
 
 /// The four duplicate-removal policies of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,22 +52,77 @@ impl DedupPolicy {
     pub fn trims(self) -> bool {
         matches!(self, DedupPolicy::Trimmed | DedupPolicy::PersonData)
     }
+
+    /// The attributes this policy hashes, as maximal runs of adjacent
+    /// attribute ids in schema order (see [`Row::run`]).
+    pub fn hashed_runs(self) -> &'static [Range<AttrId>] {
+        let (runs, len) = match self {
+            DedupPolicy::PersonData => &PERSON_RUNS,
+            _ => &ALL_RUNS,
+        };
+        &runs[..*len]
+    }
 }
 
-/// Compute the dedup fingerprint of a row under a policy: the MD5 of the
-/// concatenation of the relevant attribute values, separated by an
-/// unambiguous delimiter.
-pub fn fingerprint(row: &Row, policy: DedupPolicy) -> Digest {
-    let mut hash = Md5::new();
-    for (attr, v) in SCHEMA.iter().zip(row.values()) {
-        if !policy.hashes(attr) {
-            continue;
+/// The maximal runs of hashed attributes, derived from [`SCHEMA`] the
+/// way [`DedupPolicy::hashes`] selects them, and how many there are.
+type Runs = ([Range<AttrId>; NUM_ATTRS], usize);
+
+static ALL_RUNS: Runs = hashed_runs(false);
+static PERSON_RUNS: Runs = hashed_runs(true);
+
+const fn hashed_runs(person_only: bool) -> Runs {
+    let mut runs = [const { 0..0 }; NUM_ATTRS];
+    let mut len = 0;
+    let mut id = 0;
+    while id < NUM_ATTRS {
+        let attr = &SCHEMA[id];
+        let hashed = !attr.hash_excluded && (!person_only || matches!(attr.group, AttrGroup::Person));
+        if hashed {
+            if len > 0 && runs[len - 1].end == id {
+                runs[len - 1].end = id + 1;
+            } else {
+                runs[len] = id..id + 1;
+                len += 1;
+            }
         }
-        let v = if policy.trims() { v.trim() } else { v };
-        hash.update(v.as_bytes());
-        hash.update(b"\x1f"); // unit separator: cannot occur in the data
+        id += 1;
     }
-    hash.finish()
+    (runs, len)
+}
+
+/// Bytes of hash input [`fingerprint`] assembles on the stack; a
+/// longer input goes to the heap.
+const FINGERPRINT_STACK_BYTES: usize = 512;
+
+/// Compute the dedup fingerprint of a row under a policy: the MD5 of the
+/// concatenation of the relevant attribute values, each followed by an
+/// unambiguous delimiter (the unit separator `0x1f`, which cannot occur
+/// in the data).
+///
+/// The hash input is written into one buffer and hashed in one call.
+/// Each run's untrimmed length plus one delimiter per value bounds the
+/// input, so the buffer is the stack array whenever that bound fits.
+pub fn fingerprint(row: &Row, policy: DedupPolicy) -> Digest {
+    let runs = policy.hashed_runs();
+    let bound: usize = runs.iter().map(|ids| row.run(ids.clone()).len() + 1).sum();
+    let mut stack = [0u8; FINGERPRINT_STACK_BYTES];
+    let mut heap = Vec::new();
+    let buf = if bound <= stack.len() {
+        &mut stack[..]
+    } else {
+        heap.resize(bound, 0);
+        &mut heap[..]
+    };
+    let mut at = 0;
+    for id in runs.iter().flat_map(Clone::clone) {
+        let v = row.get(id);
+        let v = if policy.trims() { v.trim() } else { v };
+        buf[at..at + v.len()].copy_from_slice(v.as_bytes());
+        buf[at + v.len()] = 0x1f;
+        at += v.len() + 1;
+    }
+    md5(&buf[..at])
 }
 
 /// Whether `row` repeats `stored`, a record kept under `policy` (so
@@ -73,14 +130,19 @@ pub fn fingerprint(row: &Row, policy: DedupPolicy) -> Digest {
 /// normalized as [`fingerprint`] normalizes it, equals the stored one.
 /// Equal values are equal hash input, so this implies equal
 /// fingerprints at a fraction of the cost.
+///
+/// Each run of hashed attributes is compared as one slice of the line;
+/// equal runs mean equal values, because no value contains a tab. Only
+/// a run that differs is compared value by value.
 pub fn repeats(row: &Row, stored: &Row, policy: DedupPolicy) -> bool {
-    SCHEMA.iter().enumerate().all(|(id, attr)| {
-        if !policy.hashes(attr) {
-            return true;
-        }
-        // Most values arrive as they are stored: trim on a mismatch only.
-        let (v, kept) = (row.get(id), stored.get(id));
-        v == kept || (policy.trims() && v.trim() == kept)
+    policy.hashed_runs().iter().all(|ids| {
+        row.run(ids.clone()) == stored.run(ids.clone())
+            || ids.clone().all(|id| {
+                // Most values arrive as they are stored: trim on a
+                // mismatch only.
+                let (v, kept) = (row.get(id), stored.get(id));
+                v == kept || (policy.trims() && v.trim() == kept)
+            })
     })
 }
 
@@ -137,6 +199,26 @@ mod tests {
     fn policy_labels_match_table2() {
         let labels: Vec<&str> = DedupPolicy::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels, vec!["no", "exact", "trimming", "person data"]);
+    }
+
+    /// The runs are the maximal stretches of attributes `hashes`
+    /// selects: 0–4, 6–21, 23–38 and 40 for the whole record, 0–4 and
+    /// 6–21 for person data.
+    #[test]
+    fn hashed_runs_partition_the_hashed_attributes() {
+        let all = [0..5, 6..22, 23..39, 40..41];
+        let person = [0..5, 6..22];
+        for policy in DedupPolicy::ALL {
+            let runs = policy.hashed_runs();
+            let expected: &[Range<AttrId>] =
+                if policy == DedupPolicy::PersonData { &person } else { &all };
+            assert_eq!(runs, expected, "{policy:?}");
+            let hashed: Vec<AttrId> =
+                (0..NUM_ATTRS).filter(|&id| policy.hashes(&SCHEMA[id])).collect();
+            let covered: Vec<AttrId> = runs.iter().flat_map(Clone::clone).collect();
+            assert_eq!(covered, hashed, "{policy:?}");
+            assert!(runs.windows(2).all(|w| w[0].end < w[1].start), "{policy:?}: maximal");
+        }
     }
 
     #[test]

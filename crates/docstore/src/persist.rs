@@ -178,10 +178,33 @@ pub fn frame_line(body: &str) -> String {
 /// suffix is appended to `line`, so a writer that frames many lines
 /// allocates for none of them.
 pub fn frame_in_place(line: &mut String) {
-    use std::fmt::Write as _;
     debug_assert!(!line.contains('\n'), "framed bodies are single lines");
     let crc = crc32(line.as_bytes());
-    write!(line, "{CRC_SEP}{crc:08x}").expect("writing to a String cannot fail");
+    line.push_str(CRC_SEP);
+    // Eight lowercase hex digits, most significant first.
+    for shift in (0..32).step_by(4).rev() {
+        line.push(char::from(b"0123456789abcdef"[(crc >> shift) as usize & 0xf]));
+    }
+}
+
+/// Position of the first `\n` in `bytes`, looked for a `u64` word at a
+/// time: the line split of every line-oriented file the workspace reads
+/// (TSV snapshots, framed logs, saved collections).
+pub fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const LOW7: u64 = u64::from_ne_bytes([0x7f; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ NEWLINES;
+        // The high bit of exactly the zero bytes of `x`: adding 0x7f to
+        // the low seven bits of a byte cannot carry into the next one.
+        let newlines = !(((x & LOW7) + LOW7) | x | LOW7);
+        if newlines != 0 {
+            return Some(i * 8 + newlines.trailing_zeros() as usize / 8);
+        }
+    }
+    let base = bytes.len() - words.remainder().len();
+    words.remainder().iter().position(|&b| b == b'\n').map(|at| base + at)
 }
 
 /// Recover the body of a line written by [`frame_line`]; `None` when
@@ -244,14 +267,18 @@ pub fn save_with(collection: &Collection, path: &Path, vfs: &dyn Vfs) -> Result<
 }
 
 /// Split a data line into its JSON body and CRC-32 suffix, if it has one.
+///
+/// The suffix is the separator and eight hex digits, so it can only
+/// start 14 bytes before the end: a separator anywhere else leaves a
+/// wrong number of digits after it, or puts one of its own bytes among
+/// them.
 fn split_checksum(line: &str) -> Option<(&str, u32)> {
-    let idx = line.rfind(CRC_SEP)?;
-    let body = &line[..idx];
-    let hex = &line[idx + CRC_SEP.len()..];
-    if hex.len() != 8 {
+    let idx = line.len().checked_sub(CRC_SEP.len() + 8)?;
+    if !line.as_bytes()[idx..].starts_with(CRC_SEP.as_bytes()) {
         return None;
     }
-    u32::from_str_radix(hex, 16).ok().map(|crc| (body, crc))
+    let hex = &line[idx + CRC_SEP.len()..];
+    u32::from_str_radix(hex, 16).ok().map(|crc| (&line[..idx], crc))
 }
 
 /// Parse one JSON body into `(id, document)`.
@@ -425,7 +452,7 @@ pub fn salvage(name: &str, path: &Path) -> Result<Salvage, PersistError> {
     let mut failure: Option<(usize, String)> = None;
 
     while pos < bytes.len() {
-        let Some(rel) = bytes[pos..].iter().position(|&b| b == b'\n') else {
+        let Some(rel) = find_newline(&bytes[pos..]) else {
             lineno += 1;
             failure = Some((pos, format!("line {lineno}: torn trailing line (no newline)")));
             break;
@@ -515,6 +542,26 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("nc_docstore_test_{}_{}", std::process::id(), name));
         p
+    }
+
+    /// A newline at every offset of lines up to 24 bytes, among the
+    /// bytes a word test could confuse with it (`0x8a` differs in the
+    /// high bit only, `0x0b` and `0x09` in the low bits).
+    #[test]
+    fn find_newline_matches_position() {
+        let fill = [b'a', 0x8a, 0x0b, 0x09, 0x00, 0xff];
+        for len in 0..24 {
+            for &other in &fill {
+                let mut bytes = vec![other; len];
+                assert_eq!(find_newline(&bytes), None, "{bytes:?}");
+                for at in 0..len {
+                    bytes[at] = b'\n';
+                    let expected = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_newline(&bytes), expected, "{bytes:?}");
+                    assert_eq!(find_newline(&bytes[at..]), Some(0));
+                }
+            }
+        }
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod carve;
 pub mod fingerprint;
 pub mod http;
 pub mod metrics;
-pub mod retry;
 pub mod server;
 pub mod snapshot;
 
@@ -69,6 +68,5 @@ pub use carve::{
     QueryCarve, QueryStats,
 };
 pub use fingerprint::{knob_fingerprint, query_fingerprint};
-pub use retry::{RetryExhausted, RetryPolicy};
 pub use server::{Server, ServerHandle, ServeConfig, ServeState};
 pub use snapshot::{PublishDelta, ServeSnapshot, SnapshotRegistry, WatchWindow};

@@ -1,6 +1,6 @@
 //! The WAL-backed engine: resumable archive ingest over a
 //! [`ShardedStore`], with the shard manifest as the commit point and
-//! incremental publish into `nc-serve`.
+//! incremental publish.
 //!
 //! # Lifecycle
 //!
@@ -29,7 +29,6 @@
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -39,8 +38,6 @@ use nc_core::snapshot::StoreSnapshot;
 use nc_core::tsv::{
     self, ArchiveImportOutcome, ImportOptions, ParsedSnapshot, QuarantineReport, TsvError,
 };
-use nc_serve::retry::{RetryExhausted, RetryPolicy};
-use nc_serve::snapshot::{ServeSnapshot, SnapshotRegistry};
 use nc_vfs::{StdVfs, Vfs};
 
 use crate::ingest;
@@ -393,45 +390,6 @@ impl ShardEngine {
     /// call this and is frozen while this signature is compared.
     pub fn publish(&mut self, version: u32) -> StoreSnapshot {
         self.store.publish(version)
-    }
-
-    /// Publish straight into an `nc-serve` registry, making the carved
-    /// datasets of the new version available to HTTP clients.
-    pub fn publish_into(
-        &mut self,
-        registry: &SnapshotRegistry,
-        version: u32,
-    ) -> Arc<ServeSnapshot> {
-        registry.publish(ServeSnapshot::new(self.store.publish(version)))
-    }
-
-    /// [`ShardEngine::publish_into`] under supervision: the publish
-    /// runs under `catch_unwind` and is retried with capped
-    /// exponential backoff, so a transiently panicking registry path
-    /// (a poisoned lock being recovered, a pathological scorer
-    /// derivation) degrades to a delay instead of failing the whole
-    /// ingest-and-publish pipeline.
-    pub fn publish_into_supervised(
-        &mut self,
-        registry: &SnapshotRegistry,
-        version: u32,
-        retry: &RetryPolicy,
-    ) -> Result<Arc<ServeSnapshot>, RetryExhausted> {
-        let snapshot = self.store.publish(version);
-        retry.run(|attempt| {
-            let snapshot = snapshot.clone();
-            panic::catch_unwind(AssertUnwindSafe(move || {
-                registry.publish(ServeSnapshot::new(snapshot))
-            }))
-            .map_err(|payload| {
-                let text = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                format!("publish attempt {attempt} panicked: {text}")
-            })
-        })
     }
 
     /// The in-memory sharded store.

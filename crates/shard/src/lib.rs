@@ -32,8 +32,8 @@
 //!   count (asserted by the properties in `tests/determinism.rs`).
 //! * **Publish** ([`engine`]): the shards' clusters are copied out of
 //!   their stores and merged by founding sequence number into the next
-//!   [`nc_core::snapshot::StoreSnapshot`], which publishes straight
-//!   into `nc-serve`'s snapshot registry.
+//!   [`nc_core::snapshot::StoreSnapshot`], ready for a serving layer
+//!   (`nc-serve`'s snapshot registry) to publish.
 //! * **Fault injection and rollback** ([`engine`], [`wal`]): every
 //!   durability-critical syscall goes through an injected
 //!   [`nc_vfs::Vfs`], so the syscall sweeps in `tests/syscall_sweep.rs`

@@ -54,7 +54,7 @@ use std::sync::Arc;
 use nc_core::import::ImportStats;
 use nc_core::record::DedupPolicy;
 use nc_core::tsv::QuarantineReport;
-use nc_docstore::persist::{frame_in_place, frame_line, read_framed, sync_dir};
+use nc_docstore::persist::{find_newline, frame_in_place, frame_line, read_framed, sync_dir};
 use nc_vfs::{Vfs, VfsFile};
 use nc_votergen::schema::Row;
 
@@ -200,7 +200,7 @@ pub fn tail_group(dir: &Path, cursor: TailCursor) -> io::Result<Option<TailGroup
         let mut current: Option<(String, u32)> = None;
         let mut rows: Vec<(u64, String)> = Vec::new();
         while pos < data.len() {
-            let Some(nl) = data[pos..].iter().position(|&b| b == b'\n') else {
+            let Some(nl) = find_newline(&data[pos..]) else {
                 return Ok(None); // partial line: still being written or torn
             };
             let line = &data[pos..pos + nl];
@@ -365,7 +365,9 @@ impl ShardWal {
     /// number.
     pub(crate) fn append_row(&mut self, seq: u64, row: &Row) -> io::Result<()> {
         self.append(|body| {
-            write!(body, "R\t{seq}\t").expect("String write");
+            body.push_str("R\t");
+            push_decimal(body, seq);
+            body.push('\t');
             body.push_str(row.as_tsv());
         })
     }
@@ -378,7 +380,14 @@ impl ShardWal {
         ncid: &str,
         record: usize,
     ) -> io::Result<()> {
-        self.append(|body| write!(body, "D\t{seq}\t{ncid}\t{record}").expect("String write"))
+        self.append(|body| {
+            body.push_str("D\t");
+            push_decimal(body, seq);
+            body.push('\t');
+            body.push_str(ncid);
+            body.push('\t');
+            push_decimal(body, record as u64);
+        })
     }
 
     /// Log the end of a snapshot (`rows` = this shard's routed count)
@@ -406,6 +415,22 @@ impl ShardWal {
         self.bytes = 0;
         Ok(true)
     }
+}
+
+/// Append `n` in decimal, as `write!(body, "{n}")` would, without going
+/// through `fmt` (the row records are the log's hot path).
+fn push_decimal(body: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    body.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// What replaying one shard's log did.
@@ -469,7 +494,7 @@ pub(crate) fn replay_shard(
         let data = fs::read(path)?;
         let mut offset: usize = 0;
         while offset < data.len() {
-            let Some(nl) = data[offset..].iter().position(|&b| b == b'\n') else {
+            let Some(nl) = find_newline(&data[offset..]) else {
                 damaged = Some(format!("{shard_name}: partial line at end of log"));
                 break 'segments;
             };
@@ -822,6 +847,15 @@ mod tests {
             wal.append_row(seq, &row(&format!("NC{seq}"))).unwrap();
         }
         wal.commit_snapshot(date, seqs.len() as u64).unwrap();
+    }
+
+    #[test]
+    fn decimals_are_written_as_fmt_writes_them() {
+        for n in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut body = String::from("R\t");
+            push_decimal(&mut body, n);
+            assert_eq!(body, format!("R\t{n}"));
+        }
     }
 
     #[test]

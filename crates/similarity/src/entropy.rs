@@ -26,8 +26,15 @@ impl EntropyAccumulator {
 
     /// Record one observed value. Missing values should be passed as the
     /// empty string so that sparsity lowers an attribute's entropy.
+    ///
+    /// Only a value not seen before is copied into a key.
     pub fn observe(&mut self, value: &str) {
-        *self.counts.entry(value.to_owned()).or_insert(0) += 1;
+        match self.counts.get_mut(value) {
+            Some(count) => *count += 1,
+            None => {
+                self.counts.insert(value.to_owned(), 1);
+            }
+        }
         self.total += 1;
     }
 

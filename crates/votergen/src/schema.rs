@@ -7,6 +7,8 @@
 //! packed into a single TSV line; a missing value is the empty string
 //! (the register itself uses empty TSV fields).
 
+use std::ops::Range;
+
 /// Index of an attribute within [`SCHEMA`] (and within every row).
 pub type AttrId = usize;
 
@@ -179,14 +181,27 @@ impl Row {
         Row { line, starts }
     }
 
-    /// Byte range of a value within the line.
-    fn span(&self, id: AttrId) -> std::ops::Range<usize> {
-        self.starts[id] as usize..self.starts[id + 1] as usize - 1
+    /// Byte range of the values `ids` within the line, the tabs between
+    /// them included.
+    fn span(&self, ids: Range<AttrId>) -> Range<usize> {
+        self.starts[ids.start] as usize..self.starts[ids.end] as usize - 1
     }
 
     /// Value of an attribute (empty string = missing).
     pub fn get(&self, id: AttrId) -> &str {
-        &self.line[self.span(id)]
+        &self.line[self.span(id..id + 1)]
+    }
+
+    /// The values `ids` as one borrowed slice of the line: the values in
+    /// schema order, separated by tabs. Since no value contains a tab,
+    /// two rows have equal runs exactly when every value in the run is
+    /// equal.
+    ///
+    /// # Panics
+    /// If `ids` is empty or reaches past the last attribute.
+    pub fn run(&self, ids: Range<AttrId>) -> &str {
+        assert!(ids.start < ids.end, "an empty run of attributes");
+        &self.line[self.span(ids)]
     }
 
     /// All values in schema order.
@@ -203,7 +218,7 @@ impl Row {
     pub fn set(&mut self, id: AttrId, value: impl AsRef<str>) {
         let value = value.as_ref();
         assert!(!value.contains('\t'), "value of `{}` contains a tab", SCHEMA[id].name);
-        let span = self.span(id);
+        let span = self.span(id..id + 1);
         let grown = self.line.len() - span.len() + value.len();
         assert!(grown <= MAX_LINE_BYTES, "row too long");
         if value.len() != span.len() {
@@ -277,24 +292,65 @@ impl Row {
 /// The value start offsets of a TSV line (see `Row::starts`); `None`
 /// unless the line has exactly one field per attribute and is short
 /// enough to index.
+///
+/// Tabs are found a `u64` word at a time: `x - 0x01…01 & !x & 0x80…80`,
+/// with `x` the word XOR `0x09…09`, flags every tab of the word, and
+/// also a `0x08` byte the borrow from a tab below it runs into. The
+/// flags of eight words are gathered into one 64-bit mask, so the loop
+/// over flagged bytes runs once per 64 bytes. Each flagged byte is
+/// confirmed: its offset is written to the next field's slot, which
+/// only a tab moves past, so a false flag is overwritten by the tab
+/// that follows it. A mask adds at most 64 fields, so the slots have
+/// room for 64 past the last attribute and the count is checked once
+/// per mask.
 fn index_line(line: &str) -> Option<[u32; NUM_ATTRS + 1]> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const TABS: u64 = u64::from_ne_bytes([b'\t'; 8]);
+    // Multiplying a word whose bytes are each 0 or 1 by this moves byte
+    // `i` to bit `56 + i`, without carries.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
     if line.len() > MAX_LINE_BYTES {
         return None;
     }
-    let mut starts = [0u32; NUM_ATTRS + 1];
+    let bytes = line.as_bytes();
+    let mut slots = [0u32; NUM_ATTRS + 65];
     let mut fields = 1;
-    for (at, byte) in line.bytes().enumerate() {
-        if byte == b'\t' {
-            if fields == NUM_ATTRS {
+    // Confirm the flagged bytes of the 64 starting at `base`.
+    let mut confirm = |mut mask: u64, base: usize| {
+        while mask != 0 {
+            let at = base + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            slots[fields] = at as u32 + 1;
+            fields += usize::from(bytes[at] == b'\t');
+        }
+        fields <= NUM_ATTRS
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut mask = 0;
+    for (w, word) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ TABS;
+        let flags = x.wrapping_sub(ONES) & !x & HIGHS;
+        mask |= ((flags >> 7).wrapping_mul(GATHER) >> 56) << (w % 8 * 8);
+        if w % 8 == 7 {
+            if !confirm(mask, (w - 7) * 8) {
                 return None;
             }
-            starts[fields] = at as u32 + 1;
-            fields += 1;
+            mask = 0;
         }
+    }
+    let whole = bytes.len() / 8;
+    for (i, &byte) in words.remainder().iter().enumerate() {
+        mask |= u64::from(byte == b'\t') << (whole % 8 * 8 + i);
+    }
+    if !confirm(mask, whole / 8 * 64) {
+        return None;
     }
     if fields != NUM_ATTRS {
         return None;
     }
+    let mut starts = [0u32; NUM_ATTRS + 1];
+    starts[..NUM_ATTRS].copy_from_slice(&slots[..NUM_ATTRS]);
     starts[NUM_ATTRS] = line.len() as u32 + 1;
     Some(starts)
 }

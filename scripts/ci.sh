@@ -30,6 +30,14 @@ if [ -n "$foreign" ]; then
     exit 1
 fi
 
+echo "=== storage gate ==="
+# Storage does not depend on serving: nc-shard publishes a
+# StoreSnapshot, and the caller hands it to nc-serve.
+if grep -n 'nc-serve' crates/shard/Cargo.toml >&2; then
+    echo "crates/shard/Cargo.toml names nc-serve" >&2
+    exit 1
+fi
+
 echo "=== lock gate ==="
 # A package with a `source` came from a registry or a git remote; the
 # lock file names workspace crates only.
