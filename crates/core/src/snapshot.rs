@@ -189,20 +189,6 @@ impl StoreSnapshot {
         HeterogeneityScorer::new(AttributeWeights::from_rows(scope, firsts))
     }
 
-    /// Scored facts for the cluster at `index` (capture order). `None`
-    /// past the end. The caller provides the scorers so repeated calls
-    /// share the snapshot-scoped entropy weights; use
-    /// [`StoreSnapshot::entropy_scorer`] to build them.
-    pub fn cluster_facts(
-        &self,
-        index: usize,
-        heterogeneity: &HeterogeneityScorer,
-        plausibility: &PlausibilityScorer,
-    ) -> Option<ClusterFacts> {
-        let (ncid, rows) = self.clusters.get(index)?;
-        Some(ClusterFacts::compute(ncid, rows, heterogeneity, plausibility))
-    }
-
     /// Run the customization recipe against this snapshot (borrowed —
     /// the snapshot is never consumed, so concurrent carve requests can
     /// share one snapshot behind an `Arc`).

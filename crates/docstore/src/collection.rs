@@ -1,11 +1,11 @@
-//! Document collections with CRUD and secondary indexes.
+//! Document collections with secondary indexes.
 
 use std::collections::HashMap;
 
 use crate::index::{Index, IndexKind};
 use crate::plan::{describe_conjunct, AccessPlan, ConjunctAccess, ConjunctDecision, ScanReason};
 use crate::query::Filter;
-use crate::value::{Document, Value};
+use crate::value::Document;
 
 /// Identifier assigned to every stored document (the `_id` field).
 pub type DocId = u64;
@@ -19,25 +19,10 @@ pub type DocId = u64;
 #[derive(Debug, Clone, Default)]
 pub struct Collection {
     name: String,
-    docs: HashMap<DocId, Document>,
-    next_id: DocId,
+    /// `(id, document)` in strictly ascending id order. A loaded file
+    /// may leave gaps between ids; a new document takes the last id + 1.
+    docs: Vec<(DocId, Document)>,
     indexes: HashMap<String, Index>,
-}
-
-/// Move document `id` from the posting of `old` to that of `new`; a
-/// no-op when the indexed value did not change.
-fn reindex(index: &mut Index, id: DocId, old: Option<&Value>, new: Option<&Value>) {
-    if let (Some(o), Some(n)) = (old, new) {
-        if o.query_eq(n) {
-            return;
-        }
-    }
-    if let Some(o) = old {
-        index.remove(o, id);
-    }
-    if let Some(n) = new {
-        index.insert(n, id);
-    }
 }
 
 impl Collection {
@@ -45,8 +30,19 @@ impl Collection {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            docs: HashMap::new(),
-            next_id: 0,
+            docs: Vec::new(),
+            indexes: HashMap::new(),
+        }
+    }
+
+    /// A collection holding `docs`, each already carrying its `_id`.
+    /// The ids must be distinct; their order does not matter.
+    pub(crate) fn from_docs(name: &str, mut docs: Vec<(DocId, Document)>) -> Self {
+        docs.sort_unstable_by_key(|&(id, _)| id);
+        debug_assert!(docs.windows(2).all(|w| w[0].0 < w[1].0), "distinct ids");
+        Self {
+            name: name.to_owned(),
+            docs,
             indexes: HashMap::new(),
         }
     }
@@ -68,69 +64,52 @@ impl Collection {
 
     /// Insert a document, assigning and returning its `_id`.
     pub fn insert(&mut self, mut doc: Document) -> DocId {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.docs.last().map_or(0, |&(last, _)| last + 1);
         doc.set("_id", id as i64);
         for (path, index) in &mut self.indexes {
             if let Some(v) = doc.get_path(path) {
                 index.insert(v, id);
             }
         }
-        self.docs.insert(id, doc);
+        self.docs.push((id, doc));
         id
+    }
+
+    /// Position of document `id` in `docs`.
+    fn position(&self, id: DocId) -> Option<usize> {
+        self.docs.binary_search_by_key(&id, |&(id, _)| id).ok()
     }
 
     /// Fetch a document by id.
     pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.docs.get(&id)
+        self.position(id).map(|at| &self.docs[at].1)
     }
 
     /// Replace the document with the given id. Returns `false` when the
     /// id is unknown.
     pub fn replace(&mut self, id: DocId, mut doc: Document) -> bool {
-        if !self.docs.contains_key(&id) {
-            return false;
-        }
-        doc.set("_id", id as i64);
-        let old = self.docs.insert(id, doc).expect("checked above");
-        let new = &self.docs[&id];
-        for (path, index) in &mut self.indexes {
-            reindex(index, id, old.get_path(path), new.get_path(path));
-        }
-        true
-    }
-
-    /// Apply a mutation to the document with the given id, in place.
-    /// Index entries are kept consistent and `_id` survives whatever
-    /// `f` does to it. Returns `false` when the id is unknown.
-    pub fn update<F: FnOnce(&mut Document)>(&mut self, id: DocId, f: F) -> bool {
-        let Some(doc) = self.docs.get_mut(&id) else {
+        let Some(at) = self.position(id) else {
             return false;
         };
-        // Only the values under indexed paths are copied, so that the
-        // indexes can be brought up to date after `f` has run.
-        let before: Vec<Option<Value>> = self
-            .indexes
-            .keys()
-            .map(|path| doc.get_path(path).cloned())
-            .collect();
-        f(doc);
         doc.set("_id", id as i64);
-        for ((path, index), old) in self.indexes.iter_mut().zip(&before) {
-            reindex(index, id, old.as_ref(), doc.get_path(path));
-        }
-        true
-    }
-
-    /// Delete a document. Returns the removed document.
-    pub fn delete(&mut self, id: DocId) -> Option<Document> {
-        let doc = self.docs.remove(&id)?;
+        let old = std::mem::replace(&mut self.docs[at].1, doc);
+        let new = &self.docs[at].1;
         for (path, index) in &mut self.indexes {
-            if let Some(v) = doc.get_path(path) {
-                index.remove(v, id);
+            // Move the posting only when the indexed value changed.
+            let (old, new) = (old.get_path(path), new.get_path(path));
+            if let (Some(o), Some(n)) = (old, new) {
+                if o.query_eq(n) {
+                    continue;
+                }
+            }
+            if let Some(o) = old {
+                index.remove(o, id);
+            }
+            if let Some(n) = new {
+                index.insert(n, id);
             }
         }
-        Some(doc)
+        true
     }
 
     /// Declare a secondary index over `path`. Existing documents are
@@ -139,7 +118,7 @@ impl Collection {
     pub fn create_index(&mut self, path: impl Into<String>, kind: IndexKind) {
         let path = path.into();
         let mut index = Index::new(kind);
-        for (&id, doc) in &self.docs {
+        for (id, doc) in self.iter_ordered() {
             if let Some(v) = doc.get_path(&path) {
                 index.insert(v, id);
             }
@@ -154,16 +133,9 @@ impl Collection {
         v
     }
 
-    /// Iterate over all documents (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = &Document> {
-        self.docs.values()
-    }
-
     /// Iterate over `(id, document)` pairs in ascending id order.
     pub fn iter_ordered(&self) -> impl Iterator<Item = (DocId, &Document)> {
-        let mut ids: Vec<DocId> = self.docs.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().map(move |id| (id, &self.docs[&id]))
+        self.docs.iter().map(|(id, doc)| (*id, doc))
     }
 
     /// Candidate document ids for a filter, using every applicable
@@ -309,7 +281,7 @@ impl Collection {
         match self.index_candidates(filter) {
             Some(ids) => ids
                 .into_iter()
-                .filter_map(|id| self.docs.get(&id))
+                .filter_map(|id| self.get(id))
                 .filter(|d| filter.matches(d))
                 .collect(),
             None => self
@@ -325,7 +297,7 @@ impl Collection {
         match self.index_candidates(filter) {
             Some(ids) => ids
                 .into_iter()
-                .filter(|id| self.docs.get(id).is_some_and(|d| filter.matches(d)))
+                .filter(|&id| self.get(id).is_some_and(|d| filter.matches(d)))
                 .collect(),
             None => self
                 .iter_ordered()
@@ -342,22 +314,7 @@ impl Collection {
 
     /// First matching document, by ascending `_id`.
     pub fn find_one(&self, filter: &Filter) -> Option<&Document> {
-        self.find_ids(filter)
-            .first()
-            .and_then(|id| self.docs.get(id))
-    }
-
-    /// Whether a document with an indexed `path == value` exists. This is
-    /// the hot call of the dedup import path, so it avoids materializing
-    /// posting lists when possible.
-    pub fn exists_eq(&self, path: &str, value: &Value) -> bool {
-        if let Some(index) = self.indexes.get(path) {
-            !index.lookup_eq(value).is_empty()
-        } else {
-            self.docs
-                .values()
-                .any(|d| d.get_path(path).is_some_and(|v| v.query_eq(value)))
-        }
+        self.find_ids(filter).first().and_then(|&id| self.get(id))
     }
 }
 
@@ -398,8 +355,6 @@ mod tests {
         c.create_index("name", IndexKind::Hash);
         let hits = c.find(&Filter::eq("name", "SMITH"));
         assert_eq!(hits.len(), 2);
-        assert!(c.exists_eq("name", &Value::Str("JONES".into())));
-        assert!(!c.exists_eq("name", &Value::Str("NOPE".into())));
     }
 
     #[test]
@@ -416,18 +371,6 @@ mod tests {
         assert_eq!(one[0].get_str("ncid"), Some("A2"));
     }
 
-    #[test]
-    fn update_maintains_indexes() {
-        let mut c = voters();
-        c.create_index("name", IndexKind::Hash);
-        assert!(c.update(0, |d| {
-            d.set("name", "WILLIAMS");
-        }));
-        assert_eq!(c.find(&Filter::eq("name", "SMITH")).len(), 1);
-        assert_eq!(c.find(&Filter::eq("name", "WILLIAMS")).len(), 1);
-        assert!(!c.update(999, |_| {}));
-    }
-
     /// Ids of the documents the `name` index (not a scan) yields.
     fn by_name(c: &Collection, name: &str) -> Vec<DocId> {
         assert_eq!(c.indexed_paths(), vec!["name"]);
@@ -435,60 +378,24 @@ mod tests {
     }
 
     #[test]
-    fn update_reindexes_exactly_what_changed() {
+    fn replace_reindexes_exactly_what_changed() {
         let mut c = voters();
         c.create_index("name", IndexKind::Hash);
         // Indexed path untouched: postings stay as they were.
-        assert!(c.update(0, |d| {
-            d.push_path("records", Value::from("r1"));
-            d.set("age", 41_i64);
-        }));
+        assert!(c.replace(0, doc! { "ncid" => "A1", "name" => "SMITH", "age" => 41_i64 }));
         assert_eq!(by_name(&c, "SMITH"), vec![0, 2]);
         assert_eq!(c.get(0).unwrap().get_i64("age"), Some(41));
-        assert_eq!(c.get(0).unwrap().get_array("records").map(<[Value]>::len), Some(1));
-        // Indexed path removed by `f`: the posting goes too.
-        assert!(c.update(0, |d| {
-            d.remove("name");
-        }));
+        // Indexed path removed: the posting goes too.
+        assert!(c.replace(0, doc! { "ncid" => "A1" }));
         assert_eq!(by_name(&c, "SMITH"), vec![2]);
-        // Indexed path added by `f`: the document becomes findable.
-        assert!(c.update(0, |d| {
-            d.set("name", "JONES");
-        }));
+        // Indexed path added: the document becomes findable.
+        assert!(c.replace(0, doc! { "ncid" => "A1", "name" => "JONES" }));
         assert_eq!(by_name(&c, "JONES"), vec![0, 1]);
         // Changed: old posting dropped, new one added.
-        assert!(c.update(1, |d| {
-            d.set("name", "SMITH");
-        }));
+        assert!(c.replace(1, doc! { "ncid" => "A2", "name" => "SMITH" }));
         assert_eq!(by_name(&c, "JONES"), vec![0]);
         assert_eq!(by_name(&c, "SMITH"), vec![1, 2]);
-    }
-
-    #[test]
-    fn update_restores_an_overwritten_id() {
-        let mut c = voters();
-        assert!(c.update(1, |d| {
-            d.set("_id", 77_i64);
-        }));
-        assert!(c.update(2, |d| {
-            d.remove("_id");
-        }));
-        let ids: Vec<i64> = c
-            .iter_ordered()
-            .map(|(_, d)| d.get_i64("_id").unwrap())
-            .collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn delete_maintains_indexes() {
-        let mut c = voters();
-        c.create_index("name", IndexKind::Hash);
-        let removed = c.delete(0).unwrap();
-        assert_eq!(removed.get_str("ncid"), Some("A1"));
-        assert_eq!(c.find(&Filter::eq("name", "SMITH")).len(), 1);
-        assert!(c.delete(0).is_none());
-        assert_eq!(c.len(), 2);
+        assert!(!c.replace(999, Document::new()));
     }
 
     #[test]
@@ -554,6 +461,8 @@ mod tests {
             Filter::and(vec![Filter::eq("name", "SMITH"), Filter::eq("county", "C0")]),
             // Contradictory conjuncts: the intersection must be empty.
             Filter::and(vec![Filter::eq("name", "SMITH"), Filter::eq("name", "JONES")]),
+            // Crossed bounds: an empty range, not a panic.
+            Filter::and(vec![Filter::gte("age", 27_i64), Filter::lte("age", 22_i64)]),
             // Unindexable residue alongside indexable conjuncts.
             Filter::and(vec![
                 Filter::eq("name", "JONES"),
@@ -591,7 +500,7 @@ mod tests {
     #[test]
     fn replace_rewrites_document() {
         let mut c = voters();
-        assert!(c.replace(1, doc! { "ncid" => "B9" }));
+        assert!(c.replace(1, doc! { "ncid" => "B9", "_id" => 77_i64 }));
         let d = c.get(1).unwrap();
         assert_eq!(d.get_str("ncid"), Some("B9"));
         assert_eq!(d.get_i64("_id"), Some(1));

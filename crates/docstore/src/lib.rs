@@ -11,17 +11,17 @@
 //!   with dotted-path access (`"records.0.person.last_name"`), and its
 //!   one JSON form: [`value::Value::render_json`] writes it,
 //!   [`json::parse`] reads it back,
-//! * [`collection::Collection`]s with automatic `_id` assignment, CRUD,
+//! * [`collection::Collection`]s: documents kept in ascending `_id`
+//!   order, with automatic `_id` assignment, insert / replace / find,
 //!   and secondary [`index`]es (hash and ordered) over dotted paths,
-//! * an aggregation [`pipeline`] with `match`, `project`, `unwind`,
-//!   `group`, `sort`, `skip`, `limit` and `count` stages — enough to
-//!   express the paper's customization queries,
+//! * the aggregation [`pipeline`]'s stages — `match`, `project`,
+//!   `group`, `sort`, `skip`, `limit` and `count` — enough to express
+//!   the paper's customization queries, and
 //! * crash-safe file [`persist`]ence (atomic JSON-lines snapshots with
 //!   per-line CRC-32 checksums, a count/checksum footer, and a
-//!   salvage-on-load recovery path),
-//! * a deterministic [`faults`] injection harness for testing the IO
-//!   path against truncation, torn lines, and bit rot, and
-//! * a thread-safe [`store::DocStore`] holding named collections.
+//!   salvage-on-load recovery path).
+//!
+//! Fault injection for the IO path lives in `nc_vfs::fault`.
 //!
 //! # Example
 //!
@@ -42,14 +42,12 @@
 
 pub mod collection;
 pub mod crc32;
-pub mod faults;
 pub mod index;
 pub mod json;
 pub mod persist;
 pub mod pipeline;
 pub mod plan;
 pub mod query;
-pub mod store;
 pub mod value;
 
 /// Convenient glob import for typical usage.
@@ -58,9 +56,8 @@ pub mod prelude {
     pub use crate::doc;
     pub use crate::index::IndexKind;
     pub use crate::persist::{FooterStatus, Salvage, SalvageReport};
-    pub use crate::pipeline::{Accumulator, Pipeline, Stage};
+    pub use crate::pipeline::{Accumulator, Stage};
     pub use crate::plan::{AccessPlan, ConjunctAccess, ConjunctDecision, ScanReason};
     pub use crate::query::Filter;
-    pub use crate::store::DocStore;
     pub use crate::value::{Document, Value};
 }

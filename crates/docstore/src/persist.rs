@@ -20,6 +20,7 @@
 //! dropped ([`SalvageReport`]). Files written before checksums existed
 //! (plain JSON lines) still load through both paths.
 
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -292,30 +293,12 @@ fn parse_doc(body: &str, line: usize) -> Result<(u64, Document), PersistError> {
     Ok((id, doc))
 }
 
-/// Rebuild a collection from `(id, doc)` pairs, preserving ids.
-fn rebuild(name: &str, mut docs: Vec<(u64, Document)>) -> Collection {
-    docs.sort_by_key(|(id, _)| *id);
-    // Rebuild by inserting in id order; pad gaps so ids are preserved.
-    let mut coll = Collection::new(name);
-    let mut next = 0u64;
-    for (id, doc) in docs {
-        while next < id {
-            let filler = coll.insert(Document::new());
-            coll.delete(filler);
-            next += 1;
-        }
-        let got = coll.insert(doc);
-        debug_assert_eq!(got, id);
-        next = id + 1;
-    }
-    coll
-}
-
 /// Load a collection from a JSON-lines file written by [`save`].
 ///
-/// Documents are re-inserted preserving their `_id`s; the collection's id
-/// counter resumes after the maximum loaded id. Declared indexes must be
-/// re-created by the caller (index definitions are not persisted).
+/// Documents keep their `_id`s, gaps included; the next insert takes the
+/// maximum loaded id + 1. A second line with an `_id` already read is
+/// [`PersistError::Corrupt`]. Declared indexes must be re-created by the
+/// caller (index definitions are not persisted).
 ///
 /// Loading is strict: a checksummed file with any damaged line, a
 /// missing footer, or a count/checksum drift fails with the precise
@@ -328,6 +311,7 @@ pub fn load(name: &str, path: &Path) -> Result<Collection, PersistError> {
     let file = File::open(path)?;
     let reader = BufReader::new(file);
     let mut docs: Vec<(u64, Document)> = Vec::new();
+    let mut seen = HashSet::new();
     let mut running = Crc32::new();
     let mut data_count: u64 = 0;
     let mut checksummed = false;
@@ -375,7 +359,14 @@ pub fn load(name: &str, path: &Path) -> Result<Collection, PersistError> {
         running.update(body.as_bytes());
         running.update(b"\n");
         data_count += 1;
-        docs.push(parse_doc(body, lineno)?);
+        let (id, doc) = parse_doc(body, lineno)?;
+        if !seen.insert(id) {
+            return Err(PersistError::Corrupt {
+                line: lineno,
+                message: repeated_id(id),
+            });
+        }
+        docs.push((id, doc));
     }
     if checksummed && footer != Some(Footer::new(data_count, running)) {
         return Err(PersistError::Truncated {
@@ -383,7 +374,12 @@ pub fn load(name: &str, path: &Path) -> Result<Collection, PersistError> {
             found: data_count,
         });
     }
-    Ok(rebuild(name, docs))
+    Ok(Collection::from_docs(name, docs))
+}
+
+/// Why a line whose `_id` an earlier line already took is refused.
+fn repeated_id(id: u64) -> String {
+    format!("_id {id} repeats an earlier line's")
 }
 
 /// Integrity of the footer observed by [`salvage`].
@@ -434,14 +430,16 @@ pub struct Salvage {
 /// Recover the intact prefix of a (possibly damaged) collection file.
 ///
 /// Every line up to the first checksum failure, parse failure, torn
-/// line, or invalid UTF-8 is loaded; everything from the first damaged
-/// byte onward is dropped and accounted for in the [`SalvageReport`].
+/// line, invalid UTF-8, or `_id` an earlier line already took is
+/// loaded; everything from the first damaged byte onward is dropped and
+/// accounted for in the [`SalvageReport`].
 /// A file truncated at an arbitrary byte offset therefore loses at most
 /// the final partial line. Never panics on any input; the only error is
 /// failing to read the file at all.
 pub fn salvage(name: &str, path: &Path) -> Result<Salvage, PersistError> {
     let bytes = std::fs::read(path)?;
     let mut docs: Vec<(u64, Document)> = Vec::new();
+    let mut seen = HashSet::new();
     let mut running = Crc32::new();
     let mut data_count: u64 = 0;
     let mut pos: usize = 0;
@@ -491,11 +489,16 @@ pub fn salvage(name: &str, path: &Path) -> Result<Salvage, PersistError> {
             None => line,
         };
         match parse_doc(body, lineno) {
-            Ok(pair) => {
+            Ok((id, _)) if seen.contains(&id) => {
+                failure = Some((pos, format!("line {lineno}: {}", repeated_id(id))));
+                break;
+            }
+            Ok((id, doc)) => {
                 running.update(body.as_bytes());
                 running.update(b"\n");
                 data_count += 1;
-                docs.push(pair);
+                seen.insert(id);
+                docs.push((id, doc));
             }
             Err(e) => {
                 failure = Some((pos, format!("{e}")));
@@ -516,7 +519,7 @@ pub fn salvage(name: &str, path: &Path) -> Result<Salvage, PersistError> {
         None => (0, 0, None),
     };
     Ok(Salvage {
-        collection: rebuild(name, docs),
+        collection: Collection::from_docs(name, docs),
         report: SalvageReport {
             docs_recovered: docs_count(data_count),
             lines_dropped,
@@ -535,6 +538,7 @@ fn docs_count(n: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collection::DocId;
     use crate::doc;
     use crate::query::Filter;
 
@@ -586,23 +590,81 @@ mod tests {
 
     #[test]
     fn round_trip_with_deleted_gaps() {
-        let mut c = Collection::new("v");
-        c.insert(doc! { "name" => "A" });
-        c.insert(doc! { "name" => "B" });
-        c.insert(doc! { "name" => "C" });
-        c.delete(1);
+        // Ids {0, 2}, as a file saved after document 1 was gone.
         let path = tmp("gaps");
-        save(&c, &path).unwrap();
-        let loaded = load("v", &path).unwrap();
+        std::fs::write(&path, "{\"_id\":0,\"name\":\"A\"}\n{\"_id\":2,\"name\":\"C\"}\n").unwrap();
+        save(&load("v", &path).unwrap(), &path).unwrap();
+        let mut loaded = load("v", &path).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(
             loaded.find_one(&Filter::eq("name", "C")).unwrap().get_i64("_id"),
             Some(2)
         );
+        let s = salvage("v", &path).unwrap();
+        assert!(s.report.is_clean() && s.report.footer == FooterStatus::Valid);
+        let json = |c: &Collection| -> Vec<(DocId, String)> {
+            c.iter_ordered().map(|(id, d)| (id, d.to_json())).collect()
+        };
+        assert_eq!(json(&s.collection), json(&loaded));
         // New inserts continue after the max id.
-        let mut loaded = loaded;
-        let id = loaded.insert(doc! { "name" => "D" });
-        assert_eq!(id, 3);
+        assert_eq!(loaded.insert(doc! { "name" => "D" }), 3);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_far_id_loads_without_filling_the_gap() {
+        let far: DocId = 1 << 40;
+        let path = tmp("far_id");
+        std::fs::write(&path, format!("{{\"_id\":0}}\n{{\"_id\":{far}}}\n")).unwrap();
+        let mut loaded = load("v", &path).unwrap();
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.get(far).and_then(|d| d.get_u64("_id")), Some(far));
+        assert_eq!(loaded.insert(Document::new()), far + 1);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn load_refuses_a_repeated_id() {
+        let path = tmp("repeated_plain");
+        std::fs::write(
+            &path,
+            "{\"_id\":0,\"name\":\"A\"}\n{\"_id\":1,\"name\":\"B\"}\n{\"_id\":0,\"name\":\"C\"}\n",
+        )
+        .unwrap();
+        let err = load("v", &path).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Corrupt { line: 3, message } if message.contains("_id 0")),
+            "{err}"
+        );
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn salvage_stops_at_a_repeated_id() {
+        let mut c = Collection::new("v");
+        c.insert(doc! { "name" => "A" });
+        c.insert(doc! { "name" => "B" });
+        let path = tmp("repeated_framed");
+        save(&c, &path).unwrap();
+        // The first framed line written twice, as a faulty copy would.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let first = text.lines().next().unwrap();
+        std::fs::write(&path, format!("{first}\n{text}")).unwrap();
+        let s = salvage("v", &path).unwrap();
+        let names: Vec<(DocId, &str)> = s
+            .collection
+            .iter_ordered()
+            .map(|(id, d)| (id, d.get_str("name").unwrap()))
+            .collect();
+        assert_eq!(names, [(0, "A")]);
+        assert_eq!(s.report.docs_recovered, 1);
+        // The repeat, B and the footer.
+        assert_eq!(s.report.lines_dropped, 3);
+        assert!(!s.report.is_clean());
+        let detail = s.report.detail.as_deref().unwrap();
+        assert!(detail.starts_with("line 2:") && detail.contains("_id 0"), "{detail}");
+        let err = load("v", &path).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt { line: 2, .. }), "{err}");
         std::fs::remove_file(path).unwrap();
     }
 

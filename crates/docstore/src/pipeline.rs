@@ -5,9 +5,9 @@
 //! used to transform documents into an aggregated result … filtering,
 //! transformation, grouping and sorting".
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use crate::collection::Collection;
 use crate::query::Filter;
 use crate::value::{Document, Value};
 
@@ -30,6 +30,39 @@ pub enum Accumulator {
     First(String),
 }
 
+impl Accumulator {
+    /// The accumulated value over one group's documents, in stream order.
+    fn over(&self, docs: &[&Document]) -> Value {
+        let values = |p| docs.iter().filter_map(move |d| d.get_path(p));
+        let floats = |p| docs.iter().filter_map(move |d| d.get_f64(p));
+        match self {
+            Accumulator::Count => Value::Int(docs.len() as i64),
+            Accumulator::Sum(p) => Value::Float(floats(p).fold(0.0, |sum, x| sum + x)),
+            Accumulator::Avg(p) => {
+                let (sum, n) = floats(p).fold((0.0, 0_u64), |(sum, n), x| (sum + x, n + 1));
+                if n == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(sum / n as f64)
+                }
+            }
+            Accumulator::Min(p) => extreme(values(p), Ordering::Less),
+            Accumulator::Max(p) => extreme(values(p), Ordering::Greater),
+            Accumulator::Push(p) => Value::Array(values(p).cloned().collect()),
+            Accumulator::First(p) => values(p).next().cloned().unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// The value that compares `wins` against every other; the first of
+/// equal extremes wins.
+fn extreme<'a>(values: impl Iterator<Item = &'a Value>, wins: Ordering) -> Value {
+    values
+        .reduce(|best, v| if v.total_cmp(best) == wins { v } else { best })
+        .cloned()
+        .unwrap_or(Value::Null)
+}
+
 /// A single pipeline stage.
 #[derive(Debug, Clone)]
 pub enum Stage {
@@ -37,9 +70,6 @@ pub enum Stage {
     Match(Filter),
     /// Keep only the listed (dotted) paths.
     Project(Vec<String>),
-    /// Replace each document by one copy per element of the array at
-    /// `path`, with the element substituted in place of the array.
-    Unwind(String),
     /// Group by the value at `by`; produce one document per group with
     /// `_key` plus one field per named accumulator.
     Group {
@@ -64,272 +94,62 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Apply this stage to an explicit document stream. This is the
-    /// same transform [`Pipeline::run_docs`] applies per stage; external
-    /// executors (e.g. the carve-query planner) use it to interleave
-    /// stages the docstore pipeline does not model, such as sampling,
-    /// while keeping stage semantics identical by construction.
+    /// Apply this stage to a document stream. External executors (the
+    /// carve-query planner) chain stages through this one transform, and
+    /// interleave stages the docstore does not model, such as sampling.
     pub fn apply(&self, docs: Vec<Document>) -> Vec<Document> {
-        apply_stage(self, docs)
-    }
-}
-
-/// An executable sequence of stages.
-#[derive(Debug, Clone, Default)]
-pub struct Pipeline {
-    stages: Vec<Stage>,
-}
-
-impl Pipeline {
-    /// Create an empty pipeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create a pipeline from an explicit stage list.
-    pub fn from_stages(stages: Vec<Stage>) -> Self {
-        Pipeline { stages }
-    }
-
-    /// Append a [`Stage::Match`].
-    pub fn matching(mut self, filter: Filter) -> Self {
-        self.stages.push(Stage::Match(filter));
-        self
-    }
-
-    /// Append a [`Stage::Project`].
-    pub fn project(mut self, paths: &[&str]) -> Self {
-        self.stages
-            .push(Stage::Project(paths.iter().map(|s| (*s).to_owned()).collect()));
-        self
-    }
-
-    /// Append a [`Stage::Unwind`].
-    pub fn unwind(mut self, path: &str) -> Self {
-        self.stages.push(Stage::Unwind(path.to_owned()));
-        self
-    }
-
-    /// Append a [`Stage::Group`].
-    pub fn group(mut self, by: &str, accumulators: Vec<(String, Accumulator)>) -> Self {
-        self.stages.push(Stage::Group {
-            by: by.to_owned(),
-            accumulators,
-        });
-        self
-    }
-
-    /// Append a [`Stage::Sort`].
-    pub fn sort(mut self, by: &str, descending: bool) -> Self {
-        self.stages.push(Stage::Sort {
-            by: by.to_owned(),
-            descending,
-        });
-        self
-    }
-
-    /// Append a [`Stage::Skip`].
-    pub fn skip(mut self, n: usize) -> Self {
-        self.stages.push(Stage::Skip(n));
-        self
-    }
-
-    /// Append a [`Stage::Limit`].
-    pub fn limit(mut self, n: usize) -> Self {
-        self.stages.push(Stage::Limit(n));
-        self
-    }
-
-    /// Append a [`Stage::Count`].
-    pub fn count(mut self) -> Self {
-        self.stages.push(Stage::Count);
-        self
-    }
-
-    /// Run the pipeline over a collection.
-    pub fn run(&self, collection: &Collection) -> Vec<Document> {
-        // Push down a leading Match through the collection's indexes.
-        let (mut docs, rest): (Vec<Document>, &[Stage]) = match self.stages.split_first() {
-            Some((Stage::Match(f), rest)) => {
-                (collection.find(f).into_iter().cloned().collect(), rest)
+        match self {
+            Stage::Match(f) => docs.into_iter().filter(|d| f.matches(d)).collect(),
+            Stage::Project(paths) => {
+                let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
+                docs.iter().map(|d| d.project(&refs)).collect()
             }
-            _ => (
-                collection.iter_ordered().map(|(_, d)| d.clone()).collect(),
-                &self.stages,
-            ),
-        };
-        for stage in rest {
-            docs = apply_stage(stage, docs);
-        }
-        docs
-    }
-
-    /// Run the pipeline over an explicit document stream.
-    pub fn run_docs(&self, mut docs: Vec<Document>) -> Vec<Document> {
-        for stage in &self.stages {
-            docs = apply_stage(stage, docs);
-        }
-        docs
-    }
-}
-
-fn apply_stage(stage: &Stage, docs: Vec<Document>) -> Vec<Document> {
-    match stage {
-        Stage::Match(f) => docs.into_iter().filter(|d| f.matches(d)).collect(),
-        Stage::Project(paths) => {
-            let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
-            docs.iter().map(|d| d.project(&refs)).collect()
-        }
-        Stage::Unwind(path) => {
-            let mut out = Vec::new();
-            for doc in docs {
-                match doc.get_path(path) {
-                    Some(Value::Array(items)) => {
-                        for item in items.clone() {
-                            let mut copy = doc.clone();
-                            copy.set_path(path, item);
-                            out.push(copy);
-                        }
-                    }
-                    // Non-arrays pass through unchanged (Mongo semantics).
-                    Some(_) => out.push(doc),
-                    None => {}
+            Stage::Group { by, accumulators } => {
+                // Groups in first-seen order, keyed by the stable hash of
+                // the grouping value; each keeps its first value as `_key`.
+                let mut slots: HashMap<u64, usize> = HashMap::new();
+                let mut groups: Vec<(Value, Vec<&Document>)> = Vec::new();
+                for doc in &docs {
+                    let key = doc.get_path(by).cloned().unwrap_or(Value::Null);
+                    let at = *slots.entry(key.stable_hash()).or_insert_with(|| {
+                        groups.push((key, Vec::new()));
+                        groups.len() - 1
+                    });
+                    groups[at].1.push(doc);
                 }
+                groups
+                    .into_iter()
+                    .map(|(key, members)| {
+                        let mut out = Document::new();
+                        out.set("_key", key);
+                        for (name, acc) in accumulators {
+                            out.set(name.clone(), acc.over(&members));
+                        }
+                        out
+                    })
+                    .collect()
             }
-            out
-        }
-        Stage::Group { by, accumulators } => {
-            #[derive(Default)]
-            struct GroupState {
-                key: Value,
-                count: u64,
-                sums: HashMap<String, f64>,
-                mins: HashMap<String, Value>,
-                maxs: HashMap<String, Value>,
-                pushes: HashMap<String, Vec<Value>>,
-                firsts: HashMap<String, Value>,
-                avg_counts: HashMap<String, u64>,
-            }
-            let mut order: Vec<u64> = Vec::new();
-            let mut groups: HashMap<u64, GroupState> = HashMap::new();
-            for doc in &docs {
-                let key = doc.get_path(by).cloned().unwrap_or(Value::Null);
-                let h = key.stable_hash();
-                let state = groups.entry(h).or_insert_with(|| {
-                    order.push(h);
-                    GroupState {
-                        key: key.clone(),
-                        ..Default::default()
+            Stage::Sort { by, descending } => {
+                let mut docs = docs;
+                docs.sort_by(|a, b| {
+                    let va = a.get_path(by).cloned().unwrap_or(Value::Null);
+                    let vb = b.get_path(by).cloned().unwrap_or(Value::Null);
+                    let ord = va.total_cmp(&vb);
+                    if *descending {
+                        ord.reverse()
+                    } else {
+                        ord
                     }
                 });
-                state.count += 1;
-                for (name, acc) in accumulators {
-                    match acc {
-                        Accumulator::Count => {}
-                        Accumulator::Sum(p) | Accumulator::Avg(p) => {
-                            if let Some(x) = doc.get_f64(p) {
-                                *state.sums.entry(name.clone()).or_insert(0.0) += x;
-                                *state.avg_counts.entry(name.clone()).or_insert(0) += 1;
-                            }
-                        }
-                        Accumulator::Min(p) => {
-                            if let Some(v) = doc.get_path(p) {
-                                state
-                                    .mins
-                                    .entry(name.clone())
-                                    .and_modify(|cur| {
-                                        if v.total_cmp(cur) == std::cmp::Ordering::Less {
-                                            *cur = v.clone();
-                                        }
-                                    })
-                                    .or_insert_with(|| v.clone());
-                            }
-                        }
-                        Accumulator::Max(p) => {
-                            if let Some(v) = doc.get_path(p) {
-                                state
-                                    .maxs
-                                    .entry(name.clone())
-                                    .and_modify(|cur| {
-                                        if v.total_cmp(cur) == std::cmp::Ordering::Greater {
-                                            *cur = v.clone();
-                                        }
-                                    })
-                                    .or_insert_with(|| v.clone());
-                            }
-                        }
-                        Accumulator::Push(p) => {
-                            if let Some(v) = doc.get_path(p) {
-                                state.pushes.entry(name.clone()).or_default().push(v.clone());
-                            }
-                        }
-                        Accumulator::First(p) => {
-                            if let Some(v) = doc.get_path(p) {
-                                state.firsts.entry(name.clone()).or_insert_with(|| v.clone());
-                            }
-                        }
-                    }
-                }
+                docs
             }
-            order
-                .into_iter()
-                .map(|h| {
-                    let state = groups.remove(&h).expect("group exists");
-                    let mut out = Document::new();
-                    out.set("_key", state.key.clone());
-                    for (name, acc) in accumulators {
-                        let v = match acc {
-                            Accumulator::Count => Value::Int(state.count as i64),
-                            Accumulator::Sum(_) => {
-                                Value::Float(state.sums.get(name).copied().unwrap_or(0.0))
-                            }
-                            Accumulator::Avg(_) => {
-                                let n = state.avg_counts.get(name).copied().unwrap_or(0);
-                                if n == 0 {
-                                    Value::Null
-                                } else {
-                                    Value::Float(state.sums.get(name).copied().unwrap_or(0.0) / n as f64)
-                                }
-                            }
-                            Accumulator::Min(_) => {
-                                state.mins.get(name).cloned().unwrap_or(Value::Null)
-                            }
-                            Accumulator::Max(_) => {
-                                state.maxs.get(name).cloned().unwrap_or(Value::Null)
-                            }
-                            Accumulator::Push(_) => {
-                                Value::Array(state.pushes.get(name).cloned().unwrap_or_default())
-                            }
-                            Accumulator::First(_) => {
-                                state.firsts.get(name).cloned().unwrap_or(Value::Null)
-                            }
-                        };
-                        out.set(name.clone(), v);
-                    }
-                    out
-                })
-                .collect()
-        }
-        Stage::Sort { by, descending } => {
-            let mut docs = docs;
-            docs.sort_by(|a, b| {
-                let va = a.get_path(by).cloned().unwrap_or(Value::Null);
-                let vb = b.get_path(by).cloned().unwrap_or(Value::Null);
-                let ord = va.total_cmp(&vb);
-                if *descending {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
-            docs
-        }
-        Stage::Skip(n) => docs.into_iter().skip(*n).collect(),
-        Stage::Limit(n) => docs.into_iter().take(*n).collect(),
-        Stage::Count => {
-            let mut d = Document::new();
-            d.set("count", docs.len() as i64);
-            vec![d]
+            Stage::Skip(n) => docs.into_iter().skip(*n).collect(),
+            Stage::Limit(n) => docs.into_iter().take(*n).collect(),
+            Stage::Count => {
+                let mut d = Document::new();
+                d.set("count", docs.len() as i64);
+                vec![d]
+            }
         }
     }
 }
@@ -339,54 +159,59 @@ mod tests {
     use super::*;
     use crate::doc;
 
-    fn coll() -> Collection {
-        let mut c = Collection::new("t");
-        c.insert(doc! { "county" => "WAKE", "age" => 30_i64, "tags" => vec!["x", "y"] });
-        c.insert(doc! { "county" => "WAKE", "age" => 50_i64, "tags" => vec!["z"] });
-        c.insert(doc! { "county" => "DURHAM", "age" => 40_i64, "tags" => Vec::<&str>::new() });
-        c
+    fn docs() -> Vec<Document> {
+        vec![
+            doc! { "county" => "WAKE", "age" => 30_i64 },
+            doc! { "county" => "WAKE", "age" => 50_i64 },
+            doc! { "county" => "DURHAM", "age" => 40_i64 },
+        ]
+    }
+
+    /// Run `stages` in order over `docs`.
+    fn run(stages: &[Stage], docs: Vec<Document>) -> Vec<Document> {
+        stages.iter().fold(docs, |docs, stage| stage.apply(docs))
     }
 
     #[test]
     fn match_project() {
-        let out = Pipeline::new()
-            .matching(Filter::eq("county", "WAKE"))
-            .project(&["age"])
-            .run(&coll());
+        let out = run(
+            &[
+                Stage::Match(Filter::eq("county", "WAKE")),
+                Stage::Project(vec!["age".into()]),
+            ],
+            docs(),
+        );
         assert_eq!(out.len(), 2);
         assert!(out[0].get_path("county").is_none());
         assert!(out[0].get_i64("age").is_some());
     }
 
     #[test]
-    fn unwind_expands_arrays() {
-        let out = Pipeline::new().unwind("tags").run(&coll());
-        // 2 + 1 + 0 elements.
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].get_str("tags"), Some("x"));
-        assert_eq!(out[1].get_str("tags"), Some("y"));
-        assert_eq!(out[2].get_str("tags"), Some("z"));
-    }
-
-    #[test]
     fn group_accumulators() {
-        let out = Pipeline::new()
-            .group(
-                "county",
-                vec![
-                    ("n".into(), Accumulator::Count),
-                    ("total".into(), Accumulator::Sum("age".into())),
-                    ("avg".into(), Accumulator::Avg("age".into())),
-                    ("young".into(), Accumulator::Min("age".into())),
-                    ("old".into(), Accumulator::Max("age".into())),
-                    ("ages".into(), Accumulator::Push("age".into())),
-                    ("first".into(), Accumulator::First("age".into())),
-                ],
-            )
-            .sort("_key", false)
-            .run(&coll());
-        assert_eq!(out.len(), 2);
-        let wake = out.iter().find(|d| d.get_str("_key") == Some("WAKE")).unwrap();
+        let out = run(
+            &[
+                Stage::Group {
+                    by: "county".into(),
+                    accumulators: vec![
+                        ("n".into(), Accumulator::Count),
+                        ("total".into(), Accumulator::Sum("age".into())),
+                        ("avg".into(), Accumulator::Avg("age".into())),
+                        ("young".into(), Accumulator::Min("age".into())),
+                        ("old".into(), Accumulator::Max("age".into())),
+                        ("ages".into(), Accumulator::Push("age".into())),
+                        ("first".into(), Accumulator::First("age".into())),
+                    ],
+                },
+                Stage::Sort {
+                    by: "_key".into(),
+                    descending: false,
+                },
+            ],
+            docs(),
+        );
+        let keys: Vec<&str> = out.iter().map(|d| d.get_str("_key").unwrap()).collect();
+        assert_eq!(keys, ["DURHAM", "WAKE"], "sorted ascending");
+        let wake = &out[1];
         assert_eq!(wake.get_i64("n"), Some(2));
         assert_eq!(wake.get_f64("total"), Some(80.0));
         assert_eq!(wake.get_f64("avg"), Some(40.0));
@@ -398,41 +223,39 @@ mod tests {
 
     #[test]
     fn sort_skip_limit() {
-        let out = Pipeline::new()
-            .sort("age", true)
-            .skip(1)
-            .limit(1)
-            .run(&coll());
+        let out = run(
+            &[
+                Stage::Sort {
+                    by: "age".into(),
+                    descending: true,
+                },
+                Stage::Skip(1),
+                Stage::Limit(1),
+            ],
+            docs(),
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get_i64("age"), Some(40));
     }
 
     #[test]
     fn count_stage() {
-        let out = Pipeline::new()
-            .matching(Filter::gt("age", 35_i64))
-            .count()
-            .run(&coll());
+        let out = run(
+            &[Stage::Match(Filter::gt("age", 35_i64)), Stage::Count],
+            docs(),
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get_i64("count"), Some(2));
     }
 
     #[test]
     fn group_missing_key_is_null() {
-        let mut c = Collection::new("t");
-        c.insert(doc! { "a" => 1_i64 });
-        c.insert(doc! { "b" => 2_i64 });
-        let out = Pipeline::new()
-            .group("a", vec![("n".into(), Accumulator::Count)])
-            .run(&c);
+        let group = Stage::Group {
+            by: "a".into(),
+            accumulators: vec![("n".into(), Accumulator::Count)],
+        };
+        let out = group.apply(vec![doc! { "a" => 1_i64 }, doc! { "b" => 2_i64 }]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().any(|d| d.get_path("_key") == Some(&Value::Null)));
-    }
-
-    #[test]
-    fn run_docs_standalone() {
-        let docs = vec![doc! { "x" => 2_i64 }, doc! { "x" => 1_i64 }];
-        let out = Pipeline::new().sort("x", false).run_docs(docs);
-        assert_eq!(out[0].get_i64("x"), Some(1));
     }
 }

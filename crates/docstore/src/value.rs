@@ -138,14 +138,6 @@ impl Value {
         }
     }
 
-    /// Mutable borrow as nested document.
-    pub fn as_doc_mut(&mut self) -> Option<&mut Document> {
-        match self {
-            Value::Doc(d) => Some(d),
-            _ => None,
-        }
-    }
-
     /// Whether this is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -373,11 +365,6 @@ impl Document {
         self
     }
 
-    /// Remove a top-level field, returning its value.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.fields.remove(key)
-    }
-
     /// Iterate over `(name, value)` pairs in field-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
         self.fields.iter()
@@ -404,11 +391,6 @@ impl Document {
     /// Look up a top-level field.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.fields.get(key)
-    }
-
-    /// Mutable lookup of a top-level field.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.fields.get_mut(key)
     }
 
     /// String view of a dotted path.
@@ -481,43 +463,6 @@ impl Document {
             }
         }
         go(self, &segs, value)
-    }
-
-    /// Push a value onto an array field at a dotted path, creating the
-    /// array if absent. Returns `true` on success.
-    pub fn push_path(&mut self, path: &str, value: impl Into<Value>) -> bool {
-        match self.get_path(path) {
-            None => self.set_path(path, Value::Array(vec![value.into()])),
-            Some(Value::Array(_)) => {
-                // Re-borrow mutably along the path.
-                let segs: Vec<&str> = path.split('.').collect();
-                let mut cur = match self.fields.get_mut(segs[0]) {
-                    Some(v) => v,
-                    None => return false,
-                };
-                for seg in &segs[1..] {
-                    cur = match cur {
-                        Value::Doc(d) => match d.fields.get_mut(*seg) {
-                            Some(v) => v,
-                            None => return false,
-                        },
-                        Value::Array(a) => match seg.parse::<usize>().ok() {
-                            Some(i) if i < a.len() => &mut a[i],
-                            _ => return false,
-                        },
-                        _ => return false,
-                    };
-                }
-                match cur {
-                    Value::Array(a) => {
-                        a.push(value.into());
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            Some(_) => false,
-        }
     }
 
     /// Render as a JSON object into `out`. Fields appear in the
@@ -630,16 +575,6 @@ mod tests {
         assert!(d.set_path("records.0.snap", "2009-09-09"));
         assert_eq!(d.get_str("records.0.snap"), Some("2009-09-09"));
         assert!(!d.set_path("records.7.snap", "x"));
-    }
-
-    #[test]
-    fn push_path_appends_and_creates() {
-        let mut d = sample();
-        assert!(d.push_path("records", Value::Doc(doc! { "snap" => "2012-01-01" })));
-        assert_eq!(d.get_array("records").unwrap().len(), 3);
-        assert!(d.push_path("meta.tags", "fresh"));
-        assert_eq!(d.get_array("meta.tags").unwrap().len(), 1);
-        assert!(!d.push_path("ncid", "not-an-array"));
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! writer/reader pair (round trip, truncation, arbitrary bytes, and a
 //! file in the spelling the store's earlier writer used).
 
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+
 use nc_docstore::json;
+use nc_docstore::persist;
 use nc_docstore::prelude::*;
 use nc_propcheck::{check, check_n, Gen, DIGITS, LOWER, UPPER};
 
@@ -218,38 +221,111 @@ fn range_find_agrees_with_scan_wide() {
     );
 }
 
-/// Delete removes exactly the targeted document from finds.
-fn delete_removes_from_results_prop(g: &mut Gen) {
-    let values = g.vec(2..20, |g| g.string("ABC", 1..=1));
-    let mut coll = Collection::new("d");
-    coll.create_index("k", IndexKind::Hash);
-    let ids: Vec<DocId> = values
-        .iter()
-        .map(|v| coll.insert(doc! { "k" => v.as_str() }))
-        .collect();
-    let victim = ids[0];
-    let victim_key = values[0].clone();
-    coll.delete(victim);
-    let hits = coll.find_ids(&Filter::eq("k", victim_key.as_str()));
-    assert!(!hits.contains(&victim));
-    assert_eq!(coll.len(), values.len() - 1);
+/// A document with an indexed hash key `k`, an indexed ordered `n` and
+/// an unindexed `u`, each present or not.
+fn keyed_doc(g: &mut Gen) -> Document {
+    let fields = [
+        ("k", Value::from(g.string("ABC", 1..=1))),
+        ("n", Value::Int(int(g, 0..12))),
+        ("u", Value::Int(int(g, 0..3))),
+    ];
+    fields.into_iter().filter(|_| g.bool()).map(|(k, v)| (k.to_owned(), v)).collect()
+}
+
+/// An eq or range filter on an indexed or unindexed path, alone or in
+/// a conjunction.
+fn keyed_filter(g: &mut Gen) -> Filter {
+    let leaf = |g: &mut Gen| match g.range(0..4) {
+        0 => Filter::eq("k", g.string("ABCD", 1..=1)),
+        1 => Filter::eq("u", int(g, 0..4)),
+        2 => Filter::eq("n", int(g, 0..13)),
+        _ => {
+            let lo = int(g, -1..12);
+            Filter::between("n", lo, lo + int(g, 0..6))
+        }
+    };
+    if g.bool() {
+        leaf(g)
+    } else {
+        let conjuncts = g.vec(2..4, leaf);
+        Filter::and(conjuncts)
+    }
+}
+
+/// Random inserts and replaces leave the ids `0..n` in order, each
+/// `get` on its own document, indexed finds equal to a scan, and a
+/// save → load that gives back the same bytes.
+fn inserts_and_replaces_keep_ids_indexes_and_bytes_prop(g: &mut Gen) {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let mut coll = Collection::new("c");
+    if g.bool() {
+        coll.create_index("k", IndexKind::Hash);
+    }
+    coll.create_index("n", IndexKind::Ordered);
+    // What each id should hold, by id.
+    let mut model: Vec<Document> = Vec::new();
+    for _ in 0..g.range(0..40) {
+        let mut doc = keyed_doc(g);
+        let id = if model.is_empty() || g.bool() {
+            coll.insert(doc.clone())
+        } else {
+            let id = g.range(0..model.len() as u64);
+            assert!(coll.replace(id, doc.clone()));
+            id
+        };
+        doc.set("_id", id as i64);
+        match model.get_mut(id as usize) {
+            Some(slot) => *slot = doc,
+            None => model.push(doc),
+        }
+    }
+    if g.bool() {
+        // An index declared late covers the documents already stored.
+        coll.create_index("k", IndexKind::Hash);
+    }
+
+    let ids: Vec<DocId> = coll.iter_ordered().map(|(id, _)| id).collect();
+    assert_eq!(ids, (0..model.len() as u64).collect::<Vec<_>>());
+    for (id, want) in model.iter().enumerate() {
+        assert_eq!(coll.get(id as u64), Some(want), "id {id}");
+    }
+    for _ in 0..8 {
+        let filter = keyed_filter(g);
+        let scan: Vec<DocId> = (0..model.len() as u64)
+            .filter(|&id| filter.matches(&model[id as usize]))
+            .collect();
+        assert_eq!(coll.find_ids(&filter), scan, "{filter:?}");
+    }
+
+    let path = std::env::temp_dir().join(format!(
+        "nc_docstore_prop_{}_{}",
+        std::process::id(),
+        FILES.fetch_add(1, AtomicOrdering::Relaxed)
+    ));
+    persist::save(&coll, &path).unwrap();
+    let loaded = persist::load("c", &path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let bytes = |c: &Collection| -> Vec<(DocId, String)> {
+        c.iter_ordered().map(|(id, d)| (id, d.to_json())).collect()
+    };
+    assert_eq!(bytes(&loaded), bytes(&coll));
 }
 
 #[test]
-fn delete_removes_from_results() {
+fn inserts_and_replaces_keep_ids_indexes_and_bytes() {
     check(
-        "delete_removes_from_results",
-        delete_removes_from_results_prop,
+        "inserts_and_replaces_keep_ids_indexes_and_bytes",
+        inserts_and_replaces_keep_ids_indexes_and_bytes_prop,
     );
 }
 
 #[test]
 #[ignore = "wide sweep: cargo test -- --ignored"]
-fn delete_removes_from_results_wide() {
+fn inserts_and_replaces_keep_ids_indexes_and_bytes_wide() {
     check_n(
-        "delete_removes_from_results",
+        "inserts_and_replaces_keep_ids_indexes_and_bytes",
         3_000,
-        delete_removes_from_results_prop,
+        inserts_and_replaces_keep_ids_indexes_and_bytes_prop,
     );
 }
 

@@ -5,14 +5,13 @@
 //! candidates come from posting-list intersection and the snapshot is
 //! never fully scanned. Every other stage is delegated, one stage at a
 //! time, to the docstore's own [`Stage::apply`], so planned execution is
-//! equivalent to a naive [`Pipeline::run_docs`] by construction — the
+//! equivalent to a naive [`execute_naive`] by construction — the
 //! only part the planner changes is how the first stage sources rows.
 //! The `sample` stage (which docstore pipelines do not model) is a
 //! partial Fisher–Yates shuffle over the workspace PRNG
 //! ([`nc_votergen::rng`]), so the same `(seed, query, version)`
 //! reproduces the same sample on every build.
 
-use nc_docstore::pipeline::Pipeline;
 use nc_docstore::plan::{ConjunctAccess, ConjunctDecision};
 use nc_docstore::value::{Document, Value};
 use nc_votergen::rng::Rng;
@@ -328,7 +327,8 @@ pub fn execute(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) 
 }
 
 /// The naive reference execution: every cluster doc through
-/// [`Pipeline::run_docs`], with `sample` applied by the same sampler.
+/// [`Stage::apply`](nc_docstore::pipeline::Stage::apply), with `sample`
+/// applied by the same sampler.
 /// The equivalence suite asserts [`execute`] matches this byte for byte.
 pub fn execute_naive(catalog: &ClusterCatalog, query: &CarveQuery) -> Vec<Document> {
     let mut docs: Vec<Document> = catalog
@@ -345,7 +345,7 @@ pub fn execute_naive(catalog: &ClusterCatalog, query: &CarveQuery) -> Vec<Docume
                 let ds = other
                     .to_docstore_stage()
                     .expect("only sample lacks a docstore stage");
-                Pipeline::from_stages(vec![ds]).run_docs(docs)
+                ds.apply(docs)
             }
         };
     }

@@ -6,7 +6,7 @@
 //!
 //! * indexed execution is byte-identical to a forced full scan;
 //! * planned execution is byte-identical to the naive reference
-//!   (`Pipeline::run_docs` over every cluster doc);
+//!   (`Stage::apply` over every cluster doc);
 //! * the same `(seed, query, version)` replays the same sampled carve
 //!   from a freshly rebuilt catalog — including when the snapshot was
 //!   published by a sharded store instead of the sequential one.
@@ -196,7 +196,7 @@ fn indexed_plan_matches_forced_scan_wide() {
 }
 
 /// Planned execution equals the naive reference: every cluster doc
-/// pushed through `Pipeline::run_docs` one stage at a time.
+/// pushed through `Stage::apply` one stage at a time.
 fn planned_execution_equals_naive_prop(g: &mut Gen) {
     let (specs, body) = (cluster_specs(g), pipeline(g));
     let cat = catalog_from(&specs);

@@ -12,8 +12,8 @@ use common::{archive_prefix, fingerprint, tmp_dir, write_archive, SNAPSHOTS};
 use nc_core::cluster::ClusterStore;
 use nc_core::record::DedupPolicy;
 use nc_core::tsv::{self, ImportOptions, TsvError};
-use nc_docstore::faults::{inject, Fault};
 use nc_shard::{ShardEngine, ShardEngineConfig};
+use nc_vfs::fault::{inject, Fault};
 
 const SHARD_COUNTS: [usize; 2] = [1, 3];
 

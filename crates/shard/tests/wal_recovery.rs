@@ -12,9 +12,9 @@ use std::path::{Path, PathBuf};
 use common::{archive_prefix, fingerprint, tmp_dir, write_archive, Fingerprint, SNAPSHOTS};
 use nc_core::record::DedupPolicy;
 use nc_core::tsv::{ImportOptions, TsvError};
-use nc_docstore::faults::{inject, Fault};
 use nc_docstore::persist::{frame_line, read_framed};
 use nc_shard::{ShardEngine, ShardEngineConfig};
+use nc_vfs::fault::{inject, Fault};
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 

@@ -18,6 +18,7 @@ pub use nc_pprl as pprl;
 pub use nc_serve as serve;
 pub use nc_shard as shard;
 pub use nc_similarity as similarity;
+pub use nc_vfs as vfs;
 pub use nc_votergen as votergen;
 
 /// Conversions between the voter pipeline's typed rows and the generic

@@ -15,6 +15,12 @@
 //! invariant at each prefix. All randomized modes draw from the
 //! SplitMix64 [`FaultRng`], so every schedule is reproducible from its
 //! seed.
+//!
+//! The same module damages files after the fact: [`inject`] applies one
+//! [`Fault`] — a truncation, a bit flip, a lost byte range or a torn
+//! final line — to bytes already on disk, and [`chaos`] applies a
+//! seeded series of them, so recovery paths (collection salvage, WAL
+//! replay) can be exercised against reproducible corruption.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -56,6 +62,93 @@ impl FaultRng {
     pub fn chance(&mut self, p: f64) -> bool {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64 >= 1.0 - p
     }
+}
+
+/// One file-level fault: damage applied to bytes already on disk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fault {
+    /// Truncate the file to exactly `len` bytes (a crash mid-write).
+    TruncateAt(u64),
+    /// Flip one bit (bit rot / torn sector).
+    FlipBit {
+        /// Byte offset of the flip.
+        offset: u64,
+        /// Bit index within the byte (0–7).
+        bit: u8,
+    },
+    /// Remove a byte range (a lost write).
+    DeleteRange {
+        /// First byte removed.
+        offset: u64,
+        /// Number of bytes removed.
+        len: u64,
+    },
+    /// Append bytes without a trailing newline (a partial final line).
+    AppendPartial(Vec<u8>),
+}
+
+/// Apply a fault to the file at `path`.
+///
+/// Offsets are clamped to the file's current length, so a plan drawn
+/// for a larger file still applies cleanly.
+pub fn inject(path: &Path, fault: &Fault) -> io::Result<()> {
+    let mut bytes = std::fs::read(path)?;
+    match fault {
+        Fault::TruncateAt(len) => {
+            let len = (*len as usize).min(bytes.len());
+            bytes.truncate(len);
+        }
+        Fault::FlipBit { offset, bit } => {
+            if !bytes.is_empty() {
+                let i = (*offset as usize).min(bytes.len() - 1);
+                bytes[i] ^= 1 << (bit & 7);
+            }
+        }
+        Fault::DeleteRange { offset, len } => {
+            let start = (*offset as usize).min(bytes.len());
+            let end = start.saturating_add(*len as usize).min(bytes.len());
+            bytes.drain(start..end);
+        }
+        Fault::AppendPartial(extra) => {
+            bytes.extend_from_slice(extra);
+        }
+    }
+    std::fs::write(path, bytes)
+}
+
+/// Draw a random fault appropriate for a file of `file_len` bytes.
+fn random_fault(rng: &mut FaultRng, file_len: u64) -> Fault {
+    let len = file_len.max(1);
+    match rng.below(4) {
+        0 => Fault::TruncateAt(rng.below(len)),
+        1 => Fault::FlipBit {
+            offset: rng.below(len),
+            bit: (rng.below(8)) as u8,
+        },
+        2 => Fault::DeleteRange {
+            offset: rng.below(len),
+            len: 1 + rng.below(16),
+        },
+        _ => {
+            let n = 1 + rng.below(24) as usize;
+            let garbage: Vec<u8> = (0..n).map(|_| (rng.below(256)) as u8).collect();
+            Fault::AppendPartial(garbage)
+        }
+    }
+}
+
+/// Apply `n` random faults to the file, drawn from `seed`. Returns the
+/// faults applied, in order, for the test's failure message.
+pub fn chaos(path: &Path, seed: u64, n: usize) -> io::Result<Vec<Fault>> {
+    let mut rng = FaultRng::new(seed);
+    let mut applied = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = std::fs::metadata(path)?.len();
+        let fault = random_fault(&mut rng, len);
+        inject(path, &fault)?;
+        applied.push(fault);
+    }
+    Ok(applied)
 }
 
 /// One fault pinned to one syscall.
@@ -478,5 +571,47 @@ mod tests {
         f.write_all(b"ok").unwrap(); // schedule spent
         drop(f);
         std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn truncate_and_flip() {
+        let path = tmp("basic");
+        std::fs::write(&path, b"hello world").unwrap();
+        inject(&path, &Fault::TruncateAt(5)).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"hello");
+        inject(&path, &Fault::FlipBit { offset: 0, bit: 0 }).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"iello");
+        inject(&path, &Fault::DeleteRange { offset: 1, len: 2 }).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"ilo");
+        inject(&path, &Fault::AppendPartial(b"xx".to_vec())).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"iloxx");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn faults_clamp_to_file_bounds() {
+        let path = tmp("clamp");
+        std::fs::write(&path, b"abc").unwrap();
+        inject(&path, &Fault::TruncateAt(1000)).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"abc");
+        inject(&path, &Fault::FlipBit { offset: 1000, bit: 3 }).unwrap();
+        inject(&path, &Fault::DeleteRange { offset: 1000, len: 5 }).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap().len(), 3);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn chaos_is_reproducible() {
+        let p1 = tmp("chaos1");
+        let p2 = tmp("chaos2");
+        let content = vec![b'x'; 4096];
+        std::fs::write(&p1, &content).unwrap();
+        std::fs::write(&p2, &content).unwrap();
+        let f1 = chaos(&p1, 99, 5).unwrap();
+        let f2 = chaos(&p2, 99, 5).unwrap();
+        assert_eq!(f1, f2);
+        assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
+        std::fs::remove_file(p1).unwrap();
+        std::fs::remove_file(p2).unwrap();
     }
 }

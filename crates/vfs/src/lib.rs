@@ -19,6 +19,11 @@
 //! directory fsync, `rename`, `unlink`, `ftruncate`) and nothing more,
 //! so a fault sweep over an operation trace enumerates every crash
 //! point a real kernel could expose.
+//!
+//! The workspace's one fault harness is [`fault`]: besides
+//! [`fault::FaultVfs`] it holds the after-the-fact file damage
+//! ([`fault::inject`], [`fault::chaos`]) that recovery tests apply to
+//! bytes already on disk, drawn from the same [`FaultRng`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

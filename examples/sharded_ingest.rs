@@ -18,8 +18,8 @@ use nc_suite::core::cluster::ClusterStore;
 use nc_suite::core::import::import_snapshot;
 use nc_suite::core::record::DedupPolicy;
 use nc_suite::core::tsv::{self, ImportOptions};
-use nc_suite::docstore::faults::{self, Fault};
 use nc_suite::shard::{shard_of, ShardEngine, ShardEngineConfig};
+use nc_suite::vfs::fault::{self as faults, Fault};
 use nc_suite::votergen::config::GeneratorConfig;
 use nc_suite::votergen::registry::Registry;
 use nc_suite::votergen::snapshot::standard_calendar;

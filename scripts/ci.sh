@@ -46,6 +46,24 @@ if grep -n '^source = ' Cargo.lock >&2; then
     exit 1
 fi
 
+echo "=== lines per crate ==="
+# Lines per crate is a tracked number (ROADMAP aim 2): DESIGN.md §3 gives
+# each crate's git-tracked `*.rs` line count, tests included, and a row
+# that no longer matches the code fails here.
+drift=0
+for dir in crates/*/; do
+    name=$(basename "$dir")
+    counted=$(git ls-files -z "crates/$name/*.rs" | xargs -0 -r cat | wc -l)
+    listed=$(grep "^| \`crates/$name\` " DESIGN.md | awk -F'|' '{ gsub(/ /, "", $(NF-1)); print $(NF-1) }' || true)
+    if [ "$listed" != "$counted" ]; then
+        echo "DESIGN.md §3 lists crates/$name at '${listed}' lines; its *.rs files have $counted" >&2
+        drift=1
+    fi
+done
+if [ "$drift" -ne 0 ]; then
+    exit 1
+fi
+
 echo "=== build (release) ==="
 cargo build --release --workspace "$@"
 

@@ -9,8 +9,8 @@ use std::path::{Path, PathBuf};
 use nc_suite::core::cluster::ClusterStore;
 use nc_suite::core::record::DedupPolicy;
 use nc_suite::core::tsv::{self, ImportOptions, TsvError};
-use nc_suite::docstore::faults::{self, Fault};
 use nc_suite::docstore::persist;
+use nc_suite::vfs::fault::{self as faults, Fault};
 use nc_suite::votergen::config::GeneratorConfig;
 use nc_suite::votergen::registry::Registry;
 use nc_suite::votergen::snapshot::standard_calendar;
@@ -223,57 +223,4 @@ fn chaos_on_persisted_store_never_panics() {
 
     std::fs::remove_dir_all(archive).unwrap();
     std::fs::remove_dir_all(dir).unwrap();
-}
-
-/// `DocStore::save_all` is crash-safe as a *batch*: every collection
-/// file is written atomically and the directory entry batch is fsynced
-/// afterwards, so damage to any one saved file never takes the other
-/// collections with it — `salvage_all` recovers them bit-intact.
-#[test]
-fn save_all_batch_survives_chaos_on_any_file() {
-    use nc_suite::docstore::store::DocStore;
-
-    let archive = tmp_dir("saveall_archive");
-    write_archive(&archive, 47, 25, 1);
-    let mut store = ClusterStore::new();
-    tsv::import_archive_dir(&mut store, &archive, DedupPolicy::Trimmed, 1).unwrap();
-
-    let docs = DocStore::new();
-    for (i, (ncid, rows)) in store.iter_clusters().enumerate() {
-        let name = format!("part{}", i % 3);
-        let coll = docs.collection(&name);
-        let mut coll = coll.write().unwrap();
-        for row in rows {
-            coll.insert(nc_suite::docstore::doc! { "ncid" => ncid, "tsv" => row.to_tsv() });
-        }
-    }
-    let saved = tmp_dir("saveall_dir");
-    docs.save_all(&saved).unwrap();
-    let sizes: Vec<usize> = (0..3)
-        .map(|i| docs.collection(&format!("part{i}")).read().unwrap().len())
-        .collect();
-
-    for victim in 0..3usize {
-        for seed in 0..8u64 {
-            let dir = tmp_dir("saveall_damaged");
-            std::fs::create_dir_all(&dir).unwrap();
-            for i in 0..3 {
-                let name = format!("part{i}.jsonl");
-                std::fs::copy(saved.join(&name), dir.join(&name)).unwrap();
-            }
-            faults::chaos(&dir.join(format!("part{victim}.jsonl")), seed, 3).unwrap();
-            let (salvaged, reports) = DocStore::salvage_all(&dir).unwrap();
-            for (name, report) in &reports {
-                let i: usize = name.strip_prefix("part").unwrap().parse().unwrap();
-                if i != victim {
-                    assert!(report.is_clean(), "undamaged {name} must load clean");
-                    assert_eq!(salvaged.collection(name).read().unwrap().len(), sizes[i]);
-                }
-            }
-            std::fs::remove_dir_all(dir).unwrap();
-        }
-    }
-
-    std::fs::remove_dir_all(archive).unwrap();
-    std::fs::remove_dir_all(saved).unwrap();
 }
