@@ -373,7 +373,9 @@ impl ClusterStore {
     pub fn to_collection(&self) -> Collection {
         let mut collection = Collection::new("clusters");
         for pos in 0..self.clusters.len() {
-            collection.insert(self.document(pos));
+            collection
+                .insert(self.document(pos))
+                .expect("a new collection: one id per cluster, from 0");
         }
         collection
     }

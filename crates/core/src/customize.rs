@@ -16,7 +16,7 @@ use nc_votergen::rng::Rng;
 use nc_votergen::schema::Row;
 
 use crate::cluster::ClusterStore;
-use crate::heterogeneity::HeterogeneityScorer;
+use crate::heterogeneity::{HeterogeneityScorer, PairTable};
 
 /// Parameters of the customization step.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,32 +117,40 @@ impl CustomDataset {
     }
 }
 
-/// Step 2b of the recipe for one cluster: scan the records in order and
-/// keep every record whose heterogeneity to all previously *kept*
-/// records lies within the bounds (the first record is always kept).
-fn reduce_cluster(rows: &[Row], scorer: &HeterogeneityScorer, params: &CustomizeParams) -> Vec<Row> {
-    let mut kept: Vec<Row> = Vec::new();
-    for row in rows {
-        let ok = kept.iter().all(|prev| {
-            let h = scorer.pair(prev, row);
+/// Step 2b of the recipe for one cluster of `n` records: scan the
+/// records in order and keep every record whose heterogeneity to all
+/// previously *kept* records lies within the bounds (the first record is
+/// always kept). `pair(i, j)`, `i < j`, scores records `i` and `j`;
+/// returns the indices of the kept records.
+fn reduce_cluster(
+    n: usize,
+    pair: impl Fn(usize, usize) -> f64,
+    params: &CustomizeParams,
+) -> Vec<usize> {
+    let mut kept: Vec<usize> = Vec::new();
+    for j in 0..n {
+        let ok = kept.iter().all(|&i| {
+            let h = pair(i, j);
             (params.h_low..=params.h_high).contains(&h)
         });
         if ok || kept.is_empty() {
-            kept.push(row.clone());
+            kept.push(j);
         }
     }
     kept
 }
 
 /// The recipe, written once over "`count` clusters in
-/// [`ClusterStore::cluster_ids`] order, `ncid(i)`, `rows(i)`": both
-/// public entry points are this function. Sampling shuffles cluster
-/// *indices*, so the draw depends only on `count` and the seed.
+/// [`ClusterStore::cluster_ids`] order, `ncid(c)`, `rows(c)`, and
+/// `pair(c, i, j)`, the heterogeneity of records `i < j` of cluster
+/// `c`": every public entry point is this function. Sampling shuffles
+/// cluster *indices*, so the draw depends only on `count` and the seed;
+/// rows are cloned only for the clusters that survive ranking.
 fn carve<'a>(
     count: usize,
     ncid: impl Fn(usize) -> &'a str,
     rows: impl Fn(usize) -> &'a [Row],
-    scorer: &HeterogeneityScorer,
+    pair: impl Fn(usize, usize, usize) -> f64,
     params: &CustomizeParams,
 ) -> CustomDataset {
     assert!(params.h_low <= params.h_high, "invalid heterogeneity bounds");
@@ -154,23 +162,31 @@ fn carve<'a>(
     order.truncate(params.sample_clusters);
 
     // Step 2b: reduce every sampled cluster to records within the bounds.
-    let mut clusters: Vec<CustomCluster> = order
+    let mut reduced: Vec<(usize, Vec<usize>)> = order
         .iter()
-        .map(|&i| CustomCluster {
-            ncid: ncid(i).to_owned(),
-            records: reduce_cluster(rows(i), scorer, params),
+        .map(|&c| {
+            (
+                c,
+                reduce_cluster(rows(c).len(), |i, j| pair(c, i, j), params),
+            )
         })
         .collect();
-    let sampled = clusters.iter().map(|c| c.ncid.clone()).collect();
+    let sampled = order.iter().map(|&c| ncid(c).to_owned()).collect();
 
     // Step 3: largest first (NCID breaks ties), keep the best.
-    clusters.sort_by(|a, b| {
-        b.records
-            .len()
-            .cmp(&a.records.len())
-            .then_with(|| a.ncid.cmp(&b.ncid))
-    });
-    clusters.truncate(params.output_clusters);
+    reduced
+        .sort_by(|(a, ka), (b, kb)| kb.len().cmp(&ka.len()).then_with(|| ncid(*a).cmp(ncid(*b))));
+    reduced.truncate(params.output_clusters);
+    let clusters = reduced
+        .into_iter()
+        .map(|(c, kept)| {
+            let rows = rows(c);
+            CustomCluster {
+                ncid: ncid(c).to_owned(),
+                records: kept.into_iter().map(|k| rows[k].clone()).collect(),
+            }
+        })
+        .collect();
     CustomDataset { clusters, sampled }
 }
 
@@ -183,9 +199,9 @@ pub fn customize(
     let clusters: Vec<(&str, &[Row])> = store.iter_clusters().collect();
     carve(
         clusters.len(),
-        |i| clusters[i].0,
-        |i| clusters[i].1,
-        scorer,
+        |c| clusters[c].0,
+        |c| clusters[c].1,
+        |c, i, j| scorer.pair(&clusters[c].1[i], &clusters[c].1[j]),
         params,
     )
 }
@@ -203,9 +219,34 @@ pub fn customize_clusters(
 ) -> CustomDataset {
     carve(
         clusters.len(),
-        |i| clusters[i].0.as_str(),
-        |i| &clusters[i].1,
-        scorer,
+        |c| clusters[c].0.as_str(),
+        |c| &clusters[c].1,
+        |c, i, j| scorer.pair(&clusters[c].1[i], &clusters[c].1[j]),
+        params,
+    )
+}
+
+/// [`customize_clusters`] reading every pair score from `table`, the
+/// [`PairTable`] of `clusters`; bit-identical results. A table pays for
+/// itself once a snapshot serves more than one carve.
+///
+/// # Panics
+/// If `table` covers a different number of clusters.
+pub fn customize_scored(
+    clusters: &[(String, Vec<Row>)],
+    table: &PairTable,
+    params: &CustomizeParams,
+) -> CustomDataset {
+    assert_eq!(
+        table.len(),
+        clusters.len(),
+        "a pair table of other clusters"
+    );
+    carve(
+        clusters.len(),
+        |c| clusters[c].0.as_str(),
+        |c| &clusters[c].1,
+        |c, i, j| table.pair(c, i, j),
         params,
     )
 }

@@ -318,6 +318,155 @@ impl HeterogeneityScorer {
     }
 }
 
+/// Every pair heterogeneity score of a snapshot's clusters, computed
+/// once: for each cluster, in capture order, `scorer.pair(rows[i],
+/// rows[j])` for every `i < j`.
+///
+/// The scores sit in one flat vector, cluster after cluster, and within
+/// a cluster column by column: pair `(i, j)` is at `offset + j(j−1)/2 +
+/// i`. A record appended to a cluster therefore appends one column, so
+/// a grown cluster keeps its old block as a prefix
+/// ([`PairTable::carry`]). 8 bytes per pair plus 16 per cluster.
+#[derive(Debug, Clone, Default)]
+pub struct PairTable {
+    scores: Vec<f64>,
+    /// Per cluster: offset of its block in `scores`, and its size.
+    clusters: Vec<(usize, usize)>,
+}
+
+/// Number of pairs among `n` records.
+fn pairs(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
+}
+
+impl PairTable {
+    /// Score every pair of every cluster under `scorer`, from one
+    /// normalized view per record.
+    pub fn build(clusters: &[(String, Vec<Row>)], scorer: &HeterogeneityScorer) -> Self {
+        Self::extend(clusters, scorer, |_| (&[], 0))
+    }
+
+    /// The table of `clusters` derived from `previous`, the table of the
+    /// version before: every cluster keeps its old block and scores only
+    /// the pairs of the records appended since. `None` when the cluster
+    /// counts differ or a cluster holds fewer records than before.
+    ///
+    /// The caller vouches for what the table cannot see: `scorer` has
+    /// bit-for-bit the weights `previous` was scored with, every
+    /// position holds the same cluster as before, and its old records
+    /// are unchanged (records only append).
+    pub fn carry(
+        previous: &PairTable,
+        clusters: &[(String, Vec<Row>)],
+        scorer: &HeterogeneityScorer,
+    ) -> Option<Self> {
+        let shrunk = previous
+            .clusters
+            .iter()
+            .zip(clusters)
+            .any(|(&(_, old), (_, rows))| rows.len() < old);
+        if previous.len() != clusters.len() || shrunk {
+            return None;
+        }
+        Some(Self::extend(clusters, scorer, |c| {
+            (previous.block(c), previous.cluster_size(c))
+        }))
+    }
+
+    /// The table of `clusters` where `kept(c)` gives cluster `c`'s known
+    /// block — the pair scores of its first records — and how many
+    /// records it covers; only the columns after them are scored.
+    fn extend<'a>(
+        clusters: &[(String, Vec<Row>)],
+        scorer: &HeterogeneityScorer,
+        kept: impl Fn(usize) -> (&'a [f64], usize),
+    ) -> Self {
+        let total = clusters.iter().map(|(_, rows)| pairs(rows.len())).sum();
+        let mut scores = Vec::with_capacity(total);
+        let mut sizes = Vec::with_capacity(clusters.len());
+        with_thread_scratch(|scratch| {
+            for (c, (_, rows)) in clusters.iter().enumerate() {
+                let (block, from) = kept(c);
+                sizes.push((scores.len(), rows.len()));
+                scores.extend_from_slice(block);
+                if from < rows.len() && rows.len() > 1 {
+                    let views: Vec<ScoredRecordView<'_>> =
+                        rows.iter().map(|r| scorer.view(r)).collect();
+                    for j in from..rows.len() {
+                        for i in 0..j {
+                            scores.push(scorer.pair_with(scratch, &views[i], &views[j]));
+                        }
+                    }
+                }
+            }
+        });
+        PairTable {
+            scores,
+            clusters: sizes,
+        }
+    }
+
+    /// The pair scores of cluster `c`, column by column.
+    fn block(&self, c: usize) -> &[f64] {
+        let (offset, n) = self.clusters[c];
+        &self.scores[offset..offset + pairs(n)]
+    }
+
+    /// Number of clusters.
+    pub fn len(&self) -> usize {
+        self.clusters.len()
+    }
+
+    /// Whether the table covers no cluster.
+    pub fn is_empty(&self) -> bool {
+        self.clusters.is_empty()
+    }
+
+    /// Number of records of cluster `c`.
+    pub fn cluster_size(&self, c: usize) -> usize {
+        self.clusters[c].1
+    }
+
+    /// Heterogeneity of records `i < j` of cluster `c`: bit-for-bit
+    /// [`HeterogeneityScorer::pair`] of those rows.
+    pub fn pair(&self, c: usize, i: usize, j: usize) -> f64 {
+        let (offset, n) = self.clusters[c];
+        assert!(i < j && j < n, "pair ({i}, {j}) of a cluster of {n}");
+        self.scores[offset + pairs(j) + i]
+    }
+
+    /// Heterogeneity of cluster `c`: bit-for-bit
+    /// [`HeterogeneityScorer::cluster`] of its rows, because the pairs
+    /// are folded in [`HeterogeneityScorer::record_scores_with`]'s order.
+    pub fn cluster(&self, c: usize) -> f64 {
+        let n = self.clusters[c].1;
+        if n <= 1 {
+            return 0.0;
+        }
+        let mut sums = vec![0.0f64; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let h = self.pair(c, i, j);
+                sums[i] += h;
+                sums[j] += h;
+            }
+        }
+        sums.iter().map(|s| s / (n - 1) as f64).sum::<f64>() / n as f64
+    }
+
+    /// Whether `other` holds the same clusters and bit-for-bit the same
+    /// scores.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        self.clusters == other.clusters
+            && self.scores.len() == other.scores.len()
+            && self
+                .scores
+                .iter()
+                .zip(&other.scores)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,7 @@
 //! bit-identical to [`crate::customize::customize`] on the store
 //! itself (see `crates/core/tests/customize_determinism.rs`).
 
-use nc_similarity::{with_thread_scratch, Scratch};
+use nc_similarity::Scratch;
 use nc_votergen::schema::{Row, SNAPSHOT_DT};
 
 use crate::cluster::ClusterStore;
@@ -44,23 +44,15 @@ pub struct ClusterFacts {
 }
 
 impl ClusterFacts {
-    /// Compute facts for one cluster.
-    pub fn compute(
-        ncid: &str,
-        rows: &[Row],
-        heterogeneity: &HeterogeneityScorer,
-        plausibility: &PlausibilityScorer,
-    ) -> Self {
-        with_thread_scratch(|s| Self::compute_with(s, ncid, rows, heterogeneity, plausibility))
-    }
-
-    /// [`ClusterFacts::compute`] with caller-provided scratch buffers;
-    /// bit-identical results.
+    /// Compute facts for one cluster whose heterogeneity is known
+    /// already ([`HeterogeneityScorer::cluster`] of `rows`, or
+    /// [`crate::heterogeneity::PairTable::cluster`] of its position),
+    /// with caller-provided scratch buffers.
     pub fn compute_with(
         scratch: &mut Scratch,
         ncid: &str,
         rows: &[Row],
-        heterogeneity: &HeterogeneityScorer,
+        heterogeneity: f64,
         plausibility: &PlausibilityScorer,
     ) -> Self {
         let mut first = "";
@@ -80,7 +72,7 @@ impl ClusterFacts {
         ClusterFacts {
             ncid: ncid.to_owned(),
             size: rows.len(),
-            heterogeneity: heterogeneity.cluster_with(scratch, rows),
+            heterogeneity,
             plausibility: plausibility.cluster_with(scratch, rows),
             first_snapshot: first.to_owned(),
             last_snapshot: last.to_owned(),

@@ -28,7 +28,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use nc_docstore::persist::find_newline;
-use nc_votergen::schema::{self, Row, NCID, NUM_ATTRS, SCHEMA};
+use nc_votergen::schema::{self, Row, MAX_LINE_BYTES, NCID, NUM_ATTRS, SCHEMA};
 use nc_votergen::snapshot::Snapshot;
 
 use crate::cluster::ClusterStore;
@@ -45,7 +45,8 @@ pub enum TsvError {
         /// The offending file.
         file: PathBuf,
     },
-    /// A data line has the wrong number of fields.
+    /// A data line has the wrong number of fields, or is longer than a
+    /// row can index ([`MAX_LINE_BYTES`]).
     BadLine {
         /// The offending file.
         file: PathBuf,
@@ -420,11 +421,12 @@ fn read_snapshot_budgeted(
             continue;
         };
         let row = match &mapping {
-            None => Row::from_tsv(line),
+            None if line.len() > MAX_LINE_BYTES => Err("line-too-long"),
+            None => Row::from_tsv(line).ok_or("field-count-mismatch"),
             Some(map) => {
                 let fields: Vec<&str> = line.split('\t').collect();
                 if fields.len() != map.len() {
-                    None
+                    Err("field-count-mismatch")
                 } else {
                     let mut values = [""; NUM_ATTRS];
                     for (field, attr) in fields.iter().zip(map.iter()) {
@@ -432,15 +434,16 @@ fn read_snapshot_budgeted(
                             values[*attr] = field;
                         }
                     }
-                    Some(Row::from_values(&values))
+                    // The fields hold no tab, so only the length can fail.
+                    Row::try_from_values(&values).ok_or("line-too-long")
                 }
             }
         };
         match row {
-            Some(row) => rows.push(row),
-            None => {
+            Ok(row) => rows.push(row),
+            Err(reason) => {
                 quarantined += 1;
-                sink.write(path, Some(lineno), "field-count-mismatch", raw)?;
+                sink.write(path, Some(lineno), reason, raw)?;
                 options.check_budget(prior_events + quarantined)?;
             }
         }
@@ -845,6 +848,54 @@ mod tests {
         append_raw(&path, b"too\tfew\tfields");
         let err = read_snapshot_budgeted(&path, &ImportOptions::strict(), 0).unwrap_err();
         assert!(matches!(err, TsvError::BadLine { .. }), "{err}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A line longer than a row can index is a malformed line: strict
+    /// import fails with `BadLine`, quarantine diverts it, neither
+    /// panics — through the exact header and through a remapped one.
+    #[test]
+    fn an_overlong_line_is_malformed_not_a_panic() {
+        let dir = tmp_dir("overlong");
+        let (s0, _) = two_snapshots(9);
+        let path = write_snapshot(&dir, &s0).unwrap();
+        let mut overlong = "x".repeat(70_000);
+        overlong.push_str(&"\t".repeat(NUM_ATTRS - 1));
+        append_raw(&path, overlong.as_bytes());
+
+        let err = read_snapshot_budgeted(&path, &ImportOptions::strict(), 0).unwrap_err();
+        let lines = s0.rows.len() + 2;
+        assert!(
+            matches!(err, TsvError::BadLine { line, .. } if line == lines),
+            "{err}"
+        );
+
+        let sink = dir.join("quarantine.tsv");
+        let options = ImportOptions::quarantine().with_sink(&sink);
+        let parsed = read_snapshot_budgeted(&path, &options, 0).unwrap().unwrap();
+        assert_eq!(parsed.snapshot.rows, s0.rows);
+        assert_eq!(parsed.quarantined, 1);
+        let text = String::from_utf8_lossy(&std::fs::read(&sink).unwrap()).into_owned();
+        assert!(text.contains("line-too-long"), "{}", &text[..200]);
+
+        // The same line under a drifted header goes through the
+        // remapping constructor.
+        let header: Vec<&str> = SCHEMA.iter().map(|a| a.name).collect();
+        let remapped = dir.join(snapshot_file_name("2099-01-01"));
+        std::fs::write(
+            &remapped,
+            format!("{}\tlegacy_junk\n{overlong}\textra\n", header.join("\t")),
+        )
+        .unwrap();
+        let sink = dir.join("remapped_quarantine.tsv");
+        let options = ImportOptions::quarantine().with_sink(&sink);
+        let parsed = read_snapshot_budgeted(&remapped, &options, 0)
+            .unwrap()
+            .unwrap();
+        assert!(parsed.remapped && parsed.snapshot.rows.is_empty());
+        assert_eq!(parsed.quarantined, 1);
+        let text = String::from_utf8_lossy(&std::fs::read(&sink).unwrap()).into_owned();
+        assert!(text.contains("line-too-long"), "{}", &text[..200]);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

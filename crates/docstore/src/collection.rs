@@ -10,6 +10,19 @@ use crate::value::Document;
 /// Identifier assigned to every stored document (the `_id` field).
 pub type DocId = u64;
 
+/// [`Collection::insert`] into a collection whose last `_id` is
+/// `i64::MAX`: there is no next id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdsExhausted;
+
+impl std::fmt::Display for IdsExhausted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "no _id left: the last document holds i64::MAX")
+    }
+}
+
+impl std::error::Error for IdsExhausted {}
+
 /// A named collection of documents.
 ///
 /// Documents receive a monotonically increasing `_id` on insert. Indexes
@@ -62,17 +75,25 @@ impl Collection {
         self.docs.is_empty()
     }
 
-    /// Insert a document, assigning and returning its `_id`.
-    pub fn insert(&mut self, mut doc: Document) -> DocId {
-        let id = self.docs.last().map_or(0, |&(last, _)| last + 1);
-        doc.set("_id", id as i64);
+    /// Insert a document, assigning and returning its `_id`: the last
+    /// id + 1, or 0 in an empty collection. An `_id` is stored as an
+    /// `i64`, so a collection whose last document holds `i64::MAX` (a
+    /// loaded file may) refuses the insert instead of wrapping to a
+    /// negative id that no later load would accept.
+    pub fn insert(&mut self, mut doc: Document) -> Result<DocId, IdsExhausted> {
+        let id = match self.docs.last() {
+            None => 0,
+            Some(&(last, _)) => last + 1,
+        };
+        let stored = i64::try_from(id).map_err(|_| IdsExhausted)?;
+        doc.set("_id", stored);
         for (path, index) in &mut self.indexes {
             if let Some(v) = doc.get_path(path) {
                 index.insert(v, id);
             }
         }
         self.docs.push((id, doc));
-        id
+        Ok(id)
     }
 
     /// Position of document `id` in `docs`.
@@ -325,9 +346,12 @@ mod tests {
 
     fn voters() -> Collection {
         let mut c = Collection::new("voters");
-        c.insert(doc! { "ncid" => "A1", "name" => "SMITH", "age" => 40_i64 });
-        c.insert(doc! { "ncid" => "A2", "name" => "JONES", "age" => 55_i64 });
-        c.insert(doc! { "ncid" => "A3", "name" => "SMITH", "age" => 70_i64 });
+        c.insert(doc! { "ncid" => "A1", "name" => "SMITH", "age" => 40_i64 })
+            .unwrap();
+        c.insert(doc! { "ncid" => "A2", "name" => "JONES", "age" => 55_i64 })
+            .unwrap();
+        c.insert(doc! { "ncid" => "A3", "name" => "SMITH", "age" => 70_i64 })
+            .unwrap();
         c
     }
 
@@ -418,8 +442,8 @@ mod tests {
     #[test]
     fn sparse_index_skips_docs_without_path() {
         let mut c = Collection::new("sparse");
-        c.insert(doc! { "a" => 1_i64 });
-        c.insert(doc! { "b" => 2_i64 });
+        c.insert(doc! { "a" => 1_i64 }).unwrap();
+        c.insert(doc! { "b" => 2_i64 }).unwrap();
         c.create_index("a", IndexKind::Hash);
         assert_eq!(c.find(&Filter::eq("a", 1_i64)).len(), 1);
         // The doc without "a" is still reachable by scan.
@@ -435,7 +459,8 @@ mod tests {
                 "name" => if i % 3 == 0 { "SMITH" } else { "JONES" },
                 "age" => 20 + (i % 10),
                 "county" => format!("C{}", i % 4),
-            });
+            })
+            .unwrap();
         }
         c
     }

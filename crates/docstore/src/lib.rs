@@ -29,8 +29,8 @@
 //! use nc_docstore::prelude::*;
 //!
 //! let mut coll = Collection::new("voters");
-//! coll.insert(doc! { "name" => "ANNA", "age" => 44_i64 });
-//! coll.insert(doc! { "name" => "BOB", "age" => 71_i64 });
+//! coll.insert(doc! { "name" => "ANNA", "age" => 44_i64 }).unwrap();
+//! coll.insert(doc! { "name" => "BOB", "age" => 71_i64 }).unwrap();
 //!
 //! let hits = coll.find(&Filter::gt("age", Value::from(50_i64)));
 //! assert_eq!(hits.len(), 1);
@@ -52,7 +52,7 @@ pub mod value;
 
 /// Convenient glob import for typical usage.
 pub mod prelude {
-    pub use crate::collection::{Collection, DocId};
+    pub use crate::collection::{Collection, DocId, IdsExhausted};
     pub use crate::doc;
     pub use crate::index::IndexKind;
     pub use crate::persist::{FooterStatus, Salvage, SalvageReport};

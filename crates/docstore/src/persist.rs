@@ -571,8 +571,9 @@ mod tests {
     #[test]
     fn round_trip_preserves_documents_and_ids() {
         let mut c = Collection::new("v");
-        c.insert(doc! { "name" => "A", "n" => 1_i64 });
-        c.insert(doc! { "name" => "B", "nested" => doc! { "x" => 2.5 } });
+        c.insert(doc! { "name" => "A", "n" => 1_i64 }).unwrap();
+        c.insert(doc! { "name" => "B", "nested" => doc! { "x" => 2.5 } })
+            .unwrap();
         let path = tmp("round_trip");
         save(&c, &path).unwrap();
         let loaded = load("v", &path).unwrap();
@@ -607,7 +608,7 @@ mod tests {
         };
         assert_eq!(json(&s.collection), json(&loaded));
         // New inserts continue after the max id.
-        assert_eq!(loaded.insert(doc! { "name" => "D" }), 3);
+        assert_eq!(loaded.insert(doc! { "name" => "D" }), Ok(3));
         std::fs::remove_file(path).unwrap();
     }
 
@@ -619,7 +620,41 @@ mod tests {
         let mut loaded = load("v", &path).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.get(far).and_then(|d| d.get_u64("_id")), Some(far));
-        assert_eq!(loaded.insert(Document::new()), far + 1);
+        assert_eq!(loaded.insert(Document::new()), Ok(far + 1));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// `_id`s are stored as `i64`: a file whose last document holds
+    /// `i64::MAX` loads, but the insert after it has no id to take and
+    /// says so, instead of storing `-2^63` and leaving a file no load
+    /// accepts.
+    #[test]
+    fn insert_past_the_largest_id_is_refused() {
+        use crate::collection::IdsExhausted;
+        let path = tmp("max_id");
+        std::fs::write(&path, format!("{{\"_id\":{}}}\n", i64::MAX)).unwrap();
+        let mut loaded = load("v", &path).unwrap();
+        assert_eq!(loaded.insert(doc! { "name" => "next" }), Err(IdsExhausted));
+        assert_eq!(loaded.len(), 1, "a refused insert stores nothing");
+        save(&loaded, &path).unwrap();
+        assert_eq!(load("v", &path).unwrap().len(), 1);
+
+        // One id below the limit: the one insert left takes i64::MAX and
+        // round-trips through the file.
+        std::fs::write(&path, format!("{{\"_id\":{}}}\n", i64::MAX - 1)).unwrap();
+        let mut loaded = load("v", &path).unwrap();
+        let last = i64::MAX as DocId;
+        assert_eq!(loaded.insert(doc! { "name" => "last" }), Ok(last));
+        save(&loaded, &path).unwrap();
+        let mut reloaded = load("v", &path).unwrap();
+        assert_eq!(
+            reloaded.get(last).and_then(|d| d.get_str("name")),
+            Some("last")
+        );
+        assert_eq!(
+            reloaded.insert(doc! { "name" => "next" }),
+            Err(IdsExhausted)
+        );
         std::fs::remove_file(path).unwrap();
     }
 
@@ -642,8 +677,8 @@ mod tests {
     #[test]
     fn salvage_stops_at_a_repeated_id() {
         let mut c = Collection::new("v");
-        c.insert(doc! { "name" => "A" });
-        c.insert(doc! { "name" => "B" });
+        c.insert(doc! { "name" => "A" }).unwrap();
+        c.insert(doc! { "name" => "B" }).unwrap();
         let path = tmp("repeated_framed");
         save(&c, &path).unwrap();
         // The first framed line written twice, as a faulty copy would.
@@ -717,7 +752,7 @@ mod tests {
     #[test]
     fn saved_files_carry_checksums_and_footer() {
         let mut c = Collection::new("v");
-        c.insert(doc! { "name" => "A" });
+        c.insert(doc! { "name" => "A" }).unwrap();
         let path = tmp("format");
         save(&c, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -731,7 +766,7 @@ mod tests {
     #[test]
     fn save_is_atomic_no_tmp_left_behind() {
         let mut c = Collection::new("v");
-        c.insert(doc! { "k" => 1_i64 });
+        c.insert(doc! { "k" => 1_i64 }).unwrap();
         let path = tmp("atomic");
         save(&c, &path).unwrap();
         let tmp_path = path.with_file_name(format!(
@@ -748,8 +783,8 @@ mod tests {
     #[test]
     fn strict_load_detects_bit_flip() {
         let mut c = Collection::new("v");
-        c.insert(doc! { "name" => "AAAA" });
-        c.insert(doc! { "name" => "BBBB" });
+        c.insert(doc! { "name" => "AAAA" }).unwrap();
+        c.insert(doc! { "name" => "BBBB" }).unwrap();
         let path = tmp("bitflip");
         save(&c, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -771,7 +806,7 @@ mod tests {
     fn strict_load_detects_truncation() {
         let mut c = Collection::new("v");
         for i in 0..10_i64 {
-            c.insert(doc! { "i" => i });
+            c.insert(doc! { "i" => i }).unwrap();
         }
         let path = tmp("trunc_strict");
         save(&c, &path).unwrap();
@@ -789,7 +824,7 @@ mod tests {
     fn strict_load_detects_a_cut_inside_a_suffix_or_the_footer() {
         let mut c = Collection::new("v");
         for i in 0..3_i64 {
-            c.insert(doc! { "i" => i });
+            c.insert(doc! { "i" => i }).unwrap();
         }
         let path = tmp("trunc_suffix");
         save(&c, &path).unwrap();
@@ -823,7 +858,7 @@ mod tests {
     fn salvage_recovers_prefix_of_truncated_file() {
         let mut c = Collection::new("v");
         for i in 0..10_i64 {
-            c.insert(doc! { "i" => i });
+            c.insert(doc! { "i" => i }).unwrap();
         }
         let path = tmp("trunc_salvage");
         save(&c, &path).unwrap();
@@ -841,7 +876,7 @@ mod tests {
     #[test]
     fn salvage_of_intact_file_is_clean() {
         let mut c = Collection::new("v");
-        c.insert(doc! { "x" => 1_i64 });
+        c.insert(doc! { "x" => 1_i64 }).unwrap();
         let path = tmp("clean");
         save(&c, &path).unwrap();
         let s = salvage("v", &path).unwrap();
@@ -854,8 +889,8 @@ mod tests {
     #[test]
     fn footer_count_drift_detected() {
         let mut c = Collection::new("v");
-        c.insert(doc! { "x" => 1_i64 });
-        c.insert(doc! { "y" => 2_i64 });
+        c.insert(doc! { "x" => 1_i64 }).unwrap();
+        c.insert(doc! { "y" => 2_i64 }).unwrap();
         let path = tmp("drift");
         save(&c, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();

@@ -155,7 +155,8 @@ mod tests {
                 "name" => if i % 2 == 0 { "SMITH" } else { "JONES" },
                 "age" => 20 + i,
                 "county" => format!("C{}", i % 4),
-            });
+            })
+            .unwrap();
         }
         c.create_index("name", IndexKind::Hash);
         c.create_index("age", IndexKind::Ordered);

@@ -141,8 +141,8 @@ fn indexed_find_agrees_with_scan_prop(g: &mut Gen) {
     indexed.create_index("k", IndexKind::Hash);
     let mut plain = Collection::new("p");
     for v in &values {
-        indexed.insert(doc! { "k" => v.as_str() });
-        plain.insert(doc! { "k" => v.as_str() });
+        indexed.insert(doc! { "k" => v.as_str() }).unwrap();
+        plain.insert(doc! { "k" => v.as_str() }).unwrap();
     }
     let filter = Filter::eq("k", probe.as_str());
     let from_index: Vec<i64> = indexed
@@ -186,8 +186,8 @@ fn range_find_agrees_with_scan_prop(g: &mut Gen) {
     indexed.create_index("k", IndexKind::Ordered);
     let mut plain = Collection::new("p");
     for v in &values {
-        indexed.insert(doc! { "k" => *v });
-        plain.insert(doc! { "k" => *v });
+        indexed.insert(doc! { "k" => *v }).unwrap();
+        plain.insert(doc! { "k" => *v }).unwrap();
     }
     let filter = Filter::between("k", lo, hi);
     let a: Vec<i64> = indexed
@@ -267,7 +267,7 @@ fn inserts_and_replaces_keep_ids_indexes_and_bytes_prop(g: &mut Gen) {
     for _ in 0..g.range(0..40) {
         let mut doc = keyed_doc(g);
         let id = if model.is_empty() || g.bool() {
-            coll.insert(doc.clone())
+            coll.insert(doc.clone()).unwrap()
         } else {
             let id = g.range(0..model.len() as u64);
             assert!(coll.replace(id, doc.clone()));

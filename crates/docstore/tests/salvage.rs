@@ -24,7 +24,8 @@ fn build_collection(n: usize) -> Collection {
             "i" => i as i64,
             "name" => format!("VOTER_{i}"),
             "nested" => doc! { "x" => (i as f64) * 0.5 },
-        });
+        })
+        .unwrap();
     }
     c
 }

@@ -29,7 +29,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 fn collection(tag: &str, n: usize) -> Collection {
     let mut c = Collection::new("sweep");
     for i in 0..n {
-        c.insert(doc! { "tag" => tag, "i" => i as i64 });
+        c.insert(doc! { "tag" => tag, "i" => i as i64 }).unwrap();
     }
     c
 }

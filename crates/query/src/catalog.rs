@@ -18,7 +18,7 @@
 //! ([`ClusterCatalog::carry_forward`]); any other publish builds afresh
 //! on the first query.
 
-use nc_core::heterogeneity::HeterogeneityScorer;
+use nc_core::heterogeneity::{HeterogeneityScorer, PairTable};
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::snapshot::{ClusterFacts, StoreSnapshot};
 use nc_docstore::collection::{Collection, DocId};
@@ -109,8 +109,28 @@ impl ClusterCatalog {
     /// Build the catalog for `snapshot`. The heterogeneity scorer must
     /// be the snapshot's own entropy scorer
     /// ([`StoreSnapshot::entropy_scorer`]); plausibility needs no
-    /// snapshot state and is built internally.
+    /// snapshot state and is built internally. Scores the snapshot's
+    /// [`PairTable`], then builds from it ([`ClusterCatalog::build_from`]).
     pub fn build(snapshot: &StoreSnapshot, heterogeneity: &HeterogeneityScorer) -> Self {
+        Self::build_from(
+            snapshot,
+            &PairTable::build(snapshot.clusters(), heterogeneity),
+        )
+    }
+
+    /// Build the catalog for `snapshot` from `table`, its pair table
+    /// under the snapshot's entropy scorer: a cluster's heterogeneity is
+    /// [`PairTable::cluster`] of its position.
+    ///
+    /// # Panics
+    /// If `table` covers a different number of clusters.
+    pub fn build_from(snapshot: &StoreSnapshot, table: &PairTable) -> Self {
+        let clusters = snapshot.clusters();
+        assert_eq!(
+            table.len(),
+            clusters.len(),
+            "a pair table of other clusters"
+        );
         let plausibility = PlausibilityScorer::new();
         let mut collection = Collection::new("clusters");
         // Index before inserting: Collection maintains indexes on every
@@ -120,10 +140,17 @@ impl ClusterCatalog {
             collection.create_index(*path, *kind);
         }
         with_thread_scratch(|scratch| {
-            for (ncid, rows) in snapshot.clusters() {
-                let facts =
-                    ClusterFacts::compute_with(scratch, ncid, rows, heterogeneity, &plausibility);
-                collection.insert(Self::doc_from_facts(scratch, &facts, rows));
+            for (pos, (ncid, rows)) in clusters.iter().enumerate() {
+                let facts = ClusterFacts::compute_with(
+                    scratch,
+                    ncid,
+                    rows,
+                    table.cluster(pos),
+                    &plausibility,
+                );
+                collection
+                    .insert(Self::doc_from_facts(scratch, &facts, rows))
+                    .expect("a catalog starts empty: one id per cluster, from 0");
             }
         });
         ClusterCatalog {
@@ -135,22 +162,23 @@ impl ClusterCatalog {
     /// The catalog for `snapshot` derived from `previous`, the catalog
     /// of the version before it: a clone of `previous` with the
     /// documents in `dirty` — `(capture position, document)` pairs
-    /// scored under `heterogeneity` — replaced in place.
+    /// scored from `table` — replaced in place.
     ///
-    /// The caller vouches that `heterogeneity` carries the same weights
-    /// `previous` was scored with, and that clusters only ever gain
-    /// records. Everything else is checked here: `None` unless both
-    /// catalogs cover the same NCIDs at the same positions. A cluster
-    /// whose record count moved but which `dirty` omits is re-derived, so
-    /// an incomplete `dirty` costs extra work, never a stale document.
+    /// The caller vouches that `table` is `snapshot`'s pair table under
+    /// the same weights `previous` was scored with, and that clusters
+    /// only ever gain records. Everything else is checked here: `None`
+    /// unless both catalogs cover the same NCIDs at the same positions.
+    /// A cluster whose record count moved but which `dirty` omits is
+    /// re-derived, so an incomplete `dirty` costs extra work, never a
+    /// stale document.
     pub fn carry_forward(
         previous: &ClusterCatalog,
         snapshot: &StoreSnapshot,
-        heterogeneity: &HeterogeneityScorer,
+        table: &PairTable,
         dirty: &[(usize, Document)],
     ) -> Option<Self> {
         let clusters = snapshot.clusters();
-        if previous.len() != clusters.len() {
+        if previous.len() != clusters.len() || table.len() != clusters.len() {
             return None;
         }
         let mut resized = Vec::new();
@@ -176,7 +204,7 @@ impl ClusterCatalog {
             let (ncid, rows) = &clusters[pos];
             let replaced = collection.get(pos as DocId).and_then(|d| d.get_i64("size"));
             if replaced != Some(rows.len() as i64) {
-                let doc = Self::cluster_doc(ncid, rows, heterogeneity, &plausibility);
+                let doc = Self::cluster_doc(ncid, rows, table.cluster(pos), &plausibility);
                 collection.replace(pos as DocId, doc);
             }
         }
@@ -186,14 +214,15 @@ impl ClusterCatalog {
         })
     }
 
-    /// The catalog document for one cluster, independent of any built
-    /// catalog. The serve layer uses this at publish time to test
-    /// whether a founded or revised cluster matches a cached carve's
-    /// predicate footprint under the *new* snapshot's scorer.
+    /// The catalog document for one cluster of heterogeneity
+    /// `heterogeneity`, independent of any built catalog. The serve
+    /// layer uses this at publish time to test whether a founded or
+    /// revised cluster matches a cached carve's predicate footprint
+    /// under the *new* snapshot's scores.
     pub fn cluster_doc(
         ncid: &str,
         rows: &[Row],
-        heterogeneity: &HeterogeneityScorer,
+        heterogeneity: f64,
         plausibility: &PlausibilityScorer,
     ) -> Document {
         with_thread_scratch(|scratch| {
@@ -584,7 +613,8 @@ mod tests {
         scorer: &HeterogeneityScorer,
     ) -> (usize, Document) {
         let (ncid, rows) = &snap.clusters()[pos];
-        let doc = ClusterCatalog::cluster_doc(ncid, rows, scorer, &PlausibilityScorer::new());
+        let plausibility = PlausibilityScorer::new();
+        let doc = ClusterCatalog::cluster_doc(ncid, rows, scorer.cluster(rows), &plausibility);
         (pos, doc)
     }
 
@@ -598,7 +628,8 @@ mod tests {
         let fresh = ClusterCatalog::build(&v2, &scorer);
 
         let dirty = [dirty_doc(&v2, 1, &scorer)];
-        let carried = ClusterCatalog::carry_forward(&previous, &v2, &scorer, &dirty)
+        let table = PairTable::build(v2.clusters(), &scorer);
+        let carried = ClusterCatalog::carry_forward(&previous, &v2, &table, &dirty)
             .expect("same NCIDs at the same positions");
         assert_eq!(carried.version(), 2);
         assert_eq!(docs_by_id(&carried), docs_by_id(&fresh));
@@ -639,7 +670,8 @@ mod tests {
         let v2 = revised_snapshot();
         let scorer = v2.entropy_scorer(Scope::Person);
         let previous = ClusterCatalog::build(&v1, &v1.entropy_scorer(Scope::Person));
-        let carried = ClusterCatalog::carry_forward(&previous, &v2, &scorer, &[])
+        let table = PairTable::build(v2.clusters(), &scorer);
+        let carried = ClusterCatalog::carry_forward(&previous, &v2, &table, &[])
             .expect("an incomplete dirty list is repaired, not refused");
         assert_eq!(
             docs_by_id(&carried),
@@ -657,21 +689,24 @@ mod tests {
         let mut grown = v1.clusters().to_vec();
         grown.push(("D4".into(), vec![row("D4", "NEW", "VOTER", "2011-07-08", "20")]));
         let grown = StoreSnapshot::from_clusters(2, grown);
-        assert!(ClusterCatalog::carry_forward(&previous, &grown, &scorer, &[]).is_none());
+        let table = PairTable::build(grown.clusters(), &scorer);
+        assert!(ClusterCatalog::carry_forward(&previous, &grown, &table, &[]).is_none());
 
         // Same count, but a position holds a different cluster.
         let mut swapped = v1.clusters().to_vec();
         swapped.swap(0, 2);
         let swapped = StoreSnapshot::from_clusters(2, swapped);
-        assert!(ClusterCatalog::carry_forward(&previous, &swapped, &scorer, &[]).is_none());
+        let table = PairTable::build(swapped.clusters(), &scorer);
+        assert!(ClusterCatalog::carry_forward(&previous, &swapped, &table, &[]).is_none());
 
         // A dirty document that names another cluster than its position.
         let v2 = revised_snapshot();
         let (_, doc) = dirty_doc(&v2, 1, &scorer);
+        let table = PairTable::build(v2.clusters(), &scorer);
         let misplaced = [(0, doc.clone())];
-        assert!(ClusterCatalog::carry_forward(&previous, &v2, &scorer, &misplaced).is_none());
+        assert!(ClusterCatalog::carry_forward(&previous, &v2, &table, &misplaced).is_none());
         let out_of_range = [(9, doc)];
-        assert!(ClusterCatalog::carry_forward(&previous, &v2, &scorer, &out_of_range).is_none());
+        assert!(ClusterCatalog::carry_forward(&previous, &v2, &table, &out_of_range).is_none());
     }
 
     #[test]

@@ -19,6 +19,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use nc_core::customize::{CustomDataset, CustomizeParams};
+use nc_core::heterogeneity::PairTable;
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::snapshot::StoreSnapshot;
 use nc_docstore::json;
@@ -297,6 +298,12 @@ pub struct DeltaStats {
     /// Catalogs built in full, on the first query against a version
     /// that could not be carried.
     pub catalog_rebuilt: u64,
+    /// Publishes whose pair table was carried forward from the previous
+    /// version (only appended records scored).
+    pub pairs_carried: u64,
+    /// Pair tables scored in full, on the first carve or catalog build
+    /// against a version that could not be carried.
+    pub pairs_built: u64,
 }
 
 /// Planner access-decision counters for the query path, exported via
@@ -318,6 +325,8 @@ pub struct CarveEngine {
     carried_forward: std::sync::atomic::AtomicU64,
     catalog_carried: std::sync::atomic::AtomicU64,
     catalog_rebuilt: std::sync::atomic::AtomicU64,
+    pairs_carried: std::sync::atomic::AtomicU64,
+    pairs_built: std::sync::atomic::AtomicU64,
     conjuncts_indexed: std::sync::atomic::AtomicU64,
     conjuncts_scanned: std::sync::atomic::AtomicU64,
 }
@@ -333,6 +342,8 @@ impl CarveEngine {
             carried_forward: std::sync::atomic::AtomicU64::new(0),
             catalog_carried: std::sync::atomic::AtomicU64::new(0),
             catalog_rebuilt: std::sync::atomic::AtomicU64::new(0),
+            pairs_carried: std::sync::atomic::AtomicU64::new(0),
+            pairs_built: std::sync::atomic::AtomicU64::new(0),
             conjuncts_indexed: std::sync::atomic::AtomicU64::new(0),
             conjuncts_scanned: std::sync::atomic::AtomicU64::new(0),
         }
@@ -356,6 +367,8 @@ impl CarveEngine {
             carried_forward: self.carried_forward.load(Ordering::Relaxed),
             catalog_carried: self.catalog_carried.load(Ordering::Relaxed),
             catalog_rebuilt: self.catalog_rebuilt.load(Ordering::Relaxed),
+            pairs_carried: self.pairs_carried.load(Ordering::Relaxed),
+            pairs_built: self.pairs_built.load(Ordering::Relaxed),
         }
     }
 
@@ -385,13 +398,16 @@ impl CarveEngine {
     /// Three steps run, in order; the first two need a `delta` for the
     /// exact `current → new` transition:
     ///
-    /// 1. **Catalog carry** (before the snapshot becomes visible): when
-    ///    the delta founded no cluster, the previous version's catalog
-    ///    has been built and the entropy weights are bit-equal, the new
-    ///    snapshot's catalog is seeded with a clone of the previous one
-    ///    whose dirty clusters' documents are replaced
-    ///    ([`ClusterCatalog::carry_forward`]). Otherwise the catalog is
-    ///    built in full by the first query, as for any fresh snapshot.
+    /// 1. **Pair table and catalog carry** (before the snapshot becomes
+    ///    visible): when the delta founded no cluster, the entropy
+    ///    weights are bit-equal and every position holds the same NCID
+    ///    ([`carry_is_sound`]), the previous version's pair table, if
+    ///    built, seeds the new one with only the appended records' pairs
+    ///    scored ([`PairTable::carry`]); from that table, the previous
+    ///    catalog, if built, seeds a clone whose dirty clusters'
+    ///    documents are replaced ([`ClusterCatalog::carry_forward`]).
+    ///    Otherwise both are built in full on first use, as for any
+    ///    fresh snapshot.
     /// 2. **Cache carry-forward**: a cached carve transfers to the
     ///    new version bit-identically when the delta founded no cluster
     ///    (cluster count unchanged ⇒ the seeded sampling permutation
@@ -426,10 +442,25 @@ impl CarveEngine {
         // *new* snapshot; derived at most once per publish, by whichever
         // of the catalog carry and the footprint check needs them first.
         let mut dirty_docs: Option<Vec<(usize, Document)>> = None;
-        if let Some(delta) = transition {
-            if let Some(catalog) = carried_catalog(&previous, &snapshot, delta, &mut dirty_docs) {
-                snapshot.seed_catalog(catalog);
-                self.catalog_carried.fetch_add(1, Ordering::Relaxed);
+        if let Some(delta) = transition.filter(|d| carry_is_sound(&previous, &snapshot, d)) {
+            let clusters = snapshot.store().clusters();
+            let carried = previous
+                .built_pair_table()
+                .and_then(|table| PairTable::carry(table, clusters, snapshot.scorer()));
+            if let Some(table) = carried {
+                snapshot.seed_pair_table(table);
+                self.pairs_carried.fetch_add(1, Ordering::Relaxed);
+                if let Some(catalog) = previous.built_catalog() {
+                    let docs =
+                        dirty_docs.get_or_insert_with(|| dirty_cluster_docs(&snapshot, delta));
+                    let table = snapshot.pair_table();
+                    if let Some(carried) =
+                        ClusterCatalog::carry_forward(catalog, snapshot.store(), table, docs)
+                    {
+                        snapshot.seed_catalog(carried);
+                        self.catalog_carried.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
             }
         }
         let outcome = self.registry.publish_with_delta(snapshot, delta.clone());
@@ -494,12 +525,23 @@ impl CarveEngine {
         outcome.snapshot
     }
 
+    /// The snapshot's pair table, counting the call that has to score
+    /// it in full.
+    fn pair_table_of<'a>(&self, snapshot: &'a ServeSnapshot) -> &'a Arc<PairTable> {
+        snapshot.pair_table_or_build(|| {
+            self.pairs_built
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        })
+    }
+
     /// The snapshot's query catalog, counting the call that has to
-    /// build it in full.
+    /// build it in full (and the pair table it reads, if that is
+    /// scored too).
     fn catalog_of<'a>(&self, snapshot: &'a ServeSnapshot) -> &'a Arc<ClusterCatalog> {
         snapshot.catalog_or_build(|| {
             self.catalog_rebuilt
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.pair_table_of(snapshot)
         })
     }
 
@@ -526,7 +568,7 @@ impl CarveEngine {
             });
         }
 
-        let dataset = snapshot.carve(&request.params);
+        let dataset = snapshot.carve_with(self.pair_table_of(&snapshot), &request.params);
         let result = Arc::new(CarveResult::render(
             version,
             &request.params,
@@ -623,46 +665,42 @@ impl CarveEngine {
     }
 }
 
-/// The one place that decides whether `snapshot`'s catalog is carried
-/// forward from `previous` or left to the lazy full build. The caller
-/// has established that `delta` describes `previous → snapshot`.
+/// The one check both publish-time carries (pair table and catalog)
+/// stand behind. The caller has established that `delta` describes
+/// `previous → snapshot`.
 ///
-/// No founding means capture positions (the catalog `_id`s) are
-/// unchanged, and — the entropy weights deriving from each cluster's
-/// first record — so is the scorer; the latter is verified rather than
-/// assumed. A previous catalog that was never built is not built here:
-/// a deployment that never queries never pays for a catalog at publish.
-fn carried_catalog(
+/// No founding means capture positions (the table's cluster indices,
+/// the catalog `_id`s) are unchanged, and — the entropy weights deriving
+/// from each cluster's first record — so is the scorer; both are
+/// verified rather than assumed. That records only append is the
+/// store's invariant, and [`PairTable::carry`] checks no cluster shrank.
+fn carry_is_sound(
     previous: &ServeSnapshot,
     snapshot: &ServeSnapshot,
     delta: &PublishDelta,
-    dirty_docs: &mut Option<Vec<(usize, Document)>>,
-) -> Option<ClusterCatalog> {
-    if !delta.founded.is_empty() {
-        return None;
-    }
-    let carried = previous.built_catalog()?;
-    if !snapshot
-        .scorer()
-        .weights()
-        .bit_eq(previous.scorer().weights())
-    {
-        return None;
-    }
-    let docs = dirty_docs.get_or_insert_with(|| dirty_cluster_docs(snapshot, delta));
-    ClusterCatalog::carry_forward(carried, snapshot.store(), snapshot.scorer(), docs)
+) -> bool {
+    let (old, new) = (previous.store().clusters(), snapshot.store().clusters());
+    delta.founded.is_empty()
+        && snapshot
+            .scorer()
+            .weights()
+            .bit_eq(previous.scorer().weights())
+        && old.len() == new.len()
+        && old.iter().zip(new).all(|((a, _), (b, _))| a == b)
 }
 
 /// Catalog documents for every cluster named by `delta`, scored under
 /// `snapshot` (the version being published), each with its capture
-/// position. One pass of set lookups over the snapshot's clusters;
-/// only the delta's clusters are scored.
+/// position. One pass of set lookups over the snapshot's clusters; a
+/// dirty cluster's heterogeneity is read from the snapshot's pair table
+/// when it has one (carried at this publish), else scored.
 fn dirty_cluster_docs(snapshot: &ServeSnapshot, delta: &PublishDelta) -> Vec<(usize, Document)> {
     let dirty: HashSet<&str> = delta.dirty_clusters().collect();
     if dirty.is_empty() {
         return Vec::new();
     }
     let plausibility = PlausibilityScorer::new();
+    let table = snapshot.built_pair_table();
     snapshot
         .store()
         .clusters()
@@ -670,7 +708,11 @@ fn dirty_cluster_docs(snapshot: &ServeSnapshot, delta: &PublishDelta) -> Vec<(us
         .enumerate()
         .filter(|(_, (ncid, _))| dirty.contains(ncid.as_str()))
         .map(|(pos, (ncid, rows))| {
-            let doc = ClusterCatalog::cluster_doc(ncid, rows, snapshot.scorer(), &plausibility);
+            let heterogeneity = match table {
+                Some(table) => table.cluster(pos),
+                None => snapshot.scorer().cluster(rows),
+            };
+            let doc = ClusterCatalog::cluster_doc(ncid, rows, heterogeneity, &plausibility);
             (pos, doc)
         })
         .collect()

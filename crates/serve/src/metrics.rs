@@ -232,6 +232,14 @@ impl Metrics {
             delta.catalog_rebuilt
         ));
         out.push_str(&format!(
+            "nc_serve_pair_table_carried_total {}\n",
+            delta.pairs_carried
+        ));
+        out.push_str(&format!(
+            "nc_serve_pair_table_built_total {}\n",
+            delta.pairs_built
+        ));
+        out.push_str(&format!(
             "nc_query_conjuncts_indexed_total {}\n",
             query.conjuncts_indexed
         ));
@@ -355,6 +363,8 @@ mod tests {
             carried_forward: 6,
             catalog_carried: 7,
             catalog_rebuilt: 9,
+            pairs_carried: 10,
+            pairs_built: 11,
         };
         let text = m.render(&cache, &delta, &QueryStats::default(), 1, 1);
         assert!(text.contains("nc_serve_cache_hits_total 5\n"));
@@ -366,6 +376,8 @@ mod tests {
         assert!(text.contains("nc_serve_cache_carried_forward_total 6\n"));
         assert!(text.contains("nc_serve_catalog_carried_total 7\n"));
         assert!(text.contains("nc_serve_catalog_rebuilt_total 9\n"));
+        assert!(text.contains("nc_serve_pair_table_carried_total 10\n"));
+        assert!(text.contains("nc_serve_pair_table_built_total 11\n"));
     }
 
     #[test]

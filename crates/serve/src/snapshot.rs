@@ -4,18 +4,19 @@
 //! [`nc_core::snapshot::StoreSnapshot`] with the entropy-weighted
 //! heterogeneity scorer derived from it (one record per cluster, as the
 //! paper prescribes), so every carve against the same version uses the
-//! same weights. The [`SnapshotRegistry`] holds the current snapshot
-//! behind an `Arc` that is *swapped* on publish: readers take a brief
-//! read lock only to clone the `Arc`, then carve against the pinned,
-//! immutable data with no lock held — a publish never blocks or
-//! invalidates an in-flight carve.
+//! same weights, and with the version's pair table and query catalog,
+//! each computed at most once. The [`SnapshotRegistry`] holds the
+//! current snapshot behind an `Arc` that is *swapped* on publish:
+//! readers take a brief read lock only to clone the `Arc`, then carve
+//! against the pinned, immutable data with no lock held — a publish
+//! never blocks or invalidates an in-flight carve.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use nc_core::cluster::ClusterStore;
-use nc_core::customize::{CustomDataset, CustomizeParams};
-use nc_core::heterogeneity::{HeterogeneityScorer, Scope};
+use nc_core::customize::{customize_scored, CustomDataset, CustomizeParams};
+use nc_core::heterogeneity::{HeterogeneityScorer, PairTable, Scope};
 use nc_core::snapshot::StoreSnapshot;
 use nc_query::ClusterCatalog;
 
@@ -24,6 +25,11 @@ use nc_query::ClusterCatalog;
 pub struct ServeSnapshot {
     store: StoreSnapshot,
     scorer: HeterogeneityScorer,
+    /// Every pair heterogeneity score of the snapshot, which carves and
+    /// the catalog build read: carried at publish when it could be
+    /// derived from the previous version's, otherwise scored on first
+    /// use.
+    pairs: OnceLock<Arc<PairTable>>,
     /// The query catalog, built lazily on the first carve-by-query and
     /// shared by every subsequent query against this version.
     catalog: OnceLock<Arc<ClusterCatalog>>,
@@ -37,6 +43,7 @@ impl ServeSnapshot {
         ServeSnapshot {
             store,
             scorer,
+            pairs: OnceLock::new(),
             catalog: OnceLock::new(),
         }
     }
@@ -72,24 +79,53 @@ impl ServeSnapshot {
         &self.scorer
     }
 
+    /// The snapshot's pair table under its entropy scorer: seeded at
+    /// publish when it could be carried forward from the previous
+    /// version (see [`crate::carve::CarveEngine::publish`]), otherwise
+    /// scored on first use. Cached for the snapshot's lifetime.
+    pub fn pair_table(&self) -> &Arc<PairTable> {
+        self.pair_table_or_build(|| {})
+    }
+
+    /// [`ServeSnapshot::pair_table`], calling `on_build` first when this
+    /// call is the one that scores the table.
+    pub(crate) fn pair_table_or_build(&self, on_build: impl FnOnce()) -> &Arc<PairTable> {
+        self.pairs.get_or_init(|| {
+            on_build();
+            Arc::new(PairTable::build(self.store.clusters(), &self.scorer))
+        })
+    }
+
+    /// The pair table, if it has been seeded or built already.
+    pub(crate) fn built_pair_table(&self) -> Option<&Arc<PairTable>> {
+        self.pairs.get()
+    }
+
+    /// Install a pair table derived elsewhere; a no-op when one exists.
+    pub(crate) fn seed_pair_table(&self, table: PairTable) {
+        let _ = self.pairs.set(Arc::new(table));
+    }
+
     /// The cluster catalog query pipelines run against: seeded at
     /// publish when it could be carried forward from the previous
     /// version (see [`crate::carve::CarveEngine::publish`]), otherwise
-    /// built on first use (one scoring pass over the snapshot). Cached
-    /// for the snapshot's lifetime and valid only for this snapshot —
-    /// the catalog's heterogeneity values depend on this version's
-    /// entropy weights.
+    /// built on first use from the pair table. Cached for the
+    /// snapshot's lifetime and valid only for this snapshot — the
+    /// catalog's heterogeneity values depend on this version's entropy
+    /// weights.
     pub fn catalog(&self) -> &Arc<ClusterCatalog> {
-        self.catalog_or_build(|| {})
+        self.catalog_or_build(|| self.pair_table())
     }
 
-    /// [`ServeSnapshot::catalog`], calling `on_build` first when this
-    /// call is the one that runs the full build.
-    pub(crate) fn catalog_or_build(&self, on_build: impl FnOnce()) -> &Arc<ClusterCatalog> {
-        self.catalog.get_or_init(|| {
-            on_build();
-            Arc::new(ClusterCatalog::build(&self.store, &self.scorer))
-        })
+    /// [`ServeSnapshot::catalog`], calling `on_build` for this
+    /// snapshot's pair table when this call is the one that runs the
+    /// full build.
+    pub(crate) fn catalog_or_build<'a>(
+        &'a self,
+        on_build: impl FnOnce() -> &'a Arc<PairTable>,
+    ) -> &'a Arc<ClusterCatalog> {
+        self.catalog
+            .get_or_init(|| Arc::new(ClusterCatalog::build_from(&self.store, on_build())))
     }
 
     /// The catalog, if it has been seeded or built already.
@@ -102,11 +138,17 @@ impl ServeSnapshot {
         let _ = self.catalog.set(Arc::new(catalog));
     }
 
-    /// Carve a customized dataset out of this snapshot. Pure function
-    /// of `(snapshot, params)`; bit-identical to
+    /// Carve a customized dataset out of this snapshot, reading pair
+    /// scores from [`ServeSnapshot::pair_table`]. Pure function of
+    /// `(snapshot, params)`; bit-identical to
     /// [`nc_core::customize::customize`] on the source store.
     pub fn carve(&self, params: &CustomizeParams) -> CustomDataset {
-        self.store.customize(&self.scorer, params)
+        self.carve_with(self.pair_table(), params)
+    }
+
+    /// [`ServeSnapshot::carve`] over `table`, this snapshot's pair table.
+    pub(crate) fn carve_with(&self, table: &PairTable, params: &CustomizeParams) -> CustomDataset {
+        customize_scored(self.store.clusters(), table, params)
     }
 }
 

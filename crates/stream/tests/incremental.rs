@@ -15,6 +15,9 @@
 //!   [`nc_query::ClusterCatalog::build`] on that snapshot doc for doc,
 //!   answers indexed filters like it, and serves query carves
 //!   byte-identical to a cold, cache-less engine,
+//! * the engine's pair table — carried or built the same way — equals
+//!   [`nc_core::heterogeneity::PairTable::build`] on that snapshot by
+//!   bits,
 //! * replaying the stream from scratch, from `open_at`, or from a
 //!   saved cursor reproduces the same batches.
 
@@ -24,6 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nc_core::customize::CustomizeParams;
+use nc_core::heterogeneity::PairTable;
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::record::DedupPolicy;
 use nc_core::scoring::{score_clusters, score_clusters_incremental, ClusterScore, ScoringConfig};
@@ -157,6 +161,18 @@ fn assert_catalog_matches_fresh_build(serving: &CarveEngine) {
     }
 }
 
+/// The serving pair table of the current version (carried or built)
+/// against a from-scratch build, by bits.
+fn assert_pair_table_matches_fresh_build(serving: &CarveEngine) {
+    let current = serving.registry().current();
+    let fresh = PairTable::build(current.store().clusters(), current.scorer());
+    assert!(
+        current.pair_table().bit_eq(&fresh),
+        "pair table drifted at version {}",
+        current.version()
+    );
+}
+
 #[test]
 fn churn_streams_score_and_carve_bit_identically() {
     // Each case runs an engine, a stream and a carve service on disk.
@@ -256,6 +272,8 @@ fn churn_streams_score_and_carve_bit_identically() {
                     serving
                 }
             };
+            // Checked before any carve at this version could build it.
+            assert_pair_table_matches_fresh_build(serving);
             let fresh = CarveEngine::new(
                 Arc::new(SnapshotRegistry::new(ServeSnapshot::new(published))),
                 0,
@@ -281,9 +299,10 @@ fn churn_streams_score_and_carve_bit_identically() {
             all_batches.extend(batches);
         }
 
+        let stats = carve_engine.as_ref().unwrap().delta_stats();
         assert!(
-            carve_engine.as_ref().unwrap().delta_stats().catalog_carried >= 1,
-            "the closing revise-only publish carries the catalog"
+            stats.catalog_carried >= 1 && stats.pairs_carried >= 1,
+            "the closing revise-only publish carries the catalog and the pair table"
         );
 
         // Pinned re-reads of every historical version stay byte-stable

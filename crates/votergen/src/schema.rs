@@ -155,30 +155,40 @@ pub struct Row {
     /// `starts[NUM_ATTRS]` is `line.len() + 1`, as if the line ended
     /// with one more tab, so value `id` always spans
     /// `starts[id]..starts[id + 1] - 1`.
-    starts: [u32; NUM_ATTRS + 1],
+    starts: [u16; NUM_ATTRS + 1],
 }
 
 /// Longest line a [`Row`] can index: the end sentinel `line.len() + 1`
-/// must fit the offset type.
-const MAX_LINE_BYTES: usize = (u32::MAX - 1) as usize;
+/// must fit the offset type. A register line is a few hundred bytes;
+/// 16-bit offsets make `size_of::<Row>()` 120 bytes (208 with 32-bit
+/// ones). Longer input is refused where it enters: `from_tsv` and
+/// `try_from_values` return `None`, `set` panics.
+pub const MAX_LINE_BYTES: usize = (u16::MAX - 1) as usize;
 
 impl Row {
     /// Create an all-missing row.
     pub fn empty() -> Self {
         Row {
             line: "\t".repeat(NUM_ATTRS - 1),
-            starts: std::array::from_fn(|i| i as u32),
+            starts: std::array::from_fn(|i| i as u16),
         }
     }
 
     /// Build a row from one value per attribute, in schema order.
     ///
     /// # Panics
-    /// If a value contains a tab (see [`Row::set`]).
+    /// If a value contains a tab (see [`Row::set`]) or the line would
+    /// be longer than [`MAX_LINE_BYTES`].
     pub fn from_values(values: &[&str; NUM_ATTRS]) -> Self {
+        Self::try_from_values(values).expect("a value contains a tab, or the row is too long")
+    }
+
+    /// [`Row::from_values`], or `None` where it panics: when a value
+    /// contains a tab or the joined line is too long to index.
+    pub fn try_from_values(values: &[&str; NUM_ATTRS]) -> Option<Self> {
         let line = values.join("\t");
-        let starts = index_line(&line).expect("a value contains a tab, or the row is too long");
-        Row { line, starts }
+        let starts = index_line(&line)?;
+        Some(Row { line, starts })
     }
 
     /// Byte range of the values `ids` within the line, the tabs between
@@ -223,7 +233,7 @@ impl Row {
         assert!(grown <= MAX_LINE_BYTES, "row too long");
         if value.len() != span.len() {
             for start in &mut self.starts[id + 1..] {
-                *start = (*start as usize - span.len() + value.len()) as u32;
+                *start = (*start as usize - span.len() + value.len()) as u16;
             }
         }
         self.line.replace_range(span, value);
@@ -251,14 +261,14 @@ impl Row {
                 bytes[at] = b'\t';
                 at += 1;
             }
-            self.starts[id] = at as u32;
+            self.starts[id] = at as u16;
             // Values only move towards the front, so no source is
             // overwritten before it is read.
             bytes.copy_within(from..from + len, at);
             at += len;
         }
         bytes.truncate(at);
-        self.starts[NUM_ATTRS] = at as u32 + 1;
+        self.starts[NUM_ATTRS] = at as u16 + 1;
         self.line = String::from_utf8(bytes).expect("whole values of a valid line");
     }
 
@@ -303,7 +313,7 @@ impl Row {
 /// that follows it. A mask adds at most 64 fields, so the slots have
 /// room for 64 past the last attribute and the count is checked once
 /// per mask.
-fn index_line(line: &str) -> Option<[u32; NUM_ATTRS + 1]> {
+fn index_line(line: &str) -> Option<[u16; NUM_ATTRS + 1]> {
     const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
     const TABS: u64 = u64::from_ne_bytes([b'\t'; 8]);
@@ -314,14 +324,14 @@ fn index_line(line: &str) -> Option<[u32; NUM_ATTRS + 1]> {
         return None;
     }
     let bytes = line.as_bytes();
-    let mut slots = [0u32; NUM_ATTRS + 65];
+    let mut slots = [0u16; NUM_ATTRS + 65];
     let mut fields = 1;
     // Confirm the flagged bytes of the 64 starting at `base`.
     let mut confirm = |mut mask: u64, base: usize| {
         while mask != 0 {
             let at = base + mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            slots[fields] = at as u32 + 1;
+            slots[fields] = at as u16 + 1;
             fields += usize::from(bytes[at] == b'\t');
         }
         fields <= NUM_ATTRS
@@ -349,9 +359,9 @@ fn index_line(line: &str) -> Option<[u32; NUM_ATTRS + 1]> {
     if fields != NUM_ATTRS {
         return None;
     }
-    let mut starts = [0u32; NUM_ATTRS + 1];
+    let mut starts = [0u16; NUM_ATTRS + 1];
     starts[..NUM_ATTRS].copy_from_slice(&slots[..NUM_ATTRS]);
-    starts[NUM_ATTRS] = line.len() as u32 + 1;
+    starts[NUM_ATTRS] = line.len() as u16 + 1;
     Some(starts)
 }
 

@@ -3,7 +3,7 @@
 //! read path, plus the edges of `from_tsv` and the tab rule of `set`.
 
 use nc_votergen::rng::Rng;
-use nc_votergen::schema::{Row, CANCELLATION_DT, LAST_NAME, NCID, NUM_ATTRS};
+use nc_votergen::schema::{Row, CANCELLATION_DT, LAST_NAME, MAX_LINE_BYTES, NCID, NUM_ATTRS};
 
 /// Values that grow, shrink and empty a field, in one to four bytes
 /// per character. None contains a tab.
@@ -92,6 +92,45 @@ fn from_tsv_rejects_every_wrong_field_count() {
     let empty = Row::from_tsv(&"\t".repeat(NUM_ATTRS - 1)).unwrap();
     assert_eq!(empty, Row::empty());
     assert!(empty.values().all(str::is_empty));
+}
+
+/// Offsets are 16-bit: the longest line a row indexes is
+/// `MAX_LINE_BYTES`, and one byte more is refused by every constructor
+/// that can refuse, where `set` panics.
+#[test]
+fn rows_index_lines_up_to_the_offset_limit() {
+    assert_eq!(
+        std::mem::size_of::<Row>(),
+        120,
+        "a 24-byte line + 46 u16 offsets, padded"
+    );
+    let line_of = |len: usize| {
+        let tabs = "\t".repeat(NUM_ATTRS - 1);
+        format!("{}{tabs}", "x".repeat(len - tabs.len()))
+    };
+    let longest = Row::from_tsv(&line_of(MAX_LINE_BYTES)).expect("the longest line");
+    assert_eq!(longest.get(0).len(), MAX_LINE_BYTES - (NUM_ATTRS - 1));
+    assert_eq!(longest.get(NUM_ATTRS - 1), "");
+    assert!(Row::from_tsv(&line_of(MAX_LINE_BYTES + 1)).is_none());
+    assert!(Row::from_tsv(&line_of(70_000)).is_none());
+
+    let mut values = [""; NUM_ATTRS];
+    let long = "x".repeat(MAX_LINE_BYTES - (NUM_ATTRS - 1));
+    values[0] = &long;
+    assert!(Row::try_from_values(&values).is_some());
+    let longer = format!("{long}x");
+    values[0] = &longer;
+    assert!(Row::try_from_values(&values).is_none());
+
+    let mut row = Row::empty();
+    row.set(0, &long);
+    assert_eq!(row.as_tsv().len(), MAX_LINE_BYTES);
+}
+
+#[test]
+#[should_panic(expected = "row too long")]
+fn set_refuses_a_row_past_the_offset_limit() {
+    Row::empty().set(LAST_NAME, "x".repeat(MAX_LINE_BYTES));
 }
 
 #[test]

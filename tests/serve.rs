@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use nc_suite::core::cluster::ClusterStore;
 use nc_suite::core::customize::{customize, CustomizeParams};
-use nc_suite::core::heterogeneity::{AttributeWeights, HeterogeneityScorer, Scope};
+use nc_suite::core::heterogeneity::{AttributeWeights, HeterogeneityScorer, PairTable, Scope};
 use nc_suite::core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_suite::core::record::DedupPolicy;
 use nc_suite::serve::carve::render_lines;
@@ -431,6 +431,82 @@ fn cache_serves_repeats_and_counts_hits() {
         .body
         .contains("nc_serve_endpoint_requests_total{endpoint=\"datasets\"} 3\n"));
 
+    handle.shutdown();
+}
+
+/// A version's pair scores are computed once: the first carve of a
+/// version that could not be carried scores its table, a revise-only
+/// publish carries the previous table, and the carves and the catalog
+/// build after a carry score nothing.
+#[test]
+fn pair_table_is_built_once_and_carried_across_revise_only_publishes() {
+    let store = build_store(36, 300, 8);
+    let (state, handle) = spawn_server(SnapshotRegistry::new(ServeSnapshot::capture(&store, 1)));
+    let addr = handle.addr();
+    let counts = || {
+        let stats = state.engine().delta_stats();
+        (stats.pairs_built, stats.pairs_carried)
+    };
+    let carve = |seed: u32| {
+        let reply = get(
+            addr,
+            &format!("/datasets/nc2?seed={seed}&sample=100&output=20"),
+        );
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply.header("x-cache"), Some("miss"));
+    };
+    carve(1);
+    assert_eq!(counts(), (1, 0), "the first carve scores version 1");
+
+    // A founding publish moves positions and weights: nothing carries,
+    // and the first carve at version 2 scores its table.
+    let ncids: Vec<String> = store.iter_clusters().map(|(n, _)| n.to_owned()).collect();
+    state.publish(
+        ServeSnapshot::capture(&store, 2),
+        Some(PublishDelta {
+            version: 2,
+            date: "s9".to_string(),
+            founded: vec![ncids[0].clone()],
+            revised: Vec::new(),
+        }),
+    );
+    assert_eq!(counts(), (1, 0));
+    carve(2);
+    assert_eq!(counts(), (2, 0), "one build for a carved founding publish");
+
+    // A revise-only publish carries version 2's table; neither a carve
+    // nor the catalog build at version 3 scores one.
+    state.publish(
+        ServeSnapshot::capture(&store, 3),
+        Some(PublishDelta {
+            version: 3,
+            date: "s10".to_string(),
+            founded: Vec::new(),
+            revised: vec![ncids[1].clone()],
+        }),
+    );
+    assert_eq!(counts(), (2, 1), "one carry for a revise-only publish");
+    carve(3);
+    let query = post_json(
+        addr,
+        "/carve",
+        r#"{"pipeline": [{"match": {"size": {"gte": 2}}}]}"#,
+    );
+    assert_eq!(query.status, 200, "{}", query.body);
+    assert_eq!(counts(), (2, 1), "zero builds after a carry");
+
+    let current = state.registry().current();
+    let fresh = PairTable::build(current.store().clusters(), current.scorer());
+    assert!(
+        current.pair_table().bit_eq(&fresh),
+        "the carried table is a fresh build"
+    );
+
+    let metrics = get(addr, "/metrics");
+    assert!(metrics.body.contains("nc_serve_pair_table_built_total 2\n"));
+    assert!(metrics
+        .body
+        .contains("nc_serve_pair_table_carried_total 1\n"));
     handle.shutdown();
 }
 
