@@ -10,6 +10,8 @@
 //! bit-identical to [`crate::customize::customize`] on the store
 //! itself (see `crates/core/tests/customize_determinism.rs`).
 
+use std::sync::Arc;
+
 use nc_similarity::Scratch;
 use nc_votergen::schema::{Row, SNAPSHOT_DT};
 
@@ -81,11 +83,12 @@ impl ClusterFacts {
 }
 
 /// An immutable copy of a cluster store's records, pinned to a dataset
-/// version number.
+/// version number. Its clusters sit behind one `Arc`, so a clone shares
+/// them instead of copying every record.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     version: u32,
-    clusters: Vec<(String, Vec<Row>)>,
+    clusters: Arc<[(String, Vec<Row>)]>,
     records: u64,
 }
 
@@ -115,7 +118,7 @@ impl StoreSnapshot {
         let records = clusters.iter().map(|(_, r)| r.len() as u64).sum();
         StoreSnapshot {
             version,
-            clusters,
+            clusters: clusters.into(),
             records,
         }
     }

@@ -107,6 +107,22 @@ fn a_stored_record_costs_about_its_row() {
     assert_eq!(live_bytes(), stored);
 }
 
+/// A snapshot clone shares its clusters: a second engine serving the
+/// same version (a cold check, a pinned reader) costs no copy of the
+/// records.
+#[test]
+fn cloning_a_snapshot_copies_no_record() {
+    let mut store = ClusterStore::new();
+    for snapshot in &calendar_snapshots(2) {
+        import_snapshot(&mut store, snapshot, DedupPolicy::Trimmed, 1);
+    }
+    let snapshot = StoreSnapshot::capture(&store, 1);
+    let (copy, n) = allocations_during(|| snapshot.clone());
+    assert_eq!(n, 0, "a clone allocated");
+    assert!(std::ptr::eq(copy.clusters(), snapshot.clusters()));
+    assert_eq!(copy.record_count(), store.record_count());
+}
+
 /// Import every row of a snapshot; returns the rows kept and the
 /// allocations made.
 fn import_rows(store: &mut ClusterStore, snapshot: &Snapshot) -> (u64, u64) {

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use crate::index::{Index, IndexKind};
 use crate::plan::{describe_conjunct, AccessPlan, ConjunctAccess, ConjunctDecision, ScanReason};
 use crate::query::Filter;
-use crate::value::Document;
+use crate::value::{Document, Key};
 
 /// Identifier assigned to every stored document (the `_id` field).
 pub type DocId = u64;
@@ -36,6 +36,18 @@ pub struct Collection {
     /// may leave gaps between ids; a new document takes the last id + 1.
     docs: Vec<(DocId, Document)>,
     indexes: HashMap<String, Index>,
+    id_key: IdKey,
+}
+
+/// The `_id` field name: one allocation per collection, shared by every
+/// document it stores.
+#[derive(Debug, Clone)]
+struct IdKey(Key);
+
+impl Default for IdKey {
+    fn default() -> Self {
+        IdKey(Key::new("_id"))
+    }
 }
 
 impl Collection {
@@ -45,6 +57,7 @@ impl Collection {
             name: name.into(),
             docs: Vec::new(),
             indexes: HashMap::new(),
+            id_key: IdKey::default(),
         }
     }
 
@@ -57,6 +70,7 @@ impl Collection {
             name: name.to_owned(),
             docs,
             indexes: HashMap::new(),
+            id_key: IdKey::default(),
         }
     }
 
@@ -86,7 +100,7 @@ impl Collection {
             Some(&(last, _)) => last + 1,
         };
         let stored = i64::try_from(id).map_err(|_| IdsExhausted)?;
-        doc.set("_id", stored);
+        doc.set_key(&self.id_key.0, stored);
         for (path, index) in &mut self.indexes {
             if let Some(v) = doc.get_path(path) {
                 index.insert(v, id);
@@ -112,7 +126,7 @@ impl Collection {
         let Some(at) = self.position(id) else {
             return false;
         };
-        doc.set("_id", id as i64);
+        doc.set_key(&self.id_key.0, id as i64);
         let old = std::mem::replace(&mut self.docs[at].1, doc);
         let new = &self.docs[at].1;
         for (path, index) in &mut self.indexes {

@@ -85,7 +85,9 @@ impl Index {
         match self {
             Index::Hash { buckets } => {
                 let h = value.stable_hash();
-                let bucket = buckets.entry(h).or_default();
+                // Distinct values rarely share a hash: a bucket starts
+                // with room for one entry, not `Vec`'s default four.
+                let bucket = buckets.entry(h).or_insert_with(|| Vec::with_capacity(1));
                 if let Some((_, ids)) = bucket.iter_mut().find(|(v, _)| v.query_eq(value)) {
                     insert_posting(ids, id);
                 } else {
@@ -93,7 +95,10 @@ impl Index {
                 }
             }
             Index::Ordered { tree } => {
-                insert_posting(tree.entry(OrdKey(value.clone())).or_default(), id);
+                let ids = tree
+                    .entry(OrdKey(value.clone()))
+                    .or_insert_with(|| Vec::with_capacity(1));
+                insert_posting(ids, id);
             }
         }
     }

@@ -137,11 +137,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
         self.expect(b'{')?;
-        let mut doc = Document::new();
+        // Collected, then sorted once into a document (`FromIterator`).
+        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Doc(doc));
+            return Ok(Value::Doc(Document::new()));
         }
         loop {
             self.skip_ws();
@@ -153,7 +154,7 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            doc.set(key, value);
+            fields.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -161,7 +162,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Doc(doc));
+                    return Ok(Value::Doc(fields.into_iter().collect()));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -370,6 +371,20 @@ mod tests {
         assert_eq!(parse(b"1.5").unwrap(), Value::Float(1.5));
         assert_eq!(parse(b"2e3").unwrap(), Value::Float(2000.0));
         assert_eq!(parse(b"\"hi\"").unwrap(), Value::Str("hi".into()));
+    }
+
+    #[test]
+    fn an_object_keeps_the_last_of_duplicate_keys_in_name_order() {
+        let v = parse(br#"{"b": 1, "a": 2, "b": 3, "c": 4, "a": 5}"#).unwrap();
+        assert_eq!(v.to_json(), r#"{"a":5,"b":3,"c":4}"#);
+        // Keys in descending order, the worst case for sorted inserts.
+        let n = 20_000;
+        let text: Vec<String> = (0..n).rev().map(|i| format!("\"k{i:05}\":{i}")).collect();
+        let v = parse(format!("{{{}}}", text.join(",")).as_bytes()).unwrap();
+        let d = v.as_doc().unwrap();
+        assert_eq!(d.len(), n);
+        assert!(d.iter().map(|(k, _)| k).is_sorted());
+        assert_eq!(d.get_i64("k12345"), Some(12_345));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! into arrays.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::json;
 
@@ -337,16 +337,45 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
+/// A field name, shared by reference count: every document built with
+/// [`Document::set_key`] from one `Key` points at one allocation of the
+/// name instead of owning a copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Key(Arc<String>);
+
+impl Key {
+    /// A key for the field `name`.
+    pub fn new(name: impl Into<String>) -> Self {
+        Key(Arc::new(name.into()))
+    }
+
+    /// The field name.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
 /// An ordered (by field name) map of field name to [`Value`].
+///
+/// The fields sit in one `Vec` sorted by name. A document holds a
+/// handful of fields, so a binary search finds one as fast as a tree
+/// would, without a tree node's eleven slots per map.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Document {
-    fields: BTreeMap<String, Value>,
+    fields: Vec<(Key, Value)>,
 }
 
 impl Document {
     /// Create an empty document.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty document with room for `fields` top-level fields.
+    pub fn with_capacity(fields: usize) -> Self {
+        Document {
+            fields: Vec::with_capacity(fields),
+        }
     }
 
     /// Number of top-level fields.
@@ -359,15 +388,42 @@ impl Document {
         self.fields.is_empty()
     }
 
-    /// Set a top-level field.
+    /// Position of `key` in `fields`, or where it would be inserted.
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.fields.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    /// Set a top-level field, replacing any value it had.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<Value>) -> &mut Self {
-        self.fields.insert(key.into(), value.into());
+        self.set_key(&Key::new(key), value)
+    }
+
+    /// [`Document::set`] under a shared [`Key`].
+    pub fn set_key(&mut self, key: &Key, value: impl Into<Value>) -> &mut Self {
+        let value = value.into();
+        match self.find(key.as_str()) {
+            Ok(at) => self.fields[at].1 = value,
+            Err(at) => self.fields.insert(at, (key.clone(), value)),
+        }
         self
+    }
+
+    /// The value of top-level field `key`, inserted by `default` when
+    /// the field is absent.
+    fn entry(&mut self, key: &str, default: impl FnOnce() -> Value) -> &mut Value {
+        let at = match self.find(key) {
+            Ok(at) => at,
+            Err(at) => {
+                self.fields.insert(at, (Key::new(key), default()));
+                at
+            }
+        };
+        &mut self.fields[at].1
     }
 
     /// Iterate over `(name, value)` pairs in field-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.fields.iter()
+        self.fields.iter().map(|(k, v)| (&*k.0, v))
     }
 
     /// Look up a value by dotted path. Integer segments index arrays.
@@ -378,8 +434,8 @@ impl Document {
         let mut cur: Option<&Value> = None;
         for seg in path.split('.') {
             cur = match cur {
-                None => self.fields.get(seg),
-                Some(Value::Doc(d)) => d.fields.get(seg),
+                None => self.get(seg),
+                Some(Value::Doc(d)) => d.get(seg),
                 Some(Value::Array(a)) => seg.parse::<usize>().ok().and_then(|i| a.get(i)),
                 _ => None,
             };
@@ -390,7 +446,7 @@ impl Document {
 
     /// Look up a top-level field.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.fields.get(key)
+        self.find(key).ok().map(|at| &self.fields[at].1)
     }
 
     /// String view of a dotted path.
@@ -430,14 +486,11 @@ impl Document {
             match segs {
                 [] => false,
                 [last] => {
-                    doc.fields.insert((*last).to_owned(), value);
+                    doc.set(*last, value);
                     true
                 }
                 [head, rest @ ..] => {
-                    let entry = doc
-                        .fields
-                        .entry((*head).to_owned())
-                        .or_insert_with(|| Value::Doc(Document::new()));
+                    let entry = doc.entry(head, || Value::Doc(Document::new()));
                     match entry {
                         Value::Doc(d) => go(d, rest, value),
                         Value::Array(a) => {
@@ -473,7 +526,7 @@ impl Document {
             if i > 0 {
                 out.push(',');
             }
-            render_json_str(k, out);
+            render_json_str(k.as_str(), out);
             out.push(':');
             v.render_json(out);
         }
@@ -508,17 +561,31 @@ impl fmt::Display for Document {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{k}: {v}")?;
+            write!(f, "{}: {v}", k.as_str())?;
         }
         write!(f, "}}")
     }
 }
 
 impl FromIterator<(String, Value)> for Document {
+    /// Later duplicates of a name replace earlier ones, as a sequence
+    /// of [`Document::set`]s would leave them, but in one sort: an
+    /// object of `n` fields in any order costs `O(n log n)`, never the
+    /// `O(n²)` of `n` sorted inserts.
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        Document {
-            fields: iter.into_iter().collect(),
-        }
+        let mut fields: Vec<(Key, Value)> =
+            iter.into_iter().map(|(k, v)| (Key::new(k), v)).collect();
+        // Stable, so equal names keep their input order and the last of
+        // each run carries the value to keep.
+        fields.sort_by(|(a, _), (b, _)| a.as_str().cmp(b.as_str()));
+        fields.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        Document { fields }
     }
 }
 
@@ -625,6 +692,38 @@ mod tests {
         let d = sample();
         let back = json::parse(d.to_json().as_bytes()).unwrap();
         assert_eq!(Value::Doc(d), back);
+    }
+
+    #[test]
+    fn fields_stay_sorted_and_the_last_set_wins() {
+        let mut d = Document::new();
+        for (k, v) in [("m", 1_i64), ("b", 2), ("z", 3), ("b", 4), ("a", 5)] {
+            d.set(k, v);
+        }
+        let order: Vec<(&str, i64)> = d
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_i64().unwrap()))
+            .collect();
+        assert_eq!(order, [("a", 5), ("b", 4), ("m", 1), ("z", 3)]);
+        assert_eq!(d.to_json(), r#"{"a":5,"b":4,"m":1,"z":3}"#);
+        let collected: Document = [("z", 3_i64), ("b", 9), ("m", 1), ("a", 5), ("b", 4)]
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), Value::Int(v)))
+            .collect();
+        assert_eq!(collected, d);
+    }
+
+    #[test]
+    fn shared_keys_are_one_allocation() {
+        let key = Key::new("ncid");
+        let mut a = Document::with_capacity(1);
+        let mut b = Document::new();
+        a.set_key(&key, "A1");
+        b.set_key(&key, "B2");
+        b.set_key(&key, "B3");
+        assert_eq!(Arc::strong_count(&key.0), 3);
+        assert_eq!(b.get_str("ncid"), Some("B3"));
+        assert_eq!(a, doc! { "ncid" => "A1" });
     }
 
     #[test]

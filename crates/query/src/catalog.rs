@@ -18,13 +18,15 @@
 //! ([`ClusterCatalog::carry_forward`]); any other publish builds afresh
 //! on the first query.
 
+use std::sync::OnceLock;
+
 use nc_core::heterogeneity::{HeterogeneityScorer, PairTable};
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::snapshot::{ClusterFacts, StoreSnapshot};
 use nc_docstore::collection::{Collection, DocId};
 use nc_docstore::index::IndexKind;
 use nc_docstore::query::Filter;
-use nc_docstore::value::Document;
+use nc_docstore::value::{Document, Key};
 use nc_similarity::damerau;
 use nc_similarity::soundex::soundex;
 use nc_similarity::{with_thread_scratch, Scratch};
@@ -97,6 +99,38 @@ const INDEXES: &[(&str, IndexKind)] = &[
     ("snapshot.first", IndexKind::Ordered),
     ("snapshot.last", IndexKind::Ordered),
 ];
+
+/// The catalog's field names, allocated once and shared by every
+/// catalog document ([`Document::set_key`]).
+struct Keys {
+    ncid: Key,
+    size: Key,
+    het: Key,
+    plaus: Key,
+    snapshot: Key,
+    first: Key,
+    last: Key,
+    errors: Key,
+    /// One per [`ERROR_KINDS`] entry, in its order.
+    kinds: Vec<Key>,
+    total: Key,
+}
+
+fn keys() -> &'static Keys {
+    static KEYS: OnceLock<Keys> = OnceLock::new();
+    KEYS.get_or_init(|| Keys {
+        ncid: Key::new("ncid"),
+        size: Key::new("size"),
+        het: Key::new("het"),
+        plaus: Key::new("plaus"),
+        snapshot: Key::new("snapshot"),
+        first: Key::new("first"),
+        last: Key::new("last"),
+        errors: Key::new("errors"),
+        kinds: ERROR_KINDS.iter().map(|&k| Key::new(k)).collect(),
+        total: Key::new("total"),
+    })
+}
 
 /// One queryable document per cluster of a snapshot, with indexes.
 #[derive(Debug)]
@@ -233,16 +267,18 @@ impl ClusterCatalog {
     }
 
     fn doc_from_facts(scratch: &mut Scratch, facts: &ClusterFacts, rows: &[Row]) -> Document {
-        let mut doc = Document::new();
-        doc.set("ncid", facts.ncid.as_str());
-        doc.set("size", facts.size as i64);
-        doc.set("het", facts.heterogeneity);
-        doc.set("plaus", facts.plausibility);
-        let mut snap = Document::new();
-        snap.set("first", facts.first_snapshot.as_str());
-        snap.set("last", facts.last_snapshot.as_str());
-        doc.set("snapshot", snap);
-        doc.set("errors", error_counts(scratch, rows));
+        let keys = keys();
+        // Six fields and the `_id` the collection adds.
+        let mut doc = Document::with_capacity(7);
+        doc.set_key(&keys.ncid, facts.ncid.as_str());
+        doc.set_key(&keys.size, facts.size as i64);
+        doc.set_key(&keys.het, facts.heterogeneity);
+        doc.set_key(&keys.plaus, facts.plausibility);
+        let mut snap = Document::with_capacity(2);
+        snap.set_key(&keys.first, facts.first_snapshot.as_str());
+        snap.set_key(&keys.last, facts.last_snapshot.as_str());
+        doc.set_key(&keys.snapshot, snap);
+        doc.set_key(&keys.errors, error_counts(scratch, rows));
         doc
     }
 
@@ -301,13 +337,14 @@ fn error_counts(scratch: &mut Scratch, rows: &[Row]) -> Document {
             }
         }
     }
-    let mut doc = Document::new();
+    let keys = keys();
+    let mut doc = Document::with_capacity(ERROR_KINDS.len() + 1);
     let mut total = 0i64;
-    for (kind, n) in ERROR_KINDS.iter().zip(counts) {
-        doc.set(*kind, n);
+    for (kind, n) in keys.kinds.iter().zip(counts) {
+        doc.set_key(kind, n);
         total += n;
     }
-    doc.set("total", total);
+    doc.set_key(&keys.total, total);
     doc
 }
 
