@@ -181,11 +181,6 @@ fn main() {
         best(&scan_secs) * 1e6,
         args.min_speedup
     );
-    assert!(
-        speedup >= args.min_speedup,
-        "indexed path only {speedup:.2}x faster than forced scan (gate {:.1}x)",
-        args.min_speedup
-    );
 
     // Warm-cache query-carve latency through the serve engine: one
     // miss primes the LRU, every replay must hit and return the
@@ -228,6 +223,7 @@ fn main() {
             "  \"size_threshold\": {},\n",
             "  \"matched_clusters\": {},\n",
             "  \"reps\": {},\n",
+            "  \"hardware_threads\": {},\n",
             "  \"full_scan\": false,\n",
             "  \"estimated_rows\": {},\n",
             "  \"indexed_mean_secs\": {:.9},\n",
@@ -253,6 +249,7 @@ fn main() {
         threshold,
         matched,
         args.reps,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         plan.estimated_rows,
         indexed_mean,
         best(&indexed_secs),
@@ -269,4 +266,10 @@ fn main() {
     );
     std::fs::write(&args.out, json).expect("write benchmark json");
     eprintln!("wrote {}", args.out.display());
+    // Gated after the report is written, so a failing ratio is on record.
+    assert!(
+        speedup >= args.min_speedup,
+        "indexed path only {speedup:.2}x faster than forced scan (gate {:.1}x)",
+        args.min_speedup
+    );
 }

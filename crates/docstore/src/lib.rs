@@ -12,11 +12,11 @@
 //!   one JSON form: [`value::Value::render_json`] writes it,
 //!   [`json::parse`] reads it back,
 //! * [`collection::Collection`]s: documents kept in ascending `_id`
-//!   order, with automatic `_id` assignment, insert / replace / find,
-//!   and secondary [`index`]es (hash and ordered) over dotted paths,
-//! * the aggregation [`pipeline`]'s stages — `match`, `project`,
-//!   `group`, `sort`, `skip`, `limit` and `count` — enough to express
-//!   the paper's customization queries, and
+//!   order, with automatic `_id` assignment, insert / get,
+//! * [`query::Filter`]s over dotted paths, and the aggregation
+//!   [`pipeline`]'s stages — `match`, `project`, `group`, `sort`,
+//!   `skip`, `limit` and `count` — enough to express the paper's
+//!   customization queries, and
 //! * crash-safe file [`persist`]ence (atomic JSON-lines snapshots with
 //!   per-line CRC-32 checksums, a count/checksum footer, and a
 //!   salvage-on-load recovery path).
@@ -32,7 +32,9 @@
 //! coll.insert(doc! { "name" => "ANNA", "age" => 44_i64 }).unwrap();
 //! coll.insert(doc! { "name" => "BOB", "age" => 71_i64 }).unwrap();
 //!
-//! let hits = coll.find(&Filter::gt("age", Value::from(50_i64)));
+//! let over_50 = Filter::gt("age", Value::from(50_i64));
+//! let docs: Vec<Document> = coll.iter_ordered().map(|(_, d)| d.clone()).collect();
+//! let hits = Stage::Match(over_50).apply(docs);
 //! assert_eq!(hits.len(), 1);
 //! assert_eq!(hits[0].get_str("name"), Some("BOB"));
 //! ```
@@ -42,11 +44,9 @@
 
 pub mod collection;
 pub mod crc32;
-pub mod index;
 pub mod json;
 pub mod persist;
 pub mod pipeline;
-pub mod plan;
 pub mod query;
 pub mod value;
 
@@ -54,10 +54,8 @@ pub mod value;
 pub mod prelude {
     pub use crate::collection::{Collection, DocId, IdsExhausted};
     pub use crate::doc;
-    pub use crate::index::IndexKind;
     pub use crate::persist::{FooterStatus, Salvage, SalvageReport};
     pub use crate::pipeline::{Accumulator, Stage};
-    pub use crate::plan::{AccessPlan, ConjunctAccess, ConjunctDecision, ScanReason};
-    pub use crate::query::Filter;
+    pub use crate::query::{Fields, Filter};
     pub use crate::value::{Document, Value};
 }

@@ -540,7 +540,6 @@ mod tests {
     use super::*;
     use crate::collection::DocId;
     use crate::doc;
-    use crate::query::Filter;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -578,14 +577,10 @@ mod tests {
         save(&c, &path).unwrap();
         let loaded = load("v", &path).unwrap();
         assert_eq!(loaded.len(), 2);
-        assert_eq!(
-            loaded.find_one(&Filter::eq("name", "B")).unwrap().get_f64("nested.x"),
-            Some(2.5)
-        );
-        assert_eq!(
-            loaded.find_one(&Filter::eq("name", "A")).unwrap().get_i64("_id"),
-            Some(0)
-        );
+        let named = |id| loaded.get(id).map(|d| (d.get_str("name"), d.get_i64("_id")));
+        assert_eq!(named(0), Some((Some("A"), Some(0))));
+        assert_eq!(named(1), Some((Some("B"), Some(1))));
+        assert_eq!(loaded.get(1).unwrap().get_f64("nested.x"), Some(2.5));
         std::fs::remove_file(path).unwrap();
     }
 
@@ -597,10 +592,8 @@ mod tests {
         save(&load("v", &path).unwrap(), &path).unwrap();
         let mut loaded = load("v", &path).unwrap();
         assert_eq!(loaded.len(), 2);
-        assert_eq!(
-            loaded.find_one(&Filter::eq("name", "C")).unwrap().get_i64("_id"),
-            Some(2)
-        );
+        let c = loaded.get(2).unwrap();
+        assert_eq!((c.get_str("name"), c.get_i64("_id")), (Some("C"), Some(2)));
         let s = salvage("v", &path).unwrap();
         assert!(s.report.is_clean() && s.report.footer == FooterStatus::Valid);
         let json = |c: &Collection| -> Vec<(DocId, String)> {

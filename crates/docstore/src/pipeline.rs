@@ -143,13 +143,26 @@ impl Stage {
                 });
                 docs
             }
-            Stage::Skip(n) => docs.into_iter().skip(*n).collect(),
-            Stage::Limit(n) => docs.into_iter().take(*n).collect(),
+            Stage::Skip(_) | Stage::Limit(_) => {
+                let mut docs = docs;
+                self.apply_window(&mut docs);
+                docs
+            }
             Stage::Count => {
                 let mut d = Document::new();
                 d.set("count", docs.len() as i64);
                 vec![d]
             }
+        }
+    }
+
+    /// Apply `Skip` or `Limit`, which read no field, to a stream of any
+    /// item type; any other stage leaves `items` alone.
+    pub fn apply_window<T>(&self, items: &mut Vec<T>) {
+        match self {
+            Stage::Skip(n) => drop(items.drain(..(*n).min(items.len()))),
+            Stage::Limit(n) => items.truncate(*n),
+            _ => {}
         }
     }
 }

@@ -3,6 +3,20 @@
 use crate::value::{Document, Value};
 use std::cmp::Ordering;
 
+/// What a [`Filter`] reads: the value at a dotted path. A [`Document`]
+/// is one; a table that stores its fields in columns can be another
+/// without building a document per row.
+pub trait Fields {
+    /// `f` of the value at `path`, or of `None` when it is absent.
+    fn with_path<R>(&self, path: &str, f: impl FnOnce(Option<&Value>) -> R) -> R;
+}
+
+impl Fields for Document {
+    fn with_path<R>(&self, path: &str, f: impl FnOnce(Option<&Value>) -> R) -> R {
+        f(self.get_path(path))
+    }
+}
+
 /// A predicate over a [`Document`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Filter {
@@ -81,24 +95,24 @@ impl Filter {
         Filter::And(vec![Filter::gte(path, lo), Filter::lte(path, hi)])
     }
 
-    /// Evaluate against a document.
-    pub fn matches(&self, doc: &Document) -> bool {
-        fn cmp(doc: &Document, path: &str, v: &Value) -> Option<Ordering> {
-            doc.get_path(path).map(|x| x.total_cmp(v))
-        }
+    /// Evaluate against a document, or any other [`Fields`].
+    pub fn matches(&self, doc: &impl Fields) -> bool {
+        let cmp = |path: &str, v: &Value| doc.with_path(path, |x| x.map(|x| x.total_cmp(v)));
         match self {
             Filter::True => true,
-            Filter::Eq(p, v) => cmp(doc, p, v) == Some(Ordering::Equal),
-            Filter::Ne(p, v) => cmp(doc, p, v) != Some(Ordering::Equal),
-            Filter::Gt(p, v) => cmp(doc, p, v) == Some(Ordering::Greater),
-            Filter::Gte(p, v) => matches!(cmp(doc, p, v), Some(Ordering::Greater | Ordering::Equal)),
-            Filter::Lt(p, v) => cmp(doc, p, v) == Some(Ordering::Less),
-            Filter::Lte(p, v) => matches!(cmp(doc, p, v), Some(Ordering::Less | Ordering::Equal)),
-            Filter::In(p, vs) => doc
-                .get_path(p)
-                .is_some_and(|x| vs.iter().any(|v| x.query_eq(v))),
-            Filter::Exists(p) => doc.get_path(p).is_some(),
-            Filter::Contains(p, s) => doc.get_str(p).is_some_and(|x| x.contains(s.as_str())),
+            Filter::Eq(p, v) => cmp(p, v) == Some(Ordering::Equal),
+            Filter::Ne(p, v) => cmp(p, v) != Some(Ordering::Equal),
+            Filter::Gt(p, v) => cmp(p, v) == Some(Ordering::Greater),
+            Filter::Gte(p, v) => matches!(cmp(p, v), Some(Ordering::Greater | Ordering::Equal)),
+            Filter::Lt(p, v) => cmp(p, v) == Some(Ordering::Less),
+            Filter::Lte(p, v) => matches!(cmp(p, v), Some(Ordering::Less | Ordering::Equal)),
+            Filter::In(p, vs) => {
+                doc.with_path(p, |x| x.is_some_and(|x| vs.iter().any(|v| x.query_eq(v))))
+            }
+            Filter::Exists(p) => doc.with_path(p, |x| x.is_some()),
+            Filter::Contains(p, s) => doc.with_path(p, |x| {
+                x.and_then(Value::as_str).is_some_and(|x| x.contains(s.as_str()))
+            }),
             Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
             Filter::Or(fs) => fs.iter().any(|f| f.matches(doc)),
             Filter::Not(f) => !f.matches(doc),

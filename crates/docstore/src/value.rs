@@ -371,13 +371,6 @@ impl Document {
         Self::default()
     }
 
-    /// An empty document with room for `fields` top-level fields.
-    pub fn with_capacity(fields: usize) -> Self {
-        Document {
-            fields: Vec::with_capacity(fields),
-        }
-    }
-
     /// Number of top-level fields.
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -568,13 +561,18 @@ impl fmt::Display for Document {
 }
 
 impl FromIterator<(String, Value)> for Document {
+    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
+        iter.into_iter().map(|(k, v)| (Key::new(k), v)).collect()
+    }
+}
+
+impl FromIterator<(Key, Value)> for Document {
     /// Later duplicates of a name replace earlier ones, as a sequence
     /// of [`Document::set`]s would leave them, but in one sort: an
     /// object of `n` fields in any order costs `O(n log n)`, never the
     /// `O(n²)` of `n` sorted inserts.
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        let mut fields: Vec<(Key, Value)> =
-            iter.into_iter().map(|(k, v)| (Key::new(k), v)).collect();
+    fn from_iter<T: IntoIterator<Item = (Key, Value)>>(iter: T) -> Self {
+        let mut fields: Vec<(Key, Value)> = iter.into_iter().collect();
         // Stable, so equal names keep their input order and the last of
         // each run carries the value to keep.
         fields.sort_by(|(a, _), (b, _)| a.as_str().cmp(b.as_str()));
@@ -716,7 +714,7 @@ mod tests {
     #[test]
     fn shared_keys_are_one_allocation() {
         let key = Key::new("ncid");
-        let mut a = Document::with_capacity(1);
+        let mut a = Document::new();
         let mut b = Document::new();
         a.set_key(&key, "A1");
         b.set_key(&key, "B2");

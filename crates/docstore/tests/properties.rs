@@ -1,5 +1,5 @@
 //! Property-based tests for the document store: path access laws,
-//! filter/index agreement, total-order invariants, and the JSON
+//! collection ids and bytes, total-order invariants, and the JSON
 //! writer/reader pair (round trip, truncation, arbitrary bytes, and a
 //! file in the spelling the store's earlier writer used).
 
@@ -133,96 +133,8 @@ fn query_eq_implies_hash_eq_wide() {
     );
 }
 
-/// An indexed equality find returns exactly what a full scan does.
-fn indexed_find_agrees_with_scan_prop(g: &mut Gen) {
-    let values = g.vec(1..40, |g| g.string("ABCD", 1..=1));
-    let probe = g.string("ABCDE", 1..=1);
-    let mut indexed = Collection::new("i");
-    indexed.create_index("k", IndexKind::Hash);
-    let mut plain = Collection::new("p");
-    for v in &values {
-        indexed.insert(doc! { "k" => v.as_str() }).unwrap();
-        plain.insert(doc! { "k" => v.as_str() }).unwrap();
-    }
-    let filter = Filter::eq("k", probe.as_str());
-    let from_index: Vec<i64> = indexed
-        .find(&filter)
-        .iter()
-        .filter_map(|d| d.get_i64("_id"))
-        .collect();
-    let from_scan: Vec<i64> = plain
-        .find(&filter)
-        .iter()
-        .filter_map(|d| d.get_i64("_id"))
-        .collect();
-    assert_eq!(from_index, from_scan);
-}
-
-#[test]
-fn indexed_find_agrees_with_scan() {
-    check(
-        "indexed_find_agrees_with_scan",
-        indexed_find_agrees_with_scan_prop,
-    );
-}
-
-#[test]
-#[ignore = "wide sweep: cargo test -- --ignored"]
-fn indexed_find_agrees_with_scan_wide() {
-    check_n(
-        "indexed_find_agrees_with_scan",
-        3_000,
-        indexed_find_agrees_with_scan_prop,
-    );
-}
-
-/// Range finds via an ordered index agree with scans.
-fn range_find_agrees_with_scan_prop(g: &mut Gen) {
-    let values = g.vec(1..40, |g| int(g, -50..50));
-    let lo = int(g, -60..60);
-    let len = int(g, 0..40);
-    let hi = lo + len;
-    let mut indexed = Collection::new("i");
-    indexed.create_index("k", IndexKind::Ordered);
-    let mut plain = Collection::new("p");
-    for v in &values {
-        indexed.insert(doc! { "k" => *v }).unwrap();
-        plain.insert(doc! { "k" => *v }).unwrap();
-    }
-    let filter = Filter::between("k", lo, hi);
-    let a: Vec<i64> = indexed
-        .find(&filter)
-        .iter()
-        .filter_map(|d| d.get_i64("_id"))
-        .collect();
-    let b: Vec<i64> = plain
-        .find(&filter)
-        .iter()
-        .filter_map(|d| d.get_i64("_id"))
-        .collect();
-    assert_eq!(a, b);
-}
-
-#[test]
-fn range_find_agrees_with_scan() {
-    check(
-        "range_find_agrees_with_scan",
-        range_find_agrees_with_scan_prop,
-    );
-}
-
-#[test]
-#[ignore = "wide sweep: cargo test -- --ignored"]
-fn range_find_agrees_with_scan_wide() {
-    check_n(
-        "range_find_agrees_with_scan",
-        3_000,
-        range_find_agrees_with_scan_prop,
-    );
-}
-
-/// A document with an indexed hash key `k`, an indexed ordered `n` and
-/// an unindexed `u`, each present or not.
+/// A document with a string `k` and ints `n` and `u`, each present or
+/// not.
 fn keyed_doc(g: &mut Gen) -> Document {
     let fields = [
         ("k", Value::from(g.string("ABC", 1..=1))),
@@ -232,69 +144,24 @@ fn keyed_doc(g: &mut Gen) -> Document {
     fields.into_iter().filter(|_| g.bool()).map(|(k, v)| (k.to_owned(), v)).collect()
 }
 
-/// An eq or range filter on an indexed or unindexed path, alone or in
-/// a conjunction.
-fn keyed_filter(g: &mut Gen) -> Filter {
-    let leaf = |g: &mut Gen| match g.range(0..4) {
-        0 => Filter::eq("k", g.string("ABCD", 1..=1)),
-        1 => Filter::eq("u", int(g, 0..4)),
-        2 => Filter::eq("n", int(g, 0..13)),
-        _ => {
-            let lo = int(g, -1..12);
-            Filter::between("n", lo, lo + int(g, 0..6))
-        }
-    };
-    if g.bool() {
-        leaf(g)
-    } else {
-        let conjuncts = g.vec(2..4, leaf);
-        Filter::and(conjuncts)
-    }
-}
-
-/// Random inserts and replaces leave the ids `0..n` in order, each
-/// `get` on its own document, indexed finds equal to a scan, and a
-/// save → load that gives back the same bytes.
-fn inserts_and_replaces_keep_ids_indexes_and_bytes_prop(g: &mut Gen) {
+/// Random inserts leave the ids `0..n` in order, each `get` on its own
+/// document, and a save → load that gives back the same bytes.
+fn inserts_keep_ids_and_bytes_prop(g: &mut Gen) {
     static FILES: AtomicUsize = AtomicUsize::new(0);
     let mut coll = Collection::new("c");
-    if g.bool() {
-        coll.create_index("k", IndexKind::Hash);
-    }
-    coll.create_index("n", IndexKind::Ordered);
     // What each id should hold, by id.
     let mut model: Vec<Document> = Vec::new();
     for _ in 0..g.range(0..40) {
         let mut doc = keyed_doc(g);
-        let id = if model.is_empty() || g.bool() {
-            coll.insert(doc.clone()).unwrap()
-        } else {
-            let id = g.range(0..model.len() as u64);
-            assert!(coll.replace(id, doc.clone()));
-            id
-        };
+        let id = coll.insert(doc.clone()).unwrap();
         doc.set("_id", id as i64);
-        match model.get_mut(id as usize) {
-            Some(slot) => *slot = doc,
-            None => model.push(doc),
-        }
-    }
-    if g.bool() {
-        // An index declared late covers the documents already stored.
-        coll.create_index("k", IndexKind::Hash);
+        model.push(doc);
     }
 
     let ids: Vec<DocId> = coll.iter_ordered().map(|(id, _)| id).collect();
     assert_eq!(ids, (0..model.len() as u64).collect::<Vec<_>>());
     for (id, want) in model.iter().enumerate() {
         assert_eq!(coll.get(id as u64), Some(want), "id {id}");
-    }
-    for _ in 0..8 {
-        let filter = keyed_filter(g);
-        let scan: Vec<DocId> = (0..model.len() as u64)
-            .filter(|&id| filter.matches(&model[id as usize]))
-            .collect();
-        assert_eq!(coll.find_ids(&filter), scan, "{filter:?}");
     }
 
     let path = std::env::temp_dir().join(format!(
@@ -312,20 +179,20 @@ fn inserts_and_replaces_keep_ids_indexes_and_bytes_prop(g: &mut Gen) {
 }
 
 #[test]
-fn inserts_and_replaces_keep_ids_indexes_and_bytes() {
+fn inserts_keep_ids_and_bytes() {
     check(
-        "inserts_and_replaces_keep_ids_indexes_and_bytes",
-        inserts_and_replaces_keep_ids_indexes_and_bytes_prop,
+        "inserts_keep_ids_and_bytes",
+        inserts_keep_ids_and_bytes_prop,
     );
 }
 
 #[test]
 #[ignore = "wide sweep: cargo test -- --ignored"]
-fn inserts_and_replaces_keep_ids_indexes_and_bytes_wide() {
+fn inserts_keep_ids_and_bytes_wide() {
     check_n(
-        "inserts_and_replaces_keep_ids_indexes_and_bytes",
+        "inserts_keep_ids_and_bytes",
         3_000,
-        inserts_and_replaces_keep_ids_indexes_and_bytes_prop,
+        inserts_keep_ids_and_bytes_prop,
     );
 }
 

@@ -1,32 +1,31 @@
-//! The per-snapshot cluster catalog: one queryable [`Document`] per
-//! cluster, with secondary indexes over the scored fields.
+//! The per-snapshot cluster catalog: a table of derived facts, one row
+//! per cluster, stored column by column.
 //!
-//! The catalog is what query pipelines actually run against. Each
-//! cluster of a [`StoreSnapshot`] contributes one flat document of
-//! *derived* facts — size, heterogeneity, plausibility, snapshot date
-//! range, per-error-type difference counts — inserted in capture order,
-//! so a catalog `_id` doubles as the cluster's position in
-//! [`StoreSnapshot::clusters`]. Indexes over the selective fields give
-//! the planner posting lists; the unindexed `errors.*` counts
-//! deliberately exercise the residual-scan path.
+//! Query pipelines run against the catalog. Each cluster of a
+//! [`StoreSnapshot`] contributes one row — size, heterogeneity,
+//! plausibility, snapshot date range, per-error-type difference counts
+//! — at its position in [`StoreSnapshot::clusters`]; NCIDs are read from
+//! the snapshot the catalog keeps. Each selective field also keeps its
+//! positions sorted by value, the planner's posting lists; the
+//! `errors.*` counts deliberately have none and exercise the scan path.
+//! A row becomes a [`Document`] only when a query returns it or a stage
+//! reads it ([`ClusterCatalog::doc`]).
 //!
 //! Heterogeneity depends on the snapshot-wide entropy weights, so a
-//! catalog is valid only for the snapshot it was built from — the serve
-//! layer caches one per published `ServeSnapshot`. A publish that
-//! founds no cluster leaves positions and weights alone, so its catalog
-//! is the previous one with the revised clusters' documents replaced
-//! ([`ClusterCatalog::carry_forward`]); any other publish builds afresh
-//! on the first query.
+//! catalog is valid only for the snapshot it was built from. A publish
+//! that founds no cluster leaves positions and weights alone, so its
+//! catalog is the previous one with the revised clusters' rows
+//! re-derived ([`ClusterCatalog::carry_forward`]); any other publish
+//! builds afresh on the first query.
 
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use nc_core::heterogeneity::{HeterogeneityScorer, PairTable};
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::snapshot::{ClusterFacts, StoreSnapshot};
-use nc_docstore::collection::{Collection, DocId};
-use nc_docstore::index::IndexKind;
-use nc_docstore::query::Filter;
-use nc_docstore::value::{Document, Key};
+use nc_docstore::query::Fields;
+use nc_docstore::value::{Document, Key, Value};
 use nc_similarity::damerau;
 use nc_similarity::soundex::soundex;
 use nc_similarity::{with_thread_scratch, Scratch};
@@ -59,6 +58,9 @@ pub const ERROR_KINDS: &[&str] = &[
     "other",
 ];
 
+/// Per-cluster counts, one per [`ERROR_KINDS`] entry.
+type ErrorCounts = [u32; ERROR_KINDS.len()];
+
 /// Queryable catalog fields and their kinds. Validation rejects any
 /// dotted path outside this set, so typos in query documents fail
 /// loudly instead of matching nothing.
@@ -90,19 +92,28 @@ pub fn field_kind(path: &str) -> Option<FieldKind> {
 }
 
 /// The indexed catalog paths (everything selective; `errors.*` counts
-/// stay scan-only on purpose).
-const INDEXES: &[(&str, IndexKind)] = &[
-    ("ncid", IndexKind::Hash),
-    ("size", IndexKind::Ordered),
-    ("het", IndexKind::Ordered),
-    ("plaus", IndexKind::Ordered),
-    ("snapshot.first", IndexKind::Ordered),
-    ("snapshot.last", IndexKind::Ordered),
+/// stay scan-only on purpose), each with one sorted permutation of
+/// positions, and whether it answers ranges: `ncid`'s answers equality
+/// only, so explain reports a range on it as `range-on-hash-index`.
+pub(crate) const INDEXED: [(&str, bool); 6] = [
+    ("ncid", false),
+    ("size", true),
+    ("het", true),
+    ("plaus", true),
+    ("snapshot.first", true),
+    ("snapshot.last", true),
 ];
 
+/// Whether `path` is indexed and, if so, whether its index answers
+/// ranges.
+pub(crate) fn index_of(path: &str) -> Option<bool> {
+    INDEXED.iter().find(|(p, _)| *p == path).map(|&(_, ranges)| ranges)
+}
+
 /// The catalog's field names, allocated once and shared by every
-/// catalog document ([`Document::set_key`]).
+/// rendered document.
 struct Keys {
+    id: Key,
     ncid: Key,
     size: Key,
     het: Key,
@@ -119,6 +130,7 @@ struct Keys {
 fn keys() -> &'static Keys {
     static KEYS: OnceLock<Keys> = OnceLock::new();
     KEYS.get_or_init(|| Keys {
+        id: Key::new("_id"),
         ncid: Key::new("ncid"),
         size: Key::new("size"),
         het: Key::new("het"),
@@ -132,11 +144,71 @@ fn keys() -> &'static Keys {
     })
 }
 
-/// One queryable document per cluster of a snapshot, with indexes.
-#[derive(Debug)]
+/// One cluster's catalog fields besides its NCID: a row of the table.
+struct Entry<'a> {
+    size: u32,
+    het: f64,
+    plaus: f64,
+    first: &'a str,
+    last: &'a str,
+    errors: ErrorCounts,
+}
+
+impl<'a> Entry<'a> {
+    fn from_facts(facts: &'a ClusterFacts, errors: ErrorCounts) -> Self {
+        Entry {
+            size: u32::try_from(facts.size).expect("a cluster of fewer than 2^32 records"),
+            het: facts.heterogeneity,
+            plaus: facts.plausibility,
+            first: &facts.first_snapshot,
+            last: &facts.last_snapshot,
+            errors,
+        }
+    }
+
+    /// The catalog document of cluster `ncid`, with `_id` when given.
+    fn render(&self, ncid: &str, id: Option<usize>) -> Document {
+        let keys = keys();
+        let snapshot = [
+            (keys.first.clone(), Value::from(self.first)),
+            (keys.last.clone(), Value::from(self.last)),
+        ];
+        let counts = self.errors.iter().map(|&n| Value::Int(i64::from(n)));
+        let errors = keys.kinds.iter().cloned().zip(counts);
+        let sum = (keys.total.clone(), Value::Int(total(&self.errors)));
+        let fields = [
+            (keys.ncid.clone(), Value::from(ncid)),
+            (keys.size.clone(), Value::Int(i64::from(self.size))),
+            (keys.het.clone(), Value::Float(self.het)),
+            (keys.plaus.clone(), Value::Float(self.plaus)),
+            (keys.snapshot.clone(), Value::Doc(snapshot.into_iter().collect())),
+            (keys.errors.clone(), Value::Doc(errors.chain([sum]).collect())),
+        ];
+        let id = id.map(|id| (keys.id.clone(), Value::Int(id as i64)));
+        fields.into_iter().chain(id).collect()
+    }
+}
+
+fn total(errors: &ErrorCounts) -> i64 {
+    errors.iter().map(|&n| i64::from(n)).sum()
+}
+
+/// One row per cluster of a snapshot, column by column, with one sorted
+/// permutation of positions per [`INDEXED`] path.
+#[derive(Debug, Clone)]
 pub struct ClusterCatalog {
-    collection: Collection,
-    version: u32,
+    snapshot: StoreSnapshot,
+    size: Vec<u32>,
+    het: Vec<f64>,
+    plaus: Vec<f64>,
+    /// The snapshot dates, as indices into `dates`.
+    first: Vec<u32>,
+    last: Vec<u32>,
+    /// Every distinct snapshot date of the table, ascending.
+    dates: Vec<Value>,
+    errors: Vec<ErrorCounts>,
+    /// Per [`INDEXED`] path, every position ordered by (value, position).
+    orders: [Vec<u32>; INDEXED.len()],
 }
 
 impl ClusterCatalog {
@@ -165,94 +237,81 @@ impl ClusterCatalog {
             clusters.len(),
             "a pair table of other clusters"
         );
+        let n = clusters.len();
+        let mut catalog = ClusterCatalog {
+            snapshot: snapshot.clone(),
+            size: Vec::with_capacity(n),
+            het: Vec::with_capacity(n),
+            plaus: Vec::with_capacity(n),
+            first: Vec::with_capacity(n),
+            last: Vec::with_capacity(n),
+            dates: Vec::new(),
+            errors: Vec::with_capacity(n),
+            orders: Default::default(),
+        };
         let plausibility = PlausibilityScorer::new();
-        let mut collection = Collection::new("clusters");
-        // Index before inserting: Collection maintains indexes on every
-        // insert, which is cheaper than a create_index rebuild pass over
-        // an already-full collection.
-        for (path, kind) in INDEXES {
-            collection.create_index(*path, *kind);
-        }
         with_thread_scratch(|scratch| {
             for (pos, (ncid, rows)) in clusters.iter().enumerate() {
-                let facts = ClusterFacts::compute_with(
-                    scratch,
-                    ncid,
-                    rows,
-                    table.cluster(pos),
-                    &plausibility,
-                );
-                collection
-                    .insert(Self::doc_from_facts(scratch, &facts, rows))
-                    .expect("a catalog starts empty: one id per cluster, from 0");
+                let het = table.cluster(pos);
+                let facts = ClusterFacts::compute_with(scratch, ncid, rows, het, &plausibility);
+                let errors = error_counts(scratch, rows);
+                catalog.push(&Entry::from_facts(&facts, errors));
             }
         });
-        ClusterCatalog {
-            collection,
-            version: snapshot.version(),
+        for index in 0..INDEXED.len() {
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_unstable_by(|&a, &b| catalog.cmp_at(index, a, b));
+            catalog.orders[index] = order;
         }
+        catalog
     }
 
     /// The catalog for `snapshot` derived from `previous`, the catalog
-    /// of the version before it: a clone of `previous` with the
-    /// documents in `dirty` — `(capture position, document)` pairs
-    /// scored from `table` — replaced in place.
+    /// of the version before it: a copy of `previous`'s columns with the
+    /// row of every cluster whose record count moved re-derived from
+    /// `table`, and only those positions moved in the sorted
+    /// permutations.
     ///
     /// The caller vouches that `table` is `snapshot`'s pair table under
     /// the same weights `previous` was scored with, and that clusters
-    /// only ever gain records. Everything else is checked here: `None`
-    /// unless both catalogs cover the same NCIDs at the same positions.
-    /// A cluster whose record count moved but which `dirty` omits is
-    /// re-derived, so an incomplete `dirty` costs extra work, never a
-    /// stale document.
+    /// only ever gain records, so a revised cluster is a resized one.
+    /// Everything else is checked here: `None` unless both catalogs
+    /// cover the same NCIDs at the same positions.
     pub fn carry_forward(
         previous: &ClusterCatalog,
         snapshot: &StoreSnapshot,
         table: &PairTable,
-        dirty: &[(usize, Document)],
     ) -> Option<Self> {
         let clusters = snapshot.clusters();
         if previous.len() != clusters.len() || table.len() != clusters.len() {
             return None;
         }
-        let mut resized = Vec::new();
-        for (pos, (ncid, rows)) in clusters.iter().enumerate() {
-            let doc = previous.collection.get(pos as DocId)?;
-            if doc.get_str("ncid") != Some(ncid.as_str()) {
-                return None;
-            }
-            if doc.get_i64("size") != Some(rows.len() as i64) {
-                resized.push(pos);
-            }
+        if clusters.iter().enumerate().any(|(pos, (ncid, _))| previous.ncid(pos) != ncid) {
+            return None;
         }
-        let mut collection = previous.collection.clone();
-        for (pos, doc) in dirty {
-            let (ncid, _) = clusters.get(*pos)?;
-            if doc.get_str("ncid") != Some(ncid.as_str()) {
-                return None;
-            }
-            collection.replace(*pos as DocId, doc.clone());
-        }
+        let mut catalog = previous.clone();
+        catalog.snapshot = snapshot.clone();
+        let mut moved = Vec::new();
         let plausibility = PlausibilityScorer::new();
-        for pos in resized {
-            let (ncid, rows) = &clusters[pos];
-            let replaced = collection.get(pos as DocId).and_then(|d| d.get_i64("size"));
-            if replaced != Some(rows.len() as i64) {
-                let doc = Self::cluster_doc(ncid, rows, table.cluster(pos), &plausibility);
-                collection.replace(pos as DocId, doc);
+        with_thread_scratch(|scratch| {
+            for (pos, (ncid, rows)) in clusters.iter().enumerate() {
+                if catalog.size[pos] as usize != rows.len() {
+                    let het = table.cluster(pos);
+                    let facts = ClusterFacts::compute_with(scratch, ncid, rows, het, &plausibility);
+                    catalog.set(pos, &Entry::from_facts(&facts, error_counts(scratch, rows)));
+                    moved.push(pos as u32);
+                }
             }
-        }
-        Some(ClusterCatalog {
-            collection,
-            version: snapshot.version(),
-        })
+        });
+        catalog.reorder(moved);
+        Some(catalog)
     }
 
     /// The catalog document for one cluster of heterogeneity
-    /// `heterogeneity`, independent of any built catalog. The serve
-    /// layer uses this at publish time to test whether a founded or
-    /// revised cluster matches a cached carve's predicate footprint
-    /// under the *new* snapshot's scores.
+    /// `heterogeneity`, independent of any built catalog and without an
+    /// `_id`. The serve layer uses this at publish time to test whether
+    /// a founded or revised cluster matches a cached carve's predicate
+    /// footprint under the *new* snapshot's scores.
     pub fn cluster_doc(
         ncid: &str,
         rows: &[Row],
@@ -262,52 +321,202 @@ impl ClusterCatalog {
         with_thread_scratch(|scratch| {
             let facts =
                 ClusterFacts::compute_with(scratch, ncid, rows, heterogeneity, plausibility);
-            Self::doc_from_facts(scratch, &facts, rows)
+            Entry::from_facts(&facts, error_counts(scratch, rows)).render(ncid, None)
         })
-    }
-
-    fn doc_from_facts(scratch: &mut Scratch, facts: &ClusterFacts, rows: &[Row]) -> Document {
-        let keys = keys();
-        // Six fields and the `_id` the collection adds.
-        let mut doc = Document::with_capacity(7);
-        doc.set_key(&keys.ncid, facts.ncid.as_str());
-        doc.set_key(&keys.size, facts.size as i64);
-        doc.set_key(&keys.het, facts.heterogeneity);
-        doc.set_key(&keys.plaus, facts.plausibility);
-        let mut snap = Document::with_capacity(2);
-        snap.set_key(&keys.first, facts.first_snapshot.as_str());
-        snap.set_key(&keys.last, facts.last_snapshot.as_str());
-        doc.set_key(&keys.snapshot, snap);
-        doc.set_key(&keys.errors, error_counts(scratch, rows));
-        doc
     }
 
     /// The snapshot version this catalog was built from.
     pub fn version(&self) -> u32 {
-        self.version
+        self.snapshot.version()
     }
 
-    /// Number of cluster documents.
+    /// Number of clusters.
     pub fn len(&self) -> usize {
-        self.collection.len()
+        self.size.len()
     }
 
     /// Whether the catalog is empty.
     pub fn is_empty(&self) -> bool {
-        self.collection.is_empty()
+        self.size.is_empty()
     }
 
-    /// The underlying collection (documents in capture order by `_id`).
-    pub fn collection(&self) -> &Collection {
-        &self.collection
+    /// The catalog document of the cluster at capture position `pos`,
+    /// with `_id` set to `pos`: [`ClusterCatalog::cluster_doc`]'s bytes
+    /// plus that field.
+    pub fn doc(&self, pos: usize) -> Option<Document> {
+        Some(self.entry(pos)?.render(self.ncid(pos), Some(pos)))
     }
 
-    /// Whether the cluster with `ncid` matches `filter`. `None` when the
-    /// catalog has no such cluster. Served by the hash index on `ncid`.
-    pub fn cluster_matches(&self, ncid: &str, filter: &Filter) -> Option<bool> {
-        self.collection
-            .find_one(&Filter::eq("ncid", ncid))
-            .map(|doc| filter.matches(doc))
+    /// Every cluster's document ([`ClusterCatalog::doc`]) with its
+    /// position, in capture order.
+    pub fn documents(&self) -> impl Iterator<Item = (usize, Document)> + '_ {
+        (0..self.len()).filter_map(|pos| Some((pos, self.doc(pos)?)))
+    }
+
+    /// The NCID of the cluster at capture position `pos`.
+    pub(crate) fn ncid(&self, pos: usize) -> &str {
+        &self.snapshot.clusters()[pos].0
+    }
+
+    /// The fields of the cluster at `pos`, read from the columns.
+    pub(crate) fn row(&self, pos: usize) -> CatalogRow<'_> {
+        CatalogRow { catalog: self, pos }
+    }
+
+    /// The positions whose value at `path`, an [`INDEXED`] one, lies
+    /// within `lo ..= hi` by [`Value::total_cmp`], in the permutation's
+    /// order; empty when the bounds cross.
+    pub(crate) fn postings(&self, path: &str, lo: Option<&Value>, hi: Option<&Value>) -> &[u32] {
+        if lo.zip(hi).is_some_and(|(lo, hi)| lo.total_cmp(hi).is_gt()) {
+            return &[];
+        }
+        let index = INDEXED.iter().position(|(p, _)| *p == path).expect("an indexed path");
+        let order = &self.orders[index];
+        let cmp = |pos: u32, v: &Value| {
+            self.row(pos as usize).with_path(path, |x| x.expect("a field").total_cmp(v))
+        };
+        let start = lo.map_or(0, |lo| order.partition_point(|&p| cmp(p, lo).is_lt()));
+        let end = hi.map_or(order.len(), |hi| order.partition_point(|&p| !cmp(p, hi).is_gt()));
+        &order[start..end.max(start)]
+    }
+
+    fn entry(&self, pos: usize) -> Option<Entry<'_>> {
+        let date = |i: u32| self.dates[i as usize].as_str().expect("dates are strings");
+        Some(Entry {
+            size: *self.size.get(pos)?,
+            het: self.het[pos],
+            plaus: self.plaus[pos],
+            first: date(self.first[pos]),
+            last: date(self.last[pos]),
+            errors: self.errors[pos],
+        })
+    }
+
+    fn push(&mut self, entry: &Entry) {
+        let (first, last) = (self.date_index(entry.first), self.date_index(entry.last));
+        self.size.push(entry.size);
+        self.het.push(entry.het);
+        self.plaus.push(entry.plaus);
+        self.first.push(first);
+        self.last.push(last);
+        self.errors.push(entry.errors);
+    }
+
+    fn set(&mut self, pos: usize, entry: &Entry) {
+        let (first, last) = (self.date_index(entry.first), self.date_index(entry.last));
+        self.size[pos] = entry.size;
+        self.het[pos] = entry.het;
+        self.plaus[pos] = entry.plaus;
+        self.first[pos] = first;
+        self.last[pos] = last;
+        self.errors[pos] = entry.errors;
+    }
+
+    /// The index of `date` in `dates`, inserted when new; the date
+    /// columns are renumbered past an insertion, so the sorted
+    /// permutations stay sorted.
+    fn date_index(&mut self, date: &str) -> u32 {
+        match self.dates.binary_search_by(|d| d.as_str().cmp(&Some(date))) {
+            Ok(at) => at as u32,
+            Err(at) => {
+                self.dates.insert(at, Value::from(date));
+                for i in self.first.iter_mut().chain(&mut self.last) {
+                    *i += u32::from(*i >= at as u32);
+                }
+                at as u32
+            }
+        }
+    }
+
+    /// Positions `a` and `b` in the order of `INDEXED[index]`'s
+    /// permutation: by value, then by position. The native orders here agree with [`Value::total_cmp`]
+    /// on the rendered values, and `dates` is sorted.
+    fn cmp_at(&self, index: usize, a: u32, b: u32) -> Ordering {
+        let (a, b) = (a as usize, b as usize);
+        let by_value = match index {
+            0 => self.ncid(a).cmp(self.ncid(b)),
+            1 => self.size[a].cmp(&self.size[b]),
+            2 => self.het[a].total_cmp(&self.het[b]),
+            3 => self.plaus[a].total_cmp(&self.plaus[b]),
+            4 => self.first[a].cmp(&self.first[b]),
+            _ => self.last[a].cmp(&self.last[b]),
+        };
+        by_value.then(a.cmp(&b))
+    }
+
+    /// Re-sort the `moved` positions into every permutation but
+    /// `ncid`'s (a position's NCID never changes): take them out, sort
+    /// them, and merge them back in one pass.
+    fn reorder(&mut self, mut moved: Vec<u32>) {
+        if moved.is_empty() {
+            return;
+        }
+        moved.sort_unstable();
+        moved.dedup();
+        let mut is_moved = vec![false; self.len()];
+        for &pos in &moved {
+            is_moved[pos as usize] = true;
+        }
+        for index in 1..INDEXED.len() {
+            let cmp = |a: &u32, b: &u32| self.cmp_at(index, *a, *b);
+            moved.sort_unstable_by(cmp);
+            let mut merged = Vec::with_capacity(self.len());
+            let mut pending = moved.iter().copied().peekable();
+            for &pos in self.orders[index].iter().filter(|&&p| !is_moved[p as usize]) {
+                while let Some(next) = pending.next_if(|next| cmp(next, &pos).is_lt()) {
+                    merged.push(next);
+                }
+                merged.push(pos);
+            }
+            merged.extend(pending);
+            self.orders[index] = merged;
+        }
+    }
+}
+
+/// One cluster's fields as a [`Filter`](nc_docstore::query::Filter)
+/// reads them: numbers and dates straight from the columns, anything
+/// outside [`SCHEMA`] from the rendered document.
+pub(crate) struct CatalogRow<'a> {
+    catalog: &'a ClusterCatalog,
+    pos: usize,
+}
+
+impl CatalogRow<'_> {
+    /// Whether the value at `path` lies within `lo ..= hi` by
+    /// [`Value::total_cmp`].
+    pub(crate) fn within(&self, path: &str, lo: Option<&Value>, hi: Option<&Value>) -> bool {
+        self.with_path(path, |x| {
+            x.is_some_and(|x| {
+                lo.is_none_or(|lo| x.total_cmp(lo).is_ge())
+                    && hi.is_none_or(|hi| x.total_cmp(hi).is_le())
+            })
+        })
+    }
+}
+
+impl Fields for CatalogRow<'_> {
+    fn with_path<R>(&self, path: &str, f: impl FnOnce(Option<&Value>) -> R) -> R {
+        let (cat, pos) = (self.catalog, self.pos);
+        let count = |kind: &str| {
+            let errors = &cat.errors[pos];
+            match ERROR_KINDS.iter().position(|k| *k == kind) {
+                Some(at) => Some(i64::from(errors[at])),
+                None => (kind == "total").then(|| total(errors)),
+            }
+        };
+        match path {
+            "ncid" => f(Some(&Value::from(cat.ncid(pos)))),
+            "size" => f(Some(&Value::Int(i64::from(cat.size[pos])))),
+            "het" => f(Some(&Value::Float(cat.het[pos]))),
+            "plaus" => f(Some(&Value::Float(cat.plaus[pos]))),
+            "snapshot.first" => f(Some(&cat.dates[cat.first[pos] as usize])),
+            "snapshot.last" => f(Some(&cat.dates[cat.last[pos] as usize])),
+            _ => match path.strip_prefix("errors.").and_then(count) {
+                Some(n) => f(Some(&Value::Int(n))),
+                None => f(cat.doc(pos).as_ref().and_then(|d| d.get_path(path))),
+            },
+        }
     }
 }
 
@@ -315,8 +524,8 @@ impl ClusterCatalog {
 /// cluster and its founding (first) record, bucketed by the votergen
 /// error taxonomy. Differences on `ncid`/`snapshot_dt` are skipped —
 /// those legitimately vary across re-registrations.
-fn error_counts(scratch: &mut Scratch, rows: &[Row]) -> Document {
-    let mut counts = [0i64; ERROR_KINDS.len()];
+fn error_counts(scratch: &mut Scratch, rows: &[Row]) -> ErrorCounts {
+    let mut counts = ErrorCounts::default();
     if let Some((first, rest)) = rows.split_first() {
         for row in rest {
             for attr in 0..NUM_ATTRS {
@@ -337,15 +546,7 @@ fn error_counts(scratch: &mut Scratch, rows: &[Row]) -> Document {
             }
         }
     }
-    let keys = keys();
-    let mut doc = Document::with_capacity(ERROR_KINDS.len() + 1);
-    let mut total = 0i64;
-    for (kind, n) in keys.kinds.iter().zip(counts) {
-        doc.set_key(kind, n);
-        total += n;
-    }
-    doc.set_key(&keys.total, total);
-    doc
+    counts
 }
 
 /// Decide which error class best explains `a` (founding value) vs `b`
@@ -469,7 +670,10 @@ fn is_ocr_confusion(a: &str, b: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::{CarveQuery, QueryStage};
+    use crate::exec::{execute, ExecOptions};
     use nc_core::heterogeneity::Scope;
+    use nc_docstore::query::Filter;
     use nc_votergen::schema::{FIRST_NAME, LAST_NAME, MIDL_NAME, SEX_CODE};
 
     fn row(ncid: &str, first: &str, last: &str, snap: &str, age: &str) -> Row {
@@ -515,10 +719,9 @@ mod tests {
         let cat = ClusterCatalog::build(&snap, &scorer);
         assert_eq!(cat.len(), 3);
         assert_eq!(cat.version(), 1);
-        let ids: Vec<(u64, String)> = cat
-            .collection()
-            .iter_ordered()
-            .map(|(id, d)| (id, d.get_str("ncid").unwrap().to_owned()))
+        let ids: Vec<(usize, String)> = cat
+            .documents()
+            .map(|(pos, d)| (pos, d.get_str("ncid").unwrap().to_owned()))
             .collect();
         assert_eq!(
             ids,
@@ -531,13 +734,13 @@ mod tests {
         let snap = snapshot();
         let scorer = snap.entropy_scorer(Scope::Person);
         let cat = ClusterCatalog::build(&snap, &scorer);
-        let a1 = cat.collection().find_one(&Filter::eq("ncid", "A1")).unwrap();
+        let a1 = cat.doc(0).unwrap();
         assert_eq!(a1.get_i64("size"), Some(2));
         assert!(a1.get_f64("het").unwrap() > 0.0);
         assert!(a1.get_f64("plaus").unwrap() > 0.5);
         assert_eq!(a1.get_str("snapshot.first"), Some("2008-01-01"));
         assert_eq!(a1.get_str("snapshot.last"), Some("2010-05-06"));
-        let b2 = cat.collection().find_one(&Filter::eq("ncid", "B2")).unwrap();
+        let b2 = cat.doc(1).unwrap();
         assert_eq!(b2.get_i64("size"), Some(1));
         assert_eq!(b2.get_f64("plaus"), Some(1.0));
         assert_eq!(b2.get_i64("errors.total"), Some(0));
@@ -550,10 +753,10 @@ mod tests {
         let cat = ClusterCatalog::build(&snap, &scorer);
         // A1: SMITH→SMYTH keeps the soundex code (phonetic), ages differ
         // legitimately (typo bucket at distance ≤ 2 — not outlier).
-        let a1 = cat.collection().find_one(&Filter::eq("ncid", "A1")).unwrap();
+        let a1 = cat.doc(0).unwrap();
         assert_eq!(a1.get_i64("errors.phonetic"), Some(1));
         // C3: "P." abbreviates PAT; J0NE5 is an OCR confusion of JONES.
-        let c3 = cat.collection().find_one(&Filter::eq("ncid", "C3")).unwrap();
+        let c3 = cat.doc(2).unwrap();
         assert_eq!(c3.get_i64("errors.abbrev"), Some(1));
         assert_eq!(c3.get_i64("errors.ocr"), Some(1));
         assert!(c3.get_i64("errors.total").unwrap() >= 2);
@@ -596,35 +799,22 @@ mod tests {
         }
     }
 
+    /// Every selective field has a permutation listing each position
+    /// once, ascending by its rendered value; `errors.*` has none.
     #[test]
     fn selective_fields_are_indexed() {
         let snap = snapshot();
         let scorer = snap.entropy_scorer(Scope::Person);
         let cat = ClusterCatalog::build(&snap, &scorer);
-        let paths = cat.collection().indexed_paths();
-        for (p, _) in INDEXES {
-            assert!(paths.contains(p), "missing index on {p}");
+        for (path, _) in SCHEMA {
+            assert_eq!(index_of(path).is_some(), !path.starts_with("errors"), "{path}");
         }
-        // errors.* stays scan-only.
-        assert!(!paths.iter().any(|p| p.starts_with("errors")));
-        let plan = cat.collection().plan(&Filter::between("size", 2_i64, 3_i64));
-        assert!(!plan.is_full_scan());
-    }
-
-    #[test]
-    fn cluster_matches_uses_ncid_index() {
-        let snap = snapshot();
-        let scorer = snap.entropy_scorer(Scope::Person);
-        let cat = ClusterCatalog::build(&snap, &scorer);
-        assert_eq!(
-            cat.cluster_matches("A1", &Filter::gte("size", 2_i64)),
-            Some(true)
-        );
-        assert_eq!(
-            cat.cluster_matches("B2", &Filter::gte("size", 2_i64)),
-            Some(false)
-        );
-        assert_eq!(cat.cluster_matches("ZZ", &Filter::True), None);
+        for (path, _) in INDEXED {
+            let order = cat.postings(path, None, None);
+            let value = |p: u32| cat.doc(p as usize).unwrap().get_path(path).unwrap().clone();
+            assert_eq!(order.iter().map(|&p| 1 << p).sum::<u32>(), 0b111, "{path}");
+            assert!(order.windows(2).all(|w| value(w[0]).total_cmp(&value(w[1])).is_le()));
+        }
     }
 
     /// `snapshot()` at version 2 with B2 revised (one more record).
@@ -636,23 +826,8 @@ mod tests {
         StoreSnapshot::from_clusters(2, clusters)
     }
 
-    fn docs_by_id(cat: &ClusterCatalog) -> Vec<(u64, Document)> {
-        cat.collection()
-            .iter_ordered()
-            .map(|(id, d)| (id, d.clone()))
-            .collect()
-    }
-
-    /// The `(position, doc)` pair `carry_forward` takes for one cluster.
-    fn dirty_doc(
-        snap: &StoreSnapshot,
-        pos: usize,
-        scorer: &HeterogeneityScorer,
-    ) -> (usize, Document) {
-        let (ncid, rows) = &snap.clusters()[pos];
-        let plausibility = PlausibilityScorer::new();
-        let doc = ClusterCatalog::cluster_doc(ncid, rows, scorer.cluster(rows), &plausibility);
-        (pos, doc)
+    fn docs_by_id(cat: &ClusterCatalog) -> Vec<(usize, Document)> {
+        cat.documents().collect()
     }
 
     #[test]
@@ -664,56 +839,40 @@ mod tests {
         let previous = ClusterCatalog::build(&v1, &v1.entropy_scorer(Scope::Person));
         let fresh = ClusterCatalog::build(&v2, &scorer);
 
-        let dirty = [dirty_doc(&v2, 1, &scorer)];
         let table = PairTable::build(v2.clusters(), &scorer);
-        let carried = ClusterCatalog::carry_forward(&previous, &v2, &table, &dirty)
+        let carried = ClusterCatalog::carry_forward(&previous, &v2, &table)
             .expect("same NCIDs at the same positions");
         assert_eq!(carried.version(), 2);
         assert_eq!(docs_by_id(&carried), docs_by_id(&fresh));
         assert_ne!(docs_by_id(&carried), docs_by_id(&previous));
 
-        // The cloned-then-patched indexes answer like freshly built ones
-        // on every indexed path, for postings that moved and ones that
-        // did not.
-        let b2 = fresh.collection().get(1).unwrap();
+        // The copied-then-patched permutations answer like freshly
+        // built ones on every indexed path, for positions that moved
+        // and ones that did not.
+        let het = fresh.doc(1).unwrap().get_f64("het").unwrap();
         let filters = [
             Filter::eq("ncid", "B2"),
-            Filter::eq("size", 1_i64),
-            Filter::eq("size", 2_i64),
             Filter::between("size", 2_i64, 3_i64),
-            Filter::gte("het", b2.get_f64("het").unwrap()),
-            Filter::lt("het", b2.get_f64("het").unwrap()),
-            Filter::lte("plaus", b2.get_f64("plaus").unwrap()),
+            Filter::gte("het", het),
             Filter::eq("plaus", 1.0),
             Filter::eq("snapshot.first", "2009-03-04"),
             Filter::gte("snapshot.last", "2010-05-06"),
-            Filter::eq("snapshot.last", "2009-03-04"),
         ];
-        for f in &filters {
-            assert!(!carried.collection().plan(f).is_full_scan(), "{f:?} is indexed");
-            assert_eq!(
-                carried.collection().find_ids(f),
-                fresh.collection().find_ids(f),
-                "carried and fresh disagree on {f:?}"
+        for f in filters {
+            let query = CarveQuery {
+                version: None,
+                stages: vec![QueryStage::Match(f)],
+            };
+            let (got, want) = (
+                execute(&carried, &query, ExecOptions::default()),
+                execute(&fresh, &query, ExecOptions::default()),
             );
+            assert!(!got.explain.full_scan, "{query:?} is indexed");
+            assert_eq!(got.explain.render_json(), want.explain.render_json());
+            assert_eq!(got.positions, want.positions, "{query:?}");
         }
         // The source catalog is untouched by the carry.
-        assert_eq!(previous.collection().get(1).unwrap().get_i64("size"), Some(1));
-    }
-
-    #[test]
-    fn carry_rederives_a_grown_cluster_the_dirty_list_omits() {
-        let v1 = snapshot();
-        let v2 = revised_snapshot();
-        let scorer = v2.entropy_scorer(Scope::Person);
-        let previous = ClusterCatalog::build(&v1, &v1.entropy_scorer(Scope::Person));
-        let table = PairTable::build(v2.clusters(), &scorer);
-        let carried = ClusterCatalog::carry_forward(&previous, &v2, &table, &[])
-            .expect("an incomplete dirty list is repaired, not refused");
-        assert_eq!(
-            docs_by_id(&carried),
-            docs_by_id(&ClusterCatalog::build(&v2, &scorer))
-        );
+        assert_eq!(previous.doc(1).unwrap().get_i64("size"), Some(1));
     }
 
     #[test]
@@ -727,23 +886,18 @@ mod tests {
         grown.push(("D4".into(), vec![row("D4", "NEW", "VOTER", "2011-07-08", "20")]));
         let grown = StoreSnapshot::from_clusters(2, grown);
         let table = PairTable::build(grown.clusters(), &scorer);
-        assert!(ClusterCatalog::carry_forward(&previous, &grown, &table, &[]).is_none());
+        assert!(ClusterCatalog::carry_forward(&previous, &grown, &table).is_none());
 
         // Same count, but a position holds a different cluster.
         let mut swapped = v1.clusters().to_vec();
         swapped.swap(0, 2);
         let swapped = StoreSnapshot::from_clusters(2, swapped);
         let table = PairTable::build(swapped.clusters(), &scorer);
-        assert!(ClusterCatalog::carry_forward(&previous, &swapped, &table, &[]).is_none());
+        assert!(ClusterCatalog::carry_forward(&previous, &swapped, &table).is_none());
 
-        // A dirty document that names another cluster than its position.
-        let v2 = revised_snapshot();
-        let (_, doc) = dirty_doc(&v2, 1, &scorer);
-        let table = PairTable::build(v2.clusters(), &scorer);
-        let misplaced = [(0, doc.clone())];
-        assert!(ClusterCatalog::carry_forward(&previous, &v2, &table, &misplaced).is_none());
-        let out_of_range = [(9, doc)];
-        assert!(ClusterCatalog::carry_forward(&previous, &v2, &table, &out_of_range).is_none());
+        // A pair table of another snapshot.
+        let table = PairTable::build(&v1.clusters()[..2], &scorer);
+        assert!(ClusterCatalog::carry_forward(&previous, &v1, &table).is_none());
     }
 
     #[test]
@@ -751,7 +905,7 @@ mod tests {
         let snap = snapshot();
         let scorer = snap.entropy_scorer(Scope::Person);
         let cat = ClusterCatalog::build(&snap, &scorer);
-        let doc = cat.collection().get(0).unwrap();
+        let doc = cat.doc(0).unwrap();
         for (path, kind) in SCHEMA {
             let v = doc.get_path(path).unwrap_or_else(|| panic!("{path} absent"));
             let ok = match kind {

@@ -1,30 +1,34 @@
 //! Planning and executing a [`CarveQuery`] over a [`ClusterCatalog`].
 //!
-//! A leading `match` stage is pushed onto the catalog collection's
-//! indexes through [`Collection::plan`]: when any conjunct is indexed,
-//! candidates come from posting-list intersection and the snapshot is
-//! never fully scanned. Every other stage is delegated, one stage at a
-//! time, to the docstore's own [`Stage::apply`], so planned execution is
-//! equivalent to a naive [`execute_naive`] by construction — the
-//! only part the planner changes is how the first stage sources rows.
-//! The `sample` stage (which docstore pipelines do not model) is a
-//! partial Fisher–Yates shuffle over the workspace PRNG
-//! ([`nc_votergen::rng`]), so the same `(seed, query, version)`
+//! A leading `match` is planned and filtered on the catalog's columns:
+//! when any conjunct is indexed, candidates come from the sorted
+//! permutations' posting lists and no other row is read. Positions then
+//! flow through the stages that read no field (`skip`, `limit`, an
+//! unstratified `sample`); from the first stage that reads one, the
+//! stream is the clusters' [`Document`]s and each stage runs through the
+//! docstore's own [`Stage::apply`]. Every filter comparison is
+//! [`Value::total_cmp`] either way, so planned execution equals the naive
+//! [`execute_naive`] by construction. `sample` (which docstore pipelines
+//! do not model) is a partial Fisher–Yates shuffle over the workspace
+//! PRNG ([`nc_votergen::rng`]), so the same `(seed, query, version)`
 //! reproduces the same sample on every build.
+//!
+//! [`Stage::apply`]: nc_docstore::pipeline::Stage::apply
 
-use nc_docstore::plan::{ConjunctAccess, ConjunctDecision};
+use nc_docstore::query::Filter;
 use nc_docstore::value::{Document, Value};
 use nc_votergen::rng::Rng;
 
 use crate::ast::{CarveQuery, QueryStage};
-use crate::catalog::ClusterCatalog;
+use crate::catalog::{index_of, ClusterCatalog, INDEXED};
 
 /// Execution knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
-    /// Ignore indexes and scan every cluster document. The bench harness
-    /// uses this to measure the indexed-vs-scan speedup; the equivalence
-    /// suite uses it to check both paths produce identical bytes.
+    /// Ignore the sorted permutations and filter every cluster's row.
+    /// The bench harness uses this to measure the indexed-vs-scan
+    /// speedup; the equivalence suite uses it to check both paths
+    /// produce identical bytes.
     pub force_scan: bool,
 }
 
@@ -48,6 +52,65 @@ impl OutputKind {
     }
 }
 
+/// Why a conjunct could not be answered from an index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanReason {
+    /// No index exists on the conjunct's path.
+    NoIndex,
+    /// The path's index (`ncid`'s) answers equality only.
+    RangeOnHashIndex,
+    /// The predicate shape is not indexable (`ne`, `in`, `exists`,
+    /// `contains`, `or`, `not`). The label names the shape.
+    UnsupportedPredicate(&'static str),
+}
+
+impl ScanReason {
+    /// Stable, lowercase label for explain output and metrics.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ScanReason::NoIndex => "no-index",
+            ScanReason::RangeOnHashIndex => "range-on-hash-index",
+            ScanReason::UnsupportedPredicate(_) => "unsupported-predicate",
+        }
+    }
+}
+
+/// How one leaf conjunct is answered.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConjunctAccess {
+    /// Served by an equality posting-list lookup.
+    IndexedEq {
+        /// Length of the posting list the index returned.
+        postings: usize,
+    },
+    /// Served by a range lookup (bounds are inclusive, a superset of a
+    /// strict predicate; the residual filter tightens them).
+    IndexedRange {
+        /// Length of the posting list the index returned.
+        postings: usize,
+    },
+    /// Evaluated only by the residual filter.
+    Scanned(ScanReason),
+}
+
+/// The planner's verdict on one leaf conjunct of a filter.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConjunctDecision {
+    /// Human-readable rendering of the conjunct (`size >= 2`).
+    pub conjunct: String,
+    /// The dotted path the conjunct constrains, when it has one.
+    pub path: Option<String>,
+    /// The chosen access method.
+    pub access: ConjunctAccess,
+}
+
+impl ConjunctDecision {
+    /// Whether an index serves this conjunct.
+    pub fn is_indexed(&self) -> bool {
+        !matches!(self.access, ConjunctAccess::Scanned(_))
+    }
+}
+
 /// Per-stage row accounting for the explain report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTrace {
@@ -68,7 +131,7 @@ pub struct Explain {
     pub total_clusters: usize,
     /// Whether index use was disabled by [`ExecOptions::force_scan`].
     pub forced_scan: bool,
-    /// Whether execution reads every cluster document (no indexed
+    /// Whether execution reads every cluster's row (no indexed
     /// conjunct, no leading match, or a forced scan).
     pub full_scan: bool,
     /// Rows the index layer expects the leading match to touch (posting
@@ -185,27 +248,129 @@ pub fn output_kind(stages: &[QueryStage]) -> OutputKind {
     }
 }
 
-fn base_explain(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) -> Explain {
-    let coll = catalog.collection();
-    let total = coll.len();
-    let mut decisions = Vec::new();
-    let mut estimated = total;
-    let mut full_scan = true;
-    if let Some(QueryStage::Match(f)) = query.stages.first() {
-        let plan = coll.plan(f);
-        estimated = if opts.force_scan {
-            total
-        } else {
-            plan.estimated_rows(total)
-        };
-        full_scan = opts.force_scan || plan.is_full_scan();
-        decisions = plan.decisions;
+/// The positions among `candidates` (every position when `None`) whose
+/// rows `filter` admits, ascending.
+fn select(catalog: &ClusterCatalog, filter: &Filter, candidates: Option<Vec<usize>>) -> Vec<usize> {
+    let candidates = candidates.unwrap_or_else(|| (0..catalog.len()).collect());
+    candidates
+        .into_iter()
+        .filter(|&pos| filter.matches(&catalog.row(pos)))
+        .collect()
+}
+
+/// Candidate positions for a filter, ascending, or `None` when only a
+/// full scan will do. Each indexed path the filter pins with an
+/// equality or (where the index answers ranges) an inclusive range —
+/// `equality_on` / `range_on` descend `And` conjuncts — gives one
+/// posting list; the smallest is read, and each of its positions kept
+/// when its value lies within every other list's bounds. Candidates are
+/// a superset of the matches; callers always re-filter.
+fn index_candidates(catalog: &ClusterCatalog, filter: &Filter) -> Option<Vec<usize>> {
+    let bounds: Vec<(&str, Option<&Value>, Option<&Value>)> = INDEXED
+        .iter()
+        .filter_map(|&(path, ranges)| match filter.equality_on(path) {
+            Some(v) => Some((path, Some(v), Some(v))),
+            None if ranges => filter.range_on(path).map(|(lo, hi)| (path, lo, hi)),
+            None => None,
+        })
+        .collect();
+    let (smallest, postings) = bounds
+        .iter()
+        .map(|&(path, lo, hi)| catalog.postings(path, lo, hi))
+        .enumerate()
+        .min_by_key(|(_, postings)| postings.len())?;
+    let mut out: Vec<usize> = postings.iter().map(|&p| p as usize).collect();
+    out.sort_unstable();
+    out.retain(|&pos| {
+        let row = catalog.row(pos);
+        let mut others = bounds.iter().enumerate().filter(|&(i, _)| i != smallest);
+        others.all(|(_, &(path, lo, hi))| row.within(path, lo, hi))
+    });
+    Some(out)
+}
+
+/// Walk `And` conjuncts (the only shape index selection descends)
+/// and record a decision for every leaf.
+fn collect_decisions(catalog: &ClusterCatalog, filter: &Filter, out: &mut Vec<ConjunctDecision>) {
+    match filter {
+        Filter::And(fs) => {
+            for f in fs {
+                collect_decisions(catalog, f, out);
+            }
+        }
+        Filter::True => {}
+        leaf => out.push(decide(catalog, leaf)),
     }
-    Explain {
+}
+
+/// The verdict on one leaf conjunct, with its one-line rendering.
+fn decide(catalog: &ClusterCatalog, leaf: &Filter) -> ConjunctDecision {
+    let value = |v: &Value| match v {
+        Value::Str(s) => format!("{s:?}"),
+        other => other.to_json(),
+    };
+    let eq = |p: &str, v: &Value| match index_of(p) {
+        Some(_) => ConjunctAccess::IndexedEq {
+            postings: catalog.postings(p, Some(v), Some(v)).len(),
+        },
+        None => ConjunctAccess::Scanned(ScanReason::NoIndex),
+    };
+    let range = |p: &str, lo: Option<&Value>, hi: Option<&Value>| match index_of(p) {
+        Some(true) => ConjunctAccess::IndexedRange {
+            postings: catalog.postings(p, lo, hi).len(),
+        },
+        Some(false) => ConjunctAccess::Scanned(ScanReason::RangeOnHashIndex),
+        None => ConjunctAccess::Scanned(ScanReason::NoIndex),
+    };
+    let unsupported = |shape| ConjunctAccess::Scanned(ScanReason::UnsupportedPredicate(shape));
+    let cmp = |p: &str, op: &str, v: &Value| format!("{p} {op} {}", value(v));
+    let (conjunct, path, access) = match leaf {
+        Filter::Eq(p, v) => (cmp(p, "==", v), Some(p), eq(p, v)),
+        Filter::Ne(p, v) => (cmp(p, "!=", v), Some(p), unsupported("ne")),
+        Filter::Gt(p, v) => (cmp(p, ">", v), Some(p), range(p, Some(v), None)),
+        Filter::Gte(p, v) => (cmp(p, ">=", v), Some(p), range(p, Some(v), None)),
+        Filter::Lt(p, v) => (cmp(p, "<", v), Some(p), range(p, None, Some(v))),
+        Filter::Lte(p, v) => (cmp(p, "<=", v), Some(p), range(p, None, Some(v))),
+        Filter::In(p, vs) => (format!("{p} in [{} values]", vs.len()), Some(p), unsupported("in")),
+        Filter::Exists(p) => (format!("exists({p})"), Some(p), unsupported("exists")),
+        Filter::Contains(p, s) => {
+            (format!("contains({p}, {s:?})"), Some(p), unsupported("contains"))
+        }
+        Filter::Or(fs) => (format!("or[{}]", fs.len()), None, unsupported("or")),
+        Filter::Not(_) => ("not(..)".to_owned(), None, unsupported("not")),
+        Filter::True | Filter::And(_) => unreachable!("handled by collect_decisions"),
+    };
+    ConjunctDecision {
+        conjunct,
+        path: path.cloned(),
+        access,
+    }
+}
+
+/// The explain report before execution, and the candidates an index
+/// gives the leading match (`None`: no index applies, or no leading
+/// match).
+fn base_explain(
+    catalog: &ClusterCatalog,
+    query: &CarveQuery,
+    opts: ExecOptions,
+) -> (Explain, Option<Vec<usize>>) {
+    let total = catalog.len();
+    let mut decisions = Vec::new();
+    let mut candidates = None;
+    if let Some(QueryStage::Match(f)) = query.stages.first() {
+        collect_decisions(catalog, f, &mut decisions);
+        candidates = index_candidates(catalog, f);
+    }
+    let estimated = match &candidates {
+        Some(ids) if !opts.force_scan => ids.len(),
+        _ => total,
+    };
+    let explain = Explain {
         version: catalog.version(),
         total_clusters: total,
         forced_scan: opts.force_scan,
-        full_scan,
+        full_scan: opts.force_scan || candidates.is_none(),
         estimated_rows: estimated,
         actual_rows: None,
         decisions,
@@ -218,95 +383,96 @@ fn base_explain(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions)
             })
             .collect(),
         output: output_kind(&query.stages),
-    }
+    };
+    (explain, candidates)
 }
 
 /// Produce the plan report without executing (`POST /carve/explain`).
 pub fn plan_query(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) -> Explain {
-    base_explain(catalog, query, opts)
+    base_explain(catalog, query, opts).0
+}
+
+/// One stage over a document stream: `sample` by [`sample_docs`], any
+/// other by the docstore's [`Stage::apply`](nc_docstore::pipeline::Stage::apply).
+fn apply_stage(stage: &QueryStage, docs: Vec<Document>) -> Vec<Document> {
+    match stage {
+        QueryStage::Sample { size, seed, by } => sample_docs(docs, *size, *seed, by.as_deref()),
+        other => other
+            .to_docstore_stage()
+            .expect("only sample lacks a docstore stage")
+            .apply(docs),
+    }
 }
 
 /// Execute the query over the catalog.
 pub fn execute(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) -> QueryOutcome {
-    let coll = catalog.collection();
-    let mut explain = base_explain(catalog, query, opts);
+    let (mut explain, candidates) = base_explain(catalog, query, opts);
 
-    // Source the initial stream: a leading match goes through the
-    // planner (posting-list intersection + residual filter) unless the
-    // caller forced a scan; anything else starts from every cluster doc.
-    let (mut docs, rest): (Vec<Document>, &[QueryStage]) = match query.stages.split_first() {
+    // Source the initial stream: a leading match reads the planned
+    // candidates (every row under a forced scan); anything else starts
+    // from every cluster.
+    let (mut positions, rest): (Vec<usize>, &[QueryStage]) = match query.stages.split_first() {
         Some((QueryStage::Match(f), rest)) => {
-            let docs: Vec<Document> = if opts.force_scan {
-                coll.iter_ordered()
-                    .map(|(_, d)| d.clone())
-                    .filter(|d| f.matches(d))
-                    .collect()
-            } else {
-                coll.find(f).into_iter().cloned().collect()
-            };
-            (docs, rest)
+            (select(catalog, f, candidates.filter(|_| !opts.force_scan)), rest)
         }
-        _ => (
-            coll.iter_ordered().map(|(_, d)| d.clone()).collect(),
-            &query.stages[..],
-        ),
+        _ => ((0..catalog.len()).collect(), &query.stages[..]),
     };
     let had_leading_match = rest.len() != query.stages.len();
+    explain.actual_rows = Some(positions.len());
     if had_leading_match {
-        explain.actual_rows = Some(docs.len());
-        explain.stages[0].rows_out = Some(docs.len());
-    } else {
-        explain.actual_rows = Some(docs.len());
-    }
-
-    // When the only match stage is the leading one, the footprint filter
-    // is exactly that filter and `docs` already holds every admitted
-    // cluster — record the matched set now instead of re-running the
-    // index intersection + residual filter after the pipeline.
-    let single_leading_match = had_leading_match
-        && !rest.iter().any(|s| matches!(s, QueryStage::Match(_)));
-    let matched_early: Option<Vec<String>> = single_leading_match.then(|| {
-        docs.iter()
-            .filter_map(|d| d.get("ncid").and_then(Value::as_str).map(str::to_owned))
-            .collect()
-    });
-
-    let trace_offset = if had_leading_match { 1 } else { 0 };
-    for (i, stage) in rest.iter().enumerate() {
-        docs = match stage {
-            QueryStage::Sample { size, seed, by } => {
-                sample_docs(docs, *size, *seed, by.as_deref())
-            }
-            other => other
-                .to_docstore_stage()
-                .expect("only sample lacks a docstore stage")
-                .apply(docs),
-        };
-        explain.stages[trace_offset + i].rows_out = Some(docs.len());
+        explain.stages[0].rows_out = Some(positions.len());
     }
 
     // The matched set for the cache footprint: every cluster the
-    // recorded footprint admits (not just the sampled survivors). A
+    // recorded footprint admits (not just the sampled survivors). When
+    // the only match stage is the leading one, those are `positions`; a
     // `None` filter (no match stage, or a match over a transformed
     // stream) records the full snapshot.
-    let footprint = query.footprint();
-    let mut matched: Vec<String> = match matched_early {
-        Some(m) => m,
-        None => match &footprint.filter {
-            Some(f) => coll
-                .find(f)
-                .into_iter()
-                .filter_map(|d| d.get("ncid").and_then(Value::as_str).map(str::to_owned))
-                .collect(),
-            None => coll
-                .iter_ordered()
-                .filter_map(|(_, d)| d.get("ncid").and_then(Value::as_str).map(str::to_owned))
-                .collect(),
-        },
+    let admitted = if had_leading_match && !rest.iter().any(|s| matches!(s, QueryStage::Match(_))) {
+        positions.clone()
+    } else {
+        match &query.footprint().filter {
+            Some(f) => select(catalog, f, index_candidates(catalog, f)),
+            None => (0..catalog.len()).collect(),
+        }
     };
+    let mut matched: Vec<String> =
+        admitted.into_iter().map(|pos| catalog.ncid(pos).to_owned()).collect();
     matched.sort_unstable();
 
+    // Positions flow through the stages that read no field; from the
+    // first stage that reads one, the stream is the clusters' documents.
+    let trace_offset = usize::from(had_leading_match);
+    let field_free = rest
+        .iter()
+        .take_while(|s| {
+            matches!(
+                s,
+                QueryStage::Skip(_) | QueryStage::Limit(_) | QueryStage::Sample { by: None, .. }
+            )
+        })
+        .count();
+    for (i, stage) in rest[..field_free].iter().enumerate() {
+        match stage {
+            QueryStage::Sample { size, seed, .. } => {
+                positions = sample(positions, *size, *seed, None);
+            }
+            window => window
+                .to_docstore_stage()
+                .expect("skip and limit are docstore stages")
+                .apply_window(&mut positions),
+        }
+        explain.stages[trace_offset + i].rows_out = Some(positions.len());
+    }
+    let mut docs: Vec<Document> = positions.iter().filter_map(|&p| catalog.doc(p)).collect();
+    for (i, stage) in rest.iter().enumerate().skip(field_free) {
+        docs = apply_stage(stage, docs);
+        explain.stages[trace_offset + i].rows_out = Some(docs.len());
+    }
+
     let positions = match explain.output {
+        OutputKind::Docs => None,
+        OutputKind::Clusters if field_free == rest.len() => Some(positions),
         OutputKind::Clusters => Some(
             docs.iter()
                 .filter_map(|d| match d.get("_id") {
@@ -315,7 +481,6 @@ pub fn execute(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) 
                 })
                 .collect(),
         ),
-        OutputKind::Docs => None,
     };
 
     QueryOutcome {
@@ -326,30 +491,16 @@ pub fn execute(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) 
     }
 }
 
-/// The naive reference execution: every cluster doc through
+/// The naive reference execution: every cluster's document through
 /// [`Stage::apply`](nc_docstore::pipeline::Stage::apply), with `sample`
 /// applied by the same sampler.
 /// The equivalence suite asserts [`execute`] matches this byte for byte.
 pub fn execute_naive(catalog: &ClusterCatalog, query: &CarveQuery) -> Vec<Document> {
-    let mut docs: Vec<Document> = catalog
-        .collection()
-        .iter_ordered()
-        .map(|(_, d)| d.clone())
-        .collect();
-    for stage in &query.stages {
-        docs = match stage {
-            QueryStage::Sample { size, seed, by } => {
-                sample_docs(docs, *size, *seed, by.as_deref())
-            }
-            other => {
-                let ds = other
-                    .to_docstore_stage()
-                    .expect("only sample lacks a docstore stage");
-                ds.apply(docs)
-            }
-        };
-    }
-    docs
+    let docs = catalog.documents().map(|(_, d)| d).collect();
+    query
+        .stages
+        .iter()
+        .fold(docs, |docs, stage| apply_stage(stage, docs))
 }
 
 /// Seeded deterministic sampling. Keeps up to `size` documents (per
@@ -357,37 +508,39 @@ pub fn execute_naive(catalog: &ClusterCatalog, query: &CarveQuery) -> Vec<Docume
 /// the survivors. The sample depends only on `(seed, stream length,
 /// strata)`, making carves reproducible across builds.
 pub fn sample_docs(docs: Vec<Document>, size: usize, seed: u64, by: Option<&str>) -> Vec<Document> {
-    match by {
-        None => {
-            let keep = choose(docs.len(), size, seed);
-            take_indices(docs, keep)
-        }
-        Some(path) => {
-            // Strata in first-occurrence order; each stratum draws from
-            // its own seeded stream so adding one stratum never perturbs
-            // another's picks.
-            let mut strata: Vec<(u64, Vec<usize>)> = Vec::new();
-            for (i, doc) in docs.iter().enumerate() {
-                let key = doc
-                    .get_path(path)
-                    .map(Value::stable_hash)
-                    .unwrap_or(u64::MAX);
-                match strata.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members)) => members.push(i),
-                    None => strata.push((key, vec![i])),
-                }
-            }
-            let mut keep: Vec<usize> = Vec::new();
-            for (key, members) in &strata {
-                let stratum_seed = seed ^ key.rotate_left(17);
-                for pick in choose(members.len(), size, stratum_seed) {
-                    keep.push(members[pick]);
-                }
-            }
-            keep.sort_unstable();
-            take_indices(docs, keep)
+    let strata = by.map(|path| {
+        docs.iter()
+            .map(|doc| doc.get_path(path).map_or(u64::MAX, Value::stable_hash))
+            .collect()
+    });
+    sample(docs, size, seed, strata)
+}
+
+/// [`sample_docs`] over any stream, stratified by one key per item
+/// when `strata` is given.
+fn sample<T>(items: Vec<T>, size: usize, seed: u64, strata: Option<Vec<u64>>) -> Vec<T> {
+    let Some(keys) = strata else {
+        let keep = choose(items.len(), size, seed);
+        return take_indices(items, keep);
+    };
+    // Strata in first-occurrence order; each stratum draws from its own
+    // seeded stream so adding one stratum never perturbs another's picks.
+    let mut strata: Vec<(u64, Vec<usize>)> = Vec::new();
+    for (i, key) in keys.into_iter().enumerate() {
+        match strata.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(i),
+            None => strata.push((key, vec![i])),
         }
     }
+    let mut keep: Vec<usize> = Vec::new();
+    for (key, members) in &strata {
+        let stratum_seed = seed ^ key.rotate_left(17);
+        for pick in choose(members.len(), size, stratum_seed) {
+            keep.push(members[pick]);
+        }
+    }
+    keep.sort_unstable();
+    take_indices(items, keep)
 }
 
 /// `k` distinct indices from `0..n`, ascending, via partial
@@ -407,8 +560,8 @@ fn choose(n: usize, k: usize, seed: u64) -> Vec<usize> {
     keep
 }
 
-fn take_indices(docs: Vec<Document>, keep: Vec<usize>) -> Vec<Document> {
-    let mut slots: Vec<Option<Document>> = docs.into_iter().map(Some).collect();
+fn take_indices<T>(items: Vec<T>, keep: Vec<usize>) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
     keep.into_iter()
         .filter_map(|i| slots.get_mut(i).and_then(Option::take))
         .collect()

@@ -7,8 +7,8 @@
 //! aggregated result". This crate brings that instrument to the serving
 //! layer: instead of the fixed carve knobs (`clusters`, `min_size`,
 //! `seed`), a client POSTs a typed JSON pipeline and gets a carve that
-//! was *planned* — filtered through the catalog's secondary indexes —
-//! rather than scanned.
+//! was *planned* — read off the catalog's sorted permutations — rather
+//! than scanned.
 //!
 //! The flow is three layers, each independently testable:
 //!
@@ -16,14 +16,14 @@
 //!    reader, [`json`]): a query document becomes a [`CarveQuery`] or
 //!    a typed [`QueryError`] carrying the byte offset (JSON errors) or
 //!    the stage index and field path (structure/validation errors).
-//! 2. **Catalog** ([`catalog`]): one queryable [`Document`] per cluster
+//! 2. **Catalog** ([`catalog`]): one row per cluster, column by column
 //!    — `ncid`, `size`, `het`, `plaus`, `snapshot.first/.last`, and the
-//!    per-error-type counts under `errors.*` — with hash/ordered indexes
-//!    over the selective fields.
-//! 3. **Plan + execute** ([`exec`]): a leading `match` is pushed onto
-//!    the collection's posting lists via `Collection::plan` (never a
-//!    full scan when an index covers a conjunct); the remaining stages
-//!    run through the docstore's own stage machinery, plus a seeded
+//!    per-error-type counts under `errors.*` — rendered as a [`Document`]
+//!    on demand, with a sorted permutation per selective field.
+//! 3. **Plan + execute** ([`exec`]): a leading `match` is planned and
+//!    filtered on the columns (never a full scan when a permutation
+//!    covers a conjunct); the stages that read fields run through the
+//!    docstore's own stage machinery, plus a seeded
 //!    deterministic `sample` stage. [`Explain`] reports indexed vs
 //!    scanned conjuncts and estimated vs actual rows.
 //!

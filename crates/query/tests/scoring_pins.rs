@@ -85,7 +85,7 @@ fn scores_digest(snapshot: &StoreSnapshot) -> String {
 fn catalog_digest(snapshot: &StoreSnapshot) -> String {
     let catalog = ClusterCatalog::build(snapshot, &snapshot.entropy_scorer(Scope::Person));
     let mut text = String::new();
-    for (id, doc) in catalog.collection().iter_ordered() {
+    for (id, doc) in catalog.documents() {
         text.push_str(&id.to_string());
         text.push('\t');
         text.push_str(&doc.to_json());

@@ -404,8 +404,8 @@ impl CarveEngine {
     ///    ([`carry_is_sound`]), the previous version's pair table, if
     ///    built, seeds the new one with only the appended records' pairs
     ///    scored ([`PairTable::carry`]); from that table, the previous
-    ///    catalog, if built, seeds a clone whose dirty clusters'
-    ///    documents are replaced ([`ClusterCatalog::carry_forward`]).
+    ///    catalog, if built, seeds a copy whose revised clusters' rows
+    ///    are re-derived ([`ClusterCatalog::carry_forward`]).
     ///    Otherwise both are built in full on first use, as for any
     ///    fresh snapshot.
     /// 2. **Cache carry-forward**: a cached carve transfers to the
@@ -438,11 +438,7 @@ impl CarveEngine {
         let transition = delta
             .as_ref()
             .filter(|d| d.version == new_version && previous.version() != new_version);
-        // Catalog docs for the delta's dirty clusters, scored under the
-        // *new* snapshot; derived at most once per publish, by whichever
-        // of the catalog carry and the footprint check needs them first.
-        let mut dirty_docs: Option<Vec<(usize, Document)>> = None;
-        if let Some(delta) = transition.filter(|d| carry_is_sound(&previous, &snapshot, d)) {
+        if transition.is_some_and(|d| carry_is_sound(&previous, &snapshot, d)) {
             let clusters = snapshot.store().clusters();
             let carried = previous
                 .built_pair_table()
@@ -451,11 +447,9 @@ impl CarveEngine {
                 snapshot.seed_pair_table(table);
                 self.pairs_carried.fetch_add(1, Ordering::Relaxed);
                 if let Some(catalog) = previous.built_catalog() {
-                    let docs =
-                        dirty_docs.get_or_insert_with(|| dirty_cluster_docs(&snapshot, delta));
                     let table = snapshot.pair_table();
                     if let Some(carried) =
-                        ClusterCatalog::carry_forward(catalog, snapshot.store(), table, docs)
+                        ClusterCatalog::carry_forward(catalog, snapshot.store(), table)
                     {
                         snapshot.seed_catalog(carried);
                         self.catalog_carried.fetch_add(1, Ordering::Relaxed);
@@ -469,6 +463,10 @@ impl CarveEngine {
         // cache entries carry only across the transition the delta names.
         let transition = transition.filter(|_| outcome.previous_version == previous.version());
         if let Some(delta) = transition {
+            // Catalog docs for the delta's dirty clusters, scored under
+            // the *new* snapshot; derived at most once per publish, by
+            // the first footprint check that needs them.
+            let mut dirty_docs: Option<Vec<(usize, Document)>> = None;
             let knob_ok = delta.founded.is_empty();
             for (tag, result) in self.cache.entries() {
                 if tag != u64::from(outcome.previous_version) {
@@ -1443,12 +1441,8 @@ mod tests {
             .unwrap();
     }
 
-    fn catalog_docs(catalog: &ClusterCatalog) -> Vec<(u64, Document)> {
-        catalog
-            .collection()
-            .iter_ordered()
-            .map(|(id, doc)| (id, doc.clone()))
-            .collect()
+    fn catalog_docs(catalog: &ClusterCatalog) -> Vec<(usize, Document)> {
+        catalog.documents().collect()
     }
 
     /// Whatever path produced the current snapshot's catalog, it equals
@@ -1590,7 +1584,7 @@ mod tests {
         assert!(current.built_catalog().is_some(), "carried, with C1 re-derived");
         assert_eq!(engine.delta_stats().catalog_carried, 1);
         assert_catalog_is_fresh(&engine);
-        assert_eq!(current.catalog().collection().get(1).unwrap().get_i64("size"), Some(2));
+        assert_eq!(current.catalog().doc(1).unwrap().get_i64("size"), Some(2));
     }
 
     #[test]

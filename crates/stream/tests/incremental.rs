@@ -12,8 +12,8 @@
 //!   are **byte-identical** to fresh carves of the same snapshot,
 //! * the engine's query catalog — carried forward across revise-only
 //!   publishes, built in full otherwise — equals
-//!   [`nc_query::ClusterCatalog::build`] on that snapshot doc for doc,
-//!   answers indexed filters like it, and serves query carves
+//!   [`nc_query::ClusterCatalog::build`] on that snapshot by rendered
+//!   bytes, executes indexed matches like it, and serves query carves
 //!   byte-identical to a cold, cache-less engine,
 //! * the engine's pair table — carried or built the same way — equals
 //!   [`nc_core::heterogeneity::PairTable::build`] on that snapshot by
@@ -34,7 +34,7 @@ use nc_core::scoring::{score_clusters, score_clusters_incremental, ClusterScore,
 use nc_core::tsv::{write_snapshot, ImportOptions};
 use nc_docstore::query::Filter;
 use nc_propcheck::check_n;
-use nc_query::{CarveQuery, ClusterCatalog};
+use nc_query::{execute, CarveQuery, ClusterCatalog, ExecOptions, QueryStage};
 use nc_serve::{CarveEngine, CarveRequest, ServeSnapshot, SnapshotRegistry};
 use nc_shard::{ShardEngine, ShardEngineConfig};
 use nc_stream::{fold_delta, ChangeKind, ChangeStream};
@@ -123,22 +123,20 @@ fn query_requests() -> Vec<CarveQuery> {
 }
 
 /// The serving catalog of the current version against a from-scratch
-/// build: same documents by `_id`, and the same answers from the
-/// (possibly cloned-and-patched) indexes on every indexed path.
+/// build: the same rendered documents by position, and the same
+/// `execute` outcome — explain, positions, rendered documents and
+/// matched set — for a match on every indexed path, whose
+/// (possibly copied-and-patched) sorted permutations answer it.
 fn assert_catalog_matches_fresh_build(serving: &CarveEngine) {
     let current = serving.registry().current();
     let served = current.catalog();
     let fresh = ClusterCatalog::build(current.store(), current.scorer());
-    let docs = |catalog: &ClusterCatalog| -> Vec<_> {
-        catalog
-            .collection()
-            .iter_ordered()
-            .map(|(id, doc)| (id, doc.clone()))
-            .collect()
+    let docs = |catalog: &ClusterCatalog| -> Vec<(usize, String)> {
+        catalog.documents().map(|(pos, doc)| (pos, doc.to_json())).collect()
     };
     assert_eq!(docs(served), docs(&fresh), "version {}", current.version());
     // Filter operands come from a real document so they hit postings.
-    let probe = fresh.collection().get(0).expect("non-empty store");
+    let probe = fresh.doc(0).expect("non-empty store");
     let het = probe.get_f64("het").unwrap();
     let last = probe.get_str("snapshot.last").unwrap();
     let filters = [
@@ -151,11 +149,20 @@ fn assert_catalog_matches_fresh_build(serving: &CarveEngine) {
         Filter::eq("snapshot.first", probe.get_str("snapshot.first").unwrap()),
         Filter::between("snapshot.last", "", last),
     ];
-    for filter in &filters {
+    let outcome = |catalog: &ClusterCatalog, query: &CarveQuery| {
+        let out = execute(catalog, query, ExecOptions::default());
+        let docs: Vec<String> = out.docs.iter().map(|d| d.to_json()).collect();
+        (out.explain.render_json(), out.positions, docs, out.matched)
+    };
+    for filter in filters {
+        let query = CarveQuery {
+            version: None,
+            stages: vec![QueryStage::Match(filter)],
+        };
         assert_eq!(
-            served.collection().find_ids(filter),
-            fresh.collection().find_ids(filter),
-            "indexes disagree on {filter:?} at version {}",
+            outcome(served, &query),
+            outcome(&fresh, &query),
+            "catalogs disagree on {query:?} at version {}",
             current.version()
         );
     }
