@@ -17,13 +17,16 @@
 //! [`load`] is strict: any checksum mismatch, missing footer, or count
 //! drift is an error. [`salvage`] is the recovery path: it loads every
 //! intact prefix line of a damaged file and reports exactly what was
-//! dropped ([`SalvageReport`]). Files written before checksums existed
-//! (plain JSON lines) still load through both paths.
+//! dropped ([`SalvageReport`]). Both are one scan, so `salvage` keeps
+//! exactly the documents before the first line `load` refuses. Files
+//! written before checksums existed (plain JSON lines) still load
+//! through both paths. The nc-shard WAL and manifest and the nc-stream
+//! cursor share the line frame, the one walk over it ([`FramedLines`])
+//! and the one atomic replace ([`replace`]).
 
 use std::collections::HashSet;
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 use nc_vfs::{StdVfs, Vfs};
 
@@ -152,18 +155,6 @@ impl Footer {
     }
 }
 
-/// Fsync a directory, making previously renamed or created entries in
-/// it durable. Best-effort on the open: not every filesystem permits
-/// opening a directory, and on those the rename durability the caller
-/// wants cannot be had anyway — but an fsync that *was* issued and
-/// failed is a real error and is reported.
-pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    match File::open(dir) {
-        Ok(d) => d.sync_all(),
-        Err(_) => Ok(()),
-    }
-}
-
 /// Append the CRC-32 suffix framing [`save`] uses to one line body:
 /// `<body>\t#crc:xxxxxxxx`. The body must not contain a newline. Other
 /// log formats (the nc-shard WAL) reuse this framing so one torn-tail
@@ -216,12 +207,126 @@ pub fn read_framed(line: &str) -> Option<&str> {
     (crc32(body.as_bytes()) == crc).then_some(body)
 }
 
+/// Why a [`FramedLines`] walk stopped before the end of its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineDamage {
+    /// The last line has no newline: cut short, or still being written.
+    Torn,
+    /// The line is not UTF-8.
+    InvalidUtf8,
+    /// The line's CRC-32 suffix does not match its body, or the line
+    /// has no well-formed suffix where every line must have one.
+    BadFrame,
+}
+
+/// The damaged line a [`FramedLines`] walk stopped at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Damage {
+    /// Byte offset of the line's first byte.
+    pub offset: usize,
+    /// 1-based line number, counted from where the walk began.
+    pub number: usize,
+    /// What is wrong with it.
+    pub kind: LineDamage,
+}
+
+/// One intact line of a [`FramedLines`] walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Line<'a> {
+    /// Byte offset of the line's first byte.
+    pub offset: usize,
+    /// Byte offset just past the line's newline.
+    pub end: usize,
+    /// 1-based line number, counted from where the walk began.
+    pub number: usize,
+    /// The line without its newline, and without its CRC-32 suffix
+    /// when it carries one.
+    pub body: &'a str,
+    /// Whether the line carried a suffix (which then matched).
+    pub framed: bool,
+}
+
+/// The one walk over the workspace's line-framed files — saved
+/// collections, shard log segments, the shard manifest, stream cursors.
+/// It yields every intact line in order and ends after the first
+/// damaged one, which it yields as a [`Damage`]. It reads nothing but
+/// the bytes it is given and allocates nothing.
+#[derive(Debug, Clone)]
+pub struct FramedLines<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    number: usize,
+    unframed: bool,
+}
+
+impl<'a> FramedLines<'a> {
+    /// Walk `bytes` from offset `start`, requiring every line to be
+    /// framed.
+    pub fn new(bytes: &'a [u8], start: usize) -> Self {
+        FramedLines { bytes, pos: start, number: 0, unframed: false }
+    }
+
+    /// Let lines without a suffix through as `framed: false` (collection
+    /// files: the footer, and files written before checksums); a suffix
+    /// that is there must still match.
+    pub fn allow_unframed(self) -> Self {
+        FramedLines { unframed: true, ..self }
+    }
+}
+
+impl<'a> Iterator for FramedLines<'a> {
+    type Item = Result<Line<'a>, Damage>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let offset = self.pos;
+        let rest = self.bytes.get(offset..).filter(|rest| !rest.is_empty())?;
+        self.number += 1;
+        // Nothing after a damaged line is read.
+        self.pos = self.bytes.len();
+        let number = self.number;
+        let damage = |kind| Some(Err(Damage { offset, number, kind }));
+        let Some(len) = find_newline(rest) else {
+            return damage(LineDamage::Torn);
+        };
+        let Ok(text) = std::str::from_utf8(&rest[..len]) else {
+            return damage(LineDamage::InvalidUtf8);
+        };
+        let (body, framed) = match split_checksum(text) {
+            Some((body, crc)) if crc32(body.as_bytes()) == crc => (body, true),
+            None if self.unframed => (text, false),
+            _ => return damage(LineDamage::BadFrame),
+        };
+        self.pos = offset + len + 1;
+        Some(Ok(Line { offset, end: self.pos, number, body, framed }))
+    }
+}
+
+/// Replace the file at `path` with what `write` writes, atomically and
+/// with every mutating syscall issued through `vfs`: write
+/// `<file name>.tmp` beside it, fsync it, rename it over `path`, fsync
+/// the directory. A crash at any step leaves `path` holding its old
+/// contents or its new ones, never a third state.
+pub fn replace(
+    path: &Path,
+    vfs: &dyn Vfs,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut out = BufWriter::new(vfs.create(&tmp)?);
+    write(&mut out)?;
+    let mut file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+    file.sync_file()?;
+    drop(file);
+    vfs.rename(&tmp, path)?;
+    // Make the rename itself durable.
+    path.parent().map_or(Ok(()), |dir| vfs.sync_dir(dir))
+}
+
 /// Write a collection to `path` as checksummed JSON lines (ascending
-/// `_id`), atomically.
-///
-/// The data is first written to a sibling temporary file, fsynced, and
-/// renamed into place, so an interrupted save never corrupts a
-/// previously saved file.
+/// `_id`), atomically ([`replace`]), so an interrupted save never
+/// corrupts a previously saved file.
 pub fn save(collection: &Collection, path: &Path) -> Result<(), PersistError> {
     save_with(collection, path, &StdVfs)
 }
@@ -230,40 +335,25 @@ pub fn save(collection: &Collection, path: &Path) -> Result<(), PersistError> {
 ///
 /// This is the injectable form the fault sweeps drive: a
 /// [`nc_vfs::FaultVfs`] crashed at any operation K must leave `path`
-/// loading as either its previous contents or the new ones — the
-/// atomic tmp + fsync + rename protocol guarantees there is no third
-/// state, and `crates/docstore/tests/syscall_sweep.rs` proves it for
-/// every K.
+/// loading as either its previous contents or the new ones, and
+/// `crates/docstore/tests/syscall_sweep.rs` proves it for every K.
 pub fn save_with(collection: &Collection, path: &Path, vfs: &dyn Vfs) -> Result<(), PersistError> {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("collection.jsonl");
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
-    let mut w = BufWriter::new(vfs.create(&tmp)?);
-    let mut running = Crc32::new();
-    let mut count: u64 = 0;
-    let mut line = String::new();
-    for (_, doc) in collection.iter_ordered() {
-        line.clear();
-        doc.render_json(&mut line);
-        running.update(line.as_bytes());
-        running.update(b"\n");
-        frame_in_place(&mut line);
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-        count += 1;
-    }
-    writeln!(w, "{FOOTER_PREFIX}{}", Footer::new(count, running).to_json())?;
-    w.flush()?;
-    let mut file = w.into_inner().map_err(|e| PersistError::Io(e.into_error()))?;
-    file.sync_file()?;
-    drop(file);
-    vfs.rename(&tmp, path)?;
-    // Make the rename itself durable.
-    if let Some(parent) = path.parent() {
-        vfs.sync_dir(parent)?;
-    }
+    replace(path, vfs, |w| {
+        let mut running = Crc32::new();
+        let mut count: u64 = 0;
+        let mut line = String::new();
+        for (_, doc) in collection.iter_ordered() {
+            line.clear();
+            doc.render_json(&mut line);
+            running.update(line.as_bytes());
+            running.update(b"\n");
+            frame_in_place(&mut line);
+            line.push('\n');
+            w.write_all(line.as_bytes())?;
+            count += 1;
+        }
+        writeln!(w, "{FOOTER_PREFIX}{}", Footer::new(count, running).to_json())
+    })?;
     Ok(())
 }
 
@@ -293,12 +383,101 @@ fn parse_doc(body: &str, line: usize) -> Result<(u64, Document), PersistError> {
     Ok((id, doc))
 }
 
+/// The one scan behind [`load`] and [`salvage`]: the documents of a
+/// collection file's intact prefix, its footer, and its first damage.
+#[derive(Default)]
+struct Scan {
+    docs: Vec<(u64, Document)>,
+    ids: HashSet<u64>,
+    /// Running checksum over the data lines read so far.
+    running: Crc32,
+    /// Whether a suffix or the footer has shown the file is checksummed.
+    checksummed: bool,
+    footer: FooterStatus,
+    /// The document count a readable footer promised.
+    expected: Option<u64>,
+    /// Byte offset and line number of the first damaged line, and what
+    /// [`load`] reports for it.
+    damage: Option<(usize, usize, PersistError)>,
+}
+
+impl Scan {
+    fn run(bytes: &[u8]) -> Scan {
+        let mut scan = Scan::default();
+        for line in FramedLines::new(bytes, 0).allow_unframed() {
+            let (offset, number, error) = match line {
+                Ok(line) => match scan.read(&line) {
+                    Ok(()) => continue,
+                    Err(error) => (line.offset, line.number, error),
+                },
+                Err(Damage { offset, number, kind }) => {
+                    let error = match kind {
+                        LineDamage::Torn => scan.torn(),
+                        LineDamage::InvalidUtf8 => corrupt(number, "invalid utf-8".into()),
+                        LineDamage::BadFrame => PersistError::Checksum { line: number },
+                    };
+                    (offset, number, error)
+                }
+            };
+            scan.damage = Some((offset, number, error));
+            break;
+        }
+        scan
+    }
+
+    /// A line cut short: no newline, or a bare line in a checksummed
+    /// file.
+    fn torn(&self) -> PersistError {
+        let found = self.docs.len() as u64;
+        PersistError::Truncated { expected: None, found }
+    }
+
+    /// Take one intact line: blank, footer, or document.
+    fn read(&mut self, line: &Line) -> Result<(), PersistError> {
+        if !line.framed && line.body.trim().is_empty() {
+            return Ok(());
+        }
+        if self.footer != FooterStatus::Missing {
+            return Err(corrupt(line.number, "content after footer".into()));
+        }
+        if let Some(rest) = line.body.strip_prefix(FOOTER_PREFIX) {
+            self.checksummed = true;
+            self.footer = FooterStatus::Invalid;
+            let footer = Footer::parse(rest)
+                .map_err(|e| corrupt(line.number, format!("unreadable footer: {e}")))?;
+            if footer == Footer::new(self.docs.len() as u64, self.running) {
+                self.footer = FooterStatus::Valid;
+            }
+            self.expected = Some(footer.count);
+            return Ok(());
+        }
+        // A checksummed file has no bare lines: this one lost its
+        // suffix to a cut or a tear, so it is not a legacy line to be
+        // taken unverified.
+        if !line.framed && self.checksummed {
+            return Err(self.torn());
+        }
+        self.checksummed |= line.framed;
+        let (id, doc) = parse_doc(line.body, line.number)?;
+        if !self.ids.insert(id) {
+            return Err(corrupt(line.number, format!("_id {id} repeats an earlier line's")));
+        }
+        self.running.update(line.body.as_bytes());
+        self.running.update(b"\n");
+        self.docs.push((id, doc));
+        Ok(())
+    }
+}
+
+fn corrupt(line: usize, message: String) -> PersistError {
+    PersistError::Corrupt { line, message }
+}
+
 /// Load a collection from a JSON-lines file written by [`save`].
 ///
 /// Documents keep their `_id`s, gaps included; the next insert takes the
 /// maximum loaded id + 1. A second line with an `_id` already read is
-/// [`PersistError::Corrupt`]. Declared indexes must be re-created by the
-/// caller (index definitions are not persisted).
+/// [`PersistError::Corrupt`].
 ///
 /// Loading is strict: a checksummed file with any damaged line, a
 /// missing footer, or a count/checksum drift fails with the precise
@@ -308,89 +487,28 @@ fn parse_doc(body: &str, line: usize) -> Result<(u64, Document), PersistError> {
 /// a well-formed suffix is a torn line ([`PersistError::Truncated`]),
 /// not a legacy one.
 pub fn load(name: &str, path: &Path) -> Result<Collection, PersistError> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let mut docs: Vec<(u64, Document)> = Vec::new();
-    let mut seen = HashSet::new();
-    let mut running = Crc32::new();
-    let mut data_count: u64 = 0;
-    let mut checksummed = false;
-    let mut footer: Option<Footer> = None;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let lineno = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if footer.is_some() {
-            return Err(PersistError::Corrupt {
-                line: lineno,
-                message: "content after footer".into(),
-            });
-        }
-        if let Some(rest) = line.strip_prefix(FOOTER_PREFIX) {
-            let f = Footer::parse(rest).map_err(|e| PersistError::Corrupt {
-                line: lineno,
-                message: format!("unreadable footer: {e}"),
-            })?;
-            footer = Some(f);
-            checksummed = true;
-            continue;
-        }
-        let body = match split_checksum(&line) {
-            Some((body, crc)) => {
-                checksummed = true;
-                if crc32(body.as_bytes()) != crc {
-                    return Err(PersistError::Checksum { line: lineno });
-                }
-                body
-            }
-            // A checksummed file has no bare lines: this one lost its
-            // suffix to a cut or a tear, so it is not a legacy line to
-            // be taken unverified.
-            None if checksummed => {
-                return Err(PersistError::Truncated {
-                    expected: None,
-                    found: data_count,
-                })
-            }
-            None => line.as_str(),
-        };
-        running.update(body.as_bytes());
-        running.update(b"\n");
-        data_count += 1;
-        let (id, doc) = parse_doc(body, lineno)?;
-        if !seen.insert(id) {
-            return Err(PersistError::Corrupt {
-                line: lineno,
-                message: repeated_id(id),
-            });
-        }
-        docs.push((id, doc));
+    let scan = Scan::run(&std::fs::read(path)?);
+    if let Some((_, _, error)) = scan.damage {
+        return Err(error);
     }
-    if checksummed && footer != Some(Footer::new(data_count, running)) {
-        return Err(PersistError::Truncated {
-            expected: footer.map(|f| f.count),
-            found: data_count,
-        });
+    if scan.checksummed && scan.footer != FooterStatus::Valid {
+        let found = scan.docs.len() as u64;
+        return Err(PersistError::Truncated { expected: scan.expected, found });
     }
-    Ok(Collection::from_docs(name, docs))
-}
-
-/// Why a line whose `_id` an earlier line already took is refused.
-fn repeated_id(id: u64) -> String {
-    format!("_id {id} repeats an earlier line's")
+    Ok(Collection::from_docs(name, scan.docs))
 }
 
 /// Integrity of the footer observed by [`salvage`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FooterStatus {
     /// Footer present and consistent with the recovered documents: the
     /// file is complete.
     Valid,
     /// No footer reached (truncated file, or a pre-checksum legacy file).
+    #[default]
     Missing,
-    /// Footer present but inconsistent (count or checksum drift).
+    /// Footer present but unreadable or inconsistent (count or checksum
+    /// drift).
     Invalid,
 }
 
@@ -406,15 +524,23 @@ pub struct SalvageReport {
     pub bytes_dropped: u64,
     /// Footer integrity.
     pub footer: FooterStatus,
+    /// Whether a suffix or the footer showed the file is checksummed, so
+    /// that a missing footer is a loss, not a legacy file.
+    pub checksummed: bool,
     /// Human-readable description of the first damage encountered.
     pub detail: Option<String>,
 }
 
 impl SalvageReport {
-    /// Whether the file was fully intact (nothing dropped, footer valid
-    /// or legacy-complete).
+    /// Whether the file was fully intact — exactly when [`load`] takes
+    /// it: nothing dropped, and the footer valid or the file legacy.
     pub fn is_clean(&self) -> bool {
-        self.lines_dropped == 0 && self.bytes_dropped == 0 && self.footer != FooterStatus::Invalid
+        let complete = match self.footer {
+            FooterStatus::Valid => true,
+            FooterStatus::Missing => !self.checksummed,
+            FooterStatus::Invalid => false,
+        };
+        self.lines_dropped == 0 && self.bytes_dropped == 0 && complete
     }
 }
 
@@ -429,110 +555,38 @@ pub struct Salvage {
 
 /// Recover the intact prefix of a (possibly damaged) collection file.
 ///
-/// Every line up to the first checksum failure, parse failure, torn
-/// line, invalid UTF-8, or `_id` an earlier line already took is
-/// loaded; everything from the first damaged byte onward is dropped and
-/// accounted for in the [`SalvageReport`].
-/// A file truncated at an arbitrary byte offset therefore loses at most
-/// the final partial line. Never panics on any input; the only error is
-/// failing to read the file at all.
+/// This is [`load`]'s scan, read leniently: every document before the
+/// first line `load` refuses (checksum or parse failure, torn or bare
+/// line, invalid UTF-8, an `_id` an earlier line already took) is kept;
+/// everything from that line's first byte onward is dropped and
+/// accounted for in the [`SalvageReport`]. A file truncated at an
+/// arbitrary byte offset therefore loses at most the final partial
+/// line. Never panics on any input; the only error is failing to read
+/// the file at all.
 pub fn salvage(name: &str, path: &Path) -> Result<Salvage, PersistError> {
     let bytes = std::fs::read(path)?;
-    let mut docs: Vec<(u64, Document)> = Vec::new();
-    let mut seen = HashSet::new();
-    let mut running = Crc32::new();
-    let mut data_count: u64 = 0;
-    let mut pos: usize = 0;
-    let mut lineno: usize = 0;
-    let mut footer_status = FooterStatus::Missing;
-    let mut footer_seen = false;
-    // (byte offset, reason) of the first damage, if any.
-    let mut failure: Option<(usize, String)> = None;
-
-    while pos < bytes.len() {
-        let Some(rel) = find_newline(&bytes[pos..]) else {
-            lineno += 1;
-            failure = Some((pos, format!("line {lineno}: torn trailing line (no newline)")));
-            break;
-        };
-        let line_end = pos + rel;
-        lineno += 1;
-        let Ok(line) = std::str::from_utf8(&bytes[pos..line_end]) else {
-            failure = Some((pos, format!("line {lineno}: invalid utf-8")));
-            break;
-        };
-        if line.trim().is_empty() {
-            pos = line_end + 1;
-            continue;
-        }
-        if footer_seen {
-            failure = Some((pos, format!("line {lineno}: content after footer")));
-            break;
-        }
-        if let Some(rest) = line.strip_prefix(FOOTER_PREFIX) {
-            footer_seen = true;
-            footer_status = match Footer::parse(rest) {
-                Ok(f) if f == Footer::new(data_count, running) => FooterStatus::Valid,
-                _ => FooterStatus::Invalid,
-            };
-            pos = line_end + 1;
-            continue;
-        }
-        let body = match split_checksum(line) {
-            Some((body, crc)) => {
-                if crc32(body.as_bytes()) != crc {
-                    failure = Some((pos, format!("line {lineno}: checksum mismatch")));
-                    break;
-                }
-                body
-            }
-            None => line,
-        };
-        match parse_doc(body, lineno) {
-            Ok((id, _)) if seen.contains(&id) => {
-                failure = Some((pos, format!("line {lineno}: {}", repeated_id(id))));
-                break;
-            }
-            Ok((id, doc)) => {
-                running.update(body.as_bytes());
-                running.update(b"\n");
-                data_count += 1;
-                seen.insert(id);
-                docs.push((id, doc));
-            }
-            Err(e) => {
-                failure = Some((pos, format!("{e}")));
-                break;
-            }
-        }
-        pos = line_end + 1;
-    }
-
-    let (lines_dropped, bytes_dropped, detail) = match failure {
-        Some((offset, reason)) => {
+    let scan = Scan::run(&bytes);
+    let (lines_dropped, bytes_dropped, detail) = match scan.damage {
+        Some((offset, line, error)) => {
             let dropped = bytes[offset..]
                 .split(|&b| b == b'\n')
                 .filter(|chunk| chunk.iter().any(|b| !b.is_ascii_whitespace()))
                 .count();
-            (dropped, (bytes.len() - offset) as u64, Some(reason))
+            (dropped, (bytes.len() - offset) as u64, Some(format!("line {line}: {error}")))
         }
         None => (0, 0, None),
     };
     Ok(Salvage {
-        collection: Collection::from_docs(name, docs),
         report: SalvageReport {
-            docs_recovered: docs_count(data_count),
+            docs_recovered: scan.docs.len(),
             lines_dropped,
             bytes_dropped,
-            footer: footer_status,
+            footer: scan.footer,
+            checksummed: scan.checksummed,
             detail,
         },
+        collection: Collection::from_docs(name, scan.docs),
     })
-}
-
-/// `u64` data-line count as `usize` (cannot realistically overflow).
-fn docs_count(n: u64) -> usize {
-    usize::try_from(n).unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]
@@ -847,6 +901,79 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
+    /// A data line that lost its suffix is torn to `salvage` exactly as
+    /// it is to `load`: the prefix before it is kept, and it and
+    /// everything after it are dropped and counted.
+    #[test]
+    fn salvage_stops_where_load_does_at_a_bare_line() {
+        let mut c = Collection::new("v");
+        for i in 0..3_i64 {
+            c.insert(doc! { "i" => i }).unwrap();
+        }
+        let path = tmp("bare_line");
+        save(&c, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let suffix = text.match_indices(CRC_SEP).nth(1).unwrap().0;
+        let cut = format!("{}{}", &text[..suffix], &text[suffix + CRC_SEP.len() + 8..]);
+        std::fs::write(&path, cut).unwrap();
+        let err = load("v", &path).unwrap_err();
+        assert!(matches!(err, PersistError::Truncated { expected: None, found: 1 }), "{err}");
+        let s = salvage("v", &path).unwrap();
+        assert_eq!((s.collection.len(), s.report.docs_recovered), (1, 1));
+        // The bare line, the third document and the footer.
+        assert_eq!(s.report.lines_dropped, 3);
+        assert_eq!(s.report.footer, FooterStatus::Missing);
+        assert!(!s.report.is_clean());
+        assert!(s.report.detail.as_deref().unwrap().starts_with("line 2:"));
+
+        // Cut at a line boundary before the footer: nothing is damaged,
+        // but the checksummed file is incomplete to both.
+        let cut: String = text.lines().take(2).map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, cut).unwrap();
+        let err = load("v", &path).unwrap_err();
+        assert!(matches!(err, PersistError::Truncated { expected: None, found: 2 }), "{err}");
+        let s = salvage("v", &path).unwrap();
+        assert_eq!((s.report.docs_recovered, s.report.bytes_dropped), (2, 0));
+        assert!(!s.report.is_clean());
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// The walk yields each intact line with its offset, number and
+    /// body, and stops at the first damaged line with its kind.
+    #[test]
+    fn framed_lines_stop_at_the_first_damage() {
+        let good = format!("{}\n{}\n", frame_line("a"), frame_line("bc"));
+        let bodies = |bytes: &[u8]| -> Vec<Result<(usize, usize, String), Damage>> {
+            FramedLines::new(bytes, 0)
+                .map(|line| line.map(|l| (l.offset, l.number, l.body.to_owned())))
+                .collect()
+        };
+        let second = frame_line("a").len() + 1;
+        assert_eq!(
+            bodies(good.as_bytes()),
+            [Ok((0, 1, "a".into())), Ok((second, 2, "bc".into()))]
+        );
+        let damaged = |bytes: &[u8]| bodies(bytes).pop().unwrap().unwrap_err();
+        let torn = &good.as_bytes()[..good.len() - 1];
+        let at = |number, kind| Damage { offset: second, number, kind };
+        assert_eq!(damaged(torn), at(2, LineDamage::Torn));
+        let mut flipped = good.clone().into_bytes();
+        flipped[second] = b'x';
+        assert_eq!(damaged(&flipped), at(2, LineDamage::BadFrame));
+        flipped[second] = 0xff;
+        assert_eq!(damaged(&flipped), at(2, LineDamage::InvalidUtf8));
+        let bare = format!("{}\nbc\n", frame_line("a"));
+        assert_eq!(damaged(bare.as_bytes()), at(2, LineDamage::BadFrame));
+        let lenient: Vec<bool> = FramedLines::new(bare.as_bytes(), 0)
+            .allow_unframed()
+            .map(|line| line.unwrap().framed)
+            .collect();
+        assert_eq!(lenient, [true, false]);
+        // A walk can begin at any line boundary.
+        assert_eq!(bodies(&good.as_bytes()[second..]).len(), 1);
+        assert_eq!(FramedLines::new(good.as_bytes(), second).count(), 1);
+    }
+
     #[test]
     fn salvage_recovers_prefix_of_truncated_file() {
         let mut c = Collection::new("v");
@@ -916,14 +1043,6 @@ mod tests {
         for cut in 0..framed.len() {
             assert_eq!(read_framed(&framed[..cut]), None, "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn sync_dir_succeeds_on_real_directory() {
-        let dir = std::env::temp_dir();
-        sync_dir(&dir).unwrap();
-        // A nonexistent path is best-effort (open fails → Ok).
-        sync_dir(Path::new("/nonexistent/nc_docstore_sync")).unwrap();
     }
 
     #[test]

@@ -118,10 +118,11 @@ impl ShardEngine {
         Self::open_with_vfs(state_dir, config, Arc::new(StdVfs))
     }
 
-    /// [`ShardEngine::open`] with every durability-critical syscall —
-    /// WAL appends, fsyncs, segment rotation, manifest tmp+rename —
-    /// routed through `vfs`. Recovery *reads* stay on the real
-    /// filesystem: replay must see whatever actually hit the disk.
+    /// [`ShardEngine::open`] with every mutating syscall — recovery's
+    /// mkdir, truncations, unlinks and wipe, then WAL appends, fsyncs,
+    /// segment rotation, the manifest replace — routed through `vfs`.
+    /// Reads stay on the real filesystem: replay must see whatever
+    /// actually hit the disk.
     pub fn open_with_vfs(
         state_dir: &Path,
         config: ShardEngineConfig,
@@ -131,7 +132,7 @@ impl ShardEngine {
             shards: config.shards.max(1),
             ..config
         };
-        fs::create_dir_all(state_dir)?;
+        vfs.create_dir_all(state_dir)?;
         let shards = config.shards;
         let mut store = ShardedStore::new(shards);
         let mut completed: Vec<ImportStats> = Vec::new();
@@ -150,6 +151,7 @@ impl ShardEngine {
                         &[],
                         unused,
                         config.policy,
+                        vfs.as_ref(),
                     )?;
                     recovery.absorb(replay.recovery);
                 }
@@ -159,7 +161,7 @@ impl ShardEngine {
                 }
             }
             ManifestState::Damaged(reason) => {
-                recovery.bytes_discarded += Self::wipe(state_dir, shards)?;
+                recovery.bytes_discarded += Self::wipe(state_dir, shards, vfs.as_ref())?;
                 recovery.details.push(reason.clone());
                 discarded = Some(reason);
             }
@@ -191,6 +193,7 @@ impl ShardEngine {
                         &expected,
                         &mut store.shards_mut()[shard],
                         config.policy,
+                        vfs.as_ref(),
                     )?;
                     let applied = replay.recovery.snapshots_applied;
                     max_seq = max_seq.max(replay.max_seq);
@@ -217,7 +220,7 @@ impl ShardEngine {
                         // deliver — a partial replay would silently
                         // diverge from the committed history, so the
                         // whole state restarts from scratch.
-                        recovery.bytes_discarded += Self::wipe(state_dir, shards)?;
+                        recovery.bytes_discarded += Self::wipe(state_dir, shards, vfs.as_ref())?;
                         recovery.details.push(reason.clone());
                         store = ShardedStore::new(shards);
                         discarded = Some(reason);
@@ -249,22 +252,23 @@ impl ShardEngine {
         })
     }
 
-    /// Remove the manifest and every log segment, returning the bytes
-    /// dropped. Directories stay in place for the fresh run.
-    fn wipe(state_dir: &Path, shards: usize) -> Result<u64, TsvError> {
+    /// Remove the manifest and every log segment through `vfs`,
+    /// returning the bytes dropped. Directories stay in place for the
+    /// fresh run.
+    fn wipe(state_dir: &Path, shards: usize, vfs: &dyn Vfs) -> Result<u64, TsvError> {
         let mut bytes = 0;
         for name in ["manifest.tsv", "manifest.tsv.tmp"] {
             let path = state_dir.join(name);
             if let Ok(meta) = fs::metadata(&path) {
                 bytes += meta.len();
-                fs::remove_file(&path)?;
+                vfs.remove_file(&path)?;
             }
         }
         for shard in 0..shards {
             let dir = shard_dir(state_dir, shard);
             for (_, path) in wal::segments(&dir)? {
                 bytes += fs::metadata(&path)?.len();
-                fs::remove_file(&path)?;
+                vfs.remove_file(&path)?;
             }
         }
         Ok(bytes)

@@ -11,8 +11,10 @@
 //! ```
 //!
 //! Every WAL and manifest line is framed with the CRC-32 trailer of
-//! [`nc_docstore::persist::frame_line`], so torn or bit-flipped tails
-//! are detected line-by-line. WAL record grammar (bodies, pre-framing):
+//! [`nc_docstore::persist::frame_line`] and read back through the
+//! workspace's one walk over framed lines, [`FramedLines`], so torn or
+//! bit-flipped tails are detected line-by-line. WAL record grammar
+//! (bodies, pre-framing), read by [`Records`] alone:
 //!
 //! ```text
 //! B\t<date>\t<version>         snapshot begins
@@ -46,7 +48,7 @@
 //! and then re-importing would double the rows-seen bookkeeping.
 
 use std::fmt::Write as _;
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -54,7 +56,7 @@ use std::sync::Arc;
 use nc_core::import::ImportStats;
 use nc_core::record::DedupPolicy;
 use nc_core::tsv::QuarantineReport;
-use nc_docstore::persist::{find_newline, frame_in_place, frame_line, read_framed, sync_dir};
+use nc_docstore::persist::{frame_in_place, frame_line, replace, FramedLines, LineDamage};
 use nc_vfs::{Vfs, VfsFile};
 use nc_votergen::schema::Row;
 
@@ -196,87 +198,108 @@ pub fn tail_group(dir: &Path, cursor: TailCursor) -> io::Result<Option<TailGroup
             return Ok(None);
         }
 
-        let mut pos = start;
-        let mut current: Option<(String, u32)> = None;
+        let mut records = Records::new(&data, start, None);
         let mut rows: Vec<(u64, String)> = Vec::new();
-        while pos < data.len() {
-            let Some(nl) = find_newline(&data[pos..]) else {
-                return Ok(None); // partial line: still being written or torn
-            };
-            let line = &data[pos..pos + nl];
-            let Some(body) = std::str::from_utf8(line).ok().and_then(read_framed) else {
-                return Ok(None); // corrupt frame: awaiting recovery
-            };
-            // Anything out of grammar or out of place: awaiting recovery.
-            match (Record::parse(body), &current) {
-                (Some(Record::Begin { date, version }), None) => {
-                    current = Some((date.to_owned(), version));
-                }
-                (Some(Record::Row { seq, tsv }), Some(_)) => {
+        // Damage awaits recovery; a group with no C yet is in flight.
+        while let Some((_, Ok(record))) = records.next() {
+            match record {
+                Record::Begin { .. } => {}
+                Record::Row { seq, tsv, .. } => {
                     let ncid = tsv.split('\t').next().unwrap_or_default().trim();
                     rows.push((seq, ncid.to_owned()));
                 }
-                (Some(Record::Duplicate { seq, ncid, .. }), Some(_)) => {
-                    rows.push((seq, ncid.to_owned()));
-                }
-                (Some(Record::Commit { date, rows: n }), Some((cur, _)))
-                    if date == cur && n == rows.len() as u64 =>
-                {
-                    let (date, version) = current.take().expect("matched above");
+                Record::Duplicate { seq, ncid, .. } => rows.push((seq, ncid.to_owned())),
+                Record::Commit { group, end } => {
                     return Ok(Some(TailGroup {
-                        date,
-                        version,
+                        date: group.date,
+                        version: group.version,
                         rows,
-                        next: TailCursor {
-                            segment,
-                            offset: (pos + nl + 1) as u64,
-                        },
+                        next: TailCursor { segment, offset: end as u64 },
                     }));
                 }
-                _ => return Ok(None),
             }
-            pos += nl + 1;
         }
-        return Ok(None); // B (+ some rows) but no C yet: group in flight
+        return Ok(None);
     }
 }
 
-/// One WAL record body, parsed but not interpreted.
-enum Record<'a> {
-    Begin { date: &'a str, version: u32 },
-    Row { seq: u64, tsv: &'a str },
-    Duplicate { seq: u64, ncid: &'a str, record: usize },
-    Commit { date: &'a str, rows: u64 },
+/// The `B..C` group a log reader is inside of.
+struct OpenGroup {
+    date: String,
+    version: u32,
+    /// `R` and `D` records read so far.
+    rows: u64,
 }
 
-impl<'a> Record<'a> {
-    /// `None` for anything outside the grammar in the module docs.
-    fn parse(body: &'a str) -> Option<Self> {
-        let (kind, rest) = body.split_once('\t')?;
-        let (first, rest) = rest.split_once('\t')?;
-        Some(match kind {
-            "B" => Record::Begin {
-                date: first,
-                version: rest.parse().ok()?,
-            },
-            "R" => Record::Row {
-                seq: first.parse().ok()?,
-                tsv: rest,
-            },
-            "D" => {
-                let (ncid, record) = rest.split_once('\t')?;
-                Record::Duplicate {
-                    seq: first.parse().ok()?,
-                    ncid,
-                    record: record.parse().ok()?,
-                }
-            }
-            "C" => Record::Commit {
-                date: first,
-                rows: rest.parse().ok()?,
-            },
-            _ => return None,
+/// One WAL record, read in place.
+enum Record<'r, 'a> {
+    /// `B`: a group opened.
+    Begin { date: &'a str },
+    /// `R`: a kept row, inside `group`.
+    Row { group: &'r OpenGroup, seq: u64, tsv: &'a str },
+    /// `D`: a dropped row's decision, inside `group`.
+    Duplicate { group: &'r OpenGroup, seq: u64, ncid: &'a str, record: usize },
+    /// `C`: `group` closed with the date and row count it promised;
+    /// `end` is the byte offset just past the record.
+    Commit { group: OpenGroup, end: usize },
+}
+
+/// The one reader of the WAL record grammar (module docs): a
+/// [`FramedLines`] walk over a segment's bytes whose bodies must be
+/// records in `B (R|D)* C` order, each `C` naming its group's date and
+/// row count. The open group is the reader's state, handed from one
+/// segment's reader to the next by a replay. [`replay_shard`] and
+/// [`tail_group`] both stop at the first `Err`, which names the damage.
+struct Records<'a> {
+    lines: FramedLines<'a>,
+    open: Option<OpenGroup>,
+}
+
+impl<'a> Records<'a> {
+    fn new(bytes: &'a [u8], start: usize, open: Option<OpenGroup>) -> Self {
+        Records { lines: FramedLines::new(bytes, start), open }
+    }
+
+    /// The next record, with the byte offset of its line.
+    fn next(&mut self) -> Option<(usize, Result<Record<'_, 'a>, &'static str>)> {
+        Some(match self.lines.next()? {
+            Ok(line) => (line.offset, self.read(line.body, line.end)),
+            Err(damage) if damage.kind == LineDamage::Torn => (damage.offset, Err("partial line")),
+            Err(damage) => (damage.offset, Err("corrupt record")),
         })
+    }
+
+    fn read(&mut self, body: &'a str, end: usize) -> Result<Record<'_, 'a>, &'static str> {
+        const MALFORMED: &str = "malformed record or unknown record type";
+        let (kind, rest) = body.split_once('\t').ok_or(MALFORMED)?;
+        let (first, rest) = rest.split_once('\t').ok_or(MALFORMED)?;
+        if kind == "C" {
+            let rows: u64 = number(rest)?;
+            return match self.open.take_if(|group| group.date == first && group.rows == rows) {
+                Some(group) => Ok(Record::Commit { group, end }),
+                None if self.open.is_some() => Err("commit record disagrees with its snapshot"),
+                None => Err("misplaced record"),
+            };
+        }
+        match (kind, &mut self.open) {
+            ("B", open @ None) => {
+                *open = Some(OpenGroup { date: first.to_owned(), version: number(rest)?, rows: 0 });
+                Ok(Record::Begin { date: first })
+            }
+            ("R", Some(group)) => {
+                let seq = number(first)?;
+                group.rows += 1;
+                Ok(Record::Row { group, seq, tsv: rest })
+            }
+            ("D", Some(group)) => {
+                let (ncid, record) = rest.split_once('\t').ok_or(MALFORMED)?;
+                let (seq, record) = (number(first)?, number(record)?);
+                group.rows += 1;
+                Ok(Record::Duplicate { group, seq, ncid, record })
+            }
+            ("B" | "R" | "D", _) => Err("misplaced record"),
+            _ => Err(MALFORMED),
+        }
     }
 }
 
@@ -442,24 +465,13 @@ pub(crate) struct ShardReplay {
     pub recovery: WalRecovery,
 }
 
-/// The `B..C` group a replay is inside of.
-struct OpenGroup {
-    date: String,
-    version: u32,
-    /// `R` and `D` records read so far.
-    rows: u64,
-    /// Whether this is the snapshot the manifest lists next, so its
-    /// records are being applied as they are read.
-    applying: bool,
-}
-
 /// Replay one shard's log into `shard`: the snapshots of `expected`
 /// (the manifest's list, in its order) are re-applied for as long as
 /// the log delivers exactly them, and everything after the last one
 /// applied — torn tails, corrupt or out-of-grammar lines, duplicate
 /// records that name nothing in the store, WAL-committed snapshots the
 /// manifest does not list next, and whatever follows any of these — is
-/// truncated with exact loss accounting.
+/// truncated through `vfs` with exact loss accounting.
 ///
 /// Records are applied as they are read, so when fewer than
 /// `expected.len()` snapshots come back applied the shard may hold part
@@ -470,6 +482,7 @@ pub(crate) fn replay_shard(
     expected: &[&str],
     shard: &mut Shard,
     policy: DedupPolicy,
+    vfs: &dyn Vfs,
 ) -> io::Result<ShardReplay> {
     let shard_name = dir
         .file_name()
@@ -486,42 +499,24 @@ pub(crate) fn replay_shard(
     // after the last commit we re-applied.
     let mut keep: Option<(usize, u64)> = None;
     let mut damaged: Option<String> = None;
-    let mut current: Option<OpenGroup> = None;
-    // Prefix-exact: false once a group was passed over.
-    let mut exact = true;
+    let mut open: Option<OpenGroup> = None;
+    // Whether the open group is the snapshot the manifest lists next,
+    // so its records are applied as they are read. Prefix-exact: false
+    // for good once a group was passed over.
+    let mut applying = true;
 
     'segments: for (si, (_, path)) in segs.iter().enumerate() {
         let data = fs::read(path)?;
-        let mut offset: usize = 0;
-        while offset < data.len() {
-            let Some(nl) = find_newline(&data[offset..]) else {
-                damaged = Some(format!("{shard_name}: partial line at end of log"));
-                break 'segments;
-            };
-            let line = &data[offset..offset + nl];
-            let Some(body) = std::str::from_utf8(line).ok().and_then(read_framed) else {
-                damaged = Some(format!(
-                    "{shard_name}: corrupt record at byte {offset} of segment {si}"
-                ));
-                break 'segments;
-            };
-            let problem = match (Record::parse(body), &mut current) {
-                (Some(Record::Begin { date, version }), None) => {
-                    // Only the snapshot the manifest lists next, and
-                    // nothing once one group was passed over.
-                    exact &= expected.get(out.recovery.snapshots_applied) == Some(&date);
-                    current = Some(OpenGroup {
-                        date: date.to_owned(),
-                        version,
-                        rows: 0,
-                        applying: exact,
-                    });
+        let mut records = Records::new(&data, 0, open.take());
+        while let Some((offset, record)) = records.next() {
+            let problem = match record {
+                Ok(Record::Begin { date }) => {
+                    applying &= expected.get(out.recovery.snapshots_applied) == Some(&date);
                     None
                 }
-                (Some(Record::Row { seq, tsv }), Some(group)) => match Row::from_tsv(tsv) {
+                Ok(Record::Row { group, seq, tsv }) => match Row::from_tsv(tsv) {
                     Some(row) => {
-                        group.rows += 1;
-                        if group.applying {
+                        if applying {
                             shard.import(seq, row, policy, &group.date, group.version);
                             out.max_seq = out.max_seq.max(Some(seq));
                         }
@@ -529,9 +524,8 @@ pub(crate) fn replay_shard(
                     }
                     None => Some("malformed row record"),
                 },
-                (Some(Record::Duplicate { seq, ncid, record }), Some(group)) => {
-                    group.rows += 1;
-                    if !group.applying {
+                Ok(Record::Duplicate { group, seq, ncid, record }) => {
+                    if !applying {
                         None
                     } else if shard.store.replay_duplicate(ncid, record, &group.date) {
                         out.max_seq = out.max_seq.max(Some(seq));
@@ -540,18 +534,17 @@ pub(crate) fn replay_shard(
                         Some("duplicate record names no stored record")
                     }
                 }
-                (Some(Record::Commit { date, rows }), Some(group))
-                    if date == group.date && rows == group.rows =>
-                {
-                    if group.applying {
+                Ok(Record::Commit { group, end }) => {
+                    let (date, rows) = (group.date, group.rows);
+                    if applying {
                         out.recovery.rows_replayed += rows;
                         out.recovery.snapshots_applied += 1;
-                        keep = Some((si, (offset + nl + 1) as u64));
+                        keep = Some((si, end as u64));
                     } else {
                         out.recovery.rows_discarded += rows;
                         out.recovery.details.push(format!(
                             "{shard_name}: rolled back snapshot {date} ({rows} rows) — {}",
-                            if expected.contains(&date) {
+                            if expected.contains(&date.as_str()) {
                                 "the manifest lists it, but not after this log's prefix"
                             } else {
                                 // The crash hit between the two commit steps.
@@ -559,23 +552,19 @@ pub(crate) fn replay_shard(
                             }
                         ));
                     }
-                    current = None;
                     None
                 }
-                (Some(Record::Commit { .. }), _) => {
-                    Some("commit record disagrees with its snapshot")
-                }
-                (Some(_), _) => Some("misplaced record"),
-                (None, _) => Some("malformed record or unknown record type"),
+                Err(problem) => Some(problem),
             };
             if let Some(problem) = problem {
                 damaged = Some(format!(
                     "{shard_name}: {problem} at byte {offset} of segment {si}"
                 ));
+                open = records.open;
                 break 'segments;
             }
-            offset += nl + 1;
         }
+        open = records.open;
     }
 
     if let Some(reason) = damaged {
@@ -583,7 +572,7 @@ pub(crate) fn replay_shard(
         out.recovery.details.push(reason);
     }
     // Rows from a snapshot cut off mid-flight (B + some rows, no C).
-    if let Some(OpenGroup { date, rows, .. }) = current {
+    if let Some(OpenGroup { date, rows, .. }) = open {
         if rows > 0 {
             out.recovery.details.push(format!(
                 "{shard_name}: dropped incomplete snapshot {date} ({rows} rows)"
@@ -592,38 +581,28 @@ pub(crate) fn replay_shard(
         out.recovery.rows_discarded += rows;
     }
 
-    // Truncate the logs back to the keep point and account for every
-    // byte dropped.
-    match keep {
-        Some((keep_si, keep_off)) => {
-            for (si, (_, path)) in segs.iter().enumerate() {
-                let len = fs::metadata(path)?.len();
-                if si < keep_si {
-                    continue;
-                }
-                if si == keep_si {
-                    if len > keep_off {
-                        out.recovery.bytes_discarded += len - keep_off;
-                        let file = OpenOptions::new().write(true).open(path)?;
-                        file.set_len(keep_off)?;
-                        file.sync_all()?;
-                    }
-                } else {
-                    out.recovery.bytes_discarded += len;
-                    fs::remove_file(path)?;
+    // Cut the logs back to the keep point (nothing durable at all:
+    // clear them) and account for every byte dropped.
+    let mut unlinked = false;
+    for (si, (_, path)) in segs.iter().enumerate() {
+        let len = fs::metadata(path)?.len();
+        match keep {
+            Some((keep_si, _)) if si < keep_si => {}
+            Some((keep_si, keep_off)) if si == keep_si => {
+                if len > keep_off {
+                    out.recovery.bytes_discarded += len - keep_off;
+                    vfs.truncate(path, keep_off)?;
                 }
             }
-        }
-        None => {
-            // Nothing durable at all: clear the shard's log.
-            for (_, path) in &segs {
-                out.recovery.bytes_discarded += fs::metadata(path)?.len();
-                fs::remove_file(path)?;
+            _ => {
+                out.recovery.bytes_discarded += len;
+                vfs.remove_file(path)?;
+                unlinked = true;
             }
         }
     }
-    if !segs.is_empty() {
-        sync_dir(dir)?;
+    if unlinked {
+        vfs.sync_dir(dir)?;
     }
     Ok(out)
 }
@@ -679,141 +658,101 @@ pub enum ManifestState {
 }
 
 impl ShardManifest {
-    /// Atomically persist the manifest into `state_dir`
-    /// (tmp + fsync + rename + directory fsync), making everything the
+    /// Atomically persist the manifest into `state_dir` ([`replace`]:
+    /// tmp + fsync + rename + directory fsync), making everything the
     /// WALs hold for the listed snapshots durable-by-reference. Every
     /// mutating syscall goes through `vfs`; the commit-point guarantee
     /// ("old manifest or new manifest, never a third state") is swept
     /// at every crash point in `tests/syscall_sweep.rs`.
     pub(crate) fn save(&self, state_dir: &Path, vfs: &dyn Vfs) -> io::Result<()> {
-        let mut text = String::new();
-        let header = format!(
-            "{MANIFEST_HEADER}\t{MANIFEST_FORMAT}\t{}\t{}\t{}",
-            self.shards,
-            policy_label(self.policy),
-            self.version
-        );
-        text.push_str(&frame_line(&header));
-        text.push('\n');
         let q = &self.quarantine;
-        let qline = format!(
-            "Q\t{}\t{}\t{}",
-            q.lines_quarantined, q.files_quarantined, q.remapped_headers
-        );
-        text.push_str(&frame_line(&qline));
-        text.push('\n');
-        for s in &self.completed {
-            let sline = format!(
+        let mut bodies = vec![
+            format!(
+                "{MANIFEST_HEADER}\t{MANIFEST_FORMAT}\t{}\t{}\t{}",
+                self.shards,
+                policy_label(self.policy),
+                self.version
+            ),
+            format!(
+                "Q\t{}\t{}\t{}",
+                q.lines_quarantined, q.files_quarantined, q.remapped_headers
+            ),
+        ];
+        bodies.extend(self.completed.iter().map(|s| {
+            format!(
                 "S\t{}\t{}\t{}\t{}\t{}",
                 s.date, s.total_rows, s.new_records, s.new_clusters, s.quarantined
-            );
-            text.push_str(&frame_line(&sline));
-            text.push('\n');
-        }
-
-        let tmp = state_dir.join(format!("{MANIFEST_FILE}.tmp"));
-        let path = state_dir.join(MANIFEST_FILE);
-        {
-            let mut file = vfs.create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_file()?;
-        }
-        vfs.rename(&tmp, &path)?;
-        vfs.sync_dir(state_dir)?;
-        Ok(())
+            )
+        }));
+        replace(&state_dir.join(MANIFEST_FILE), vfs, |w| {
+            bodies.iter().try_for_each(|body| writeln!(w, "{}", frame_line(body)))
+        })
     }
 
     /// Read the manifest from `state_dir`, verifying every line frame.
     pub fn load(state_dir: &Path) -> io::Result<ManifestState> {
-        let path = state_dir.join(MANIFEST_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match fs::read(state_dir.join(MANIFEST_FILE)) {
+            Ok(bytes) => bytes,
             Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(ManifestState::Absent),
             Err(err) => return Err(err),
         };
-        let damaged = |what: &str| Ok(ManifestState::Damaged(format!("manifest: {what}")));
+        Ok(match Self::parse(&bytes) {
+            Ok(manifest) => ManifestState::Loaded(manifest),
+            Err(what) => ManifestState::Damaged(format!("manifest: {what}")),
+        })
+    }
 
-        let mut lines = text.lines();
-        let Some(header) = lines.next().and_then(read_framed) else {
-            return damaged("missing or corrupt header line");
-        };
-        let mut fields = header.split('\t');
-        if fields.next() != Some(MANIFEST_HEADER) {
-            return damaged("not a shard manifest");
+    /// The manifest `bytes` hold, or what is wrong with them.
+    fn parse(bytes: &[u8]) -> Result<ShardManifest, &'static str> {
+        let mut lines = Vec::new();
+        for line in FramedLines::new(bytes, 0) {
+            lines.push(line.map_err(|_| "corrupt line")?.body.split('\t').collect::<Vec<_>>());
         }
-        if fields.next().and_then(|v| v.parse::<u32>().ok()) != Some(MANIFEST_FORMAT) {
-            return damaged("unsupported format version");
+        let [header, quarantine, snapshots @ ..] = &lines[..] else {
+            return Err("missing header or quarantine line");
+        };
+        let [MANIFEST_HEADER, format, shards, policy, version] = header[..] else {
+            return Err("not a shard manifest");
+        };
+        if number(format) != Ok(MANIFEST_FORMAT) {
+            return Err("unsupported format version");
         }
-        let Some(shards) = fields.next().and_then(|v| v.parse::<usize>().ok()) else {
-            return damaged("bad shard count");
+        let ["Q", lines_quarantined, files_quarantined, remapped_headers] = quarantine[..] else {
+            return Err("bad quarantine line");
         };
-        let Some(policy) = fields.next().and_then(parse_policy) else {
-            return damaged("unknown dedup policy");
-        };
-        let Some(version) = fields.next().and_then(|v| v.parse::<u32>().ok()) else {
-            return damaged("bad version");
-        };
-
-        let Some(qbody) = lines.next().and_then(read_framed) else {
-            return damaged("missing or corrupt quarantine line");
-        };
-        let mut q = qbody.split('\t');
-        let quarantine = match (
-            q.next(),
-            q.next().and_then(|v| v.parse().ok()),
-            q.next().and_then(|v| v.parse().ok()),
-            q.next().and_then(|v| v.parse().ok()),
-        ) {
-            (Some("Q"), Some(lines_q), Some(files_q), Some(remapped)) => QuarantineReport {
-                lines_quarantined: lines_q,
-                files_quarantined: files_q,
-                remapped_headers: remapped,
+        let mut manifest = ShardManifest {
+            shards: number(shards)?,
+            policy: parse_policy(policy).ok_or("unknown dedup policy")?,
+            version: number(version)?,
+            completed: Vec::new(),
+            quarantine: QuarantineReport {
+                lines_quarantined: number(lines_quarantined)?,
+                files_quarantined: number(files_quarantined)?,
+                remapped_headers: number(remapped_headers)?,
                 per_snapshot: Vec::new(),
             },
-            _ => return damaged("bad quarantine line"),
         };
-
-        let mut completed = Vec::new();
-        for line in lines {
-            let Some(body) = read_framed(line) else {
-                return damaged("corrupt snapshot line");
+        for fields in snapshots {
+            let ["S", date, total, records, clusters, quarantined] = fields[..] else {
+                return Err("bad snapshot line");
             };
-            let mut s = body.split('\t');
-            let stats = match (
-                s.next(),
-                s.next(),
-                s.next().and_then(|v| v.parse().ok()),
-                s.next().and_then(|v| v.parse().ok()),
-                s.next().and_then(|v| v.parse().ok()),
-                s.next().and_then(|v| v.parse().ok()),
-            ) {
-                (Some("S"), Some(date), Some(total), Some(records), Some(clusters), Some(quar)) => {
-                    ImportStats {
-                        date: date.to_owned(),
-                        total_rows: total,
-                        new_records: records,
-                        new_clusters: clusters,
-                        quarantined: quar,
-                    }
-                }
-                _ => return damaged("bad snapshot line"),
-            };
-            completed.push(stats);
+            let quarantined = number(quarantined)?;
+            manifest.quarantine.per_snapshot.push((date.to_owned(), quarantined));
+            manifest.completed.push(ImportStats {
+                date: date.to_owned(),
+                total_rows: number(total)?,
+                new_records: number(records)?,
+                new_clusters: number(clusters)?,
+                quarantined,
+            });
         }
-        let mut manifest = ShardManifest {
-            shards,
-            policy,
-            version,
-            completed,
-            quarantine,
-        };
-        manifest.quarantine.per_snapshot = manifest
-            .completed
-            .iter()
-            .map(|s| (s.date.clone(), s.quarantined))
-            .collect();
-        Ok(ManifestState::Loaded(manifest))
+        Ok(manifest)
     }
+}
+
+/// A decimal field of a record or manifest line.
+fn number<T: std::str::FromStr>(text: &str) -> Result<T, &'static str> {
+    text.parse().map_err(|_| "malformed number")
 }
 
 #[cfg(test)]
@@ -838,7 +777,7 @@ mod tests {
     }
 
     fn replay_into(dir: &Path, expected: &[&str], shard: &mut Shard) -> ShardReplay {
-        replay_shard(dir, expected, shard, DedupPolicy::Trimmed).unwrap()
+        replay_shard(dir, expected, shard, DedupPolicy::Trimmed, &StdVfs).unwrap()
     }
 
     fn write_snapshot_records(wal: &mut ShardWal, date: &str, seqs: &[u64]) {

@@ -22,9 +22,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use common::{archive_prefix, fingerprint, tmp_dir, write_archive, Fingerprint};
+use nc_core::import::ImportStats;
+use nc_core::md5::md5;
 use nc_core::tsv::{ImportOptions, TsvError};
 use nc_shard::{ShardEngine, ShardEngineConfig};
-use nc_vfs::fault::{FaultVfs, InjectedFault};
+use nc_vfs::fault::{FaultVfs, InjectedFault, OpRecord};
 
 fn config(shards: usize) -> ShardEngineConfig {
     // Tiny segments so the sweep also crosses segment rotation.
@@ -327,4 +329,102 @@ fn reopen_failure_poisons_the_engine_deterministically() {
     assert_eq!(fingerprint(&recovered), s.pre);
     drop(recovered);
     fs::remove_dir_all(&state).unwrap();
+}
+
+/// MD5 over `publish(1)`: each cluster's NCID, then its records as TSV
+/// lines.
+fn published_digest(engine: &mut ShardEngine) -> String {
+    let snapshot = engine.publish(1);
+    let mut text = String::new();
+    for (ncid, rows) in snapshot.clusters() {
+        text.push_str("# ");
+        text.push_str(ncid);
+        for row in rows {
+            text.push('\n');
+            text.push_str(row.as_tsv());
+        }
+        text.push('\n');
+    }
+    md5(text.as_bytes()).to_hex()
+}
+
+/// What a clean open of `state` recovers to: completed snapshots, rows
+/// imported, published digest.
+fn recovered(state: &Path, config: ShardEngineConfig) -> (Vec<ImportStats>, u64, String) {
+    let mut engine = ShardEngine::open(state, config).unwrap();
+    let rows = engine.store().rows_imported();
+    (engine.completed().to_vec(), rows, published_digest(&mut engine))
+}
+
+/// Crash the recovering open of `damaged` at every syscall of its
+/// trace: the next clean open must land where an uncrashed recovery
+/// does. Returns the uncrashed recovery's trace.
+fn sweep_recovering_open(damaged: &Path, config: ShardEngineConfig) -> Vec<OpRecord> {
+    let state = tmp_dir("recovery_recorder");
+    copy_dir(damaged, &state);
+    let recorder = FaultVfs::recorder();
+    drop(ShardEngine::open_with_vfs(&state, config, Arc::new(recorder.clone())).unwrap());
+    let reference = recovered(&state, config);
+    fs::remove_dir_all(&state).unwrap();
+
+    for k in 0..recorder.ops() {
+        let state = tmp_dir("recovery_trial");
+        copy_dir(damaged, &state);
+        let crashed = ShardEngine::open_with_vfs(&state, config, Arc::new(FaultVfs::crash_at(k)));
+        assert!(crashed.is_err(), "crash at {k} of {} must surface an error", recorder.ops());
+        assert_eq!(recovered(&state, config), reference, "open after a crash at {k}");
+        fs::remove_dir_all(&state).unwrap();
+    }
+    recorder.trace()
+}
+
+/// A second crash, inside recovery: the recovering open's own writes —
+/// the torn tail's truncation, the unlinks of what follows the keep
+/// point and their directory fsync, the wipe of a damaged manifest's
+/// state — go through the engine's `Vfs`, so a crash at any of them
+/// leaves a state the next open still recovers exactly.
+#[test]
+fn crash_inside_recovery_recovers_like_an_uncrashed_recovery() {
+    // Segments large enough that nothing rotates: each shard logs all
+    // three snapshots in one segment.
+    let shards = 3;
+    let config = common::config(shards, 4 << 20);
+    let archive = tmp_dir("inside_archive");
+    write_archive(&archive, 915, 100);
+    let partial = archive_prefix(&archive, 2, "inside_partial");
+    let state = tmp_dir("inside_state");
+    let mut engine = ShardEngine::open(&state, config).unwrap();
+    engine.ingest_archive(&partial, &ImportOptions::strict()).unwrap();
+    drop(engine);
+    let manifest = fs::read(state.join("manifest.tsv")).unwrap();
+    let mut engine = ShardEngine::open(&state, config).unwrap();
+    engine.ingest_archive(&archive, &ImportOptions::strict()).unwrap();
+    drop(engine);
+
+    // The third snapshot is WAL-committed on every shard but the
+    // manifest does not list it, and shard 0 crashed inside the first
+    // append of a segment it had just rotated to.
+    fs::write(state.join("manifest.tsv"), &manifest).unwrap();
+    fs::write(state.join("shard-0").join("wal-000001.log"), b"B\t2009-").unwrap();
+    let trace = sweep_recovering_open(&state, config);
+    let ops = |op: &str| trace.iter().filter(|r| r.op == op).count();
+    assert_eq!(ops("set_len"), shards, "every log loses the third snapshot: {trace:?}");
+    assert_eq!(ops("remove"), 1, "the torn segment is unlinked: {trace:?}");
+    assert!(
+        trace.iter().any(|r| r.op == "sync_dir" && r.path.ends_with("shard-0")),
+        "the unlink is made durable: {trace:?}"
+    );
+
+    // A damaged manifest: the open wipes the state.
+    let mut bytes = fs::read(state.join("manifest.tsv")).unwrap();
+    bytes[12] ^= 1;
+    fs::write(state.join("manifest.tsv"), bytes).unwrap();
+    let trace = sweep_recovering_open(&state, config);
+    let removed: Vec<&Path> = trace.iter().filter(|r| r.op == "remove").map(|r| r.path.as_path()).collect();
+    assert!(removed.iter().any(|p| p.ends_with("manifest.tsv")), "{trace:?}");
+    assert_eq!(removed.len(), 1 + shards + 1, "the manifest and every segment: {trace:?}");
+
+    for dir in [&archive, &partial, &state] {
+        fs::remove_dir_all(dir).unwrap();
+    }
 }

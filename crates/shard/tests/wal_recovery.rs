@@ -275,6 +275,40 @@ fn damaged_manifest_restarts_cleanly() {
     fs::remove_dir_all(archive).unwrap();
 }
 
+/// A byte that is not UTF-8 is manifest damage like any other: a typed
+/// discard and a clean restart, not an I/O error out of the open.
+#[test]
+fn a_non_utf8_manifest_byte_restarts_cleanly() {
+    let archive = tmp_dir("archive_utf8manifest");
+    write_archive(&archive, 905, 100);
+    let shards = 3;
+    let reference = reference_run(&archive, shards, "utf8manifest");
+    let state = tmp_dir("state_utf8manifest");
+
+    let mut engine = ShardEngine::open(&state, config(shards)).unwrap();
+    engine
+        .ingest_archive(&archive, &ImportOptions::strict())
+        .unwrap();
+    drop(engine);
+    let manifest = state.join("manifest.tsv");
+    let mut bytes = fs::read(&manifest).unwrap();
+    bytes[12] = 0xff;
+    fs::write(&manifest, bytes).unwrap();
+
+    let mut recovered = ShardEngine::open(&state, config(shards)).unwrap();
+    let reason = recovered.discarded().expect("a damaged manifest is discarded");
+    assert!(reason.contains("manifest"), "{reason}");
+    assert!(recovered.completed().is_empty());
+    let outcome = recovered
+        .ingest_archive(&archive, &ImportOptions::strict())
+        .unwrap();
+    assert_eq!(outcome.resumed, 0);
+    assert_eq!(fingerprint(&recovered), reference);
+
+    fs::remove_dir_all(state).unwrap();
+    fs::remove_dir_all(archive).unwrap();
+}
+
 #[test]
 fn parameter_drift_is_a_hard_error() {
     let archive = tmp_dir("archive_drift");

@@ -12,15 +12,17 @@
 //!
 //! Every line carries its checksum, and the `E` marker makes
 //! truncation detectable — a torn cursor file is an error, never a
-//! silently shortened position. Writes go through tmp + rename, so a
-//! crash leaves either the old cursor or the new one.
+//! silently shortened position. Writes go through the one atomic
+//! replace of [`nc_docstore::persist::replace`], so a crash leaves
+//! either the old cursor or the new one.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
-use nc_docstore::persist::{frame_line, read_framed};
+use nc_docstore::persist::{frame_line, replace, FramedLines};
 use nc_shard::TailCursor;
+use nc_vfs::StdVfs;
 
 /// A saved stream position.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,88 +36,67 @@ pub struct StreamCursor {
 }
 
 impl StreamCursor {
-    /// Serialize to the framed text format.
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&frame_line(&format!("S\t{}", self.delivered)));
-        out.push('\n');
-        for (shard, cursor) in self.shards.iter().enumerate() {
-            out.push_str(&frame_line(&format!(
-                "T\t{shard}\t{}\t{}",
-                cursor.segment, cursor.offset
-            )));
-            out.push('\n');
-        }
-        out.push_str(&frame_line("E"));
-        out.push('\n');
-        out
-    }
-
-    /// Atomically persist to `path` (tmp + fsync + rename).
+    /// Atomically persist to `path` ([`replace`]: `<name>.tmp` beside
+    /// it, fsync, rename, directory fsync).
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(self.render().as_bytes())?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, path)
+        replace(path, &StdVfs, |w| {
+            writeln!(w, "{}", frame_line(&format!("S\t{}", self.delivered)))?;
+            for (shard, cursor) in self.shards.iter().enumerate() {
+                let body = format!("T\t{shard}\t{}\t{}", cursor.segment, cursor.offset);
+                writeln!(w, "{}", frame_line(&body))?;
+            }
+            writeln!(w, "{}", frame_line("E"))
+        })
     }
 
     /// Load a cursor written by [`StreamCursor::save`]. Torn, corrupt
     /// or truncated files are `InvalidData` errors.
     pub fn load(path: &Path) -> io::Result<StreamCursor> {
-        let text = fs::read_to_string(path)?;
-        let bad = |reason: &str| {
+        Self::parse(&fs::read(path)?).map_err(|reason| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("stream cursor {}: {reason}", path.display()),
             )
-        };
-        let mut delivered: Option<usize> = None;
-        let mut shards: Vec<TailCursor> = Vec::new();
-        let mut ended = false;
-        for line in text.lines() {
-            let body = read_framed(line).ok_or_else(|| bad("corrupt line"))?;
-            if ended {
-                return Err(bad("data after end marker"));
-            }
-            if let Some(rest) = body.strip_prefix("S\t") {
-                if delivered.is_some() {
-                    return Err(bad("duplicate header"));
-                }
-                delivered = Some(rest.parse().map_err(|_| bad("bad delivered count"))?);
-            } else if let Some(rest) = body.strip_prefix("T\t") {
-                let mut fields = rest.split('\t');
-                let shard: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| bad("bad shard index"))?;
-                let segment: u32 = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| bad("bad segment"))?;
-                let offset: u64 = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| bad("bad offset"))?;
-                if shard != shards.len() || fields.next().is_some() {
-                    return Err(bad("shard lines out of order"));
-                }
-                shards.push(TailCursor { segment, offset });
-            } else if body == "E" {
-                ended = true;
-            } else {
-                return Err(bad("unknown record"));
-            }
-        }
-        if !ended {
-            return Err(bad("missing end marker (truncated)"));
-        }
-        Ok(StreamCursor {
-            delivered: delivered.ok_or_else(|| bad("missing header"))?,
-            shards,
         })
+    }
+
+    /// The cursor `bytes` hold, or what is wrong with them.
+    fn parse(bytes: &[u8]) -> Result<StreamCursor, &'static str> {
+        let mut lines = Vec::new();
+        for line in FramedLines::new(bytes, 0) {
+            lines.push(
+                line.map_err(|_| "corrupt line")?
+                    .body
+                    .split('\t')
+                    .collect::<Vec<_>>(),
+            );
+        }
+        let [header, shards @ .., end] = &lines[..] else {
+            return Err("missing header or end marker (truncated)");
+        };
+        let (["S", delivered], ["E"]) = (&header[..], &end[..]) else {
+            return Err("missing header or end marker (truncated)");
+        };
+        fn number<T: std::str::FromStr>(text: &str) -> Result<T, &'static str> {
+            text.parse().map_err(|_| "bad number")
+        }
+        let mut cursor = StreamCursor {
+            delivered: number(delivered)?,
+            shards: Vec::new(),
+        };
+        for (index, fields) in shards.iter().enumerate() {
+            let ["T", shard, segment, offset] = fields[..] else {
+                return Err("bad shard line");
+            };
+            if number::<usize>(shard)? != index {
+                return Err("shard lines out of order");
+            }
+            cursor.shards.push(TailCursor {
+                segment: number(segment)?,
+                offset: number(offset)?,
+            });
+        }
+        Ok(cursor)
     }
 }
 
@@ -179,5 +160,28 @@ mod tests {
         let corrupt = full.replacen("S\t3", "S\t4", 1);
         fs::write(&path, corrupt).unwrap();
         assert!(StreamCursor::load(&path).is_err());
+
+        // So must a byte that is not UTF-8.
+        let mut bytes = full.into_bytes();
+        bytes[0] = 0xff;
+        fs::write(&path, bytes).unwrap();
+        assert!(StreamCursor::load(&path).is_err());
+    }
+
+    /// The save's temp file is `<name>.tmp`, so a file named like the
+    /// cursor with its extension swapped is not the save's to take.
+    #[test]
+    fn saving_a_cursor_leaves_a_sibling_tmp_file_alone() {
+        let dir = tmp_file("sibling").parent().unwrap().to_path_buf();
+        let unrelated = dir.join("pos.tmp");
+        fs::write(&unrelated, b"not the cursor's\n").unwrap();
+        let path = dir.join("pos.cursor");
+        let stream = crate::ChangeStream::open(&dir);
+        stream.save_cursor(&path).unwrap();
+        stream.save_cursor(&path).unwrap();
+        assert_eq!(fs::read(&unrelated).unwrap(), b"not the cursor's\n");
+        assert_eq!(StreamCursor::load(&path).unwrap(), StreamCursor::default());
+        assert!(!dir.join("pos.cursor.tmp").exists());
+        fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -1,8 +1,10 @@
 //! Injectable filesystem abstraction for durability-critical writes.
 //!
 //! Every write path whose crash-safety the workspace asserts — the
-//! docstore's atomic saves, the shard WAL appenders and segment
-//! rotation, and the shard manifest commit —
+//! one atomic replace (`nc_docstore::persist::replace`: saved
+//! collections, the shard manifest, stream cursors), the shard WAL
+//! appenders and segment rotation, and the shard engine's recovery
+//! (log truncation, segment unlinks, the wipe of a discarded state) —
 //! performs its mutating syscalls through the [`Vfs`] trait instead of
 //! `std::fs` directly. [`StdVfs`] is the zero-cost production
 //! implementation; [`fault::FaultVfs`] is the adversarial one, able to
@@ -77,6 +79,14 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     /// Best-effort on the open (not every filesystem permits opening a
     /// directory), but an fsync that was issued and failed is an error.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
+
+    /// Cut the file at `path` back to `len` bytes and make the cut
+    /// durable: `open`, `ftruncate`, `fsync`, each through this `Vfs`.
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        let mut file = self.append(path)?;
+        file.set_len(len)?;
+        file.sync_file()
+    }
 }
 
 /// The production [`Vfs`]: a zero-cost passthrough to `std::fs`.

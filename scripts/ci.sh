@@ -38,6 +38,21 @@ if grep -n 'nc-serve' crates/shard/Cargo.toml >&2; then
     exit 1
 fi
 
+echo "=== vfs gate ==="
+# The crash sweeps can only crash a syscall that goes through a `Vfs`:
+# the durable write paths — the one atomic replace in
+# nc-docstore's persist.rs, the shard WAL, its recovery and the engine
+# wipe, the stream cursor — issue no mutating syscall of their own.
+# Non-test code only: each file's lines before its first `#[cfg(test)]`.
+bypass=$(awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+        crates/shard/src/*.rs crates/stream/src/*.rs crates/docstore/src/persist.rs |
+    grep -E 'fs::(remove_file|rename|write)|File::create|OpenOptions|set_len|(^|[^.])create_dir_all|sync_all' || true)
+if [ -n "$bypass" ]; then
+    echo "a mutating syscall outside the Vfs:" >&2
+    echo "$bypass" >&2
+    exit 1
+fi
+
 echo "=== lock gate ==="
 # A package with a `source` came from a registry or a git remote; the
 # lock file names workspace crates only.
@@ -84,7 +99,7 @@ echo "=== property sweep ==="
 # case) and its three carve properties (a store built and carved per
 # case).
 cargo test --release -q -p nc-core -p nc-detect -p nc-docstore -p nc-pprl -p nc-query \
-    -p nc-similarity -p nc-votergen "$@" -- --ignored
+    -p nc-shard -p nc-similarity -p nc-votergen "$@" -- --ignored
 
 echo "=== shard smoke ==="
 # Tiny-parameter pass through the shard benchmark: in-memory fan-out,
