@@ -2,8 +2,8 @@
 //! pipeline versus the multi-pass Sorted-Neighborhood baseline.
 //!
 //! ```sh
-//! cargo run --release -p nc-bench --bin bench_detect -- \
-//!     --scales 10000,100000,1000000 --out BENCH_detect.json
+//! scripts/bench.sh detect                  # BENCH_detect.json at its recorded parameters
+//! cargo run --release -p nc-bench --bin bench_detect -- --scales 10000,50000 --out /tmp/d.json
 //! ```
 //!
 //! One registry is generated at the largest requested scale; each
@@ -11,87 +11,34 @@
 //! curve varies only `n`. Per scale the harness reports wall time,
 //! distinct candidate count and pair completeness for both pipelines,
 //! plus log-log growth exponents between consecutive scales (an
-//! exponent below 1 means sub-linear growth). The indexed pipeline's
-//! parallel probe is asserted bit-identical to the sequential probe
-//! before any number is reported. The JSON is written by hand so the
-//! binary has no serialization dependency.
+//! exponent below 1 means sub-linear growth). The run fails unless the
+//! indexed pipeline's parallel probe is bit-identical to the sequential
+//! probe at every scale.
 
-use std::path::PathBuf;
-use std::time::Instant;
+use std::process::ExitCode;
 
+use nc_bench::bench::{finish, timed, Flags};
+use nc_bench::context::ExperimentScale;
 use nc_core::heterogeneity::Scope;
-use nc_core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_core::record::DedupPolicy;
 use nc_detect::blocking::{SortedNeighborhood, StreamBlocker};
 use nc_detect::dataset::{Dataset, Pair};
-use nc_detect::index::{CompositeBlocker, IndexedQGramBlocker, IndexedTokenBlocker, SoundexBlocker};
+use nc_detect::index::{
+    CompositeBlocker, IndexedQGramBlocker, IndexedTokenBlocker, SoundexBlocker,
+};
 use nc_detect::sink::PairCollector;
+use nc_docstore::doc;
+use nc_pipeline_bench::harness::{hardware_threads, Checks};
 use nc_suite::bridge::dataset_from_store;
-use nc_votergen::config::GeneratorConfig;
 
-struct Args {
-    scales: Vec<usize>,
-    population: usize,
-    snapshots: usize,
-    seed: u64,
-    threads: usize,
-    reps: usize,
-    keys: usize,
-    cap: usize,
-    window: usize,
-    out: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        scales: vec![10_000, 100_000, 1_000_000],
-        population: 0, // derived from the largest scale
-        snapshots: 12,
-        seed: 2021,
-        threads: 0,
-        reps: 1,
-        keys: 5,
-        cap: 192,
-        window: 20,
-        out: PathBuf::from("BENCH_detect.json"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| panic!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--scales" => {
-                parsed.scales = value()
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--scales takes numbers"))
-                    .collect();
-                parsed.scales.sort_unstable();
-                parsed.scales.dedup();
-                assert!(!parsed.scales.is_empty(), "--scales needs at least one value");
-            }
-            "--pop" => parsed.population = value().parse().expect("--pop takes a number"),
-            "--snapshots" => parsed.snapshots = value().parse().expect("--snapshots takes a number"),
-            "--seed" => parsed.seed = value().parse().expect("--seed takes a number"),
-            "--threads" => parsed.threads = value().parse().expect("--threads takes a number"),
-            "--reps" => parsed.reps = value().parse().expect("--reps takes a number"),
-            "--keys" => parsed.keys = value().parse().expect("--keys takes a number"),
-            "--cap" => parsed.cap = value().parse().expect("--cap takes a number"),
-            "--window" => parsed.window = value().parse().expect("--window takes a number"),
-            "--out" => parsed.out = PathBuf::from(value()),
-            other => {
-                eprintln!("unknown flag: {other}");
-                eprintln!(
-                    "usage: bench_detect [--scales N,N,..] [--pop N] [--snapshots N] [--seed N] \
-                     [--threads N] [--reps N] [--keys N] [--cap N] [--window N] [--out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed
-}
+/// Highest-entropy attributes used as blocking keys.
+const KEYS: usize = 5;
+/// Absolute document-frequency cap of every index.
+const CAP: usize = 192;
+/// Sorted-Neighborhood window.
+const WINDOW: usize = 20;
+/// Calendar snapshots the registry is generated over.
+const SNAPSHOTS: usize = 12;
 
 /// The indexed candidate pipeline under measurement: capped standard
 /// blocking (one token index over every key), capped trigram indexes
@@ -99,43 +46,33 @@ fn parse_args() -> Args {
 /// attributes. Every component uses an *absolute* document-frequency
 /// cap, so the fraction of terms that still emit pairs shrinks as `n`
 /// grows — the mechanism behind the sub-linear curve.
-fn indexed_pipeline(keys: &[usize], cap: usize, threads: usize) -> CompositeBlocker {
+fn indexed_pipeline(keys: &[usize], threads: usize) -> CompositeBlocker {
     let mut passes: Vec<Box<dyn StreamBlocker + Send + Sync>> = Vec::new();
-    let mut tokens = IndexedTokenBlocker::any_token(keys.to_vec(), cap);
+    let mut tokens = IndexedTokenBlocker::any_token(keys.to_vec(), CAP);
     tokens.threads = threads;
     passes.push(Box::new(tokens));
     for &key in keys {
-        let mut grams = IndexedQGramBlocker::trigrams_capped(key, cap);
+        let mut grams = IndexedQGramBlocker::trigrams_capped(key, CAP);
         grams.threads = threads;
         passes.push(Box::new(grams));
     }
     // Person-scope positions 0 and 1 are last_name and first_name.
     for key in [0usize, 1] {
-        let mut phonetic = SoundexBlocker::new(key, cap);
+        let mut phonetic = SoundexBlocker::new(key, CAP);
         phonetic.threads = threads;
         passes.push(Box::new(phonetic));
     }
     CompositeBlocker::new(passes)
 }
 
-/// Best-of-`reps` wall time of one streamed candidate-generation pass,
-/// returning the sorted distinct candidate list of the last rep.
-fn time_candidates(
-    reps: usize,
-    data: &Dataset,
-    blocker: &dyn StreamBlocker,
-) -> (f64, Vec<Pair>) {
-    let mut best = f64::INFINITY;
-    let mut pairs = Vec::new();
-    for _ in 0..reps.max(1) {
-        let mut collector = PairCollector::new();
-        let start = Instant::now();
+/// Wall time of one streamed candidate-generation pass, with the sorted
+/// distinct candidate list.
+fn time_candidates(data: &Dataset, blocker: &dyn StreamBlocker) -> (f64, Vec<Pair>) {
+    let mut collector = PairCollector::new();
+    timed(|| {
         blocker.stream_into(data, &mut collector);
-        let sorted = collector.finish();
-        best = best.min(start.elapsed().as_secs_f64());
-        pairs = sorted;
-    }
-    (best, pairs)
+        collector.finish()
+    })
 }
 
 /// Fraction of gold pairs present in a sorted candidate list.
@@ -150,200 +87,140 @@ fn completeness(gold: &[Pair], sorted_candidates: &[Pair]) -> f64 {
     hits as f64 / gold.len() as f64
 }
 
-struct ScalePoint {
-    records: usize,
-    gold: usize,
-    snm_secs: f64,
-    snm_candidates: usize,
-    snm_completeness: f64,
-    indexed_secs: f64,
-    indexed_candidates: usize,
-    indexed_completeness: f64,
-}
-
 /// log-log slope between two curve points; < 1 means sub-linear.
 fn growth_exponent(n1: usize, v1: f64, n2: usize, v2: f64) -> f64 {
     (v2.max(1e-12) / v1.max(1e-12)).ln() / (n2 as f64 / n1 as f64).ln()
 }
 
-fn main() {
-    let args = parse_args();
-    let max_scale = *args.scales.last().expect("at least one scale");
+fn main() -> ExitCode {
+    let mut flags = Flags::from_env("bench_detect");
+    let mut scales = flags.list("--scales", &[10_000usize, 100_000, 1_000_000]);
+    // `--pop 0` sizes the registry from the largest scale.
+    let mut scale = ExperimentScale {
+        population: flags.get("--pop", 0),
+        snapshots: SNAPSHOTS,
+        ..ExperimentScale::default()
+    };
+    let out = flags.path("--out", "BENCH_detect.json");
+    flags.done();
+    scales.sort_unstable();
+    scales.dedup();
+    let max_scale = *scales.last().expect("--scales has a value");
     // The generator yields ~4.3-4.6 records per initial resident over
     // 12 snapshots; size the population so the registry covers the
     // largest scale.
-    let population = if args.population > 0 {
-        args.population
-    } else {
-        (max_scale as f64 / 4.0).ceil() as usize
-    };
-    eprintln!(
-        "generating registry: population {population}, {} snapshots, seed {}…",
-        args.snapshots, args.seed
-    );
-    let outcome = TestDataGenerator::run(GenerationConfig {
-        generator: GeneratorConfig {
-            seed: args.seed,
-            initial_population: population,
-            ..Default::default()
-        },
-        policy: DedupPolicy::Trimmed,
-        snapshots: args.snapshots,
-    });
+    if scale.population == 0 {
+        scale.population = (max_scale as f64 / 4.0).ceil() as usize;
+    }
+    let outcome = scale.run(DedupPolicy::Trimmed);
     let full = dataset_from_store(&outcome.store, Scope::Person.attrs());
     eprintln!("registry holds {} records", full.len());
 
-    let mut points: Vec<ScalePoint> = Vec::new();
-    for &scale in &args.scales {
-        let n = scale.min(full.len());
-        if n < scale {
-            eprintln!("registry smaller than scale {scale}; clamping to {n}");
+    let mut checks = Checks::default();
+    let mut points = Vec::new();
+    let mut curve: Vec<(usize, [f64; 4])> = Vec::new();
+    for &target in &scales {
+        let n = target.min(full.len());
+        if n < target {
+            eprintln!("registry smaller than scale {target}; clamping to {n}");
         }
         let data = Dataset {
             attr_names: full.attr_names.clone(),
             records: full.records[..n].to_vec(),
         };
-        let keys = data.top_entropy_attrs(args.keys.min(data.num_attrs()));
+        let keys = data.top_entropy_attrs(KEYS.min(data.num_attrs()));
         let gold = data.sorted_gold_pairs();
         eprintln!("scale {n}: keys {keys:?}, {} gold pairs", gold.len());
 
-        let snm = SortedNeighborhood { keys: keys.clone(), window: args.window };
-        let (snm_secs, snm_pairs) = time_candidates(args.reps, &data, &snm);
+        let snm = SortedNeighborhood {
+            keys: keys.clone(),
+            window: WINDOW,
+        };
+        let (snm_secs, snm_pairs) = time_candidates(&data, &snm);
         let snm_completeness = completeness(&gold, &snm_pairs);
         eprintln!(
             "  snm: {snm_secs:.3} s, {} candidates, completeness {snm_completeness:.4}",
             snm_pairs.len()
         );
 
-        // Parallel output must be bit-identical to sequential before
-        // any measurement of the indexed pipeline counts: same pairs in
-        // the same order, even on a chunking that differs from the
-        // probe's own.
+        // Parallel output must be bit-identical to sequential: same
+        // pairs in the same order, even on a chunking that differs from
+        // the probe's own.
         let mut seq_emission: Vec<Pair> = Vec::new();
-        indexed_pipeline(&keys, args.cap, 1).stream_into(&data, &mut seq_emission);
+        indexed_pipeline(&keys, 1).stream_into(&data, &mut seq_emission);
         let mut par_emission: Vec<Pair> = Vec::new();
-        indexed_pipeline(&keys, args.cap, args.threads.max(2)).stream_into(&data, &mut par_emission);
-        assert_eq!(
-            seq_emission, par_emission,
-            "parallel probe diverged from sequential at scale {n}"
-        );
+        indexed_pipeline(&keys, 2).stream_into(&data, &mut par_emission);
+        checks.check(seq_emission == par_emission, || {
+            format!("parallel probe diverged from sequential at scale {n}")
+        });
         drop(seq_emission);
         drop(par_emission);
 
-        let indexed = indexed_pipeline(&keys, args.cap, args.threads);
-        let (indexed_secs, indexed_pairs) = time_candidates(args.reps, &data, &indexed);
+        let (indexed_secs, indexed_pairs) = time_candidates(&data, &indexed_pipeline(&keys, 0));
         let indexed_completeness = completeness(&gold, &indexed_pairs);
         eprintln!(
             "  indexed: {indexed_secs:.3} s, {} candidates, completeness {indexed_completeness:.4}",
             indexed_pairs.len()
         );
-
-        points.push(ScalePoint {
-            records: n,
-            gold: gold.len(),
-            snm_secs,
-            snm_candidates: snm_pairs.len(),
-            snm_completeness,
-            indexed_secs,
-            indexed_candidates: indexed_pairs.len(),
-            indexed_completeness,
+        curve.push((
+            n,
+            [
+                snm_secs,
+                indexed_secs,
+                snm_pairs.len() as f64,
+                indexed_pairs.len() as f64,
+            ],
+        ));
+        points.push(doc! {
+            "records" => n,
+            "gold_pairs" => gold.len(),
+            "snm_secs" => snm_secs,
+            "snm_candidates" => snm_pairs.len(),
+            "snm_completeness" => snm_completeness,
+            "indexed_secs" => indexed_secs,
+            "indexed_candidates" => indexed_pairs.len(),
+            "indexed_completeness" => indexed_completeness,
         });
     }
 
-    let hardware = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let threads = if args.threads == 0 { hardware } else { args.threads };
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"population\": {population},\n"));
-    json.push_str(&format!("  \"snapshots\": {},\n", args.snapshots));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!("  \"reps\": {},\n", args.reps.max(1)));
-    json.push_str(&format!("  \"keys\": {},\n", args.keys));
-    json.push_str(&format!("  \"stop_cap\": {},\n", args.cap));
-    json.push_str(&format!("  \"snm_window\": {},\n", args.window));
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str(&format!("  \"parallel_threads\": {threads},\n"));
-    json.push_str("  \"scales\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"records\": {},\n",
-                "      \"gold_pairs\": {},\n",
-                "      \"snm_secs\": {:.6},\n",
-                "      \"snm_candidates\": {},\n",
-                "      \"snm_completeness\": {:.6},\n",
-                "      \"indexed_secs\": {:.6},\n",
-                "      \"indexed_candidates\": {},\n",
-                "      \"indexed_completeness\": {:.6}\n",
-                "    }}{}\n"
-            ),
-            p.records,
-            p.gold,
-            p.snm_secs,
-            p.snm_candidates,
-            p.snm_completeness,
-            p.indexed_secs,
-            p.indexed_candidates,
-            p.indexed_completeness,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"growth_exponents\": [\n");
-    for (i, w) in points.windows(2).enumerate() {
-        let (a, b) = (&w[0], &w[1]);
-        json.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"from_records\": {},\n",
-                "      \"to_records\": {},\n",
-                "      \"snm_time\": {:.4},\n",
-                "      \"indexed_time\": {:.4},\n",
-                "      \"snm_candidates\": {:.4},\n",
-                "      \"indexed_candidates\": {:.4}\n",
-                "    }}{}\n"
-            ),
-            a.records,
-            b.records,
-            growth_exponent(a.records, a.snm_secs, b.records, b.snm_secs),
-            growth_exponent(a.records, a.indexed_secs, b.records, b.indexed_secs),
-            growth_exponent(a.records, a.snm_candidates as f64, b.records, b.snm_candidates as f64),
-            growth_exponent(
-                a.records,
-                a.indexed_candidates as f64,
-                b.records,
-                b.indexed_candidates as f64
-            ),
-            if i + 2 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"bit_identical\": true,\n");
-    json.push_str(
-        "  \"note\": \"growth exponents are log-log slopes between consecutive scales; \
-         < 1.0 means sub-linear. Parallel speedup is ~1.0x on this single-core container; \
-         the headline result is the scaling-in-n curve, with the parallel probe asserted \
-         bit-identical to the sequential one at every scale.\"\n",
-    );
-    json.push_str("}\n");
-    std::fs::write(&args.out, &json).expect("write benchmark json");
-    eprintln!("wrote {}", args.out.display());
-
-    for w in points.windows(2) {
-        let (a, b) = (&w[0], &w[1]);
-        println!(
-            "{} -> {}: time exponent snm {:.3} vs indexed {:.3}; candidates snm {:.3} vs indexed {:.3}",
-            a.records,
-            b.records,
-            growth_exponent(a.records, a.snm_secs, b.records, b.snm_secs),
-            growth_exponent(a.records, a.indexed_secs, b.records, b.indexed_secs),
-            growth_exponent(a.records, a.snm_candidates as f64, b.records, b.snm_candidates as f64),
-            growth_exponent(
-                a.records,
-                a.indexed_candidates as f64,
-                b.records,
-                b.indexed_candidates as f64
-            ),
-        );
-    }
+    let growth: Vec<_> = curve
+        .windows(2)
+        .map(|w| {
+            let ((n1, a), (n2, b)) = (w[0], w[1]);
+            let e = |i: usize| growth_exponent(n1, a[i], n2, b[i]);
+            println!(
+                "{n1} -> {n2}: time exponent snm {:.3} vs indexed {:.3}; candidates snm {:.3} vs indexed {:.3}",
+                e(0),
+                e(1),
+                e(2),
+                e(3)
+            );
+            doc! {
+                "from_records" => n1,
+                "to_records" => n2,
+                "snm_time" => e(0),
+                "indexed_time" => e(1),
+                "snm_candidates" => e(2),
+                "indexed_candidates" => e(3),
+            }
+        })
+        .collect();
+    let report = doc! {
+        "population" => scale.population,
+        "snapshots" => scale.snapshots,
+        "seed" => scale.seed,
+        "reps" => 1_usize,
+        "keys" => KEYS,
+        "stop_cap" => CAP,
+        "snm_window" => WINDOW,
+        "parallel_threads" => hardware_threads(),
+        "scales" => points,
+        "growth_exponents" => growth,
+        "bit_identical" => checks.failed == 0,
+        "note" => "growth exponents are log-log slopes between consecutive scales; \
+                   < 1.0 means sub-linear. The headline result is the scaling-in-n curve; \
+                   parallel speedup depends on hardware_threads, and the parallel probe is \
+                   checked bit-identical to the sequential one at every scale.",
+    };
+    finish(&out, report, &checks)
 }

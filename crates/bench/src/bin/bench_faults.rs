@@ -1,89 +1,40 @@
 //! Bounded syscall-fault sweep over the shard engine, as a benchmark
-//! binary: crash the third-snapshot ingest at every K-th mutating
-//! syscall, reopen, and count where recovery lands. Zero "third
-//! states" is asserted, the pre/post landing counts are the report.
+//! binary: crash the third snapshot's ingest at every K-th mutating
+//! syscall, reopen, and count where recovery lands: before the commit
+//! (pre), after it (post), or in a "third state" that is neither.
 //!
 //! ```sh
-//! cargo run --release -p nc-bench --bin bench_faults -- \
-//!     --pop 120 --shards 2 --stride 7 --chaos-runs 48 --out BENCH_faults.json
+//! scripts/bench.sh faults                  # BENCH_faults.json at its recorded parameters
+//! cargo run --release -p nc-bench --bin bench_faults -- --stride 7 --chaos-runs 48 --out /tmp/f.json
 //! ```
 //!
 //! `--stride 1` sweeps every operation (what the CI smoke runs with a
 //! larger stride); the chaos phase then replays the same scenario under
 //! seeded random fault schedules ([`FaultVfs::with_seed`]) and counts
-//! how many injected faults the engine survived. The JSON is written
-//! by hand so the binary has no serialization dependency.
+//! how many injected faults the engine survived. The run fails on any
+//! third state, on a crash that does not surface an error, on a reopen
+//! that fails, and on a resume that does not reach the uninterrupted
+//! state.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
-use nc_core::record::DedupPolicy;
+use nc_bench::bench::{finish, timed, Flags};
+use nc_bench::context::{temp_dir, ExperimentScale};
 use nc_core::tsv::{self, ImportOptions};
+use nc_docstore::doc;
+use nc_pipeline_bench::harness::{Checks, TmpDir};
 use nc_shard::{ShardEngine, ShardEngineConfig};
 use nc_vfs::fault::FaultVfs;
-use nc_votergen::config::GeneratorConfig;
-use nc_votergen::registry::Registry;
-use nc_votergen::snapshot::standard_calendar;
 
-struct Args {
-    population: usize,
-    shards: usize,
-    seed: u64,
-    stride: u64,
-    chaos_runs: u64,
-    chaos_p: f64,
-    out: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        population: 120,
-        shards: 2,
-        seed: 2021,
-        stride: 1,
-        chaos_runs: 32,
-        chaos_p: 0.02,
-        out: PathBuf::from("BENCH_faults.json"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| panic!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--pop" => parsed.population = value().parse().expect("--pop takes a number"),
-            "--shards" => parsed.shards = value().parse().expect("--shards takes a number"),
-            "--seed" => parsed.seed = value().parse().expect("--seed takes a number"),
-            "--stride" => parsed.stride = value().parse().expect("--stride takes a number"),
-            "--chaos-runs" => {
-                parsed.chaos_runs = value().parse().expect("--chaos-runs takes a number")
-            }
-            "--chaos-p" => parsed.chaos_p = value().parse().expect("--chaos-p takes a number"),
-            "--out" => parsed.out = PathBuf::from(value()),
-            other => {
-                eprintln!("unknown flag: {other}");
-                eprintln!(
-                    "usage: bench_faults [--pop N] [--shards N] [--seed N] [--stride N] \
-                     [--chaos-runs N] [--chaos-p F] [--out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed.stride = parsed.stride.max(1);
-    parsed
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("nc_bench_faults_{name}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
+/// Hash partitions of the engine under fault.
+const SHARDS: usize = 2;
+/// Chance that a chaos run faults any one syscall.
+const CHAOS_P: f64 = 0.02;
+/// Calendar snapshots of the scenario: two committed, the third under fault.
+const SNAPSHOTS: usize = 3;
 
 fn copy_dir(from: &Path, to: &Path) {
     fs::create_dir_all(to).expect("create copy target");
@@ -95,13 +46,6 @@ fn copy_dir(from: &Path, to: &Path) {
         } else {
             fs::copy(entry.path(), &dst).expect("copy state file");
         }
-    }
-}
-
-fn config(shards: usize) -> ShardEngineConfig {
-    ShardEngineConfig {
-        segment_bytes: 8 << 10,
-        ..ShardEngineConfig::new(shards, DedupPolicy::Trimmed, 1)
     }
 }
 
@@ -126,193 +70,199 @@ fn fingerprint(engine: &ShardEngine) -> String {
     out
 }
 
-fn main() {
-    let args = parse_args();
-    eprintln!(
-        "building scenario: population {}, shards {}, seed {}…",
-        args.population, args.shards, args.seed
-    );
+/// Where a reopened state landed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Landing {
+    Pre,
+    Post,
+    Third,
+}
 
-    let archive = tmp_dir("archive");
-    let mut registry = Registry::new(GeneratorConfig {
-        seed: args.seed,
-        initial_population: args.population,
-        ..Default::default()
-    });
-    for info in standard_calendar().iter().take(3) {
-        let snap = registry.generate_snapshot(info);
-        tsv::write_snapshot(&archive, &snap).expect("write snapshot");
+/// The committed base state, and the digests of the two states a
+/// failed ingest of the third snapshot may recover to.
+struct Scenario {
+    config: ShardEngineConfig,
+    archive: PathBuf,
+    base: TmpDir,
+    pre: String,
+    post: String,
+}
+
+impl Scenario {
+    /// A fresh copy of the base state.
+    fn state(&self) -> TmpDir {
+        let state = temp_dir("state");
+        copy_dir(self.base.path(), state.path());
+        state
     }
+
+    /// Ingest the archive into `state` with `vfs`; on failure, whether
+    /// the engine rolled the failed snapshot back.
+    fn ingest(&self, state: &Path, vfs: &FaultVfs) -> Result<(), bool> {
+        let mut engine = ShardEngine::open_with_vfs(state, self.config, Arc::new(vfs.clone()))
+            .map_err(|_| false)?;
+        match engine.ingest_archive(&self.archive, &ImportOptions::strict()) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(engine.last_failure().is_some()),
+        }
+    }
+
+    /// Reopen a state a faulted ingest left, say where recovery
+    /// landed (`None` if the reopen failed), and check that resuming
+    /// reaches the uninterrupted state.
+    fn recover(&self, state: &Path, checks: &mut Checks, what: &str) -> Option<Landing> {
+        let Ok(mut engine) = ShardEngine::open(state, self.config) else {
+            checks.check(false, || format!("{what}: reopen failed"));
+            return None;
+        };
+        let print = fingerprint(&engine);
+        let landing = if print == self.pre {
+            Landing::Pre
+        } else if print == self.post {
+            Landing::Post
+        } else {
+            Landing::Third
+        };
+        checks.check(landing != Landing::Third, || {
+            format!("{what} recovered to a third state")
+        });
+        let resumed = engine
+            .ingest_archive(&self.archive, &ImportOptions::strict())
+            .is_ok()
+            && fingerprint(&engine) == self.post;
+        checks.check(resumed, || {
+            format!("{what}: resume did not reach the uninterrupted state")
+        });
+        Some(landing)
+    }
+}
+
+fn main() -> ExitCode {
+    let mut flags = Flags::from_env("bench_faults");
+    let scale = ExperimentScale {
+        population: flags.get("--pop", 150),
+        snapshots: SNAPSHOTS,
+        ..ExperimentScale::default()
+    };
+    let stride = flags.get("--stride", 1u64).max(1);
+    let chaos_runs = flags.get("--chaos-runs", 24u64);
+    let out = flags.path("--out", "BENCH_faults.json");
+    flags.done();
+
+    let mut archive = scale.archive(SHARDS);
+    archive.config.segment_bytes = 8 << 10;
+    let config = archive.config;
 
     // Base state: the first two snapshots committed.
-    let partial = tmp_dir("partial");
-    for path in tsv::archive_files(&archive)
-        .expect("list archive")
-        .into_iter()
-        .take(2)
-    {
-        fs::copy(&path, partial.join(path.file_name().expect("file name"))).expect("copy");
+    let partial = temp_dir("partial");
+    let files = tsv::archive_files(archive.dir.path()).expect("list archive");
+    for path in &files[..SNAPSHOTS - 1] {
+        fs::copy(
+            path,
+            partial.path().join(path.file_name().expect("file name")),
+        )
+        .expect("copy");
     }
-    let base = tmp_dir("base");
-    let mut engine = ShardEngine::open(&base, config(args.shards)).expect("open base");
+    let base = temp_dir("base");
+    let mut engine = ShardEngine::open(base.path(), config).expect("open base");
     engine
-        .ingest_archive(&partial, &ImportOptions::strict())
+        .ingest_archive(partial.path(), &ImportOptions::strict())
         .expect("ingest base");
     let pre = fingerprint(&engine);
     drop(engine);
 
-    // Reference: the uninterrupted three-snapshot run.
-    let full = tmp_dir("full");
-    let mut engine = ShardEngine::open(&full, config(args.shards)).expect("open full");
+    // Reference: the uninterrupted run.
+    let full = temp_dir("full");
+    let mut engine = ShardEngine::open(full.path(), config).expect("open full");
     engine
-        .ingest_archive(&archive, &ImportOptions::strict())
+        .ingest_archive(archive.dir.path(), &ImportOptions::strict())
         .expect("ingest full");
     let post = fingerprint(&engine);
     drop(engine);
-    fs::remove_dir_all(&full).ok();
+    drop(full);
+    let scenario = Scenario {
+        config,
+        archive: archive.dir.path().to_path_buf(),
+        base,
+        pre,
+        post,
+    };
 
-    // Learn the syscall trace of the third-snapshot ingest.
-    let trace_state = tmp_dir("trace");
-    copy_dir(&base, &trace_state);
+    // Learn the syscall trace of the third snapshot's ingest.
     let recorder = FaultVfs::recorder();
-    let mut engine =
-        ShardEngine::open_with_vfs(&trace_state, config(args.shards), Arc::new(recorder.clone()))
-            .expect("open recorder");
-    engine
-        .ingest_archive(&archive, &ImportOptions::strict())
-        .expect("recorder ingest");
-    drop(engine);
-    fs::remove_dir_all(&trace_state).ok();
+    let traced = scenario.ingest(scenario.state().path(), &recorder);
+    assert!(traced.is_ok(), "the recorder's ingest must succeed");
     let total = recorder.ops();
 
     // Phase 1: crash sweep at every `stride`-th operation.
-    eprintln!("crash sweep: {total} syscalls, stride {}…", args.stride);
-    let started = Instant::now();
-    let (mut landed_pre, mut landed_post, mut swept) = (0u64, 0u64, 0u64);
-    let mut k = 0;
-    while k < total {
-        swept += 1;
-        let state = tmp_dir("sweep");
-        copy_dir(&base, &state);
-        let vfs = FaultVfs::crash_at(k);
-        let failed =
-            match ShardEngine::open_with_vfs(&state, config(args.shards), Arc::new(vfs.clone())) {
-                Ok(mut engine) => engine
-                    .ingest_archive(&archive, &ImportOptions::strict())
-                    .is_err(),
-                Err(_) => true,
-            };
-        assert!(failed, "crash at {k} of {total} must surface an error");
-
-        let mut reopened = ShardEngine::open(&state, config(args.shards)).expect("reopen");
-        let print = fingerprint(&reopened);
-        if print == pre {
-            landed_pre += 1;
-        } else if print == post {
-            landed_post += 1;
-        } else {
-            panic!("crash at {k} recovered to a third state");
+    eprintln!("crash sweep: {total} syscalls, stride {stride}…");
+    let mut checks = Checks::default();
+    let mut landed = [0u64; 3];
+    let mut third_states = 0u64;
+    let (sweep_secs, swept) = timed(|| {
+        let mut swept = 0u64;
+        for k in (0..total).step_by(stride as usize) {
+            swept += 1;
+            let state = scenario.state();
+            let failed = scenario
+                .ingest(state.path(), &FaultVfs::crash_at(k))
+                .is_err();
+            checks.check(failed, || {
+                format!("crash at {k} of {total} did not surface an error")
+            });
+            let what = format!("crash at {k}");
+            if let Some(landing) = scenario.recover(state.path(), &mut checks, &what) {
+                landed[landing as usize] += 1;
+            }
         }
-        reopened
-            .ingest_archive(&archive, &ImportOptions::strict())
-            .expect("resume");
-        assert_eq!(fingerprint(&reopened), post, "resume after crash at {k}");
-        drop(reopened);
-        fs::remove_dir_all(&state).ok();
-        k += args.stride;
-    }
-    let sweep_secs = started.elapsed().as_secs_f64();
+        swept
+    });
 
     // Phase 2: seeded random chaos. Every run either succeeds (no fault
     // hit a critical op) or fails and must still recover to pre/post.
-    eprintln!("chaos: {} seeded runs at p={}…", args.chaos_runs, args.chaos_p);
-    let started = Instant::now();
+    eprintln!("chaos: {chaos_runs} seeded runs at p={CHAOS_P}…");
     let (mut chaos_faults, mut chaos_failed, mut chaos_rollbacks) = (0u64, 0u64, 0u64);
-    for run in 0..args.chaos_runs {
-        let state = tmp_dir("chaos");
-        copy_dir(&base, &state);
-        let vfs = FaultVfs::with_seed(args.seed ^ (run + 1), args.chaos_p);
-        match ShardEngine::open_with_vfs(&state, config(args.shards), Arc::new(vfs.clone())) {
-            Ok(mut engine) => {
-                if engine
-                    .ingest_archive(&archive, &ImportOptions::strict())
-                    .is_err()
-                {
-                    chaos_failed += 1;
-                    if engine.last_failure().is_some() {
-                        chaos_rollbacks += 1;
-                    }
-                }
+    let (chaos_secs, ()) = timed(|| {
+        for run in 0..chaos_runs {
+            let state = scenario.state();
+            let vfs = FaultVfs::with_seed(scale.seed ^ (run + 1), CHAOS_P);
+            if let Err(rolled_back) = scenario.ingest(state.path(), &vfs) {
+                chaos_failed += 1;
+                chaos_rollbacks += u64::from(rolled_back);
             }
-            Err(_) => chaos_failed += 1,
+            chaos_faults += vfs.faults_fired();
+            let what = format!("chaos run {run}");
+            let landing = scenario.recover(state.path(), &mut checks, &what);
+            third_states += u64::from(landing == Some(Landing::Third));
         }
-        chaos_faults += vfs.faults_fired();
-
-        let mut reopened = ShardEngine::open(&state, config(args.shards)).expect("chaos reopen");
-        let print = fingerprint(&reopened);
-        assert!(
-            print == pre || print == post,
-            "chaos run {run} recovered to a third state"
-        );
-        reopened
-            .ingest_archive(&archive, &ImportOptions::strict())
-            .expect("chaos resume");
-        assert_eq!(fingerprint(&reopened), post, "chaos run {run} resume");
-        drop(reopened);
-        fs::remove_dir_all(&state).ok();
-    }
-    let chaos_secs = started.elapsed().as_secs_f64();
-
-    fs::remove_dir_all(&archive).ok();
-    fs::remove_dir_all(&partial).ok();
-    fs::remove_dir_all(&base).ok();
+    });
+    let [landed_pre, landed_post, sweep_third] = landed;
+    third_states += sweep_third;
 
     println!(
         "crash sweep: {swept} of {total} syscalls swept, {landed_pre} recovered pre, \
-         {landed_post} post, 0 third states ({sweep_secs:.1}s)\n\
-         chaos: {} runs, {chaos_faults} faults fired, {chaos_failed} ingests failed, \
-         {chaos_rollbacks} clean rollbacks, all recovered ({chaos_secs:.1}s)",
-        args.chaos_runs,
+         {landed_post} post, {third_states} third states ({sweep_secs:.1}s)\n\
+         chaos: {chaos_runs} runs, {chaos_faults} faults fired, {chaos_failed} ingests failed, \
+         {chaos_rollbacks} clean rollbacks ({chaos_secs:.1}s)",
     );
-
-    // Hand-rolled JSON: flat object, stable key order.
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"population\": {},\n",
-            "  \"shards\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"stride\": {},\n",
-            "  \"syscalls_total\": {},\n",
-            "  \"crash_points_swept\": {},\n",
-            "  \"recovered_pre_commit\": {},\n",
-            "  \"recovered_post_commit\": {},\n",
-            "  \"third_states\": 0,\n",
-            "  \"sweep_secs\": {:.3},\n",
-            "  \"chaos_runs\": {},\n",
-            "  \"chaos_p\": {},\n",
-            "  \"chaos_faults_fired\": {},\n",
-            "  \"chaos_ingests_failed\": {},\n",
-            "  \"chaos_clean_rollbacks\": {},\n",
-            "  \"chaos_secs\": {:.3}\n",
-            "}}\n"
-        ),
-        args.population,
-        args.shards,
-        args.seed,
-        args.stride,
-        total,
-        swept,
-        landed_pre,
-        landed_post,
-        sweep_secs,
-        args.chaos_runs,
-        args.chaos_p,
-        chaos_faults,
-        chaos_failed,
-        chaos_rollbacks,
-        chaos_secs,
-    );
-    fs::write(&args.out, json).expect("write BENCH_faults.json");
-    eprintln!("wrote {}", args.out.display());
+    let report = doc! {
+        "population" => scale.population,
+        "snapshots" => scale.snapshots,
+        "shards" => SHARDS,
+        "seed" => scale.seed,
+        "stride" => stride,
+        "syscalls_total" => total,
+        "crash_points_swept" => swept,
+        "recovered_pre_commit" => landed_pre,
+        "recovered_post_commit" => landed_post,
+        "third_states" => third_states,
+        "sweep_secs" => sweep_secs,
+        "chaos_runs" => chaos_runs,
+        "chaos_p" => CHAOS_P,
+        "chaos_faults_fired" => chaos_faults,
+        "chaos_ingests_failed" => chaos_failed,
+        "chaos_clean_rollbacks" => chaos_rollbacks,
+        "chaos_secs" => chaos_secs,
+    };
+    finish(&out, report, &checks)
 }

@@ -2,223 +2,145 @@
 //! (cache-hit) carve latency over real HTTP round trips.
 //!
 //! ```sh
-//! cargo run --release -p nc-bench --bin bench_serve -- \
-//!     --pop 2000 --snapshots 12 --out BENCH_serve.json
+//! scripts/bench.sh serve                   # BENCH_serve.json at its recorded parameters
+//! cargo run --release -p nc-bench --bin bench_serve -- --pop 2000 --reps 20 --out /tmp/s.json
 //! ```
 //!
 //! Cold requests use a fresh seed each time, so every one carves the
 //! snapshot from scratch; warm requests repeat one seed, so all but the
-//! first are answered from the LRU cache. Warm bodies are asserted
-//! byte-identical to their cold counterpart before any number is
-//! reported. The JSON is written by hand so the binary has no
-//! serialization dependency.
+//! first are answered from the LRU cache. The run fails unless every
+//! request is answered 200 with the expected cache status and every
+//! warm body is byte-identical to its cold counterpart.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
-use nc_core::pipeline::{GenerationConfig, TestDataGenerator};
+use nc_bench::bench::{finish, timed, Flags, Timing};
+use nc_bench::context::ExperimentScale;
 use nc_core::record::DedupPolicy;
-use nc_serve::{Server, ServeConfig, ServeSnapshot, ServeState, SnapshotRegistry};
-use nc_votergen::config::GeneratorConfig;
+use nc_docstore::doc;
+use nc_pipeline_bench::harness::Checks;
+use nc_serve::{ServeConfig, ServeSnapshot, ServeState, Server, SnapshotRegistry};
 
-struct Args {
-    population: usize,
-    snapshots: usize,
-    seed: u64,
-    sample: usize,
-    output: usize,
-    reps: usize,
-    out: PathBuf,
-}
+/// Clusters each carve samples, and keeps.
+const SAMPLE: usize = 600;
+const OUTPUT: usize = 100;
 
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        population: 1_000,
-        snapshots: 12,
-        seed: 2021,
-        sample: 600,
-        output: 100,
-        reps: 10,
-        out: PathBuf::from("BENCH_serve.json"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| panic!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--pop" => parsed.population = value().parse().expect("--pop takes a number"),
-            "--snapshots" => parsed.snapshots = value().parse().expect("--snapshots takes a number"),
-            "--seed" => parsed.seed = value().parse().expect("--seed takes a number"),
-            "--sample" => parsed.sample = value().parse().expect("--sample takes a number"),
-            "--output" => parsed.output = value().parse().expect("--output takes a number"),
-            "--reps" => parsed.reps = value().parse().expect("--reps takes a number"),
-            "--out" => parsed.out = PathBuf::from(value()),
-            other => {
-                eprintln!("unknown flag: {other}");
-                eprintln!("usage: bench_serve [--pop N] [--snapshots N] [--seed N] [--sample N] [--output N] [--reps N] [--out FILE]");
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed
-}
-
-/// One full HTTP round trip; returns (seconds, X-Cache value, body).
-fn roundtrip(addr: SocketAddr, target: &str) -> (f64, String, String) {
-    let start = Instant::now();
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes())
-        .expect("send request");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    let secs = start.elapsed().as_secs_f64();
-
+/// One full HTTP round trip: seconds, the status line, the X-Cache
+/// value and the body.
+fn roundtrip(addr: SocketAddr, target: &str) -> (f64, String, String, String) {
+    let (secs, response) = timed(|| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes())
+            .expect("send request");
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).expect("read response");
+        response
+    });
     let text = String::from_utf8(response).expect("utf-8 response");
     let (head, body) = text.split_once("\r\n\r\n").expect("http response");
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "request {target} failed: {head}"
-    );
+    let status = head.lines().next().unwrap_or_default().to_string();
     let cache = head
         .lines()
         .find_map(|l| l.strip_prefix("X-Cache: "))
-        .expect("X-Cache header")
+        .unwrap_or_default()
         .to_string();
-    (secs, cache, body.to_string())
+    (secs, status, cache, body.to_string())
 }
 
-fn mean(samples: &[f64]) -> f64 {
-    samples.iter().sum::<f64>() / samples.len().max(1) as f64
-}
+fn main() -> ExitCode {
+    let mut flags = Flags::from_env("bench_serve");
+    let scale = ExperimentScale {
+        population: flags.get("--pop", 1_000),
+        snapshots: flags.get("--snapshots", 12),
+        ..ExperimentScale::default()
+    };
+    let reps = flags.get("--reps", 10usize);
+    let out = flags.path("--out", "BENCH_serve.json");
+    flags.done();
 
-fn best(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-fn main() {
-    let args = parse_args();
-    eprintln!(
-        "generating registry: population {}, {} snapshots, seed {}…",
-        args.population, args.snapshots, args.seed
-    );
-    let outcome = TestDataGenerator::run(GenerationConfig {
-        generator: GeneratorConfig {
-            seed: args.seed,
-            initial_population: args.population,
-            ..Default::default()
-        },
-        policy: DedupPolicy::Trimmed,
-        snapshots: args.snapshots,
-    });
+    let outcome = scale.run(DedupPolicy::Trimmed);
     let store = &outcome.store;
-    let clusters = store.cluster_count();
-    let records = store.record_count();
-
     let registry = SnapshotRegistry::new(ServeSnapshot::capture(store, 1));
     let state = Arc::new(ServeState::new(Arc::new(registry), ServeConfig::default()));
     let server = Server::spawn(Arc::clone(&state)).expect("bind ephemeral port");
     let addr = server.addr();
-    eprintln!(
-        "serving {clusters} clusters ({records} records) on {addr}; {} cold + {} warm requests…",
-        args.reps, args.reps
-    );
-
     let target = |seed: u64| {
-        format!(
-            "/datasets/nc2?sample={}&output={}&seed={seed}&page_size=10000",
-            args.sample, args.output
-        )
+        format!("/datasets/nc2?sample={SAMPLE}&output={OUTPUT}&seed={seed}&page_size=10000")
+    };
+    let mut checks = Checks::default();
+    let mut request = |target: &str, expected: &str| {
+        let (secs, status, cache, body) = roundtrip(addr, target);
+        checks.check(status.starts_with("HTTP/1.1 200"), || {
+            format!("request {target} failed: {status}")
+        });
+        checks.check(cache == expected, || {
+            format!("request {target}: X-Cache {cache:?}, expected {expected}")
+        });
+        (secs, body)
     };
 
     // Cold: a fresh seed per request — every carve runs the full
     // sampling + reduction pass over the snapshot.
-    let mut cold_secs = Vec::with_capacity(args.reps);
-    for i in 0..args.reps {
-        let (secs, cache, _) = roundtrip(addr, &target(1_000 + i as u64));
-        assert_eq!(cache, "miss", "cold request unexpectedly cached");
-        cold_secs.push(secs);
-    }
-
-    // Warm: one seed repeated — after the first miss, every request is
-    // served from the cache and must return the identical body.
+    let cold_secs: Vec<f64> = (0..reps)
+        .map(|i| request(&target(1_000 + i as u64), "miss").0)
+        .collect();
+    // Warm: one seed repeated — the first cold seed is already cached,
+    // so every request hits and must return the identical body.
     let warm_target = target(1_000);
-    let (_, first_cache, reference_body) = roundtrip(addr, &warm_target);
-    assert_eq!(first_cache, "hit", "priming request should already be cached");
-    let mut warm_secs = Vec::with_capacity(args.reps);
-    for _ in 0..args.reps {
-        let (secs, cache, body) = roundtrip(addr, &warm_target);
-        assert_eq!(cache, "hit", "warm request missed the cache");
-        assert_eq!(body, reference_body, "cached body differs");
+    let (_, reference_body) = request(&warm_target, "hit");
+    let mut warm_secs = Vec::with_capacity(reps);
+    let mut identical = true;
+    for _ in 0..reps {
+        let (secs, body) = request(&warm_target, "hit");
+        identical &= body == reference_body;
         warm_secs.push(secs);
     }
-
     server.shutdown();
     let stats = state.engine().cache_stats();
+    checks.check(identical, || "cached body differs".into());
+    checks.check(stats.misses as usize == reps, || {
+        format!(
+            "{} cache misses, expected one per cold seed ({reps})",
+            stats.misses
+        )
+    });
+    checks.check(stats.hits as usize >= reps, || {
+        format!("{} cache hits, expected at least {reps}", stats.hits)
+    });
 
-    let cold_mean = mean(&cold_secs);
-    let warm_mean = mean(&warm_secs);
-    let cold_best = best(&cold_secs);
-    let warm_best = best(&warm_secs);
-    let speedup = cold_mean / warm_mean;
+    let cold = Timing::of(&cold_secs);
+    let warm = Timing::of(&warm_secs);
+    let speedup = cold.mean / warm.mean;
     println!(
         "cold: mean {:.1} µs, best {:.1} µs\nwarm: mean {:.1} µs, best {:.1} µs\nwarm speedup: {speedup:.2}x (cache: {} hits, {} misses)",
-        cold_mean * 1e6,
-        cold_best * 1e6,
-        warm_mean * 1e6,
-        warm_best * 1e6,
+        cold.mean * 1e6,
+        cold.best * 1e6,
+        warm.mean * 1e6,
+        warm.best * 1e6,
         stats.hits,
         stats.misses
     );
-    assert_eq!(stats.misses as usize, args.reps, "one miss per cold seed");
-    assert!(
-        stats.hits as usize >= args.reps,
-        "warm requests should all hit"
-    );
-
-    // Hand-rolled JSON: flat object, stable key order.
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"population\": {},\n",
-            "  \"snapshots\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"clusters\": {},\n",
-            "  \"records\": {},\n",
-            "  \"sample_clusters\": {},\n",
-            "  \"output_clusters\": {},\n",
-            "  \"reps\": {},\n",
-            "  \"cold_mean_secs\": {:.6},\n",
-            "  \"cold_best_secs\": {:.6},\n",
-            "  \"warm_mean_secs\": {:.6},\n",
-            "  \"warm_best_secs\": {:.6},\n",
-            "  \"warm_speedup\": {:.4},\n",
-            "  \"cache_hits\": {},\n",
-            "  \"cache_misses\": {},\n",
-            "  \"warm_bodies_identical\": true\n",
-            "}}\n"
-        ),
-        args.population,
-        args.snapshots,
-        args.seed,
-        clusters,
-        records,
-        args.sample,
-        args.output,
-        args.reps,
-        cold_mean,
-        cold_best,
-        warm_mean,
-        warm_best,
-        speedup,
-        stats.hits,
-        stats.misses,
-    );
-    std::fs::write(&args.out, json).expect("write benchmark json");
-    eprintln!("wrote {}", args.out.display());
+    let report = doc! {
+        "population" => scale.population,
+        "snapshots" => scale.snapshots,
+        "seed" => scale.seed,
+        "clusters" => store.cluster_count(),
+        "records" => store.record_count(),
+        "sample_clusters" => SAMPLE,
+        "output_clusters" => OUTPUT,
+        "reps" => reps,
+        "cold_mean_secs" => cold.mean,
+        "cold_best_secs" => cold.best,
+        "warm_mean_secs" => warm.mean,
+        "warm_best_secs" => warm.best,
+        "warm_speedup" => speedup,
+        "cache_hits" => stats.hits,
+        "cache_misses" => stats.misses,
+        "warm_bodies_identical" => identical,
+    };
+    finish(&out, report, &checks)
 }

@@ -3,8 +3,8 @@
 //! delta-aware publish preserves that a blind publish throws away.
 //!
 //! ```sh
-//! cargo run --release -p nc-bench --bin bench_stream -- \
-//!     --pop 52000 --snapshots 8 --shards 4 --out BENCH_stream.json
+//! scripts/bench.sh stream                  # BENCH_stream.json at its recorded parameters
+//! cargo run --release -p nc-bench --bin bench_stream -- --pop 95000 --publishes 5 --out /tmp/s.json
 //! ```
 //!
 //! The store is built once through the WAL-backed shard engine; each
@@ -12,114 +12,39 @@
 //! fraction of clusters, derives the dirty set from the change stream
 //! (never from the snapshot itself), and times a full
 //! `score_clusters` pass against `score_clusters_incremental` over the
-//! stream's dirty set — asserting **bit-identical** output on every
+//! stream's dirty set, checking **bit-identical** output on every
 //! repetition, so a reported speedup can never come from a wrong
 //! answer. The carve phase publishes further low-churn versions into
 //! two cache-backed carve engines — one fed the folded
 //! [`PublishDelta`], one publishing blind — and counts warm hits on a
-//! fixed request mix. The JSON is written by hand so the binary has no
-//! serialization dependency.
+//! fixed request mix. The run fails unless the incremental pass wins by
+//! `--min-speedup` at 1% churn and the delta-fed cache serves at least
+//! one warm hit.
 
 use std::collections::HashSet;
-use std::fs;
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
+use nc_bench::bench::{finish, timed, Flags, Timing};
+use nc_bench::context::{temp_dir, ExperimentScale};
 use nc_core::customize::CustomizeParams;
 use nc_core::heterogeneity::Scope;
 use nc_core::plausibility::PlausibilityScorer;
-use nc_core::record::DedupPolicy;
-use nc_core::scoring::{
-    score_clusters, score_clusters_incremental, ClusterScore, ScoringConfig,
-};
+use nc_core::scoring::{score_clusters, score_clusters_incremental, ClusterScore, ScoringConfig};
 use nc_core::snapshot::StoreSnapshot;
-use nc_core::tsv::{self, ImportOptions};
+use nc_core::tsv::ImportOptions;
+use nc_docstore::doc;
+use nc_pipeline_bench::harness::Checks;
 use nc_serve::{
     CacheStatus, CarveEngine, CarveRequest, PublishDelta, ServeSnapshot, SnapshotRegistry,
 };
-use nc_shard::{ShardEngine, ShardEngineConfig};
+use nc_shard::ShardEngine;
 use nc_stream::{fold_delta, ChangeStream};
-use nc_votergen::config::GeneratorConfig;
-use nc_votergen::registry::Registry;
 use nc_votergen::schema::{Row, FIRST_NAME, LAST_NAME, NCID};
-use nc_votergen::snapshot::{standard_calendar, Snapshot};
+use nc_votergen::snapshot::Snapshot;
 
 const CHURN_FRACTIONS: [f64; 3] = [0.001, 0.01, 0.1];
 
-struct Args {
-    population: usize,
-    snapshots: usize,
-    shards: usize,
-    seed: u64,
-    reps: usize,
-    threads: usize,
-    publishes: usize,
-    out: PathBuf,
-    min_speedup: f64,
-    require_hits: bool,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        population: 52_000,
-        snapshots: 8,
-        shards: 4,
-        seed: 2021,
-        reps: 3,
-        threads: 0,
-        publishes: 3,
-        out: PathBuf::from("BENCH_stream.json"),
-        min_speedup: 0.0,
-        require_hits: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| panic!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--pop" => parsed.population = value().parse().expect("--pop takes a number"),
-            "--snapshots" => parsed.snapshots = value().parse().expect("--snapshots takes a number"),
-            "--shards" => parsed.shards = value().parse().expect("--shards takes a number"),
-            "--seed" => parsed.seed = value().parse().expect("--seed takes a number"),
-            "--reps" => parsed.reps = value().parse().expect("--reps takes a number"),
-            "--threads" => parsed.threads = value().parse().expect("--threads takes a number"),
-            "--publishes" => parsed.publishes = value().parse().expect("--publishes takes a number"),
-            "--out" => parsed.out = PathBuf::from(value()),
-            "--min-speedup" => {
-                parsed.min_speedup = value().parse().expect("--min-speedup takes a number")
-            }
-            "--require-hits" => parsed.require_hits = true,
-            other => {
-                eprintln!("unknown flag: {other}");
-                eprintln!(
-                    "usage: bench_stream [--pop N] [--snapshots N] [--shards N] [--seed N] \
-                     [--reps N] [--threads N] [--publishes N] [--out FILE] \
-                     [--min-speedup X] [--require-hits]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed
-}
-
-fn best(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("nc_bench_stream_{name}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// Evenly-strided cluster NCIDs, rotated by `offset` so successive
-/// churn rounds touch different clusters.
 fn pick_ncids(clusters: &[(String, Vec<Row>)], count: usize, offset: usize) -> Vec<String> {
     let n = clusters.len();
     let count = count.clamp(1, n);
@@ -150,26 +75,30 @@ fn churn_snapshot(index: usize, date: &str, ncids: &[String]) -> Snapshot {
 }
 
 /// Bit-exact score comparison; a speedup must never come from a wrong
-/// answer, so any drift aborts the whole benchmark.
-fn assert_bit_identical(full: &[ClusterScore], incremental: &[ClusterScore], label: &str) {
-    if full.len() != incremental.len() {
-        eprintln!(
-            "BIT-IDENTITY VIOLATION at {label}: {} vs {} clusters",
-            full.len(),
-            incremental.len()
-        );
-        std::process::exit(1);
-    }
-    for (f, i) in full.iter().zip(incremental) {
-        if f.ncid != i.ncid
-            || f.records != i.records
-            || f.plausibility.to_bits() != i.plausibility.to_bits()
-            || f.heterogeneity.to_bits() != i.heterogeneity.to_bits()
-        {
-            eprintln!("BIT-IDENTITY VIOLATION at {label}: cluster {}", f.ncid);
-            std::process::exit(1);
-        }
-    }
+/// answer, so any drift fails the run.
+fn check_bit_identical(
+    checks: &mut Checks,
+    full: &[ClusterScore],
+    incremental: &[ClusterScore],
+    label: &str,
+) {
+    let drift = if full.len() != incremental.len() {
+        Some(format!("{} vs {} clusters", full.len(), incremental.len()))
+    } else {
+        full.iter().zip(incremental).find_map(|(f, i)| {
+            let same = f.ncid == i.ncid
+                && f.records == i.records
+                && f.plausibility.to_bits() == i.plausibility.to_bits()
+                && f.heterogeneity.to_bits() == i.heterogeneity.to_bits();
+            (!same).then(|| format!("cluster {}", f.ncid))
+        })
+    };
+    checks.check(drift.is_none(), || {
+        format!(
+            "incremental scores drift from full at {label}: {}",
+            drift.unwrap_or_default()
+        )
+    });
 }
 
 /// The fixed request mix for the carve phase: NC1–NC3 at two seeds.
@@ -193,56 +122,42 @@ fn carve_requests(sample: usize, output: usize, seed: u64) -> Vec<CarveRequest> 
     requests
 }
 
-struct ChurnResult {
-    fraction: f64,
-    dirty: usize,
-    full_secs: f64,
-    incremental_secs: f64,
-    speedup: f64,
-}
+fn main() -> ExitCode {
+    let mut flags = Flags::from_env("bench_stream");
+    let scale = ExperimentScale {
+        population: flags.get("--pop", 52_000),
+        snapshots: flags.get("--snapshots", 8),
+        ..ExperimentScale::default()
+    };
+    let shards = flags.get("--shards", 4usize);
+    let reps = flags.get("--reps", 3usize).max(1);
+    let publishes = flags.get("--publishes", 3usize);
+    let min_speedup = flags.get("--min-speedup", 5.0f64);
+    let out = flags.path("--out", "BENCH_stream.json");
+    flags.done();
 
-fn main() {
-    let args = parse_args();
-    eprintln!(
-        "generating workload: population {}, {} snapshots, seed {}…",
-        args.population, args.snapshots, args.seed
-    );
-    let mut registry = Registry::new(GeneratorConfig {
-        seed: args.seed,
-        initial_population: args.population,
-        ..Default::default()
-    });
-    let calendar = standard_calendar();
-    assert!(
-        args.snapshots <= calendar.len(),
-        "--snapshots must be at most {}",
-        calendar.len()
-    );
-    let snapshots: Vec<Snapshot> = calendar
-        .iter()
-        .take(args.snapshots)
-        .map(|info| registry.generate_snapshot(info))
-        .collect();
-    let rows: u64 = snapshots.iter().map(|s| s.rows.len() as u64).sum();
-
-    let archive = tmp_dir("archive");
-    for snap in &snapshots {
-        tsv::write_snapshot(&archive, snap).expect("write snapshot");
-    }
-
-    let state = tmp_dir("state");
-    let config = ShardEngineConfig::new(args.shards, DedupPolicy::Trimmed, 1);
-    let mut engine = ShardEngine::open(&state, config).expect("open shard engine");
+    let archive = scale.archive(shards);
+    let rows = archive.rows();
+    let state = temp_dir("state");
+    let mut engine = ShardEngine::open(state.path(), archive.config).expect("open shard engine");
+    let options = ImportOptions::strict();
     eprintln!("ingesting {rows} rows through the WAL…");
     engine
-        .ingest_archive(&archive, &ImportOptions::strict())
+        .ingest_archive(archive.dir.path(), &options)
         .expect("engine ingest");
+    let mut checks = Checks::default();
 
     // The stream replays the base ingest; its batches seed the
     // known-cluster set so later churn classifies as revisions.
-    let mut stream = ChangeStream::open(&state);
+    let mut stream = ChangeStream::open(state.path());
     let base_batches = stream.drain().expect("stream drain");
-    assert_eq!(base_batches.len(), args.snapshots);
+    checks.check(base_batches.len() == scale.snapshots, || {
+        format!(
+            "the stream replayed {} of {} snapshots",
+            base_batches.len(),
+            scale.snapshots
+        )
+    });
 
     let mut version = 1u32;
     let base = engine.publish(version);
@@ -251,78 +166,84 @@ fn main() {
     eprintln!("store: {clusters} clusters, {records} records");
 
     let plausibility = PlausibilityScorer::new();
-    let scoring = ScoringConfig::with_threads(args.threads);
+    let scoring = ScoringConfig::default();
 
     // Baseline full pass (and the previous-scores seed for churn 1).
     let entropy = base.entropy_scorer(Scope::Person);
-    let start = Instant::now();
-    let mut previous = score_clusters(base.clusters(), &plausibility, &entropy, &scoring);
-    let base_full_secs = start.elapsed().as_secs_f64();
+    let (base_full_secs, mut previous) =
+        timed(|| score_clusters(base.clusters(), &plausibility, &entropy, &scoring));
     eprintln!("baseline full score: {:.1} ms", base_full_secs * 1e3);
 
     // Churn levels: ingest, stream, fold, then full vs incremental.
-    let mut churn_results = Vec::new();
-    let mut snapshot_index = args.snapshots;
-    for (level, fraction) in CHURN_FRACTIONS.iter().enumerate() {
+    let mut churn = Vec::new();
+    let mut gated_speedup = 0.0;
+    let mut snapshot_index = scale.snapshots;
+    for (level, &fraction) in CHURN_FRACTIONS.iter().enumerate() {
         version += 1;
         snapshot_index += 1;
         let touch = ((clusters as f64 * fraction).round() as usize).max(1);
         let ncids = pick_ncids(base.clusters(), touch, level * 17 + 1);
         let date = format!("2040-01-{:02}", level + 1);
-        let snap = churn_snapshot(snapshot_index, &date, &ncids);
-        tsv::write_snapshot(&archive, &snap).expect("write churn snapshot");
+        archive.write(&churn_snapshot(snapshot_index, &date, &ncids));
         engine
-            .ingest_archive(&archive, &ImportOptions::strict())
+            .ingest_archive(archive.dir.path(), &options)
             .expect("ingest churn");
         let batches = stream.drain().expect("stream drain");
-        assert_eq!(batches.len(), 1, "one committed snapshot per churn level");
+        checks.check(batches.len() == 1, || {
+            format!(
+                "{} committed snapshots at churn level {level}, expected one",
+                batches.len()
+            )
+        });
         let delta = fold_delta(&batches, version);
-        assert!(
-            delta.founded.is_empty(),
-            "revise-only churn must not found clusters"
-        );
-        assert_eq!(delta.revised.len(), ncids.len());
+        checks.check(delta.founded.is_empty(), || {
+            "revise-only churn must not found clusters".into()
+        });
+        checks.check(delta.revised.len() == ncids.len(), || {
+            format!(
+                "{} clusters revised of {} touched",
+                delta.revised.len(),
+                ncids.len()
+            )
+        });
         let dirty: HashSet<String> = delta.dirty_clusters().map(str::to_owned).collect();
 
         let published = engine.publish(version);
         let entropy = published.entropy_scorer(Scope::Person);
         let label = format!("churn {fraction}");
-
-        // Warmup both sides once, then interleave best-of-reps so
-        // clock drift and cache warmth bias neither.
-        let full = score_clusters(published.clusters(), &plausibility, &entropy, &scoring);
-        let incremental = score_clusters_incremental(
-            published.clusters(),
-            &previous,
-            &dirty,
-            &plausibility,
-            &entropy,
-            &scoring,
-        );
-        assert_bit_identical(&full, &incremental, &label);
-        let mut full_samples = Vec::with_capacity(args.reps);
-        let mut incremental_samples = Vec::with_capacity(args.reps);
-        for _ in 0..args.reps.max(1) {
-            let start = Instant::now();
-            let full = score_clusters(published.clusters(), &plausibility, &entropy, &scoring);
-            full_samples.push(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            let incremental = score_clusters_incremental(
+        let full_pass = || score_clusters(published.clusters(), &plausibility, &entropy, &scoring);
+        let incremental_pass = || {
+            score_clusters_incremental(
                 published.clusters(),
                 &previous,
                 &dirty,
                 &plausibility,
                 &entropy,
                 &scoring,
-            );
-            incremental_samples.push(start.elapsed().as_secs_f64());
-            assert_bit_identical(&full, &incremental, &label);
+            )
+        };
+
+        // Warmup both sides once, then interleave best-of-reps so
+        // clock drift and cache warmth bias neither.
+        let full = full_pass();
+        check_bit_identical(&mut checks, &full, &incremental_pass(), &label);
+        let mut full_samples = Vec::with_capacity(reps);
+        let mut incremental_samples = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let (secs, f) = timed(full_pass);
+            full_samples.push(secs);
+            let (secs, incremental) = timed(incremental_pass);
+            incremental_samples.push(secs);
+            check_bit_identical(&mut checks, &f, &incremental, &label);
         }
         previous = full;
 
-        let full_secs = best(&full_samples);
-        let incremental_secs = best(&incremental_samples);
+        let full_secs = Timing::of(&full_samples).best;
+        let incremental_secs = Timing::of(&incremental_samples).best;
         let speedup = full_secs / incremental_secs;
+        if fraction == 0.01 {
+            gated_speedup = speedup;
+        }
         eprintln!(
             "churn {:.1}%: {} dirty, full {:.1} ms, incremental {:.1} ms ({speedup:.1}x)",
             fraction * 100.0,
@@ -330,14 +251,17 @@ fn main() {
             full_secs * 1e3,
             incremental_secs * 1e3,
         );
-        churn_results.push(ChurnResult {
-            fraction: *fraction,
-            dirty: dirty.len(),
-            full_secs,
-            incremental_secs,
-            speedup,
+        churn.push(doc! {
+            "fraction" => fraction,
+            "dirty_clusters" => dirty.len(),
+            "full_secs" => full_secs,
+            "incremental_secs" => incremental_secs,
+            "speedup" => speedup,
         });
     }
+    checks.check(gated_speedup >= min_speedup, || {
+        format!("incremental speedup {gated_speedup:.2}x at 1% churn is below {min_speedup:.2}x")
+    });
 
     // Carve phase: the same low-churn publishes flow into two cached
     // engines — one told what changed, one publishing blind — and the
@@ -346,15 +270,15 @@ fn main() {
     let current: StoreSnapshot = engine.publish(version);
     let sample = 200.min(clusters.max(1));
     let output = 50.min(sample);
-    let requests = carve_requests(sample, output, args.seed);
-    let with_delta = CarveEngine::new(
-        Arc::new(SnapshotRegistry::new(ServeSnapshot::new(current.clone()))),
-        64,
-    );
-    let without_delta = CarveEngine::new(
-        Arc::new(SnapshotRegistry::new(ServeSnapshot::new(current.clone()))),
-        64,
-    );
+    let requests = carve_requests(sample, output, scale.seed);
+    let cached = || {
+        CarveEngine::new(
+            Arc::new(SnapshotRegistry::new(ServeSnapshot::new(current.clone()))),
+            64,
+        )
+    };
+    let with_delta = cached();
+    let without_delta = cached();
     for request in &requests {
         with_delta.carve(request).expect("prime carve");
         without_delta.carve(request).expect("prime carve");
@@ -363,16 +287,15 @@ fn main() {
     let mut hits_with_delta = 0usize;
     let mut hits_without_delta = 0usize;
     let mut carves = 0usize;
-    for publish in 0..args.publishes {
+    for publish in 0..publishes {
         version += 1;
         snapshot_index += 1;
         let touch = ((clusters as f64 * 0.001).round() as usize).max(1);
         let ncids = pick_ncids(current.clusters(), touch, 7919 * (publish + 1));
         let date = format!("2041-01-{:02}", publish + 1);
-        let snap = churn_snapshot(snapshot_index, &date, &ncids);
-        tsv::write_snapshot(&archive, &snap).expect("write churn snapshot");
+        archive.write(&churn_snapshot(snapshot_index, &date, &ncids));
         engine
-            .ingest_archive(&archive, &ImportOptions::strict())
+            .ingest_archive(archive.dir.path(), &options)
             .expect("ingest churn");
         let batches = stream.drain().expect("stream drain");
         let delta: PublishDelta = fold_delta(&batches, version);
@@ -387,109 +310,46 @@ fn main() {
             hits_without_delta += usize::from(blind.status == CacheStatus::Hit);
             // A carried-forward entry must still be byte-identical to
             // a fresh carve of the new snapshot.
-            if warm.result.page(0, usize::MAX) != blind.result.page(0, usize::MAX) {
-                eprintln!("CARVE DRIFT at version {version}: cached != fresh");
-                std::process::exit(1);
-            }
+            checks.check(
+                warm.result.page(0, usize::MAX) == blind.result.page(0, usize::MAX),
+                || format!("carve drift at version {version}: cached != fresh"),
+            );
         }
     }
+    checks.check(hits_with_delta > 0, || {
+        "delta-aware carve cache produced no warm hits".into()
+    });
     let stats = with_delta.delta_stats();
-    let hit_rate_with = hits_with_delta as f64 / carves.max(1) as f64;
-    let hit_rate_without = hits_without_delta as f64 / carves.max(1) as f64;
     eprintln!(
         "carve: {carves} post-publish carves, warm hits {hits_with_delta} with deltas \
          vs {hits_without_delta} blind (carried forward {}, invalidated {})",
         stats.carried_forward, stats.invalidated,
     );
 
-    fs::remove_dir_all(&archive).ok();
-    fs::remove_dir_all(&state).ok();
-
-    let mut churn_json = String::new();
-    for (i, c) in churn_results.iter().enumerate() {
-        churn_json.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"fraction\": {},\n",
-                "      \"dirty_clusters\": {},\n",
-                "      \"full_secs\": {:.6},\n",
-                "      \"incremental_secs\": {:.6},\n",
-                "      \"speedup\": {:.4}\n",
-                "    }}{}\n"
-            ),
-            c.fraction,
-            c.dirty,
-            c.full_secs,
-            c.incremental_secs,
-            c.speedup,
-            if i + 1 < churn_results.len() { "," } else { "" },
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"population\": {},\n",
-            "  \"snapshots\": {},\n",
-            "  \"shards\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"rows\": {},\n",
-            "  \"clusters\": {},\n",
-            "  \"records\": {},\n",
-            "  \"scoring_threads\": {},\n",
-            "  \"base_full_score_secs\": {:.6},\n",
-            "  \"churn\": [\n{}  ],\n",
-            "  \"carve\": {{\n",
-            "    \"requests\": {},\n",
-            "    \"publishes\": {},\n",
-            "    \"post_publish_carves\": {},\n",
-            "    \"hits_with_delta\": {},\n",
-            "    \"hits_without_delta\": {},\n",
-            "    \"hit_rate_with_delta\": {:.4},\n",
-            "    \"hit_rate_without_delta\": {:.4},\n",
-            "    \"carried_forward\": {},\n",
-            "    \"invalidated\": {}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        args.population,
-        args.snapshots,
-        args.shards,
-        args.seed,
-        rows,
-        clusters,
-        records,
-        scoring.effective_threads(),
-        base_full_secs,
-        churn_json,
-        requests.len(),
-        args.publishes,
-        carves,
-        hits_with_delta,
-        hits_without_delta,
-        hit_rate_with,
-        hit_rate_without,
-        stats.carried_forward,
-        stats.invalidated,
-    );
-    fs::write(&args.out, json).expect("write benchmark json");
-    eprintln!("wrote {}", args.out.display());
-
-    if args.min_speedup > 0.0 {
-        let gated = churn_results
-            .iter()
-            .find(|c| c.fraction == 0.01)
-            .expect("1% churn level");
-        if gated.speedup < args.min_speedup {
-            eprintln!(
-                "FAIL: incremental speedup {:.2}x at 1% churn is below the \
-                 required {:.2}x",
-                gated.speedup, args.min_speedup
-            );
-            std::process::exit(1);
-        }
-    }
-    if args.require_hits && hits_with_delta == 0 {
-        eprintln!("FAIL: delta-aware carve cache produced no warm hits");
-        std::process::exit(1);
-    }
+    let carve = doc! {
+        "requests" => requests.len(),
+        "publishes" => publishes,
+        "post_publish_carves" => carves,
+        "hits_with_delta" => hits_with_delta,
+        "hits_without_delta" => hits_without_delta,
+        "hit_rate_with_delta" => hits_with_delta as f64 / carves.max(1) as f64,
+        "hit_rate_without_delta" => hits_without_delta as f64 / carves.max(1) as f64,
+        "carried_forward" => stats.carried_forward,
+        "invalidated" => stats.invalidated,
+    };
+    let report = doc! {
+        "population" => scale.population,
+        "snapshots" => scale.snapshots,
+        "shards" => shards,
+        "seed" => scale.seed,
+        "rows" => rows,
+        "clusters" => clusters,
+        "records" => records,
+        "scoring_threads" => scoring.effective_threads(),
+        "base_full_score_secs" => base_full_secs,
+        "churn" => churn,
+        "carve" => carve,
+        "min_speedup_gate" => min_speedup,
+    };
+    finish(&out, report, &checks)
 }

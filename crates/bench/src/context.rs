@@ -1,11 +1,17 @@
 //! Shared experiment context: one generated archive reused by all NC
-//! experiments.
+//! experiments, and the in-memory stores and on-disk archives the bench
+//! binaries measure.
 
 use nc_core::heterogeneity::{AttributeWeights, HeterogeneityScorer, Scope};
 use nc_core::pipeline::{GenerationConfig, GenerationOutcome, TestDataGenerator};
 use nc_core::record::DedupPolicy;
 use nc_core::scoring::ScoringConfig;
+use nc_core::tsv;
+use nc_pipeline_bench::harness::TmpDir;
+use nc_shard::ShardEngineConfig;
 use nc_votergen::config::GeneratorConfig;
+use nc_votergen::registry::Registry;
+use nc_votergen::snapshot::{standard_calendar, Snapshot};
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,6 +61,57 @@ impl ExperimentScale {
             snapshots: self.snapshots,
         })
     }
+
+    /// Generate this scale's calendar snapshots and write them as a TSV
+    /// archive for a shard engine of `shards` partitions.
+    pub fn archive(&self, shards: usize) -> Archive {
+        let mut registry = Registry::new(self.generator());
+        let snapshots: Vec<Snapshot> = standard_calendar()
+            .iter()
+            .take(self.snapshots)
+            .map(|info| registry.generate_snapshot(info))
+            .collect();
+        let archive = Archive {
+            registry,
+            snapshots,
+            dir: temp_dir("archive"),
+            config: ShardEngineConfig::new(shards, DedupPolicy::Trimmed, 1),
+        };
+        for snap in &archive.snapshots {
+            archive.write(snap);
+        }
+        archive
+    }
+}
+
+/// A directory under the system temp dir, removed when dropped.
+pub fn temp_dir(label: &str) -> TmpDir {
+    TmpDir::new(&std::env::temp_dir().join("nc-bench"), label)
+}
+
+/// A calendar archive on disk and the configuration of the shard engine
+/// that ingests it (trimmed dedup, import version 1).
+pub struct Archive {
+    /// The registry that drew the snapshots; it draws the later ones.
+    pub registry: Registry,
+    /// The snapshots written, in calendar order.
+    pub snapshots: Vec<Snapshot>,
+    /// One TSV file per snapshot.
+    pub dir: TmpDir,
+    /// The engine configuration.
+    pub config: ShardEngineConfig,
+}
+
+impl Archive {
+    /// Rows over every snapshot written at creation.
+    pub fn rows(&self) -> u64 {
+        self.snapshots.iter().map(|s| s.rows.len() as u64).sum()
+    }
+
+    /// Add `snap` to the archive.
+    pub fn write(&self, snap: &Snapshot) {
+        tsv::write_snapshot(self.dir.path(), snap).expect("write snapshot");
+    }
 }
 
 /// A generated archive plus the entropy-weighted heterogeneity scorers
@@ -102,6 +159,16 @@ mod tests {
         let ctx = NcContext::build(&ExperimentScale::tiny());
         assert!(ctx.outcome.store.cluster_count() >= 150);
         assert!(ctx.outcome.store.record_count() > 0);
+    }
+
+    #[test]
+    fn archive_holds_one_file_per_snapshot() {
+        let archive = ExperimentScale::tiny().archive(2);
+        let files = tsv::archive_files(archive.dir.path()).unwrap();
+        assert_eq!(files.len(), 6);
+        assert_eq!(archive.snapshots.len(), 6);
+        assert!(archive.rows() > 0);
+        assert_eq!(archive.config.shards, 2);
     }
 
     #[test]

@@ -17,13 +17,16 @@
 //! | [`pollution`] | §8 future-work extension: pollution on top of history |
 //!
 //! The scale knob ([`context::ExperimentScale`]) trades runtime for
-//! fidelity; defaults are laptop-sized. Absolute numbers differ from the
+//! fidelity; defaults are laptop-sized. The `bench_*` binaries share
+//! [`bench`] (flags, timings, report, gates) and the stores and archives of
+//! [`context`]. Absolute numbers differ from the
 //! paper (the substrate is a simulator), but the shapes reproduce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod bench;
 pub mod context;
 pub mod figure1;
 pub mod figure4;

@@ -25,13 +25,15 @@ pub fn bar(frac: f64, width: usize) -> String {
     "#".repeat(n)
 }
 
-/// Write a result (a report's `to_value()`) under `dir/name.json` in
-/// the canonical rendering: one line, keys sorted.
-pub fn write_json(dir: &Path, name: &str, value: &Value) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+/// Write a result (a report's `to_value()`, a bench report) to `path`
+/// in the canonical rendering: one line, keys sorted.
+pub fn write_json(path: &Path, value: &Value) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     let mut json = value.to_json();
     json.push('\n');
-    std::fs::write(dir.join(format!("{name}.json")), json)
+    std::fs::write(path, json)
 }
 
 /// Histogram bins rendered as `lo..hi count bar` lines.
@@ -85,7 +87,7 @@ mod tests {
             total: row,
         };
         let dir = std::env::temp_dir().join(format!("nc_bench_out_{}", std::process::id()));
-        write_json(&dir, "t", &table.to_value()).unwrap();
+        write_json(&dir.join("t.json"), &table.to_value()).unwrap();
         let content = std::fs::read_to_string(dir.join("t.json")).unwrap();
         let row_json = "{\"new_object_rate\":0.06962025316455696,\"new_objects\":11,\
                         \"new_record_rate\":1.0,\"new_records\":158,\"snapshots\":1,\

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Syscall-fault sweep: runs every crash/fault test (docstore save and
-# shard engine syscall sweeps, the FaultVfs unit tests), then the
-# bench_faults binary — a full crash-at-every-syscall sweep plus seeded
-# random chaos — and writes BENCH_faults.json in the repo root. Any
-# extra arguments are passed to every cargo invocation.
+# shard engine syscall sweeps, the FaultVfs unit tests), then
+# `scripts/bench.sh faults` — a full crash-at-every-syscall sweep plus
+# seeded random chaos at the committed report's parameters — which
+# rewrites BENCH_faults.json in the repo root. Any extra arguments are
+# passed to every cargo test invocation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,5 +18,4 @@ echo "=== fault vfs unit tests ==="
 cargo test -q -p nc-vfs "$@"
 
 echo "=== crash sweep + chaos bench ==="
-cargo build --release -p nc-bench --bin bench_faults "$@"
-exec target/release/bench_faults --out BENCH_faults.json
+exec scripts/bench.sh faults

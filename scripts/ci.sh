@@ -101,61 +101,33 @@ echo "=== property sweep ==="
 cargo test --release -q -p nc-core -p nc-detect -p nc-docstore -p nc-pprl -p nc-query \
     -p nc-shard -p nc-similarity -p nc-votergen "$@" -- --ignored
 
-echo "=== shard smoke ==="
-# Tiny-parameter pass through the shard benchmark: in-memory fan-out,
-# WAL-backed archive ingest, publish and a clean replay — the binary
-# asserts each stage and exits non-zero on any failure.
-cargo run --release -q -p nc-bench --bin bench_shard "$@" -- \
-    --pop 200 --snapshots 3 --shards 3 --reps 1 \
-    --out target/BENCH_shard_smoke.json > /dev/null
-
-echo "=== stream smoke ==="
-# Tiny-parameter pass through the change-stream benchmark: WAL-tailing
-# change stream, dirty-only incremental re-scoring (bit-identity
-# asserted every repetition) and delta-aware carve-cache publishes —
-# the binary exits non-zero on any drift.
-cargo run --release -q -p nc-bench --bin bench_stream "$@" -- \
-    --pop 300 --snapshots 2 --shards 2 --reps 1 --publishes 1 \
-    --out target/BENCH_stream_smoke.json > /dev/null
-
-echo "=== detect smoke ==="
-# Tiny-parameter pass through the candidate-generation benchmark:
-# indexed pipeline vs the SNM baseline on two scales — the binary
-# asserts the parallel probe bit-identical to the sequential one and
-# exits non-zero on any failure.
-cargo run --release -q -p nc-bench --bin bench_detect "$@" -- \
-    --scales 2000,4000 --pop 1000 --reps 1 \
-    --out target/BENCH_detect_smoke.json > /dev/null
-
-echo "=== fault sweep smoke ==="
-# Bounded syscall-fault sweep: crash the shard engine's commit sequence
-# at every 5th mutating syscall and run a handful of seeded chaos
-# schedules — the binary asserts every crash point recovers to the pre-
-# or post-commit state (never a third) and exits non-zero otherwise.
-cargo run --release -q -p nc-bench --bin bench_faults "$@" -- \
-    --pop 100 --shards 2 --stride 5 --chaos-runs 12 \
-    --out target/BENCH_faults_smoke.json > /dev/null
-
-echo "=== query smoke ==="
-# Tiny-parameter pass through the carve-by-query benchmark: the binary
-# asserts the selective query plans onto the size index (never a full
-# scan), indexed and forced-scan executions are byte-identical, and
-# warm-cache replays of the sampled carve match bit for bit.
-cargo run --release -q -p nc-bench --bin bench_query "$@" -- \
-    --pop 400 --snapshots 3 --reps 2 --min-records 1 --min-speedup 1 \
-    --out target/BENCH_query_smoke.json > /dev/null
-
-echo "=== pprl smoke ==="
-# Tiny-parameter pass through the PPRL encoding benchmark: CLK encode
-# determinism (re-encode spot check), encoded-vs-plaintext scoring
-# cost, and measured encoded-space blocking completeness — the binary
-# asserts each gate and exits non-zero on any failure. The tiny store
-# is cleaner than the 100k archive, so the blocker's default geometry
-# is relaxed to keep the completeness gate meaningful.
-cargo run --release -q -p nc-bench --bin bench_pprl "$@" -- \
-    --pop 400 --snapshots 3 --reps 1 --min-records 1 \
-    --bands 32 --band-bits 14 --max-cand-per-record 50 \
-    --out target/BENCH_pprl_smoke.json > /dev/null
+echo "=== bench smokes ==="
+# Every single-layer benchmark at tiny parameters: each binary checks
+# its outputs (bit-identical parallel / incremental / cached / replayed
+# results, clean recovery, the plans and gates its report records),
+# writes its report, and exits non-zero naming any check that failed.
+smoke() {
+    local name=$1
+    shift
+    echo "--- $name"
+    cargo run --release -q -p nc-bench --bin "bench_$name" ${cargo_args[@]+"${cargo_args[@]}"} -- \
+        "$@" --out "target/BENCH_${name}_smoke.json" > /dev/null
+}
+cargo_args=("$@")
+smoke scoring --pop 200 --snapshots 3 --reps 1
+smoke serve --pop 200 --snapshots 3 --reps 1
+smoke shard --pop 200 --snapshots 3 --shards 3 --reps 1
+# The 1%-churn speedup gate is the committed run's; at 300 voters the
+# scoring pass is too short for a ratio to mean anything.
+smoke stream --pop 300 --snapshots 2 --shards 2 --reps 1 --publishes 1 --min-speedup 0
+smoke detect --scales 2000,4000 --pop 1000
+# Crash the shard engine's commit sequence at every 5th mutating syscall.
+smoke faults --pop 100 --stride 5 --chaos-runs 12
+smoke query --pop 400 --snapshots 3 --reps 2 --min-records 1
+# The tiny store is cleaner than the 100k archive, so the blocker's
+# default geometry is relaxed to keep the completeness gate meaningful.
+smoke pprl --pop 400 --snapshots 3 --reps 1 --min-records 1 \
+    --bands 32 --band-bits 14 --max-cand-per-record 50
 
 echo "=== pipeline smoke ==="
 # The end-to-end benchmark's suite at its smallest scale: all four
