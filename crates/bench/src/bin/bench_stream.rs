@@ -12,7 +12,7 @@
 //! fraction of clusters, derives the dirty set from the change stream
 //! (never from the snapshot itself), and times a full
 //! `score_clusters` pass against `score_clusters_incremental` over the
-//! stream's dirty set, checking **bit-identical** output on every
+//! stream's dirty set, both on one thread, checking **bit-identical** output on every
 //! repetition, so a reported speedup can never come from a wrong
 //! answer. The carve phase publishes further low-churn versions into
 //! two cache-backed carve engines — one fed the folded
@@ -166,7 +166,11 @@ fn main() -> ExitCode {
     eprintln!("store: {clusters} clusters, {records} records");
 
     let plausibility = PlausibilityScorer::new();
-    let scoring = ScoringConfig::default();
+    // Both passes on one thread: the speedup gate compares the work
+    // each pass does, not how much of it a full pass spreads over the
+    // machine's hardware threads (an incremental pass over a few
+    // hundred dirty clusters barely uses them).
+    let scoring = ScoringConfig::with_threads(1);
 
     // Baseline full pass (and the previous-scores seed for churn 1).
     let entropy = base.entropy_scorer(Scope::Person);

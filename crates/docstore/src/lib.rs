@@ -13,10 +13,9 @@
 //!   [`json::parse`] reads it back,
 //! * [`collection::Collection`]s: documents kept in ascending `_id`
 //!   order, with automatic `_id` assignment, insert / get,
-//! * [`query::Filter`]s over dotted paths, and the aggregation
-//!   [`pipeline`]'s stages — `match`, `project`, `group`, `sort`,
-//!   `skip`, `limit` and `count` — enough to express the paper's
-//!   customization queries, and
+//! * [`query::Filter`]s over dotted paths and [`value::Document`]
+//!   projection, the primitives `nc-query`'s aggregation stages are
+//!   built from, and
 //! * crash-safe file [`persist`]ence (atomic JSON-lines snapshots with
 //!   per-line CRC-32 checksums, a count/checksum footer, and a
 //!   salvage-on-load recovery path).
@@ -33,8 +32,11 @@
 //! coll.insert(doc! { "name" => "BOB", "age" => 71_i64 }).unwrap();
 //!
 //! let over_50 = Filter::gt("age", Value::from(50_i64));
-//! let docs: Vec<Document> = coll.iter_ordered().map(|(_, d)| d.clone()).collect();
-//! let hits = Stage::Match(over_50).apply(docs);
+//! let hits: Vec<&Document> = coll
+//!     .iter_ordered()
+//!     .map(|(_, d)| d)
+//!     .filter(|&d| over_50.matches(d))
+//!     .collect();
 //! assert_eq!(hits.len(), 1);
 //! assert_eq!(hits[0].get_str("name"), Some("BOB"));
 //! ```
@@ -46,7 +48,6 @@ pub mod collection;
 pub mod crc32;
 pub mod json;
 pub mod persist;
-pub mod pipeline;
 pub mod query;
 pub mod value;
 
@@ -55,7 +56,6 @@ pub mod prelude {
     pub use crate::collection::{Collection, DocId, IdsExhausted};
     pub use crate::doc;
     pub use crate::persist::{FooterStatus, Salvage, SalvageReport};
-    pub use crate::pipeline::{Accumulator, Stage};
     pub use crate::query::{Fields, Filter};
     pub use crate::value::{Document, Value};
 }

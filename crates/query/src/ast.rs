@@ -21,12 +21,12 @@
 //! operand against the field's kind, so a typo like `"hetero"` fails
 //! with a typed, stage-indexed error instead of matching nothing.
 
-use nc_docstore::pipeline::{Accumulator, Stage};
 use nc_docstore::query::Filter;
 use nc_docstore::value::{Document, Value};
 
 use crate::catalog::{field_kind, FieldKind};
 use crate::json::{self, JsonError};
+use crate::pipeline::Accumulator;
 
 /// Error classes a query request can fail with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,27 +211,6 @@ impl QueryStage {
             QueryStage::Skip(_) => "skip",
             QueryStage::Limit(_) => "limit",
             QueryStage::Count => "count",
-        }
-    }
-
-    /// The equivalent docstore pipeline stage, for every stage except
-    /// `sample` (which docstore pipelines do not model).
-    pub fn to_docstore_stage(&self) -> Option<Stage> {
-        match self {
-            QueryStage::Match(f) => Some(Stage::Match(f.clone())),
-            QueryStage::Sample { .. } => None,
-            QueryStage::Sort { by, descending } => Some(Stage::Sort {
-                by: by.clone(),
-                descending: *descending,
-            }),
-            QueryStage::Project(paths) => Some(Stage::Project(paths.clone())),
-            QueryStage::Group { by, accumulators } => Some(Stage::Group {
-                by: by.clone(),
-                accumulators: accumulators.clone(),
-            }),
-            QueryStage::Skip(n) => Some(Stage::Skip(*n)),
-            QueryStage::Limit(n) => Some(Stage::Limit(*n)),
-            QueryStage::Count => Some(Stage::Count),
         }
     }
 }
@@ -506,14 +485,8 @@ impl CarveQuery {
                 QueryStage::Group { by, accumulators } => {
                     push(by);
                     for (_, acc) in accumulators {
-                        match acc {
-                            Accumulator::Count => {}
-                            Accumulator::Sum(p)
-                            | Accumulator::Avg(p)
-                            | Accumulator::Min(p)
-                            | Accumulator::Max(p)
-                            | Accumulator::Push(p)
-                            | Accumulator::First(p) => push(p),
+                        if let (_, Some(p)) = acc.op() {
+                            push(p);
                         }
                     }
                 }
@@ -967,32 +940,11 @@ fn render_list(out: &mut String, name: &str, fs: &[Filter]) {
 }
 
 fn render_accumulator(acc: &Accumulator, out: &mut String) {
-    match acc {
-        Accumulator::Count => out.push_str("count"),
-        Accumulator::Sum(p) => {
-            out.push_str("sum:");
-            out.push_str(p);
-        }
-        Accumulator::Avg(p) => {
-            out.push_str("avg:");
-            out.push_str(p);
-        }
-        Accumulator::Min(p) => {
-            out.push_str("min:");
-            out.push_str(p);
-        }
-        Accumulator::Max(p) => {
-            out.push_str("max:");
-            out.push_str(p);
-        }
-        Accumulator::Push(p) => {
-            out.push_str("push:");
-            out.push_str(p);
-        }
-        Accumulator::First(p) => {
-            out.push_str("first:");
-            out.push_str(p);
-        }
+    let (op, path) = acc.op();
+    out.push_str(op);
+    if let Some(p) = path {
+        out.push(':');
+        out.push_str(p);
     }
 }
 

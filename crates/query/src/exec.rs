@@ -5,15 +5,13 @@
 //! permutations' posting lists and no other row is read. Positions then
 //! flow through the stages that read no field (`skip`, `limit`, an
 //! unstratified `sample`); from the first stage that reads one, the
-//! stream is the clusters' [`Document`]s and each stage runs through the
-//! docstore's own [`Stage::apply`]. Every filter comparison is
-//! [`Value::total_cmp`] either way, so planned execution equals the naive
-//! [`execute_naive`] by construction. `sample` (which docstore pipelines
-//! do not model) is a partial Fisher–Yates shuffle over the workspace
-//! PRNG ([`nc_votergen::rng`]), so the same `(seed, query, version)`
-//! reproduces the same sample on every build.
-//!
-//! [`Stage::apply`]: nc_docstore::pipeline::Stage::apply
+//! stream is the clusters' [`Document`]s and each stage runs through
+//! [`QueryStage::apply`], as in the naive [`execute_naive`]. Every filter
+//! comparison is [`Value::total_cmp`] either way, so planned execution
+//! equals the naive one by construction. `sample` is a partial
+//! Fisher–Yates shuffle over the workspace PRNG ([`nc_votergen::rng`]),
+//! so the same `(seed, query, version)` reproduces the same sample on
+//! every build.
 
 use nc_docstore::query::Filter;
 use nc_docstore::value::{Document, Value};
@@ -392,18 +390,6 @@ pub fn plan_query(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOption
     base_explain(catalog, query, opts).0
 }
 
-/// One stage over a document stream: `sample` by [`sample_docs`], any
-/// other by the docstore's [`Stage::apply`](nc_docstore::pipeline::Stage::apply).
-fn apply_stage(stage: &QueryStage, docs: Vec<Document>) -> Vec<Document> {
-    match stage {
-        QueryStage::Sample { size, seed, by } => sample_docs(docs, *size, *seed, by.as_deref()),
-        other => other
-            .to_docstore_stage()
-            .expect("only sample lacks a docstore stage")
-            .apply(docs),
-    }
-}
-
 /// Execute the query over the catalog.
 pub fn execute(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) -> QueryOutcome {
     let (mut explain, candidates) = base_explain(catalog, query, opts);
@@ -457,16 +443,13 @@ pub fn execute(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) 
             QueryStage::Sample { size, seed, .. } => {
                 positions = sample(positions, *size, *seed, None);
             }
-            window => window
-                .to_docstore_stage()
-                .expect("skip and limit are docstore stages")
-                .apply_window(&mut positions),
+            window => window.apply_window(&mut positions),
         }
         explain.stages[trace_offset + i].rows_out = Some(positions.len());
     }
     let mut docs: Vec<Document> = positions.iter().filter_map(|&p| catalog.doc(p)).collect();
     for (i, stage) in rest.iter().enumerate().skip(field_free) {
-        docs = apply_stage(stage, docs);
+        docs = stage.apply(docs);
         explain.stages[trace_offset + i].rows_out = Some(docs.len());
     }
 
@@ -492,15 +475,14 @@ pub fn execute(catalog: &ClusterCatalog, query: &CarveQuery, opts: ExecOptions) 
 }
 
 /// The naive reference execution: every cluster's document through
-/// [`Stage::apply`](nc_docstore::pipeline::Stage::apply), with `sample`
-/// applied by the same sampler.
-/// The equivalence suite asserts [`execute`] matches this byte for byte.
+/// [`QueryStage::apply`], one stage at a time. The equivalence suite
+/// asserts [`execute`] matches this byte for byte.
 pub fn execute_naive(catalog: &ClusterCatalog, query: &CarveQuery) -> Vec<Document> {
     let docs = catalog.documents().map(|(_, d)| d).collect();
     query
         .stages
         .iter()
-        .fold(docs, |docs, stage| apply_stage(stage, docs))
+        .fold(docs, |docs, stage| stage.apply(docs))
 }
 
 /// Seeded deterministic sampling. Keeps up to `size` documents (per

@@ -22,14 +22,15 @@
 //!    on demand, with a sorted permutation per selective field.
 //! 3. **Plan + execute** ([`exec`]): a leading `match` is planned and
 //!    filtered on the columns (never a full scan when a permutation
-//!    covers a conjunct); the stages that read fields run through the
-//!    docstore's own stage machinery, plus a seeded
-//!    deterministic `sample` stage. [`Explain`] reports indexed vs
-//!    scanned conjuncts and estimated vs actual rows.
+//!    covers a conjunct); the stages that read fields run through
+//!    [`QueryStage::apply`] ([`pipeline`]), a seeded deterministic
+//!    `sample` among them. [`Explain`] reports indexed vs scanned
+//!    conjuncts and estimated vs actual rows.
 //!
 //! [`Document`]: nc_docstore::value::Document
 //! [`CarveQuery`]: ast::CarveQuery
 //! [`QueryError`]: ast::QueryError
+//! [`QueryStage::apply`]: ast::QueryStage::apply
 //! [`Explain`]: exec::Explain
 
 #![forbid(unsafe_code)]
@@ -38,6 +39,7 @@
 pub mod ast;
 pub mod catalog;
 pub mod exec;
+pub mod pipeline;
 
 /// The workspace's JSON reader, which lives beside the `Value` it
 /// produces; re-exported so `nc_query::json::parse` stays a valid path.
@@ -49,3 +51,4 @@ pub use exec::{
     execute, execute_naive, plan_query, sample_docs, ExecOptions, Explain, OutputKind,
     QueryOutcome, StageTrace,
 };
+pub use pipeline::Accumulator;

@@ -1,17 +1,20 @@
-//! A multi-stage aggregation pipeline.
+//! How each [`QueryStage`] transforms a document stream.
 //!
 //! Models the MongoDB aggregation-pipeline feature the paper highlights
 //! as the user's customization instrument: "multi-stage pipelines can be
 //! used to transform documents into an aggregated result … filtering,
-//! transformation, grouping and sorting".
+//! transformation, grouping and sorting". The planner ([`crate::exec`])
+//! and the naive reference both chain stages through [`QueryStage::apply`].
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use crate::query::Filter;
-use crate::value::{Document, Value};
+use nc_docstore::value::{Document, Value};
 
-/// Aggregation accumulator used by [`Stage::Group`].
+use crate::ast::QueryStage;
+use crate::exec::sample_docs;
+
+/// Aggregation accumulator used by [`QueryStage::Group`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Accumulator {
     /// Count of documents in the group.
@@ -31,6 +34,19 @@ pub enum Accumulator {
 }
 
 impl Accumulator {
+    /// The operator's name and the path it reads (`None` for `count`).
+    pub(crate) fn op(&self) -> (&'static str, Option<&str>) {
+        match self {
+            Accumulator::Count => ("count", None),
+            Accumulator::Sum(p) => ("sum", Some(p)),
+            Accumulator::Avg(p) => ("avg", Some(p)),
+            Accumulator::Min(p) => ("min", Some(p)),
+            Accumulator::Max(p) => ("max", Some(p)),
+            Accumulator::Push(p) => ("push", Some(p)),
+            Accumulator::First(p) => ("first", Some(p)),
+        }
+    }
+
     /// The accumulated value over one group's documents, in stream order.
     fn over(&self, docs: &[&Document]) -> Value {
         let values = |p| docs.iter().filter_map(move |d| d.get_path(p));
@@ -63,48 +79,17 @@ fn extreme<'a>(values: impl Iterator<Item = &'a Value>, wins: Ordering) -> Value
         .unwrap_or(Value::Null)
 }
 
-/// A single pipeline stage.
-#[derive(Debug, Clone)]
-pub enum Stage {
-    /// Keep documents matching the filter.
-    Match(Filter),
-    /// Keep only the listed (dotted) paths.
-    Project(Vec<String>),
-    /// Group by the value at `by`; produce one document per group with
-    /// `_key` plus one field per named accumulator.
-    Group {
-        /// Grouping path; documents lacking it group under `Null`.
-        by: String,
-        /// `(output field, accumulator)` pairs.
-        accumulators: Vec<(String, Accumulator)>,
-    },
-    /// Sort by the value at the path.
-    Sort {
-        /// Sorting path.
-        by: String,
-        /// Sort descending instead of ascending.
-        descending: bool,
-    },
-    /// Skip the first `n` documents.
-    Skip(usize),
-    /// Keep at most `n` documents.
-    Limit(usize),
-    /// Replace the stream by a single `{ count: n }` document.
-    Count,
-}
-
-impl Stage {
-    /// Apply this stage to a document stream. External executors (the
-    /// carve-query planner) chain stages through this one transform, and
-    /// interleave stages the docstore does not model, such as sampling.
+impl QueryStage {
+    /// Apply this stage to a document stream.
     pub fn apply(&self, docs: Vec<Document>) -> Vec<Document> {
         match self {
-            Stage::Match(f) => docs.into_iter().filter(|d| f.matches(d)).collect(),
-            Stage::Project(paths) => {
+            QueryStage::Match(f) => docs.into_iter().filter(|d| f.matches(d)).collect(),
+            QueryStage::Sample { size, seed, by } => sample_docs(docs, *size, *seed, by.as_deref()),
+            QueryStage::Project(paths) => {
                 let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
                 docs.iter().map(|d| d.project(&refs)).collect()
             }
-            Stage::Group { by, accumulators } => {
+            QueryStage::Group { by, accumulators } => {
                 // Groups in first-seen order, keyed by the stable hash of
                 // the grouping value; each keeps its first value as `_key`.
                 let mut slots: HashMap<u64, usize> = HashMap::new();
@@ -129,7 +114,7 @@ impl Stage {
                     })
                     .collect()
             }
-            Stage::Sort { by, descending } => {
+            QueryStage::Sort { by, descending } => {
                 let mut docs = docs;
                 docs.sort_by(|a, b| {
                     let va = a.get_path(by).cloned().unwrap_or(Value::Null);
@@ -143,12 +128,12 @@ impl Stage {
                 });
                 docs
             }
-            Stage::Skip(_) | Stage::Limit(_) => {
+            QueryStage::Skip(_) | QueryStage::Limit(_) => {
                 let mut docs = docs;
                 self.apply_window(&mut docs);
                 docs
             }
-            Stage::Count => {
+            QueryStage::Count => {
                 let mut d = Document::new();
                 d.set("count", docs.len() as i64);
                 vec![d]
@@ -158,10 +143,10 @@ impl Stage {
 
     /// Apply `Skip` or `Limit`, which read no field, to a stream of any
     /// item type; any other stage leaves `items` alone.
-    pub fn apply_window<T>(&self, items: &mut Vec<T>) {
+    pub(crate) fn apply_window<T>(&self, items: &mut Vec<T>) {
         match self {
-            Stage::Skip(n) => drop(items.drain(..(*n).min(items.len()))),
-            Stage::Limit(n) => items.truncate(*n),
+            QueryStage::Skip(n) => drop(items.drain(..(*n).min(items.len()))),
+            QueryStage::Limit(n) => items.truncate(*n),
             _ => {}
         }
     }
@@ -170,7 +155,8 @@ impl Stage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doc;
+    use nc_docstore::doc;
+    use nc_docstore::query::Filter;
 
     fn docs() -> Vec<Document> {
         vec![
@@ -181,7 +167,7 @@ mod tests {
     }
 
     /// Run `stages` in order over `docs`.
-    fn run(stages: &[Stage], docs: Vec<Document>) -> Vec<Document> {
+    fn run(stages: &[QueryStage], docs: Vec<Document>) -> Vec<Document> {
         stages.iter().fold(docs, |docs, stage| stage.apply(docs))
     }
 
@@ -189,8 +175,8 @@ mod tests {
     fn match_project() {
         let out = run(
             &[
-                Stage::Match(Filter::eq("county", "WAKE")),
-                Stage::Project(vec!["age".into()]),
+                QueryStage::Match(Filter::eq("county", "WAKE")),
+                QueryStage::Project(vec!["age".into()]),
             ],
             docs(),
         );
@@ -203,7 +189,7 @@ mod tests {
     fn group_accumulators() {
         let out = run(
             &[
-                Stage::Group {
+                QueryStage::Group {
                     by: "county".into(),
                     accumulators: vec![
                         ("n".into(), Accumulator::Count),
@@ -215,7 +201,7 @@ mod tests {
                         ("first".into(), Accumulator::First("age".into())),
                     ],
                 },
-                Stage::Sort {
+                QueryStage::Sort {
                     by: "_key".into(),
                     descending: false,
                 },
@@ -238,12 +224,12 @@ mod tests {
     fn sort_skip_limit() {
         let out = run(
             &[
-                Stage::Sort {
+                QueryStage::Sort {
                     by: "age".into(),
                     descending: true,
                 },
-                Stage::Skip(1),
-                Stage::Limit(1),
+                QueryStage::Skip(1),
+                QueryStage::Limit(1),
             ],
             docs(),
         );
@@ -254,7 +240,10 @@ mod tests {
     #[test]
     fn count_stage() {
         let out = run(
-            &[Stage::Match(Filter::gt("age", 35_i64)), Stage::Count],
+            &[
+                QueryStage::Match(Filter::gt("age", 35_i64)),
+                QueryStage::Count,
+            ],
             docs(),
         );
         assert_eq!(out.len(), 1);
@@ -263,7 +252,7 @@ mod tests {
 
     #[test]
     fn group_missing_key_is_null() {
-        let group = Stage::Group {
+        let group = QueryStage::Group {
             by: "a".into(),
             accumulators: vec![("n".into(), Accumulator::Count)],
         };

@@ -13,6 +13,8 @@
 //! through a large carve costs one carve total. Plaintext and encoded
 //! carves of the same dataset never share a cache entry — the encoding
 //! (key and geometry) is part of the fingerprint.
+//! Knob and query carves share one cached path: a [`Recipe`] keys the
+//! entry and judges its carry-forward, and one renderer writes both.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -20,8 +22,10 @@ use std::sync::Arc;
 
 use nc_core::customize::{CustomDataset, CustomizeParams};
 use nc_core::heterogeneity::PairTable;
+use nc_core::md5::Digest;
 use nc_core::plausibility::PlausibilityScorer;
 use nc_core::snapshot::StoreSnapshot;
+use nc_core::stats::pairs_in_cluster;
 use nc_docstore::json;
 use nc_docstore::value::Document;
 use nc_query::{
@@ -114,19 +118,21 @@ pub struct CarveResult {
     /// version — responses report the resolved version from
     /// [`CarveOutcome::version`], not from here.
     pub version: u32,
-    /// The parameters the carve was computed with (needed to re-key a
-    /// carried-forward entry under a new version's fingerprint).
-    pub params: CustomizeParams,
+    /// What the carve was computed from. It mints the cache key (a
+    /// carried-forward entry re-keys with it) and decides whether a
+    /// publish carries the entry.
+    pub recipe: Recipe,
     /// The privacy encoding the lines were rendered under (`None` =
     /// plaintext). Part of the cache key, so a carried-forward entry
     /// must re-key with it — encoded lines are a pure function of
     /// `(dataset, encoding)`, which keeps the carry-forward soundness
     /// argument unchanged.
     pub encoding: Option<EncodingParams>,
-    /// NCIDs of every cluster the carve *sampled* (pre-ranking),
-    /// sorted ascending for binary search. A publish delta whose
-    /// revised set is disjoint from this makes the entry bit-identical
-    /// at the new version (see [`CarveEngine::publish`]).
+    /// NCIDs of every cluster the carve *sampled* (pre-ranking) or, for
+    /// a query carve, matched — sorted ascending for binary search. A
+    /// publish delta whose revised set is disjoint from this leaves the
+    /// entry's clusters untouched at the new version (see
+    /// [`CarveEngine::publish`]).
     pub sampled: Vec<String>,
     /// Number of clusters in the carved dataset.
     pub clusters: usize,
@@ -136,10 +142,16 @@ pub struct CarveResult {
     pub duplicate_pairs: u64,
     /// One JSON object per labeled record, in dataset order.
     pub lines: Vec<String>,
-    /// Set for carve-by-query results: the recorded query footprint the
-    /// publish-time carry-forward check runs against. `None` for knob
-    /// carves.
-    pub query: Option<QueryCarve>,
+}
+
+/// What a carve was computed from: the knobs of a preset or bounds
+/// carve, or a carve-by-query pipeline.
+#[derive(Debug)]
+pub enum Recipe {
+    /// Customization parameters (bounds, sample/output sizes, seed).
+    Knobs(CustomizeParams),
+    /// A query pipeline, with what a publish needs to judge it.
+    Query(QueryCarve),
 }
 
 /// What a cached query carve remembers about the query that produced
@@ -158,6 +170,54 @@ pub struct QueryCarve {
     pub pinned: bool,
 }
 
+impl Recipe {
+    /// The cache key of this recipe's carve at `version` under
+    /// `encoding` ([`crate::fingerprint`]).
+    fn key(&self, version: u32, encoding: Option<&EncodingParams>) -> Digest {
+        match self {
+            Recipe::Knobs(params) => knob_fingerprint(version, params, encoding),
+            Recipe::Query(qc) => query_fingerprint(version, &qc.canonical, encoding),
+        }
+    }
+
+    /// Whether a carve of this recipe that sampled (or matched)
+    /// `sampled` is bit-identical at the version `delta` publishes.
+    /// `dirty_match` answers whether any cluster the delta touched
+    /// matches a footprint under the new snapshot's scores; it is asked
+    /// last, only for a query carve that passed every other check.
+    ///
+    /// No carve survives the revision of a cluster it sampled (rows
+    /// only append, so unrevised clusters reduce and rank identically).
+    /// Beyond that, knob carves need a publish that founded nothing:
+    /// founding changes the sampling permutation and the entropy
+    /// weights. Query carves survive a founding publish too, provided
+    /// the query is not pinned to a version, never reads `het` (whose
+    /// weights shift when a cluster is founded), and no dirty cluster
+    /// matches its footprint — i.e. nothing could join the matched set.
+    fn carries(
+        &self,
+        delta: &PublishDelta,
+        sampled: &[String],
+        dirty_match: impl FnOnce(&QueryFootprint) -> bool,
+    ) -> bool {
+        if delta
+            .revised
+            .iter()
+            .any(|ncid| sampled.binary_search(ncid).is_ok())
+        {
+            return false;
+        }
+        match self {
+            Recipe::Knobs(_) => delta.founded.is_empty(),
+            Recipe::Query(qc) => {
+                !qc.pinned
+                    && (!qc.footprint.scorer_dependent || delta.founded.is_empty())
+                    && !dirty_match(&qc.footprint)
+            }
+        }
+    }
+}
+
 impl CarveResult {
     /// Render a carved dataset into its response form: plaintext JSON
     /// lines, or CLK-encoded lines when an encoding is given.
@@ -167,100 +227,80 @@ impl CarveResult {
         encoding: Option<&EncodingParams>,
         dataset: &CustomDataset,
     ) -> Self {
-        let lines = match encoding {
-            None => render_lines(dataset),
-            Some(enc) => render_encoded_lines(dataset, enc),
-        };
+        let clusters: Vec<(&str, &[Row])> = dataset
+            .clusters
+            .iter()
+            .map(|c| (c.ncid.as_str(), c.records.as_slice()))
+            .collect();
         let mut sampled = dataset.sampled.clone();
         sampled.sort_unstable();
-        CarveResult {
-            version,
-            params: params.clone(),
-            encoding: encoding.copied(),
-            sampled,
-            clusters: dataset.clusters.len(),
-            records: lines.len(),
-            duplicate_pairs: dataset.duplicate_pairs(),
-            lines,
-            query: None,
-        }
+        let recipe = Recipe::Knobs(params.clone());
+        Self::labeled(version, recipe, encoding, &clusters, sampled)
     }
 
     /// Render an executed query carve into its response form. Cluster
-    /// output becomes the same labeled JSON-lines format as knob carves
-    /// (cluster index in output order, NCID, non-empty attributes);
+    /// output becomes the same labeled JSON-lines format as knob carves;
     /// document output (project/group/count pipelines) becomes one
-    /// canonical JSON object per line.
-    ///
-    /// # Panics
-    /// When an encoding is given for a document-output pipeline — the
-    /// engine rejects that combination with `InvalidParams` before
-    /// rendering (projected documents would expose plaintext).
-    pub fn render_query(
+    /// canonical JSON object per line, and cannot be encoded (projected
+    /// documents would expose plaintext).
+    fn of_query(
         version: u32,
-        canonical: String,
-        footprint: QueryFootprint,
-        pinned: bool,
+        recipe: Recipe,
         encoding: Option<&EncodingParams>,
         outcome: &QueryOutcome,
         snapshot: &StoreSnapshot,
+    ) -> Result<Self, CarveError> {
+        let sampled = outcome.matched.clone();
+        if let Some(positions) = &outcome.positions {
+            let all = snapshot.clusters();
+            let clusters: Vec<(&str, &[Row])> = positions
+                .iter()
+                .map(|&pos| (all[pos].0.as_str(), all[pos].1.as_slice()))
+                .collect();
+            return Ok(Self::labeled(version, recipe, encoding, &clusters, sampled));
+        }
+        if encoding.is_some() {
+            return Err(CarveError::InvalidParams(
+                "encoded carves require a cluster-output pipeline \
+                 (document output would expose plaintext)"
+                    .into(),
+            ));
+        }
+        let lines: Vec<String> = outcome.docs.iter().map(Document::to_json).collect();
+        Ok(CarveResult {
+            version,
+            recipe,
+            encoding: None,
+            sampled,
+            clusters: 0,
+            records: lines.len(),
+            duplicate_pairs: 0,
+            lines,
+        })
+    }
+
+    /// A carve whose output is labeled clusters, `(ncid, rows)` in
+    /// output order.
+    fn labeled(
+        version: u32,
+        recipe: Recipe,
+        encoding: Option<&EncodingParams>,
+        clusters: &[(&str, &[Row])],
+        sampled: Vec<String>,
     ) -> Self {
-        let all = snapshot.clusters();
-        let (lines, clusters, duplicate_pairs) = match &outcome.positions {
-            Some(positions) => {
-                let encoder = encoding.map(|enc| RecordEncoder::new(*enc));
-                let mut scratch = EncodeScratch::new();
-                let mut lines = Vec::new();
-                let mut pairs = 0u64;
-                for (out_idx, &pos) in positions.iter().enumerate() {
-                    let (ncid, rows) = &all[pos];
-                    let n = rows.len() as u64;
-                    pairs += n * n.saturating_sub(1) / 2;
-                    match &encoder {
-                        None => {
-                            for record in rows {
-                                lines.push(render_record(out_idx, ncid, record));
-                            }
-                        }
-                        Some(encoder) => {
-                            // Gold linkage comes from the cluster label,
-                            // not from whatever the NCID column holds.
-                            let token = encoder.ncid_token(ncid);
-                            for record in rows {
-                                let mut encoded = encoder.encode_row(record, &mut scratch);
-                                encoded.ncid_token = token;
-                                lines.push(render_encoded_record(out_idx, &encoded));
-                            }
-                        }
-                    }
-                }
-                (lines, positions.len(), pairs)
-            }
-            None => {
-                assert!(
-                    encoding.is_none(),
-                    "document-output pipelines cannot be encoded"
-                );
-                let lines: Vec<String> = outcome.docs.iter().map(Document::to_json).collect();
-                (lines, 0, 0)
-            }
-        };
+        let lines = render_labeled(clusters, encoding);
         CarveResult {
             version,
-            // Knob parameters do not apply to a query carve; the cache
-            // key comes from `query_fingerprint`, never from here.
-            params: CustomizeParams::nc1(0, 0, 0),
+            recipe,
             encoding: encoding.copied(),
-            sampled: outcome.matched.clone(),
-            clusters,
+            sampled,
+            clusters: clusters.len(),
             records: lines.len(),
-            duplicate_pairs,
+            duplicate_pairs: clusters
+                .iter()
+                .map(|(_, rows)| pairs_in_cluster(rows.len() as u64))
+                .sum(),
             lines,
-            query: Some(QueryCarve {
-                canonical,
-                footprint,
-                pinned,
-            }),
         }
     }
 
@@ -293,7 +333,8 @@ pub struct DeltaStats {
     /// provably did not affect them.
     pub carried_forward: u64,
     /// Publishes whose query catalog was carried forward from the
-    /// previous version (dirty documents replaced in a clone).
+    /// previous version (a column copy whose resized clusters' rows are
+    /// re-derived).
     pub catalog_carried: u64,
     /// Catalogs built in full, on the first query against a version
     /// that could not be carried.
@@ -467,46 +508,20 @@ impl CarveEngine {
             // the *new* snapshot; derived at most once per publish, by
             // the first footprint check that needs them.
             let mut dirty_docs: Option<Vec<(usize, Document)>> = None;
-            let knob_ok = delta.founded.is_empty();
             for (tag, result) in self.cache.entries() {
                 if tag != u64::from(outcome.previous_version) {
                     continue;
                 }
-                let revised_hits_sampled = delta
-                    .revised
-                    .iter()
-                    .any(|ncid| result.sampled.binary_search(ncid).is_ok());
-                let carry = match &result.query {
-                    // Knob carves are sound only when nothing was
-                    // founded (founding changes the sampling
-                    // permutation and the entropy weights) and no
-                    // sampled cluster was revised.
-                    None => knob_ok && !revised_hits_sampled,
-                    // Query carves survive a founding publish too,
-                    // provided (a) the query never reads `het`
-                    // (whose entropy weights shift when a cluster
-                    // is founded), (b) no cluster of the recorded
-                    // matched set was revised, and (c) no dirty
-                    // cluster matches the recorded predicate
-                    // footprint under the new snapshot's scores —
-                    // i.e. nothing could join the matched set.
-                    Some(qc) => {
-                        !qc.pinned
-                            && (!qc.footprint.scorer_dependent || delta.founded.is_empty())
-                            && !revised_hits_sampled
-                            && !dirty_docs
-                                .get_or_insert_with(|| dirty_cluster_docs(&outcome.snapshot, delta))
-                                .iter()
-                                .any(|(_, doc)| qc.footprint.matches(doc))
-                    }
-                };
+                let carry = result.recipe.carries(delta, &result.sampled, |footprint| {
+                    dirty_docs
+                        .get_or_insert_with(|| dirty_cluster_docs(&outcome.snapshot, delta))
+                        .iter()
+                        .any(|(_, doc)| footprint.matches(doc))
+                });
                 if carry {
-                    let encoding = result.encoding.as_ref();
-                    let key = match &result.query {
-                        None => knob_fingerprint(new_version, &result.params, encoding),
-                        Some(qc) => query_fingerprint(new_version, &qc.canonical, encoding),
-                    };
-                    self.cache.insert_tagged(key, u64::from(new_version), result);
+                    let key = result.recipe.key(new_version, result.encoding.as_ref());
+                    self.cache
+                        .insert_tagged(key, u64::from(new_version), result);
                     self.carried_forward.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -521,6 +536,13 @@ impl CarveEngine {
         let dropped = self.cache.retain(|tag, _| live.contains(&tag));
         self.invalidated.fetch_add(dropped, Ordering::Relaxed);
         outcome.snapshot
+    }
+
+    /// The snapshot a request pins, or the current one.
+    fn snapshot(&self, version: Option<u32>) -> Result<Arc<ServeSnapshot>, CarveError> {
+        self.registry
+            .pinned(version)
+            .ok_or(CarveError::UnknownVersion(version.unwrap_or(0)))
     }
 
     /// The snapshot's pair table, counting the call that has to score
@@ -548,37 +570,16 @@ impl CarveEngine {
     /// [`CarveResult::page`] — the cache stores whole carves.
     pub fn carve(&self, request: &CarveRequest) -> Result<CarveOutcome, CarveError> {
         validate_params(&request.params)?;
-        if let Some(enc) = &request.encoding {
-            enc.validate().map_err(CarveError::InvalidParams)?;
-        }
-        let snapshot = self
-            .registry
-            .pinned(request.version)
-            .ok_or(CarveError::UnknownVersion(request.version.unwrap_or(0)))?;
-        let version = snapshot.version();
-
-        let key = knob_fingerprint(version, &request.params, request.encoding.as_ref());
-        if let Some(result) = self.cache.get(&key) {
-            return Ok(CarveOutcome {
-                version,
-                status: CacheStatus::Hit,
-                result,
-            });
-        }
-
-        let dataset = snapshot.carve_with(self.pair_table_of(&snapshot), &request.params);
-        let result = Arc::new(CarveResult::render(
-            version,
-            &request.params,
-            request.encoding.as_ref(),
-            &dataset,
-        ));
-        self.cache
-            .insert_tagged(key, u64::from(version), Arc::clone(&result));
-        Ok(CarveOutcome {
-            version,
-            status: CacheStatus::Miss,
-            result,
+        let encoding = request.encoding.as_ref();
+        let recipe = Recipe::Knobs(request.params.clone());
+        self.carve_cached(request.version, recipe, encoding, |snapshot, _| {
+            let dataset = snapshot.carve_with(self.pair_table_of(snapshot), &request.params);
+            Ok(CarveResult::render(
+                snapshot.version(),
+                &request.params,
+                encoding,
+                &dataset,
+            ))
         })
     }
 
@@ -601,49 +602,53 @@ impl CarveEngine {
         query: &CarveQuery,
         encoding: Option<&EncodingParams>,
     ) -> Result<CarveOutcome, CarveError> {
+        let recipe = Recipe::Query(QueryCarve {
+            canonical: query.canonical(),
+            footprint: query.footprint(),
+            pinned: query.version.is_some(),
+        });
+        self.carve_cached(query.version, recipe, encoding, |snapshot, recipe| {
+            let outcome = execute(self.catalog_of(snapshot), query, ExecOptions::default());
+            self.note_plan(&outcome.explain);
+            CarveResult::of_query(
+                snapshot.version(),
+                recipe,
+                encoding,
+                &outcome,
+                snapshot.store(),
+            )
+        })
+    }
+
+    /// The one cached carve path: resolve the snapshot, look the
+    /// recipe's key up, and on a miss `compute` the result (handed the
+    /// recipe to keep) and insert it, tagged with the version it was
+    /// computed at. A failed `compute` caches nothing.
+    fn carve_cached(
+        &self,
+        version: Option<u32>,
+        recipe: Recipe,
+        encoding: Option<&EncodingParams>,
+        compute: impl FnOnce(&ServeSnapshot, Recipe) -> Result<CarveResult, CarveError>,
+    ) -> Result<CarveOutcome, CarveError> {
         if let Some(enc) = encoding {
             enc.validate().map_err(CarveError::InvalidParams)?;
         }
-        let snapshot = self
-            .registry
-            .pinned(query.version)
-            .ok_or(CarveError::UnknownVersion(query.version.unwrap_or(0)))?;
+        let snapshot = self.snapshot(version)?;
         let version = snapshot.version();
-        let canonical = query.canonical();
-
-        let key = query_fingerprint(version, &canonical, encoding);
-        if let Some(result) = self.cache.get(&key) {
-            return Ok(CarveOutcome {
-                version,
-                status: CacheStatus::Hit,
-                result,
-            });
-        }
-
-        let catalog = self.catalog_of(&snapshot);
-        let outcome = execute(catalog, query, ExecOptions { force_scan: false });
-        self.note_plan(&outcome.explain);
-        if encoding.is_some() && outcome.positions.is_none() {
-            return Err(CarveError::InvalidParams(
-                "encoded carves require a cluster-output pipeline \
-                 (document output would expose plaintext)"
-                    .into(),
-            ));
-        }
-        let result = Arc::new(CarveResult::render_query(
-            version,
-            canonical,
-            query.footprint(),
-            query.version.is_some(),
-            encoding,
-            &outcome,
-            snapshot.store(),
-        ));
-        self.cache
-            .insert_tagged(key, u64::from(version), Arc::clone(&result));
+        let key = recipe.key(version, encoding);
+        let (status, result) = match self.cache.get(&key) {
+            Some(result) => (CacheStatus::Hit, result),
+            None => {
+                let result = Arc::new(compute(&snapshot, recipe)?);
+                self.cache
+                    .insert_tagged(key, u64::from(version), Arc::clone(&result));
+                (CacheStatus::Miss, result)
+            }
+        };
         Ok(CarveOutcome {
             version,
-            status: CacheStatus::Miss,
+            status,
             result,
         })
     }
@@ -652,10 +657,7 @@ impl CarveEngine {
     /// cached — the report is cheap and callers want the plan for the
     /// catalog as it stands now.
     pub fn explain_query(&self, query: &CarveQuery) -> Result<Explain, CarveError> {
-        let snapshot = self
-            .registry
-            .pinned(query.version)
-            .ok_or(CarveError::UnknownVersion(query.version.unwrap_or(0)))?;
+        let snapshot = self.snapshot(query.version)?;
         let catalog = self.catalog_of(&snapshot);
         let explain = plan_query(catalog, query, ExecOptions { force_scan: false });
         self.note_plan(&explain);
@@ -732,43 +734,41 @@ fn validate_params(params: &CustomizeParams) -> Result<(), CarveError> {
     Ok(())
 }
 
-/// Render a carved dataset as JSON lines: one object per record,
-/// labeled with its gold-standard cluster index and NCID, with the
-/// non-empty attributes in schema order. The line is a template (schema
-/// order, not a `Value`'s sorted keys); every string in it goes through
-/// the workspace's one escaper, [`json::escape_into`].
-pub fn render_lines(dataset: &CustomDataset) -> Vec<String> {
-    let mut lines = Vec::with_capacity(dataset.record_count());
-    for (cluster, cluster_data) in dataset.clusters.iter().enumerate() {
-        for record in &cluster_data.records {
-            lines.push(render_record(cluster, &cluster_data.ncid, record));
-        }
-    }
-    lines
-}
-
-/// Render a carved dataset as CLK-encoded JSON lines: one object per
-/// record with the gold cluster index, the keyed NCID token, the
-/// record-level CLK and the per-field encodings — no plaintext
-/// attribute ever appears. The caller validates the parameters first
-/// (the encoder panics on invalid geometry).
-pub fn render_encoded_lines(dataset: &CustomDataset, params: &EncodingParams) -> Vec<String> {
-    let encoder = RecordEncoder::new(*params);
+/// Render labeled clusters, `(ncid, rows)` in output order, as JSON
+/// lines: one object per record, labeled with its cluster's index in
+/// that order. A plaintext line carries the NCID and the non-empty
+/// attributes in schema order ([`render_record`]). An encoded line
+/// carries the keyed NCID token, the record-level CLK and the per-field
+/// encodings — no plaintext attribute ever appears; the caller validates
+/// the encoding first (the encoder panics on invalid geometry).
+fn render_labeled(clusters: &[(&str, &[Row])], encoding: Option<&EncodingParams>) -> Vec<String> {
+    let encoder = encoding.map(|enc| RecordEncoder::new(*enc));
     let mut scratch = EncodeScratch::new();
-    let mut lines = Vec::with_capacity(dataset.record_count());
-    for (cluster, cluster_data) in dataset.clusters.iter().enumerate() {
-        // Gold linkage comes from the cluster label, not from whatever
-        // the NCID column holds.
-        let token = encoder.ncid_token(&cluster_data.ncid);
-        for record in &cluster_data.records {
-            let mut encoded = encoder.encode_row(record, &mut scratch);
-            encoded.ncid_token = token;
-            lines.push(render_encoded_record(cluster, &encoded));
+    let mut lines = Vec::with_capacity(clusters.iter().map(|(_, rows)| rows.len()).sum());
+    for (cluster, &(ncid, rows)) in clusters.iter().enumerate() {
+        match &encoder {
+            None => lines.extend(
+                rows.iter()
+                    .map(|record| render_record(cluster, ncid, record)),
+            ),
+            Some(encoder) => {
+                // Gold linkage comes from the cluster label, not from
+                // whatever the NCID column holds.
+                let token = encoder.ncid_token(ncid);
+                for record in rows {
+                    let mut encoded = encoder.encode_row(record, &mut scratch);
+                    encoded.ncid_token = token;
+                    lines.push(render_encoded_record(cluster, &encoded));
+                }
+            }
         }
     }
     lines
 }
 
+/// One plaintext record line. The line is a template (schema order, not
+/// a `Value`'s sorted keys); every string in it goes through the
+/// workspace's one escaper, [`json::escape_into`].
 fn render_record(cluster: usize, ncid: &str, record: &Row) -> String {
     let mut line = String::with_capacity(128);
     line.push_str("{\"cluster\":");
@@ -1130,7 +1130,8 @@ mod tests {
             assert_eq!(out.version, 2, "served as the new version");
             // The carried-forward lines are bit-identical to a fresh
             // carve at the new version.
-            let fresh_lines = render_lines(&fresh.carve(&req.params));
+            let fresh_lines =
+                CarveResult::render(2, &req.params, None, &fresh.carve(&req.params)).lines;
             assert_eq!(out.result.lines, fresh_lines);
         }
         for &seed in &touched {
@@ -1215,7 +1216,7 @@ mod tests {
             }],
             sampled: vec!["Q\"1".to_string()],
         };
-        let lines = render_lines(&ds);
+        let lines = CarveResult::render(1, &request(1).params, None, &ds).lines;
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with("{\"cluster\":0,\"ncid\":\"Q\\\"1\""));
         assert!(lines[0].contains("\"last_name\":\"O\\\\BRIEN\\n\""));
@@ -1227,14 +1228,13 @@ mod tests {
     fn pagination_slices_without_overlap() {
         let result = CarveResult {
             version: 1,
-            params: request(1).params,
+            recipe: Recipe::Knobs(request(1).params),
             encoding: None,
             sampled: Vec::new(),
             clusters: 1,
             records: 5,
             duplicate_pairs: 10,
             lines: (0..5).map(|i| format!("line{i}")).collect(),
-            query: None,
         };
         assert_eq!(result.page(0, 2), ["line0", "line1"]);
         assert_eq!(result.page(1, 2), ["line2", "line3"]);
@@ -1781,7 +1781,8 @@ mod tests {
         // new version's carve.
         let fresh = ServeSnapshot::capture(&revised_store(), 2);
         let fresh_lines =
-            render_encoded_lines(&fresh.carve(&req.params), req.encoding.as_ref().unwrap());
+            CarveResult::render(2, &req.params, req.encoding.as_ref(), &fresh.carve(&req.params))
+                .lines;
         assert_eq!(carried.result.lines, fresh_lines);
         // The plaintext twin was never cached: still a miss.
         let mut plain = req.clone();

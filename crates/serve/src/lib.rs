@@ -65,7 +65,7 @@ pub mod snapshot;
 
 pub use carve::{
     CacheStatus, CarveEngine, CarveError, CarveOutcome, CarveRequest, CarveResult, DeltaStats,
-    QueryCarve, QueryStats,
+    QueryCarve, QueryStats, Recipe,
 };
 pub use fingerprint::{knob_fingerprint, query_fingerprint};
 pub use server::{Server, ServerHandle, ServeConfig, ServeState};

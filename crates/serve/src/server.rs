@@ -539,28 +539,12 @@ fn query_carve(request: &Request, state: &ServeState) -> Response {
         Err(CarveError::UnknownVersion(v)) => return query_error(&QueryError::unknown_version(v)),
         Err(err) => return carve_error(err),
     };
-    let CarveOutcome {
-        version,
-        status,
-        result,
-    } = outcome;
-
-    let mut body = String::with_capacity(result.lines.iter().map(|l| l.len() + 1).sum());
-    for line in &result.lines {
-        body.push_str(line);
-        body.push('\n');
-    }
-    let mut response = Response::json_lines(200, body.into_bytes())
-        .header("X-Version", version.to_string())
-        .header("X-Cache", status.as_str())
-        .header("X-Total-Records", result.records.to_string())
-        .header("X-Total-Clusters", result.clusters.to_string())
-        .header("X-Duplicate-Pairs", result.duplicate_pairs.to_string())
-        .header("X-Matched-Clusters", result.sampled.len().to_string());
-    if let Some(enc) = &encoding {
-        response = response.header("X-Encoding", enc.canonical());
-    }
-    response
+    let matched = outcome.result.sampled.len().to_string();
+    carve_ok(
+        &outcome,
+        &outcome.result.lines,
+        [("X-Matched-Clusters", matched)],
+    )
 }
 
 /// `POST /carve/explain` — plan the JSON query document without
@@ -602,7 +586,8 @@ fn dataset_preset(preset: &str, request: &Request, state: &ServeState) -> Respon
     carve_response(&pairs, state)
 }
 
-/// Shared carve path: parse → engine → page slice → JSON-lines body.
+/// The knob carve of `POST /carve` and `GET /datasets/{preset}`:
+/// parse → engine → page slice → [`carve_ok`].
 fn carve_response(pairs: &[(String, String)], state: &ServeState) -> Response {
     let request = match parse_carve_request(pairs, &state.config.defaults) {
         Ok(request) => request,
@@ -612,29 +597,39 @@ fn carve_response(pairs: &[(String, String)], state: &ServeState) -> Response {
         Ok(outcome) => outcome,
         Err(err) => return carve_error(err),
     };
-    let CarveOutcome {
-        version,
-        status,
-        result,
-    } = outcome;
+    let page = outcome.result.page(request.page, request.page_size);
+    let own = [
+        ("X-Page", request.page.to_string()),
+        ("X-Page-Size", request.page_size.to_string()),
+        ("X-Page-Records", page.len().to_string()),
+    ];
+    carve_ok(&outcome, page, own)
+}
 
-    let page = result.page(request.page, request.page_size);
-    let mut body = String::with_capacity(page.iter().map(|l| l.len() + 1).sum());
-    for line in page {
+/// The one carve response: `lines` as a JSON-lines body, the headers
+/// every carve shares, the responder's `own` headers, and `X-Encoding`
+/// last when the carve is encoded.
+fn carve_ok(
+    outcome: &CarveOutcome,
+    lines: &[String],
+    own: impl IntoIterator<Item = (&'static str, String)>,
+) -> Response {
+    let result = &outcome.result;
+    let mut body = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
         body.push_str(line);
         body.push('\n');
     }
-
     let mut response = Response::json_lines(200, body.into_bytes())
-        .header("X-Version", version.to_string())
-        .header("X-Cache", status.as_str())
+        .header("X-Version", outcome.version.to_string())
+        .header("X-Cache", outcome.status.as_str())
         .header("X-Total-Records", result.records.to_string())
         .header("X-Total-Clusters", result.clusters.to_string())
-        .header("X-Duplicate-Pairs", result.duplicate_pairs.to_string())
-        .header("X-Page", request.page.to_string())
-        .header("X-Page-Size", request.page_size.to_string())
-        .header("X-Page-Records", page.len().to_string());
-    if let Some(enc) = &request.encoding {
+        .header("X-Duplicate-Pairs", result.duplicate_pairs.to_string());
+    for (name, value) in own {
+        response = response.header(name, value);
+    }
+    if let Some(enc) = &result.encoding {
         response = response.header("X-Encoding", enc.canonical());
     }
     response

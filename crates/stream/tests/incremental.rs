@@ -7,14 +7,17 @@
 //! * [`nc_core::scoring::score_clusters_incremental`] over the
 //!   stream-derived dirty set is **bit-identical** to a full scoring
 //!   pass,
-//! * NC1–NC3 carves served through a delta-published
-//!   [`nc_serve::CarveEngine`] (including carry-forward cache hits)
-//!   are **byte-identical** to fresh carves of the same snapshot,
+//! * NC1–NC3 carves and a CLK-encoded NC2 carve served through a
+//!   delta-published [`nc_serve::CarveEngine`] (including
+//!   carry-forward cache hits, re-keyed with their encoding) are
+//!   **byte-identical** to fresh carves of the same snapshot,
 //! * the engine's query catalog — carried forward across revise-only
 //!   publishes, built in full otherwise — equals
 //!   [`nc_query::ClusterCatalog::build`] on that snapshot by rendered
-//!   bytes, executes indexed matches like it, and serves query carves
-//!   byte-identical to a cold, cache-less engine,
+//!   bytes, executes indexed matches like it, and serves query carves,
+//!   plaintext and encoded, byte-identical to a cold, cache-less engine,
+//! * pinned re-reads of every version, after all the churn, serve the
+//!   bytes each carve and query carve served at that version,
 //! * the engine's pair table — carried or built the same way — equals
 //!   [`nc_core::heterogeneity::PairTable::build`] on that snapshot by
 //!   bits,
@@ -33,6 +36,7 @@ use nc_core::record::DedupPolicy;
 use nc_core::scoring::{score_clusters, score_clusters_incremental, ClusterScore, ScoringConfig};
 use nc_core::tsv::{write_snapshot, ImportOptions};
 use nc_docstore::query::Filter;
+use nc_pprl::EncodingParams;
 use nc_propcheck::check_n;
 use nc_query::{execute, CarveQuery, ClusterCatalog, ExecOptions, QueryStage};
 use nc_serve::{CarveEngine, CarveRequest, ServeSnapshot, SnapshotRegistry};
@@ -93,33 +97,56 @@ fn carve_lines(engine: &CarveEngine, request: &CarveRequest) -> Vec<String> {
     outcome.result.page(0, usize::MAX).to_vec()
 }
 
+/// The NC1–NC3 presets in plaintext, and NC2 CLK-encoded under a
+/// per-case key.
 fn preset_requests(seed: u64) -> Vec<CarveRequest> {
+    let clk = EncodingParams {
+        key: seed,
+        ..EncodingParams::default()
+    };
     [
-        CustomizeParams::nc1(12, 5, seed),
-        CustomizeParams::nc2(12, 5, seed),
-        CustomizeParams::nc3(12, 5, seed),
+        (CustomizeParams::nc1(12, 5, seed), None),
+        (CustomizeParams::nc2(12, 5, seed), None),
+        (CustomizeParams::nc3(12, 5, seed), None),
+        (CustomizeParams::nc2(12, 5, seed), Some(clk)),
     ]
     .into_iter()
-    .map(|params| CarveRequest {
+    .map(|(params, encoding)| CarveRequest {
         version: None,
         params,
         page: 0,
         page_size: usize::MAX,
-        encoding: None,
+        encoding,
     })
     .collect()
 }
 
-/// Query carves over indexed, scanned and scorer-dependent fields.
-fn query_requests() -> Vec<CarveQuery> {
+/// Query carves over indexed, scanned and scorer-dependent fields, and
+/// a cluster-output one CLK-encoded.
+fn query_requests() -> Vec<(CarveQuery, Option<EncodingParams>)> {
     [
-        r#"{"pipeline": [{"match": {"size": {"gte": 2}}}]}"#,
-        r#"{"pipeline": [{"match": {"het": {"gt": 0.0}}}, {"sort": {"by": "het", "descending": true}}, {"limit": 5}]}"#,
-        r#"{"pipeline": [{"match": {"errors.total": {"gte": 1}}}, {"group": {"by": "size", "agg": {"n": "count"}}}]}"#,
+        (r#"{"pipeline": [{"match": {"size": {"gte": 2}}}]}"#, None),
+        (r#"{"pipeline": [{"match": {"het": {"gt": 0.0}}}, {"sort": {"by": "het", "descending": true}}, {"limit": 5}]}"#, None),
+        (r#"{"pipeline": [{"match": {"errors.total": {"gte": 1}}}, {"group": {"by": "size", "agg": {"n": "count"}}}]}"#, None),
+        (r#"{"pipeline": [{"match": {"size": {"gte": 2}}}, {"sort": {"by": "het"}}]}"#, Some(EncodingParams::default())),
     ]
-    .iter()
-    .map(|body| CarveQuery::parse(body.as_bytes()).expect("test query parses"))
+    .into_iter()
+    .map(|(body, encoding)| {
+        (CarveQuery::parse(body.as_bytes()).expect("test query parses"), encoding)
+    })
     .collect()
+}
+
+/// Every line of a query carve.
+fn query_lines(
+    engine: &CarveEngine,
+    query: &CarveQuery,
+    encoding: Option<&EncodingParams>,
+) -> Vec<String> {
+    let outcome = engine
+        .carve_query_encoded(query, encoding)
+        .expect("query carve");
+    outcome.result.lines.clone()
 }
 
 /// The serving catalog of the current version against a from-scratch
@@ -208,6 +235,7 @@ fn churn_streams_score_and_carve_bit_identically() {
         let mut carve_engine: Option<CarveEngine> = None;
         let mut previous_scores: Vec<ClusterScore> = Vec::new();
         let mut expected_carves: HashMap<(u32, usize), Vec<String>> = HashMap::new();
+        let mut expected_queries: HashMap<(u32, usize), Vec<String>> = HashMap::new();
 
         for (i, touches) in plan.iter().enumerate() {
             let version = (i + 1) as u32;
@@ -295,12 +323,15 @@ fn churn_streams_score_and_carve_bit_identically() {
             // Query carves run on the engine's catalog; the first one at
             // version 1 builds it, so later revise-only publishes have a
             // catalog to carry.
-            for (q, query) in query_requests().iter().enumerate() {
-                let served = serving.carve_query(query).expect("query carve");
-                let direct = fresh.carve_query(query).expect("query carve");
+            for (q, (query, encoding)) in query_requests().iter().enumerate() {
+                let served = serving
+                    .carve_query_encoded(query, encoding.as_ref())
+                    .expect("query carve");
+                let direct = query_lines(&fresh, query, encoding.as_ref());
                 assert_eq!(served.version, version);
-                assert_eq!(&served.result.lines, &direct.result.lines,
+                assert_eq!(&served.result.lines, &direct,
                     "query {} differs at version {}", q, version);
+                expected_queries.insert((version, q), direct);
             }
             assert_catalog_matches_fresh_build(serving);
             all_batches.extend(batches);
@@ -322,6 +353,13 @@ fn churn_streams_score_and_carve_bit_identically() {
             let lines = carve_lines(serving, &request);
             assert_eq!(&lines, expected,
                 "pinned carve of preset {} at version {} drifted", p, version);
+        }
+        for ((version, q), expected) in &expected_queries {
+            let (mut query, encoding) = query_requests().swap_remove(*q);
+            query.version = Some(*version);
+            let lines = query_lines(serving, &query, encoding.as_ref());
+            assert_eq!(&lines, expected,
+                "pinned query carve {} at version {} drifted", q, version);
         }
 
         // Replay equivalence: from scratch, from open_at, and from a

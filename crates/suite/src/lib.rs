@@ -15,6 +15,7 @@ pub use nc_datasets as datasets;
 pub use nc_detect as detect;
 pub use nc_docstore as docstore;
 pub use nc_pprl as pprl;
+pub use nc_query as query;
 pub use nc_serve as serve;
 pub use nc_shard as shard;
 pub use nc_similarity as similarity;

@@ -1,6 +1,6 @@
 //! Privacy-preserving linkage export: carve a labeled test dataset and
 //! publish it as keyed CLK encodings instead of plaintext — locally via
-//! [`nc_suite::serve::carve::render_encoded_lines`] and over HTTP via
+//! [`nc_suite::serve::CarveResult::render`] and over HTTP via
 //! `POST /carve … encode=clk`. Then show that the encoded space is
 //! still useful: encoded Dice tracks plaintext q-gram Dice, and
 //! bit-sampling blocking over record CLKs recovers the gold duplicate
@@ -27,8 +27,9 @@ use nc_suite::detect::sink::QualitySink;
 use nc_suite::pprl::encode::{normalize_into, plaintext_qgram_dice};
 use nc_suite::pprl::kernels::dice_bitset;
 use nc_suite::pprl::{Bitset, EncodeScratch, EncodingParams, RecordEncoder};
-use nc_suite::serve::carve::render_encoded_lines;
-use nc_suite::serve::{Server, ServeConfig, ServeSnapshot, ServeState, SnapshotRegistry};
+use nc_suite::serve::{
+    CarveResult, Server, ServeConfig, ServeSnapshot, ServeState, SnapshotRegistry,
+};
 use nc_suite::votergen::config::GeneratorConfig;
 
 fn build_store(seed: u64, population: usize, snapshots: usize) -> ClusterStore {
@@ -87,7 +88,8 @@ fn main() {
     println!("building the voter archive …");
     let store = build_store(2021, 1_000, 8);
     let scorer = scorer_for(&store);
-    let carved = customize(&store, &scorer, &CustomizeParams::nc2(200, 40, 7));
+    let params = CustomizeParams::nc2(200, 40, 7);
+    let carved = customize(&store, &scorer, &params);
     println!(
         "carved {} records in {} clusters ({} duplicate pairs)\n",
         carved.record_count(),
@@ -102,7 +104,7 @@ fn main() {
         key: 2021,
         ..Default::default()
     };
-    let lines = render_encoded_lines(&carved, &encoding);
+    let lines = CarveResult::render(1, &params, Some(&encoding), &carved).lines;
     println!("encoded export under {}:", encoding.canonical());
     for line in lines.iter().take(2) {
         let mut shown = line.clone();

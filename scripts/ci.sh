@@ -154,8 +154,9 @@ done
 
 echo "=== serve smoke ==="
 # End-to-end smoke of the carving service on an ephemeral port:
-# /healthz, a carved page (cold + cached), and a clean shutdown —
-# the example exits non-zero if any of those fail.
+# /healthz, a carved page (cold + cached), an `encode=clk` carve and a
+# JSON query carve (each held to an in-process engine's record count),
+# and a clean shutdown — the example exits non-zero if any of those fail.
 cargo run --release -q -p nc-suite --example serve_datasets "$@" > /dev/null
 
 echo "=== clippy ==="

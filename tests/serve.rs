@@ -12,9 +12,9 @@ use nc_suite::core::customize::{customize, CustomizeParams};
 use nc_suite::core::heterogeneity::{AttributeWeights, HeterogeneityScorer, PairTable, Scope};
 use nc_suite::core::pipeline::{GenerationConfig, TestDataGenerator};
 use nc_suite::core::record::DedupPolicy;
-use nc_suite::serve::carve::render_lines;
 use nc_suite::serve::{
-    PublishDelta, Server, ServerHandle, ServeConfig, ServeSnapshot, ServeState, SnapshotRegistry,
+    CarveResult, PublishDelta, Server, ServerHandle, ServeConfig, ServeSnapshot, ServeState,
+    SnapshotRegistry,
 };
 use nc_suite::votergen::config::GeneratorConfig;
 
@@ -334,7 +334,7 @@ fn concurrent_carves_match_direct_customize_bit_for_bit() {
         seed: 5,
     };
     let direct = customize(&store, &scorer, &params);
-    let mut expected = render_lines(&direct).join("\n");
+    let mut expected = CarveResult::render(1, &params, None, &direct).lines.join("\n");
     if !expected.is_empty() {
         expected.push('\n');
     }
